@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import PeriodicOrbit
-from .errors import DegenerateNullspace, NormalizationSingular
+from .errors import DegenerateNullspace, NormalizationSingular, NotSingular
 from .floquet import (
     DEGENERACY_GAP,
     SINGULARITY_RATIO,
@@ -207,7 +207,7 @@ def solve_response(
     U, svals, _ = np.linalg.svd(A)
     s_min, s_next, s_max = svals[-1], svals[-2], svals[0]
     if s_min > SINGULARITY_RATIO * s_max:
-        raise ValueError(
+        raise NotSingular(
             f"adjoint system is not singular at mu={mu:.6e}: "
             f"sigma_min/sigma_max = {s_min / s_max:.3e}"
         )

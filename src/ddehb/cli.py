@@ -335,40 +335,11 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def _classify_error(exc: Exception) -> int:
-    from .errors import (
-        DegenerateNullspace,
-        DivergedToEquilibrium,
-        MaxIterations,
-        MonodromyIllConditioned,
-        NoOscillationDetected,
-        NoRootInBracket,
-        NonConvergentAdjoint,
-        NonFiniteState,
-        NormalizationSingular,
-        PeriodDrift,
-        SingularJacobian,
-    )
-
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, (StaleInput, FileNotFoundError, OSError, json.JSONDecodeError)):
         return EXIT_IO
-    if isinstance(
-        exc,
-        (
-            MaxIterations,
-            SingularJacobian,
-            DivergedToEquilibrium,
-            NoRootInBracket,
-            DegenerateNullspace,
-            NormalizationSingular,
-            NoOscillationDetected,
-            PeriodDrift,
-            MonodromyIllConditioned,
-            NonConvergentAdjoint,
-            NonFiniteState,
-        ),
-    ):
+    if isinstance(exc, DdehbError):  # every other solver or oracle failure
         return EXIT_CONVERGENCE
     raise exc
 

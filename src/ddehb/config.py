@@ -199,6 +199,12 @@ def _validate_semantics(cfg: RunConfig):
             f"oracle.N={cfg.oracle.N} must be divisible by "
             f"{1 << (cfg.oracle.levels - 1)} for {cfg.oracle.levels} levels"
         )
+    if cfg.oracle.N >> (cfg.oracle.levels - 1) < 2:
+        raise ConfigError(
+            f"oracle.N={cfg.oracle.N} leaves a coarsest chain of "
+            f"{cfg.oracle.N >> (cfg.oracle.levels - 1)} segments for "
+            f"{cfg.oracle.levels} levels; it needs >= 2"
+        )
     if cfg.response.quadrature_nodes < 2:
         raise ConfigError("response.quadrature_nodes must be >= 2")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cycle import PeriodicOrbit
-from .errors import DegenerateNullspace, NoRootInBracket
+from .errors import DegenerateNullspace, NoRootInBracket, NotSingular
 from .spectral import FourierSeries, build_operators, sample_to_coeffs
 
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
@@ -222,7 +222,7 @@ def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     U, svals, Vt = np.linalg.svd(mat)
     s_min, s_next, s_max = svals[-1], svals[-2], svals[0]
     if s_min > SINGULARITY_RATIO * s_max:
-        raise ValueError(
+        raise NotSingular(
             f"M(mu) is not singular at mu={mu:.6e}: "
             f"sigma_min/sigma_max = {s_min / s_max:.3e}"
         )

@@ -9,7 +9,8 @@ assembly), so that agreement is evidence rather than tautology:
 * the finite-segment ODE discretization (delay line of N first-order
   lags), integrable on its own and the basis for the two linear engines;
 * monodromy exponents/eigenvectors of the variational equation along the
-  orbit, via subspace iteration over one-period sweeps;
+  orbit, via subspace iteration over one-period sweeps (the factored RK4
+  of `sweep`);
 * backward integration of the discretized adjoint (again via one-period
   subspace sweeps, which is what repeated backward periods amount to)
   yielding oracle phase/amplitude response curves after the continuum
@@ -18,7 +19,7 @@ assembly), so that agreement is evidence rather than tautology:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
 from .floquet import _fix_mode_gauge as _mode_gauge  # shared convention, no operator
 from .model import ModelSpec
 from .spectral import sample_to_coeffs
+from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
 
 # Half-point cubic Lagrange weights on a uniform 4-point stencil:
 # centered (nodes -1,0,1,2 at x=1/2) and one-sided (nodes 0..3 at x=1/2).
@@ -356,22 +358,6 @@ def integrate_discretized(
 # ---------------------------------------------------------------------------
 
 
-def _variational_tables(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: int):
-    """DF0/DF1 along the cycle at the RK4 node and midpoint times."""
-    T = orbit.T
-    h = T / steps
-    t_nodes = np.arange(steps + 1) * h
-    t_mid = t_nodes[:-1] + 0.5 * h
-    tau = system.model.tau
-
-    def tables(ts):
-        x = orbit.value(ts)
-        xd = orbit.value(ts - tau)
-        return system.model.DF0(x, xd), system.model.DF1(x, xd)
-
-    return h, tables(t_nodes), tables(t_mid)
-
-
 def _choose_steps(system: DiscretizedSystem, T: float) -> int:
     # The upwind lag blocks put eigenvalues on the circle |z + c| = c with
     # c = N/tau, reaching -2c, so RK4 stability needs 2*h*c below ~2.78.
@@ -379,63 +365,11 @@ def _choose_steps(system: DiscretizedSystem, T: float) -> int:
     return max(int(np.ceil(T / h_max)), 1024)
 
 
-def _jac_apply(DF0, DF1, c, V):
-    """J V for block states V of shape (N+1, m, k)."""
-    out = np.empty_like(V)
-    out[0] = DF0 @ V[0] + DF1 @ V[-1]
-    out[1:] = c * (V[:-1] - V[1:])
-    return out
-
-
-def _jac_apply_T(DF0, DF1, c, V):
-    """J^T V: first block feeds back into head and tail rows."""
-    out = np.empty_like(V)
-    out[0] = DF0.T @ V[0] + c * V[1]
-    out[1:-1] = c * (V[2:] - V[1:-1])
-    out[-1] = DF1.T @ V[0] - c * V[-1]
-    return out
-
-
-def _sweep_forward(system, V, h, steps, node_tab, mid_tab, store_head=False):
-    """Propagate columns of V through one period of y' = J(t) y."""
-    c = system.rate
-    DF0_n, DF1_n = node_tab
-    DF0_m, DF1_m = mid_tab
-    Y = V.reshape(system.N + 1, system.m, -1).copy()
-    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
-    if store_head:
-        head[0] = Y[0]
-    for j in range(steps):
-        k1 = _jac_apply(DF0_n[j], DF1_n[j], c, Y)
-        k2 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k1)
-        k3 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k2)
-        k4 = _jac_apply(DF0_n[j + 1], DF1_n[j + 1], c, Y + h * k3)
-        Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if store_head:
-            head[j + 1] = Y[0]
-    return Y.reshape(system.dim, -1), head
-
-
-def _sweep_backward(system, V, h, steps, node_tab, mid_tab, store_head=False):
-    """Propagate columns of V through one period of I' = -J(t)^T I,
-    integrating from t = T down to t = 0 (the transposed monodromy)."""
-    c = system.rate
-    DF0_n, DF1_n = node_tab
-    DF0_m, DF1_m = mid_tab
-    Y = V.reshape(system.N + 1, system.m, -1).copy()
-    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
-    if store_head:
-        head[steps] = Y[0]
-    s = -h
-    for j in range(steps, 0, -1):
-        k1 = -_jac_apply_T(DF0_n[j], DF1_n[j], c, Y)
-        k2 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k1)
-        k3 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k2)
-        k4 = -_jac_apply_T(DF0_n[j - 1], DF1_n[j - 1], c, Y + s * k3)
-        Y += (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if store_head:
-            head[j - 1] = Y[0]
-    return Y.reshape(system.dim, -1), head
+def _by_magnitude(vals: np.ndarray) -> np.ndarray:
+    """Order of descending magnitude.  A conjugate pair ties exactly, so its
+    upper member goes first: an unstable order would swap the pair between
+    iterations, which the convergence test reads as movement."""
+    return np.lexsort((-vals.imag, -np.abs(vals)))
 
 
 @dataclass
@@ -473,7 +407,7 @@ def monodromy_exponents(
     beyond 1e-2 raises MonodromyIllConditioned.
     """
     steps = steps or _choose_steps(system, orbit.T)
-    h, node_tab, mid_tab = _variational_tables(system, orbit, steps)
+    plan = _sweep_plan(system, orbit, steps)
     kk = min(k + 3, system.dim)
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
@@ -481,10 +415,10 @@ def monodromy_exponents(
     prev = None
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        W, _ = _sweep_forward(system, V, h, steps, node_tab, mid_tab)
+        W, _ = _sweep_forward(plan, V, steps)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
-        order = np.argsort(-np.abs(vals))
+        order = _by_magnitude(vals)
         vals, vecs = vals[order], vecs[:, order]
         if prev is not None and np.all(
             np.abs(vals[:k] - prev[:k]) <= tol * np.maximum(1.0, np.abs(vals[:k]))
@@ -567,11 +501,9 @@ def monodromy_eigenfunction(
     i = int(np.argmin(np.abs(result.multipliers - lam)))
     v0 = _realify(result.vectors[:, i])
     steps = result.steps
-    h, node_tab, mid_tab = _variational_tables(system, orbit, steps)
-    _, head = _sweep_forward(
-        system, v0[:, None], h, steps, node_tab, mid_tab, store_head=True
-    )
-    t = np.arange(steps + 1) * h
+    plan = _sweep_plan(system, orbit, steps)
+    _, head = _sweep_forward(plan, v0[:, None], steps, store_head=True)
+    t = np.arange(steps + 1) * plan.h
     rho = np.exp(-mu * t)[:, None] * head[:, :, 0]
     rho = _mode_gauge(rho)
     rho[-1] = rho[0]  # enforce exact periodicity of the stored profile
@@ -659,7 +591,7 @@ def discretized_adjoint(
     if mu != 0.0 and rho is None:
         raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
     steps = steps or _choose_steps(system, orbit.T)
-    h, node_tab, mid_tab = _variational_tables(system, orbit, steps)
+    plan = _sweep_plan(system, orbit, steps, backward=True)
     kk = min(subspace, system.dim)
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
@@ -669,7 +601,7 @@ def discretized_adjoint(
     iterations = 0
     converged = False
     for iterations in range(1, max_periods + 1):
-        W, _ = _sweep_backward(system, V, h, steps, node_tab, mid_tab)
+        W, _ = _sweep_backward(plan, V, steps)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
         i = int(np.argmin(np.abs(vals - lam_target)))
@@ -691,10 +623,8 @@ def discretized_adjoint(
             f"adjoint profile still moving after {max_periods} backward periods"
         )
 
-    _, head = _sweep_backward(
-        system, u_prev[:, None], h, steps, node_tab, mid_tab, store_head=True
-    )
-    t = np.arange(steps + 1) * h
+    _, head = _sweep_backward(plan, u_prev[:, None], steps, store_head=True)
+    t = np.arange(steps + 1) * plan.h
     w0 = head[:, :, 0]
     curve = np.exp(mu * t)[:, None] * w0  # q(t) = e^{mu t} w(t); mu=0 -> z
     curve[-1] = curve[0]
@@ -839,6 +769,7 @@ class OracleFloquet:
     exponents: np.ndarray
     unit_multiplier_error: float
     T: float
+    _profiles: list | None = field(default=None, init=False, repr=False)
 
     def leading_nontrivial(self) -> float:
         i_unit = int(np.argmin(np.abs(self.multipliers - 1.0)))
@@ -847,6 +778,19 @@ class OracleFloquet:
 
     def leading_per_level(self) -> list[float]:
         return [float(r.leading_nontrivial().real) for r in self.results]
+
+    def level_eigenfunctions(self, orbit: PeriodicOrbit) -> list[_PeriodicInterp]:
+        """Each level's eigenfunction profile at its own leading nontrivial
+        exponent, unaligned.  Swept on the first call and kept, so orbit
+        must be the orbit the exponents were computed on; callers share
+        the profiles and must not modify them."""
+        if self._profiles is None:
+            self._profiles = [
+                monodromy_eigenfunction(sys, orbit, res, mu)
+                for sys, res, mu in zip(self.systems, self.results,
+                                        self.leading_per_level())
+            ]
+        return self._profiles
 
 
 def oracle_floquet(
@@ -903,10 +847,13 @@ def oracle_eigenfunction(
     """Extrapolated, max-normalized eigenfunction profile at the leading
     nontrivial exponent (or at mu if given), sign-aligned across levels."""
     weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
-    profiles = []
-    for sys, res in zip(ofl.systems, ofl.results):
-        mu_lvl = float(res.leading_nontrivial().real) if mu is None else mu
-        profiles.append(monodromy_eigenfunction(sys, orbit, res, mu_lvl))
+    if mu is None:
+        profiles = ofl.level_eigenfunctions(orbit)
+    else:
+        profiles = [
+            monodromy_eigenfunction(sys, orbit, res, mu)
+            for sys, res in zip(ofl.systems, ofl.results)
+        ]
     t_ref = np.linspace(0.0, orbit.T, 512)
     ref = profiles[-1](t_ref)
     aligned = []
@@ -970,9 +917,9 @@ def oracle_amplitude_response(
     rho_ex = rho if rho is not None else oracle_eigenfunction(orbit, ofl)
     ref = rho_ex(t_ref)
     curves = []
-    for sys, res in zip(ofl.systems, ofl.results):
-        mu_lvl = float(res.leading_nontrivial().real)
-        rho_lvl = monodromy_eigenfunction(sys, orbit, res, mu_lvl)
+    for sys, mu_lvl, rho_lvl in zip(
+        ofl.systems, ofl.leading_per_level(), ofl.level_eigenfunctions(orbit)
+    ):
         s = 1.0 if float(np.sum(rho_lvl(t_ref) * ref)) >= 0 else -1.0
         rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
         curves.append(

@@ -222,7 +222,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
         _check("kotani.oracle_z", np.abs(z_o.value(tg) - z.Q).max(), 1e-3, t0)
     )
     t0 = time.perf_counter()
-    q_o = oracle.oracle_amplitude_response(orbit, ofl, quad_nodes=nodes)
+    q_o = oracle.oracle_amplitude_response(orbit, ofl, rho=rho_o, quad_nodes=nodes)
     q_vals = _sign_align(q_o.value(tg), q.Q)
     results.append(
         _check("kotani.oracle_q", np.abs(q_vals - q.Q).max(), 1e-3, t0)

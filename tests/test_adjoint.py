@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddehb import adjoint
-from ddehb.errors import NormalizationSingular
+from ddehb.errors import NormalizationSingular, NotSingular
 
 
 class TestAdjointMatrix:
@@ -50,6 +50,12 @@ class TestSolveResponse:
     def test_phase_requires_zero_mu(self, kotani_orbit):
         with pytest.raises(ValueError):
             adjoint.solve_response(kotani_orbit, -0.01, "phase")
+
+    def test_regular_mu_is_typed(self, kotani_orbit, kotani_mode):
+        with pytest.raises(NotSingular, match="not singular"):
+            adjoint.solve_response(
+                kotani_orbit, -0.015, "amplitude", floquet_mode=kotani_mode
+            )
 
     def test_amplitude_requires_mode(self, kotani_orbit, kotani_mu):
         with pytest.raises(ValueError):

@@ -128,6 +128,21 @@ class TestResponseCommand:
         )
         assert code == EXIT_IO
 
+    def test_regular_exponent_is_convergence_failure(self, tmp_path):
+        # an exponent file naming a mu where M(mu) is regular
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        (out / "exponents.json").write_text(json.dumps(
+            {"config_hash": h, "exponents": [{"mu": -0.015, "trivial": False}]}
+        ))
+        code = run(
+            "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert code == EXIT_CONVERGENCE
+        assert not (out / "q.csv").exists()
+
     def test_phase_only_needs_orbit(self, tmp_path):
         out = tmp_path / "run"
         run("cycle", "--config", KOTANI_CFG, "--out", str(out))
@@ -179,3 +194,15 @@ class TestConfigValidation:
             "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path),
             "--override", "oracle.levels=5",
         ) == EXIT_CONFIG
+
+    def test_coarsest_chain_too_short(self, tmp_path):
+        # N=4 over 3 levels leaves a coarsest chain of one segment
+        assert run(
+            "validate", "--config", KOTANI_CFG, "--out", str(tmp_path),
+            "--override", "oracle.N=4",
+        ) == EXIT_CONFIG
+        assert not (tmp_path / "validation_report.json").exists()
+        assert run(
+            "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path),
+            "--override", "oracle.N=8",
+        ) == EXIT_OK

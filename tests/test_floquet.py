@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddehb import floquet, oracle
-from ddehb.errors import NoRootInBracket
+from ddehb.errors import NoRootInBracket, NotSingular
 
 from conftest import CORTICO_SCAN, KOTANI_SCAN
 
@@ -117,7 +117,7 @@ class TestEigenfunction:
             assert mode.R[idx] > 0
 
     def test_rejects_nonsingular_mu(self, kotani_orbit):
-        with pytest.raises(ValueError, match="not singular"):
+        with pytest.raises(NotSingular, match="not singular"):
             floquet.eigenfunction(kotani_orbit, -0.015)
 
     def test_gauge_tie_break_ignores_round_off(self):

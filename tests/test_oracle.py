@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, oracle
+from ddehb import adjoint, oracle, sweep
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -200,6 +200,12 @@ class TestMonodromy:
         mu_o = cortico_oracle_floquet.leading_nontrivial()
         assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
 
+    def test_conjugate_pair_order_is_fixed(self):
+        lam = 4.4e-5 + 5.7e-5j
+        for vals in ([lam.conjugate(), lam, 0.8], [0.8, lam, lam.conjugate()]):
+            vals = np.array(vals)
+            assert list(vals[oracle._by_magnitude(vals)]) == [0.8, lam, lam.conjugate()]
+
     def test_corrupted_orbit_rejected(self, kotani_model, kotani_orbit):
         import dataclasses
 
@@ -212,6 +218,134 @@ class TestMonodromy:
             oracle.monodromy_exponents(
                 oracle.build_discretized(kotani_model, 64), bad, k=4
             )
+
+
+def _jac_apply(DF0, DF1, c, V):
+    """J V for block states V of shape (N+1, m, k)."""
+    out = np.empty_like(V)
+    out[0] = DF0 @ V[0] + DF1 @ V[-1]
+    out[1:] = c * (V[:-1] - V[1:])
+    return out
+
+
+def _jac_apply_T(DF0, DF1, c, V):
+    """J^T V: first block feeds back into head and tail rows."""
+    out = np.empty_like(V)
+    out[0] = DF0.T @ V[0] + c * V[1]
+    out[1:-1] = c * (V[2:] - V[1:-1])
+    out[-1] = DF1.T @ V[0] - c * V[-1]
+    return out
+
+
+def reference_sweep_forward(system, V, h, steps, node_tab, mid_tab, store_head=False):
+    """Unfactored four-stage RK4 over one period of y' = J(t) y."""
+    c = system.rate
+    DF0_n, DF1_n = node_tab
+    DF0_m, DF1_m = mid_tab
+    Y = V.reshape(system.N + 1, system.m, -1).copy()
+    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
+    if store_head:
+        head[0] = Y[0]
+    for j in range(steps):
+        k1 = _jac_apply(DF0_n[j], DF1_n[j], c, Y)
+        k2 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k1)
+        k3 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k2)
+        k4 = _jac_apply(DF0_n[j + 1], DF1_n[j + 1], c, Y + h * k3)
+        Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if store_head:
+            head[j + 1] = Y[0]
+    return Y.reshape(system.dim, -1), head
+
+
+def reference_sweep_backward(system, V, h, steps, node_tab, mid_tab, store_head=False):
+    """Unfactored four-stage RK4 over one period of I' = -J(t)^T I, from
+    t = T down to t = 0."""
+    c = system.rate
+    DF0_n, DF1_n = node_tab
+    DF0_m, DF1_m = mid_tab
+    Y = V.reshape(system.N + 1, system.m, -1).copy()
+    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
+    if store_head:
+        head[steps] = Y[0]
+    s = -h
+    for j in range(steps, 0, -1):
+        k1 = -_jac_apply_T(DF0_n[j], DF1_n[j], c, Y)
+        k2 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k1)
+        k3 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k2)
+        k4 = -_jac_apply_T(DF0_n[j - 1], DF1_n[j - 1], c, Y + s * k3)
+        Y += (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if store_head:
+            head[j - 1] = Y[0]
+    return Y.reshape(system.dim, -1), head
+
+
+SWEEP_RTOL = 1e-12  # sup-norm gap relative to the reference, fixed in advance
+
+
+def _rel_gap(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+@pytest.fixture(params=["kotani", "cortico"])
+def sweep_case(request):
+    """Model and orbit of the sweep checks: the scalar benchmark (m = 1) and
+    the two-component cortico cycle, whose delayed Jacobian DF1 is nonzero."""
+    model = request.getfixturevalue(f"{request.param}_model")
+    orbit = request.getfixturevalue(f"{request.param}_orbit")
+    return model, orbit
+
+
+class TestSweepPlan:
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("N", [2, 3, 5, 7, 8, 64])
+    def test_matches_unfactored_rk4(self, sweep_case, N, backward):
+        model, orbit = sweep_case
+        system = oracle.build_discretized(model, N)
+        steps = oracle._choose_steps(system, orbit.T)
+        plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
+        if backward:
+            run, reference = sweep._sweep_backward, reference_sweep_backward
+        else:
+            run, reference = sweep._sweep_forward, reference_sweep_forward
+        rng = np.random.default_rng(N)
+        for k in (1, 5):
+            V = rng.standard_normal((system.dim, k))
+            W, head = run(plan, V, steps, store_head=True)
+            W_ref, head_ref = reference(
+                system, V, plan.h, steps, plan.node_tab, plan.mid_tab, store_head=True
+            )
+            assert _rel_gap(W, W_ref) <= SWEEP_RTOL
+            assert _rel_gap(head, head_ref) <= SWEEP_RTOL
+            assert np.array_equal(head[-1 if backward else 0], V[: model.m])
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("N", [2, 3, 5, 7])
+    def test_one_step_matches_dense_rk4(self, sweep_case, N, backward):
+        model, orbit = sweep_case
+        system = oracle.build_discretized(model, N)
+        steps = oracle._choose_steps(system, orbit.T)
+        plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
+        h = plan.h
+
+        def J(t):
+            x = orbit.value(np.array([t, t - model.tau]))
+            return system.jacobian_dense(x[0], x[1])
+
+        V = np.random.default_rng(N).standard_normal((system.dim, 3))
+        if backward:  # first interval swept is [T - h, T], from its right end
+            t0, s = steps * h, -h
+            A = [-J(t).T for t in (t0, t0 - 0.5 * h, t0 - h)]
+            W, _ = sweep._sweep_backward(plan, V, 1)
+        else:
+            t0, s = 0.0, h
+            A = [J(t) for t in (t0, 0.5 * h, h)]
+            W, _ = sweep._sweep_forward(plan, V, 1)
+        k1 = A[0] @ V
+        k2 = A[1] @ (V + 0.5 * s * k1)
+        k3 = A[1] @ (V + 0.5 * s * k2)
+        k4 = A[2] @ (V + s * k3)
+        dense = V + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert _rel_gap(W, dense) <= SWEEP_RTOL
 
 
 class TestDiscretizedAdjoint:
@@ -237,6 +371,23 @@ class TestDiscretizedAdjoint:
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(res.value(t) - expected).max() < 1e-4
+
+    def test_level_eigenfunctions_swept_once(self, kotani_model, kotani_orbit,
+                                             monkeypatch):
+        ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512, k=3)
+        swept = []
+        sweep = oracle.monodromy_eigenfunction
+
+        def counting(system, *args):
+            swept.append(system.N)
+            return sweep(system, *args)
+
+        monkeypatch.setattr(oracle, "monodromy_eigenfunction", counting)
+        rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
+        q = oracle.oracle_amplitude_response(kotani_orbit, ofl)
+        q_given = oracle.oracle_amplitude_response(kotani_orbit, ofl, rho=rho)
+        assert swept == [128, 256, 512]
+        assert np.array_equal(q.interp.values, q_given.interp.values)
 
     def test_nonconvergence_reported(self, kotani_model, kotani_orbit):
         sys = oracle.build_discretized(kotani_model, 64)
