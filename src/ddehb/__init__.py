@@ -52,10 +52,10 @@ from .oracle import (
     discretized_adjoint,
     integrate_dde,
     monodromy_exponents,
-    oracle_amplitude_response,
     oracle_eigenfunction,
     oracle_floquet,
     oracle_phase_response,
+    oracle_responses,
     settle_to_cycle,
 )
 from .spectral import (
@@ -102,10 +102,10 @@ __all__ = [
     "monodromy_exponents",
     "normalize_amplitude",
     "normalize_phase",
-    "oracle_amplitude_response",
     "oracle_eigenfunction",
     "oracle_floquet",
     "oracle_phase_response",
+    "oracle_responses",
     "refine_exponent",
     "residual",
     "sample_to_coeffs",

@@ -12,14 +12,15 @@ assembly), so that agreement is evidence rather than tautology:
   orbit, via subspace iteration over one-period sweeps (the factored RK4
   of `sweep`);
 * backward integration of the discretized adjoint (again via one-period
-  subspace sweeps, which is what repeated backward periods amount to)
-  yielding oracle phase/amplitude response curves after the continuum
+  subspace sweeps, which is what repeated backward periods amount to;
+  one iteration serves the phase and the amplitude target) yielding
+  oracle phase/amplitude response curves after the continuum
   normalization, plus direct pulse-perturbation PRC measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -377,6 +378,8 @@ class MonodromyResult:
     exponents: np.ndarray  # complex, sorted by descending real part
     multipliers: np.ndarray
     vectors: np.ndarray  # (dim, n_modes) Ritz vectors matching multipliers
+    coeffs: np.ndarray  # (kk, n_modes) the Ritz vectors in the last swept basis
+    head: np.ndarray  # (steps+1, m, kk) head block of that basis over the period
     unit_multiplier_error: float
     T: float
     steps: int
@@ -403,8 +406,10 @@ def monodromy_exponents(
     Subspace iteration over one-period sweeps (k+3 vectors, QR
     re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
     fundamental matrix; convergence is declared when the leading Ritz
-    values stabilize.  The unit multiplier must be present: deviation
-    beyond 1e-2 raises MonodromyIllConditioned.
+    values stabilize.  Every sweep records the head block of its basis, so
+    the result carries the last one and eigenfunction profiles are read
+    from it without sweeping again.  The unit multiplier must be present:
+    deviation beyond 1e-2 raises MonodromyIllConditioned.
     """
     steps = steps or _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps)
@@ -413,14 +418,13 @@ def monodromy_exponents(
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
 
     prev = None
-    iterations = 0
     for iterations in range(1, max_iterations + 1):
-        W, _ = _sweep_forward(plan, V, steps)
+        W, head = _sweep_forward(plan, V, steps, store_head=True)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
         order = _by_magnitude(vals)
         vals, vecs = vals[order], vecs[:, order]
-        if prev is not None and np.all(
+        if iterations == max_iterations or prev is not None and np.all(
             np.abs(vals[:k] - prev[:k]) <= tol * np.maximum(1.0, np.abs(vals[:k]))
         ):
             break
@@ -432,10 +436,11 @@ def monodromy_exponents(
     vectors = ritz_vecs[:, :k]
     exponents = np.log(multipliers.astype(complex)) / orbit.T
     order = np.argsort(-exponents.real)
-    multipliers, exponents, vectors = (
+    multipliers, exponents, vectors, coeffs = (
         multipliers[order],
         exponents[order],
         vectors[:, order],
+        vecs[:, :k][:, order],
     )
     unit_err = float(np.min(np.abs(multipliers - 1.0)))
     if unit_err > 1e-2:
@@ -446,6 +451,8 @@ def monodromy_exponents(
         exponents=exponents,
         multipliers=multipliers,
         vectors=vectors,
+        coeffs=coeffs,
+        head=head,
         unit_multiplier_error=unit_err,
         T=orbit.T,
         steps=steps,
@@ -453,11 +460,12 @@ def monodromy_exponents(
     )
 
 
-def _realify(vec: np.ndarray) -> np.ndarray:
-    """Rotate a numerically-real complex vector onto the real axis."""
+def _realify(vec: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate a numerically-real complex Ritz vector onto the real axis; the
+    same rotation makes its coefficients in the real basis real."""
     i = int(np.argmax(np.abs(vec)))
-    v = vec * np.exp(-1j * np.angle(vec[i]))
-    return np.real(v)
+    phase = np.exp(-1j * np.angle(vec[i]))
+    return np.real(vec * phase), np.real(coeffs * phase)
 
 
 @dataclass
@@ -488,23 +496,17 @@ class _PeriodicInterp:
         return np.einsum("pk,pkm->pm", w, vals)
 
 
-def monodromy_eigenfunction(
-    system: DiscretizedSystem,
-    orbit: PeriodicOrbit,
-    result: MonodromyResult,
-    mu: float,
-) -> _PeriodicInterp:
+def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInterp:
     """Periodic eigenfunction profile rho(t) = e^{-mu t} y_0(t) from the
     monodromy eigenvector at multiplier e^{mu T}, max-normalized with the
-    same gauge as the spectral path."""
+    same gauge as the spectral path.  y_0 is read from the head block the
+    last sweep recorded, combined with the eigenvector's real coefficients;
+    by linearity that is its own sweep, up to round-off."""
     lam = np.exp(mu * result.T)
     i = int(np.argmin(np.abs(result.multipliers - lam)))
-    v0 = _realify(result.vectors[:, i])
-    steps = result.steps
-    plan = _sweep_plan(system, orbit, steps)
-    _, head = _sweep_forward(plan, v0[:, None], steps, store_head=True)
-    t = np.arange(steps + 1) * plan.h
-    rho = np.exp(-mu * t)[:, None] * head[:, :, 0]
+    _, c = _realify(result.vectors[:, i], result.coeffs[:, i])
+    t = np.arange(result.steps + 1) * (result.T / result.steps)
+    rho = np.exp(-mu * t)[:, None] * (result.head @ c)
     rho = _mode_gauge(rho)
     rho[-1] = rho[0]  # enforce exact periodicity of the stored profile
     return _PeriodicInterp(T=result.T, values=rho)
@@ -564,93 +566,111 @@ def oracle_pairing(
     return head + float(np.exp(-mu * tau)) * float(weights @ integrand)
 
 
-def discretized_adjoint(
-    system: DiscretizedSystem,
-    orbit: PeriodicOrbit,
-    mu: float,
-    rho: _PeriodicInterp | None = None,
-    steps: int | None = None,
-    max_periods: int = 50,
-    tol: float = 1e-8,
-    quad_nodes: int = 64,
-    subspace: int = 6,
-    seed: int = 1,
-) -> OracleResponse:
-    """Oracle response curve from backward adjoint integration.
-
-    Repeated one-period backward sweeps of I' = -J(t)^T I (a small block
-    of vectors at once, re-orthonormalized each period) converge on the
-    left eigenspace of the monodromy map; the Ritz vector at multiplier
-    e^{mu T} is then swept backward once more to record the profile, whose
-    first block is the response.  mu = 0 gives the phase response; a
-    nonzero exponent needs rho (from monodromy_eigenfunction) for the
-    amplitude normalization.  Periodicity is declared when the target
-    vector moves less than tol between successive periods;
-    NonConvergentAdjoint after max_periods.
-    """
-    if mu != 0.0 and rho is None:
-        raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
-    steps = steps or _choose_steps(system, orbit.T)
-    plan = _sweep_plan(system, orbit, steps, backward=True)
-    kk = min(subspace, system.dim)
-    rng = np.random.default_rng(seed)
-    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
-    lam_target = float(np.exp(mu * orbit.T))
-
-    u_prev = None
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_periods + 1):
-        W, _ = _sweep_backward(plan, V, steps)
-        H = V.T @ W
-        vals, vecs = np.linalg.eig(H)
-        i = int(np.argmin(np.abs(vals - lam_target)))
-        u = _realify(V @ vecs[:, i])
-        u /= np.linalg.norm(u)
-        if u_prev is not None:
-            if u @ u_prev < 0:
-                u = -u
-            if np.linalg.norm(u - u_prev) <= tol:
-                converged = True
-                u_prev = u
-                multiplier = vals[i]
-                break
-        u_prev = u
-        multiplier = vals[i]
-        V, _ = np.linalg.qr(W)
-    if not converged:
-        raise NonConvergentAdjoint(
-            f"adjoint profile still moving after {max_periods} backward periods"
-        )
-
-    _, head = _sweep_backward(plan, u_prev[:, None], steps, store_head=True)
-    t = np.arange(steps + 1) * plan.h
-    w0 = head[:, :, 0]
-    curve = np.exp(mu * t)[:, None] * w0  # q(t) = e^{mu t} w(t); mu=0 -> z
-    curve[-1] = curve[0]
-    interp = _PeriodicInterp(T=orbit.T, values=curve)
-
-    if mu == 0.0:
-        partner = _orbit_tangent(orbit)
-        c = oracle_pairing(orbit, interp, partner, 0.0, quad_nodes=quad_nodes)
-        scale = orbit.omega / c
-        target = orbit.omega
-    else:
-        c = oracle_pairing(orbit, interp, rho, mu, quad_nodes=quad_nodes)
-        scale = 1.0 / c
-        target = 1.0
-    interp = _PeriodicInterp(T=orbit.T, values=curve * scale)
-    achieved = oracle_pairing(
-        orbit, interp, _orbit_tangent(orbit) if mu == 0.0 else rho, mu,
-        quad_nodes=quad_nodes,
-    )
+def _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier) -> OracleResponse:
+    """Response from a periodic curve sampled on [0, T], scaled so that its
+    pairing with the cycle tangent is omega (mu = 0, phase) or with the
+    eigenfunction rho is 1 (amplitude)."""
+    partner, target = (_orbit_tangent(orbit), orbit.omega) if mu == 0.0 else (rho, 1.0)
+    raw = _PeriodicInterp(T=orbit.T, values=curve)
+    c = oracle_pairing(orbit, raw, partner, mu, quad_nodes=quad_nodes)
+    interp = _PeriodicInterp(T=orbit.T, values=curve * (target / c))
     return OracleResponse(
         kind="phase" if mu == 0.0 else "amplitude",
         mu=float(mu),
         interp=interp,
         iterations=iterations,
         multiplier=complex(multiplier),
-        normalization=float(achieved),
+        normalization=float(
+            oracle_pairing(orbit, interp, partner, mu, quad_nodes=quad_nodes)
+        ),
+    )
+
+
+def _adjoint_response(orbit, mu, rho, w0, quad_nodes, iterations, multiplier):
+    """Response q(t) = e^{mu t} w(t) (z for mu = 0) from the head profile w0
+    of an adjoint vector, sampled at the steps+1 nodes of one period."""
+    steps = w0.shape[0] - 1
+    t = np.arange(steps + 1) * (orbit.T / steps)
+    curve = np.exp(mu * t)[:, None] * w0
+    curve[-1] = curve[0]
+    return _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier)
+
+
+@dataclass
+class AdjointIteration:
+    """One backward subspace iteration on a chain level and the response
+    curves it served."""
+
+    responses: list[OracleResponse]  # one per target, in the order given
+    vectors: np.ndarray  # (dim, targets) unit adjoint vectors, as converged
+    iterations: int  # backward periods swept: the most any target needed
+
+
+def discretized_adjoint(
+    system: DiscretizedSystem,
+    orbit: PeriodicOrbit,
+    targets,
+    steps: int | None = None,
+    max_periods: int = 50,
+    tol: float = 1e-8,
+    quad_nodes: int = 64,
+    subspace: int = 6,
+    seed: int = 1,
+) -> AdjointIteration:
+    """Oracle response curves from backward adjoint integration.
+
+    Repeated one-period backward sweeps of I' = -J(t)^T I (a small block
+    of vectors at once, re-orthonormalized each period) converge on the
+    left eigenspace of the monodromy map.  targets lists (mu, rho) pairs:
+    mu = 0 with rho None gives the phase response; a nonzero exponent
+    needs rho (from monodromy_eigenfunction) for the amplitude
+    normalization.  Each target follows the Ritz vector at multiplier
+    e^{mu T} and is periodic once that vector moves less than tol between
+    successive periods; its profile, whose first block is the response,
+    is read from the head block that period's sweep recorded.  The sweeps
+    do not depend on the targets, so each target gets what a one-target
+    run gives, and the iteration stops when the last target has converged;
+    NonConvergentAdjoint after max_periods.
+    """
+    if any(mu != 0.0 and rho is None for mu, rho in targets):
+        raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
+    steps = steps or _choose_steps(system, orbit.T)
+    plan = _sweep_plan(system, orbit, steps, backward=True)
+    kk = min(subspace, system.dim)
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
+
+    u_prev = [None] * len(targets)
+    responses = [None] * len(targets)
+    for iterations in range(1, max_periods + 1):
+        W, head = _sweep_backward(plan, V, steps, store_head=True)
+        H = V.T @ W
+        vals, vecs = np.linalg.eig(H)
+        for j, (mu, rho) in enumerate(targets):
+            if responses[j] is not None:
+                continue
+            i = int(np.argmin(np.abs(vals - float(np.exp(mu * orbit.T)))))
+            u, c = _realify(V @ vecs[:, i], vecs[:, i])
+            norm = np.linalg.norm(u)
+            u, c = u / norm, c / norm
+            if u_prev[j] is not None and u @ u_prev[j] < 0:
+                u, c = -u, -c
+            if u_prev[j] is not None and np.linalg.norm(u - u_prev[j]) <= tol:
+                responses[j] = _adjoint_response(
+                    orbit, mu, rho, head @ c, quad_nodes, iterations, vals[i]
+                )
+            u_prev[j] = u
+        if all(r is not None for r in responses):
+            break
+        V, _ = np.linalg.qr(W)
+    else:
+        raise NonConvergentAdjoint(
+            f"adjoint profile still moving after {max_periods} backward periods"
+        )
+    return AdjointIteration(
+        responses=responses,
+        vectors=np.stack(u_prev, axis=-1),
+        iterations=iterations,
     )
 
 
@@ -672,19 +692,22 @@ def direct_prc(
     orbit: PeriodicOrbit,
     phases,
     eps: float | None = None,
+    scales=(1.0,),
     component: int = 0,
     dt: float | None = None,
     periods: int = 20,
     window_periods: int = 5,
-) -> PrcResult:
+) -> list[PrcResult]:
     """Measure the PRC by pulse perturbation and cross-correlation.
 
-    For each phase the unperturbed and kicked copies start from the same
-    orbit history and run for `periods` cycles (all trajectories advance
-    as one batch); the asymptotic time shift is read off as the phase
-    difference of the fundamental harmonic over the trailing window,
-    which is the peak of the circular cross-correlation of the two
-    near-sinusoidal signals, located spectrally.
+    For each phase the unperturbed copy and one kicked copy per pulse size
+    eps * scale start from the same orbit history and run for `periods`
+    cycles; all trajectories advance as one batch, so the unperturbed
+    copies are integrated once for every size.  The asymptotic time shift
+    is read off as the phase difference of the fundamental harmonic over
+    the trailing window, which is the peak of the circular
+    cross-correlation of the two near-sinusoidal signals, located
+    spectrally.  Returns one result per entry of scales.
     """
     phases = np.asarray(phases, dtype=float)
     T = orbit.T
@@ -694,30 +717,32 @@ def direct_prc(
     if dt is None:
         dt = model.tau / 64.0
     t_theta = phases / omega  # kick times along the cycle
+    B = phases.size
+    sizes = [float(eps) * s for s in scales]
 
     def history(s):
-        # batch of orbit histories: rows 0..B-1 unperturbed, B..2B-1 kicked
-        tt = np.concatenate([t_theta, t_theta]) + s
-        return orbit.value(tt)
+        # batch of orbit histories: rows 0..B-1 unperturbed, then B kicked
+        # rows per pulse size
+        return orbit.value(np.tile(t_theta, 1 + len(sizes)) + s)
 
-    kick = np.zeros((2 * phases.size, model.m))
-    kick[phases.size :, component] = eps
+    kick = np.zeros(((1 + len(sizes)) * B, model.m))
+    for j, size in enumerate(sizes):
+        kick[(j + 1) * B : (j + 2) * B, component] = size
     traj = integrate_dde(model, history, periods * T, dt, initial_kick=kick)
 
     times = traj.times
     sel = times >= periods * T - window_periods * T
     tw = times[sel]
-    xw = traj.states[sel][:, :, component]  # (nt, 2B)
-    fundamental = np.exp(-1j * omega * tw) @ xw
-    phi = np.angle(fundamental)
-    dphi = phi[phases.size :] - phi[: phases.size]
-    dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-    return PrcResult(
-        phases=phases,
-        eps=float(eps),
-        raw_shifts=dphi,
-        measured=dphi / eps,
-    )
+    xw = traj.states[sel][:, :, component]  # (nt, (1 + sizes) B)
+    phi = np.angle(np.exp(-1j * omega * tw) @ xw)
+    results = []
+    for j, size in enumerate(sizes):
+        dphi = phi[(j + 1) * B : (j + 2) * B] - phi[:B]
+        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
+        results.append(
+            PrcResult(phases=phases, eps=size, raw_shifts=dphi, measured=dphi / size)
+        )
+    return results
 
 
 def build_discretized(model: ModelSpec, N: int) -> DiscretizedSystem:
@@ -769,7 +794,6 @@ class OracleFloquet:
     exponents: np.ndarray
     unit_multiplier_error: float
     T: float
-    _profiles: list | None = field(default=None, init=False, repr=False)
 
     def leading_nontrivial(self) -> float:
         i_unit = int(np.argmin(np.abs(self.multipliers - 1.0)))
@@ -779,18 +803,13 @@ class OracleFloquet:
     def leading_per_level(self) -> list[float]:
         return [float(r.leading_nontrivial().real) for r in self.results]
 
-    def level_eigenfunctions(self, orbit: PeriodicOrbit) -> list[_PeriodicInterp]:
+    def level_eigenfunctions(self) -> list[_PeriodicInterp]:
         """Each level's eigenfunction profile at its own leading nontrivial
-        exponent, unaligned.  Swept on the first call and kept, so orbit
-        must be the orbit the exponents were computed on; callers share
-        the profiles and must not modify them."""
-        if self._profiles is None:
-            self._profiles = [
-                monodromy_eigenfunction(sys, orbit, res, mu)
-                for sys, res, mu in zip(self.systems, self.results,
-                                        self.leading_per_level())
-            ]
-        return self._profiles
+        exponent, unaligned, read from the level's monodromy result."""
+        return [
+            monodromy_eigenfunction(res, mu)
+            for res, mu in zip(self.results, self.leading_per_level())
+        ]
 
 
 def oracle_floquet(
@@ -841,19 +860,11 @@ def oracle_floquet(
     )
 
 
-def oracle_eigenfunction(
-    orbit: PeriodicOrbit, ofl: OracleFloquet, mu: float | None = None
-) -> _PeriodicInterp:
+def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicInterp:
     """Extrapolated, max-normalized eigenfunction profile at the leading
-    nontrivial exponent (or at mu if given), sign-aligned across levels."""
+    nontrivial exponent, sign-aligned across levels."""
     weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
-    if mu is None:
-        profiles = ofl.level_eigenfunctions(orbit)
-    else:
-        profiles = [
-            monodromy_eigenfunction(sys, orbit, res, mu)
-            for sys, res in zip(ofl.systems, ofl.results)
-        ]
+    profiles = ofl.level_eigenfunctions()
     t_ref = np.linspace(0.0, orbit.T, 512)
     ref = profiles[-1](t_ref)
     aligned = []
@@ -866,6 +877,33 @@ def oracle_eigenfunction(
     return combined
 
 
+def _extrapolated_responses(
+    orbit, systems, level_targets, targets, quad_nodes, subspace, seed
+) -> list[OracleResponse]:
+    """Richardson-extrapolated response curves, one per target (mu, rho).
+
+    Each chain level runs one backward subspace iteration for its own
+    targets, given in the same order (its exponent and eigenfunction); the
+    combined curves are renormalized against the extrapolated targets.
+    """
+    weights = _RICHARDSON_WEIGHTS[len(systems)]
+    levels = [
+        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes,
+                            subspace=subspace, seed=seed)
+        for sys, tg in zip(systems, level_targets)
+    ]
+    out = []
+    for j, (mu, rho) in enumerate(targets):
+        curves = [lvl.responses[j] for lvl in levels]
+        combined = _combine_profiles([c.interp for c in curves], weights, orbit.T)
+        out.append(_response(
+            orbit, combined.values, mu, rho, quad_nodes,
+            iterations=max(c.iterations for c in curves),
+            multiplier=curves[-1].multiplier,
+        ))
+    return out
+
+
 def oracle_phase_response(
     model: ModelSpec,
     orbit: PeriodicOrbit,
@@ -876,65 +914,41 @@ def oracle_phase_response(
     seed: int = 1,
 ) -> OracleResponse:
     """Extrapolated oracle phase response curve."""
-    sizes = _level_sizes(N, levels)
-    weights = _RICHARDSON_WEIGHTS[levels]
-    curves = [
-        discretized_adjoint(
-            build_discretized(model, n), orbit, 0.0, quad_nodes=quad_nodes,
-            subspace=subspace, seed=seed,
-        )
-        for n in sizes
-    ]
-    interp = _combine_profiles([c.interp for c in curves], weights, orbit.T)
-    c = oracle_pairing(orbit, interp, _orbit_tangent(orbit), 0.0, quad_nodes=quad_nodes)
-    interp.values *= orbit.omega / c
-    return OracleResponse(
-        kind="phase",
-        mu=0.0,
-        interp=interp,
-        iterations=max(c_.iterations for c_ in curves),
-        multiplier=curves[-1].multiplier,
-        normalization=float(orbit.omega),
+    systems = [build_discretized(model, n) for n in _level_sizes(N, levels)]
+    phase = [(0.0, None)]
+    (z,) = _extrapolated_responses(
+        orbit, systems, [phase] * len(systems), phase, quad_nodes, subspace, seed
     )
+    return z
 
 
-def oracle_amplitude_response(
+def oracle_responses(
     orbit: PeriodicOrbit,
     ofl: OracleFloquet,
     rho: _PeriodicInterp | None = None,
     quad_nodes: int = 64,
+    subspace: int = 6,
     seed: int = 1,
-) -> OracleResponse:
-    """Extrapolated oracle amplitude response at the leading exponent.
+) -> tuple[OracleResponse, OracleResponse]:
+    """Extrapolated oracle phase and amplitude responses, the latter at the
+    leading exponent, from one backward iteration per chain level of ofl.
 
     Each chain level uses its own exponent and (sign-aligned)
-    eigenfunction; the combined curve is renormalized against the
-    extrapolated pair so the amplitude pairing is exactly 1.
+    eigenfunction; the combined amplitude curve is renormalized against
+    the extrapolated pair (rho, computed if not given) so its pairing is
+    exactly 1.
     """
-    weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
     t_ref = np.linspace(0.0, orbit.T, 512)
     mu_ex = ofl.leading_nontrivial()
     rho_ex = rho if rho is not None else oracle_eigenfunction(orbit, ofl)
     ref = rho_ex(t_ref)
-    curves = []
-    for sys, mu_lvl, rho_lvl in zip(
-        ofl.systems, ofl.leading_per_level(), ofl.level_eigenfunctions(orbit)
-    ):
+    level_targets = []
+    for mu_lvl, rho_lvl in zip(ofl.leading_per_level(), ofl.level_eigenfunctions()):
         s = 1.0 if float(np.sum(rho_lvl(t_ref) * ref)) >= 0 else -1.0
         rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
-        curves.append(
-            discretized_adjoint(
-                sys, orbit, mu_lvl, rho=rho_lvl, quad_nodes=quad_nodes, seed=seed
-            )
-        )
-    interp = _combine_profiles([c.interp for c in curves], weights, orbit.T)
-    c = oracle_pairing(orbit, interp, rho_ex, mu_ex, quad_nodes=quad_nodes)
-    interp.values /= c
-    return OracleResponse(
-        kind="amplitude",
-        mu=mu_ex,
-        interp=interp,
-        iterations=max(c_.iterations for c_ in curves),
-        multiplier=curves[-1].multiplier,
-        normalization=1.0,
+        level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
+    z, q = _extrapolated_responses(
+        orbit, ofl.systems, level_targets, [(0.0, None), (mu_ex, rho_ex)],
+        quad_nodes, subspace, seed,
     )
+    return z, q

@@ -216,13 +216,11 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
         _check("kotani.oracle_eigenfunction", np.abs(rho_vals - mode.R).max(), 1e-3, t0)
     )
     t0 = time.perf_counter()
-    z_o = oracle.oracle_phase_response(model, orbit, N=cfg.oracle.N,
-                                       levels=cfg.oracle.levels, quad_nodes=nodes)
+    z_o, q_o = oracle.oracle_responses(orbit, ofl, rho=rho_o, quad_nodes=nodes)
     results.append(
         _check("kotani.oracle_z", np.abs(z_o.value(tg) - z.Q).max(), 1e-3, t0)
     )
     t0 = time.perf_counter()
-    q_o = oracle.oracle_amplitude_response(orbit, ofl, rho=rho_o, quad_nodes=nodes)
     q_vals = _sign_align(q_o.value(tg), q.Q)
     results.append(
         _check("kotani.oracle_q", np.abs(q_vals - q.Q).max(), 1e-3, t0)
@@ -236,14 +234,12 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     # direct perturbation (criterion 5)
     t0 = time.perf_counter()
     phases = np.arange(cfg.oracle.prc_phases) * 2.0 * np.pi / cfg.oracle.prc_phases
-    prc = oracle.direct_prc(model, orbit, phases, periods=cfg.oracle.prc_periods,
-                            dt=cfg.oracle.dt)
+    prc, prc_half = oracle.direct_prc(model, orbit, phases, scales=(1.0, 0.5),
+                                      periods=cfg.oracle.prc_periods, dt=cfg.oracle.dt)
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     results.append(_check("kotani.direct_prc", rel, 0.05, t0))
     t0 = time.perf_counter()
-    prc_half = oracle.direct_prc(model, orbit, phases, eps=prc.eps / 2.0,
-                                 periods=cfg.oracle.prc_periods, dt=cfg.oracle.dt)
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
     results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 0.02, t0,
                           detail=f"ratio={ratio:.4f}"))

@@ -91,21 +91,23 @@ def kotani_rho_oracle(kotani_orbit, kotani_oracle_floquet, timings):
 
 
 @pytest.fixture(scope="session")
-def kotani_z_oracle(kotani_model, kotani_orbit, timings):
+def kotani_oracle_responses(kotani_orbit, kotani_oracle_floquet, timings):
+    # z and q from one backward subspace iteration per chain level
     return _timed(
         timings,
-        "kotani_oracle_z",
-        lambda: oracle.oracle_phase_response(kotani_model, kotani_orbit, N=2000),
+        "kotani_oracle_responses",
+        lambda: oracle.oracle_responses(kotani_orbit, kotani_oracle_floquet),
     )
 
 
 @pytest.fixture(scope="session")
-def kotani_q_oracle(kotani_orbit, kotani_oracle_floquet, timings):
-    return _timed(
-        timings,
-        "kotani_oracle_q",
-        lambda: oracle.oracle_amplitude_response(kotani_orbit, kotani_oracle_floquet),
-    )
+def kotani_z_oracle(kotani_oracle_responses):
+    return kotani_oracle_responses[0]
+
+
+@pytest.fixture(scope="session")
+def kotani_q_oracle(kotani_oracle_responses):
+    return kotani_oracle_responses[1]
 
 
 @pytest.fixture(scope="session")

@@ -92,8 +92,7 @@ def test_criterion_4_fig1_oracle_equivalence(
         for k in (
             "kotani_oracle_floquet",
             "kotani_oracle_rho",
-            "kotani_oracle_z",
-            "kotani_oracle_q",
+            "kotani_oracle_responses",
         )
     )
     _report(
@@ -110,12 +109,11 @@ def test_criterion_4_fig1_oracle_equivalence(
 
 def test_criterion_5_direct_perturbation(kotani_model, kotani_orbit, kotani_z):
     phases = np.arange(16) * 2 * np.pi / 16
-    prc = oracle.direct_prc(kotani_model, kotani_orbit, phases, periods=20)
+    prc, prc_half = oracle.direct_prc(
+        kotani_model, kotani_orbit, phases, scales=(1.0, 0.5), periods=20
+    )
     z_at = kotani_z.value(phases / kotani_orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
-    prc_half = oracle.direct_prc(
-        kotani_model, kotani_orbit, phases, eps=prc.eps / 2, periods=20
-    )
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
     _report(
         5,

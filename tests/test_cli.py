@@ -10,6 +10,7 @@ from ddehb.cli import (
     EXIT_CONVERGENCE,
     EXIT_IO,
     EXIT_OK,
+    EXIT_VALIDATION,
     main,
 )
 
@@ -172,6 +173,50 @@ class TestExportPipeline:
         nontrivial = [e["mu"] for e in data["exponents"] if not e["trivial"]]
         assert len(nontrivial) == 1
         assert abs(nontrivial[0] - (-0.00296)) < 5e-5
+
+
+KOTANI_CHECKS = [
+    "kotani.period",
+    "kotani.cycle_profile",
+    "kotani.cycle_runtime",
+    "kotani.trivial_sigma",
+    "kotani.trivial_mode",
+    "kotani.exponent_M_doubling",
+    "kotani.normalization_phase",
+    "kotani.normalization_amplitude",
+    "kotani.pairing_phase",
+    "kotani.pairing_amplitude",
+    "kotani.oracle_unit_multiplier",
+    "kotani.oracle_exponent",
+    "kotani.oracle_eigenfunction",
+    "kotani.oracle_z",
+    "kotani.oracle_q",
+    "kotani.oracle_runtime",
+    "kotani.direct_prc",
+    "kotani.prc_linearity",
+    "spectral.unitary",
+    "spectral.exact_operators",
+    "spectral.roundtrip",
+    "oracle.integrator_order",
+]
+
+
+class TestValidateCommand:
+    def test_kotani_report_matches_exit_code(self, tmp_path):
+        # a coarse chain keeps the run short; at N=512 some oracle checks
+        # miss their tolerances, so the run exercises the failure exit
+        out = tmp_path / "run"
+        code = run(
+            "validate", "--config", KOTANI_CFG, "--out", str(out),
+            "--override", "oracle.N=512",
+        )
+        report = json.loads((out / "validation_report.json").read_text())
+        checks = report["checks"]
+        assert [c["name"] for c in checks] == KOTANI_CHECKS
+        assert all(np.isfinite(c["measured"]) for c in checks)
+        passed = all(c["passed"] for c in checks)
+        assert report["passed"] == passed
+        assert code == (EXIT_OK if passed else EXIT_VALIDATION)
 
 
 class TestConfigValidation:

@@ -348,6 +348,41 @@ class TestSweepPlan:
         assert _rel_gap(W, dense) <= SWEEP_RTOL
 
 
+class TestHeadReadout:
+    """Profiles read as head_V @ c from the stored heads of a subspace
+    iteration against an explicit sweep of the same real vector."""
+
+    N = 128
+
+    def test_eigenfunction_readout_matches_sweep(self, sweep_case):
+        model, orbit = sweep_case
+        system = oracle.build_discretized(model, self.N)
+        res = oracle.monodromy_exponents(system, orbit, k=3)
+        plan = sweep._sweep_plan(system, orbit, res.steps)
+        for i in range(res.multipliers.size):
+            v, c = oracle._realify(res.vectors[:, i], res.coeffs[:, i])
+            _, head = sweep._sweep_forward(plan, v[:, None], res.steps, store_head=True)
+            assert _rel_gap(res.head @ c, head[..., 0]) <= SWEEP_RTOL
+
+    def test_adjoint_readout_matches_sweep(self, sweep_case):
+        model, orbit = sweep_case
+        system = oracle.build_discretized(model, self.N)
+        res = oracle.monodromy_exponents(system, orbit, k=3)
+        mu = float(res.leading_nontrivial().real)
+        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        adj = oracle.discretized_adjoint(system, orbit, targets)
+        steps = oracle._choose_steps(system, orbit.T)
+        plan = sweep._sweep_plan(system, orbit, steps, backward=True)
+        for j, (mu_j, rho) in enumerate(targets):
+            u = adj.vectors[:, j]
+            _, head = sweep._sweep_backward(plan, u[:, None], steps, store_head=True)
+            r = adj.responses[j]
+            ref = oracle._adjoint_response(
+                orbit, mu_j, rho, head[..., 0], 64, r.iterations, r.multiplier
+            )
+            assert _rel_gap(r.interp.values, ref.interp.values) <= SWEEP_RTOL
+
+
 class TestDiscretizedAdjoint:
     def test_kotani_z_matches_spectral(self, kotani_orbit, kotani_z, kotani_z_oracle):
         tg = kotani_orbit.grid.sample_times
@@ -367,48 +402,81 @@ class TestDiscretizedAdjoint:
         # DF1 == 0: the chain decouples and the head block must solve the
         # plain ODE adjoint, which is (-sin, cos) for this oscillator
         sys = oracle.build_discretized(sl_model, 128)
-        res = oracle.discretized_adjoint(sys, sl_orbit, 0.0)
+        (res,) = oracle.discretized_adjoint(sys, sl_orbit, [(0.0, None)]).responses
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(res.value(t) - expected).max() < 1e-4
 
     def test_level_eigenfunctions_swept_once(self, kotani_model, kotani_orbit,
                                              monkeypatch):
+        # the monodromy iteration sweeps each level; the profiles are read
+        # from its stored heads without a further forward sweep
         ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512, k=3)
-        swept = []
-        sweep = oracle.monodromy_eigenfunction
+        forward = []
+        sweep_forward = oracle._sweep_forward
 
-        def counting(system, *args):
-            swept.append(system.N)
-            return sweep(system, *args)
+        def counting(plan, V, steps, **kwargs):
+            forward.append(plan.system.N)
+            return sweep_forward(plan, V, steps, **kwargs)
 
-        monkeypatch.setattr(oracle, "monodromy_eigenfunction", counting)
+        monkeypatch.setattr(oracle, "_sweep_forward", counting)
         rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
-        q = oracle.oracle_amplitude_response(kotani_orbit, ofl)
-        q_given = oracle.oracle_amplitude_response(kotani_orbit, ofl, rho=rho)
-        assert swept == [128, 256, 512]
+        _, q = oracle.oracle_responses(kotani_orbit, ofl)
+        _, q_given = oracle.oracle_responses(kotani_orbit, ofl, rho=rho)
+        assert forward == []
         assert np.array_equal(q.interp.values, q_given.interp.values)
+
+    def test_shared_iteration_matches_one_target_runs(self, kotani_model,
+                                                      kotani_orbit, monkeypatch):
+        system = oracle.build_discretized(kotani_model, 128)
+        res = oracle.monodromy_exponents(system, kotani_orbit, k=3)
+        mu = float(res.leading_nontrivial().real)
+        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        swept = []
+        sweep_backward = oracle._sweep_backward
+
+        def counting(plan, V, steps, **kwargs):
+            swept.append(V.shape[-1])
+            return sweep_backward(plan, V, steps, **kwargs)
+
+        monkeypatch.setattr(oracle, "_sweep_backward", counting)
+        both = oracle.discretized_adjoint(system, kotani_orbit, targets)
+        n_both = len(swept)
+        single = [oracle.discretized_adjoint(system, kotani_orbit, [t]) for t in targets]
+        for j, one in enumerate(single):
+            (r,) = one.responses
+            assert np.array_equal(both.responses[j].interp.values, r.interp.values)
+            assert np.array_equal(both.vectors[:, j], one.vectors[:, 0])
+            assert both.responses[j].iterations == r.iterations == one.iterations
+        periods = [one.iterations for one in single]
+        assert n_both == both.iterations == max(periods)
+        assert len(swept) - n_both == sum(periods)
+
+    def test_amplitude_target_needs_rho(self, kotani_model, kotani_orbit):
+        sys = oracle.build_discretized(kotani_model, 64)
+        with pytest.raises(ValueError):
+            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None), (-0.05, None)])
 
     def test_nonconvergence_reported(self, kotani_model, kotani_orbit):
         sys = oracle.build_discretized(kotani_model, 64)
         with pytest.raises(NonConvergentAdjoint):
-            oracle.discretized_adjoint(sys, kotani_orbit, 0.0, max_periods=1)
+            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None)], max_periods=1)
 
 
 class TestDirectPrc:
     def test_measured_prc_matches_z(self, kotani_model, kotani_orbit, kotani_z):
         phases = np.arange(16) * 2 * np.pi / 16
-        prc = oracle.direct_prc(kotani_model, kotani_orbit, phases, periods=20)
+        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, phases, periods=20)
         z_at = kotani_z.value(phases / kotani_orbit.omega)[:, 0]
         rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
         assert rel < 0.05
 
     def test_linearity_in_pulse_size(self, kotani_model, kotani_orbit):
         phases = np.arange(8) * 2 * np.pi / 8
-        prc1 = oracle.direct_prc(kotani_model, kotani_orbit, phases, periods=20)
-        prc2 = oracle.direct_prc(
-            kotani_model, kotani_orbit, phases, eps=prc1.eps / 2, periods=20
+        prc1, prc2 = oracle.direct_prc(
+            kotani_model, kotani_orbit, phases, scales=(1.0, 0.5), periods=20
         )
+        assert prc2.eps == prc1.eps / 2
         ratio = np.linalg.norm(prc1.raw_shifts) / np.linalg.norm(prc2.raw_shifts)
         assert abs(ratio - 2.0) < 0.04
 
@@ -425,5 +493,5 @@ class TestDirectPrc:
             else:
                 hi = mid
         theta0 = 0.5 * (lo + hi) * kotani_orbit.omega
-        prc = oracle.direct_prc(kotani_model, kotani_orbit, [theta0], periods=20)
+        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, [theta0], periods=20)
         assert abs(prc.measured[0]) < 0.05 * np.abs(kotani_z.Q).max()

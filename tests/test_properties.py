@@ -1,0 +1,52 @@
+"""Invariance properties of the harmonic-balance path, drawn by Hypothesis."""
+
+import numpy as np
+import pytest
+
+import ddehb as d
+from ddehb import floquet
+from ddehb.model import ModelSpec
+
+from conftest import KOTANI_SCAN
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# deterministic draws: the suite must give the same verdict on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def rescaled(model: ModelSpec, alpha: float) -> ModelSpec:
+    """The model in the time s = alpha t: y(s) = x(s / alpha) solves
+    y' = F(y, y(s - alpha tau)) / alpha."""
+    return ModelSpec(
+        f"{model.name}_x{alpha:g}",
+        model.m,
+        alpha * model.tau,
+        lambda z0, z1: model.F(z0, z1) / alpha,
+        lambda z0, z1: model.DF0(z0, z1) / alpha,
+        lambda z0, z1: model.DF1(z0, z1) / alpha,
+    )
+
+
+@settings(PROPERTY, max_examples=12)
+@given(delta=st.floats(0.01, 0.5))
+def test_kotani_cycle_is_cosine(delta):
+    orbit = d.solve_cycle(
+        d.kotani_scalar(delta), d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
+    )
+    assert abs(orbit.T - 2.0 * np.pi) <= 1e-8
+    assert np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max() <= 1e-8
+
+
+@settings(PROPERTY, max_examples=8)
+@given(alpha=st.floats(0.5, 2.0))
+def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
+    model = rescaled(kotani_model, alpha)
+    orbit = d.solve_cycle(
+        model, d.seed_from_ansatz(1, 0.8, 6.0 * alpha, 20), d.SolveOptions(M=20)
+    )
+    assert abs(orbit.T - alpha * kotani_orbit.T) <= 1e-8 * alpha * kotani_orbit.T
+    scan = (KOTANI_SCAN[0] / alpha, KOTANI_SCAN[1] / alpha)
+    mu = floquet.find_exponents(orbit, scan, 200)[0]
+    assert abs(mu - kotani_mu / alpha) <= 1e-8 * abs(kotani_mu / alpha)
