@@ -878,18 +878,18 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
 
 
 def _extrapolated_responses(
-    orbit, systems, level_targets, targets, quad_nodes, subspace, seed
+    orbit, systems, level_targets, targets, quad_nodes, **adjoint_kw
 ) -> list[OracleResponse]:
     """Richardson-extrapolated response curves, one per target (mu, rho).
 
     Each chain level runs one backward subspace iteration for its own
     targets, given in the same order (its exponent and eigenfunction); the
     combined curves are renormalized against the extrapolated targets.
+    adjoint_kw goes to discretized_adjoint.
     """
     weights = _RICHARDSON_WEIGHTS[len(systems)]
     levels = [
-        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes,
-                            subspace=subspace, seed=seed)
+        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes, **adjoint_kw)
         for sys, tg in zip(systems, level_targets)
     ]
     out = []
@@ -917,7 +917,8 @@ def oracle_phase_response(
     systems = [build_discretized(model, n) for n in _level_sizes(N, levels)]
     phase = [(0.0, None)]
     (z,) = _extrapolated_responses(
-        orbit, systems, [phase] * len(systems), phase, quad_nodes, subspace, seed
+        orbit, systems, [phase] * len(systems), phase, quad_nodes,
+        subspace=subspace, seed=seed,
     )
     return z
 
@@ -927,7 +928,6 @@ def oracle_responses(
     ofl: OracleFloquet,
     rho: _PeriodicInterp | None = None,
     quad_nodes: int = 64,
-    subspace: int = 6,
     seed: int = 1,
 ) -> tuple[OracleResponse, OracleResponse]:
     """Extrapolated oracle phase and amplitude responses, the latter at the
@@ -949,6 +949,6 @@ def oracle_responses(
         level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
     z, q = _extrapolated_responses(
         orbit, ofl.systems, level_targets, [(0.0, None), (mu_ex, rho_ex)],
-        quad_nodes, subspace, seed,
+        quad_nodes, seed=seed,
     )
     return z, q

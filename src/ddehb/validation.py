@@ -35,13 +35,15 @@ class CheckResult:
         )
 
 
-def _check(name, measured, tol, t0, detail=""):
+def _check(name, measured, tol, t0, detail="", share=1.0):
+    """One table row; share is the fraction of the time since t0 credited to
+    this check, so a computation serving several checks is split among them."""
     return CheckResult(
         name=name,
         measured=float(measured),
         tolerance=float(tol),
         passed=bool(measured <= tol),
-        seconds=time.perf_counter() - t0,
+        seconds=share * (time.perf_counter() - t0),
         detail=detail,
     )
 
@@ -215,34 +217,30 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     results.append(
         _check("kotani.oracle_eigenfunction", np.abs(rho_vals - mode.R).max(), 1e-3, t0)
     )
+    # one backward iteration per chain level yields both z and q: split its time
     t0 = time.perf_counter()
     z_o, q_o = oracle.oracle_responses(orbit, ofl, rho=rho_o, quad_nodes=nodes)
-    results.append(
-        _check("kotani.oracle_z", np.abs(z_o.value(tg) - z.Q).max(), 1e-3, t0)
-    )
-    t0 = time.perf_counter()
-    q_vals = _sign_align(q_o.value(tg), q.Q)
-    results.append(
-        _check("kotani.oracle_q", np.abs(q_vals - q.Q).max(), 1e-3, t0)
-    )
+    z_gap = np.abs(z_o.value(tg) - z.Q).max()
+    q_gap = np.abs(_sign_align(q_o.value(tg), q.Q) - q.Q).max()
+    results.append(_check("kotani.oracle_z", z_gap, 1e-3, t0, share=0.5))
+    results.append(_check("kotani.oracle_q", q_gap, 1e-3, t0, share=0.5))
     oracle_seconds = time.perf_counter() - t_oracle
     results.append(
         CheckResult("kotani.oracle_runtime", oracle_seconds, 300.0,
                     oracle_seconds <= 300.0, oracle_seconds)
     )
 
-    # direct perturbation (criterion 5)
+    # direct perturbation (criterion 5); one integration serves both checks
     t0 = time.perf_counter()
     phases = np.arange(cfg.oracle.prc_phases) * 2.0 * np.pi / cfg.oracle.prc_phases
     prc, prc_half = oracle.direct_prc(model, orbit, phases, scales=(1.0, 0.5),
                                       periods=cfg.oracle.prc_periods, dt=cfg.oracle.dt)
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
-    results.append(_check("kotani.direct_prc", rel, 0.05, t0))
-    t0 = time.perf_counter()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
+    results.append(_check("kotani.direct_prc", rel, 0.05, t0, share=0.5))
     results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 0.02, t0,
-                          detail=f"ratio={ratio:.4f}"))
+                          detail=f"ratio={ratio:.4f}", share=0.5))
 
     _spectral_checks(results)
     _integrator_order_check(results, model)
