@@ -64,7 +64,6 @@ from .spectral import (
     SpectralOperators,
     build_operators,
     coeffs_to_samples,
-    evaluate,
     sample_to_coeffs,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "direct_prc",
     "discretized_adjoint",
     "eigenfunction",
-    "evaluate",
     "find_exponents",
     "integrate_dde",
     "kotani_scalar",

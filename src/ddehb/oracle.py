@@ -9,7 +9,7 @@ assembly), so that agreement is evidence rather than tautology:
 * the finite-segment ODE discretization (delay line of N first-order
   lags), integrable on its own and the basis for the two linear engines;
 * monodromy exponents/eigenvectors of the variational equation along the
-  orbit, via subspace iteration over one-period sweeps (the factored RK4
+  orbit, via subspace iteration over one-period sweeps (the block-stepped RK4
   of `sweep`);
 * backward integration of the discretized adjoint (again via one-period
   subspace sweeps, which is what repeated backward periods amount to;

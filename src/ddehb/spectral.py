@@ -204,17 +204,3 @@ def coeffs_to_samples(series: FourierSeries) -> np.ndarray:
     """Sample the series on its own collocation grid; returns (2M+1, m)."""
     grid = SpectralGrid(series.M, series.T)
     return series.evaluate(grid.sample_times)
-
-
-def evaluate(series: FourierSeries, t) -> np.ndarray:
-    """Continuous readout of the truncated series at time(s) t."""
-    return series.evaluate(t)
-
-
-def block_apply(op: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Apply a (2M+1)x(2M+1) operator across each state component.
-
-    Equivalent to (op kron I_m) acting on the grid-major flattening of
-    samples, without materializing the Kronecker product.
-    """
-    return op @ samples

@@ -295,28 +295,68 @@ def sweep_case(request):
     return model, orbit
 
 
+def _check_against_reference(plan, steps, ks, seed):
+    """Sweep random blocks of ks[i] columns over the first `steps` intervals
+    the plan sweeps and compare with the unfactored loop on those intervals."""
+    system, backward = plan.system, plan.backward
+    node_tab, mid_tab = plan.node_tab, plan.mid_tab
+    if backward:  # the first intervals swept are the last ones of the period
+        run, reference = sweep._sweep_backward, reference_sweep_backward
+        node_tab = tuple(a[-steps - 1 :] for a in node_tab)
+        mid_tab = tuple(a[-steps:] for a in mid_tab)
+    else:
+        run, reference = sweep._sweep_forward, reference_sweep_forward
+    rng = np.random.default_rng(seed)
+    for k in ks:
+        V = rng.standard_normal((system.dim, k))
+        W, head = run(plan, V, steps, store_head=True)
+        W_ref, head_ref = reference(
+            system, V, plan.h, steps, node_tab, mid_tab, store_head=True
+        )
+        assert _rel_gap(W, W_ref) <= SWEEP_RTOL
+        assert _rel_gap(head, head_ref) <= SWEEP_RTOL
+        assert np.array_equal(head[-1 if backward else 0], V[: system.m])
+
+
 class TestSweepPlan:
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    @pytest.mark.parametrize("N", [2, 3, 5, 7, 8, 64])
+    @pytest.mark.parametrize("N", [2, 3, 5, 7, 8, 64, 257, 500])
     def test_matches_unfactored_rk4(self, sweep_case, N, backward):
+        # from N = 16 on a block holds K > 1 steps; at N = 257 and 500 it
+        # holds 48, which divides neither period (1028 and 2000 steps on
+        # kotani), so the last block of each period is partial
         model, orbit = sweep_case
         system = oracle.build_discretized(model, N)
         steps = oracle._choose_steps(system, orbit.T)
         plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
-        if backward:
-            run, reference = sweep._sweep_backward, reference_sweep_backward
-        else:
-            run, reference = sweep._sweep_forward, reference_sweep_forward
-        rng = np.random.default_rng(N)
-        for k in (1, 5):
-            V = rng.standard_normal((system.dim, k))
-            W, head = run(plan, V, steps, store_head=True)
-            W_ref, head_ref = reference(
-                system, V, plan.h, steps, plan.node_tab, plan.mid_tab, store_head=True
-            )
-            assert _rel_gap(W, W_ref) <= SWEEP_RTOL
-            assert _rel_gap(head, head_ref) <= SWEEP_RTOL
-            assert np.array_equal(head[-1 if backward else 0], V[: model.m])
+        _check_against_reference(plan, steps, (1, 5) if N <= 64 else (1,), N)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_fewer_steps_than_a_block(self, kotani_model, kotani_orbit, backward):
+        system = oracle.build_discretized(kotani_model, 257)
+        steps = oracle._choose_steps(system, kotani_orbit.T)
+        plan = sweep._sweep_plan(system, kotani_orbit, steps, backward=backward)
+        assert plan.K > 20
+        _check_against_reference(plan, plan.K - 20, (1, 3), 1)
+
+    def test_block_operators_built_once(self, kotani_model, kotani_orbit,
+                                        monkeypatch):
+        system = oracle.build_discretized(kotani_model, 257)
+        steps = oracle._choose_steps(system, kotani_orbit.T)
+        plan = sweep._sweep_plan(system, kotani_orbit, steps)
+        built = []
+        block_operators = sweep._block_operators
+
+        def counting(taps, K, *args):
+            built.append(K)
+            return block_operators(taps, K, *args)
+
+        monkeypatch.setattr(sweep, "_block_operators", counting)
+        V = np.random.default_rng(0).standard_normal((system.dim, 2))
+        for _ in range(3):
+            V, _ = sweep._sweep_forward(plan, V, steps)
+        assert steps % plan.K
+        assert built == [plan.K, steps % plan.K]
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("N", [2, 3, 5, 7])

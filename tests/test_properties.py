@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import floquet
+from ddehb import adjoint, floquet
 from ddehb.model import ModelSpec
 
 from conftest import KOTANI_SCAN
@@ -50,3 +50,37 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
     scan = (KOTANI_SCAN[0] / alpha, KOTANI_SCAN[1] / alpha)
     mu = floquet.find_exponents(orbit, scan, 200)[0]
     assert abs(mu - kotani_mu / alpha) <= 1e-8 * abs(kotani_mu / alpha)
+
+
+def raw_null_vector(orbit, mu):
+    """The left null vector of the adjoint operator as solve_response takes
+    it, before normalization."""
+    U = np.linalg.svd(adjoint.build_adjoint_matrix(orbit, mu))[0]
+    return U[:, -1].reshape(-1, orbit.model.m)
+
+
+# a factor s in +-[0.1, 10] on the raw null vector
+SCALES = st.builds(
+    lambda s, sign: s * sign, st.floats(0.1, 10.0), st.sampled_from([-1, 1])
+)
+
+
+def assert_same_curve(Q, ref):
+    assert np.abs(Q - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(scale=SCALES)
+def test_phase_normalization_ignores_scale_and_sign(kotani_orbit, kotani_z, scale):
+    raw = raw_null_vector(kotani_orbit, 0.0)
+    assert_same_curve(adjoint.normalize_phase(scale * raw, kotani_orbit), kotani_z.Q)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(scale=SCALES)
+def test_amplitude_normalization_ignores_scale_and_sign(
+    kotani_orbit, kotani_mu, kotani_mode, kotani_q, scale
+):
+    raw = raw_null_vector(kotani_orbit, kotani_mu)
+    q = adjoint.normalize_amplitude(scale * raw, kotani_orbit, kotani_mu, kotani_mode)
+    assert_same_curve(q, kotani_q.Q)

@@ -6,7 +6,6 @@ from ddehb.spectral import (
     SpectralGrid,
     build_operators,
     coeffs_to_samples,
-    evaluate,
     sample_to_coeffs,
 )
 
@@ -138,8 +137,8 @@ class TestEvaluate:
     def test_cosine_values(self):
         g = SpectralGrid(20, 2 * np.pi)
         series = sample_to_coeffs(np.cos(g.sample_times), 2 * np.pi)
-        assert abs(evaluate(series, 0.0)[0] - 1.0) < 1e-12
-        assert abs(evaluate(series, np.pi / 3)[0] - 0.5) < 1e-12
+        assert abs(series.evaluate(0.0)[0] - 1.0) < 1e-12
+        assert abs(series.evaluate(np.pi / 3)[0] - 0.5) < 1e-12
 
     def test_periodicity(self):
         series = random_series(9, 3.7, 2, seed=11)
