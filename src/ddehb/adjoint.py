@@ -2,10 +2,12 @@
 
 The response curve is the left null vector Q of
 
-    A(mu) = (D(mu) kron I_m) - J0 - e^{-mu tau} (Delta kron I_m) J1~,
+    A(mu) = A0 + mu I - e^{-mu tau} (Delta kron I_m) J1~,
 
-where J1~ holds the delayed-state Jacobian evaluated at the advanced pair
-(x(t_n + tau), x(t_n)).  Written out column-wise (A^T Q = 0), the rows
+with A0 = (D0 kron I_m) - J0 the matrix of the stability operator,
+assembled once per orbit with this advanced delay block
+(`floquet.orbit_linearization`).  J1~ holds the delayed-state Jacobian
+evaluated at the advanced pair (x(t_n + tau), x(t_n)).  Written out column-wise (A^T Q = 0), the rows
 sample the continuous adjoint equation: the advance operator Delta^T
 realizes q(t + tau) exactly for trigonometric polynomials, and the
 advanced Jacobian multiplies it pointwise.  mu = 0 yields the phase
@@ -29,33 +31,16 @@ from .floquet import (
     DEGENERACY_GAP,
     SINGULARITY_RATIO,
     FloquetMode,
-    _blockdiag,
+    orbit_linearization,
 )
-from .spectral import FourierSeries, build_operators, sample_to_coeffs
+from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """Assemble the operator whose left null vector is the response curve."""
-    model = orbit.model
-    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
-    t = orbit.grid.sample_times
-    x_adv = orbit.value(t + model.tau)
-    DF1_adv = model.DF1(x_adv, orbit.X)  # evaluated at (x(t+tau), x(t))
-    DF0, _ = _orbit_DF0(orbit)
-    Im = np.eye(model.m)
-    return (
-        np.kron(ops.D, Im)
-        - _blockdiag(DF0)
-        - np.exp(-mu * model.tau) * (np.kron(ops.Delta, Im) @ _blockdiag(DF1_adv))
-    )
-
-
-def _orbit_DF0(orbit):
-    t = orbit.grid.sample_times
-    xd = orbit.delayed(t)
-    return orbit.model.DF0(orbit.X, xd), xd
+    return orbit_linearization(orbit, advanced=True).matrix(mu)
 
 
 @dataclass

@@ -127,49 +127,67 @@ def residual(model: ModelSpec, X: np.ndarray, T: float, anchor: int = 0) -> np.n
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    M = (X.shape[0] - 1) // 2
-    ops = build_operators(M, T, model.tau)
-    R, phase = _residual_arrays(model, ops, X, anchor)
-    out = np.concatenate([R.ravel(), [phase]])
+    out = _stacked_residual(model, X, T, anchor)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite right-hand side in cycle residual")
     return out
 
 
+def _blockdiag(blocks: np.ndarray) -> np.ndarray:
+    K, m, _ = blocks.shape
+    out = np.zeros((K * m, K * m))
+    for n in range(K):
+        out[n * m : (n + 1) * m, n * m : (n + 1) * m] = blocks[n]
+    return out
+
+
+@dataclass
+class Linearization:
+    """M(mu) = A0 + mu I - e^{-mu tau} B, one matrix update per mu."""
+
+    A0: np.ndarray
+    B: np.ndarray
+    tau: float
+
+    def matrix(self, mu: float) -> np.ndarray:
+        mat = self.A0 - np.exp(-mu * self.tau) * self.B
+        mat[np.diag_indices_from(mat)] += mu
+        return mat
+
+
+def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:
+    """A0 = (D0 kron I_m) - blockdiag(DF0), B = blockdiag(DF1) (Delta kron I_m)
+    at samples X and delayed samples Xd (ops at mu = 0).  Given the samples
+    X_adv of x(t + tau), B is the adjoint's (Delta kron I_m) blockdiag(DF1~)."""
+    Im = np.eye(model.m)
+    delay = np.kron(ops.Delta, Im)
+    A0 = np.kron(ops.D0, Im) - _blockdiag(model.DF0(X, Xd))
+    if X_adv is None:
+        B = _blockdiag(model.DF1(X, Xd)) @ delay
+    else:
+        B = delay @ _blockdiag(model.DF1(X_adv, X))
+    return Linearization(A0=A0, B=B, tau=model.tau)
+
+
 def _jacobian(model, ops, X, T, anchor, opts):
     """Analytic d(residual)/dX plus a central finite-difference T column."""
-    K, m = X.shape
-    Xd = ops.Delta @ X
-    DF0 = model.DF0(X, Xd)  # (K, m, m)
-    DF1 = model.DF1(X, Xd)
-    n_dyn = K * m
-
+    n_dyn, m = X.size, model.m
+    lin = assemble_linearization(model, ops, X, ops.Delta @ X)
     J = np.zeros((n_dyn + 1, n_dyn + 1))
-    Im = np.eye(m)
-    J[:n_dyn, :n_dyn] = np.kron(ops.D0, Im)
-    # block-diagonal DF0 and DF1 composed with the delay operator
-    for n in range(K):
-        r = slice(n * m, (n + 1) * m)
-        J[r, r] -= DF0[n]
-    Delta_kron = np.kron(ops.Delta, Im)
-    J1 = np.zeros((n_dyn, n_dyn))
-    for n in range(K):
-        r = slice(n * m, (n + 1) * m)
-        J1[r, r] = DF1[n]
-    J[:n_dyn, :n_dyn] -= J1 @ Delta_kron
+    J[:n_dyn, :n_dyn] = lin.A0 - lin.B  # M(0) at the current iterate
 
     center = ops.grid.M
     J[n_dyn, anchor : n_dyn : m] = ops.D0[center, :]
 
     # period column: both omega_p and the delay symbol depend on T
     h = opts.period_fd_step * T
-    rp = _stacked_residual(model, X, T + h, anchor, opts)
-    rm = _stacked_residual(model, X, T - h, anchor, opts)
+    rp = _stacked_residual(model, X, T + h, anchor)
+    rm = _stacked_residual(model, X, T - h, anchor)
     J[:, n_dyn] = (rp - rm) / (2.0 * h)
     return J
 
 
-def _stacked_residual(model, X, T, anchor, opts, cache=None):
+def _stacked_residual(model, X, T, anchor, cache=None):
     M = (X.shape[0] - 1) // 2
     ops = cache.get(T) if cache is not None else build_operators(M, T, model.tau)
     R, phase = _residual_arrays(model, ops, X, anchor)
@@ -208,7 +226,7 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
     cache = _OperatorCache(M, model.tau)
     anchor = opts.anchor_component
 
-    r = _stacked_residual(model, X, T, anchor, opts, cache)
+    r = _stacked_residual(model, X, T, anchor, cache)
     if not np.all(np.isfinite(r)):
         raise NonFiniteState("non-finite residual at the seed")
     lam = opts.lambda_init
@@ -245,7 +263,7 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
             if T_new <= 0:
                 lam *= opts.lambda_factor
                 continue
-            r_new = _stacked_residual(model, X_new, T_new, anchor, opts, cache)
+            r_new = _stacked_residual(model, X_new, T_new, anchor, cache)
             if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < np.linalg.norm(r):
                 X, T, r = X_new, T_new, r_new
                 lam = max(lam / opts.lambda_factor, 1e-14)

@@ -30,6 +30,10 @@ class NoRootInBracket(DdehbError):
     """Exponent refinement stagnated without locating a singular point."""
 
 
+class NoExponentInRange(DdehbError):
+    """The exponent scan found no nontrivial root in its range."""
+
+
 class NotSingular(DdehbError, ValueError):
     """M(mu) or its adjoint is regular at mu: mu is not a Floquet exponent."""
 

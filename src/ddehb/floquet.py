@@ -3,11 +3,15 @@
 The stability operator collocates the linearized dynamics about the
 converged orbit,
 
-    M(mu) = (D(mu) kron I_m) - J0 - e^{-mu tau} J1 (Delta kron I_m),
+    M(mu) = A0 + mu I - e^{-mu tau} B,
+    A0 = (D0 kron I_m) - J0,    B = J1 (Delta kron I_m),
 
-with J0, J1 the block-diagonal Jacobians of the right-hand side along the
+with D0 and Delta the differentiation and delay matrices at mu = 0 and
+J0, J1 the block-diagonal Jacobians of the right-hand side along the
 cycle (delayed orbit values read from the Fourier interpolant, never from
-nearest samples).  Raw determinants overflow at modest sizes, so the scan
+nearest samples).  Only the scalar factors depend on mu, so each public
+call assembles (A0, B) once per orbit and every M(mu) it needs is one
+matrix update.  Raw determinants overflow at modest sizes, so the scan
 works with log-magnitude plus sign from pivoted factorization; the
 smallest singular value serves as the refinement objective because it is
 smooth near simple roots.
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycle import PeriodicOrbit
+from .cycle import Linearization, PeriodicOrbit, assemble_linearization
 from .errors import DegenerateNullspace, NoRootInBracket, NotSingular
 from .spectral import FourierSeries, build_operators, sample_to_coeffs
 
@@ -28,20 +32,13 @@ DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
 GAUGE_TIE_RATIO = 1e-9  # entries within this relative margin of the largest magnitude tie
 
 
-def _jacobian_blocks(orbit: PeriodicOrbit):
-    """DF0 and DF1 along the cycle at the grid times, (2M+1, m, m) each."""
+def orbit_linearization(orbit: PeriodicOrbit, advanced: bool = False) -> Linearization:
+    """(A0, B) about the orbit; advanced=True gives the adjoint's B."""
+    tau = orbit.model.tau
     t = orbit.grid.sample_times
-    x = orbit.X
-    xd = orbit.delayed(t)
-    return orbit.model.DF0(x, xd), orbit.model.DF1(x, xd)
-
-
-def _blockdiag(blocks: np.ndarray) -> np.ndarray:
-    K, m, _ = blocks.shape
-    out = np.zeros((K * m, K * m))
-    for n in range(K):
-        out[n * m : (n + 1) * m, n * m : (n + 1) * m] = blocks[n]
-    return out
+    x_adv = orbit.value(t + tau) if advanced else None
+    ops = build_operators(orbit.M, orbit.T, tau)
+    return assemble_linearization(orbit.model, ops, orbit.X, orbit.delayed(t), x_adv)
 
 
 @dataclass
@@ -52,16 +49,7 @@ class StabilityMatrix:
 
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> StabilityMatrix:
     """Assemble M(mu) for the linearization about the converged orbit."""
-    model = orbit.model
-    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
-    DF0, DF1 = _jacobian_blocks(orbit)
-    Im = np.eye(model.m)
-    mat = (
-        np.kron(ops.D, Im)
-        - _blockdiag(DF0)
-        - np.exp(-mu * model.tau) * (_blockdiag(DF1) @ np.kron(ops.Delta, Im))
-    )
-    return StabilityMatrix(mu=float(mu), matrix=mat)
+    return StabilityMatrix(mu=float(mu), matrix=orbit_linearization(orbit).matrix(mu))
 
 
 @dataclass
@@ -92,9 +80,10 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
     mus = np.linspace(lo, hi, grid_points)
+    lin = orbit_linearization(orbit)
     points, failures = [], []
     for mu in mus:
-        mat = build_stability_matrix(orbit, mu).matrix
+        mat = lin.matrix(mu)
         sign, logdet = np.linalg.slogdet(mat)
         if not np.isfinite(logdet) and sign == 0 and not np.all(np.isfinite(mat)):
             failures.append(float(mu))
@@ -111,13 +100,13 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     return DetScanResult(points=points, failures=failures)
 
 
-def _sigma_extremes(orbit, mu):
-    svals = np.linalg.svd(build_stability_matrix(orbit, mu).matrix, compute_uv=False)
+def _sigma_extremes(lin: Linearization, mu):
+    svals = np.linalg.svd(lin.matrix(mu), compute_uv=False)
     return float(svals[-1]), float(svals[0])
 
 
-def _det_sign(orbit, mu):
-    sign, _ = np.linalg.slogdet(build_stability_matrix(orbit, mu).matrix)
+def _det_sign(lin: Linearization, mu):
+    sign, _ = np.linalg.slogdet(lin.matrix(mu))
     return sign
 
 
@@ -132,13 +121,14 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
     if not hi > lo:
         raise ValueError("bracket must satisfy mu_lo < mu_hi")
     width_tol = 1e-14 * max(1.0, abs(lo), abs(hi))
+    lin = orbit_linearization(orbit)
 
-    s_lo, s_hi = _det_sign(orbit, lo), _det_sign(orbit, hi)
+    s_lo, s_hi = _det_sign(lin, lo), _det_sign(lin, hi)
     if s_lo != 0 and s_hi != 0 and s_lo != s_hi:
         a, b, sa = lo, hi, s_lo
         while b - a > width_tol:
             mid = 0.5 * (a + b)
-            sm = _det_sign(orbit, mid)
+            sm = _det_sign(lin, mid)
             if sm == 0:
                 a = b = mid
                 break
@@ -153,20 +143,20 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
         a, b = lo, hi
         c = b - invphi * (b - a)
         dpt = a + invphi * (b - a)
-        fc, _ = _sigma_extremes(orbit, c)
-        fd, _ = _sigma_extremes(orbit, dpt)
+        fc, _ = _sigma_extremes(lin, c)
+        fd, _ = _sigma_extremes(lin, dpt)
         while b - a > width_tol:
             if fc < fd:
                 b, dpt, fd = dpt, c, fc
                 c = b - invphi * (b - a)
-                fc, _ = _sigma_extremes(orbit, c)
+                fc, _ = _sigma_extremes(lin, c)
             else:
                 a, c, fc = c, dpt, fd
                 dpt = a + invphi * (b - a)
-                fd, _ = _sigma_extremes(orbit, dpt)
+                fd, _ = _sigma_extremes(lin, dpt)
         mu_hat = 0.5 * (a + b)
 
-    s_min, s_max = _sigma_extremes(orbit, mu_hat)
+    s_min, s_max = _sigma_extremes(lin, mu_hat)
     if s_min > SINGULARITY_RATIO * s_max:
         raise NoRootInBracket(
             f"refinement stagnated at mu={mu_hat:.6e} with "
@@ -218,7 +208,11 @@ def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     spectra); raises DegenerateNullspace when the two smallest singular
     values are within 1e-6 relative.
     """
-    mat = build_stability_matrix(orbit, mu).matrix
+    return _null_mode(orbit, mu, orbit_linearization(orbit).matrix(mu))
+
+
+def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
+    """The gauged eigenfunction from an assembled M(mu)."""
     U, svals, Vt = np.linalg.svd(mat)
     s_min, s_next, s_max = svals[-1], svals[-2], svals[0]
     if s_min > SINGULARITY_RATIO * s_max:

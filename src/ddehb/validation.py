@@ -16,6 +16,7 @@ import numpy as np
 from . import adjoint, floquet, oracle, pipeline
 from .config import RunConfig
 from .cycle import SolveOptions, convergence_sweep, solve_cycle
+from .errors import NoExponentInRange
 
 
 @dataclass
@@ -146,11 +147,23 @@ def _trivial_mode_checks(results, prefix, orbit):
     svals = np.linalg.svd(mat, compute_uv=False)
     results.append(_check(f"{prefix}.trivial_sigma", svals[-1] / svals[0], 1e-8, t0))
     t0 = time.perf_counter()
-    mode0 = floquet.eigenfunction(orbit, 0.0)
+    mode0 = floquet._null_mode(orbit, 0.0, mat)
     xdot = floquet._fix_mode_gauge(orbit.xdot_samples.copy())
     results.append(
         _check(f"{prefix}.trivial_mode", np.abs(mode0.R - xdot).max(), 1e-6, t0)
     )
+
+
+def _leading_exponent(orbit, scan) -> float:
+    roots = floquet.find_exponents(
+        orbit, (scan.mu_min, scan.mu_max), scan.points, scan.exclude_zero_radius
+    )
+    if not roots:
+        raise NoExponentInRange(
+            f"no nontrivial Floquet exponent in the scan range "
+            f"[{scan.mu_min:g}, {scan.mu_max:g}] at M = {orbit.M}"
+        )
+    return roots[0]
 
 
 def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
@@ -178,17 +191,10 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     _trivial_mode_checks(results, "kotani", orbit)
 
     t0 = time.perf_counter()
-    exponents = floquet.find_exponents(
-        orbit, (cfg.scan.mu_min, cfg.scan.mu_max), cfg.scan.points,
-        cfg.scan.exclude_zero_radius,
-    )
-    mu = exponents[0]
+    mu = _leading_exponent(orbit, cfg.scan)
     mode = floquet.eigenfunction(orbit, mu)
     orbit2 = solve_cycle(model, seed, SolveOptions(M=2 * cfg.solver.M))
-    mu2 = floquet.find_exponents(
-        orbit2, (cfg.scan.mu_min, cfg.scan.mu_max), cfg.scan.points,
-        cfg.scan.exclude_zero_radius,
-    )[0]
+    mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check("kotani.exponent_M_doubling", abs(mu - mu2), 1e-6, t0,
                           detail=f"mu={mu:.6f}"))
 
@@ -262,11 +268,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
                    detail=f"settle={settled.period:.6f} hb={orbit.T:.6f}")
         )
     t0 = time.perf_counter()
-    exponents = floquet.find_exponents(
-        orbit, (cfg.scan.mu_min, cfg.scan.mu_max), cfg.scan.points,
-        cfg.scan.exclude_zero_radius,
-    )
-    mu = exponents[0]
+    mu = _leading_exponent(orbit, cfg.scan)
     pipe_seconds = time.perf_counter() - t_pipe
     results.append(
         _check("cortico.exponent", abs(mu - (-0.00296)), 5e-5, t0,
@@ -281,10 +283,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
 
     t0 = time.perf_counter()
     orbit2 = solve_cycle(model, seed, SolveOptions(M=2 * cfg.solver.M))
-    mu2 = floquet.find_exponents(
-        orbit2, (cfg.scan.mu_min, cfg.scan.mu_max), cfg.scan.points,
-        cfg.scan.exclude_zero_radius,
-    )[0]
+    mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check("cortico.exponent_M_doubling", abs(mu - mu2), 1e-6, t0))
 
     t0 = time.perf_counter()

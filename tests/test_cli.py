@@ -218,6 +218,19 @@ class TestValidateCommand:
         assert report["passed"] == passed
         assert code == (EXIT_OK if passed else EXIT_VALIDATION)
 
+    def test_no_exponent_in_scan_range(self, tmp_path, capsys):
+        # [-0.01, 0.05] holds only the trivial root; the leading exponent
+        # sits near -0.029
+        code = run(
+            "validate", "--config", KOTANI_CFG, "--out", str(tmp_path / "run"),
+            "--override", "scan.mu_min=-0.01",
+        )
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("NoExponentInRange: ")
+        assert "[-0.01, 0.05]" in err
+
 
 class TestConfigValidation:
     def test_malformed_override(self, tmp_path):

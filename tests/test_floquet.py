@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddehb import floquet, oracle
+from ddehb import cycle, floquet, oracle
 from ddehb.errors import NoRootInBracket, NotSingular
 
 from conftest import CORTICO_SCAN, KOTANI_SCAN
@@ -36,8 +36,8 @@ class TestStabilityMatrix:
         DF1 = orbit0.model.DF1(orbit0.X, orbit0.X)
         expected = (
             np.kron(ops.D, np.eye(2))
-            - floquet._blockdiag(DF0)
-            - floquet._blockdiag(DF1)
+            - cycle._blockdiag(DF0)
+            - cycle._blockdiag(DF1)
         )
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 

@@ -1,0 +1,143 @@
+"""One assembly of the collocated linearization serves every mu.
+
+M(mu) = A0 + mu I - e^{-mu tau} B is checked against the fresh per-mu
+assembly from Re(S L(mu) S^-1), kept here as the reference; the two agree
+in exact arithmetic and, at mu = 0, in every bit.
+"""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from ddehb import adjoint, cycle, floquet, spectral
+from ddehb.spectral import build_operators
+
+from conftest import CORTICO_SCAN, KOTANI_SCAN
+
+CASES = [("kotani_orbit", KOTANI_SCAN), ("cortico_orbit", CORTICO_SCAN)]
+
+
+def _blockdiag(blocks):
+    K, m, _ = blocks.shape
+    out = np.zeros((K * m, K * m))
+    for n in range(K):
+        out[n * m : (n + 1) * m, n * m : (n + 1) * m] = blocks[n]
+    return out
+
+
+def fresh_stability_matrix(orbit, mu):
+    """M(mu) = (D(mu) kron I) - J0 - e^{-mu tau} J1 (Delta kron I), with D(mu)
+    = Re(S L(mu) S^-1) rebuilt at this mu."""
+    model = orbit.model
+    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
+    xd = orbit.delayed(orbit.grid.sample_times)
+    Im = np.eye(model.m)
+    return (
+        np.kron(ops.D, Im)
+        - _blockdiag(model.DF0(orbit.X, xd))
+        - np.exp(-mu * model.tau) * (_blockdiag(model.DF1(orbit.X, xd)) @ np.kron(ops.Delta, Im))
+    )
+
+
+def fresh_adjoint_matrix(orbit, mu):
+    """A(mu) with the advanced Jacobian DF1(x(t + tau), x(t)), rebuilt at this mu."""
+    model = orbit.model
+    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
+    t = orbit.grid.sample_times
+    DF1_adv = model.DF1(orbit.value(t + model.tau), orbit.X)
+    Im = np.eye(model.m)
+    return (
+        np.kron(ops.D, Im)
+        - _blockdiag(model.DF0(orbit.X, orbit.delayed(t)))
+        - np.exp(-mu * model.tau) * (np.kron(ops.Delta, Im) @ _blockdiag(DF1_adv))
+    )
+
+
+def loop_x_block(model, ops, X):
+    """The X-block of the Levenberg-Marquardt Jacobian, filled block by block."""
+    K, m = X.shape
+    Xd = ops.Delta @ X
+    DF0, DF1 = model.DF0(X, Xd), model.DF1(X, Xd)
+    Im = np.eye(m)
+    J = np.kron(ops.D0, Im)
+    for n in range(K):
+        r = slice(n * m, (n + 1) * m)
+        J[r, r] -= DF0[n]
+    J1 = np.zeros_like(J)
+    for n in range(K):
+        r = slice(n * m, (n + 1) * m)
+        J1[r, r] = DF1[n]
+    J -= J1 @ np.kron(ops.Delta, Im)
+    return J
+
+
+def assert_close(mat, ref):
+    assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name, scan", CASES)
+class TestAgainstFreshAssembly:
+    def test_stability_matrix(self, request, name, scan):
+        orbit = request.getfixturevalue(name)
+        for mu in np.linspace(*scan, 5):
+            assert_close(floquet.build_stability_matrix(orbit, mu).matrix,
+                         fresh_stability_matrix(orbit, mu))
+
+    def test_adjoint_matrix(self, request, name, scan):
+        orbit = request.getfixturevalue(name)
+        for mu in np.linspace(*scan, 5):
+            assert_close(adjoint.build_adjoint_matrix(orbit, mu),
+                         fresh_adjoint_matrix(orbit, mu))
+
+    def test_bit_identical_at_zero(self, request, name, scan):
+        orbit = request.getfixturevalue(name)
+        lin = floquet.orbit_linearization(orbit)
+        assert np.abs(lin.B).max() > 0.1  # the delay block is exercised
+        np.testing.assert_array_equal(
+            floquet.build_stability_matrix(orbit, 0.0).matrix,
+            fresh_stability_matrix(orbit, 0.0),
+        )
+        np.testing.assert_array_equal(
+            adjoint.build_adjoint_matrix(orbit, 0.0), fresh_adjoint_matrix(orbit, 0.0)
+        )
+
+    def test_cycle_jacobian_x_block(self, request, name, scan):
+        orbit = request.getfixturevalue(name)
+        ops = build_operators(orbit.M, orbit.T, orbit.model.tau)
+        n_dyn = orbit.X.size
+        # the converged orbit and an iterate away from it
+        for X in (orbit.X, orbit.X + 0.1 * np.cos(3.0 * orbit.X)):
+            J = cycle._jacobian(orbit.model, ops, X, orbit.T, 0, cycle.SolveOptions())
+            np.testing.assert_array_equal(
+                J[:n_dyn, :n_dyn], loop_x_block(orbit.model, ops, X)
+            )
+
+
+def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    build = counted("build_operators", spectral.build_operators)
+    for mod in (spectral, cycle, floquet, adjoint):
+        if hasattr(mod, "build_operators"):
+            monkeypatch.setattr(mod, "build_operators", build)
+    model = kotani_orbit.model
+    orbit = dataclasses.replace(
+        kotani_orbit, model=dataclasses.replace(model, DF0=counted("DF0", model.DF0))
+    )
+    for call in (
+        lambda: floquet.det_scan(orbit, KOTANI_SCAN, 200),
+        lambda: floquet.refine_exponent(orbit, (-0.06, -0.01)),
+        lambda: floquet.eigenfunction(orbit, kotani_mu),
+    ):
+        calls.clear()
+        call()
+        assert calls == {"build_operators": 1, "DF0": 1}

@@ -1,5 +1,7 @@
 """Invariance properties of the harmonic-balance path, drawn by Hypothesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
     scan = (KOTANI_SCAN[0] / alpha, KOTANI_SCAN[1] / alpha)
     mu = floquet.find_exponents(orbit, scan, 200)[0]
     assert abs(mu - kotani_mu / alpha) <= 1e-8 * abs(kotani_mu / alpha)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_anchor_shift(kotani_orbit, kotani_mu, fraction):
+    # the cycle shifted by s in [0, T) is the same cycle with another time
+    # origin, so its exponents cannot move; the orbit is shifted, not the
+    # seed, because shifted seeds can collapse onto the equilibrium
+    series = kotani_orbit.series.shifted(fraction * kotani_orbit.T)
+    shifted = dataclasses.replace(
+        kotani_orbit, series=series, X=series.evaluate(kotani_orbit.grid.sample_times)
+    )
+    mu = floquet.find_exponents(shifted, KOTANI_SCAN, 200)[0]
+    assert abs(mu - kotani_mu) <= 1e-8 * abs(kotani_mu)
 
 
 def raw_null_vector(orbit, mu):
