@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .adjoint import (
     ResponseCurve,
     build_adjoint_matrix,
-    conserved_pairing,
     normalize_amplitude,
     normalize_phase,
     solve_response,
@@ -86,7 +85,6 @@ __all__ = [
     "build_operators",
     "build_stability_matrix",
     "coeffs_to_samples",
-    "conserved_pairing",
     "convergence_sweep",
     "cortico_thalamic",
     "det_scan",

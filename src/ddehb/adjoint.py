@@ -147,25 +147,6 @@ def normalize_amplitude(
     return q / c
 
 
-def conserved_pairing(
-    orbit: PeriodicOrbit,
-    curve,
-    partner,
-    mu: float,
-    t0: float,
-    quad_nodes: int = 64,
-) -> float:
-    """Evaluate the normalization bilinear form shifted to base time t0.
-
-    For a normalized phase curve paired with the cycle tangent the value
-    is omega at every t0; for a normalized amplitude curve paired with
-    its eigenfunction it is 1.
-    """
-    return pairing_functional(
-        orbit, curve, partner, mu=mu, t0=t0, quad_nodes=quad_nodes, decay_factor=True
-    )
-
-
 def solve_response(
     orbit: PeriodicOrbit,
     mu: float,

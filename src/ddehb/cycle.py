@@ -205,9 +205,22 @@ def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> Cyc
     return CycleSeed(series=FourierSeries(period_guess, coeffs), period=period_guess)
 
 
+def _anchor_at_max(series: FourierSeries, component: int) -> FourierSeries:
+    """The series shifted in time so that `component` peaks at t = 0: the
+    argmax over 8(2M+1) times, refined by Newton on x'_component = 0."""
+    t = np.linspace(0.0, series.T, 8 * (2 * series.M + 1), endpoint=False)
+    s = t[int(np.argmax(series.evaluate(t)[:, component]))]
+    d1, d2 = series.derivative(), series.derivative().derivative()
+    for _ in range(8):  # a constant seed has no strict maximum: no step
+        curv = d2.evaluate(s)[component]
+        s -= d1.evaluate(s)[component] / curv if curv < 0.0 else 0.0
+    return series if s == 0.0 else series.shifted(s)
+
+
 def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = None) -> PeriodicOrbit:
     """Solve the collocated zero problem for (X, T) by damped least squares.
 
+    The seed is first shifted so that its anchor component peaks at t = 0.
     Raises MaxIterations, SingularJacobian or DivergedToEquilibrium; the
     last one signals collapse onto an equilibrium (all nonzero harmonics
     below 1e-8), which the zero problem always admits.
@@ -221,7 +234,7 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
     M = opts.M
     K = 2 * M + 1
     grid0 = SpectralGrid(M, seed.period)
-    X = np.asarray(seed.series.evaluate(grid0.sample_times), dtype=float)
+    X = _anchor_at_max(seed.series, opts.anchor_component).evaluate(grid0.sample_times)
     T = float(seed.period)
     cache = _OperatorCache(M, model.tau)
     anchor = opts.anchor_component

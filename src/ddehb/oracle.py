@@ -43,6 +43,16 @@ _MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 
 
+def _lagrange4(x: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange basis on the nodes 0..3 at local coordinates x, (n, 4)."""
+    w = np.ones((x.size, 4))
+    for i in range(4):
+        for j in range(4):
+            if j != i:
+                w[:, i] *= (x - j) / (i - j)
+    return w
+
+
 @dataclass
 class Trajectory:
     """Uniform-step trajectory; the leading samples cover one delay span."""
@@ -78,17 +88,8 @@ class Trajectory:
         u = s - j
         j0 = np.clip(j - 1, 0, n - 4)
         x = u + (j - j0)  # local coordinate within the 4-point stencil
-        nodes = np.arange(4.0)
-        # Lagrange basis on nodes 0..3 evaluated at x, per query point
-        w = np.ones((t.size, 4))
-        for i in range(4):
-            for kk in range(4):
-                if kk != i:
-                    w[:, i] *= (x - nodes[kk]) / (nodes[i] - nodes[kk])
         idx = j0[:, None] + np.arange(4)[None, :]
-        vals = self.states[idx]  # (npts, 4, ..., m)
-        out = np.einsum("pk,pk...->p...", w, vals)
-        return out
+        return np.einsum("pk,pk...->p...", _lagrange4(x), self.states[idx])
 
 
 def _snap_step(tau: float, dt: float) -> tuple[float, int]:
@@ -380,6 +381,7 @@ class MonodromyResult:
     vectors: np.ndarray  # (dim, n_modes) Ritz vectors matching multipliers
     coeffs: np.ndarray  # (kk, n_modes) the Ritz vectors in the last swept basis
     head: np.ndarray  # (steps+1, m, kk) head block of that basis over the period
+    image: np.ndarray  # (dim, kk) the last sweep's image of that basis
     unit_multiplier_error: float
     T: float
     steps: int
@@ -400,6 +402,7 @@ def monodromy_exponents(
     max_iterations: int = 40,
     tol: float = 1e-10,
     seed: int = 0,
+    start: np.ndarray | None = None,
 ) -> MonodromyResult:
     """Leading Floquet exponents of the discretized variational equation.
 
@@ -409,13 +412,16 @@ def monodromy_exponents(
     values stabilize.  Every sweep records the head block of its basis, so
     the result carries the last one and eigenfunction profiles are read
     from it without sweeping again.  The unit multiplier must be present:
-    deviation beyond 1e-2 raises MonodromyIllConditioned.
+    deviation beyond 1e-2 raises MonodromyIllConditioned.  The start block
+    is drawn from seed, its first columns replaced by start if given.
     """
     steps = steps or _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps)
     kk = min(k + 3, system.dim)
-    rng = np.random.default_rng(seed)
-    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
+    block = np.random.default_rng(seed).standard_normal((system.dim, kk))
+    if start is not None:
+        block[:, : start.shape[1]] = start
+    V, _ = np.linalg.qr(block)
 
     prev = None
     for iterations in range(1, max_iterations + 1):
@@ -453,11 +459,21 @@ def monodromy_exponents(
         vectors=vectors,
         coeffs=coeffs,
         head=head,
+        image=W,
         unit_multiplier_error=unit_err,
         T=orbit.T,
         steps=steps,
         iterations=iterations,
     )
+
+
+def _refine_block(block: np.ndarray, m: int) -> np.ndarray:
+    """Columns on a chain of N segments resampled along the delay coordinate
+    onto 2N: fine row 2i is coarse row i, row 2i+1 the mean of rows i, i+1."""
+    coarse = block.reshape(-1, m, block.shape[-1])
+    fine = np.repeat(coarse, 2, axis=0)[:-1]
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    return fine.reshape(-1, block.shape[-1])
 
 
 def _realify(vec: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,15 +501,7 @@ class _PeriodicInterp:
         u = s - j
         # periodic 4-point stencil around [j, j+1]
         idx = (np.arange(-1, 3)[None, :] + j[:, None]) % steps
-        x = u[:, None] + 1.0
-        nodes = np.arange(4.0)
-        w = np.ones((t.size, 4))
-        for i in range(4):
-            for kq in range(4):
-                if kq != i:
-                    w[:, i] *= (x[:, 0] - nodes[kq]) / (nodes[i] - nodes[kq])
-        vals = self.values[idx]
-        return np.einsum("pk,pkm->pm", w, vals)
+        return np.einsum("pk,pkm->pm", _lagrange4(u + 1.0), self.values[idx])
 
 
 def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInterp:
@@ -768,6 +776,8 @@ _RICHARDSON_WEIGHTS = {
 
 
 def _level_sizes(N: int, levels: int) -> list[int]:
+    """Chain sizes N/2^(levels-1), ..., N/2, N.  Its ValueErrors cannot be
+    reached from the CLI: config.py rejects those level counts and N first."""
     if levels not in _RICHARDSON_WEIGHTS:
         raise ValueError("levels must be 1, 2 or 3")
     sizes = [N >> (levels - 1 - i) for i in range(levels)]
@@ -822,16 +832,19 @@ def oracle_floquet(
 ) -> OracleFloquet:
     """Monodromy exponents with Richardson extrapolation over chain levels.
 
-    The finest level is N; coarser levels halve it.  Multipliers are
-    matched between levels by proximity before combining; unmatched ones
-    keep the finest-level value.
+    The finest level is N; coarser levels halve it.  The coarsest level
+    starts from a block drawn from seed, each finer one from the image of
+    the level below resampled onto its chain (_refine_block).  Multipliers
+    are matched between levels by proximity before combining; unmatched
+    ones keep the finest-level value.
     """
     sizes = _level_sizes(N, levels)
     weights = _RICHARDSON_WEIGHTS[levels]
     systems = [build_discretized(model, n) for n in sizes]
-    results = [
-        monodromy_exponents(sys, orbit, k=k, seed=seed) for sys in systems
-    ]
+    results = []
+    for sys in systems:
+        start = _refine_block(results[-1].image, model.m) if results else None
+        results.append(monodromy_exponents(sys, orbit, k=k, seed=seed, start=start))
     fine = results[-1]
     multipliers = np.array(fine.multipliers, dtype=complex)
     for j, lam in enumerate(fine.multipliers):

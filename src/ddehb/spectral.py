@@ -93,10 +93,16 @@ class FourierSeries:
         return np.arange(-self.M, self.M + 1) * (2.0 * np.pi / self.T)
 
     def evaluate(self, t) -> np.ndarray:
-        """Evaluate the series at times t; returns shape t.shape + (m,)."""
+        """Values at times t, shape t.shape + (m,), by Horner's rule in
+        z = e^{i omega t}: x = Re a_0 + 2 Re sum_{p >= 1} a_p z^p."""
         t = np.asarray(t, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(t, self.frequencies))
-        return np.real(phase @ self.coeffs)
+        M, a = self.M, self.coeffs
+        z = np.exp((2j * np.pi / self.T) * t)[..., None]
+        acc = np.zeros(t.shape + (self.m,), dtype=complex)
+        for p in range(M, 0, -1):
+            acc += a[M + p]
+            acc *= z
+        return a[M].real + 2.0 * acc.real
 
     def derivative(self) -> "FourierSeries":
         return FourierSeries(self.T, (1j * self.frequencies)[:, None] * self.coeffs)

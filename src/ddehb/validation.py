@@ -57,7 +57,7 @@ def _sign_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pairing_spread(orbit, curve, partner, mu, nodes):
     t0s = np.arange(8) * orbit.T / 8.0
     vals = [
-        adjoint.conserved_pairing(orbit, curve, partner, mu, t0, quad_nodes=nodes)
+        adjoint.pairing_functional(orbit, curve, partner, mu, t0, quad_nodes=nodes)
         for t0 in t0s
     ]
     return max(vals) - min(vals)

@@ -149,8 +149,8 @@ def test_criterion_6_normalization_identities(
         )
         t0s = np.arange(8) * orbit.T / 8
         tangent = orbit.series.derivative()
-        zp = [adjoint.conserved_pairing(orbit, z, tangent, 0.0, t0) for t0 in t0s]
-        qp = [adjoint.conserved_pairing(orbit, q, mode, mu, t0) for t0 in t0s]
+        zp = [adjoint.pairing_functional(orbit, z, tangent, 0.0, t0) for t0 in t0s]
+        qp = [adjoint.pairing_functional(orbit, q, mode, mu, t0) for t0 in t0s]
         z_spread = max(zp) - min(zp)
         q_spread = max(qp) - min(qp)
         conditions.append((z_spread <= 1e-6, f"{name} phase spread={z_spread:.1e}"))

@@ -138,7 +138,7 @@ class TestConservedPairing:
     def test_phase_pairing_constant(self, kotani_orbit, kotani_z):
         tangent = kotani_orbit.series.derivative()
         vals = [
-            adjoint.conserved_pairing(kotani_orbit, kotani_z, tangent, 0.0, t0)
+            adjoint.pairing_functional(kotani_orbit, kotani_z, tangent, 0.0, t0)
             for t0 in np.arange(4) * kotani_orbit.T / 4
         ]
         np.testing.assert_allclose(vals, kotani_orbit.omega, atol=1e-10)
@@ -147,7 +147,7 @@ class TestConservedPairing:
     def test_amplitude_pairing_constant(self, kotani_orbit, kotani_mu, kotani_mode,
                                         kotani_q):
         vals = [
-            adjoint.conserved_pairing(
+            adjoint.pairing_functional(
                 kotani_orbit, kotani_q, kotani_mode, kotani_mu, t0
             )
             for t0 in np.arange(4) * kotani_orbit.T / 4
@@ -160,11 +160,11 @@ class TestConservedPairing:
         tangent = cortico_orbit.series.derivative()
         t0s = np.arange(8) * cortico_orbit.T / 8
         zvals = [
-            adjoint.conserved_pairing(cortico_orbit, cortico_z, tangent, 0.0, t0)
+            adjoint.pairing_functional(cortico_orbit, cortico_z, tangent, 0.0, t0)
             for t0 in t0s
         ]
         qvals = [
-            adjoint.conserved_pairing(
+            adjoint.pairing_functional(
                 cortico_orbit, cortico_q, cortico_mode, cortico_mu, t0
             )
             for t0 in t0s
@@ -174,8 +174,8 @@ class TestConservedPairing:
 
     def test_full_period_shift_reproduces_base(self, kotani_orbit, kotani_z):
         tangent = kotani_orbit.series.derivative()
-        v0 = adjoint.conserved_pairing(kotani_orbit, kotani_z, tangent, 0.0, 0.0)
-        vT = adjoint.conserved_pairing(
+        v0 = adjoint.pairing_functional(kotani_orbit, kotani_z, tangent, 0.0, 0.0)
+        vT = adjoint.pairing_functional(
             kotani_orbit, kotani_z, tangent, 0.0, kotani_orbit.T
         )
         assert abs(v0 - vT) < 1e-12

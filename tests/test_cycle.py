@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb.cycle import CycleSeed, SolveOptions, convergence_sweep, residual
+from ddehb.cycle import (
+    CycleSeed,
+    SolveOptions,
+    _anchor_at_max,
+    convergence_sweep,
+    residual,
+)
 from ddehb.errors import DivergedToEquilibrium, MaxIterations
 
 
@@ -45,6 +51,22 @@ class TestSolveCycle:
         seed = d.seed_from_ansatz(1, 0.0, 6.0, 20)
         with pytest.raises(DivergedToEquilibrium):
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
+
+    @pytest.mark.parametrize("shift", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.5, 5.5])
+    def test_time_shifted_seed_converges(self, kotani_model, shift):
+        # the seed is anchored at its maximum before the solve, so a seed
+        # with another time origin reaches the same cycle, not an
+        # equilibrium or -cos t
+        base = d.seed_from_ansatz(1, 0.8, 6.0, 20)
+        seed = CycleSeed(series=base.series.shifted(shift), period=base.period)
+        orbit = d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
+        assert abs(orbit.T - 2 * np.pi) < 1e-8
+        assert np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max() < 1e-8
+
+    def test_anchored_ansatz_seed_is_unshifted(self):
+        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
+        anchored = _anchor_at_max(seed.series, 0)
+        assert np.array_equal(anchored.coeffs, seed.series.coeffs)
 
     def test_iteration_budget_enforced(self, kotani_model):
         seed = d.seed_from_ansatz(1, 2.5, 9.0, 20)

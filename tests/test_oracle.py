@@ -220,6 +220,36 @@ class TestMonodromy:
             )
 
 
+def _levels_against_cold(model, orbit, N, k):
+    """Warm-started levels of oracle_floquet next to cold monodromy runs
+    (random start block from the same seed) on the same chains."""
+    ofl = oracle.oracle_floquet(model, orbit, N=N, k=k)
+    cold = [oracle.monodromy_exponents(s, orbit, k=k) for s in ofl.systems]
+    for warm, ref in zip(ofl.results, cold):
+        assert np.abs(warm.multipliers - ref.multipliers).max() <= 1e-9
+        assert warm.iterations <= ref.iterations
+    return ofl.results, cold
+
+
+class TestWarmStart:
+    def test_refine_block_interpolates_delay_coordinate(self):
+        # two components on a chain of 3 segments, one column
+        coarse = np.arange(8.0).reshape(8, 1)
+        fine = oracle._refine_block(coarse, 2).reshape(7, 2)
+        assert np.array_equal(fine[::2], coarse.reshape(4, 2))
+        assert np.array_equal(fine[1::2], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_kotani_levels_match_cold_start(self, kotani_model, kotani_orbit, k):
+        warm, cold = _levels_against_cold(kotani_model, kotani_orbit, 512, k)
+        assert warm[-1].iterations < cold[-1].iterations
+
+    def test_cortico_levels_match_cold_start(self, cortico_model, cortico_orbit):
+        # two components: a finer-level mode missing from the coarse block
+        # would show as a multiplier gap
+        _levels_against_cold(cortico_model, cortico_orbit, 512, 5)
+
+
 def _jac_apply(DF0, DF1, c, V):
     """J V for block states V of shape (N+1, m, k)."""
     out = np.empty_like(V)

@@ -59,7 +59,7 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
 def test_anchor_shift(kotani_orbit, kotani_mu, fraction):
     # the cycle shifted by s in [0, T) is the same cycle with another time
     # origin, so its exponents cannot move; the orbit is shifted, not the
-    # seed, because shifted seeds can collapse onto the equilibrium
+    # seed, because the solver anchors every seed at its maximum
     series = kotani_orbit.series.shifted(fraction * kotani_orbit.T)
     shifted = dataclasses.replace(
         kotani_orbit, series=series, X=series.evaluate(kotani_orbit.grid.sample_times)

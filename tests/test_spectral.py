@@ -146,3 +146,17 @@ class TestEvaluate:
         np.testing.assert_allclose(
             series.evaluate(t), series.evaluate(t + 3.7), atol=1e-12
         )
+
+    @pytest.mark.parametrize("M", [0, 1, 20, 40])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_horner_matches_phase_matrix(self, M, m):
+        # reference: the explicit (points x 2M+1) phase-matrix sum
+        series = random_series(M, 3.7, m, seed=M + 10 * m)
+        bound = 1e-14 * np.abs(series.coeffs).sum()
+        rng = np.random.default_rng(M)
+        for t in (1.3, rng.uniform(0.0, 3.7, 257), rng.uniform(-1.85, 1.85, (7, 5))):
+            phase = np.exp(1j * np.multiply.outer(np.asarray(t), series.frequencies))
+            ref = np.real(phase @ series.coeffs)
+            got = series.evaluate(t)
+            assert got.shape == np.shape(t) + (m,)
+            assert np.abs(got - ref).max() <= bound
