@@ -26,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import PeriodicOrbit
-from .errors import DegenerateNullspace, NormalizationSingular, NotSingular
-from .floquet import (
-    DEGENERACY_GAP,
-    SINGULARITY_RATIO,
-    FloquetMode,
-    orbit_linearization,
-)
+from .errors import NormalizationSingular
+from .floquet import FloquetMode, orbit_linearization, simple_null_svd
 from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10
@@ -170,18 +165,7 @@ def solve_response(
         raise ValueError("amplitude response requires the matching FloquetMode")
 
     A = build_adjoint_matrix(orbit, mu)
-    U, svals, _ = np.linalg.svd(A)
-    s_min, s_next, s_max = svals[-1], svals[-2], svals[0]
-    if s_min > SINGULARITY_RATIO * s_max:
-        raise NotSingular(
-            f"adjoint system is not singular at mu={mu:.6e}: "
-            f"sigma_min/sigma_max = {s_min / s_max:.3e}"
-        )
-    if s_next - s_min <= DEGENERACY_GAP * max(s_next, np.finfo(float).eps * s_max):
-        raise DegenerateNullspace(
-            f"two smallest singular values within {DEGENERACY_GAP:.0e} relative "
-            f"at mu={mu:.6e}: {s_min:.3e}, {s_next:.3e}"
-        )
+    U, svals, _ = simple_null_svd(A, mu, "adjoint system")
     raw = U[:, -1].reshape(-1, orbit.model.m)
 
     if kind == "phase":
@@ -205,7 +189,7 @@ def solve_response(
         Q=Q,
         series=sample_to_coeffs(Q, orbit.T),
         normalization_residual=abs(achieved - target) / abs(target),
-        sigma_min=float(s_min),
-        sigma_max=float(s_max),
+        sigma_min=float(svals[-1]),
+        sigma_max=float(svals[0]),
         residual=residual,
     )

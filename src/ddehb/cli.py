@@ -25,7 +25,7 @@ from .config import RunConfig, load_config
 from .cycle import PeriodicOrbit, solve_cycle
 from .errors import ConfigError, DdehbError
 from .model import verify_jacobians
-from .spectral import FourierSeries
+from .spectral import coeffs_to_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,25 +78,18 @@ def _load_orbit(out_dir: Path, cfg: RunConfig) -> PeriodicOrbit:
     path = out_dir / "orbit_coeffs.json"
     if not path.exists():
         raise FileNotFoundError(f"missing orbit file {path}; run `ddehb cycle` first")
-    with open(path) as fh:
-        data = json.load(fh)
+    data, series = pipeline.read_orbit_file(path)
     if data.get("config_hash") != cfg.config_hash():
         raise StaleInput(
             f"orbit file {path} was produced under a different configuration "
             f"({data.get('config_hash')} != {cfg.config_hash()})"
         )
-    model = pipeline.build_model(cfg)
-    coeffs = np.array(
-        [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
-    ).T
-    series = FourierSeries(data["T"], coeffs)
-    grid_t = np.arange(-data["M"], data["M"] + 1) * (data["T"] / (2 * data["M"] + 1))
     return PeriodicOrbit(
-        model=model,
-        T=data["T"],
-        M=data["M"],
+        model=pipeline.build_model(cfg),
+        T=series.T,
+        M=series.M,
         anchor_component=data["anchor_component"],
-        X=series.evaluate(grid_t),
+        X=coeffs_to_samples(series),
         series=series,
         residual_norm=data["residual_norm"],
         iterations=data["iterations"],

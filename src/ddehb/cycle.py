@@ -8,14 +8,15 @@ gives m(2M+1) equations
 
 closed by one phase-anchor equation: the chosen state component has
 vanishing time derivative at t = 0.  The square system is solved by
-damped (Levenberg-Marquardt) least squares with an analytic Jacobian in
-X and a finite-difference column in T, since both the derivative and the
-delay operator depend on the period.
+damped (Levenberg-Marquardt) least squares with an analytic Jacobian.
+D0 and Delta depend on T only through omega_p = 2 pi p / T, so
+dD0/dT = -D0/T and dDelta/dT = (tau/T) D0 Delta, which gives the T
+column in closed form as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .model import ModelSpec
 from .spectral import FourierSeries, SpectralGrid, build_operators, sample_to_coeffs
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
+LAMBDA_INIT = 1e-3  # initial Levenberg-Marquardt damping
+LAMBDA_FACTOR = 10.0  # damping growth on rejection, decay on acceptance
+STEP_TOLERANCE = 1e-14  # an accepted step this short ends the iteration
 
 
 @dataclass
@@ -37,10 +41,6 @@ class SolveOptions:
     anchor_component: int = 0
     max_iterations: int = 100
     tolerance: float = 1e-10  # residual max-norm
-    lambda_init: float = 1e-3
-    lambda_factor: float = 10.0
-    step_tolerance: float = 1e-14
-    period_fd_step: float = 1e-6  # relative step for the T column
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -92,29 +92,12 @@ class PeriodicOrbit:
         return self.series.derivative().evaluate(self.grid.sample_times)
 
 
-class _OperatorCache:
-    """Rebuild D0/Delta whenever T moves more than 1e-14 relative."""
-
-    def __init__(self, M, tau):
-        self.M = M
-        self.tau = tau
-        self._T = None
-        self._ops = None
-
-    def get(self, T):
-        if self._T is None or abs(T - self._T) > 1e-14 * abs(self._T):
-            self._ops = build_operators(self.M, T, self.tau)
-            self._T = T
-        return self._ops
-
-
-def _residual_arrays(model, ops, X, anchor):
-    """Dynamic residual (2M+1, m) and the scalar phase-anchor residual."""
-    Xd = ops.Delta @ X
-    R = ops.D0 @ X - model.F(X, Xd)
-    center = ops.grid.M  # row index of t = 0
-    phase = float((ops.D0 @ X[:, anchor])[center])
-    return R, phase
+def _stacked_residual(model, ops, X, anchor):
+    """Collocated residual rows (grid-major), then the anchor derivative at t = 0."""
+    D0 = ops.D0
+    R = D0 @ X - model.F(X, ops.Delta @ X)
+    phase = float((D0 @ X[:, anchor])[ops.grid.M])
+    return np.concatenate([R.ravel(), [phase]])
 
 
 def residual(model: ModelSpec, X: np.ndarray, T: float, anchor: int = 0) -> np.ndarray:
@@ -127,7 +110,8 @@ def residual(model: ModelSpec, X: np.ndarray, T: float, anchor: int = 0) -> np.n
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    out = _stacked_residual(model, X, T, anchor)
+    ops = build_operators((X.shape[0] - 1) // 2, T, model.tau)
+    out = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite right-hand side in cycle residual")
     return out
@@ -169,29 +153,26 @@ def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:
     return Linearization(A0=A0, B=B, tau=model.tau)
 
 
-def _jacobian(model, ops, X, T, anchor, opts):
-    """Analytic d(residual)/dX plus a central finite-difference T column."""
+def _jacobian(model, ops, X, anchor):
+    """d(residual)/d(X, T) at X and the period ops.grid.T.
+
+    The X-block is M(0) = A0 - B.  In T, dD0/dT = -D0/T and dDelta/dT =
+    (tau/T) D0 Delta, and D0 commutes with Delta, so the dynamic rows of
+    the T column are -(I + tau B) vec(D0 X) / T.
+    """
     n_dyn, m = X.size, model.m
     lin = assemble_linearization(model, ops, X, ops.Delta @ X)
     J = np.zeros((n_dyn + 1, n_dyn + 1))
     J[:n_dyn, :n_dyn] = lin.A0 - lin.B  # M(0) at the current iterate
 
-    center = ops.grid.M
-    J[n_dyn, anchor : n_dyn : m] = ops.D0[center, :]
+    D0 = ops.D0
+    center, T = ops.grid.M, ops.grid.T
+    J[n_dyn, anchor : n_dyn : m] = D0[center, :]
 
-    # period column: both omega_p and the delay symbol depend on T
-    h = opts.period_fd_step * T
-    rp = _stacked_residual(model, X, T + h, anchor)
-    rm = _stacked_residual(model, X, T - h, anchor)
-    J[:, n_dyn] = (rp - rm) / (2.0 * h)
+    D0X = (D0 @ X).ravel()
+    J[:n_dyn, n_dyn] = -(D0X + model.tau * (lin.B @ D0X)) / T
+    J[n_dyn, n_dyn] = -D0X[center * m + anchor] / T
     return J
-
-
-def _stacked_residual(model, X, T, anchor, cache=None):
-    M = (X.shape[0] - 1) // 2
-    ops = cache.get(T) if cache is not None else build_operators(M, T, model.tau)
-    R, phase = _residual_arrays(model, ops, X, anchor)
-    return np.concatenate([R.ravel(), [phase]])
 
 
 def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> CycleSeed:
@@ -233,16 +214,15 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
 
     M = opts.M
     K = 2 * M + 1
-    grid0 = SpectralGrid(M, seed.period)
-    X = _anchor_at_max(seed.series, opts.anchor_component).evaluate(grid0.sample_times)
     T = float(seed.period)
-    cache = _OperatorCache(M, model.tau)
+    ops = build_operators(M, T, model.tau)  # always those of the current T
     anchor = opts.anchor_component
+    X = _anchor_at_max(seed.series, anchor).evaluate(ops.grid.sample_times)
 
-    r = _stacked_residual(model, X, T, anchor, cache)
+    r = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(r)):
         raise NonFiniteState("non-finite residual at the seed")
-    lam = opts.lambda_init
+    lam = LAMBDA_INIT
     n_dyn = K * model.m
     iterations = 0
     res_norm = float(np.abs(r).max())
@@ -256,8 +236,7 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
                 iterations=iterations,
             )
         iterations += 1
-        ops = cache.get(T)
-        J = _jacobian(model, ops, X, T, anchor, opts)
+        J = _jacobian(model, ops, X, anchor)
         A = J.T @ J
         g = J.T @ r
 
@@ -274,19 +253,20 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
             X_new = X + step[:n_dyn].reshape(K, model.m)
             T_new = T + step[n_dyn]
             if T_new <= 0:
-                lam *= opts.lambda_factor
+                lam *= LAMBDA_FACTOR
                 continue
-            r_new = _stacked_residual(model, X_new, T_new, anchor, cache)
+            ops_new = build_operators(M, T_new, model.tau)
+            r_new = _stacked_residual(model, ops_new, X_new, anchor)
             if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < np.linalg.norm(r):
-                X, T, r = X_new, T_new, r_new
-                lam = max(lam / opts.lambda_factor, 1e-14)
+                X, T, r, ops = X_new, T_new, r_new, ops_new
+                lam = max(lam / LAMBDA_FACTOR, 1e-14)
                 accepted = True
                 step_norm = float(np.linalg.norm(step))
                 break
-            lam *= opts.lambda_factor
+            lam *= LAMBDA_FACTOR
 
         res_norm = float(np.abs(r).max())
-        if not accepted or step_norm <= opts.step_tolerance:
+        if not accepted or step_norm <= STEP_TOLERANCE:
             break
 
     if res_norm > opts.tolerance:
@@ -340,17 +320,8 @@ def convergence_sweep(model, seed, opts, M_list) -> list[SweepRow]:
         raise ValueError("M_list must be strictly increasing")
     rows = []
     for M in M_list:
-        run_opts = SolveOptions(
-            M=M,
-            anchor_component=opts.anchor_component,
-            max_iterations=opts.max_iterations,
-            tolerance=opts.tolerance,
-            lambda_init=opts.lambda_init,
-            lambda_factor=opts.lambda_factor,
-            step_tolerance=opts.step_tolerance,
-        )
         try:
-            orbit = solve_cycle(model, seed, run_opts)
+            orbit = solve_cycle(model, seed, replace(opts, M=M))
         except Exception as exc:  # propagate details per entry
             rows.append(SweepRow(M=M, T=float("nan"), tail_energy=float("nan"),
                                  residual_norm=float("nan"), error=str(exc)))

@@ -211,13 +211,18 @@ def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     return _null_mode(orbit, mu, orbit_linearization(orbit).matrix(mu))
 
 
-def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
-    """The gauged eigenfunction from an assembled M(mu)."""
+def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
+    """Full SVD (U, s, Vt) of a matrix with a one-dimensional null space.
+
+    Raises NotSingular when sigma_min/sigma_max exceeds SINGULARITY_RATIO
+    and DegenerateNullspace when the two smallest singular values are
+    within DEGENERACY_GAP relative; name labels the matrix in the message.
+    """
     U, svals, Vt = np.linalg.svd(mat)
     s_min, s_next, s_max = svals[-1], svals[-2], svals[0]
     if s_min > SINGULARITY_RATIO * s_max:
         raise NotSingular(
-            f"M(mu) is not singular at mu={mu:.6e}: "
+            f"{name} is not singular at mu={mu:.6e}: "
             f"sigma_min/sigma_max = {s_min / s_max:.3e}"
         )
     if s_next - s_min <= DEGENERACY_GAP * max(s_next, np.finfo(float).eps * s_max):
@@ -225,6 +230,12 @@ def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
             f"two smallest singular values within {DEGENERACY_GAP:.0e} relative "
             f"at mu={mu:.6e}: {s_min:.3e}, {s_next:.3e}"
         )
+    return U, svals, Vt
+
+
+def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
+    """The gauged eigenfunction from an assembled M(mu)."""
+    _, svals, Vt = simple_null_svd(mat, mu)
     R = _fix_mode_gauge(Vt[-1].reshape(-1, orbit.model.m))
     residual = float(
         np.linalg.norm(mat @ R.ravel()) / np.linalg.norm(R.ravel())
@@ -233,8 +244,8 @@ def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
         mu=float(mu),
         R=R,
         series=sample_to_coeffs(R, orbit.T),
-        sigma_min=float(s_min),
-        sigma_max=float(s_max),
+        sigma_min=float(svals[-1]),
+        sigma_max=float(svals[0]),
         residual=residual,
     )
 

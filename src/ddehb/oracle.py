@@ -69,15 +69,6 @@ class Trajectory:
     def t_end(self) -> float:
         return self.t_start + self.dt * (self.states.shape[0] - 1)
 
-    def write_csv(self, path):
-        """Debug export: time column followed by the state components (or
-        batch-flattened components); not a stable output contract."""
-        flat = self.states.reshape(self.states.shape[0], -1)
-        header = "t," + ",".join(f"x{j}" for j in range(flat.shape[1]))
-        data = np.column_stack([self.times, flat])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-
     def value(self, t) -> np.ndarray:
         """Piecewise-cubic readout at arbitrary times (stencil clamped at
         the ends)."""

@@ -33,6 +33,20 @@ def sinusoid_history(model: ModelSpec, amplitude, period: float):
     return history
 
 
+def read_orbit_file(path):
+    """The payload of an orbit_coeffs.json file and its Fourier series.
+
+    "coeffs" holds one [re, im] pair per harmonic p = -M..M, grouped per
+    component, as `ddehb cycle` writes it.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    coeffs = np.array(
+        [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
+    ).T
+    return data, FourierSeries(data["T"], coeffs)
+
+
 def build_seed(cfg: RunConfig, model: ModelSpec):
     """Seed per config: single-harmonic ansatz, oracle settle, or file."""
     sc = cfg.seed
@@ -50,12 +64,8 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
         settled = oracle.settle_to_cycle(model, history, sc.transient, opts)
         return settled.seed, settled
     if sc.kind == "file":
-        with open(sc.path) as fh:
-            data = json.load(fh)
-        coeffs = np.array(
-            [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
-        ).T
-        return CycleSeed(series=FourierSeries(data["T"], coeffs), period=data["T"]), None
+        _, series = read_orbit_file(sc.path)
+        return CycleSeed(series=series, period=series.T), None
     raise ConfigError(f"unknown seed kind {sc.kind!r}")
 
 

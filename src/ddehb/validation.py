@@ -9,13 +9,13 @@ runs the same checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import adjoint, floquet, oracle, pipeline
 from .config import RunConfig
-from .cycle import SolveOptions, convergence_sweep, solve_cycle
+from .cycle import convergence_sweep, solve_cycle
 from .errors import NoExponentInRange
 
 
@@ -173,7 +173,8 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
 
     t_cycle = time.perf_counter()
     seed, _ = pipeline.build_seed(cfg, model)
-    orbit = solve_cycle(model, seed, pipeline.solve_options(cfg))
+    opts = pipeline.solve_options(cfg)
+    orbit = solve_cycle(model, seed, opts)
     cycle_seconds = time.perf_counter() - t_cycle
     t0 = time.perf_counter()
     results.append(
@@ -193,7 +194,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     t0 = time.perf_counter()
     mu = _leading_exponent(orbit, cfg.scan)
     mode = floquet.eigenfunction(orbit, mu)
-    orbit2 = solve_cycle(model, seed, SolveOptions(M=2 * cfg.solver.M))
+    orbit2 = solve_cycle(model, seed, replace(opts, M=2 * opts.M))
     mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check("kotani.exponent_M_doubling", abs(mu - mu2), 1e-6, t0,
                           detail=f"mu={mu:.6f}"))
@@ -260,7 +261,8 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
 
     t_pipe = time.perf_counter()
     seed, settled = pipeline.build_seed(cfg, model)
-    orbit = solve_cycle(model, seed, pipeline.solve_options(cfg))
+    opts = pipeline.solve_options(cfg)
+    orbit = solve_cycle(model, seed, opts)
     if settled is not None:
         results.append(
             _check("cortico.period_consistency",
@@ -282,12 +284,12 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     _trivial_mode_checks(results, "cortico", orbit)
 
     t0 = time.perf_counter()
-    orbit2 = solve_cycle(model, seed, SolveOptions(M=2 * cfg.solver.M))
+    orbit2 = solve_cycle(model, seed, replace(opts, M=2 * opts.M))
     mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check("cortico.exponent_M_doubling", abs(mu - mu2), 1e-6, t0))
 
     t0 = time.perf_counter()
-    rows = convergence_sweep(model, seed, pipeline.solve_options(cfg), [10, 20, 40])
+    rows = convergence_sweep(model, seed, opts, [10, 20, 40])
     tails = [r.tail_energy for r in rows]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(

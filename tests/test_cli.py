@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,6 +14,9 @@ from ddehb.cli import (
     EXIT_VALIDATION,
     main,
 )
+from ddehb import pipeline, validation
+from ddehb.config import load_config
+from ddehb.cycle import solve_cycle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KOTANI_CFG = str(CONFIG_DIR / "kotani_fig1.yaml")
@@ -70,6 +74,18 @@ class TestCycleCommand:
         a = (tmp_path / "a" / "orbit.csv").read_bytes()
         b = (tmp_path / "b" / "orbit.csv").read_bytes()
         assert a == b
+
+    def test_seed_from_orbit_file(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run("cycle", "--config", KOTANI_CFG, "--out", str(first)) == EXIT_OK
+        code = run(
+            "cycle", "--config", KOTANI_CFG, "--out", str(again), "--seed-from", "file",
+            "--override", f"seed.path={first / 'orbit_coeffs.json'}",
+        )
+        assert code == EXIT_OK
+        data = json.loads((again / "orbit_coeffs.json").read_text())
+        assert abs(data["T"] - 2 * np.pi) < 1e-8
+        assert data["iterations"] == 0  # the seed is the converged orbit
 
     def test_override_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -217,6 +233,27 @@ class TestValidateCommand:
         passed = all(c["passed"] for c in checks)
         assert report["passed"] == passed
         assert code == (EXIT_OK if passed else EXIT_VALIDATION)
+
+    def test_doubled_solve_keeps_solver_config(self, monkeypatch):
+        cfg = load_config(
+            KOTANI_CFG, ["solver.tolerance=1.0e-12", "solver.max_iterations=50"]
+        )
+        received = []
+
+        class Doubled(Exception):
+            pass
+
+        def recording(model, seed, opts):
+            received.append(opts)
+            if opts.M != cfg.solver.M:
+                raise Doubled  # the M-doubling solve: stop before the oracle
+            return solve_cycle(model, seed, opts)
+
+        monkeypatch.setattr(validation, "solve_cycle", recording)
+        with pytest.raises(Doubled):
+            validation.validate_kotani(cfg)
+        assert received[0] == pipeline.solve_options(cfg)
+        assert received[-1] == dataclasses.replace(received[0], M=2 * cfg.solver.M)
 
     def test_no_exponent_in_scan_range(self, tmp_path, capsys):
         # [-0.01, 0.05] holds only the trivial root; the leading exponent

@@ -109,10 +109,21 @@ class TestAgainstFreshAssembly:
         n_dyn = orbit.X.size
         # the converged orbit and an iterate away from it
         for X in (orbit.X, orbit.X + 0.1 * np.cos(3.0 * orbit.X)):
-            J = cycle._jacobian(orbit.model, ops, X, orbit.T, 0, cycle.SolveOptions())
+            J = cycle._jacobian(orbit.model, ops, X, 0)
             np.testing.assert_array_equal(
                 J[:n_dyn, :n_dyn], loop_x_block(orbit.model, ops, X)
             )
+
+    def test_cycle_jacobian_period_column(self, request, name, scan):
+        orbit = request.getfixturevalue(name)
+        model, T, n_dyn = orbit.model, orbit.T, orbit.X.size
+        ops = build_operators(orbit.M, T, model.tau)
+        h = 1e-6 * T
+        for X in (orbit.X, orbit.X + 0.1 * np.cos(3.0 * orbit.X)):
+            column = cycle._jacobian(model, ops, X, 0)[:, n_dyn]
+            # central difference of the residual, operators rebuilt at T +- h
+            ref = (cycle.residual(model, X, T + h) - cycle.residual(model, X, T - h)) / (2 * h)
+            assert np.abs(column - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):

@@ -88,15 +88,6 @@ class TestIntegrateDde:
         with pytest.raises(ValueError):
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
 
-    def test_trajectory_csv_export(self, kotani_model, tmp_path):
-        traj = oracle.integrate_dde(kotani_model, cos_history, 2.0,
-                                    kotani_model.tau / 16)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(data[:, 0], traj.times, atol=1e-12)
-        np.testing.assert_allclose(data[:, 1], traj.states[:, 0], atol=1e-15)
-
 
 class TestSettleToCycle:
     def test_kotani_period(self, kotani_model):
