@@ -11,11 +11,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import yaml
 
 from .errors import ConfigError
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe loader that also reads 1e-12, 5e-2 and 1.0e10 as floats: the
+    YAML 1.1 rules need both a dot and an exponent sign, so they read
+    these as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass
@@ -176,6 +191,12 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(
             f"unknown model {cfg.model.name!r}; built-ins: {sorted(BUILTIN_MODELS)}"
         )
+    for key, value in cfg.model.params.items():
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ConfigError(f"model.params.{key}: expected a real number, got {value!r}")
+    if cfg.model.params.get("tau", 0.0) < 0:
+        raise ConfigError(f"model.params.tau must be >= 0, got {cfg.model.params['tau']}")
     if cfg.solver.M < 1:
         raise ConfigError(f"solver.M must be >= 1, got {cfg.solver.M}")
     if cfg.solver.tolerance <= 0:
@@ -214,7 +235,7 @@ def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None
     """Load a YAML config file and apply command-line overrides."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.load(fh, Loader=_Loader) or {}
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -229,7 +250,7 @@ def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None
             node = node.setdefault(k, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override through non-mapping at {k!r}")
-        node[keys[-1]] = yaml.safe_load(raw)
+        node[keys[-1]] = yaml.load(raw, Loader=_Loader)
     if seed_from is not None:
         data.setdefault("seed", {})["kind"] = seed_from
     if out_dir is not None:

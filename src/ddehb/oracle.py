@@ -7,7 +7,7 @@ assembly), so that agreement is evidence rather than tautology:
 * method-of-steps RK4 integration of the delay system, with delayed
   values from piecewise-cubic interpolation of the stored history;
 * the finite-segment ODE discretization (delay line of N first-order
-  lags), integrable on its own and the basis for the two linear engines;
+  lags), the basis for the two linear engines;
 * monodromy exponents/eigenvectors of the variational equation along the
   orbit, via subspace iteration over one-period sweeps (the block-stepped RK4
   of `sweep`);
@@ -293,57 +293,6 @@ class DiscretizedSystem:
     @property
     def rate(self) -> float:
         return self.N / self.model.tau
-
-    def G(self, y: np.ndarray) -> np.ndarray:
-        """Vector field of the discretized system on flat states (..., dim)."""
-        y = np.asarray(y, dtype=float)
-        blocks = y.reshape(y.shape[:-1] + (self.N + 1, self.m))
-        out = np.empty_like(blocks)
-        out[..., 0, :] = self.model.F(blocks[..., 0, :], blocks[..., self.N, :])
-        out[..., 1:, :] = self.rate * (blocks[..., :-1, :] - blocks[..., 1:, :])
-        return out.reshape(y.shape)
-
-    def jacobian_dense(self, z0: np.ndarray, zN: np.ndarray) -> np.ndarray:
-        """Dense Jacobian of G at a state with head z0 and tail zN.
-
-        Only sensible for small N; the monodromy sweep never materializes
-        this.
-        """
-        m, N, c = self.m, self.N, self.rate
-        J = np.zeros((self.dim, self.dim))
-        J[:m, :m] = self.model.DF0(z0, zN)
-        J[:m, N * m :] = self.model.DF1(z0, zN)
-        for i in range(1, N + 1):
-            J[i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
-            J[i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
-        return J
-
-    def lift(self, orbit: PeriodicOrbit, t: float) -> np.ndarray:
-        """Lifted orbit state: x_i = x^gamma(t - i tau / N), flattened."""
-        s = t - np.arange(self.N + 1) * (self.model.tau / self.N)
-        return orbit.value(s).reshape(-1)
-
-
-def integrate_discretized(
-    system: DiscretizedSystem, y0: np.ndarray, t_end: float, dt: float
-) -> Trajectory:
-    """Plain RK4 on the discretized vector field (first block is x(t))."""
-    n_steps = int(np.ceil(t_end / dt))
-    dt = t_end / n_steps
-    y = np.asarray(y0, dtype=float).copy()
-    m = system.m
-    out = np.empty((n_steps + 1, m))
-    out[0] = y[:m]
-    for k in range(n_steps):
-        k1 = system.G(y)
-        k2 = system.G(y + 0.5 * dt * k1)
-        k3 = system.G(y + 0.5 * dt * k2)
-        k4 = system.G(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"discretized integration blew up at t={k * dt:.6g}")
-        out[k + 1] = y[:m]
-    return Trajectory(t_start=0.0, dt=dt, states=out)
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,6 @@ class SpectralOperators:
         """Pure differentiation matrix Re(S L(0) S^-1) = D - mu*I."""
         return self.D - self.mu * np.eye(self.grid.n_samples)
 
-    @property
-    def Delta_advance(self) -> np.ndarray:
-        return self.Delta.T.copy()
-
 
 def build_operators(M: int, T: float, tau: float, mu: float = 0.0) -> SpectralOperators:
     """Assemble the spectral operators for a given (M, T, tau, mu).

@@ -1,10 +1,6 @@
-"""Shared fixtures: solved benchmark orbits and the expensive oracle runs.
-
-Everything heavy is session-scoped and timed; the timing registry lets the
-acceptance suite check runtime budgets without recomputing.
+"""Shared fixtures: solved benchmark orbits and the expensive oracle runs,
+all session-scoped.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -19,40 +15,20 @@ CORTICO_SCAN = (-0.02, 0.01)
 
 
 @pytest.fixture(scope="session")
-def timings():
-    return {}
-
-
-def _timed(timings, key, fn):
-    t0 = time.perf_counter()
-    out = fn()
-    timings[key] = time.perf_counter() - t0
-    return out
-
-
-@pytest.fixture(scope="session")
 def kotani_model():
     return d.kotani_scalar(0.05)
 
 
 @pytest.fixture(scope="session")
-def kotani_orbit(kotani_model, timings):
-    return _timed(
-        timings,
-        "kotani_cycle",
-        lambda: d.solve_cycle(
-            kotani_model, d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
-        ),
+def kotani_orbit(kotani_model):
+    return d.solve_cycle(
+        kotani_model, d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
     )
 
 
 @pytest.fixture(scope="session")
-def kotani_mu(kotani_orbit, timings):
-    return _timed(
-        timings,
-        "kotani_floquet",
-        lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)[0],
-    )
+def kotani_mu(kotani_orbit):
+    return floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)[0]
 
 
 @pytest.fixture(scope="session")
@@ -73,65 +49,15 @@ def kotani_q(kotani_orbit, kotani_mu, kotani_mode):
 
 
 @pytest.fixture(scope="session")
-def kotani_oracle_floquet(kotani_model, kotani_orbit, timings):
-    return _timed(
-        timings,
-        "kotani_oracle_floquet",
-        lambda: oracle.oracle_floquet(kotani_model, kotani_orbit, N=2000, k=5),
-    )
+def kotani_oracle_floquet(kotani_model, kotani_orbit):
+    return oracle.oracle_floquet(kotani_model, kotani_orbit, N=2000, k=5)
 
 
 @pytest.fixture(scope="session")
-def kotani_rho_oracle(kotani_orbit, kotani_oracle_floquet, timings):
-    return _timed(
-        timings,
-        "kotani_oracle_rho",
-        lambda: oracle.oracle_eigenfunction(kotani_orbit, kotani_oracle_floquet),
-    )
-
-
-@pytest.fixture(scope="session")
-def kotani_oracle_responses(kotani_orbit, kotani_oracle_floquet, timings):
-    # z and q from one backward subspace iteration per chain level
-    return _timed(
-        timings,
-        "kotani_oracle_responses",
-        lambda: oracle.oracle_responses(kotani_orbit, kotani_oracle_floquet),
-    )
-
-
-@pytest.fixture(scope="session")
-def kotani_z_oracle(kotani_oracle_responses):
-    return kotani_oracle_responses[0]
-
-
-@pytest.fixture(scope="session")
-def kotani_q_oracle(kotani_oracle_responses):
-    return kotani_oracle_responses[1]
-
-
-@pytest.fixture(scope="session")
-def kotani_z_oracle_fine(kotani_model, kotani_orbit, timings):
-    # finer chain than criterion 4 needs: the oracle-side pairing constancy
-    # at 1e-6 sits below the N=2000 extrapolation residual
-    return _timed(
-        timings,
-        "kotani_oracle_z_fine",
-        lambda: oracle.oracle_phase_response(
-            kotani_model, kotani_orbit, N=4000, subspace=4
-        ),
-    )
-
-
-@pytest.fixture(scope="session")
-def kotani_mu_doubled(kotani_model, timings):
-    def compute():
-        orbit = d.solve_cycle(
-            kotani_model, d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=40)
-        )
-        return floquet.find_exponents(orbit, KOTANI_SCAN, 200)[0]
-
-    return _timed(timings, "kotani_floquet_M40", compute)
+def kotani_z_oracle_fine(kotani_model, kotani_orbit):
+    # the oracle-side pairing constancy at 1e-6 sits below the N=2000
+    # extrapolation residual, so this chain is finer
+    return oracle.oracle_phase_response(kotani_model, kotani_orbit, N=4000, subspace=4)
 
 
 @pytest.fixture(scope="session")
@@ -140,41 +66,29 @@ def cortico_model():
 
 
 @pytest.fixture(scope="session")
-def cortico_settle(cortico_model, timings):
+def cortico_settle(cortico_model):
     def history(s):
         s = np.asarray(s, dtype=float)
         return np.stack(
             [0.05 * np.cos(0.2 * s), -0.05 * 0.2 * np.sin(0.2 * s)], axis=-1
         )
 
-    return _timed(
-        timings,
-        "cortico_settle",
-        lambda: oracle.settle_to_cycle(
-            cortico_model,
-            history,
-            transient=1500.0,
-            opts=oracle.SettleOptions(dt=0.04, M=20, observe_time=900.0),
-        ),
+    return oracle.settle_to_cycle(
+        cortico_model,
+        history,
+        transient=1500.0,
+        opts=oracle.SettleOptions(dt=0.04, M=20, observe_time=900.0),
     )
 
 
 @pytest.fixture(scope="session")
-def cortico_orbit(cortico_model, cortico_settle, timings):
-    return _timed(
-        timings,
-        "cortico_cycle",
-        lambda: d.solve_cycle(cortico_model, cortico_settle.seed, d.SolveOptions(M=20)),
-    )
+def cortico_orbit(cortico_model, cortico_settle):
+    return d.solve_cycle(cortico_model, cortico_settle.seed, d.SolveOptions(M=20))
 
 
 @pytest.fixture(scope="session")
-def cortico_mu(cortico_orbit, timings):
-    return _timed(
-        timings,
-        "cortico_floquet",
-        lambda: floquet.find_exponents(cortico_orbit, CORTICO_SCAN, 200)[0],
-    )
+def cortico_mu(cortico_orbit):
+    return floquet.find_exponents(cortico_orbit, CORTICO_SCAN, 200)[0]
 
 
 @pytest.fixture(scope="session")
@@ -195,30 +109,8 @@ def cortico_q(cortico_orbit, cortico_mu, cortico_mode):
 
 
 @pytest.fixture(scope="session")
-def cortico_mu_doubled(cortico_model, cortico_settle, timings):
-    def compute():
-        orbit = d.solve_cycle(cortico_model, cortico_settle.seed, d.SolveOptions(M=40))
-        return floquet.find_exponents(orbit, CORTICO_SCAN, 200)[0]
-
-    return _timed(timings, "cortico_floquet_M40", compute)
-
-
-@pytest.fixture(scope="session")
-def cortico_z_oracle(cortico_model, cortico_orbit, timings):
-    return _timed(
-        timings,
-        "cortico_oracle_z",
-        lambda: oracle.oracle_phase_response(cortico_model, cortico_orbit, N=2000),
-    )
-
-
-@pytest.fixture(scope="session")
-def cortico_oracle_floquet(cortico_model, cortico_orbit, timings):
-    return _timed(
-        timings,
-        "cortico_oracle_floquet",
-        lambda: oracle.oracle_floquet(cortico_model, cortico_orbit, N=2000, k=5),
-    )
+def cortico_oracle_floquet(cortico_model, cortico_orbit):
+    return oracle.oracle_floquet(cortico_model, cortico_orbit, N=2000, k=5)
 
 
 def stuart_landau(tau: float) -> ModelSpec:

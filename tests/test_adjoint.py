@@ -23,26 +23,6 @@ class TestAdjointMatrix:
 
 
 class TestSolveResponse:
-    def test_phase_matches_oracle(self, kotani_orbit, kotani_z, kotani_z_oracle):
-        tg = kotani_orbit.grid.sample_times
-        assert np.abs(kotani_z_oracle.value(tg) - kotani_z.Q).max() < 1e-3
-
-    def test_amplitude_matches_oracle(self, kotani_orbit, kotani_q, kotani_q_oracle):
-        tg = kotani_orbit.grid.sample_times
-        q = kotani_q_oracle.value(tg)
-        if np.sum(q * kotani_q.Q) < 0:
-            q = -q
-        assert np.abs(q - kotani_q.Q).max() < 1e-3
-
-    def test_cortico_phase_both_components(self, cortico_orbit, cortico_z,
-                                           cortico_z_oracle):
-        # stand-in for the analytic center-manifold comparison: 2% sup-norm
-        # relative agreement per component against the discretized adjoint
-        tg = cortico_orbit.grid.sample_times
-        gap = np.abs(cortico_z_oracle.value(tg) - cortico_z.Q).max(axis=0)
-        scale = np.abs(cortico_z.Q).max(axis=0)
-        assert (gap / scale).max() < 0.02
-
     def test_nullvector_residuals(self, kotani_z, kotani_q, cortico_z, cortico_q):
         for curve in (kotani_z, kotani_q, cortico_z, cortico_q):
             assert curve.residual <= 1e-6
@@ -154,23 +134,6 @@ class TestConservedPairing:
         ]
         np.testing.assert_allclose(vals, 1.0, atol=1e-10)
         assert max(vals) - min(vals) < 1e-6
-
-    def test_cortico_pairings_constant(self, cortico_orbit, cortico_mu, cortico_mode,
-                                       cortico_z, cortico_q):
-        tangent = cortico_orbit.series.derivative()
-        t0s = np.arange(8) * cortico_orbit.T / 8
-        zvals = [
-            adjoint.pairing_functional(cortico_orbit, cortico_z, tangent, 0.0, t0)
-            for t0 in t0s
-        ]
-        qvals = [
-            adjoint.pairing_functional(
-                cortico_orbit, cortico_q, cortico_mode, cortico_mu, t0
-            )
-            for t0 in t0s
-        ]
-        assert max(zvals) - min(zvals) < 1e-6
-        assert max(qvals) - min(qvals) < 1e-6
 
     def test_full_period_shift_reproduces_base(self, kotani_orbit, kotani_z):
         tangent = kotani_orbit.series.derivative()

@@ -284,6 +284,26 @@ class TestConfigValidation:
         cfg.write_text(yaml.safe_dump({"model": {"name": "kotani"}, "extra": {}}))
         assert run("cycle", "--config", str(cfg)) == EXIT_CONFIG
 
+    def test_exponent_form_floats(self, tmp_path):
+        cfg = load_config(KOTANI_CFG, ["solver.tolerance=1e-12"])
+        assert cfg.solver.tolerance == 1e-12
+        out = tmp_path / "run"
+        assert run(
+            "cycle", "--config", KOTANI_CFG, "--out", str(out),
+            "--override", "model.params.delta=5e-2",
+        ) == EXIT_OK
+        T = json.loads((out / "orbit_coeffs.json").read_text())["T"]
+        assert abs(T - 2 * np.pi) < 1e-8
+
+    @pytest.mark.parametrize(
+        "cfg, override", [(KOTANI_CFG, "model.params.delta=abc"),
+                          (CORTICO_CFG, "model.params.tau=-1.0")],
+    )
+    def test_bad_model_parameter(self, tmp_path, cfg, override):
+        assert run(
+            "cycle", "--config", cfg, "--out", str(tmp_path), "--override", override
+        ) == EXIT_CONFIG
+
     def test_bad_oracle_levels(self, tmp_path):
         assert run(
             "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path),

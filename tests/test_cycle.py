@@ -159,13 +159,6 @@ class TestConvergenceSweep:
         rows = convergence_sweep(kotani_model, seed, SolveOptions(), [20])
         assert len(rows) == 1
 
-    def test_cortico_tail_decreases(self, cortico_model, cortico_settle):
-        rows = convergence_sweep(
-            cortico_model, cortico_settle.seed, SolveOptions(), [10, 20, 40]
-        )
-        tails = [r.tail_energy for r in rows]
-        assert all(b < a for a, b in zip(tails, tails[1:]))
-
     def test_rejects_bad_M_list(self, kotani_model):
         seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
         with pytest.raises(ValueError):

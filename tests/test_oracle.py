@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, oracle, sweep
+from ddehb import oracle, sweep
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -100,10 +100,6 @@ class TestSettleToCycle:
         assert abs(res.period - 2 * np.pi) < 1e-3
         assert res.crossings.size >= 12
 
-    def test_cortico_period_matches_harmonic_balance(self, cortico_settle,
-                                                     cortico_orbit):
-        assert abs(cortico_settle.period - cortico_orbit.T) / cortico_orbit.T < 1e-3
-
     def test_decaying_model_raises(self):
         with pytest.raises(NoOscillationDetected):
             oracle.settle_to_cycle(
@@ -124,11 +120,57 @@ class TestSettleToCycle:
             )
 
 
+def chain_field(system, y):
+    """Vector field of the discretized system on flat states (..., dim)."""
+    y = np.asarray(y, dtype=float)
+    blocks = y.reshape(y.shape[:-1] + (system.N + 1, system.m))
+    out = np.empty_like(blocks)
+    out[..., 0, :] = system.model.F(blocks[..., 0, :], blocks[..., system.N, :])
+    out[..., 1:, :] = system.rate * (blocks[..., :-1, :] - blocks[..., 1:, :])
+    return out.reshape(y.shape)
+
+
+def chain_jacobian(system, z0, zN):
+    """Dense Jacobian of chain_field at a state with head z0 and tail zN;
+    only sensible for small N."""
+    m, N, c = system.m, system.N, system.rate
+    J = np.zeros((system.dim, system.dim))
+    J[:m, :m] = system.model.DF0(z0, zN)
+    J[:m, N * m :] = system.model.DF1(z0, zN)
+    for i in range(1, N + 1):
+        J[i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
+        J[i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
+    return J
+
+
+def lift(system, orbit, t):
+    """Lifted orbit state: x_i = x^gamma(t - i tau / N), flattened."""
+    s = t - np.arange(system.N + 1) * (system.model.tau / system.N)
+    return orbit.value(s).reshape(-1)
+
+
+def integrate_chain(system, y0, t_end, dt):
+    """Plain RK4 on the discretized vector field; records the head x(t)."""
+    n_steps = int(np.ceil(t_end / dt))
+    dt = t_end / n_steps
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((n_steps + 1, system.m))
+    out[0] = y[: system.m]
+    for k in range(n_steps):
+        k1 = chain_field(system, y)
+        k2 = chain_field(system, y + 0.5 * dt * k1)
+        k3 = chain_field(system, y + 0.5 * dt * k2)
+        k4 = chain_field(system, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = y[: system.m]
+    return oracle.Trajectory(t_start=0.0, dt=dt, states=out)
+
+
 class TestDiscretizedSystem:
     def test_minimal_jacobian_pattern(self, kotani_model):
         sys2 = oracle.build_discretized(kotani_model, 2)
         z0, zN = np.array([0.3]), np.array([-0.2])
-        J = sys2.jacobian_dense(z0, zN)
+        J = chain_jacobian(sys2, z0, zN)
         c = 2.0 / kotani_model.tau
         assert J.shape == (3, 3)
         assert abs(J[0, 0] - kotani_model.DF0(z0, zN)[0, 0]) < 1e-15
@@ -139,8 +181,7 @@ class TestDiscretizedSystem:
 
     def test_vector_field_on_lifted_cycle(self, kotani_model, kotani_orbit):
         sys = oracle.build_discretized(kotani_model, 50)
-        y = sys.lift(kotani_orbit, 0.7)
-        g = sys.G(y)
+        g = chain_field(sys, lift(sys, kotani_orbit, 0.7))
         expected = kotani_model.F(
             kotani_orbit.value(0.7), kotani_orbit.value(0.7 - kotani_model.tau)
         )
@@ -157,8 +198,8 @@ class TestDiscretizedSystem:
 
         def gap(N):
             sys = oracle.build_discretized(kotani_model, N)
-            traj_d = oracle.integrate_discretized(
-                sys, sys.lift(kotani_orbit, 0.0), T, kotani_model.tau / N
+            traj_d = integrate_chain(
+                sys, lift(sys, kotani_orbit, 0.0), T, kotani_model.tau / N
             )
             return np.abs(traj_d.value(probe) - traj.value(probe)).max()
 
@@ -172,20 +213,10 @@ class TestDiscretizedSystem:
 
 
 class TestMonodromy:
-    def test_unit_multiplier_present(self, kotani_oracle_floquet,
-                                     cortico_oracle_floquet):
-        assert kotani_oracle_floquet.unit_multiplier_error < 1e-4
-        assert cortico_oracle_floquet.unit_multiplier_error < 1e-4
-
     def test_single_level_unit_multiplier(self, kotani_model, kotani_orbit):
         sys = oracle.build_discretized(kotani_model, 1000)
         res = oracle.monodromy_exponents(sys, kotani_orbit, k=4)
         assert res.unit_multiplier_error < 1e-2
-
-    def test_kotani_exponent_vs_harmonic_balance(self, kotani_oracle_floquet,
-                                                 kotani_mu):
-        mu_o = kotani_oracle_floquet.leading_nontrivial()
-        assert abs(mu_o - kotani_mu) / abs(kotani_mu) < 0.01
 
     def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
         mu_o = cortico_oracle_floquet.leading_nontrivial()
@@ -390,7 +421,7 @@ class TestSweepPlan:
 
         def J(t):
             x = orbit.value(np.array([t, t - model.tau]))
-            return system.jacobian_dense(x[0], x[1])
+            return chain_jacobian(system, x[0], x[1])
 
         V = np.random.default_rng(N).standard_normal((system.dim, 3))
         if backward:  # first interval swept is [T - h, T], from its right end
@@ -445,10 +476,6 @@ class TestHeadReadout:
 
 
 class TestDiscretizedAdjoint:
-    def test_kotani_z_matches_spectral(self, kotani_orbit, kotani_z, kotani_z_oracle):
-        tg = kotani_orbit.grid.sample_times
-        assert np.abs(kotani_z_oracle.value(tg) - kotani_z.Q).max() < 1e-3
-
     def test_oracle_pairing_constant(self, kotani_orbit, kotani_z_oracle_fine):
         tangent = oracle._orbit_tangent(kotani_orbit)
         vals = [
@@ -525,13 +552,6 @@ class TestDiscretizedAdjoint:
 
 
 class TestDirectPrc:
-    def test_measured_prc_matches_z(self, kotani_model, kotani_orbit, kotani_z):
-        phases = np.arange(16) * 2 * np.pi / 16
-        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, phases, periods=20)
-        z_at = kotani_z.value(phases / kotani_orbit.omega)[:, 0]
-        rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
-        assert rel < 0.05
-
     def test_linearity_in_pulse_size(self, kotani_model, kotani_orbit):
         phases = np.arange(8) * 2 * np.pi / 8
         prc1, prc2 = oracle.direct_prc(

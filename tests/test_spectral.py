@@ -67,7 +67,7 @@ class TestOperators:
         ops = build_operators(7, 4.0, 1.1)
         # fresh construction of Re(S Gamma* S^-1)
         adv = np.real(ops.S @ np.conj(ops.Gamma) @ ops.S_inv)
-        np.testing.assert_allclose(ops.Delta_advance, adv, atol=1e-13)
+        np.testing.assert_allclose(ops.Delta.T, adv, atol=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_on_trig_polynomials(self, seed):
@@ -82,7 +82,7 @@ class TestOperators:
         scale = np.abs(df).max()
         assert np.abs(ops.D0 @ f - df).max() < 1e-10 * scale
         assert np.abs(ops.Delta @ f - fd).max() < 1e-10 * np.abs(fd).max()
-        assert np.abs(ops.Delta_advance @ f - fa).max() < 1e-10 * np.abs(fa).max()
+        assert np.abs(ops.Delta.T @ f - fa).max() < 1e-10 * np.abs(fa).max()
 
     def test_imag_residue_tracked(self):
         ops = build_operators(30, 2 * np.pi, 2.0)
