@@ -29,7 +29,6 @@ from .cycle import (
 )
 from .floquet import (
     FloquetMode,
-    StabilityMatrix,
     build_stability_matrix,
     det_scan,
     eigenfunction,
@@ -46,7 +45,6 @@ from .model import (
 from .oracle import (
     DiscretizedSystem,
     Trajectory,
-    build_discretized,
     direct_prc,
     discretized_adjoint,
     integrate_dde,
@@ -78,10 +76,8 @@ __all__ = [
     "SolveOptions",
     "SpectralGrid",
     "SpectralOperators",
-    "StabilityMatrix",
     "Trajectory",
     "build_adjoint_matrix",
-    "build_discretized",
     "build_operators",
     "build_stability_matrix",
     "coeffs_to_samples",

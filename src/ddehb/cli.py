@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, pipeline, validation
+from . import __version__, floquet, pipeline, validation
 from .config import RunConfig, load_config
 from .cycle import PeriodicOrbit, solve_cycle
 from .errors import ConfigError, DdehbError
@@ -47,6 +47,14 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], cfg_has
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_FMT % v for v in row) + "\n")
+
+
+def _write_curve(path: Path, prefix: str, t: np.ndarray, values: np.ndarray,
+                 cfg_hash: str):
+    """A sampled curve: the time column t, then columns <prefix>0, <prefix>1, ..."""
+    m = values.shape[1]
+    _write_csv(path, ["t"] + [f"{prefix}{j}" for j in range(m)],
+               [t] + [values[:, j] for j in range(m)], cfg_hash)
 
 
 def _series_payload(series) -> dict:
@@ -126,13 +134,7 @@ def cmd_cycle(cfg: RunConfig) -> int:
     orbit = solve_cycle(model, seed, pipeline.solve_options(cfg))
 
     h = cfg.config_hash()
-    tg = orbit.grid.sample_times
-    _write_csv(
-        out_dir / "orbit.csv",
-        ["t"] + [f"x{j}" for j in range(model.m)],
-        [tg] + [orbit.X[:, j] for j in range(model.m)],
-        h,
-    )
+    _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
     with open(out_dir / "orbit_coeffs.json", "w") as fh:
         json.dump(_orbit_payload(orbit, cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -168,41 +170,21 @@ def cmd_floquet(cfg: RunConfig) -> int:
     )
     tg = orbit.grid.sample_times
     outputs = ["floquet_scan.csv", "exponents.json"]
-    entries = [
-        {
-            "mu": 0.0,
-            "trivial": True,
-            "sigma_min": run.trivial_mode.sigma_min,
-            "sigma_max": run.trivial_mode.sigma_max,
-            "residual": run.trivial_mode.residual,
-            "mode_file": "mode_trivial.csv",
-        }
-    ]
-    _write_csv(
-        out_dir / "mode_trivial.csv",
-        ["t"] + [f"rho{j}" for j in range(orbit.model.m)],
-        [tg] + [run.trivial_mode.R[:, j] for j in range(orbit.model.m)],
-        h,
-    )
-    outputs.append("mode_trivial.csv")
-    for i, (mu, mode) in enumerate(zip(run.exponents, run.modes)):
-        name = f"mode_{i}.csv"
+    entries = []
+    named = [("mode_trivial.csv", run.trivial_mode, True)]
+    named += [(f"mode_{i}.csv", mode, False) for i, mode in enumerate(run.modes)]
+    for name, mode, trivial in named:
         entries.append(
             {
-                "mu": mu,
-                "trivial": False,
+                "mu": mode.mu,
+                "trivial": trivial,
                 "sigma_min": mode.sigma_min,
                 "sigma_max": mode.sigma_max,
                 "residual": mode.residual,
                 "mode_file": name,
             }
         )
-        _write_csv(
-            out_dir / name,
-            ["t"] + [f"rho{j}" for j in range(orbit.model.m)],
-            [tg] + [mode.R[:, j] for j in range(orbit.model.m)],
-            h,
-        )
+        _write_curve(out_dir / name, "rho", tg, mode.R, h)
         outputs.append(name)
     with open(out_dir / "exponents.json", "w") as fh:
         json.dump({"config_hash": h, "exponents": entries}, fh, indent=2,
@@ -239,10 +221,8 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     mu = None
     mode = None
     if kinds in ("both", "amplitude"):
-        from . import floquet as _fl
-
         mu = _load_leading_exponent(out_dir, cfg)
-        mode = _fl.eigenfunction(orbit, mu)
+        mode = floquet.eigenfunction(orbit, mu)
     run = pipeline.run_responses(cfg, orbit, mu, mode, kinds)
 
     h = cfg.config_hash()
@@ -250,12 +230,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     outputs = []
     meta = {"config_hash": h}
     if run.z is not None:
-        _write_csv(
-            out_dir / "z.csv",
-            ["t"] + [f"z{j}" for j in range(orbit.model.m)],
-            [tg] + [run.z.Q[:, j] for j in range(orbit.model.m)],
-            h,
-        )
+        _write_curve(out_dir / "z.csv", "z", tg, run.z.Q, h)
         outputs.append("z.csv")
         meta["phase"] = {
             "normalization_residual": run.z.normalization_residual,
@@ -263,12 +238,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
             **_series_payload(run.z.series),
         }
     if run.q is not None:
-        _write_csv(
-            out_dir / "q.csv",
-            ["t"] + [f"q{j}" for j in range(orbit.model.m)],
-            [tg] + [run.q.Q[:, j] for j in range(orbit.model.m)],
-            h,
-        )
+        _write_curve(out_dir / "q.csv", "q", tg, run.q.Q, h)
         outputs.append("q.csv")
         meta["amplitude"] = {
             "mu": run.q.mu,

@@ -186,6 +186,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def _validate_semantics(cfg: RunConfig):
     from .model import BUILTIN_MODELS
+    from .oracle import MIN_DELAY_STEPS, PRC_WINDOW_PERIODS, _snap_step
 
     if cfg.model.name not in BUILTIN_MODELS:
         raise ConfigError(
@@ -197,8 +198,28 @@ def _validate_semantics(cfg: RunConfig):
             raise ConfigError(f"model.params.{key}: expected a real number, got {value!r}")
     if cfg.model.params.get("tau", 0.0) < 0:
         raise ConfigError(f"model.params.tau must be >= 0, got {cfg.model.params['tau']}")
+    try:
+        model = BUILTIN_MODELS[cfg.model.name](**cfg.model.params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
+    tau = model.tau
+    for key, dt in (("seed.dt", cfg.seed.dt), ("oracle.dt", cfg.oracle.dt)):
+        if dt is None:
+            continue
+        if not dt > 0:
+            raise ConfigError(f"{key} must be positive, got {dt}")
+        if tau > 0 and _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
+            raise ConfigError(
+                f"{key}={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
+                f"= {tau / MIN_DELAY_STEPS:g}"
+            )
     if cfg.solver.M < 1:
         raise ConfigError(f"solver.M must be >= 1, got {cfg.solver.M}")
+    if not 0 <= cfg.solver.anchor_component < model.m:
+        raise ConfigError(
+            f"solver.anchor_component must name one of the {model.m} components "
+            f"(0..{model.m - 1}), got {cfg.solver.anchor_component}"
+        )
     if cfg.solver.tolerance <= 0:
         raise ConfigError("solver.tolerance must be positive")
     if cfg.seed.kind not in ("ansatz", "oracle", "file"):
@@ -207,6 +228,8 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError("seed.kind=file requires seed.path")
     if cfg.seed.period_guess <= 0:
         raise ConfigError("seed.period_guess must be positive")
+    if cfg.seed.observe_time is not None and not cfg.seed.observe_time > 0:
+        raise ConfigError(f"seed.observe_time must be positive, got {cfg.seed.observe_time}")
     if cfg.scan.points < 2:
         raise ConfigError("scan.points must be >= 2")
     if not cfg.scan.mu_max > cfg.scan.mu_min:
@@ -225,6 +248,17 @@ def _validate_semantics(cfg: RunConfig):
             f"oracle.N={cfg.oracle.N} leaves a coarsest chain of "
             f"{cfg.oracle.N >> (cfg.oracle.levels - 1)} segments for "
             f"{cfg.oracle.levels} levels; it needs >= 2"
+        )
+    if cfg.oracle.exponents < 2:
+        raise ConfigError(
+            "oracle.exponents must be >= 2: the unit multiplier and a nontrivial one"
+        )
+    if cfg.oracle.prc_phases < 1:
+        raise ConfigError("oracle.prc_phases must be >= 1")
+    if cfg.oracle.prc_periods <= PRC_WINDOW_PERIODS:
+        raise ConfigError(
+            f"oracle.prc_periods must exceed the {PRC_WINDOW_PERIODS} trailing "
+            f"periods the phase shift is read over, got {cfg.oracle.prc_periods}"
         )
     if cfg.response.quadrature_nodes < 2:
         raise ConfigError("response.quadrature_nodes must be >= 2")

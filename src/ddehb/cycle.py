@@ -81,9 +81,6 @@ class PeriodicOrbit:
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
 
-    def derivative(self, t) -> np.ndarray:
-        return self.series.derivative().evaluate(t)
-
     def delayed(self, t) -> np.ndarray:
         return self.series.evaluate(np.asarray(t) - self.model.tau)
 

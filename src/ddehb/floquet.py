@@ -41,15 +41,9 @@ def orbit_linearization(orbit: PeriodicOrbit, advanced: bool = False) -> Lineari
     return assemble_linearization(orbit.model, ops, orbit.X, orbit.delayed(t), x_adv)
 
 
-@dataclass
-class StabilityMatrix:
-    mu: float
-    matrix: np.ndarray
-
-
-def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> StabilityMatrix:
+def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """Assemble M(mu) for the linearization about the converged orbit."""
-    return StabilityMatrix(mu=float(mu), matrix=orbit_linearization(orbit).matrix(mu))
+    return orbit_linearization(orbit).matrix(mu)
 
 
 @dataclass
@@ -175,7 +169,6 @@ class FloquetMode:
     sigma_min: float
     sigma_max: float
     residual: float  # ||M(mu) R|| / ||R||
-    gauge: str = "max-sample-norm-1, first-largest-entry-positive"
 
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
@@ -198,6 +191,14 @@ def _fix_mode_gauge(R: np.ndarray) -> np.ndarray:
     if R.flat[idx] < 0:
         R = -R
     return R
+
+
+def _sign_against(a: np.ndarray, ref: np.ndarray) -> float:
+    """-1.0 if the inner product of a with ref is negative, else 1.0: the
+    sign that aligns a profile with a reference of the same gauge class,
+    such as an eigenfunction or amplitude response from another method or
+    chain level."""
+    return -1.0 if float(np.sum(a * ref)) < 0 else 1.0
 
 
 def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:

@@ -32,7 +32,8 @@ from .errors import (
     NonFiniteState,
     PeriodDrift,
 )
-from .floquet import _fix_mode_gauge as _mode_gauge  # shared convention, no operator
+# shared conventions, no operator
+from .floquet import _fix_mode_gauge as _mode_gauge, _sign_against
 from .model import ModelSpec
 from .spectral import sample_to_coeffs
 from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
@@ -41,6 +42,26 @@ from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
 # centered (nodes -1,0,1,2 at x=1/2) and one-sided (nodes 0..3 at x=1/2).
 _MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+
+MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
+
+# settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
+# of at least SETTLE_MIN_CROSSINGS upward mean-crossings
+SETTLE_MIN_CROSSINGS = 12
+SETTLE_LAST_INTERVALS = 10
+SETTLE_DRIFT_TOL = 0.01  # largest interval spread, relative to the period
+SETTLE_AMPLITUDE_FLOOR = 1e-8  # smallest post-transient peak-to-peak swing
+
+MONODROMY_MAX_ITERATIONS = 40
+RITZ_TOL = 1e-10  # relative movement of the leading Ritz values per sweep
+
+ADJOINT_MAX_PERIODS = 50
+ADJOINT_TOL = 1e-8  # movement of a unit adjoint vector per backward period
+ADJOINT_SEED = 1  # random start block of the backward iteration
+
+PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
+PRC_COMPONENT = 0  # the kicked and observed component
+PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
 
 
 def _lagrange4(x: np.ndarray) -> np.ndarray:
@@ -99,17 +120,21 @@ def integrate_dde(
 
     history(s) supplies the state for s in [-tau, 0]; it may return a
     batch (..., m), in which case the whole ensemble is advanced in
-    lockstep.  dt is rounded so it divides tau exactly (and must satisfy
-    dt <= tau/10), which keeps full-step delayed lookups on stored nodes;
-    only the half-step stage values are interpolated (cubic).
+    lockstep.  dt is rounded down so it divides tau exactly (and must
+    leave at least MIN_DELAY_STEPS steps per delay), which keeps full-step
+    delayed lookups on stored nodes; only the half-step stage values are
+    interpolated (cubic).
     initial_kick, if given, is added to the state at t=0.
     """
     tau = model.tau
     if tau == 0.0:
         return _integrate_ode(model, history, t_end, dt, initial_kick)
     dt, n_tau = _snap_step(tau, dt)
-    if n_tau < 10:
-        raise ValueError(f"dt={dt:g} too coarse: need dt <= tau/10 = {tau / 10:g}")
+    if n_tau < MIN_DELAY_STEPS:
+        raise ValueError(
+            f"dt={dt:g} too coarse: need dt <= tau/{MIN_DELAY_STEPS} "
+            f"= {tau / MIN_DELAY_STEPS:g}"
+        )
     n_steps = int(np.ceil(t_end / dt))
 
     x0 = np.asarray(history(0.0), dtype=float)
@@ -173,11 +198,7 @@ class SettleOptions:
     dt: float = 0.05
     M: int = 20
     component: int = 0
-    min_crossings: int = 12
-    last_intervals: int = 10
-    drift_tol: float = 0.01  # spread / mean threshold
     observe_time: float | None = None  # defaults to 100 * max(tau, 1)
-    amplitude_floor: float = 1e-8
 
 
 @dataclass
@@ -185,7 +206,6 @@ class SettleResult:
     period: float
     spread: float
     crossings: np.ndarray
-    trajectory: Trajectory  # one period, centered on the anchor maximum
     seed: CycleSeed
 
 
@@ -196,9 +216,9 @@ def settle_to_cycle(
 
     The period comes from successive upward mean-crossings of the
     anchored component over the post-transient window (mean of the last
-    10 intervals, spread reported).  The seed resamples one period onto a
-    2M+1 grid, time-shifted so the anchor component peaks at t=0, which
-    pre-satisfies the solver's phase anchor.
+    SETTLE_LAST_INTERVALS intervals, spread reported).  The seed resamples
+    one period onto a 2M+1 grid, time-shifted so the anchor component
+    peaks at t=0, which pre-satisfies the solver's phase anchor.
     """
     opts = opts or SettleOptions()
     observe = opts.observe_time
@@ -211,7 +231,7 @@ def settle_to_cycle(
     window = times >= transient
     tw = times[window]
     xw = comp[window]
-    if np.ptp(xw) < opts.amplitude_floor:
+    if np.ptp(xw) < SETTLE_AMPLITUDE_FLOOR:
         raise NoOscillationDetected(
             f"post-transient oscillation amplitude {np.ptp(xw):.3e} below floor"
         )
@@ -219,18 +239,18 @@ def settle_to_cycle(
     y = xw - ref
     up = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
     crossings = tw[up] - y[up] * opts.dt / (y[up + 1] - y[up])
-    if crossings.size < opts.min_crossings:
+    if crossings.size < SETTLE_MIN_CROSSINGS:
         raise NoOscillationDetected(
             f"only {crossings.size} upward crossings detected "
-            f"(need >= {opts.min_crossings})"
+            f"(need >= {SETTLE_MIN_CROSSINGS})"
         )
-    intervals = np.diff(crossings)[-opts.last_intervals :]
+    intervals = np.diff(crossings)[-SETTLE_LAST_INTERVALS:]
     period = float(intervals.mean())
     spread = float(intervals.max() - intervals.min())
-    if spread > opts.drift_tol * period:
+    if spread > SETTLE_DRIFT_TOL * period:
         raise PeriodDrift(
             f"crossing interval spread {spread:.3e} exceeds "
-            f"{opts.drift_tol:.0%} of the mean period {period:.6g}"
+            f"{SETTLE_DRIFT_TOL:.0%} of the mean period {period:.6g}"
         )
 
     # anchor the seed at the maximum of the anchored component
@@ -250,20 +270,7 @@ def settle_to_cycle(
     grid_t = t_max + np.arange(-opts.M, opts.M + 1) * (period / K)
     samples = traj.value(grid_t)
     seed = CycleSeed(series=sample_to_coeffs(samples, period), period=period)
-
-    lo = int(np.searchsorted(times, t_max - 0.5 * period)) - 1
-    hi = int(np.searchsorted(times, t_max + 0.5 * period)) + 2
-    lo = max(lo, 0)
-    one_period = Trajectory(
-        t_start=float(times[lo]), dt=traj.dt, states=traj.states[lo:hi].copy()
-    )
-    return SettleResult(
-        period=period,
-        spread=spread,
-        crossings=crossings,
-        trajectory=one_period,
-        seed=seed,
-    )
+    return SettleResult(period=period, spread=spread, crossings=crossings, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,13 @@ def _by_magnitude(vals: np.ndarray) -> np.ndarray:
     return np.lexsort((-vals.imag, -np.abs(vals)))
 
 
+def _leading_nontrivial(multipliers: np.ndarray, exponents: np.ndarray) -> complex:
+    """Exponent with the largest real part besides the trivial one (the
+    multiplier closest to 1); exponents are sorted by descending real part."""
+    i_unit = int(np.argmin(np.abs(multipliers - 1.0)))
+    return [mu for i, mu in enumerate(exponents) if i != i_unit][0]
+
+
 @dataclass
 class MonodromyResult:
     exponents: np.ndarray  # complex, sorted by descending real part
@@ -328,19 +342,13 @@ class MonodromyResult:
     iterations: int
 
     def leading_nontrivial(self) -> complex:
-        """Exponent with the largest real part besides the trivial one."""
-        i_unit = int(np.argmin(np.abs(self.multipliers - 1.0)))
-        rest = [mu for i, mu in enumerate(self.exponents) if i != i_unit]
-        return rest[0]
+        return _leading_nontrivial(self.multipliers, self.exponents)
 
 
 def monodromy_exponents(
     system: DiscretizedSystem,
     orbit: PeriodicOrbit,
     k: int = 5,
-    steps: int | None = None,
-    max_iterations: int = 40,
-    tol: float = 1e-10,
     seed: int = 0,
     start: np.ndarray | None = None,
 ) -> MonodromyResult:
@@ -349,13 +357,15 @@ def monodromy_exponents(
     Subspace iteration over one-period sweeps (k+3 vectors, QR
     re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
     fundamental matrix; convergence is declared when the leading Ritz
-    values stabilize.  Every sweep records the head block of its basis, so
-    the result carries the last one and eigenfunction profiles are read
-    from it without sweeping again.  The unit multiplier must be present:
-    deviation beyond 1e-2 raises MonodromyIllConditioned.  The start block
-    is drawn from seed, its first columns replaced by start if given.
+    values move by at most RITZ_TOL relative (or after
+    MONODROMY_MAX_ITERATIONS sweeps).  Every sweep records the head block
+    of its basis, so the result carries the last one and eigenfunction
+    profiles are read from it without sweeping again.  The unit multiplier
+    must be present: deviation beyond 1e-2 raises MonodromyIllConditioned.
+    The start block is drawn from seed, its first columns replaced by
+    start if given.
     """
-    steps = steps or _choose_steps(system, orbit.T)
+    steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps)
     kk = min(k + 3, system.dim)
     block = np.random.default_rng(seed).standard_normal((system.dim, kk))
@@ -364,14 +374,14 @@ def monodromy_exponents(
     V, _ = np.linalg.qr(block)
 
     prev = None
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MONODROMY_MAX_ITERATIONS + 1):
         W, head = _sweep_forward(plan, V, steps, store_head=True)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
         order = _by_magnitude(vals)
         vals, vecs = vals[order], vecs[:, order]
-        if iterations == max_iterations or prev is not None and np.all(
-            np.abs(vals[:k] - prev[:k]) <= tol * np.maximum(1.0, np.abs(vals[:k]))
+        if iterations == MONODROMY_MAX_ITERATIONS or prev is not None and np.all(
+            np.abs(vals[:k] - prev[:k]) <= RITZ_TOL * np.maximum(1.0, np.abs(vals[:k]))
         ):
             break
         prev = vals
@@ -558,12 +568,8 @@ def discretized_adjoint(
     system: DiscretizedSystem,
     orbit: PeriodicOrbit,
     targets,
-    steps: int | None = None,
-    max_periods: int = 50,
-    tol: float = 1e-8,
     quad_nodes: int = 64,
     subspace: int = 6,
-    seed: int = 1,
 ) -> AdjointIteration:
     """Oracle response curves from backward adjoint integration.
 
@@ -573,24 +579,25 @@ def discretized_adjoint(
     mu = 0 with rho None gives the phase response; a nonzero exponent
     needs rho (from monodromy_eigenfunction) for the amplitude
     normalization.  Each target follows the Ritz vector at multiplier
-    e^{mu T} and is periodic once that vector moves less than tol between
-    successive periods; its profile, whose first block is the response,
-    is read from the head block that period's sweep recorded.  The sweeps
+    e^{mu T} and is periodic once that vector moves less than ADJOINT_TOL
+    between successive periods; its profile, whose first block is the
+    response, is read from the head block that period's sweep recorded.  The sweeps
     do not depend on the targets, so each target gets what a one-target
     run gives, and the iteration stops when the last target has converged;
-    NonConvergentAdjoint after max_periods.
+    NonConvergentAdjoint after ADJOINT_MAX_PERIODS.  The start block is
+    drawn from ADJOINT_SEED.
     """
     if any(mu != 0.0 and rho is None for mu, rho in targets):
         raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
-    steps = steps or _choose_steps(system, orbit.T)
+    steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps, backward=True)
     kk = min(subspace, system.dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ADJOINT_SEED)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
 
     u_prev = [None] * len(targets)
     responses = [None] * len(targets)
-    for iterations in range(1, max_periods + 1):
+    for iterations in range(1, ADJOINT_MAX_PERIODS + 1):
         W, head = _sweep_backward(plan, V, steps, store_head=True)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
@@ -603,7 +610,7 @@ def discretized_adjoint(
             u, c = u / norm, c / norm
             if u_prev[j] is not None and u @ u_prev[j] < 0:
                 u, c = -u, -c
-            if u_prev[j] is not None and np.linalg.norm(u - u_prev[j]) <= tol:
+            if u_prev[j] is not None and np.linalg.norm(u - u_prev[j]) <= ADJOINT_TOL:
                 responses[j] = _adjoint_response(
                     orbit, mu, rho, head @ c, quad_nodes, iterations, vals[i]
                 )
@@ -613,7 +620,7 @@ def discretized_adjoint(
         V, _ = np.linalg.qr(W)
     else:
         raise NonConvergentAdjoint(
-            f"adjoint profile still moving after {max_periods} backward periods"
+            f"adjoint profile still moving after {ADJOINT_MAX_PERIODS} backward periods"
         )
     return AdjointIteration(
         responses=responses,
@@ -629,7 +636,6 @@ def discretized_adjoint(
 
 @dataclass
 class PrcResult:
-    phases: np.ndarray
     eps: float
     raw_shifts: np.ndarray  # asymptotic phase shifts (radians)
     measured: np.ndarray  # shifts / eps, comparable to z at the pulse phase
@@ -639,34 +645,31 @@ def direct_prc(
     model: ModelSpec,
     orbit: PeriodicOrbit,
     phases,
-    eps: float | None = None,
     scales=(1.0,),
-    component: int = 0,
     dt: float | None = None,
     periods: int = 20,
-    window_periods: int = 5,
 ) -> list[PrcResult]:
     """Measure the PRC by pulse perturbation and cross-correlation.
 
-    For each phase the unperturbed copy and one kicked copy per pulse size
-    eps * scale start from the same orbit history and run for `periods`
-    cycles; all trajectories advance as one batch, so the unperturbed
-    copies are integrated once for every size.  The asymptotic time shift
-    is read off as the phase difference of the fundamental harmonic over
-    the trailing window, which is the peak of the circular
-    cross-correlation of the two near-sinusoidal signals, located
-    spectrally.  Returns one result per entry of scales.
+    For each phase the unperturbed copy and one copy per pulse size
+    eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
+    orbit's peak there, start from the same orbit history and run for
+    `periods` cycles; all trajectories advance as one batch, so the
+    unperturbed copies are integrated once for every size.  The asymptotic
+    time shift is read off as the phase difference of the fundamental
+    harmonic over the trailing PRC_WINDOW_PERIODS periods, which is the
+    peak of the circular cross-correlation of the two near-sinusoidal
+    signals, located spectrally.  Returns one result per entry of scales.
     """
     phases = np.asarray(phases, dtype=float)
     T = orbit.T
     omega = orbit.omega
-    if eps is None:
-        eps = 1e-3 * float(np.abs(orbit.X[:, component]).max())
+    eps = PRC_EPS * float(np.abs(orbit.X[:, PRC_COMPONENT]).max())
     if dt is None:
         dt = model.tau / 64.0
     t_theta = phases / omega  # kick times along the cycle
     B = phases.size
-    sizes = [float(eps) * s for s in scales]
+    sizes = [eps * s for s in scales]
 
     def history(s):
         # batch of orbit histories: rows 0..B-1 unperturbed, then B kicked
@@ -675,27 +678,20 @@ def direct_prc(
 
     kick = np.zeros(((1 + len(sizes)) * B, model.m))
     for j, size in enumerate(sizes):
-        kick[(j + 1) * B : (j + 2) * B, component] = size
+        kick[(j + 1) * B : (j + 2) * B, PRC_COMPONENT] = size
     traj = integrate_dde(model, history, periods * T, dt, initial_kick=kick)
 
     times = traj.times
-    sel = times >= periods * T - window_periods * T
+    sel = times >= periods * T - PRC_WINDOW_PERIODS * T
     tw = times[sel]
-    xw = traj.states[sel][:, :, component]  # (nt, (1 + sizes) B)
+    xw = traj.states[sel][:, :, PRC_COMPONENT]  # (nt, (1 + sizes) B)
     phi = np.angle(np.exp(-1j * omega * tw) @ xw)
     results = []
     for j, size in enumerate(sizes):
         dphi = phi[(j + 1) * B : (j + 2) * B] - phi[:B]
         dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-        results.append(
-            PrcResult(phases=phases, eps=size, raw_shifts=dphi, measured=dphi / size)
-        )
+        results.append(PrcResult(eps=size, raw_shifts=dphi, measured=dphi / size))
     return results
-
-
-def build_discretized(model: ModelSpec, N: int) -> DiscretizedSystem:
-    """Assemble the N-segment delay-line discretization of the model."""
-    return DiscretizedSystem(model=model, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +742,7 @@ class OracleFloquet:
     T: float
 
     def leading_nontrivial(self) -> float:
-        i_unit = int(np.argmin(np.abs(self.multipliers - 1.0)))
-        rest = [mu for i, mu in enumerate(self.exponents) if i != i_unit]
-        return float(rest[0].real)
+        return float(_leading_nontrivial(self.multipliers, self.exponents).real)
 
     def leading_per_level(self) -> list[float]:
         return [float(r.leading_nontrivial().real) for r in self.results]
@@ -780,7 +774,7 @@ def oracle_floquet(
     """
     sizes = _level_sizes(N, levels)
     weights = _RICHARDSON_WEIGHTS[levels]
-    systems = [build_discretized(model, n) for n in sizes]
+    systems = [DiscretizedSystem(model, n) for n in sizes]
     results = []
     for sys in systems:
         start = _refine_block(results[-1].image, model.m) if results else None
@@ -820,10 +814,10 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
     profiles = ofl.level_eigenfunctions()
     t_ref = np.linspace(0.0, orbit.T, 512)
     ref = profiles[-1](t_ref)
-    aligned = []
-    for p in profiles:
-        s = 1.0 if float(np.sum(p(t_ref) * ref)) >= 0 else -1.0
-        aligned.append(_PeriodicInterp(T=p.T, values=s * p.values))
+    aligned = [
+        _PeriodicInterp(T=p.T, values=_sign_against(p(t_ref), ref) * p.values)
+        for p in profiles
+    ]
     combined = _combine_profiles(aligned, weights, orbit.T)
     combined.values[:] = _mode_gauge(combined.values)
     combined.values[-1] = combined.values[0]
@@ -864,14 +858,12 @@ def oracle_phase_response(
     levels: int = 3,
     quad_nodes: int = 64,
     subspace: int = 6,
-    seed: int = 1,
 ) -> OracleResponse:
     """Extrapolated oracle phase response curve."""
-    systems = [build_discretized(model, n) for n in _level_sizes(N, levels)]
+    systems = [DiscretizedSystem(model, n) for n in _level_sizes(N, levels)]
     phase = [(0.0, None)]
     (z,) = _extrapolated_responses(
-        orbit, systems, [phase] * len(systems), phase, quad_nodes,
-        subspace=subspace, seed=seed,
+        orbit, systems, [phase] * len(systems), phase, quad_nodes, subspace=subspace
     )
     return z
 
@@ -881,7 +873,6 @@ def oracle_responses(
     ofl: OracleFloquet,
     rho: _PeriodicInterp | None = None,
     quad_nodes: int = 64,
-    seed: int = 1,
 ) -> tuple[OracleResponse, OracleResponse]:
     """Extrapolated oracle phase and amplitude responses, the latter at the
     leading exponent, from one backward iteration per chain level of ofl.
@@ -897,11 +888,10 @@ def oracle_responses(
     ref = rho_ex(t_ref)
     level_targets = []
     for mu_lvl, rho_lvl in zip(ofl.leading_per_level(), ofl.level_eigenfunctions()):
-        s = 1.0 if float(np.sum(rho_lvl(t_ref) * ref)) >= 0 else -1.0
+        s = _sign_against(rho_lvl(t_ref), ref)
         rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
         level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
     z, q = _extrapolated_responses(
-        orbit, ofl.systems, level_targets, [(0.0, None), (mu_ex, rho_ex)],
-        quad_nodes, seed=seed,
+        orbit, ofl.systems, level_targets, [(0.0, None), (mu_ex, rho_ex)], quad_nodes
     )
     return z, q

@@ -16,10 +16,7 @@ from .spectral import FourierSeries
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
-    try:
-        return make_model(cfg.model.name, **cfg.model.params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
+    return make_model(cfg.model.name, **cfg.model.params)
 
 
 def sinusoid_history(model: ModelSpec, amplitude, period: float):

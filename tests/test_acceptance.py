@@ -117,3 +117,13 @@ def test_criterion(criterion, report_rows):
 def test_every_row_in_one_criterion(report_rows):
     table = [name for rows in CRITERIA.values() for name in rows]
     assert sorted(row.name for row in report_rows) == sorted(table)
+
+
+@pytest.mark.parametrize("model", ["kotani", "cortico"])
+def test_oracle_spectrum_rows_share_their_time(model, report_rows):
+    # one oracle_floquet call serves both rows, so each gets half its time
+    rows = {row.name: row for row in report_rows}
+    unit = rows[f"{model}.oracle_unit_multiplier"].seconds
+    exponent = rows[f"{model}.oracle_exponent"].seconds
+    assert unit > 1e-3 and exponent > 1e-3
+    assert abs(unit - exponent) <= 0.1 * max(unit, exponent)

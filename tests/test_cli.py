@@ -297,12 +297,37 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "cfg, override", [(KOTANI_CFG, "model.params.delta=abc"),
+                          (KOTANI_CFG, "model.params.omega=1.0"),
                           (CORTICO_CFG, "model.params.tau=-1.0")],
     )
     def test_bad_model_parameter(self, tmp_path, cfg, override):
         assert run(
             "cycle", "--config", cfg, "--out", str(tmp_path), "--override", override
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("kotani_fig1.yaml", "oracle.exponents=0"),
+            ("kotani_fig1.yaml", "oracle.prc_phases=0"),
+            ("kotani_fig1.yaml", "oracle.prc_periods=-1"),
+            ("kotani_fig1.yaml", "oracle.dt=1.0"),  # coarser than tau/10
+            ("kotani_fig1.yaml", "oracle.dt=-0.01"),
+            ("cortico_fig2.yaml", "seed.dt=-0.04"),
+            ("cortico_fig2.yaml", "seed.observe_time=-1.0"),
+            ("cortico_fig2.yaml", "solver.anchor_component=2"),
+        ],
+    )
+    def test_bad_run_setting(self, tmp_path, capsys, name, override):
+        code = run(
+            "validate", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
+            "--override", override,
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert override.partition("=")[0] in err  # the message names the key
+        assert not (tmp_path / "validation_report.json").exists()
 
     def test_bad_oracle_levels(self, tmp_path):
         assert run(

@@ -9,7 +9,7 @@ from conftest import CORTICO_SCAN, KOTANI_SCAN
 
 class TestStabilityMatrix:
     def test_tangent_annihilated_at_mu_zero(self, kotani_orbit):
-        mat = floquet.build_stability_matrix(kotani_orbit, 0.0).matrix
+        mat = floquet.build_stability_matrix(kotani_orbit, 0.0)
         xdot = kotani_orbit.xdot_samples.ravel()
         assert np.linalg.norm(mat @ xdot) <= 1e-8 * np.linalg.norm(xdot)
 
@@ -24,7 +24,7 @@ class TestStabilityMatrix:
             sl_orbit, model=dataclasses.replace(sl_orbit.model, tau=0.0)
         )
         mu = 0.123
-        mat = floquet.build_stability_matrix(orbit0, mu).matrix
+        mat = floquet.build_stability_matrix(orbit0, mu)
         ops = build_operators(orbit0.M, orbit0.T, 0.0, mu=mu)
         t = orbit0.grid.sample_times
         DF0 = orbit0.model.DF0(orbit0.X, orbit0.X)

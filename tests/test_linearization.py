@@ -82,7 +82,7 @@ class TestAgainstFreshAssembly:
     def test_stability_matrix(self, request, name, scan):
         orbit = request.getfixturevalue(name)
         for mu in np.linspace(*scan, 5):
-            assert_close(floquet.build_stability_matrix(orbit, mu).matrix,
+            assert_close(floquet.build_stability_matrix(orbit, mu),
                          fresh_stability_matrix(orbit, mu))
 
     def test_adjoint_matrix(self, request, name, scan):
@@ -96,7 +96,7 @@ class TestAgainstFreshAssembly:
         lin = floquet.orbit_linearization(orbit)
         assert np.abs(lin.B).max() > 0.1  # the delay block is exercised
         np.testing.assert_array_equal(
-            floquet.build_stability_matrix(orbit, 0.0).matrix,
+            floquet.build_stability_matrix(orbit, 0.0),
             fresh_stability_matrix(orbit, 0.0),
         )
         np.testing.assert_array_equal(

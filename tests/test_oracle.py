@@ -168,7 +168,7 @@ def integrate_chain(system, y0, t_end, dt):
 
 class TestDiscretizedSystem:
     def test_minimal_jacobian_pattern(self, kotani_model):
-        sys2 = oracle.build_discretized(kotani_model, 2)
+        sys2 = oracle.DiscretizedSystem(kotani_model, 2)
         z0, zN = np.array([0.3]), np.array([-0.2])
         J = chain_jacobian(sys2, z0, zN)
         c = 2.0 / kotani_model.tau
@@ -180,7 +180,7 @@ class TestDiscretizedSystem:
         np.testing.assert_allclose(J[2], [0.0, c, -c], atol=1e-15)
 
     def test_vector_field_on_lifted_cycle(self, kotani_model, kotani_orbit):
-        sys = oracle.build_discretized(kotani_model, 50)
+        sys = oracle.DiscretizedSystem(kotani_model, 50)
         g = chain_field(sys, lift(sys, kotani_orbit, 0.7))
         expected = kotani_model.F(
             kotani_orbit.value(0.7), kotani_orbit.value(0.7 - kotani_model.tau)
@@ -197,7 +197,7 @@ class TestDiscretizedSystem:
         probe = np.linspace(0.0, T, 101)
 
         def gap(N):
-            sys = oracle.build_discretized(kotani_model, N)
+            sys = oracle.DiscretizedSystem(kotani_model, N)
             traj_d = integrate_chain(
                 sys, lift(sys, kotani_orbit, 0.0), T, kotani_model.tau / N
             )
@@ -209,12 +209,12 @@ class TestDiscretizedSystem:
 
     def test_rejects_tiny_N(self, kotani_model):
         with pytest.raises(ValueError):
-            oracle.build_discretized(kotani_model, 1)
+            oracle.DiscretizedSystem(kotani_model, 1)
 
 
 class TestMonodromy:
     def test_single_level_unit_multiplier(self, kotani_model, kotani_orbit):
-        sys = oracle.build_discretized(kotani_model, 1000)
+        sys = oracle.DiscretizedSystem(kotani_model, 1000)
         res = oracle.monodromy_exponents(sys, kotani_orbit, k=4)
         assert res.unit_multiplier_error < 1e-2
 
@@ -238,7 +238,7 @@ class TestMonodromy:
         )
         with pytest.raises(MonodromyIllConditioned):
             oracle.monodromy_exponents(
-                oracle.build_discretized(kotani_model, 64), bad, k=4
+                oracle.DiscretizedSystem(kotani_model, 64), bad, k=4
             )
 
 
@@ -378,14 +378,14 @@ class TestSweepPlan:
         # holds 48, which divides neither period (1028 and 2000 steps on
         # kotani), so the last block of each period is partial
         model, orbit = sweep_case
-        system = oracle.build_discretized(model, N)
+        system = oracle.DiscretizedSystem(model, N)
         steps = oracle._choose_steps(system, orbit.T)
         plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
         _check_against_reference(plan, steps, (1, 5) if N <= 64 else (1,), N)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_fewer_steps_than_a_block(self, kotani_model, kotani_orbit, backward):
-        system = oracle.build_discretized(kotani_model, 257)
+        system = oracle.DiscretizedSystem(kotani_model, 257)
         steps = oracle._choose_steps(system, kotani_orbit.T)
         plan = sweep._sweep_plan(system, kotani_orbit, steps, backward=backward)
         assert plan.K > 20
@@ -393,7 +393,7 @@ class TestSweepPlan:
 
     def test_block_operators_built_once(self, kotani_model, kotani_orbit,
                                         monkeypatch):
-        system = oracle.build_discretized(kotani_model, 257)
+        system = oracle.DiscretizedSystem(kotani_model, 257)
         steps = oracle._choose_steps(system, kotani_orbit.T)
         plan = sweep._sweep_plan(system, kotani_orbit, steps)
         built = []
@@ -414,7 +414,7 @@ class TestSweepPlan:
     @pytest.mark.parametrize("N", [2, 3, 5, 7])
     def test_one_step_matches_dense_rk4(self, sweep_case, N, backward):
         model, orbit = sweep_case
-        system = oracle.build_discretized(model, N)
+        system = oracle.DiscretizedSystem(model, N)
         steps = oracle._choose_steps(system, orbit.T)
         plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
         h = plan.h
@@ -448,7 +448,7 @@ class TestHeadReadout:
 
     def test_eigenfunction_readout_matches_sweep(self, sweep_case):
         model, orbit = sweep_case
-        system = oracle.build_discretized(model, self.N)
+        system = oracle.DiscretizedSystem(model, self.N)
         res = oracle.monodromy_exponents(system, orbit, k=3)
         plan = sweep._sweep_plan(system, orbit, res.steps)
         for i in range(res.multipliers.size):
@@ -458,7 +458,7 @@ class TestHeadReadout:
 
     def test_adjoint_readout_matches_sweep(self, sweep_case):
         model, orbit = sweep_case
-        system = oracle.build_discretized(model, self.N)
+        system = oracle.DiscretizedSystem(model, self.N)
         res = oracle.monodromy_exponents(system, orbit, k=3)
         mu = float(res.leading_nontrivial().real)
         targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
@@ -489,7 +489,7 @@ class TestDiscretizedAdjoint:
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the chain decouples and the head block must solve the
         # plain ODE adjoint, which is (-sin, cos) for this oscillator
-        sys = oracle.build_discretized(sl_model, 128)
+        sys = oracle.DiscretizedSystem(sl_model, 128)
         (res,) = oracle.discretized_adjoint(sys, sl_orbit, [(0.0, None)]).responses
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
@@ -516,7 +516,7 @@ class TestDiscretizedAdjoint:
 
     def test_shared_iteration_matches_one_target_runs(self, kotani_model,
                                                       kotani_orbit, monkeypatch):
-        system = oracle.build_discretized(kotani_model, 128)
+        system = oracle.DiscretizedSystem(kotani_model, 128)
         res = oracle.monodromy_exponents(system, kotani_orbit, k=3)
         mu = float(res.leading_nontrivial().real)
         targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
@@ -541,14 +541,15 @@ class TestDiscretizedAdjoint:
         assert len(swept) - n_both == sum(periods)
 
     def test_amplitude_target_needs_rho(self, kotani_model, kotani_orbit):
-        sys = oracle.build_discretized(kotani_model, 64)
+        sys = oracle.DiscretizedSystem(kotani_model, 64)
         with pytest.raises(ValueError):
             oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None), (-0.05, None)])
 
-    def test_nonconvergence_reported(self, kotani_model, kotani_orbit):
-        sys = oracle.build_discretized(kotani_model, 64)
+    def test_nonconvergence_reported(self, kotani_model, kotani_orbit, monkeypatch):
+        sys = oracle.DiscretizedSystem(kotani_model, 64)
+        monkeypatch.setattr(oracle, "ADJOINT_MAX_PERIODS", 1)
         with pytest.raises(NonConvergentAdjoint):
-            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None)], max_periods=1)
+            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None)])
 
 
 class TestDirectPrc:
