@@ -55,14 +55,17 @@ class ResponseCurve:
         return self.series.evaluate(t)
 
 
-def _as_series(partner, orbit: PeriodicOrbit) -> FourierSeries:
-    if isinstance(partner, FloquetMode):
-        return partner.series
-    if isinstance(partner, FourierSeries):
-        return partner
-    if isinstance(partner, np.ndarray):
-        return sample_to_coeffs(partner, orbit.T)
-    raise TypeError(f"unsupported pairing partner: {type(partner)!r}")
+def _evaluator(f, orbit: PeriodicOrbit):
+    """The values of a pairing factor as a function of time."""
+    if isinstance(f, (ResponseCurve, FloquetMode)):
+        return f.value
+    if isinstance(f, FourierSeries):
+        return f.evaluate
+    if isinstance(f, np.ndarray):
+        return sample_to_coeffs(f, orbit.T).evaluate
+    if callable(f):
+        return f
+    raise TypeError(f"unsupported pairing factor: {type(f)!r}")
 
 
 def pairing_functional(
@@ -72,23 +75,22 @@ def pairing_functional(
     mu: float,
     t0: float = 0.0,
     quad_nodes: int = 64,
-    decay_factor: bool = True,
 ) -> float:
     """Bilinear form behind the normalization identities, based at t0.
 
     value = q(t0)^T p(t0)
-            + fac * int_{-tau}^0 q(t0+tau+z)^T DF1(t0+tau+z) p(t0+z) dz
+            + e^{-mu tau} int_{-tau}^0 q(t0+tau+z)^T DF1(t0+tau+z) p(t0+z) dz
 
-    with fac = e^{-mu tau} (or 1 when decay_factor is False), p the cycle
-    tangent or a Floquet eigenfunction, and every integrand factor read
-    from Fourier interpolants.  Constant in t0 for correctly paired
-    (mu, q, p).
+    with p the cycle tangent or a Floquet eigenfunction.  Each of q and p
+    is a ResponseCurve, FloquetMode, FourierSeries, grid samples, or a
+    callable of time (the oracle's interpolants).  Constant in t0 for
+    correctly paired (mu, q, p); without the e^{-mu tau} factor it is not.
     """
     model = orbit.model
-    q_series = response.series if isinstance(response, ResponseCurve) else _as_series(response, orbit)
-    p_series = _as_series(partner, orbit)
+    q = _evaluator(response, orbit)
+    p = _evaluator(partner, orbit)
 
-    head = float(q_series.evaluate(t0) @ p_series.evaluate(t0))
+    head = float(np.atleast_2d(q(t0))[0] @ np.atleast_2d(p(t0))[0])
     if model.tau == 0.0:
         return head
 
@@ -97,12 +99,9 @@ def pairing_functional(
     weights = 0.5 * model.tau * w
 
     s = t0 + model.tau + zeta
-    q_vals = q_series.evaluate(s)  # (nodes, m)
-    p_vals = p_series.evaluate(t0 + zeta)
     DF1 = model.DF1(orbit.value(s), orbit.value(s - model.tau))
-    integrand = np.einsum("ni,nij,nj->n", q_vals, DF1, p_vals)
-    fac = np.exp(-mu * model.tau) if decay_factor else 1.0
-    return head + fac * float(weights @ integrand)
+    integrand = np.einsum("ni,nij,nj->n", q(s), DF1, p(t0 + zeta))
+    return head + np.exp(-mu * model.tau) * float(weights @ integrand)
 
 
 def normalize_phase(z: np.ndarray, orbit: PeriodicOrbit, quad_nodes: int = 64) -> np.ndarray:
@@ -123,18 +122,10 @@ def normalize_amplitude(
     mu: float,
     rho: FloquetMode,
     quad_nodes: int = 64,
-    legacy_scaling: bool = False,
 ) -> np.ndarray:
-    """Rescale raw q samples so the amplitude pairing equals 1 exactly.
-
-    legacy_scaling drops the e^{-mu tau} factor on the delay integral for
-    comparison with the alternative normalization found in the
-    literature; the default keeps it.
-    """
+    """Rescale raw q samples so the amplitude pairing equals 1 exactly."""
     q = np.asarray(q, dtype=float)
-    c = pairing_functional(
-        orbit, q, rho, mu=mu, quad_nodes=quad_nodes, decay_factor=not legacy_scaling
-    )
+    c = pairing_functional(orbit, q, rho, mu=mu, quad_nodes=quad_nodes)
     if abs(c) < NORMALIZATION_FLOOR:
         raise NormalizationSingular(
             f"amplitude normalization functional is {c:.3e} before rescaling"
@@ -148,7 +139,6 @@ def solve_response(
     kind: str,
     floquet_mode: FloquetMode | None = None,
     quad_nodes: int = 64,
-    legacy_scaling: bool = False,
 ) -> ResponseCurve:
     """Compute a normalized response curve at the given exponent.
 
@@ -174,12 +164,9 @@ def solve_response(
         achieved = pairing_functional(orbit, Q, orbit.series.derivative(), 0.0,
                                       quad_nodes=quad_nodes)
     else:
-        Q = normalize_amplitude(raw, orbit, mu, floquet_mode, quad_nodes, legacy_scaling)
+        Q = normalize_amplitude(raw, orbit, mu, floquet_mode, quad_nodes)
         target = 1.0
-        achieved = pairing_functional(
-            orbit, Q, floquet_mode, mu, quad_nodes=quad_nodes,
-            decay_factor=not legacy_scaling,
-        )
+        achieved = pairing_functional(orbit, Q, floquet_mode, mu, quad_nodes=quad_nodes)
 
     Qflat = Q.ravel()
     residual = float(np.linalg.norm(Qflat @ A) / np.linalg.norm(Qflat))

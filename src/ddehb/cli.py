@@ -244,7 +244,6 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
             "mu": run.q.mu,
             "normalization_residual": run.q.normalization_residual,
             "nullvector_residual": run.q.residual,
-            "legacy_scaling": cfg.response.legacy_amplitude_normalization,
             **_series_payload(run.q.series),
         }
     with open(out_dir / "response_meta.json", "w") as fh:

@@ -69,7 +69,6 @@ class ScanConfig:
 @dataclass
 class ResponseConfig:
     quadrature_nodes: int = 64
-    legacy_amplitude_normalization: bool = False
 
 
 @dataclass
@@ -127,7 +126,15 @@ _SCALAR_TYPES = {
     ("seed", "observe_time"): (int, float, type(None)),
     ("seed", "dt"): (int, float, type(None)),
     ("oracle", "dt"): (int, float, type(None)),
-    ("response", "legacy_amplitude_normalization"): bool,
+}
+
+# removed keys and why; a config that still sets one is rejected with the reason
+_REMOVED = {
+    ("response", "legacy_amplitude_normalization"): (
+        "response.legacy_amplitude_normalization was removed: without the "
+        "e^{-mu tau} factor on its delay integral the amplitude pairing is not "
+        "constant in its base time, so the scale it set was not the paper's"
+    ),
 }
 
 
@@ -178,7 +185,9 @@ def config_from_dict(data: dict) -> RunConfig:
         defaults = _SECTIONS[section]()
         for key, v in value.items():
             if not hasattr(defaults, key):
-                raise ConfigError(f"unknown key {section}.{key}")
+                raise ConfigError(
+                    _REMOVED.get((section, key), f"unknown key {section}.{key}")
+                )
             setattr(target, key, _check_field(section, key, v, getattr(defaults, key)))
     _validate_semantics(cfg)
     return cfg

@@ -15,7 +15,8 @@ assembly), so that agreement is evidence rather than tautology:
   subspace sweeps, which is what repeated backward periods amount to;
   one iteration serves the phase and the amplitude target) yielding
   oracle phase/amplitude response curves after the continuum
-  normalization, plus direct pulse-perturbation PRC measurement.
+  normalization (the shared convention `adjoint.pairing_functional`),
+  plus direct pulse-perturbation PRC measurement.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjoint import pairing_functional  # the paper's normalization, no operator
 from .cycle import CycleSeed, PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
@@ -498,39 +500,13 @@ def _orbit_tangent(orbit):
     return xdot
 
 
-def oracle_pairing(
-    orbit: PeriodicOrbit,
-    response,
-    partner,
-    mu: float,
-    t0: float = 0.0,
-    quad_nodes: int = 64,
-) -> float:
-    """Continuum normalization functional evaluated with oracle-side
-    interpolants (callables of time), based at t0."""
-    model = orbit.model
-    tau = model.tau
-    head = float(np.atleast_2d(response(t0))[0] @ np.atleast_2d(partner(t0))[0])
-    if tau == 0.0:
-        return head
-    xi, w = np.polynomial.legendre.leggauss(quad_nodes)
-    zeta = 0.5 * tau * (xi - 1.0)
-    weights = 0.5 * tau * w
-    s = t0 + tau + zeta
-    qv = np.atleast_2d(response(s))
-    pv = np.atleast_2d(partner(t0 + zeta))
-    DF1 = model.DF1(orbit.value(s), orbit.value(s - tau))
-    integrand = np.einsum("ni,nij,nj->n", qv, DF1, pv)
-    return head + float(np.exp(-mu * tau)) * float(weights @ integrand)
-
-
 def _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier) -> OracleResponse:
     """Response from a periodic curve sampled on [0, T], scaled so that its
     pairing with the cycle tangent is omega (mu = 0, phase) or with the
     eigenfunction rho is 1 (amplitude)."""
     partner, target = (_orbit_tangent(orbit), orbit.omega) if mu == 0.0 else (rho, 1.0)
     raw = _PeriodicInterp(T=orbit.T, values=curve)
-    c = oracle_pairing(orbit, raw, partner, mu, quad_nodes=quad_nodes)
+    c = pairing_functional(orbit, raw, partner, mu, quad_nodes=quad_nodes)
     interp = _PeriodicInterp(T=orbit.T, values=curve * (target / c))
     return OracleResponse(
         kind="phase" if mu == 0.0 else "amplitude",
@@ -539,7 +515,7 @@ def _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier) -> Orac
         iterations=iterations,
         multiplier=complex(multiplier),
         normalization=float(
-            oracle_pairing(orbit, interp, partner, mu, quad_nodes=quad_nodes)
+            pairing_functional(orbit, interp, partner, mu, quad_nodes=quad_nodes)
         ),
     )
 

@@ -110,7 +110,6 @@ def run_responses(
     kinds: str = "both",
 ) -> ResponseRun:
     nodes = cfg.response.quadrature_nodes
-    legacy = cfg.response.legacy_amplitude_normalization
     z = None
     q = None
     if kinds in ("both", "phase"):
@@ -118,8 +117,6 @@ def run_responses(
     if kinds in ("both", "amplitude"):
         if mu is None or mode is None:
             raise ConfigError("amplitude response requires a refined nontrivial exponent")
-        q = adjoint.solve_response(
-            orbit, mu, "amplitude", floquet_mode=mode, quad_nodes=nodes,
-            legacy_scaling=legacy,
-        )
+        q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode,
+                                   quad_nodes=nodes)
     return ResponseRun(z=z, q=q)

@@ -2,8 +2,10 @@
 
 Each check compares a harmonic-balance quantity against the independent
 time-evolution oracle (or against an exact property of the benchmark) at
-a pinned tolerance and reports one table row.  The acceptance test
-module (`tests/test_acceptance.py`) maps each criterion to its rows.
+a pinned tolerance and reports one table row.  Both suites run one
+spectral stage (`_solve_stage`, `_spectral_rows`) and one oracle spectrum
+helper (`_oracle_floquet`), then add only their own rows.  The acceptance
+test module (`tests/test_acceptance.py`) maps each criterion to its rows.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import numpy as np
 
 from . import adjoint, floquet, oracle, pipeline
 from .config import RunConfig
-from .cycle import convergence_sweep, solve_cycle
+from .cycle import (
+    CycleSeed, PeriodicOrbit, SolveOptions, convergence_sweep, solve_cycle,
+)
 from .errors import NoExponentInRange
+from .model import ModelSpec
 
 
 @dataclass
@@ -36,17 +41,17 @@ class CheckResult:
         )
 
 
-def _check(name, measured, tol, t0, detail="", share=1.0):
-    """One table row; share is the fraction of the time since t0 credited to
-    this check, so a computation serving several checks is split among them."""
-    return CheckResult(
-        name=name,
-        measured=float(measured),
-        tolerance=float(tol),
-        passed=bool(measured <= tol),
-        seconds=share * (time.perf_counter() - t0),
-        detail=detail,
-    )
+def _check(name, measured, tol, seconds, detail=""):
+    """The one constructor of a table row.  Plain float and bool fields keep
+    every report serializable whatever type the measurement has."""
+    return CheckResult(name, float(measured), float(tol), bool(measured <= tol),
+                       seconds, detail)
+
+
+def _since(t0, share=1.0):
+    """Seconds since t0 credited to one row; share splits a computation that
+    serves several rows among them."""
+    return share * (time.perf_counter() - t0)
 
 
 def _pairing_spread(orbit, curve, partner, mu, nodes):
@@ -67,7 +72,8 @@ def _spectral_checks(results):
     K = 2 * M + 1
     results.append(
         _check(
-            "spectral.unitary", np.abs(ops.S @ ops.S_inv - np.eye(K)).max(), 1e-12, t0
+            "spectral.unitary", np.abs(ops.S @ ops.S_inv - np.eye(K)).max(), 1e-12,
+            _since(t0),
         )
     )
     t0 = time.perf_counter()
@@ -84,12 +90,12 @@ def _spectral_checks(results):
     err = max(
         np.abs(ops.D0 @ f - df_exact).max(), np.abs(ops.Delta @ f - fd_exact).max()
     )
-    results.append(_check("spectral.exact_operators", err / scale, 1e-10, t0))
+    results.append(_check("spectral.exact_operators", err / scale, 1e-10, _since(t0)))
     t0 = time.perf_counter()
     X = rng.standard_normal((K, 2))
     rt = sample_to_coeffs(X, T)
     err = np.abs(rt.evaluate(tg) - X).max()
-    results.append(_check("spectral.roundtrip", err, 1e-12, t0))
+    results.append(_check("spectral.roundtrip", err, 1e-12, _since(t0)))
 
 
 def _integrator_order_check(results, model):
@@ -110,41 +116,9 @@ def _integrator_order_check(results, model):
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     order = float(np.mean(orders))
     results.append(
-        _check("oracle.integrator_order", abs(order - 4.0), 0.5, t0,
+        _check("oracle.integrator_order", abs(order - 4.0), 0.5, _since(t0),
                detail=f"order={order:.2f}")
     )
-
-
-def _identity_checks(results, prefix, orbit, z, q, mode, nodes):
-    t0 = time.perf_counter()
-    results.append(
-        _check(f"{prefix}.normalization_phase", z.normalization_residual, 1e-8, t0)
-    )
-    if q is not None:
-        t0 = time.perf_counter()
-        results.append(
-            _check(
-                f"{prefix}.normalization_amplitude", q.normalization_residual, 1e-8, t0
-            )
-        )
-    t0 = time.perf_counter()
-    spread = _pairing_spread(orbit, z, orbit.series.derivative(), 0.0, nodes)
-    results.append(_check(f"{prefix}.pairing_phase", spread, 1e-6, t0))
-    if q is not None and mode is not None:
-        t0 = time.perf_counter()
-        spread = _pairing_spread(orbit, q, mode, q.mu, nodes)
-        results.append(_check(f"{prefix}.pairing_amplitude", spread, 1e-6, t0))
-
-
-def _trivial_mode_checks(results, prefix, orbit):
-    # one SVD of M(0) yields both the singular-value ratio and the mode
-    t0 = time.perf_counter()
-    mode0 = floquet.eigenfunction(orbit, 0.0)
-    xdot = floquet._fix_mode_gauge(orbit.xdot_samples.copy())
-    results.append(_check(f"{prefix}.trivial_sigma", mode0.sigma_min / mode0.sigma_max,
-                          1e-8, t0, share=0.5))
-    results.append(_check(f"{prefix}.trivial_mode", np.abs(mode0.R - xdot).max(), 1e-6,
-                          t0, share=0.5))
 
 
 def _leading_exponent(orbit, scan) -> float:
@@ -159,167 +133,167 @@ def _leading_exponent(orbit, scan) -> float:
     return roots[0]
 
 
-def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    model = pipeline.build_model(cfg)
-    nodes = cfg.response.quadrature_nodes
+@dataclass
+class _Stage:
+    """The spectral pipeline a suite checks, with the seconds of its parts."""
 
-    t_cycle = time.perf_counter()
-    seed, _ = pipeline.build_seed(cfg, model)
+    model: ModelSpec
+    seed: CycleSeed
+    settled: oracle.SettleResult | None  # the settle behind an oracle seed
+    opts: SolveOptions
+    orbit: PeriodicOrbit
+    mu: float  # leading nontrivial exponent
+    solve_seconds: float  # seed (settle included) and cycle solve
+    exponent_seconds: float  # leading-exponent search
+
+
+def _solve_stage(cfg: RunConfig) -> _Stage:
+    model = pipeline.build_model(cfg)
+    t0 = time.perf_counter()
+    seed, settled = pipeline.build_seed(cfg, model)
     opts = pipeline.solve_options(cfg)
     orbit = solve_cycle(model, seed, opts)
-    cycle_seconds = time.perf_counter() - t_cycle
-    t0 = time.perf_counter()
-    results.append(
-        _check("kotani.period", abs(orbit.T - 2.0 * np.pi), 1e-8, t_cycle)
-    )
-    tg = orbit.grid.sample_times
-    results.append(
-        _check("kotani.cycle_profile", np.abs(orbit.X[:, 0] - np.cos(tg)).max(), 1e-8, t0)
-    )
-    results.append(
-        CheckResult("kotani.cycle_runtime", cycle_seconds, 10.0,
-                    cycle_seconds <= 10.0, cycle_seconds)
-    )
-
-    _trivial_mode_checks(results, "kotani", orbit)
-
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     mu = _leading_exponent(orbit, cfg.scan)
-    mode = floquet.eigenfunction(orbit, mu)
-    orbit2 = solve_cycle(model, seed, replace(opts, M=2 * opts.M))
+    return _Stage(model, seed, settled, opts, orbit, mu, t1 - t0,
+                  time.perf_counter() - t1)
+
+
+def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
+    """Trivial-mode, M-doubling and normalization-identity rows of a suite;
+    returns the leading mode and the responses z and q."""
+    # one SVD of M(0) yields both the singular-value ratio and the mode
+    t0 = time.perf_counter()
+    mode0 = floquet.eigenfunction(st.orbit, 0.0)
+    xdot = floquet._fix_mode_gauge(st.orbit.xdot_samples.copy())
+    half = _since(t0, 0.5)
+    results.append(_check(f"{prefix}.trivial_sigma", mode0.sigma_min / mode0.sigma_max,
+                          1e-8, half))
+    results.append(_check(f"{prefix}.trivial_mode", np.abs(mode0.R - xdot).max(), 1e-6,
+                          half))
+
+    t0 = time.perf_counter()
+    orbit2 = solve_cycle(st.model, st.seed, replace(st.opts, M=2 * st.opts.M))
     mu2 = _leading_exponent(orbit2, cfg.scan)
-    results.append(_check("kotani.exponent_M_doubling", abs(mu - mu2), 1e-6, t0,
-                          detail=f"mu={mu:.6f}"))
+    results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - mu2), 1e-6,
+                          _since(t0), detail=f"mu={st.mu:.6f}"))
 
-    z = adjoint.solve_response(orbit, 0.0, "phase", quad_nodes=nodes)
-    q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode,
-                               quad_nodes=nodes)
-    _identity_checks(results, "kotani", orbit, z, q, mode, nodes)
+    nodes = cfg.response.quadrature_nodes
+    mode = floquet.eigenfunction(st.orbit, st.mu)
+    run = pipeline.run_responses(cfg, st.orbit, st.mu, mode)
+    z, q = run.z, run.q
+    for kind, curve in (("phase", z), ("amplitude", q)):
+        results.append(_check(f"{prefix}.normalization_{kind}",
+                              curve.normalization_residual, 1e-8, 0.0))
+    for kind, curve, partner in (("phase", z, st.orbit.series.derivative()),
+                                 ("amplitude", q, mode)):
+        t0 = time.perf_counter()
+        spread = _pairing_spread(st.orbit, curve, partner, curve.mu, nodes)
+        results.append(_check(f"{prefix}.pairing_{kind}", spread, 1e-6, _since(t0)))
+    return mode, z, q
 
-    # oracle block (criterion: Fig. 1 reproduction within 1e-3, <= 5 min);
-    # one oracle_floquet call serves the two spectrum rows: split its time
-    t_oracle = time.perf_counter()
-    ofl = oracle.oracle_floquet(model, orbit, N=cfg.oracle.N, k=cfg.oracle.exponents,
-                                levels=cfg.oracle.levels, seed=cfg.rng_seed)
+
+def _oracle_floquet(results, prefix, cfg: RunConfig, st: _Stage, exponent_tol):
+    """One oracle_floquet call and the two spectrum rows that split its time."""
+    t0 = time.perf_counter()
+    ofl = oracle.oracle_floquet(st.model, st.orbit, N=cfg.oracle.N,
+                                k=cfg.oracle.exponents, levels=cfg.oracle.levels,
+                                seed=cfg.rng_seed)
     mu_oracle = ofl.leading_nontrivial()
-    results.append(
-        _check("kotani.oracle_unit_multiplier", ofl.unit_multiplier_error, 1e-4,
-               t_oracle, share=0.5)
-    )
-    results.append(
-        _check("kotani.oracle_exponent", abs(mu_oracle - mu) / abs(mu), 1e-2, t_oracle,
-               detail=f"oracle={mu_oracle:.6f} hb={mu:.6f}", share=0.5)
-    )
+    half = _since(t0, 0.5)
+    results.append(_check(f"{prefix}.oracle_unit_multiplier", ofl.unit_multiplier_error,
+                          1e-4, half))
+    gap = abs(mu_oracle - st.mu) / abs(st.mu)
+    results.append(_check(f"{prefix}.oracle_exponent", gap, exponent_tol, half,
+                          detail=f"oracle={mu_oracle:.6f} hb={st.mu:.6f}"))
+    return ofl
+
+
+def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
+    st = _solve_stage(cfg)
+    orbit, nodes = st.orbit, cfg.response.quadrature_nodes
+    tg = orbit.grid.sample_times
+    results = [
+        _check("kotani.period", abs(orbit.T - 2.0 * np.pi), 1e-8, st.solve_seconds),
+        _check("kotani.cycle_profile", np.abs(orbit.X[:, 0] - np.cos(tg)).max(), 1e-8,
+               0.0),
+        _check("kotani.cycle_runtime", st.solve_seconds, 10.0, st.solve_seconds),
+    ]
+    mode, z, q = _spectral_rows(results, "kotani", cfg, st)
+
+    # oracle block (criterion: Fig. 1 reproduction within 1e-3, <= 5 min)
+    t_oracle = time.perf_counter()
+    ofl = _oracle_floquet(results, "kotani", cfg, st, 1e-2)
     t0 = time.perf_counter()
     rho_o = oracle.oracle_eigenfunction(orbit, ofl)
     rho_vals = rho_o(tg)
     rho_vals = floquet._sign_against(rho_vals, mode.R) * rho_vals
-    results.append(
-        _check("kotani.oracle_eigenfunction", np.abs(rho_vals - mode.R).max(), 1e-3, t0)
-    )
+    results.append(_check("kotani.oracle_eigenfunction", np.abs(rho_vals - mode.R).max(),
+                          1e-3, _since(t0)))
     # one backward iteration per chain level yields both z and q: split its time
     t0 = time.perf_counter()
     z_o, q_o = oracle.oracle_responses(orbit, ofl, rho=rho_o, quad_nodes=nodes)
     z_gap = np.abs(z_o.value(tg) - z.Q).max()
     q_vals = q_o.value(tg)
     q_gap = np.abs(floquet._sign_against(q_vals, q.Q) * q_vals - q.Q).max()
-    results.append(_check("kotani.oracle_z", z_gap, 1e-3, t0, share=0.5))
-    results.append(_check("kotani.oracle_q", q_gap, 1e-3, t0, share=0.5))
-    oracle_seconds = time.perf_counter() - t_oracle
-    results.append(
-        CheckResult("kotani.oracle_runtime", oracle_seconds, 300.0,
-                    oracle_seconds <= 300.0, oracle_seconds)
-    )
+    results.append(_check("kotani.oracle_z", z_gap, 1e-3, _since(t0, 0.5)))
+    results.append(_check("kotani.oracle_q", q_gap, 1e-3, _since(t0, 0.5)))
+    oracle_seconds = _since(t_oracle)
+    results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
     # direct perturbation (criterion 5); one integration serves both checks
     t0 = time.perf_counter()
     phases = np.arange(cfg.oracle.prc_phases) * 2.0 * np.pi / cfg.oracle.prc_phases
-    prc, prc_half = oracle.direct_prc(model, orbit, phases, scales=(1.0, 0.5),
+    prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5),
                                       periods=cfg.oracle.prc_periods, dt=cfg.oracle.dt)
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
-    results.append(_check("kotani.direct_prc", rel, 0.05, t0, share=0.5))
-    results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 0.02, t0,
-                          detail=f"ratio={ratio:.4f}", share=0.5))
+    results.append(_check("kotani.direct_prc", rel, 0.05, _since(t0, 0.5)))
+    results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 0.02,
+                          _since(t0, 0.5), detail=f"ratio={ratio:.4f}"))
 
     _spectral_checks(results)
-    _integrator_order_check(results, model)
+    _integrator_order_check(results, st.model)
     return results
 
 
 def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    model = pipeline.build_model(cfg)
-    nodes = cfg.response.quadrature_nodes
-
-    t_pipe = time.perf_counter()
-    seed, settled = pipeline.build_seed(cfg, model)
-    opts = pipeline.solve_options(cfg)
-    orbit = solve_cycle(model, seed, opts)
-    if settled is not None:
-        results.append(
-            _check("cortico.period_consistency",
-                   abs(settled.period - orbit.T) / orbit.T, 1e-3, t_pipe,
-                   detail=f"settle={settled.period:.6f} hb={orbit.T:.6f}")
-        )
-    t0 = time.perf_counter()
-    mu = _leading_exponent(orbit, cfg.scan)
-    pipe_seconds = time.perf_counter() - t_pipe
-    results.append(
-        _check("cortico.exponent", abs(mu - (-0.00296)), 5e-5, t0,
-               detail=f"mu={mu:.6f}")
-    )
-    results.append(
-        CheckResult("cortico.floquet_runtime", pipe_seconds, 120.0,
-                    pipe_seconds <= 120.0, pipe_seconds)
-    )
-
-    _trivial_mode_checks(results, "cortico", orbit)
+    st = _solve_stage(cfg)
+    orbit, mu = st.orbit, st.mu
+    results = []
+    if st.settled is not None:
+        period = st.settled.period
+        results.append(_check("cortico.period_consistency",
+                              abs(period - orbit.T) / orbit.T, 1e-3, st.solve_seconds,
+                              detail=f"settle={period:.6f} hb={orbit.T:.6f}"))
+    pipe_seconds = st.solve_seconds + st.exponent_seconds
+    results += [
+        _check("cortico.exponent", abs(mu - (-0.00296)), 5e-5, st.exponent_seconds,
+               detail=f"mu={mu:.6f}"),
+        _check("cortico.floquet_runtime", pipe_seconds, 120.0, pipe_seconds),
+    ]
+    _, z, _ = _spectral_rows(results, "cortico", cfg, st)
 
     t0 = time.perf_counter()
-    orbit2 = solve_cycle(model, seed, replace(opts, M=2 * opts.M))
-    mu2 = _leading_exponent(orbit2, cfg.scan)
-    results.append(_check("cortico.exponent_M_doubling", abs(mu - mu2), 1e-6, t0))
-
-    t0 = time.perf_counter()
-    rows = convergence_sweep(model, seed, opts, [10, 20, 40])
+    rows = convergence_sweep(st.model, st.seed, st.opts, [10, 20, 40])
     tails = [r.tail_energy for r in rows]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
-    results.append(
-        CheckResult("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,
-                    monotone, time.perf_counter() - t0,
-                    detail="tails=" + ",".join(f"{x:.2e}" for x in tails))
-    )
-
-    mode = floquet.eigenfunction(orbit, mu)
-    z = adjoint.solve_response(orbit, 0.0, "phase", quad_nodes=nodes)
-    q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode,
-                               quad_nodes=nodes)
-    _identity_checks(results, "cortico", orbit, z, q, mode, nodes)
+    results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,
+                          _since(t0),
+                          detail="tails=" + ",".join(f"{x:.2e}" for x in tails)))
 
     # oracle agreement: z components within 2% relative sup-norm, exponent 10%
     t0 = time.perf_counter()
-    z_o = oracle.oracle_phase_response(model, orbit, N=cfg.oracle.N,
-                                       levels=cfg.oracle.levels, quad_nodes=nodes)
+    z_o = oracle.oracle_phase_response(st.model, orbit, N=cfg.oracle.N,
+                                       levels=cfg.oracle.levels,
+                                       quad_nodes=cfg.response.quadrature_nodes)
     tg = orbit.grid.sample_times
     gaps = np.abs(z_o.value(tg) - z.Q).max(axis=0)
     scales = np.abs(z.Q).max(axis=0)
-    results.append(_check("cortico.oracle_z", float((gaps / scales).max()), 0.02, t0))
-    # one oracle_floquet call serves the two spectrum rows: split its time
-    t0 = time.perf_counter()
-    ofl = oracle.oracle_floquet(model, orbit, N=cfg.oracle.N, k=cfg.oracle.exponents,
-                                levels=cfg.oracle.levels, seed=cfg.rng_seed)
-    mu_oracle = ofl.leading_nontrivial()
-    results.append(
-        _check("cortico.oracle_exponent", abs(mu_oracle - mu) / abs(mu), 0.1, t0,
-               detail=f"oracle={mu_oracle:.6f}", share=0.5)
-    )
-    results.append(
-        _check("cortico.oracle_unit_multiplier", ofl.unit_multiplier_error, 1e-4, t0,
-               share=0.5)
-    )
+    results.append(_check("cortico.oracle_z", float((gaps / scales).max()), 0.02,
+                          _since(t0)))
+    _oracle_floquet(results, "cortico", cfg, st, 0.1)
     return results
 
 

@@ -8,6 +8,7 @@ fails its criterion.  Each test prints a single PASS/FAIL line (visible
 with `pytest -s` or in the captured output).
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,11 @@ def test_oracle_spectrum_rows_share_their_time(model, report_rows):
     exponent = rows[f"{model}.oracle_exponent"].seconds
     assert unit > 1e-3 and exponent > 1e-3
     assert abs(unit - exponent) <= 0.1 * max(unit, exponent)
+
+
+def test_rows_are_plain_json(report_rows):
+    # `ddehb validate` writes the rows with json.dump, which rejects NumPy bools
+    for row in report_rows:
+        assert type(row.passed) is bool, row.name
+        assert type(row.measured) is float and type(row.tolerance) is float, row.name
+    json.dumps([vars(row) for row in report_rows])

@@ -93,26 +93,6 @@ class TestNormalizeAmplitude:
         sign = np.sign(np.sum(q * expected))
         assert np.abs(sign * q - expected).max() < 1e-8
 
-    def test_legacy_flag_changes_scale_only(
-        self, kotani_orbit, kotani_mu, kotani_mode, kotani_q
-    ):
-        raw = kotani_q.Q
-        q_paper = adjoint.normalize_amplitude(
-            raw, kotani_orbit, kotani_mu, kotani_mode
-        )
-        q_legacy = adjoint.normalize_amplitude(
-            raw, kotani_orbit, kotani_mu, kotani_mode, legacy_scaling=True
-        )
-        c_paper = adjoint.pairing_functional(
-            kotani_orbit, raw, kotani_mode, kotani_mu, decay_factor=True
-        )
-        c_legacy = adjoint.pairing_functional(
-            kotani_orbit, raw, kotani_mode, kotani_mu, decay_factor=False
-        )
-        np.testing.assert_allclose(
-            q_legacy * (c_legacy / c_paper), q_paper, atol=1e-12
-        )
-
 
 class TestConservedPairing:
     def test_phase_pairing_constant(self, kotani_orbit, kotani_z):
@@ -134,6 +114,15 @@ class TestConservedPairing:
         ]
         np.testing.assert_allclose(vals, 1.0, atol=1e-10)
         assert max(vals) - min(vals) < 1e-6
+
+    def test_every_form_of_a_curve_pairs_alike(self, kotani_orbit, kotani_z):
+        # a ResponseCurve, its series, its grid samples and its value callable
+        tangent = kotani_orbit.series.derivative()
+        vals = [
+            adjoint.pairing_functional(kotani_orbit, curve, tangent, 0.0, 0.7)
+            for curve in (kotani_z, kotani_z.series, kotani_z.Q, kotani_z.value)
+        ]
+        np.testing.assert_allclose(vals, vals[0], rtol=1e-12)
 
     def test_full_period_shift_reproduces_base(self, kotani_orbit, kotani_z):
         tangent = kotani_orbit.series.derivative()

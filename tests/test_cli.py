@@ -296,14 +296,27 @@ class TestConfigValidation:
         assert abs(T - 2 * np.pi) < 1e-8
 
     @pytest.mark.parametrize(
-        "cfg, override", [(KOTANI_CFG, "model.params.delta=abc"),
-                          (KOTANI_CFG, "model.params.omega=1.0"),
-                          (CORTICO_CFG, "model.params.tau=-1.0")],
+        "name, override", [("kotani_fig1.yaml", "model.params.delta=abc"),
+                           ("kotani_fig1.yaml", "model.params.omega=1.0"),
+                           ("cortico_fig2.yaml", "model.params.tau=-1.0")],
     )
-    def test_bad_model_parameter(self, tmp_path, cfg, override):
+    def test_bad_model_parameter(self, tmp_path, name, override):
         assert run(
-            "cycle", "--config", cfg, "--out", str(tmp_path), "--override", override
+            "cycle", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
+            "--override", override,
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["kotani_fig1.yaml", "cortico_fig2.yaml"])
+    def test_removed_legacy_normalization(self, tmp_path, capsys, name):
+        code = run(
+            "export", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
+            "--override", "response.legacy_amplitude_normalization=true",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "legacy_amplitude_normalization was removed" in err
+        assert "e^{-mu tau}" in err and "base time" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "name, override",

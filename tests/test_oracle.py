@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import oracle, sweep
+from ddehb import adjoint, oracle, sweep
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -479,7 +479,7 @@ class TestDiscretizedAdjoint:
     def test_oracle_pairing_constant(self, kotani_orbit, kotani_z_oracle_fine):
         tangent = oracle._orbit_tangent(kotani_orbit)
         vals = [
-            oracle.oracle_pairing(
+            adjoint.pairing_functional(
                 kotani_orbit, kotani_z_oracle_fine.interp, tangent, 0.0, t0
             )
             for t0 in np.arange(8) * kotani_orbit.T / 8
