@@ -51,7 +51,6 @@ from .oracle import (
     monodromy_exponents,
     oracle_eigenfunction,
     oracle_floquet,
-    oracle_phase_response,
     oracle_responses,
     settle_to_cycle,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "normalize_phase",
     "oracle_eigenfunction",
     "oracle_floquet",
-    "oracle_phase_response",
     "oracle_responses",
     "refine_exponent",
     "residual",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, floquet, pipeline, validation
 from .config import RunConfig, load_config
 from .cycle import PeriodicOrbit, solve_cycle
-from .errors import ConfigError, DdehbError
+from .errors import ConfigError, DdehbError, NoExponentInRange
 from .model import verify_jacobians
 from .spectral import coeffs_to_samples
 
@@ -208,8 +208,9 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
         raise StaleInput(f"exponent file {path} is stale for this configuration")
     nontrivial = [e["mu"] for e in data["exponents"] if not e["trivial"]]
     if not nontrivial:
-        raise FileNotFoundError(
-            "no nontrivial exponent recorded; amplitude response unavailable"
+        raise NoExponentInRange(
+            f"no nontrivial Floquet exponent recorded in {path} for the scan range "
+            f"[{cfg.scan.mu_min:g}, {cfg.scan.mu_max:g}]; amplitude response unavailable"
         )
     return max(nontrivial)
 

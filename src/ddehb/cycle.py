@@ -308,7 +308,7 @@ def convergence_sweep(model, seed, opts, M_list) -> list[SweepRow]:
 
     Reports the period and the coefficient tail energy
     sum_{|p| > M/2} |a_p|^2 per truncation, used to certify that M is
-    large enough.  Solver failures are recorded per entry.
+    large enough.  Solver errors are recorded per entry.
     """
     M_list = list(M_list)
     if not M_list:

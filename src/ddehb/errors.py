@@ -2,7 +2,7 @@
 
 
 class DdehbError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific errors."""
 
 
 class ConfigError(DdehbError):

@@ -19,12 +19,12 @@ smooth near simple roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cycle import Linearization, PeriodicOrbit, assemble_linearization
-from .errors import DegenerateNullspace, NoRootInBracket, NotSingular
+from .errors import DegenerateNullspace, NonFiniteState, NoRootInBracket, NotSingular
 from .spectral import FourierSeries, build_operators, sample_to_coeffs
 
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
@@ -57,7 +57,6 @@ class ScanPoint:
 @dataclass
 class DetScanResult:
     points: list[ScanPoint]
-    failures: list[float] = field(default_factory=list)
 
     def sign_changes(self):
         """Bracketing intervals (mu_lo, mu_hi) where det changes sign."""
@@ -69,19 +68,23 @@ class DetScanResult:
 
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
-    """Evaluate log|det M(mu)|, its sign and sigma_min on a uniform grid."""
+    """Evaluate log|det M(mu)|, its sign and sigma_min on a uniform grid.
+    NonFiniteState where e^{-mu tau} overflows and M(mu) is not finite."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
     mus = np.linspace(lo, hi, grid_points)
     lin = orbit_linearization(orbit)
-    points, failures = [], []
+    points = []
     for mu in mus:
-        mat = lin.matrix(mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = lin.matrix(mu)
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteState(
+                f"M(mu) is not finite at mu={mu:g}: e^(-mu tau) overflows; "
+                f"increase scan.mu_min (now {lo:g})"
+            )
         sign, logdet = np.linalg.slogdet(mat)
-        if not np.isfinite(logdet) and sign == 0 and not np.all(np.isfinite(mat)):
-            failures.append(float(mu))
-            continue
         svals = np.linalg.svd(mat, compute_uv=False)
         points.append(
             ScanPoint(
@@ -91,7 +94,7 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
                 sigma_min=float(svals[-1]),
             )
         )
-    return DetScanResult(points=points, failures=failures)
+    return DetScanResult(points=points)
 
 
 def _sigma_extremes(lin: Linearization, mu):

@@ -40,11 +40,6 @@ from .model import ModelSpec
 from .spectral import sample_to_coeffs
 from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
 
-# Half-point cubic Lagrange weights on a uniform 4-point stencil:
-# centered (nodes -1,0,1,2 at x=1/2) and one-sided (nodes 0..3 at x=1/2).
-_MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-_MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-
 MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
 
 # settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
@@ -60,10 +55,13 @@ RITZ_TOL = 1e-10  # relative movement of the leading Ritz values per sweep
 ADJOINT_MAX_PERIODS = 50
 ADJOINT_TOL = 1e-8  # movement of a unit adjoint vector per backward period
 ADJOINT_SEED = 1  # random start block of the backward iteration
+ADJOINT_SUBSPACE = 6  # vectors in that block
 
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
 PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
+
+PROFILE_POINTS = 4096  # samples per period of a Richardson-combined profile
 
 
 def _lagrange4(x: np.ndarray) -> np.ndarray:
@@ -74,6 +72,26 @@ def _lagrange4(x: np.ndarray) -> np.ndarray:
             if j != i:
                 w[:, i] *= (x - j) / (i - j)
     return w
+
+
+# Half-point weights on a uniform 4-point stencil (dyadic, so exact):
+# centered (nodes -1,0,1,2 at x=1/2) and one-sided (nodes 0..3 at x=1/2).
+_MID_CENTERED, _MID_ONESIDED = _lagrange4(np.array([1.5, 0.5]))
+
+
+def _cubic(values: np.ndarray, s: np.ndarray, periodic: bool) -> np.ndarray:
+    """Piecewise-cubic readout of uniform samples values (n, ...) at the
+    sample coordinates s.  The 4-point stencil is clamped at the ends, or,
+    if periodic, wraps around (values[-1] then repeats values[0])."""
+    j = np.floor(s).astype(int)
+    if periodic:
+        n = values.shape[0] - 1  # samples per period
+        j0 = np.clip(j, 0, n - 1) - 1
+        idx = (j0[:, None] + np.arange(4)) % n
+    else:
+        j0 = np.clip(j - 1, 0, values.shape[0] - 4)
+        idx = j0[:, None] + np.arange(4)
+    return np.einsum("pk,pk...->p...", _lagrange4(s - j0), values[idx])
 
 
 @dataclass
@@ -88,22 +106,11 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.states.shape[0])
 
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.dt * (self.states.shape[0] - 1)
-
     def value(self, t) -> np.ndarray:
         """Piecewise-cubic readout at arbitrary times (stencil clamped at
         the ends)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.states.shape[0]
-        s = (t - self.t_start) / self.dt
-        j = np.clip(np.floor(s).astype(int), 0, n - 2)
-        u = s - j
-        j0 = np.clip(j - 1, 0, n - 4)
-        x = u + (j - j0)  # local coordinate within the 4-point stencil
-        idx = j0[:, None] + np.arange(4)[None, :]
-        return np.einsum("pk,pk...->p...", _lagrange4(x), self.states[idx])
+        return _cubic(self.states, (t - self.t_start) / self.dt, periodic=False)
 
 
 def _snap_step(tau: float, dt: float) -> tuple[float, int]:
@@ -445,15 +452,8 @@ class _PeriodicInterp:
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        tm = np.mod(t, self.T)
-        steps = self.values.shape[0] - 1
-        h = self.T / steps
-        s = tm / h
-        j = np.clip(np.floor(s).astype(int), 0, steps - 1)
-        u = s - j
-        # periodic 4-point stencil around [j, j+1]
-        idx = (np.arange(-1, 3)[None, :] + j[:, None]) % steps
-        return np.einsum("pk,pkm->pm", _lagrange4(u + 1.0), self.values[idx])
+        h = self.T / (self.values.shape[0] - 1)
+        return _cubic(self.values, np.mod(t, self.T) / h, periodic=True)
 
 
 def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInterp:
@@ -479,12 +479,9 @@ def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInte
 
 @dataclass
 class OracleResponse:
-    kind: str
-    mu: float
     interp: _PeriodicInterp
     iterations: int
     multiplier: complex
-    normalization: float  # achieved pairing value after rescaling
 
     def value(self, t) -> np.ndarray:
         return self.interp(t)
@@ -508,16 +505,7 @@ def _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier) -> Orac
     raw = _PeriodicInterp(T=orbit.T, values=curve)
     c = pairing_functional(orbit, raw, partner, mu, quad_nodes=quad_nodes)
     interp = _PeriodicInterp(T=orbit.T, values=curve * (target / c))
-    return OracleResponse(
-        kind="phase" if mu == 0.0 else "amplitude",
-        mu=float(mu),
-        interp=interp,
-        iterations=iterations,
-        multiplier=complex(multiplier),
-        normalization=float(
-            pairing_functional(orbit, interp, partner, mu, quad_nodes=quad_nodes)
-        ),
-    )
+    return OracleResponse(interp, iterations, complex(multiplier))
 
 
 def _adjoint_response(orbit, mu, rho, w0, quad_nodes, iterations, multiplier):
@@ -545,7 +533,6 @@ def discretized_adjoint(
     orbit: PeriodicOrbit,
     targets,
     quad_nodes: int = 64,
-    subspace: int = 6,
 ) -> AdjointIteration:
     """Oracle response curves from backward adjoint integration.
 
@@ -560,14 +547,14 @@ def discretized_adjoint(
     response, is read from the head block that period's sweep recorded.  The sweeps
     do not depend on the targets, so each target gets what a one-target
     run gives, and the iteration stops when the last target has converged;
-    NonConvergentAdjoint after ADJOINT_MAX_PERIODS.  The start block is
-    drawn from ADJOINT_SEED.
+    NonConvergentAdjoint after ADJOINT_MAX_PERIODS.  The start block of
+    ADJOINT_SUBSPACE vectors is drawn from ADJOINT_SEED.
     """
     if any(mu != 0.0 and rho is None for mu, rho in targets):
         raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
     steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps, backward=True)
-    kk = min(subspace, system.dim)
+    kk = min(ADJOINT_SUBSPACE, system.dim)
     rng = np.random.default_rng(ADJOINT_SEED)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
 
@@ -698,8 +685,8 @@ def _level_sizes(N: int, levels: int) -> list[int]:
     return sizes
 
 
-def _combine_profiles(interps, weights, T, points=4096) -> _PeriodicInterp:
-    t = np.linspace(0.0, T, points + 1)
+def _combine_profiles(interps, weights, T) -> _PeriodicInterp:
+    t = np.linspace(0.0, T, PROFILE_POINTS + 1)
     acc = sum(w * interp(t) for w, interp in zip(weights, interps))
     acc[-1] = acc[0]
     return _PeriodicInterp(T=T, values=acc)
@@ -712,24 +699,13 @@ class OracleFloquet:
     levels: list[int]
     systems: list[DiscretizedSystem]
     results: list[MonodromyResult]
+    modes: list[tuple[float, _PeriodicInterp]]  # per level: (mu, rho), unaligned
     multipliers: np.ndarray  # extrapolated, matched across levels
     exponents: np.ndarray
     unit_multiplier_error: float
-    T: float
 
     def leading_nontrivial(self) -> float:
         return float(_leading_nontrivial(self.multipliers, self.exponents).real)
-
-    def leading_per_level(self) -> list[float]:
-        return [float(r.leading_nontrivial().real) for r in self.results]
-
-    def level_eigenfunctions(self) -> list[_PeriodicInterp]:
-        """Each level's eigenfunction profile at its own leading nontrivial
-        exponent, unaligned, read from the level's monodromy result."""
-        return [
-            monodromy_eigenfunction(res, mu)
-            for res, mu in zip(self.results, self.leading_per_level())
-        ]
 
 
 def oracle_floquet(
@@ -746,7 +722,8 @@ def oracle_floquet(
     starts from a block drawn from seed, each finer one from the image of
     the level below resampled onto its chain (_refine_block).  Multipliers
     are matched between levels by proximity before combining; unmatched
-    ones keep the finest-level value.
+    ones keep the finest-level value.  Each level's eigenfunction at its
+    leading nontrivial exponent is read once, into modes.
     """
     sizes = _level_sizes(N, levels)
     weights = _RICHARDSON_WEIGHTS[levels]
@@ -755,6 +732,8 @@ def oracle_floquet(
     for sys in systems:
         start = _refine_block(results[-1].image, model.m) if results else None
         results.append(monodromy_exponents(sys, orbit, k=k, seed=seed, start=start))
+    mus = [float(res.leading_nontrivial().real) for res in results]
+    modes = [(mu, monodromy_eigenfunction(res, mu)) for res, mu in zip(results, mus)]
     fine = results[-1]
     multipliers = np.array(fine.multipliers, dtype=complex)
     for j, lam in enumerate(fine.multipliers):
@@ -776,10 +755,10 @@ def oracle_floquet(
         levels=sizes,
         systems=systems,
         results=results,
+        modes=modes,
         multipliers=multipliers,
         exponents=exponents,
         unit_multiplier_error=unit_err,
-        T=orbit.T,
     )
 
 
@@ -787,7 +766,7 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
     """Extrapolated, max-normalized eigenfunction profile at the leading
     nontrivial exponent, sign-aligned across levels."""
     weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
-    profiles = ofl.level_eigenfunctions()
+    profiles = [rho for _, rho in ofl.modes]
     t_ref = np.linspace(0.0, orbit.T, 512)
     ref = profiles[-1](t_ref)
     aligned = [
@@ -800,19 +779,17 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
     return combined
 
 
-def _extrapolated_responses(
-    orbit, systems, level_targets, targets, quad_nodes, **adjoint_kw
-) -> list[OracleResponse]:
+def _extrapolated_responses(orbit, systems, level_targets, targets,
+                            quad_nodes) -> list[OracleResponse]:
     """Richardson-extrapolated response curves, one per target (mu, rho).
 
     Each chain level runs one backward subspace iteration for its own
     targets, given in the same order (its exponent and eigenfunction); the
     combined curves are renormalized against the extrapolated targets.
-    adjoint_kw goes to discretized_adjoint.
     """
     weights = _RICHARDSON_WEIGHTS[len(systems)]
     levels = [
-        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes, **adjoint_kw)
+        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes)
         for sys, tg in zip(systems, level_targets)
     ]
     out = []
@@ -827,47 +804,28 @@ def _extrapolated_responses(
     return out
 
 
-def oracle_phase_response(
-    model: ModelSpec,
-    orbit: PeriodicOrbit,
-    N: int = 2000,
-    levels: int = 3,
-    quad_nodes: int = 64,
-    subspace: int = 6,
-) -> OracleResponse:
-    """Extrapolated oracle phase response curve."""
-    systems = [DiscretizedSystem(model, n) for n in _level_sizes(N, levels)]
-    phase = [(0.0, None)]
-    (z,) = _extrapolated_responses(
-        orbit, systems, [phase] * len(systems), phase, quad_nodes, subspace=subspace
-    )
-    return z
-
-
 def oracle_responses(
     orbit: PeriodicOrbit,
     ofl: OracleFloquet,
-    rho: _PeriodicInterp | None = None,
+    rho: _PeriodicInterp,
     quad_nodes: int = 64,
 ) -> tuple[OracleResponse, OracleResponse]:
     """Extrapolated oracle phase and amplitude responses, the latter at the
     leading exponent, from one backward iteration per chain level of ofl.
 
     Each chain level uses its own exponent and (sign-aligned)
-    eigenfunction; the combined amplitude curve is renormalized against
-    the extrapolated pair (rho, computed if not given) so its pairing is
-    exactly 1.
+    eigenfunction from ofl.modes; the combined amplitude curve is
+    renormalized against the extrapolated pair (rho from
+    oracle_eigenfunction) so its pairing is exactly 1.
     """
     t_ref = np.linspace(0.0, orbit.T, 512)
-    mu_ex = ofl.leading_nontrivial()
-    rho_ex = rho if rho is not None else oracle_eigenfunction(orbit, ofl)
-    ref = rho_ex(t_ref)
+    ref = rho(t_ref)
     level_targets = []
-    for mu_lvl, rho_lvl in zip(ofl.leading_per_level(), ofl.level_eigenfunctions()):
+    for mu_lvl, rho_lvl in ofl.modes:
         s = _sign_against(rho_lvl(t_ref), ref)
         rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
         level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
-    z, q = _extrapolated_responses(
-        orbit, ofl.systems, level_targets, [(0.0, None), (mu_ex, rho_ex)], quad_nodes
-    )
+    targets = [(0.0, None), (ofl.leading_nontrivial(), rho)]
+    z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets,
+                                   quad_nodes)
     return z, q

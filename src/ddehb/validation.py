@@ -209,9 +209,37 @@ def _oracle_floquet(results, prefix, cfg: RunConfig, st: _Stage, exponent_tol):
     return ofl
 
 
+def _oracle_curve_rows(results, prefix, cfg: RunConfig, st: _Stage, ofl, spectral,
+                       tol, relative):
+    """Rows for the oracle eigenfunction, z and q: the largest sup-norm gap of
+    a component to spectral = (mode, z, q), relative to that component's
+    peak if relative.  rho and q are sign-aligned; the pairing fixes z's sign."""
+    mode, z, q = spectral
+    tg = st.orbit.grid.sample_times
+
+    def gap(curve, ref, align=True):
+        vals = curve(tg)
+        if align:
+            vals = floquet._sign_against(vals, ref) * vals
+        gaps = np.abs(vals - ref).max(axis=0)
+        return (gaps / np.abs(ref).max(axis=0) if relative else gaps).max()
+
+    t0 = time.perf_counter()
+    rho_o = oracle.oracle_eigenfunction(st.orbit, ofl)
+    results.append(_check(f"{prefix}.oracle_eigenfunction", gap(rho_o, mode.R), tol,
+                          _since(t0)))
+    # one backward iteration per chain level yields both z and q: split its time
+    t0 = time.perf_counter()
+    z_o, q_o = oracle.oracle_responses(st.orbit, ofl, rho_o,
+                                       quad_nodes=cfg.response.quadrature_nodes)
+    results.append(_check(f"{prefix}.oracle_z", gap(z_o.value, z.Q, align=False), tol,
+                          _since(t0, 0.5)))
+    results.append(_check(f"{prefix}.oracle_q", gap(q_o.value, q.Q), tol, _since(t0, 0.5)))
+
+
 def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     st = _solve_stage(cfg)
-    orbit, nodes = st.orbit, cfg.response.quadrature_nodes
+    orbit = st.orbit
     tg = orbit.grid.sample_times
     results = [
         _check("kotani.period", abs(orbit.T - 2.0 * np.pi), 1e-8, st.solve_seconds),
@@ -224,20 +252,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     # oracle block (criterion: Fig. 1 reproduction within 1e-3, <= 5 min)
     t_oracle = time.perf_counter()
     ofl = _oracle_floquet(results, "kotani", cfg, st, 1e-2)
-    t0 = time.perf_counter()
-    rho_o = oracle.oracle_eigenfunction(orbit, ofl)
-    rho_vals = rho_o(tg)
-    rho_vals = floquet._sign_against(rho_vals, mode.R) * rho_vals
-    results.append(_check("kotani.oracle_eigenfunction", np.abs(rho_vals - mode.R).max(),
-                          1e-3, _since(t0)))
-    # one backward iteration per chain level yields both z and q: split its time
-    t0 = time.perf_counter()
-    z_o, q_o = oracle.oracle_responses(orbit, ofl, rho=rho_o, quad_nodes=nodes)
-    z_gap = np.abs(z_o.value(tg) - z.Q).max()
-    q_vals = q_o.value(tg)
-    q_gap = np.abs(floquet._sign_against(q_vals, q.Q) * q_vals - q.Q).max()
-    results.append(_check("kotani.oracle_z", z_gap, 1e-3, _since(t0, 0.5)))
-    results.append(_check("kotani.oracle_q", q_gap, 1e-3, _since(t0, 0.5)))
+    _oracle_curve_rows(results, "kotani", cfg, st, ofl, (mode, z, q), 1e-3, False)
     oracle_seconds = _since(t_oracle)
     results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
@@ -273,7 +288,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
                detail=f"mu={mu:.6f}"),
         _check("cortico.floquet_runtime", pipe_seconds, 120.0, pipe_seconds),
     ]
-    _, z, _ = _spectral_rows(results, "cortico", cfg, st)
+    spectral = _spectral_rows(results, "cortico", cfg, st)
 
     t0 = time.perf_counter()
     rows = convergence_sweep(st.model, st.seed, st.opts, [10, 20, 40])
@@ -283,17 +298,10 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
                           _since(t0),
                           detail="tails=" + ",".join(f"{x:.2e}" for x in tails)))
 
-    # oracle agreement: z components within 2% relative sup-norm, exponent 10%
-    t0 = time.perf_counter()
-    z_o = oracle.oracle_phase_response(st.model, orbit, N=cfg.oracle.N,
-                                       levels=cfg.oracle.levels,
-                                       quad_nodes=cfg.response.quadrature_nodes)
-    tg = orbit.grid.sample_times
-    gaps = np.abs(z_o.value(tg) - z.Q).max(axis=0)
-    scales = np.abs(z.Q).max(axis=0)
-    results.append(_check("cortico.oracle_z", float((gaps / scales).max()), 0.02,
-                          _since(t0)))
-    _oracle_floquet(results, "cortico", cfg, st, 0.1)
+    # oracle agreement: exponent within 10%; eigenfunction, z and q components
+    # within 2% relative sup-norm
+    ofl = _oracle_floquet(results, "cortico", cfg, st, 0.1)
+    _oracle_curve_rows(results, "cortico", cfg, st, ofl, spectral, 0.02, True)
     return results
 
 

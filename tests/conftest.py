@@ -56,8 +56,11 @@ def kotani_oracle_floquet(kotani_model, kotani_orbit):
 @pytest.fixture(scope="session")
 def kotani_z_oracle_fine(kotani_model, kotani_orbit):
     # the oracle-side pairing constancy at 1e-6 sits below the N=2000
-    # extrapolation residual, so this chain is finer
-    return oracle.oracle_phase_response(kotani_model, kotani_orbit, N=4000, subspace=4)
+    # extrapolation residual, so these chains are finer
+    systems = [oracle.DiscretizedSystem(kotani_model, n) for n in (1000, 2000, 4000)]
+    phase = [(0.0, None)]
+    (z,) = oracle._extrapolated_responses(kotani_orbit, systems, [phase] * 3, phase, 64)
+    return z
 
 
 @pytest.fixture(scope="session")

@@ -160,6 +160,33 @@ class TestResponseCommand:
         assert code == EXIT_CONVERGENCE
         assert not (out / "q.csv").exists()
 
+    def test_no_exponent_recorded(self, tmp_path, capsys):
+        # [-0.01, 0.05] holds only the trivial root, so the exponent file
+        # exists but lists no nontrivial exponent for the amplitude response
+        out = tmp_path / "run"
+        code = run(
+            "export", "--config", KOTANI_CFG, "--out", str(out),
+            "--override", "scan.mu_min=-0.01",
+        )
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("NoExponentInRange: ")
+        assert "[-0.01, 0.05]" in err
+        assert (out / "exponents.json").exists()
+        assert not (out / "q.csv").exists()
+
+    def test_overflowing_scan_range(self, tmp_path, capsys):
+        # e^{-mu tau} overflows at mu = -500, so M(mu) is not finite there
+        code = run(
+            "export", "--config", KOTANI_CFG, "--out", str(tmp_path / "run"),
+            "--override", "scan.mu_min=-500",
+        )
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("NonFiniteState: ")
+        assert "mu=-500" in err and "scan.mu_min" in err
+
     def test_phase_only_needs_orbit(self, tmp_path):
         out = tmp_path / "run"
         run("cycle", "--config", KOTANI_CFG, "--out", str(out))

@@ -89,6 +89,32 @@ class TestIntegrateDde:
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
 
 
+class TestCubicReadout:
+    """oracle._cubic, the one piecewise-cubic readout behind Trajectory.value
+    (clamped stencil) and the periodic profiles (wrapped stencil)."""
+
+    @staticmethod
+    def cubic(t):
+        return np.stack([1.0 - 2.0 * t + 0.5 * t**2 - 0.25 * t**3, t**3], axis=-1)
+
+    def test_clamped_reproduces_a_cubic(self):
+        traj = oracle.Trajectory(t_start=-0.3, dt=0.1, states=self.cubic(
+            -0.3 + 0.1 * np.arange(12)))
+        # both end intervals, where the stencil is one-sided, and every node
+        t = np.concatenate([np.linspace(-0.3, -0.2, 7), np.linspace(0.7, 0.8, 7),
+                            np.linspace(-0.3, 0.8, 45)])
+        assert np.abs(traj.value(t) - self.cubic(t)).max() <= 1e-12
+
+    def test_periodic_wraps_past_the_period(self):
+        T, steps = 2.0 * np.pi, 64
+        grid = np.arange(steps + 1) * (T / steps)
+        interp = oracle._PeriodicInterp(T=T, values=np.sin(grid)[:, None])
+        t = np.linspace(0.0, T, 97)
+        for k in (1, 3):
+            assert np.array_equal(interp(t + k * T), interp(np.mod(t + k * T, T)))
+            assert np.abs(interp(t + k * T)[:, 0] - np.sin(t)).max() <= 1e-5
+
+
 class TestSettleToCycle:
     def test_kotani_period(self, kotani_model):
         res = oracle.settle_to_cycle(
@@ -497,9 +523,23 @@ class TestDiscretizedAdjoint:
 
     def test_level_eigenfunctions_swept_once(self, kotani_model, kotani_orbit,
                                              monkeypatch):
-        # the monodromy iteration sweeps each level; the profiles are read
-        # from its stored heads without a further forward sweep
+        # oracle_floquet reads each level's eigenfunction once, from the
+        # heads its monodromy iteration stored; the extrapolated eigenfunction
+        # and the responses reuse those profiles and sweep nothing forward
+        read = []
+        eigenfunction = oracle.monodromy_eigenfunction
+
+        def counting_read(result, mu):
+            read.append(result.vectors.shape[0])
+            return eigenfunction(result, mu)
+
+        monkeypatch.setattr(oracle, "monodromy_eigenfunction", counting_read)
         ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512, k=3)
+        assert read == [s.dim for s in ofl.systems]
+        assert [mu for mu, _ in ofl.modes] == [
+            float(r.leading_nontrivial().real) for r in ofl.results
+        ]
+
         forward = []
         sweep_forward = oracle._sweep_forward
 
@@ -509,10 +549,9 @@ class TestDiscretizedAdjoint:
 
         monkeypatch.setattr(oracle, "_sweep_forward", counting)
         rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
-        _, q = oracle.oracle_responses(kotani_orbit, ofl)
-        _, q_given = oracle.oracle_responses(kotani_orbit, ofl, rho=rho)
+        oracle.oracle_responses(kotani_orbit, ofl, rho)
         assert forward == []
-        assert np.array_equal(q.interp.values, q_given.interp.values)
+        assert len(read) == len(ofl.systems)
 
     def test_shared_iteration_matches_one_target_runs(self, kotani_model,
                                                       kotani_orbit, monkeypatch):
