@@ -21,6 +21,7 @@ tau is generally incommensurate with the grid spacing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ NORMALIZATION_FLOOR = 1e-10
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
-    """Assemble the operator whose left null vector is the response curve."""
+    """Assemble the operator whose left null vector is the response curve;
+    NonFiniteState where it is not finite."""
     return orbit_linearization(orbit, advanced=True).matrix(mu)
 
 
@@ -68,6 +70,15 @@ def _evaluator(f, orbit: PeriodicOrbit):
     raise TypeError(f"unsupported pairing factor: {type(f)!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
+    returned read-only, since every caller shares them."""
+    xi, w = np.polynomial.legendre.leggauss(n)
+    xi.flags.writeable = w.flags.writeable = False
+    return xi, w
+
+
 def pairing_functional(
     orbit: PeriodicOrbit,
     response,
@@ -94,7 +105,7 @@ def pairing_functional(
     if model.tau == 0.0:
         return head
 
-    xi, w = np.polynomial.legendre.leggauss(quad_nodes)
+    xi, w = _gauss_legendre(quad_nodes)
     zeta = 0.5 * model.tau * (xi - 1.0)  # nodes on [-tau, 0]
     weights = 0.5 * model.tau * w
 

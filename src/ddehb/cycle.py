@@ -131,8 +131,14 @@ class Linearization:
     tau: float
 
     def matrix(self, mu: float) -> np.ndarray:
-        mat = self.A0 - np.exp(-mu * self.tau) * self.B
-        mat[np.diag_indices_from(mat)] += mu
+        """M(mu); NonFiniteState naming mu where e^{-mu tau} overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = self.A0 - np.exp(-mu * self.tau) * self.B
+            mat[np.diag_indices_from(mat)] += mu
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteState(
+                f"M(mu) is not finite at mu={mu:g}: e^(-mu tau) overflows"
+            )
         return mat
 
 

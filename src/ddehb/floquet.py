@@ -77,13 +77,10 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     lin = orbit_linearization(orbit)
     points = []
     for mu in mus:
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             mat = lin.matrix(mu)
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteState(
-                f"M(mu) is not finite at mu={mu:g}: e^(-mu tau) overflows; "
-                f"increase scan.mu_min (now {lo:g})"
-            )
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"{exc}; increase scan.mu_min (now {lo:g})") from None
         sign, logdet = np.linalg.slogdet(mat)
         svals = np.linalg.svd(mat, compute_uv=False)
         points.append(
@@ -210,7 +207,8 @@ def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     The eigenfunction is the right singular vector for the smallest
     singular value (full SVD for robustness near near-degenerate
     spectra); raises DegenerateNullspace when the two smallest singular
-    values are within 1e-6 relative.
+    values are within 1e-6 relative, and NonFiniteState where M(mu) is
+    not finite.
     """
     return _null_mode(orbit, mu, orbit_linearization(orbit).matrix(mu))
 

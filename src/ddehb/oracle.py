@@ -17,6 +17,11 @@ assembly), so that agreement is evidence rather than tautology:
   oracle phase/amplitude response curves after the continuum
   normalization (the shared convention `adjoint.pairing_functional`),
   plus direct pulse-perturbation PRC measurement.
+
+Both subspace iterations stop at the first sweep whose Ritz pairs have
+small residuals against that sweep's own image, the usual test of
+subspace and Arnoldi eigensolvers: no further sweep is spent to see that
+a converged iterate has stopped moving.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ SETTLE_DRIFT_TOL = 0.01  # largest interval spread, relative to the period
 SETTLE_AMPLITUDE_FLOOR = 1e-8  # smallest post-transient peak-to-peak swing
 
 MONODROMY_MAX_ITERATIONS = 40
-RITZ_TOL = 1e-10  # relative movement of the leading Ritz values per sweep
+RITZ_TOL = 1e-10  # residual of a leading Ritz pair, relative to max(1, |theta|)
 
 ADJOINT_MAX_PERIODS = 50
-ADJOINT_TOL = 1e-8  # movement of a unit adjoint vector per backward period
+ADJOINT_TOL = 1e-8  # residual of a target's unit Ritz vector, relative to |theta|
 ADJOINT_SEED = 1  # random start block of the backward iteration
 ADJOINT_SUBSPACE = 6  # vectors in that block
 
@@ -154,26 +159,27 @@ def integrate_dde(
         buf[n_tau] = buf[n_tau] + initial_kick
 
     half = 0.5 * dt
-    for k in range(n_steps):
-        j = n_tau + k
-        x = buf[j]
-        xd0 = buf[j - n_tau]
-        xd1 = buf[j - n_tau + 1]
-        lo = j - n_tau - 1
-        if lo >= 0:
-            xdm = np.einsum("k,k...->...", _MID_CENTERED, buf[lo : lo + 4])
-        else:
-            xdm = np.einsum("k,k...->...", _MID_ONESIDED, buf[0:4])
-        k1 = model.F(x, xd0)
-        k2 = model.F(x + half * k1, xdm)
-        k3 = model.F(x + half * k2, xdm)
-        k4 = model.F(x + dt * k3, xd1)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_new)):
-            raise NonFiniteState(
-                f"integration blew up at t={k * dt:.6g}", t_last=k * dt
-            )
-        buf[j + 1] = x_new
+    # Step k reads the delayed nodes k-1..k+2; over a span of n_tau - 1
+    # steps all of them are stored before the span starts, so its delayed
+    # midpoints are gathered at once.
+    for k0 in range(0, n_steps, n_tau - 1):
+        k_end = min(k0 + n_tau - 1, n_steps)
+        ks = np.arange(k0, k_end)
+        weights = np.where((ks > 0)[:, None], _MID_CENTERED, _MID_ONESIDED)
+        lo = np.maximum(ks - 1, 0)
+        xdm = np.einsum("sk,sk...->s...", weights, buf[lo[:, None] + np.arange(4)])
+        for k in range(k0, k_end):
+            x, xm = buf[n_tau + k], xdm[k - k0]
+            k1 = model.F(x, buf[k])
+            k2 = model.F(x + half * k1, xm)
+            k3 = model.F(x + half * k2, xm)
+            k4 = model.F(x + dt * k3, buf[k + 1])
+            buf[n_tau + k + 1] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        span = buf[n_tau + k0 + 1 : n_tau + k_end + 1].reshape(k_end - k0, -1)
+        finite = np.isfinite(span).all(axis=1)
+        if not finite.all():
+            t_last = (k0 + int(np.argmin(finite))) * dt
+            raise NonFiniteState(f"integration blew up at t={t_last:.6g}", t_last=t_last)
 
     return Trajectory(t_start=-tau, dt=dt, states=buf)
 
@@ -325,8 +331,7 @@ def _choose_steps(system: DiscretizedSystem, T: float) -> int:
 
 def _by_magnitude(vals: np.ndarray) -> np.ndarray:
     """Order of descending magnitude.  A conjugate pair ties exactly, so its
-    upper member goes first: an unstable order would swap the pair between
-    iterations, which the convergence test reads as movement."""
+    upper member goes first, whatever order eig returned the pair in."""
     return np.lexsort((-vals.imag, -np.abs(vals)))
 
 
@@ -365,8 +370,10 @@ def monodromy_exponents(
 
     Subspace iteration over one-period sweeps (k+3 vectors, QR
     re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
-    fundamental matrix; convergence is declared when the leading Ritz
-    values move by at most RITZ_TOL relative (or after
+    fundamental matrix.  It stops at the first sweep W = Phi V after which
+    each of the k leading Ritz pairs (theta, y) of V^T W has the residual
+    ||W y - theta V y|| <= RITZ_TOL max(1, |theta|), so that it is an exact
+    eigenpair of a matrix that far from Phi (or after
     MONODROMY_MAX_ITERATIONS sweeps).  Every sweep records the head block
     of its basis, so the result carries the last one and eigenfunction
     profiles are read from it without sweeping again.  The unit multiplier
@@ -382,30 +389,28 @@ def monodromy_exponents(
         block[:, : start.shape[1]] = start
     V, _ = np.linalg.qr(block)
 
-    prev = None
     for iterations in range(1, MONODROMY_MAX_ITERATIONS + 1):
         W, head = _sweep_forward(plan, V, steps, store_head=True)
-        H = V.T @ W
-        vals, vecs = np.linalg.eig(H)
-        order = _by_magnitude(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if iterations == MONODROMY_MAX_ITERATIONS or prev is not None and np.all(
-            np.abs(vals[:k] - prev[:k]) <= RITZ_TOL * np.maximum(1.0, np.abs(vals[:k]))
+        vals, vecs = np.linalg.eig(V.T @ W)
+        order = _by_magnitude(vals)[:k]
+        multipliers, coeffs = vals[order], vecs[:, order]
+        vectors = V @ coeffs
+        # residual of each leading Ritz pair: an exact eigenpair of Phi + E
+        # with ||E|| equal to it, since V is orthonormal and coeffs unit
+        residual = np.linalg.norm(W @ coeffs - vectors * multipliers, axis=0)
+        if iterations == MONODROMY_MAX_ITERATIONS or np.all(
+            residual <= RITZ_TOL * np.maximum(1.0, np.abs(multipliers))
         ):
             break
-        prev = vals
         V, _ = np.linalg.qr(W)
 
-    ritz_vecs = V @ vecs
-    multipliers = vals[:k]
-    vectors = ritz_vecs[:, :k]
     exponents = np.log(multipliers.astype(complex)) / orbit.T
     order = np.argsort(-exponents.real)
     multipliers, exponents, vectors, coeffs = (
         multipliers[order],
         exponents[order],
         vectors[:, order],
-        vecs[:, :k][:, order],
+        coeffs[:, order],
     )
     unit_err = float(np.min(np.abs(multipliers - 1.0)))
     if unit_err > 1e-2:
@@ -541,14 +546,16 @@ def discretized_adjoint(
     left eigenspace of the monodromy map.  targets lists (mu, rho) pairs:
     mu = 0 with rho None gives the phase response; a nonzero exponent
     needs rho (from monodromy_eigenfunction) for the amplitude
-    normalization.  Each target follows the Ritz vector at multiplier
-    e^{mu T} and is periodic once that vector moves less than ADJOINT_TOL
-    between successive periods; its profile, whose first block is the
-    response, is read from the head block that period's sweep recorded.  The sweeps
-    do not depend on the targets, so each target gets what a one-target
-    run gives, and the iteration stops when the last target has converged;
-    NonConvergentAdjoint after ADJOINT_MAX_PERIODS.  The start block of
-    ADJOINT_SUBSPACE vectors is drawn from ADJOINT_SEED.
+    normalization.  Each target follows the Ritz pair (theta, c) at
+    multiplier e^{mu T}: with u = V c its unit real Ritz vector and W the
+    period's image of V, it has converged once
+    ||W c - theta u|| <= ADJOINT_TOL |theta|.  Its profile, whose first
+    block is the response, is read from the head block that same period's
+    sweep recorded.  The sweeps do not depend on the targets, so each
+    target gets what a one-target run gives, and the iteration stops when
+    the last target has converged; NonConvergentAdjoint after
+    ADJOINT_MAX_PERIODS.  The start block of ADJOINT_SUBSPACE vectors is
+    drawn from ADJOINT_SEED.
     """
     if any(mu != 0.0 and rho is None for mu, rho in targets):
         raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
@@ -558,7 +565,7 @@ def discretized_adjoint(
     rng = np.random.default_rng(ADJOINT_SEED)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
 
-    u_prev = [None] * len(targets)
+    vectors = np.empty((system.dim, len(targets)))
     responses = [None] * len(targets)
     for iterations in range(1, ADJOINT_MAX_PERIODS + 1):
         W, head = _sweep_backward(plan, V, steps, store_head=True)
@@ -571,25 +578,20 @@ def discretized_adjoint(
             u, c = _realify(V @ vecs[:, i], vecs[:, i])
             norm = np.linalg.norm(u)
             u, c = u / norm, c / norm
-            if u_prev[j] is not None and u @ u_prev[j] < 0:
-                u, c = -u, -c
-            if u_prev[j] is not None and np.linalg.norm(u - u_prev[j]) <= ADJOINT_TOL:
+            if np.linalg.norm(W @ c - vals[i] * u) <= ADJOINT_TOL * abs(vals[i]):
                 responses[j] = _adjoint_response(
                     orbit, mu, rho, head @ c, quad_nodes, iterations, vals[i]
                 )
-            u_prev[j] = u
+                vectors[:, j] = u
         if all(r is not None for r in responses):
             break
         V, _ = np.linalg.qr(W)
     else:
         raise NonConvergentAdjoint(
-            f"adjoint profile still moving after {ADJOINT_MAX_PERIODS} backward periods"
+            f"adjoint Ritz residual above {ADJOINT_TOL:g} after "
+            f"{ADJOINT_MAX_PERIODS} backward periods"
         )
-    return AdjointIteration(
-        responses=responses,
-        vectors=np.stack(u_prev, axis=-1),
-        iterations=iterations,
-    )
+    return AdjointIteration(responses=responses, vectors=vectors, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@ of K steps is then
 * interior: g_K applied to the block-start lag rows, plus one fixed
   (4K x 4K) injection of the K boundary states into the rows near them.
 
-K is the largest value up to _BLOCK with 4K + 8 <= N and is 1 on short
-chains, where a block is one plain step.  Against the unfactored loop the
-sweeps agree to at most 4e-14 relative to the largest entry of the swept
-block or of its head on the kotani chains N = 500, 1000, 2000 (1e-12 is
-tested the same way).
+K is the largest value up to _BLOCK = 64 with 4K + 8 <= N and is 1 on
+short chains, where a block is one plain step; the kotani chains
+N = 500, 1000, 2000 all sweep 64 steps a block.  Against the unfactored
+loop the sweeps agree to at most 4e-13 relative to the largest entry of
+the swept block or of its head on those chains, over one period with
+random blocks of 1 and 8 columns (1e-12 is tested the same way).
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ if TYPE_CHECKING:
 # temporaries (orbit readouts, boundary-map stages) whatever the number of
 # steps per period.
 _CHUNK = 256
-# Most RK4 steps in one block.  The two block matrices grow as K^2 (at 48,
-# 2 x 0.3 MB) while the per-block FFT is spread over K steps.
-_BLOCK = 48
+# Most RK4 steps in one block.  The two block matrices grow as K^2 (at 64,
+# 2 x 0.5 MB) while the per-block FFT is spread over K steps.
+_BLOCK = 64
 
 
 def _variational_tables(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: int):
@@ -91,9 +92,10 @@ def _rk4_taps(x: float) -> np.ndarray:
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length the FFT handles fast.
 
-    At N = 2000 this is 2250 where the next power of two is 4096; one
-    8-column kotani period took 0.05-0.065 s against 0.08-0.11 s with the
-    power of two, and 0.16-0.38 s at the unpadded (Bluestein) length.
+    At N = 2000 and K = 64 this is 2304 = 2^8 3^2 for n = 2253, where the
+    next power of two is 4096; one 8-column kotani period took 0.050-0.074 s
+    against 0.081-0.103 s with the power of two, and 0.20-0.29 s at the
+    unpadded (Bluestein) length.
     """
     while True:
         r = n

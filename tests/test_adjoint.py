@@ -131,3 +131,12 @@ class TestConservedPairing:
             kotani_orbit, kotani_z, tangent, 0.0, kotani_orbit.T
         )
         assert abs(v0 - vT) < 1e-12
+
+    def test_quadrature_rule_computed_once(self):
+        # one shared, read-only rule per node count, equal to numpy's
+        xi, w = adjoint._gauss_legendre(64)
+        ref = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(xi, ref[0]) and np.array_equal(w, ref[1])
+        assert adjoint._gauss_legendre(64)[0] is xi
+        assert not (xi.flags.writeable or w.flags.writeable)
+        assert adjoint._gauss_legendre(32)[0].size == 32

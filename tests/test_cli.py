@@ -160,6 +160,25 @@ class TestResponseCommand:
         assert code == EXIT_CONVERGENCE
         assert not (out / "q.csv").exists()
 
+    def test_overflowing_recorded_exponent(self, tmp_path, capsys):
+        # e^{-mu tau} overflows at mu = -500, so M(mu) is not finite there
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        (out / "exponents.json").write_text(json.dumps(
+            {"config_hash": h, "exponents": [{"mu": -500.0, "trivial": False}]}
+        ))
+        capsys.readouterr()
+        code = run(
+            "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteState: ")
+        assert "Traceback" not in err and "mu=-500" in err
+        assert not (out / "q.csv").exists()
+
     def test_no_exponent_recorded(self, tmp_path, capsys):
         # [-0.01, 0.05] holds only the trivial root, so the exponent file
         # exists but lists no nontrivial exponent for the amplitude response

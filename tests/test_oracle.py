@@ -7,6 +7,7 @@ from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
     NonConvergentAdjoint,
+    NonFiniteState,
     PeriodDrift,
 )
 from ddehb.model import ModelSpec
@@ -57,7 +58,84 @@ def shearing_spiral():
     return ModelSpec("spiral", 2, 0.5, F, DF0, DF1)
 
 
+def blowup_model():
+    """x' = x^2 + x(t - 1/4)/2: from a unit history it blows up near t = 0.9."""
+
+    def F(z0, z1):
+        return z0**2 + 0.5 * z1
+
+    def DF0(z0, z1):
+        return 2.0 * np.asarray(z0)[..., None]
+
+    def DF1(z0, z1):
+        return np.full(np.shape(z0) + (1,), 0.5)
+
+    return ModelSpec("blowup", 1, 0.25, F, DF0, DF1)
+
+
+def per_step_integrate(model, history, t_end, dt):
+    """Method-of-steps RK4 one step at a time, each new state checked at
+    once: the reference for the span-batched integrator."""
+    dt, n_tau = oracle._snap_step(model.tau, dt)
+    n_steps = int(np.ceil(t_end / dt))
+    x0 = np.asarray(history(0.0), dtype=float)
+    buf = np.empty((n_tau + n_steps + 1,) + x0.shape)
+    for j in range(n_tau + 1):
+        buf[j] = history((j - n_tau) * dt)
+    for k in range(n_steps):
+        j = n_tau + k
+        if k > 0:
+            xdm = np.einsum("k,k...->...", oracle._MID_CENTERED, buf[k - 1 : k + 3])
+        else:
+            xdm = np.einsum("k,k...->...", oracle._MID_ONESIDED, buf[0:4])
+        x = buf[j]
+        k1 = model.F(x, buf[k])
+        k2 = model.F(x + 0.5 * dt * k1, xdm)
+        k3 = model.F(x + 0.5 * dt * k2, xdm)
+        k4 = model.F(x + dt * k3, buf[k + 1])
+        buf[j + 1] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(buf[j + 1])):
+            raise NonFiniteState("reference blew up", t_last=k * dt)
+    return buf
+
+
 class TestIntegrateDde:
+    def test_spans_match_per_step_loop(self, kotani_model, cortico_model):
+        # a batch of kotani histories and the two-component cortico model
+        def batch(s):
+            s = np.asarray(s, dtype=float)
+            return np.cos(s[..., None] + np.linspace(0.0, 3.0, 4))[..., None]
+
+        def cortico(s):
+            s = np.asarray(s, dtype=float)
+            return np.stack([0.05 * np.cos(0.2 * s), 0.01 * np.sin(0.2 * s)], -1)
+
+        for model, history, t_end, dt in (
+            (kotani_model, batch, 8.0, kotani_model.tau / 16),
+            (cortico_model, cortico, 60.0, 0.04),
+        ):
+            traj = oracle.integrate_dde(model, history, t_end, dt)
+            assert np.array_equal(
+                traj.states, per_step_integrate(model, history, t_end, dt)
+            )
+
+    def test_blowup_names_first_bad_step(self):
+        model, dt = blowup_model(), 0.01
+        n_tau = oracle._snap_step(model.tau, dt)[1]
+
+        def history(s):
+            return np.ones(np.shape(np.asarray(s)) + (1,))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState) as ref:
+                per_step_integrate(model, history, 5.0, dt)
+            with pytest.raises(NonFiniteState) as got:
+                oracle.integrate_dde(model, history, 5.0, dt)
+        k_bad = round(ref.value.t_last / dt)
+        assert k_bad > n_tau and k_bad % (n_tau - 1)  # inside a later span
+        assert got.value.t_last == ref.value.t_last
+        assert f"t={ref.value.t_last:.6g}" in str(got.value)
+
     def test_exact_cycle_preserved(self, kotani_model):
         T = 2 * np.pi
         traj = oracle.integrate_dde(kotani_model, cos_history, 20 * T,
@@ -298,6 +376,72 @@ class TestWarmStart:
         _levels_against_cold(cortico_model, cortico_orbit, 512, 5)
 
 
+def _recording(monkeypatch, name):
+    """Wrap oracle.<name> so that every call appends its (V, W) to a list."""
+    calls = []
+    run = getattr(oracle, name)
+
+    def recording(plan, V, steps, **kwargs):
+        W, head = run(plan, V, steps, **kwargs)
+        calls.append((V, W))
+        return W, head
+
+    monkeypatch.setattr(oracle, name, recording)
+    return calls
+
+
+def _first_pass(flags):
+    """1-based index of the first True in flags, as a sweep count."""
+    return flags.index(True) + 1
+
+
+class TestStoppingRule:
+    """Each subspace iteration stops at the first sweep whose Ritz residuals
+    pass, computed from the (V, W = Phi V) pairs the sweeps were handed and
+    returned, and not one sweep later."""
+
+    @staticmethod
+    def forward_passes(V, W, k):
+        vals, vecs = np.linalg.eig(V.T @ W)
+        order = oracle._by_magnitude(vals)[:k]
+        vals, vecs = vals[order], vecs[:, order]
+        residual = np.linalg.norm(W @ vecs - (V @ vecs) * vals, axis=0)
+        return bool(np.all(residual <= oracle.RITZ_TOL * np.maximum(1.0, np.abs(vals))))
+
+    @staticmethod
+    def adjoint_passes(V, W, multiplier):
+        vals, vecs = np.linalg.eig(V.T @ W)
+        i = int(np.argmin(np.abs(vals - multiplier)))
+        u, c = oracle._realify(V @ vecs[:, i], vecs[:, i])
+        u, c = u / np.linalg.norm(u), c / np.linalg.norm(u)
+        return bool(np.linalg.norm(W @ c - vals[i] * u) <= oracle.ADJOINT_TOL * abs(vals[i]))
+
+    def test_monodromy_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
+        model, orbit = sweep_case
+        calls = _recording(monkeypatch, "_sweep_forward")
+        ofl = oracle.oracle_floquet(model, orbit, N=512, k=4)
+        for res in ofl.results:  # a random start, then two warm starts
+            flags = [self.forward_passes(V, W, 4) for V, W in calls[: res.iterations]]
+            del calls[: res.iterations]
+            assert res.iterations == _first_pass(flags) == len(flags)
+        assert calls == []
+
+    def test_adjoint_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
+        model, orbit = sweep_case
+        system = oracle.DiscretizedSystem(model, 128)
+        res = oracle.monodromy_exponents(system, orbit, k=3)
+        mu = float(res.leading_nontrivial().real)
+        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        calls = _recording(monkeypatch, "_sweep_backward")
+        adj = oracle.discretized_adjoint(system, orbit, targets)
+        periods = []
+        for (mu_j, _), r in zip(targets, adj.responses):
+            lam = float(np.exp(mu_j * orbit.T))
+            periods.append(_first_pass([self.adjoint_passes(V, W, lam) for V, W in calls]))
+            assert r.iterations == periods[-1]
+        assert len(calls) == adj.iterations == max(periods)
+
+
 def _jac_apply(DF0, DF1, c, V):
     """J V for block states V of shape (N+1, m, k)."""
     out = np.empty_like(V)
@@ -401,8 +545,8 @@ class TestSweepPlan:
     @pytest.mark.parametrize("N", [2, 3, 5, 7, 8, 64, 257, 500])
     def test_matches_unfactored_rk4(self, sweep_case, N, backward):
         # from N = 16 on a block holds K > 1 steps; at N = 257 and 500 it
-        # holds 48, which divides neither period (1028 and 2000 steps on
-        # kotani), so the last block of each period is partial
+        # holds 62 and 64, which divide neither period (1028 and 2000 steps
+        # on kotani), so the last block of each period is partial
         model, orbit = sweep_case
         system = oracle.DiscretizedSystem(model, N)
         steps = oracle._choose_steps(system, orbit.T)
