@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 from .adjoint import (
     ResponseCurve,
     build_adjoint_matrix,
-    normalize_amplitude,
-    normalize_phase,
     solve_response,
 )
 from .cycle import (
@@ -91,8 +89,6 @@ __all__ = [
     "kotani_scalar",
     "make_model",
     "monodromy_exponents",
-    "normalize_amplitude",
-    "normalize_phase",
     "oracle_eigenfunction",
     "oracle_floquet",
     "oracle_responses",

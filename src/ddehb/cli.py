@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 convergence failure,
 4 validation failure, 5 I/O failure (including stale inputs whose
-manifest hash no longer matches the active configuration).
+manifest hash no longer matches the active configuration, and malformed
+input files).
 
 Output files are plot-ready CSV (time column first, then components,
 full 17-significant-digit precision) plus JSON metadata; every file
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, floquet, pipeline, validation
 from .config import RunConfig, load_config
 from .cycle import PeriodicOrbit, solve_cycle
-from .errors import ConfigError, DdehbError, NoExponentInRange
+from .errors import ConfigError, DdehbError, MalformedInput, NoExponentInRange
 from .model import verify_jacobians
 from .spectral import coeffs_to_samples
 
@@ -92,15 +93,21 @@ def _load_orbit(out_dir: Path, cfg: RunConfig) -> PeriodicOrbit:
             f"orbit file {path} was produced under a different configuration "
             f"({data.get('config_hash')} != {cfg.config_hash()})"
         )
+    try:
+        anchor, residual, iterations = (
+            data[k] for k in ("anchor_component", "residual_norm", "iterations")
+        )
+    except KeyError as exc:
+        raise MalformedInput(f"orbit file {path} lacks the field {exc}") from None
     return PeriodicOrbit(
         model=pipeline.build_model(cfg),
         T=series.T,
         M=series.M,
-        anchor_component=data["anchor_component"],
+        anchor_component=anchor,
         X=coeffs_to_samples(series),
         series=series,
-        residual_norm=data["residual_norm"],
-        iterations=data["iterations"],
+        residual_norm=residual,
+        iterations=iterations,
     )
 
 
@@ -204,9 +211,17 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
         )
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise MalformedInput(f"exponent file {path} does not hold a JSON object")
     if data.get("config_hash") != cfg.config_hash():
         raise StaleInput(f"exponent file {path} is stale for this configuration")
-    nontrivial = [e["mu"] for e in data["exponents"] if not e["trivial"]]
+    try:
+        nontrivial = [float(e["mu"]) for e in data["exponents"] if not e["trivial"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(
+            f"exponent file {path}: each entry needs a numeric 'mu' and 'trivial' "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
     if not nontrivial:
         raise NoExponentInRange(
             f"no nontrivial Floquet exponent recorded in {path} for the scan range "
@@ -224,7 +239,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     if kinds in ("both", "amplitude"):
         mu = _load_leading_exponent(out_dir, cfg)
         mode = floquet.eigenfunction(orbit, mu)
-    run = pipeline.run_responses(cfg, orbit, mu, mode, kinds)
+    run = pipeline.run_responses(orbit, mu, mode, kinds)
 
     h = cfg.config_hash()
     tg = orbit.grid.sample_times
@@ -300,7 +315,8 @@ def cmd_export(cfg: RunConfig) -> int:
 def _classify_error(exc: Exception) -> int:
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, (StaleInput, FileNotFoundError, OSError, json.JSONDecodeError)):
+    if isinstance(exc, (StaleInput, MalformedInput, FileNotFoundError, OSError,
+                        json.JSONDecodeError)):
         return EXIT_IO
     if isinstance(exc, DdehbError):  # every other solver or oracle failure
         return EXIT_CONVERGENCE

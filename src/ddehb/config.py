@@ -67,11 +67,6 @@ class ScanConfig:
 
 
 @dataclass
-class ResponseConfig:
-    quadrature_nodes: int = 64
-
-
-@dataclass
 class OracleConfig:
     N: int = 2000
     levels: int = 3
@@ -92,7 +87,6 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: SeedConfig = field(default_factory=SeedConfig)
     scan: ScanConfig = field(default_factory=ScanConfig)
-    response: ResponseConfig = field(default_factory=ResponseConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     rng_seed: int = 0
@@ -114,7 +108,6 @@ _SECTIONS = {
     "solver": SolverConfig,
     "seed": SeedConfig,
     "scan": ScanConfig,
-    "response": ResponseConfig,
     "oracle": OracleConfig,
     "output": OutputConfig,
 }
@@ -135,10 +128,23 @@ _REMOVED = {
         "e^{-mu tau} factor on its delay integral the amplitude pairing is not "
         "constant in its base time, so the scale it set was not the paper's"
     ),
+    ("response", "quadrature_nodes"): (
+        "response.quadrature_nodes was removed: the pairing's delay integral "
+        "always uses the 64-node Gauss-Legendre rule (adjoint.QUAD_NODES), and "
+        "16 to 256 nodes give the same pairing to within 8e-15 on both shipped "
+        "configs"
+    ),
 }
 
 
+def _finite_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_field(section: str, key: str, value, default):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
     expected = _SCALAR_TYPES.get((section, key))
     if expected is not None:
         if not isinstance(value, expected):
@@ -177,6 +183,9 @@ def config_from_dict(data: dict) -> RunConfig:
         if section == "rng_seed":
             cfg.rng_seed = _check_field("", "rng_seed", value, 0)
             continue
+        for key in value if isinstance(value, dict) else ():
+            if (section, key) in _REMOVED:
+                raise ConfigError(_REMOVED[section, key])
         if section not in _SECTIONS:
             raise ConfigError(f"unknown configuration section {section!r}")
         if not isinstance(value, dict):
@@ -185,9 +194,7 @@ def config_from_dict(data: dict) -> RunConfig:
         defaults = _SECTIONS[section]()
         for key, v in value.items():
             if not hasattr(defaults, key):
-                raise ConfigError(
-                    _REMOVED.get((section, key), f"unknown key {section}.{key}")
-                )
+                raise ConfigError(f"unknown key {section}.{key}")
             setattr(target, key, _check_field(section, key, v, getattr(defaults, key)))
     _validate_semantics(cfg)
     return cfg
@@ -202,8 +209,7 @@ def _validate_semantics(cfg: RunConfig):
             f"unknown model {cfg.model.name!r}; built-ins: {sorted(BUILTIN_MODELS)}"
         )
     for key, value in cfg.model.params.items():
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
+        if not _finite_real(value):
             raise ConfigError(f"model.params.{key}: expected a real number, got {value!r}")
     if cfg.model.params.get("tau", 0.0) < 0:
         raise ConfigError(f"model.params.tau must be >= 0, got {cfg.model.params['tau']}")
@@ -235,6 +241,12 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {cfg.seed.kind!r}")
     if cfg.seed.kind == "file" and not cfg.seed.path:
         raise ConfigError("seed.kind=file requires seed.path")
+    amp = cfg.seed.amplitude
+    if len(amp) not in (1, model.m) or not all(map(_finite_real, amp)):
+        counts = "1" if model.m == 1 else f"1 or {model.m}"
+        raise ConfigError(
+            f"seed.amplitude must hold {counts} finite real numbers, got {amp!r}"
+        )
     if cfg.seed.period_guess <= 0:
         raise ConfigError("seed.period_guess must be positive")
     if cfg.seed.observe_time is not None and not cfg.seed.observe_time > 0:
@@ -269,8 +281,6 @@ def _validate_semantics(cfg: RunConfig):
             f"oracle.prc_periods must exceed the {PRC_WINDOW_PERIODS} trailing "
             f"periods the phase shift is read over, got {cfg.oracle.prc_periods}"
         )
-    if cfg.response.quadrature_nodes < 2:
-        raise ConfigError("response.quadrature_nodes must be >= 2")
 
 
 def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None,

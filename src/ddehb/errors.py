@@ -9,6 +9,10 @@ class ConfigError(DdehbError):
     """Invalid or inconsistent run configuration."""
 
 
+class MalformedInput(DdehbError):
+    """An input file lacks a field or holds one of the wrong form."""
+
+
 class MaxIterations(DdehbError):
     """Nonlinear solve did not converge within the iteration budget."""
 

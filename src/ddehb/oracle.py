@@ -15,8 +15,9 @@ assembly), so that agreement is evidence rather than tautology:
   subspace sweeps, which is what repeated backward periods amount to;
   one iteration serves the phase and the amplitude target) yielding
   oracle phase/amplitude response curves after the continuum
-  normalization (the shared convention `adjoint.pairing_functional`),
-  plus direct pulse-perturbation PRC measurement.
+  normalization (the shared convention `adjoint.normalization`, applied
+  to the oracle's own tangent and eigenfunction), plus direct
+  pulse-perturbation PRC measurement.
 
 Both subspace iterations stop at the first sweep whose Ritz pairs have
 small residuals against that sweep's own image, the usual test of
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import pairing_functional  # the paper's normalization, no operator
+from .adjoint import normalization  # the paper's normalization, no operator
 from .cycle import CycleSeed, PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
@@ -87,10 +88,11 @@ _MID_CENTERED, _MID_ONESIDED = _lagrange4(np.array([1.5, 0.5]))
 def _cubic(values: np.ndarray, s: np.ndarray, periodic: bool) -> np.ndarray:
     """Piecewise-cubic readout of uniform samples values (n, ...) at the
     sample coordinates s.  The 4-point stencil is clamped at the ends, or,
-    if periodic, wraps around (values[-1] then repeats values[0])."""
+    if periodic, wraps around: the n samples cover one period, and sample
+    n is sample 0 again."""
     j = np.floor(s).astype(int)
     if periodic:
-        n = values.shape[0] - 1  # samples per period
+        n = values.shape[0]
         j0 = np.clip(j, 0, n - 1) - 1
         idx = (j0[:, None] + np.arange(4)) % n
     else:
@@ -453,11 +455,11 @@ class _PeriodicInterp:
     """Cubic interpolant of dense uniform samples over one period."""
 
     T: float
-    values: np.ndarray  # (steps+1, m), endpoint duplicated
+    values: np.ndarray  # (steps, m) at t = 0, h, ..., T - h
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        h = self.T / (self.values.shape[0] - 1)
+        h = self.T / self.values.shape[0]
         return _cubic(self.values, np.mod(t, self.T) / h, periodic=True)
 
 
@@ -470,11 +472,9 @@ def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInte
     lam = np.exp(mu * result.T)
     i = int(np.argmin(np.abs(result.multipliers - lam)))
     _, c = _realify(result.vectors[:, i], result.coeffs[:, i])
-    t = np.arange(result.steps + 1) * (result.T / result.steps)
-    rho = np.exp(-mu * t)[:, None] * (result.head @ c)
-    rho = _mode_gauge(rho)
-    rho[-1] = rho[0]  # enforce exact periodicity of the stored profile
-    return _PeriodicInterp(T=result.T, values=rho)
+    t = np.arange(result.steps) * (result.T / result.steps)
+    rho = np.exp(-mu * t)[:, None] * (result.head @ c)[:-1]
+    return _PeriodicInterp(T=result.T, values=_mode_gauge(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,6 @@ def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInte
 class OracleResponse:
     interp: _PeriodicInterp
     iterations: int
-    multiplier: complex
 
     def value(self, t) -> np.ndarray:
         return self.interp(t)
@@ -502,25 +501,24 @@ def _orbit_tangent(orbit):
     return xdot
 
 
-def _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier) -> OracleResponse:
-    """Response from a periodic curve sampled on [0, T], scaled so that its
-    pairing with the cycle tangent is omega (mu = 0, phase) or with the
-    eigenfunction rho is 1 (amplitude)."""
+def _response(orbit, curve, mu, rho, iterations) -> OracleResponse:
+    """Response from a periodic curve sampled uniformly over one period,
+    scaled so that its pairing with the cycle tangent is omega (mu = 0,
+    phase) or with the eigenfunction rho is 1 (amplitude)."""
     partner, target = (_orbit_tangent(orbit), orbit.omega) if mu == 0.0 else (rho, 1.0)
     raw = _PeriodicInterp(T=orbit.T, values=curve)
-    c = pairing_functional(orbit, raw, partner, mu, quad_nodes=quad_nodes)
-    interp = _PeriodicInterp(T=orbit.T, values=curve * (target / c))
-    return OracleResponse(interp, iterations, complex(multiplier))
+    scale = normalization(orbit, raw, partner, mu, target)
+    return OracleResponse(_PeriodicInterp(T=orbit.T, values=curve * scale), iterations)
 
 
-def _adjoint_response(orbit, mu, rho, w0, quad_nodes, iterations, multiplier):
+def _adjoint_response(orbit, mu, rho, w0, iterations):
     """Response q(t) = e^{mu t} w(t) (z for mu = 0) from the head profile w0
-    of an adjoint vector, sampled at the steps+1 nodes of one period."""
+    of an adjoint vector, sampled at the steps+1 nodes of one period; the
+    last node repeats the first and is dropped."""
     steps = w0.shape[0] - 1
-    t = np.arange(steps + 1) * (orbit.T / steps)
-    curve = np.exp(mu * t)[:, None] * w0
-    curve[-1] = curve[0]
-    return _response(orbit, curve, mu, rho, quad_nodes, iterations, multiplier)
+    t = np.arange(steps) * (orbit.T / steps)
+    curve = np.exp(mu * t)[:, None] * w0[:-1]
+    return _response(orbit, curve, mu, rho, iterations)
 
 
 @dataclass
@@ -537,7 +535,6 @@ def discretized_adjoint(
     system: DiscretizedSystem,
     orbit: PeriodicOrbit,
     targets,
-    quad_nodes: int = 64,
 ) -> AdjointIteration:
     """Oracle response curves from backward adjoint integration.
 
@@ -579,9 +576,7 @@ def discretized_adjoint(
             norm = np.linalg.norm(u)
             u, c = u / norm, c / norm
             if np.linalg.norm(W @ c - vals[i] * u) <= ADJOINT_TOL * abs(vals[i]):
-                responses[j] = _adjoint_response(
-                    orbit, mu, rho, head @ c, quad_nodes, iterations, vals[i]
-                )
+                responses[j] = _adjoint_response(orbit, mu, rho, head @ c, iterations)
                 vectors[:, j] = u
         if all(r is not None for r in responses):
             break
@@ -688,9 +683,8 @@ def _level_sizes(N: int, levels: int) -> list[int]:
 
 
 def _combine_profiles(interps, weights, T) -> _PeriodicInterp:
-    t = np.linspace(0.0, T, PROFILE_POINTS + 1)
+    t = np.linspace(0.0, T, PROFILE_POINTS + 1)[:-1]
     acc = sum(w * interp(t) for w, interp in zip(weights, interps))
-    acc[-1] = acc[0]
     return _PeriodicInterp(T=T, values=acc)
 
 
@@ -777,12 +771,10 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
     ]
     combined = _combine_profiles(aligned, weights, orbit.T)
     combined.values[:] = _mode_gauge(combined.values)
-    combined.values[-1] = combined.values[0]
     return combined
 
 
-def _extrapolated_responses(orbit, systems, level_targets, targets,
-                            quad_nodes) -> list[OracleResponse]:
+def _extrapolated_responses(orbit, systems, level_targets, targets) -> list[OracleResponse]:
     """Richardson-extrapolated response curves, one per target (mu, rho).
 
     Each chain level runs one backward subspace iteration for its own
@@ -791,18 +783,15 @@ def _extrapolated_responses(orbit, systems, level_targets, targets,
     """
     weights = _RICHARDSON_WEIGHTS[len(systems)]
     levels = [
-        discretized_adjoint(sys, orbit, tg, quad_nodes=quad_nodes)
+        discretized_adjoint(sys, orbit, tg)
         for sys, tg in zip(systems, level_targets)
     ]
     out = []
     for j, (mu, rho) in enumerate(targets):
         curves = [lvl.responses[j] for lvl in levels]
         combined = _combine_profiles([c.interp for c in curves], weights, orbit.T)
-        out.append(_response(
-            orbit, combined.values, mu, rho, quad_nodes,
-            iterations=max(c.iterations for c in curves),
-            multiplier=curves[-1].multiplier,
-        ))
+        out.append(_response(orbit, combined.values, mu, rho,
+                             iterations=max(c.iterations for c in curves)))
     return out
 
 
@@ -810,7 +799,6 @@ def oracle_responses(
     orbit: PeriodicOrbit,
     ofl: OracleFloquet,
     rho: _PeriodicInterp,
-    quad_nodes: int = 64,
 ) -> tuple[OracleResponse, OracleResponse]:
     """Extrapolated oracle phase and amplitude responses, the latter at the
     leading exponent, from one backward iteration per chain level of ofl.
@@ -828,6 +816,5 @@ def oracle_responses(
         rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
         level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
     targets = [(0.0, None), (ofl.leading_nontrivial(), rho)]
-    z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets,
-                                   quad_nodes)
+    z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets)
     return z, q

@@ -10,7 +10,7 @@ import numpy as np
 from . import adjoint, floquet, oracle
 from .config import RunConfig
 from .cycle import CycleSeed, PeriodicOrbit, SolveOptions, seed_from_ansatz
-from .errors import ConfigError
+from .errors import ConfigError, MalformedInput
 from .model import ModelSpec, make_model
 from .spectral import FourierSeries
 
@@ -34,14 +34,20 @@ def read_orbit_file(path):
     """The payload of an orbit_coeffs.json file and its Fourier series.
 
     "coeffs" holds one [re, im] pair per harmonic p = -M..M, grouped per
-    component, as `ddehb cycle` writes it.
+    component, as `ddehb cycle` writes it; MalformedInput if "T" or
+    "coeffs" is missing or not of that form.
     """
     with open(path) as fh:
         data = json.load(fh)
-    coeffs = np.array(
-        [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
-    ).T
-    return data, FourierSeries(data["T"], coeffs)
+    try:
+        coeffs = np.array(
+            [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
+        ).T
+        return data, FourierSeries(float(data["T"]), coeffs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(
+            f"orbit file {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
@@ -103,20 +109,17 @@ class ResponseRun:
 
 
 def run_responses(
-    cfg: RunConfig,
     orbit: PeriodicOrbit,
     mu: float | None,
     mode: floquet.FloquetMode | None,
     kinds: str = "both",
 ) -> ResponseRun:
-    nodes = cfg.response.quadrature_nodes
     z = None
     q = None
     if kinds in ("both", "phase"):
-        z = adjoint.solve_response(orbit, 0.0, "phase", quad_nodes=nodes)
+        z = adjoint.solve_response(orbit, 0.0, "phase")
     if kinds in ("both", "amplitude"):
         if mu is None or mode is None:
             raise ConfigError("amplitude response requires a refined nontrivial exponent")
-        q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode,
-                                   quad_nodes=nodes)
+        q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode)
     return ResponseRun(z=z, q=q)

@@ -54,12 +54,9 @@ def _since(t0, share=1.0):
     return share * (time.perf_counter() - t0)
 
 
-def _pairing_spread(orbit, curve, partner, mu, nodes):
+def _pairing_spread(orbit, curve, partner, mu):
     t0s = np.arange(8) * orbit.T / 8.0
-    vals = [
-        adjoint.pairing_functional(orbit, curve, partner, mu, t0, quad_nodes=nodes)
-        for t0 in t0s
-    ]
+    vals = [adjoint.pairing_functional(orbit, curve, partner, mu, t0) for t0 in t0s]
     return max(vals) - min(vals)
 
 
@@ -178,9 +175,8 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
     results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - mu2), 1e-6,
                           _since(t0), detail=f"mu={st.mu:.6f}"))
 
-    nodes = cfg.response.quadrature_nodes
     mode = floquet.eigenfunction(st.orbit, st.mu)
-    run = pipeline.run_responses(cfg, st.orbit, st.mu, mode)
+    run = pipeline.run_responses(st.orbit, st.mu, mode)
     z, q = run.z, run.q
     for kind, curve in (("phase", z), ("amplitude", q)):
         results.append(_check(f"{prefix}.normalization_{kind}",
@@ -188,7 +184,7 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
     for kind, curve, partner in (("phase", z, st.orbit.series.derivative()),
                                  ("amplitude", q, mode)):
         t0 = time.perf_counter()
-        spread = _pairing_spread(st.orbit, curve, partner, curve.mu, nodes)
+        spread = _pairing_spread(st.orbit, curve, partner, curve.mu)
         results.append(_check(f"{prefix}.pairing_{kind}", spread, 1e-6, _since(t0)))
     return mode, z, q
 
@@ -209,8 +205,7 @@ def _oracle_floquet(results, prefix, cfg: RunConfig, st: _Stage, exponent_tol):
     return ofl
 
 
-def _oracle_curve_rows(results, prefix, cfg: RunConfig, st: _Stage, ofl, spectral,
-                       tol, relative):
+def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tol, relative):
     """Rows for the oracle eigenfunction, z and q: the largest sup-norm gap of
     a component to spectral = (mode, z, q), relative to that component's
     peak if relative.  rho and q are sign-aligned; the pairing fixes z's sign."""
@@ -230,8 +225,7 @@ def _oracle_curve_rows(results, prefix, cfg: RunConfig, st: _Stage, ofl, spectra
                           _since(t0)))
     # one backward iteration per chain level yields both z and q: split its time
     t0 = time.perf_counter()
-    z_o, q_o = oracle.oracle_responses(st.orbit, ofl, rho_o,
-                                       quad_nodes=cfg.response.quadrature_nodes)
+    z_o, q_o = oracle.oracle_responses(st.orbit, ofl, rho_o)
     results.append(_check(f"{prefix}.oracle_z", gap(z_o.value, z.Q, align=False), tol,
                           _since(t0, 0.5)))
     results.append(_check(f"{prefix}.oracle_q", gap(q_o.value, q.Q), tol, _since(t0, 0.5)))
@@ -252,7 +246,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     # oracle block (criterion: Fig. 1 reproduction within 1e-3, <= 5 min)
     t_oracle = time.perf_counter()
     ofl = _oracle_floquet(results, "kotani", cfg, st, 1e-2)
-    _oracle_curve_rows(results, "kotani", cfg, st, ofl, (mode, z, q), 1e-3, False)
+    _oracle_curve_rows(results, "kotani", st, ofl, (mode, z, q), 1e-3, False)
     oracle_seconds = _since(t_oracle)
     results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
@@ -301,7 +295,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     # oracle agreement: exponent within 10%; eigenfunction, z and q components
     # within 2% relative sup-norm
     ofl = _oracle_floquet(results, "cortico", cfg, st, 0.1)
-    _oracle_curve_rows(results, "cortico", cfg, st, ofl, spectral, 0.02, True)
+    _oracle_curve_rows(results, "cortico", st, ofl, spectral, 0.02, True)
     return results
 
 

@@ -59,7 +59,7 @@ def kotani_z_oracle_fine(kotani_model, kotani_orbit):
     # extrapolation residual, so these chains are finer
     systems = [oracle.DiscretizedSystem(kotani_model, n) for n in (1000, 2000, 4000)]
     phase = [(0.0, None)]
-    (z,) = oracle._extrapolated_responses(kotani_orbit, systems, [phase] * 3, phase, 64)
+    (z,) = oracle._extrapolated_responses(kotani_orbit, systems, [phase] * 3, phase)
     return z
 
 

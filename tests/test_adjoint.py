@@ -5,6 +5,17 @@ from ddehb import adjoint
 from ddehb.errors import NormalizationSingular, NotSingular
 
 
+def normalize_phase(z, orbit):
+    """z rescaled so its pairing with the cycle tangent is omega."""
+    tangent = orbit.series.derivative()
+    return z * adjoint.normalization(orbit, z, tangent, 0.0, orbit.omega)
+
+
+def normalize_amplitude(q, orbit, mu, mode):
+    """q rescaled so its pairing with the eigenfunction is 1."""
+    return q * adjoint.normalization(orbit, q, mode, mu, 1.0)
+
+
 class TestAdjointMatrix:
     def test_singular_at_zero(self, kotani_orbit):
         A = adjoint.build_adjoint_matrix(kotani_orbit, 0.0)
@@ -56,7 +67,7 @@ class TestSolveResponse:
 
 class TestNormalizePhase:
     def test_scale_invariance(self, kotani_orbit, kotani_z):
-        doubled = adjoint.normalize_phase(2.0 * kotani_z.Q, kotani_orbit)
+        doubled = normalize_phase(2.0 * kotani_z.Q, kotani_orbit)
         np.testing.assert_allclose(doubled, kotani_z.Q, atol=1e-12)
 
     def test_identity_value_for_unit_frequency(self, kotani_orbit, kotani_z):
@@ -66,14 +77,15 @@ class TestNormalizePhase:
         )
         assert abs(value - 1.0) < 1e-8
 
-    def test_quadrature_node_insensitivity(self, kotani_orbit, kotani_z):
-        z32 = adjoint.normalize_phase(kotani_z.Q, kotani_orbit, quad_nodes=32)
-        z64 = adjoint.normalize_phase(kotani_z.Q, kotani_orbit, quad_nodes=64)
-        assert np.abs(z32 - z64).max() < 1e-10
+    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_z):
+        assert adjoint.QUAD_NODES == 64
+        monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
+        z256 = adjoint.solve_response(kotani_orbit, 0.0, "phase")
+        assert np.abs(z256.Q - kotani_z.Q).max() < 1e-10
 
     def test_zero_curve_rejected(self, kotani_orbit):
         with pytest.raises(NormalizationSingular):
-            adjoint.normalize_phase(np.zeros_like(kotani_orbit.X), kotani_orbit)
+            normalize_phase(np.zeros_like(kotani_orbit.X), kotani_orbit)
 
 
 class TestNormalizeAmplitude:
@@ -88,10 +100,17 @@ class TestNormalizeAmplitude:
 
         mode0 = floquet.eigenfunction(kotani_orbit, 0.0)  # xdot / max|xdot|
         mx = np.linalg.norm(kotani_orbit.xdot_samples, axis=1).max()
-        q = adjoint.normalize_amplitude(kotani_z.Q, kotani_orbit, 0.0, mode0)
+        q = normalize_amplitude(kotani_z.Q, kotani_orbit, 0.0, mode0)
         expected = kotani_z.Q * (mx / kotani_orbit.omega)
         sign = np.sign(np.sum(q * expected))
         assert np.abs(sign * q - expected).max() < 1e-8
+
+    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_mu,
+                                           kotani_mode, kotani_q):
+        monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
+        q256 = adjoint.solve_response(kotani_orbit, kotani_mu, "amplitude",
+                                      floquet_mode=kotani_mode)
+        assert np.abs(q256.Q - kotani_q.Q).max() < 1e-10
 
 
 class TestConservedPairing:

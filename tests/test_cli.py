@@ -217,6 +217,66 @@ class TestResponseCommand:
         assert not (out / "q.csv").exists()
 
 
+class TestMalformedInput:
+    """Input files that lack a field or hold one of the wrong form exit 5
+    with a typed error, not a traceback."""
+
+    @staticmethod
+    def expect_malformed(capsys, *argv):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedInput: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["T", "coeffs", "anchor_component"])
+    def test_orbit_file_without_field(self, tmp_path, capsys, field):
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        del data[field]
+        path.write_text(json.dumps(data))
+        self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG, "--out", str(out))
+        assert not (out / "exponents.json").exists()
+
+    def test_seed_coeffs_not_pairs(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(first))
+        path = first / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["coeffs"] = [[re for re, _ in comp] for comp in data["coeffs"]]
+        path.write_text(json.dumps(data))
+        self.expect_malformed(
+            capsys, "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path / "again"),
+            "--seed-from", "file", "--override", f"seed.path={path}",
+        )
+        assert not (tmp_path / "again" / "orbit_coeffs.json").exists()
+
+    @pytest.mark.parametrize("field", ["mu", "trivial"])
+    def test_exponent_entry_without_field(self, tmp_path, capsys, field):
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        entry = {"mu": -0.03, "trivial": False}
+        del entry[field]
+        (out / "exponents.json").write_text(
+            json.dumps({"config_hash": h, "exponents": [entry]})
+        )
+        self.expect_malformed(
+            capsys, "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert not (out / "q.csv").exists()
+
+    def test_exponent_file_not_an_object(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        (out / "exponents.json").write_text("[1, 2]")
+        self.expect_malformed(capsys, "response", "--config", KOTANI_CFG, "--out", str(out))
+        assert not (out / "z.csv").exists()
+
+
 class TestExportPipeline:
     def test_kotani_full_pipeline(self, tmp_path):
         out = tmp_path / "run"
@@ -364,6 +424,18 @@ class TestConfigValidation:
         assert "e^{-mu tau}" in err and "base time" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["kotani_fig1.yaml", "cortico_fig2.yaml"])
+    def test_removed_quadrature_nodes(self, tmp_path, capsys, name):
+        code = run(
+            "export", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
+            "--override", "response.quadrature_nodes=32",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "quadrature_nodes was removed" in err
+        assert "adjoint.QUAD_NODES" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "name, override",
         [
@@ -375,6 +447,15 @@ class TestConfigValidation:
             ("cortico_fig2.yaml", "seed.dt=-0.04"),
             ("cortico_fig2.yaml", "seed.observe_time=-1.0"),
             ("cortico_fig2.yaml", "solver.anchor_component=2"),
+            # non-finite numbers and seed amplitudes of the wrong form
+            ("kotani_fig1.yaml", "oracle.N=.inf"),
+            ("kotani_fig1.yaml", "solver.M=.nan"),
+            ("cortico_fig2.yaml", "seed.transient=.nan"),
+            ("kotani_fig1.yaml", "solver.tolerance=.nan"),
+            ("kotani_fig1.yaml", "seed.amplitude=[a]"),
+            ("kotani_fig1.yaml", "seed.amplitude=[]"),
+            ("kotani_fig1.yaml", "seed.amplitude=[0.8,0.1,0.2]"),
+            ("cortico_fig2.yaml", "seed.amplitude=[0.05,.inf]"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):
@@ -386,7 +467,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert override.partition("=")[0] in err  # the message names the key
-        assert not (tmp_path / "validation_report.json").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_bad_oracle_levels(self, tmp_path):
         assert run(

@@ -8,6 +8,7 @@ from ddehb.errors import (
     NoOscillationDetected,
     NonConvergentAdjoint,
     NonFiniteState,
+    NormalizationSingular,
     PeriodDrift,
 )
 from ddehb.model import ModelSpec
@@ -185,7 +186,7 @@ class TestCubicReadout:
 
     def test_periodic_wraps_past_the_period(self):
         T, steps = 2.0 * np.pi, 64
-        grid = np.arange(steps + 1) * (T / steps)
+        grid = np.arange(steps) * (T / steps)
         interp = oracle._PeriodicInterp(T=T, values=np.sin(grid)[:, None])
         t = np.linspace(0.0, T, 97)
         for k in (1, 3):
@@ -639,9 +640,7 @@ class TestHeadReadout:
             u = adj.vectors[:, j]
             _, head = sweep._sweep_backward(plan, u[:, None], steps, store_head=True)
             r = adj.responses[j]
-            ref = oracle._adjoint_response(
-                orbit, mu_j, rho, head[..., 0], 64, r.iterations, r.multiplier
-            )
+            ref = oracle._adjoint_response(orbit, mu_j, rho, head[..., 0], r.iterations)
             assert _rel_gap(r.interp.values, ref.interp.values) <= SWEEP_RTOL
 
 
@@ -655,6 +654,13 @@ class TestDiscretizedAdjoint:
             for t0 in np.arange(8) * kotani_orbit.T / 8
         ]
         assert max(vals) - min(vals) < 1e-6
+
+    @pytest.mark.parametrize("mu", [0.0, -0.03])
+    def test_zero_curve_rejected(self, kotani_orbit, mu):
+        # a vanishing pairing is an error, not a curve scaled to NaN
+        rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
+        with pytest.raises(NormalizationSingular):
+            oracle._response(kotani_orbit, np.zeros((64, 1)), mu, rho, 1)
 
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the chain decouples and the head block must solve the
