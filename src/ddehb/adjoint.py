@@ -114,7 +114,7 @@ def pairing_functional(
     weights = 0.5 * model.tau * w
 
     s = t0 + model.tau + zeta
-    DF1 = model.DF1(orbit.value(s), orbit.value(s - model.tau))
+    DF1 = model.jacobians(orbit.value(s), orbit.value(s - model.tau))[1]
     integrand = np.einsum("ni,nij,nj->n", q(s), DF1, p(t0 + zeta))
     return head + np.exp(-mu * model.tau) * float(weights @ integrand)
 

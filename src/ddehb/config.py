@@ -237,6 +237,8 @@ def _validate_semantics(cfg: RunConfig):
         )
     if cfg.solver.tolerance <= 0:
         raise ConfigError("solver.tolerance must be positive")
+    if cfg.solver.max_iterations < 1:
+        raise ConfigError(f"solver.max_iterations must be >= 1, got {cfg.solver.max_iterations}")
     if cfg.seed.kind not in ("ansatz", "oracle", "file"):
         raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {cfg.seed.kind!r}")
     if cfg.seed.kind == "file" and not cfg.seed.path:
@@ -255,6 +257,11 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError("scan.points must be >= 2")
     if not cfg.scan.mu_max > cfg.scan.mu_min:
         raise ConfigError("scan.mu_max must exceed scan.mu_min")
+    if not cfg.scan.exclude_zero_radius > 0:
+        raise ConfigError(
+            "scan.exclude_zero_radius must be positive: it sets the trivial root "
+            f"apart from the nontrivial ones, got {cfg.scan.exclude_zero_radius}"
+        )
     if cfg.oracle.N < 4:
         raise ConfigError("oracle.N must be >= 4")
     if cfg.oracle.levels not in (1, 2, 3):

@@ -8,10 +8,11 @@ gives m(2M+1) equations
 
 closed by one phase-anchor equation: the chosen state component has
 vanishing time derivative at t = 0.  The square system is solved by
-damped (Levenberg-Marquardt) least squares with an analytic Jacobian.
+damped (Levenberg-Marquardt) least squares with an exact Jacobian: the
+model's partials come from the complex step (ModelSpec.jacobians), and
 D0 and Delta depend on T only through omega_p = 2 pi p / T, so
 dD0/dT = -D0/T and dDelta/dT = (tau/T) D0 Delta, which gives the T
-column in closed form as well.
+column in closed form.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:
     X_adv of x(t + tau), B is the adjoint's (Delta kron I_m) blockdiag(DF1~)."""
     Im = np.eye(model.m)
     delay = np.kron(ops.Delta, Im)
-    A0 = np.kron(ops.D0, Im) - _blockdiag(model.DF0(X, Xd))
+    DF0, DF1 = model.jacobians(X, Xd)
+    A0 = np.kron(ops.D0, Im) - _blockdiag(DF0)
     if X_adv is None:
-        B = _blockdiag(model.DF1(X, Xd)) @ delay
+        B = _blockdiag(DF1) @ delay
     else:
-        B = delay @ _blockdiag(model.DF1(X_adv, X))
+        B = delay @ _blockdiag(model.jacobians(X_adv, X)[1])
     return Linearization(A0=A0, B=B, tau=model.tau)
 
 

@@ -1,8 +1,10 @@
 """DDE model interface and the two built-in benchmark oscillators.
 
-A model is the right-hand side F(x(t), x(t - tau)) together with its two
-partial Jacobians.  Callbacks broadcast over leading axes: inputs of shape
-(..., m) yield F of shape (..., m) and Jacobians of shape (..., m, m).
+A model is the right-hand side F(x(t), x(t - tau)) and nothing else: its
+two partial Jacobians are derived from F by the complex step (see
+ModelSpec.jacobians).  F broadcasts over leading axes: inputs of shape
+(..., m) yield F of shape (..., m), and the Jacobians have shape
+(..., m, m).
 """
 
 from __future__ import annotations
@@ -12,14 +14,23 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
+# Complex-step size: F(z + ih e_j) = F(z) + ih DF e_j + O(h^2), and h^2
+# underflows to zero, so Im F / h is DF e_j to round-off.  A power of two
+# (about 1.3e-200), so that scaling by h and dividing by it are exact.
+_COMPLEX_STEP = 2.0**-664
+
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A delay system x'(t) = F(x(t), x(t - tau)) with analytic Jacobians.
+    """A delay system x'(t) = F(x(t), x(t - tau)).
 
-    DF0 and DF1 are the partial derivatives of F with respect to the
-    current and the delayed state.  They must be consistent with F (see
-    verify_jacobians); they feed the Floquet and adjoint operators where
+    F must be real-analytic and complex-safe: called with complex arrays
+    it computes the same formula, with no float casts, abs, max or writes
+    into a float buffer.  Its Jacobians then follow exactly from one
+    complex evaluation (jacobians); verify_jacobians checks that F
+    qualifies.  They feed the Floquet and adjoint operators, where
     finite-difference noise would contaminate determinant root-finding.
     """
 
@@ -27,9 +38,23 @@ class ModelSpec:
     m: int
     tau: float
     F: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    DF0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    DF1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+
+    def jacobians(self, z0, z1) -> tuple[np.ndarray, np.ndarray]:
+        """(DF0, DF1), the partials of F in the current and the delayed
+        state at (z0, z1), each of shape (..., m, m).
+
+        DF e_j = Im F(z + ih e_j) / h, with the 2m perturbed copies of the
+        points stacked on an axis before the component axis and passed to
+        F in one call.
+        """
+        m = self.m
+        z0, z1 = np.broadcast_arrays(z0, z1)
+        step = np.zeros((2, 2 * m, m), dtype=complex)
+        step[0, :m] = step[1, m:] = 1j * _COMPLEX_STEP * np.eye(m)
+        f = self.F(z0[..., None, :] + step[0], z1[..., None, :] + step[1])
+        cols = np.imag(f) / _COMPLEX_STEP  # (..., 2m, m): row j is DF e_j
+        return np.swapaxes(cols[..., :m, :], -1, -2), np.swapaxes(cols[..., m:, :], -1, -2)
 
 
 def kotani_scalar(delta: float = 0.05) -> ModelSpec:
@@ -39,29 +64,9 @@ def kotani_scalar(delta: float = 0.05) -> ModelSpec:
     """
 
     def F(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
-        z1 = np.asarray(z1, dtype=float)
         return -z1 + delta * z0 * (1.0 - z0**2 - z1**2)
 
-    def DF0(z0, z1):
-        x = np.asarray(z0, dtype=float)[..., 0]
-        xd = np.asarray(z1, dtype=float)[..., 0]
-        return (delta * (1.0 - 3.0 * x**2 - xd**2))[..., None, None]
-
-    def DF1(z0, z1):
-        x = np.asarray(z0, dtype=float)[..., 0]
-        xd = np.asarray(z1, dtype=float)[..., 0]
-        return (-1.0 - 2.0 * delta * x * xd)[..., None, None]
-
-    return ModelSpec(
-        name="kotani",
-        m=1,
-        tau=np.pi / 2.0,
-        F=F,
-        DF0=DF0,
-        DF1=DF1,
-        params={"delta": delta},
-    )
+    return ModelSpec(name="kotani", m=1, tau=np.pi / 2.0, F=F, params={"delta": delta})
 
 
 def cortico_thalamic(
@@ -78,25 +83,10 @@ def cortico_thalamic(
     """
 
     def F(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
-        z1 = np.asarray(z1, dtype=float)
         x, y = z0[..., 0], z0[..., 1]
-        xd = z1[..., 0]
-        return np.stack([y, gamma * y + alpha * x + beta * xd + delta * x**3], axis=-1)
-
-    def DF0(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
-        x = z0[..., 0]
-        out = np.zeros(z0.shape[:-1] + (2, 2))
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = alpha + 3.0 * delta * x**2
-        out[..., 1, 1] = gamma
-        return out
-
-    def DF1(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
-        out = np.zeros(z0.shape[:-1] + (2, 2))
-        out[..., 1, 0] = beta
+        out = np.empty(z0.shape, dtype=np.result_type(z0, z1, 1.0))
+        out[..., 0] = y
+        out[..., 1] = gamma * y + alpha * x + beta * z1[..., 0] + delta * x**3
         return out
 
     return ModelSpec(
@@ -104,8 +94,6 @@ def cortico_thalamic(
         m=2,
         tau=tau,
         F=F,
-        DF0=DF0,
-        DF1=DF1,
         params={"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta, "tau": tau},
     )
 
@@ -127,59 +115,41 @@ def make_model(name: str, **params) -> ModelSpec:
     return factory(**params)
 
 
-@dataclass
-class JacobianReport:
-    """Outcome of the finite-difference Jacobian consistency check."""
-
-    ok: bool
-    max_rel_error: float
-    tol: float
-    trials: int
-    worst: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_jacobians(
     model: ModelSpec, trials: int = 100, tol: float = 1e-6, seed: int = 0
-) -> JacobianReport:
-    """Compare DF0/DF1 against central differences of F at random points.
+) -> float:
+    """Check that F is analytic: its complex-step Jacobians against central
+    differences of F at random points, uniform in [-2, 2]^m for both
+    arguments.
 
-    Points are drawn uniformly from [-2, 2]^m for both arguments.  The
-    report locates the worst entry; ok is False when the maximum relative
-    error exceeds tol.
+    Returns the largest error relative to max(|entry|, 1).  ConfigError,
+    naming the Jacobian, the entry and the point, if it exceeds tol or if
+    F rejects complex input.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    h = 1e-5
-    worst = {"error": 0.0}
-    max_err = 0.0
-    for _ in range(trials):
-        z0 = rng.uniform(-2.0, 2.0, model.m)
-        z1 = rng.uniform(-2.0, 2.0, model.m)
-        for which, analytic in (("DF0", model.DF0(z0, z1)), ("DF1", model.DF1(z0, z1))):
-            num = np.zeros((model.m, model.m))
-            for j in range(model.m):
-                dz = np.zeros(model.m)
-                dz[j] = h
-                if which == "DF0":
-                    fp, fm = model.F(z0 + dz, z1), model.F(z0 - dz, z1)
-                else:
-                    fp, fm = model.F(z0, z1 + dz), model.F(z0, z1 - dz)
-                num[:, j] = (fp - fm) / (2.0 * h)
-            err = np.abs(num - analytic) / np.maximum(np.abs(analytic), 1.0)
-            idx = np.unravel_index(np.argmax(err), err.shape)
-            if err[idx] > max_err:
-                max_err = float(err[idx])
-                worst = {
-                    "error": max_err,
-                    "jacobian": which,
-                    "entry": (int(idx[0]), int(idx[1])),
-                    "z0": z0.copy(),
-                    "z1": z1.copy(),
-                }
-    return JacobianReport(
-        ok=max_err <= tol, max_rel_error=max_err, tol=tol, trials=trials, worst=worst
+    m, h = model.m, 1e-5
+    z0, z1 = np.moveaxis(np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, m)), 1, 0)
+    try:
+        derived = model.jacobians(z0, z1)
+    except TypeError as exc:
+        raise ConfigError(f"model {model.name!r}: F rejects complex input ({exc})") from None
+    dz = h * np.eye(m)[:, None, :]  # (m, 1, m): one step per column j
+    Z0, Z1 = (np.broadcast_to(z, (m,) + z.shape) for z in (z0, z1))
+    central = (
+        (model.F(Z0 + dz, Z1) - model.F(Z0 - dz, Z1)) / (2.0 * h),
+        (model.F(Z0, Z1 + dz) - model.F(Z0, Z1 - dz)) / (2.0 * h),
     )
+    worst = 0.0
+    for which, J, diff in zip(("DF0", "DF1"), derived, central):
+        err = np.abs(np.moveaxis(diff, 0, -1) - J) / np.maximum(np.abs(J), 1.0)
+        k, i, j = np.unravel_index(np.argmax(err), err.shape)
+        if err[k, i, j] > tol:
+            raise ConfigError(
+                f"model {model.name!r}: {which}[{i}, {j}] at z0={z0[k].tolist()}, "
+                f"z1={z1[k].tolist()} differs from a central difference of F by "
+                f"{err[k, i, j]:.2e} (tol {tol:g}): F must be real-analytic and "
+                "accept complex input (no float casts, abs or max)"
+            )
+        worst = max(worst, float(err[k, i, j]))
+    return worst

@@ -68,8 +68,7 @@ def _variational_tables(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: 
         for lo in range(0, ts.size, _CHUNK):
             t = ts[lo : lo + _CHUNK]
             x, xd = orbit.value(t), orbit.value(t - model.tau)
-            DF0[lo : lo + _CHUNK] = model.DF0(x, xd)
-            DF1[lo : lo + _CHUNK] = model.DF1(x, xd)
+            DF0[lo : lo + _CHUNK], DF1[lo : lo + _CHUNK] = model.jacobians(x, xd)
         return DF0, DF1
 
     return h, tables(t_nodes), tables(t_mid)

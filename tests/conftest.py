@@ -118,28 +118,24 @@ def cortico_oracle_floquet(cortico_model, cortico_orbit):
 
 def stuart_landau(tau: float) -> ModelSpec:
     """Planar oscillator with unit cycle and no delayed coupling; the
-    delay slot exists but DF1 is identically zero."""
+    delay slot exists but F does not read it."""
 
     def F(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
         x, y = z0[..., 0], z0[..., 1]
         r2 = x**2 + y**2
         return np.stack([x - y - x * r2, x + y - y * r2], axis=-1)
 
-    def DF0(z0, z1):
-        z0 = np.asarray(z0, dtype=float)
-        x, y = z0[..., 0], z0[..., 1]
-        out = np.zeros(z0.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0 - 3.0 * x**2 - y**2
-        out[..., 0, 1] = -1.0 - 2.0 * x * y
-        out[..., 1, 0] = 1.0 - 2.0 * x * y
-        out[..., 1, 1] = 1.0 - x**2 - 3.0 * y**2
-        return out
+    return ModelSpec("stuart_landau", 2, tau, F)
 
-    def DF1(z0, z1):
-        return np.zeros(np.asarray(z0).shape[:-1] + (2, 2))
 
-    return ModelSpec("stuart_landau", 2, tau, F, DF0, DF1)
+def abs_kotani(delta: float = 0.05) -> ModelSpec:
+    """Kotani with |x|^2 for x^2: the same F on real input, but not
+    analytic, so its complex-step Jacobians are wrong."""
+
+    def F(z0, z1):
+        return -z1 + delta * z0 * (1.0 - np.abs(z0) ** 2 - z1**2)
+
+    return ModelSpec("kotani_abs", 1, np.pi / 2.0, F, {"delta": delta})
 
 
 @pytest.fixture(scope="session")

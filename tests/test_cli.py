@@ -17,6 +17,9 @@ from ddehb.cli import (
 from ddehb import pipeline, validation
 from ddehb.config import load_config
 from ddehb.cycle import solve_cycle
+from ddehb.model import BUILTIN_MODELS
+
+from conftest import abs_kotani
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KOTANI_CFG = str(CONFIG_DIR / "kotani_fig1.yaml")
@@ -86,6 +89,15 @@ class TestCycleCommand:
         data = json.loads((again / "orbit_coeffs.json").read_text())
         assert abs(data["T"] - 2 * np.pi) < 1e-8
         assert data["iterations"] == 0  # the seed is the converged orbit
+
+    def test_non_analytic_model_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(BUILTIN_MODELS, "kotani", abs_kotani)
+        out = tmp_path / "run"
+        assert run("cycle", "--config", KOTANI_CFG, "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "ConfigError: model 'kotani_abs': DF0[0, 0] at z0=" in err
+        assert "Traceback" not in err
+        assert not list(out.iterdir())
 
     def test_override_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -456,6 +468,10 @@ class TestConfigValidation:
             ("kotani_fig1.yaml", "seed.amplitude=[]"),
             ("kotani_fig1.yaml", "seed.amplitude=[0.8,0.1,0.2]"),
             ("cortico_fig2.yaml", "seed.amplitude=[0.05,.inf]"),
+            # these ran before: the first to exit 3 in the solve, the second to
+            # list the trivial root as nontrivial and exit 0
+            ("kotani_fig1.yaml", "solver.max_iterations=-3"),
+            ("kotani_fig1.yaml", "scan.exclude_zero_radius=-1.0"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):

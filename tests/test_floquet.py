@@ -27,8 +27,7 @@ class TestStabilityMatrix:
         mat = floquet.build_stability_matrix(orbit0, mu)
         ops = build_operators(orbit0.M, orbit0.T, 0.0, mu=mu)
         t = orbit0.grid.sample_times
-        DF0 = orbit0.model.DF0(orbit0.X, orbit0.X)
-        DF1 = orbit0.model.DF1(orbit0.X, orbit0.X)
+        DF0, DF1 = orbit0.model.jacobians(orbit0.X, orbit0.X)
         expected = (
             np.kron(ops.D, np.eye(2))
             - cycle._blockdiag(DF0)

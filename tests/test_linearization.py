@@ -5,13 +5,13 @@ assembly from Re(S L(mu) S^-1), kept here as the reference; the two agree
 in exact arithmetic and, at mu = 0, in every bit.
 """
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ddehb import adjoint, cycle, floquet, spectral
+from ddehb.model import ModelSpec
 from ddehb.spectral import build_operators
 
 from conftest import CORTICO_SCAN, KOTANI_SCAN
@@ -32,12 +32,12 @@ def fresh_stability_matrix(orbit, mu):
     = Re(S L(mu) S^-1) rebuilt at this mu."""
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
-    xd = orbit.delayed(orbit.grid.sample_times)
+    DF0, DF1 = model.jacobians(orbit.X, orbit.delayed(orbit.grid.sample_times))
     Im = np.eye(model.m)
     return (
         np.kron(ops.D, Im)
-        - _blockdiag(model.DF0(orbit.X, xd))
-        - np.exp(-mu * model.tau) * (_blockdiag(model.DF1(orbit.X, xd)) @ np.kron(ops.Delta, Im))
+        - _blockdiag(DF0)
+        - np.exp(-mu * model.tau) * (_blockdiag(DF1) @ np.kron(ops.Delta, Im))
     )
 
 
@@ -46,11 +46,11 @@ def fresh_adjoint_matrix(orbit, mu):
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
     t = orbit.grid.sample_times
-    DF1_adv = model.DF1(orbit.value(t + model.tau), orbit.X)
+    DF1_adv = model.jacobians(orbit.value(t + model.tau), orbit.X)[1]
     Im = np.eye(model.m)
     return (
         np.kron(ops.D, Im)
-        - _blockdiag(model.DF0(orbit.X, orbit.delayed(t)))
+        - _blockdiag(model.jacobians(orbit.X, orbit.delayed(t))[0])
         - np.exp(-mu * model.tau) * (np.kron(ops.Delta, Im) @ _blockdiag(DF1_adv))
     )
 
@@ -59,7 +59,7 @@ def loop_x_block(model, ops, X):
     """The X-block of the Levenberg-Marquardt Jacobian, filled block by block."""
     K, m = X.shape
     Xd = ops.Delta @ X
-    DF0, DF1 = model.DF0(X, Xd), model.DF1(X, Xd)
+    DF0, DF1 = model.jacobians(X, Xd)
     Im = np.eye(m)
     J = np.kron(ops.D0, Im)
     for n in range(K):
@@ -140,15 +140,12 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
     for mod in (spectral, cycle, floquet, adjoint):
         if hasattr(mod, "build_operators"):
             monkeypatch.setattr(mod, "build_operators", build)
-    model = kotani_orbit.model
-    orbit = dataclasses.replace(
-        kotani_orbit, model=dataclasses.replace(model, DF0=counted("DF0", model.DF0))
-    )
+    monkeypatch.setattr(ModelSpec, "jacobians", counted("jacobians", ModelSpec.jacobians))
     for call in (
-        lambda: floquet.det_scan(orbit, KOTANI_SCAN, 200),
-        lambda: floquet.refine_exponent(orbit, (-0.06, -0.01)),
-        lambda: floquet.eigenfunction(orbit, kotani_mu),
+        lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
+        lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
+        lambda: floquet.eigenfunction(kotani_orbit, kotani_mu),
     ):
         calls.clear()
         call()
-        assert calls == {"build_operators": 1, "DF0": 1}
+        assert calls == {"build_operators": 1, "jacobians": 1}

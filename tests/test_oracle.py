@@ -22,15 +22,9 @@ def cos_history(s):
 
 def decaying_model():
     def F(z0, z1):
-        return -np.asarray(z0, dtype=float)
+        return -z0
 
-    def DF0(z0, z1):
-        return -np.ones(np.asarray(z0).shape[:-1] + (1, 1))
-
-    def DF1(z0, z1):
-        return np.zeros(np.asarray(z0).shape[:-1] + (1, 1))
-
-    return ModelSpec("decay", 1, 0.5, F, DF0, DF1)
+    return ModelSpec("decay", 1, 0.5, F)
 
 
 def shearing_spiral():
@@ -43,20 +37,7 @@ def shearing_spiral():
         w = 1.0 + x**2 + y**2
         return np.stack([-a * x - w * y, -a * y + w * x], axis=-1)
 
-    def DF0(z0, z1):
-        x, y = z0[..., 0], z0[..., 1]
-        w = 1.0 + x**2 + y**2
-        out = np.zeros(z0.shape[:-1] + (2, 2))
-        out[..., 0, 0] = -a - 2 * x * y
-        out[..., 0, 1] = -w - 2 * y * y
-        out[..., 1, 0] = w + 2 * x * x
-        out[..., 1, 1] = -a + 2 * x * y
-        return out
-
-    def DF1(z0, z1):
-        return np.zeros(z0.shape[:-1] + (2, 2))
-
-    return ModelSpec("spiral", 2, 0.5, F, DF0, DF1)
+    return ModelSpec("spiral", 2, 0.5, F)
 
 
 def blowup_model():
@@ -65,13 +46,7 @@ def blowup_model():
     def F(z0, z1):
         return z0**2 + 0.5 * z1
 
-    def DF0(z0, z1):
-        return 2.0 * np.asarray(z0)[..., None]
-
-    def DF1(z0, z1):
-        return np.full(np.shape(z0) + (1,), 0.5)
-
-    return ModelSpec("blowup", 1, 0.25, F, DF0, DF1)
+    return ModelSpec("blowup", 1, 0.25, F)
 
 
 def per_step_integrate(model, history, t_end, dt):
@@ -240,8 +215,7 @@ def chain_jacobian(system, z0, zN):
     only sensible for small N."""
     m, N, c = system.m, system.N, system.rate
     J = np.zeros((system.dim, system.dim))
-    J[:m, :m] = system.model.DF0(z0, zN)
-    J[:m, N * m :] = system.model.DF1(z0, zN)
+    J[:m, :m], J[:m, N * m :] = system.model.jacobians(z0, zN)
     for i in range(1, N + 1):
         J[i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
         J[i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
@@ -278,9 +252,10 @@ class TestDiscretizedSystem:
         J = chain_jacobian(sys2, z0, zN)
         c = 2.0 / kotani_model.tau
         assert J.shape == (3, 3)
-        assert abs(J[0, 0] - kotani_model.DF0(z0, zN)[0, 0]) < 1e-15
+        DF0, DF1 = kotani_model.jacobians(z0, zN)
+        assert abs(J[0, 0] - DF0[0, 0]) < 1e-15
         assert J[0, 1] == 0.0
-        assert abs(J[0, 2] - kotani_model.DF1(z0, zN)[0, 0]) < 1e-15
+        assert abs(J[0, 2] - DF1[0, 0]) < 1e-15
         np.testing.assert_allclose(J[1], [c, -c, 0.0], atol=1e-15)
         np.testing.assert_allclose(J[2], [0.0, c, -c], atol=1e-15)
 
