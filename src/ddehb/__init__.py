@@ -7,97 +7,41 @@ normalized phase and amplitude response curves from the adjoint system.
 An independent time-evolution oracle (method of steps, finite-segment
 discretization, monodromy and backward-adjoint integration, direct
 perturbation) validates every quantity.
+
+Importing the package loads no layer.  Each public name is looked up in
+its home module on each access (module `__getattr__` over `_HOME`), so a
+command pays only for the layers it runs: `ddehb cycle`, `floquet`,
+`response` and `export` never load `oracle`, `sweep`, `validation` or
+`numpy.random` (`ddehb cycle` with an oracle seed loads `oracle` and
+`sweep`; `ddehb validate` loads every layer).  The object is returned, not
+cached, so `vars(ddehb)` holds no layer object and a function rebound in
+its home module (by a tracer or a test) is what the package name gives.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .adjoint import (
-    ResponseCurve,
-    build_adjoint_matrix,
-    solve_response,
-)
-from .cycle import (
-    CycleSeed,
-    PeriodicOrbit,
-    SolveOptions,
-    convergence_sweep,
-    residual,
-    seed_from_ansatz,
-    solve_cycle,
-)
-from .floquet import (
-    FloquetMode,
-    build_stability_matrix,
-    det_scan,
-    eigenfunction,
-    find_exponents,
-    refine_exponent,
-)
-from .model import (
-    ModelSpec,
-    cortico_thalamic,
-    kotani_scalar,
-    make_model,
-    verify_jacobians,
-)
-from .oracle import (
-    DiscretizedSystem,
-    Trajectory,
-    direct_prc,
-    discretized_adjoint,
-    integrate_dde,
-    monodromy_exponents,
-    oracle_eigenfunction,
-    oracle_floquet,
-    oracle_responses,
-    settle_to_cycle,
-)
-from .spectral import (
-    FourierSeries,
-    SpectralGrid,
-    SpectralOperators,
-    build_operators,
-    coeffs_to_samples,
-    sample_to_coeffs,
-)
+_HOME = {  # home module -> the public names it defines
+    "adjoint": ["ResponseCurve", "build_adjoint_matrix", "solve_response"],
+    "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "convergence_sweep",
+              "residual", "seed_from_ansatz", "solve_cycle"],
+    "floquet": ["FloquetMode", "build_stability_matrix", "det_scan", "eigenfunction",
+                "find_exponents", "refine_exponent"],
+    "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
+              "verify_jacobians"],
+    "oracle": ["DiscretizedSystem", "Trajectory", "direct_prc", "discretized_adjoint",
+               "integrate_dde", "monodromy_exponents", "oracle_eigenfunction",
+               "oracle_floquet", "oracle_responses", "settle_to_cycle"],
+    "spectral": ["FourierSeries", "SpectralGrid", "SpectralOperators", "build_operators",
+                 "coeffs_to_samples", "sample_to_coeffs"],
+}
+_MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "CycleSeed",
-    "DiscretizedSystem",
-    "FloquetMode",
-    "FourierSeries",
-    "ModelSpec",
-    "PeriodicOrbit",
-    "ResponseCurve",
-    "SolveOptions",
-    "SpectralGrid",
-    "SpectralOperators",
-    "Trajectory",
-    "build_adjoint_matrix",
-    "build_operators",
-    "build_stability_matrix",
-    "coeffs_to_samples",
-    "convergence_sweep",
-    "cortico_thalamic",
-    "det_scan",
-    "direct_prc",
-    "discretized_adjoint",
-    "eigenfunction",
-    "find_exponents",
-    "integrate_dde",
-    "kotani_scalar",
-    "make_model",
-    "monodromy_exponents",
-    "oracle_eigenfunction",
-    "oracle_floquet",
-    "oracle_responses",
-    "refine_exponent",
-    "residual",
-    "sample_to_coeffs",
-    "seed_from_ansatz",
-    "settle_to_cycle",
-    "solve_cycle",
-    "solve_response",
-    "verify_jacobians",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, floquet, pipeline, validation
+from . import __version__, floquet, pipeline
 from .config import RunConfig, load_config
 from .cycle import PeriodicOrbit, solve_cycle
 from .errors import ConfigError, DdehbError, MalformedInput, NoExponentInRange
@@ -272,6 +272,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
+    from . import validation  # the one command that loads the oracle
+
     results = validation.run_validation(cfg)
     for r in results:
         print(r.row())

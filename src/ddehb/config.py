@@ -19,6 +19,16 @@ import yaml
 
 from .errors import ConfigError
 
+# Limits of the oracle's settings, defined here so that checking a config
+# loads no oracle code; the oracle imports them.
+MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
+PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
+
+
+def _snap_step(tau: float, dt: float) -> tuple[float, int]:
+    n_tau = math.ceil(tau / dt)
+    return tau / n_tau, n_tau
+
 
 class _Loader(yaml.SafeLoader):
     """Safe loader that also reads 1e-12, 5e-2 and 1.0e10 as floats: the
@@ -202,7 +212,6 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def _validate_semantics(cfg: RunConfig):
     from .model import BUILTIN_MODELS
-    from .oracle import MIN_DELAY_STEPS, PRC_WINDOW_PERIODS, _snap_step
 
     if cfg.model.name not in BUILTIN_MODELS:
         raise ConfigError(

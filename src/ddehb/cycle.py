@@ -131,16 +131,25 @@ class Linearization:
     B: np.ndarray
     tau: float
 
+    def matrices(self, mus) -> np.ndarray:
+        """M(mu) for each mu of a 1-D array, stacked to (len(mus), n, n);
+        NonFiniteState naming the first mu where e^{-mu tau} overflows."""
+        mus = np.asarray(mus, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = np.exp(-mus * self.tau)[:, None, None] * self.B
+            np.subtract(self.A0, mats, out=mats)
+            mats.reshape(mus.size, -1)[:, :: self.A0.shape[0] + 1] += mus[:, None]
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteState(
+                f"M(mu) is not finite at mu={mus[np.argmin(finite)]:g}: "
+                "e^(-mu tau) overflows"
+            )
+        return mats
+
     def matrix(self, mu: float) -> np.ndarray:
         """M(mu); NonFiniteState naming mu where e^{-mu tau} overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = self.A0 - np.exp(-mu * self.tau) * self.B
-            mat[np.diag_indices_from(mat)] += mu
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteState(
-                f"M(mu) is not finite at mu={mu:g}: e^(-mu tau) overflows"
-            )
-        return mat
+        return self.matrices([mu])[0]
 
 
 def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:

@@ -9,6 +9,7 @@ ModelSpec.jacobians).  F broadcasts over leading axes: inputs of shape
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -120,7 +121,8 @@ def verify_jacobians(
 ) -> float:
     """Check that F is analytic: its complex-step Jacobians against central
     differences of F at random points, uniform in [-2, 2]^m for both
-    arguments.
+    arguments, drawn from the stdlib random.Random(seed) (numpy.random is
+    not loaded for them).
 
     Returns the largest error relative to max(|entry|, 1).  ConfigError,
     naming the Jacobian, the entry and the point, if it exceeds tol or if
@@ -129,7 +131,9 @@ def verify_jacobians(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m, h = model.m, 1e-5
-    z0, z1 = np.moveaxis(np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, m)), 1, 0)
+    rng = random.Random(seed)
+    draws = [rng.uniform(-2.0, 2.0) for _ in range(trials * 2 * m)]
+    z0, z1 = np.moveaxis(np.reshape(draws, (trials, 2, m)), 1, 0)
     try:
         derived = model.jacobians(z0, z1)
     except TypeError as exc:

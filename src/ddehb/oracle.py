@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import normalization  # the paper's normalization, no operator
+from .config import MIN_DELAY_STEPS, PRC_WINDOW_PERIODS, _snap_step
 from .cycle import CycleSeed, PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
@@ -45,8 +46,6 @@ from .floquet import _fix_mode_gauge as _mode_gauge, _sign_against
 from .model import ModelSpec
 from .spectral import sample_to_coeffs
 from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
-
-MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
 
 # settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
 # of at least SETTLE_MIN_CROSSINGS upward mean-crossings
@@ -65,7 +64,6 @@ ADJOINT_SUBSPACE = 6  # vectors in that block
 
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
-PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
 
 PROFILE_POINTS = 4096  # samples per period of a Richardson-combined profile
 
@@ -118,11 +116,6 @@ class Trajectory:
         the ends)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return _cubic(self.states, (t - self.t_start) / self.dt, periodic=False)
-
-
-def _snap_step(tau: float, dt: float) -> tuple[float, int]:
-    n_tau = int(np.ceil(tau / dt))
-    return tau / n_tau, n_tau
 
 
 def integrate_dde(

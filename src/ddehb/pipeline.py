@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adjoint, floquet, oracle
+from . import adjoint, floquet
 from .config import RunConfig
 from .cycle import CycleSeed, PeriodicOrbit, SolveOptions, seed_from_ansatz
 from .errors import ConfigError, MalformedInput
@@ -56,6 +56,8 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     if sc.kind == "ansatz":
         return seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M), None
     if sc.kind == "oracle":
+        from . import oracle  # loaded only for an oracle seed
+
         dt = sc.dt if sc.dt is not None else model.tau / 64.0
         opts = oracle.SettleOptions(
             dt=dt,

@@ -15,9 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adjoint, floquet, oracle, pipeline
+from . import adjoint, cycle, floquet, oracle, pipeline
 from .config import RunConfig
-from .cycle import (
+
+# This module loads on demand, so a wrapper installed on cycle.solve_cycle
+# when it loads would stay bound here after being removed from cycle: the
+# solves call cycle.solve_cycle.  The name stays importable from here for
+# code that reads it (bench/test_bench.py).
+from .cycle import (  # noqa: F401
     CycleSeed, PeriodicOrbit, SolveOptions, convergence_sweep, solve_cycle,
 )
 from .errors import NoExponentInRange
@@ -149,7 +154,7 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     t0 = time.perf_counter()
     seed, settled = pipeline.build_seed(cfg, model)
     opts = pipeline.solve_options(cfg)
-    orbit = solve_cycle(model, seed, opts)
+    orbit = cycle.solve_cycle(model, seed, opts)
     t1 = time.perf_counter()
     mu = _leading_exponent(orbit, cfg.scan)
     return _Stage(model, seed, settled, opts, orbit, mu, t1 - t0,
@@ -170,7 +175,7 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
                           half))
 
     t0 = time.perf_counter()
-    orbit2 = solve_cycle(st.model, st.seed, replace(st.opts, M=2 * st.opts.M))
+    orbit2 = cycle.solve_cycle(st.model, st.seed, replace(st.opts, M=2 * st.opts.M))
     mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - mu2), 1e-6,
                           _since(t0), detail=f"mu={st.mu:.6f}"))

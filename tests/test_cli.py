@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ from ddehb.cli import (
     EXIT_VALIDATION,
     main,
 )
-from ddehb import pipeline, validation
+import ddehb
+from ddehb import cycle, pipeline, validation
 from ddehb.config import load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
@@ -309,6 +313,56 @@ class TestExportPipeline:
         assert abs(nontrivial[0] - (-0.00296)) < 5e-5
 
 
+# layers that only `ddehb validate` (and an oracle seed) run
+ORACLE_LAYERS = {"ddehb.oracle", "ddehb.sweep", "ddehb.validation", "numpy.random"}
+# runs the commands of argv[1] (a JSON list of argument lists) in order and
+# prints their exit codes and the modules loaded after `import numpy`
+# (numpy < 2 loads numpy.random itself, which then counts as not loaded)
+_PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from ddehb.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def run_fresh(*commands):
+    """Exit codes of the commands, run in one fresh interpreter, and the set
+    of modules they loaded."""
+    src = str(Path(ddehb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return codes, set(loaded)
+
+
+class TestLoadedLayers:
+    """The spectral commands load no oracle, sweep, validation or
+    numpy.random code; an oracle seed loads the oracle on demand."""
+
+    @pytest.mark.parametrize("steps", [("cycle", "floquet", "response"), ("export",)])
+    def test_spectral_commands(self, tmp_path, steps):
+        codes, loaded = run_fresh(
+            *[[step, "--config", KOTANI_CFG, "--out", str(tmp_path)] for step in steps]
+        )
+        assert codes == [EXIT_OK] * len(steps)
+        assert "ddehb.floquet" in loaded
+        assert not ORACLE_LAYERS & loaded
+
+    def test_oracle_seed(self, tmp_path):
+        codes, loaded = run_fresh(
+            ["cycle", "--config", KOTANI_CFG, "--out", str(tmp_path), "--seed-from", "oracle"]
+        )
+        assert codes == [EXIT_OK]
+        assert {"ddehb.oracle", "ddehb.sweep"} <= loaded
+        assert "ddehb.validation" not in loaded
+
+
 KOTANI_CHECKS = [
     "kotani.period",
     "kotani.cycle_profile",
@@ -367,7 +421,7 @@ class TestValidateCommand:
                 raise Doubled  # the M-doubling solve: stop before the oracle
             return solve_cycle(model, seed, opts)
 
-        monkeypatch.setattr(validation, "solve_cycle", recording)
+        monkeypatch.setattr(cycle, "solve_cycle", recording)
         with pytest.raises(Doubled):
             validation.validate_kotani(cfg)
         assert received[0] == pipeline.solve_options(cfg)

@@ -103,6 +103,26 @@ class TestAgainstFreshAssembly:
             adjoint.build_adjoint_matrix(orbit, 0.0), fresh_adjoint_matrix(orbit, 0.0)
         )
 
+    @pytest.mark.parametrize("points", [2, 40, 200])
+    def test_stacked_scan_is_per_point(self, request, name, scan, points):
+        """det_scan's chunked assembly, slogdet and singular values equal the
+        per-point ones bit for bit, a partial last chunk included."""
+        orbit = request.getfixturevalue(name)
+        lin = floquet.orbit_linearization(orbit)
+        mus = np.linspace(*scan, points)
+        np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
+        result = floquet.det_scan(orbit, scan, points).points
+        assert len(result) == points
+        for p, mu in zip(result, mus):
+            mat = lin.matrix(mu)
+            # the per-point assembly that the stacked one replaced
+            ref = lin.A0 - np.exp(-mu * lin.tau) * lin.B
+            ref[np.diag_indices_from(ref)] += mu
+            np.testing.assert_array_equal(mat, ref)
+            sign, logdet = np.linalg.slogdet(mat)
+            sigma_min = np.linalg.svd(mat, compute_uv=False)[-1]
+            assert (p.mu, p.sign, p.log_abs_det, p.sigma_min) == (mu, sign, logdet, sigma_min)
+
     def test_cycle_jacobian_x_block(self, request, name, scan):
         orbit = request.getfixturevalue(name)
         ops = build_operators(orbit.M, orbit.T, orbit.model.tau)
