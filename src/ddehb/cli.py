@@ -50,6 +50,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], cfg_has
             fh.write(",".join(_FMT % v for v in row) + "\n")
 
 
+def _write_json(path: Path, payload: dict):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_curve(path: Path, prefix: str, t: np.ndarray, values: np.ndarray,
                  cfg_hash: str):
     """A sampled curve: the time column t, then columns <prefix>0, <prefix>1, ..."""
@@ -123,9 +129,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, outputs: list[s
     }
     if extra:
         payload.update(extra)
-    with open(out_dir / f"manifest_{command}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / f"manifest_{command}.json", payload)
 
 
 def cmd_cycle(cfg: RunConfig) -> int:
@@ -139,9 +143,7 @@ def cmd_cycle(cfg: RunConfig) -> int:
 
     h = cfg.config_hash()
     _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
-    with open(out_dir / "orbit_coeffs.json", "w") as fh:
-        json.dump(_orbit_payload(orbit, cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "orbit_coeffs.json", _orbit_payload(orbit, cfg))
     extra = {"T": orbit.T, "residual_norm": orbit.residual_norm}
     if settled is not None:
         extra["settle_period"] = settled.period
@@ -190,10 +192,7 @@ def cmd_floquet(cfg: RunConfig) -> int:
         )
         _write_curve(out_dir / name, "rho", tg, mode.R, h)
         outputs.append(name)
-    with open(out_dir / "exponents.json", "w") as fh:
-        json.dump({"config_hash": h, "exponents": entries}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "exponents.json", {"config_hash": h, "exponents": entries})
     _write_manifest(out_dir, cfg, "floquet", outputs, time.perf_counter() - t0)
     nontrivial = ", ".join(f"{mu:.8g}" for mu in run.exponents) or "none found"
     print(f"floquet: trivial root confirmed; nontrivial exponents: {nontrivial}")
@@ -259,9 +258,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
             "nullvector_residual": run.q.residual,
             **_series_payload(run.q.series),
         }
-    with open(out_dir / "response_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "response_meta.json", meta)
     _write_manifest(out_dir, cfg, "response", outputs + ["response_meta.json"],
                     time.perf_counter() - t0)
     print(f"response: wrote {', '.join(outputs)}")
@@ -294,9 +291,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         ],
         "runtime_seconds": time.perf_counter() - t0,
     }
-    with open(out_dir / "validation_report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "validation_report.json", payload)
     print(f"validate: {len(results) - n_fail}/{len(results)} checks passed "
           f"in {payload['runtime_seconds']:.1f}s")
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION

@@ -13,7 +13,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import yaml
 
@@ -113,24 +114,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "solver": SolverConfig,
-    "seed": SeedConfig,
-    "scan": ScanConfig,
-    "oracle": OracleConfig,
-    "output": OutputConfig,
-}
-
-_SCALAR_TYPES = {
-    ("model", "name"): str,
-    ("seed", "kind"): str,
-    ("seed", "path"): (str, type(None)),
-    ("seed", "observe_time"): (int, float, type(None)),
-    ("seed", "dt"): (int, float, type(None)),
-    ("oracle", "dt"): (int, float, type(None)),
-}
-
 # removed keys and why; a config that still sets one is rejected with the reason
 _REMOVED = {
     ("response", "legacy_amplitude_normalization"): (
@@ -152,36 +135,23 @@ def _finite_real(value) -> bool:
             and math.isfinite(value))
 
 
-def _check_field(section: str, key: str, value, default):
+def _check_field(name: str, value, kind):
+    """value checked against the annotation kind of the field name: int,
+    float, str, list, dict or X | None.  A bool is never a number."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
-    expected = _SCALAR_TYPES.get((section, key))
-    if expected is not None:
-        if not isinstance(value, expected):
-            raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{section}.{key}: expected bool, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key}: expected int, got {value!r}")
-        if float(value) != int(value):
-            raise ConfigError(f"{section}.{key}: expected int, got {value!r}")
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key}: expected number, got {value!r}")
-        return float(value)
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{section}.{key}: expected list, got {value!r}")
-        return value
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{section}.{key}: expected mapping, got {value!r}")
-        return value
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    options = typing.get_args(kind)
+    if options:  # X | None
+        if value is None:
+            return value
+        (kind,) = (k for k in options if k is not type(None))
+    if kind in (int, float):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or (kind is int and value != int(value)):
+            raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -189,23 +159,24 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping at top level")
     cfg = RunConfig()
+    sections = typing.get_type_hints(RunConfig)
     for section, value in data.items():
-        if section == "rng_seed":
-            cfg.rng_seed = _check_field("", "rng_seed", value, 0)
-            continue
         for key in value if isinstance(value, dict) else ():
             if (section, key) in _REMOVED:
                 raise ConfigError(_REMOVED[section, key])
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown configuration section {section!r}")
+        if not is_dataclass(sections[section]):  # a top-level setting
+            setattr(cfg, section, _check_field(section, value, sections[section]))
+            continue
         if not isinstance(value, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
         target = getattr(cfg, section)
-        defaults = _SECTIONS[section]()
+        kinds = typing.get_type_hints(type(target))
         for key, v in value.items():
-            if not hasattr(defaults, key):
+            if key not in kinds:
                 raise ConfigError(f"unknown key {section}.{key}")
-            setattr(target, key, _check_field(section, key, v, getattr(defaults, key)))
+            setattr(target, key, _check_field(f"{section}.{key}", v, kinds[key]))
     _validate_semantics(cfg)
     return cfg
 

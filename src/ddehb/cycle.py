@@ -92,9 +92,8 @@ class PeriodicOrbit:
 
 def _stacked_residual(model, ops, X, anchor):
     """Collocated residual rows (grid-major), then the anchor derivative at t = 0."""
-    D0 = ops.D0
-    R = D0 @ X - model.F(X, ops.Delta @ X)
-    phase = float((D0 @ X[:, anchor])[ops.grid.M])
+    R = ops.D0 @ X - model.F(X, ops.Delta @ X)
+    phase = float((ops.D0 @ X[:, anchor])[ops.grid.M])
     return np.concatenate([R.ravel(), [phase]])
 
 
@@ -154,7 +153,7 @@ class Linearization:
 
 def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:
     """A0 = (D0 kron I_m) - blockdiag(DF0), B = blockdiag(DF1) (Delta kron I_m)
-    at samples X and delayed samples Xd (ops at mu = 0).  Given the samples
+    at samples X and delayed samples Xd.  Given the samples
     X_adv of x(t + tau), B is the adjoint's (Delta kron I_m) blockdiag(DF1~)."""
     Im = np.eye(model.m)
     delay = np.kron(ops.Delta, Im)
@@ -179,11 +178,10 @@ def _jacobian(model, ops, X, anchor):
     J = np.zeros((n_dyn + 1, n_dyn + 1))
     J[:n_dyn, :n_dyn] = lin.A0 - lin.B  # M(0) at the current iterate
 
-    D0 = ops.D0
     center, T = ops.grid.M, ops.grid.T
-    J[n_dyn, anchor : n_dyn : m] = D0[center, :]
+    J[n_dyn, anchor : n_dyn : m] = ops.D0[center, :]
 
-    D0X = (D0 @ X).ravel()
+    D0X = (ops.D0 @ X).ravel()
     J[:n_dyn, n_dyn] = -(D0X + model.tau * (lin.B @ D0X)) / T
     J[n_dyn, n_dyn] = -D0X[center * m + anchor] / T
     return J

@@ -6,7 +6,7 @@ converged orbit,
     M(mu) = A0 + mu I - e^{-mu tau} B,
     A0 = (D0 kron I_m) - J0,    B = J1 (Delta kron I_m),
 
-with D0 and Delta the differentiation and delay matrices at mu = 0 and
+with D0 and Delta the differentiation and delay matrices and
 J0, J1 the block-diagonal Jacobians of the right-hand side along the
 cycle (delayed orbit values read from the Fourier interpolant, never from
 nearest samples).  Only the scalar factors depend on mu, so each public

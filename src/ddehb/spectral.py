@@ -122,38 +122,30 @@ class FourierSeries:
 
 @dataclass
 class SpectralOperators:
-    """DFT matrix, diagonal symbols and the derived real operators.
+    """DFT matrix and the derived real operators.
 
-    D is the real differentiation-plus-shift matrix Re(S L(mu) S^-1) and
-    Delta the real delay matrix Re(S Gamma S^-1).  Delta.T is the exact
-    advance (shift by +tau) operator on the same grid.
+    D0 is the real differentiation matrix Re(S L S^-1), L = diag(i omega_p),
+    and Delta the real delay matrix Re(S Gamma S^-1).  Delta.T is the exact
+    advance (shift by +tau) operator on the same grid.  The mu shift of
+    M(mu) lives in cycle.Linearization.
     """
 
     grid: SpectralGrid
     tau: float
-    mu: float
     S: np.ndarray
     S_inv: np.ndarray
-    L: np.ndarray
-    Gamma: np.ndarray
-    D: np.ndarray
+    D0: np.ndarray
     Delta: np.ndarray
     imag_residue: float = field(default=0.0)
 
-    @property
-    def D0(self) -> np.ndarray:
-        """Pure differentiation matrix Re(S L(0) S^-1) = D - mu*I."""
-        return self.D - self.mu * np.eye(self.grid.n_samples)
 
+def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
+    """Assemble the spectral operators for a given (M, T, tau).
 
-def build_operators(M: int, T: float, tau: float, mu: float = 0.0) -> SpectralOperators:
-    """Assemble the spectral operators for a given (M, T, tau, mu).
-
-    S has entries e^{2 pi i n p/(2M+1)} for n, p = -M..M, L(mu) the
-    diagonal entries mu + i omega_p and Gamma the delay symbol
-    e^{-i omega_p tau}.  The derived matrices D and Delta are realified;
-    the discarded imaginary magnitude must stay below
-    IMAG_RESIDUE_BOUND * (2M+1).
+    S has entries e^{2 pi i n p/(2M+1)} for n, p = -M..M, L the diagonal
+    entries i omega_p and Gamma the delay symbol e^{-i omega_p tau}.  The
+    derived matrices D0 and Delta are realified; the discarded imaginary
+    magnitude must stay below IMAG_RESIDUE_BOUND * (2M+1).
     """
     _validate_grid(M, T)
     if tau < 0:
@@ -164,7 +156,7 @@ def build_operators(M: int, T: float, tau: float, mu: float = 0.0) -> SpectralOp
     S = np.exp(2j * np.pi * np.outer(n, n) / K)
     S_inv = np.conj(S) / K
     omega_p = grid.frequencies
-    L = np.diag(mu + 1j * omega_p)
+    L = np.diag(1j * omega_p)
     Gamma = np.diag(np.exp(-1j * omega_p * tau))
 
     D_c = S @ L @ S_inv
@@ -177,12 +169,9 @@ def build_operators(M: int, T: float, tau: float, mu: float = 0.0) -> SpectralOp
     return SpectralOperators(
         grid=grid,
         tau=tau,
-        mu=mu,
         S=S,
         S_inv=S_inv,
-        L=L,
-        Gamma=Gamma,
-        D=D_c.real.copy(),
+        D0=D_c.real.copy(),
         Delta=Delta_c.real.copy(),
         imag_residue=float(residue),
     )

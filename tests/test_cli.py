@@ -15,6 +15,7 @@ from ddehb.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    _series_payload,
     main,
 )
 import ddehb
@@ -303,10 +304,17 @@ class TestExportPipeline:
         assert meta["phase"]["normalization_residual"] < 1e-8
         assert meta["amplitude"]["normalization_residual"] < 1e-8
 
-    def test_cortico_fig2_exponent_report(self, tmp_path):
+    def test_cortico_fig2_exponent_report(self, tmp_path, cortico_settle):
+        # seeded from the session settle through an orbit-format file, so the
+        # cycle is not settled a second time
+        seed = cortico_settle.seed
+        path = tmp_path / "seed_coeffs.json"
+        path.write_text(json.dumps({"T": seed.period, **_series_payload(seed.series)}))
         out = tmp_path / "run"
-        assert run("cycle", "--config", CORTICO_CFG, "--out", str(out)) == EXIT_OK
-        assert run("floquet", "--config", CORTICO_CFG, "--out", str(out)) == EXIT_OK
+        args = ("--config", CORTICO_CFG, "--out", str(out), "--seed-from", "file",
+                "--override", f"seed.path={path}")
+        assert run("cycle", *args) == EXIT_OK
+        assert run("floquet", *args) == EXIT_OK
         data = json.loads((out / "exponents.json").read_text())
         nontrivial = [e["mu"] for e in data["exponents"] if not e["trivial"]]
         assert len(nontrivial) == 1
@@ -526,6 +534,17 @@ class TestConfigValidation:
             # list the trivial root as nontrivial and exit 0
             ("kotani_fig1.yaml", "solver.max_iterations=-3"),
             ("kotani_fig1.yaml", "scan.exclude_zero_radius=-1.0"),
+            # a boolean is not a number; this one ran as 1
+            ("kotani_fig1.yaml", "seed.observe_time=true"),
+            # one case per type rule: str, X | None, list, dict, int, float
+            ("kotani_fig1.yaml", "model.name=3"),
+            ("kotani_fig1.yaml", "seed.path=3"),
+            ("kotani_fig1.yaml", "seed.amplitude=0.5"),
+            ("kotani_fig1.yaml", "model.params=3"),
+            ("kotani_fig1.yaml", "solver.M=2.5"),
+            ("kotani_fig1.yaml", "solver.tolerance=abc"),
+            ("kotani_fig1.yaml", "rng_seed=1.5"),
+            ("kotani_fig1.yaml", "oracle.dt=true"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):
@@ -537,6 +556,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert override.partition("=")[0] in err  # the message names the key
+        assert not list(tmp_path.iterdir())
+
+    def test_output_directory_not_a_string(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run("cycle", "--config", KOTANI_CFG, "--override", "output.directory=3")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "output.directory" in err
         assert not list(tmp_path.iterdir())
 
     def test_bad_oracle_levels(self, tmp_path):

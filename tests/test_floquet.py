@@ -25,11 +25,11 @@ class TestStabilityMatrix:
         )
         mu = 0.123
         mat = floquet.build_stability_matrix(orbit0, mu)
-        ops = build_operators(orbit0.M, orbit0.T, 0.0, mu=mu)
+        ops = build_operators(orbit0.M, orbit0.T, 0.0)
         t = orbit0.grid.sample_times
         DF0, DF1 = orbit0.model.jacobians(orbit0.X, orbit0.X)
         expected = (
-            np.kron(ops.D, np.eye(2))
+            np.kron(ops.D0 + mu * np.eye(ops.grid.n_samples), np.eye(2))
             - cycle._blockdiag(DF0)
             - cycle._blockdiag(DF1)
         )

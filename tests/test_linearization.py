@@ -27,15 +27,21 @@ def _blockdiag(blocks):
     return out
 
 
+def shifted_derivative(ops, mu):
+    """D(mu) = Re(S L(mu) S^-1) with L(mu) = diag(mu + i omega_p), rebuilt at this mu."""
+    L = np.diag(mu + 1j * ops.grid.frequencies)
+    return (ops.S @ L @ ops.S_inv).real
+
+
 def fresh_stability_matrix(orbit, mu):
     """M(mu) = (D(mu) kron I) - J0 - e^{-mu tau} J1 (Delta kron I), with D(mu)
     = Re(S L(mu) S^-1) rebuilt at this mu."""
     model = orbit.model
-    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
+    ops = build_operators(orbit.M, orbit.T, model.tau)
     DF0, DF1 = model.jacobians(orbit.X, orbit.delayed(orbit.grid.sample_times))
     Im = np.eye(model.m)
     return (
-        np.kron(ops.D, Im)
+        np.kron(shifted_derivative(ops, mu), Im)
         - _blockdiag(DF0)
         - np.exp(-mu * model.tau) * (_blockdiag(DF1) @ np.kron(ops.Delta, Im))
     )
@@ -44,12 +50,12 @@ def fresh_stability_matrix(orbit, mu):
 def fresh_adjoint_matrix(orbit, mu):
     """A(mu) with the advanced Jacobian DF1(x(t + tau), x(t)), rebuilt at this mu."""
     model = orbit.model
-    ops = build_operators(orbit.M, orbit.T, model.tau, mu=mu)
+    ops = build_operators(orbit.M, orbit.T, model.tau)
     t = orbit.grid.sample_times
     DF1_adv = model.jacobians(orbit.value(t + model.tau), orbit.X)[1]
     Im = np.eye(model.m)
     return (
-        np.kron(ops.D, Im)
+        np.kron(shifted_derivative(ops, mu), Im)
         - _blockdiag(model.jacobians(orbit.X, orbit.delayed(t))[0])
         - np.exp(-mu * model.tau) * (np.kron(ops.Delta, Im) @ _blockdiag(DF1_adv))
     )

@@ -143,6 +143,43 @@ class TestIntegrateDde:
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
 
 
+def ones_history(s):
+    return np.ones(np.shape(np.asarray(s)) + (1,))
+
+
+class TestZeroDelay:
+    """integrate_dde at tau = 0, where it runs plain RK4 on x' = F(x, x)."""
+
+    decay = ModelSpec("decay0", 1, 0.0, lambda z0, z1: -z0)  # x(t) = x(0) e^{-t}
+
+    def test_fourth_order_convergence(self):
+        errs = []
+        for dt in (0.1, 0.05):
+            traj = oracle.integrate_dde(self.decay, ones_history, 5.0, dt)
+            assert traj.times[0] == 0.0 and traj.times[-1] >= 5.0
+            errs.append(np.abs(traj.states[:, 0] - np.exp(-traj.times)).max())
+        assert 14.0 < errs[0] / errs[1] < 19.0  # ~16x per halving
+
+    def test_initial_kick_added_at_zero(self):
+        traj = oracle.integrate_dde(self.decay, ones_history, 2.0, 0.05,
+                                    initial_kick=np.array([0.5]))
+        assert traj.states[0, 0] == 1.5
+        assert np.abs(traj.states[:, 0] - 1.5 * np.exp(-traj.times)).max() < 1e-7
+
+    def test_blowup_names_first_bad_step(self):
+        # x' = x^2 from x(0) = 1 is x = 1/(1 - t), singular at t = 1
+        model, dt = ModelSpec("blowup0", 1, 0.0, lambda z0, z1: z0**2), 0.01
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState) as exc:
+                oracle.integrate_dde(model, ones_history, 3.0, dt)
+        t_last = exc.value.t_last
+        assert 0.9 < t_last < 1.1
+        assert f"t={t_last:.6g}" in str(exc.value)
+        # every step before the one starting at t_last stays finite
+        traj = oracle.integrate_dde(model, ones_history, t_last - 0.5 * dt, dt)
+        assert np.isfinite(traj.states).all() and traj.times[-1] == pytest.approx(t_last)
+
+
 class TestCubicReadout:
     """oracle._cubic, the one piecewise-cubic readout behind Trajectory.value
     (clamped stencil) and the periodic profiles (wrapped stencil)."""

@@ -58,15 +58,18 @@ class TestOperators:
         np.testing.assert_allclose(ops.Delta, np.eye(17), atol=1e-13)
 
     def test_mu_shift_and_antisymmetry(self):
-        ops = build_operators(6, 3.0, 0.7, mu=0.25)
+        ops = build_operators(6, 3.0, 0.7)
         K = 13
-        np.testing.assert_allclose(ops.D, 0.25 * np.eye(K) + ops.D0, atol=1e-13)
+        # D(mu) = Re(S L(mu) S^-1) with L(mu) = diag(mu + i omega_p)
+        D = (ops.S @ np.diag(0.25 + 1j * ops.grid.frequencies) @ ops.S_inv).real
+        np.testing.assert_allclose(D, 0.25 * np.eye(K) + ops.D0, atol=1e-13)
         np.testing.assert_allclose(ops.D0, -ops.D0.T, atol=1e-12)
 
     def test_advance_is_transpose_of_delay(self):
         ops = build_operators(7, 4.0, 1.1)
         # fresh construction of Re(S Gamma* S^-1)
-        adv = np.real(ops.S @ np.conj(ops.Gamma) @ ops.S_inv)
+        adv_symbol = np.diag(np.exp(1j * ops.grid.frequencies * ops.tau))
+        adv = np.real(ops.S @ adv_symbol @ ops.S_inv)
         np.testing.assert_allclose(ops.Delta.T, adv, atol=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
