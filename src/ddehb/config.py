@@ -20,10 +20,9 @@ import yaml
 
 from .errors import ConfigError
 
-# Limits of the oracle's settings, defined here so that checking a config
-# loads no oracle code; the oracle imports them.
+# The integrator's step limit, defined here so that checking seed.dt loads
+# no oracle code; the oracle imports it.
 MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
-PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
 
 
 def _snap_step(tau: float, dt: float) -> tuple[float, int]:
@@ -81,10 +80,6 @@ class ScanConfig:
 class OracleConfig:
     N: int = 2000
     levels: int = 3
-    exponents: int = 5
-    dt: float | None = None  # DDE integrator step; default tau/64
-    prc_phases: int = 16
-    prc_periods: int = 20
 
 
 @dataclass
@@ -127,6 +122,14 @@ _REMOVED = {
         "16 to 256 nodes give the same pairing to within 8e-15 on both shipped "
         "configs"
     ),
+    **{
+        ("oracle", key): (
+            f"oracle.{key} was removed: the oracle only checks the harmonic-balance "
+            "results, so its monodromy pair count, step and direct-PRC sampling "
+            "are constants in ddehb.oracle"
+        )
+        for key in ("exponents", "dt", "prc_phases", "prc_periods")
+    },
 }
 
 
@@ -198,14 +201,13 @@ def _validate_semantics(cfg: RunConfig):
     except TypeError as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     tau = model.tau
-    for key, dt in (("seed.dt", cfg.seed.dt), ("oracle.dt", cfg.oracle.dt)):
-        if dt is None:
-            continue
+    dt = cfg.seed.dt
+    if dt is not None:
         if not dt > 0:
-            raise ConfigError(f"{key} must be positive, got {dt}")
+            raise ConfigError(f"seed.dt must be positive, got {dt}")
         if tau > 0 and _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
             raise ConfigError(
-                f"{key}={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
+                f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
                 f"= {tau / MIN_DELAY_STEPS:g}"
             )
     if cfg.solver.M < 1:
@@ -257,17 +259,8 @@ def _validate_semantics(cfg: RunConfig):
             f"{cfg.oracle.N >> (cfg.oracle.levels - 1)} segments for "
             f"{cfg.oracle.levels} levels; it needs >= 2"
         )
-    if cfg.oracle.exponents < 2:
-        raise ConfigError(
-            "oracle.exponents must be >= 2: the unit multiplier and a nontrivial one"
-        )
-    if cfg.oracle.prc_phases < 1:
-        raise ConfigError("oracle.prc_phases must be >= 1")
-    if cfg.oracle.prc_periods <= PRC_WINDOW_PERIODS:
-        raise ConfigError(
-            f"oracle.prc_periods must exceed the {PRC_WINDOW_PERIODS} trailing "
-            f"periods the phase shift is read over, got {cfg.oracle.prc_periods}"
-        )
+    if cfg.rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
 
 
 def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import normalization  # the paper's normalization, no operator
-from .config import MIN_DELAY_STEPS, PRC_WINDOW_PERIODS, _snap_step
+from .config import MIN_DELAY_STEPS, _snap_step
 from .cycle import CycleSeed, PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
@@ -64,6 +64,9 @@ ADJOINT_SUBSPACE = 6  # vectors in that block
 
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
+PRC_PHASES = 16  # pulse phases of the validation PRC, evenly spaced
+PRC_PERIODS = 20  # cycles each perturbed copy runs
+PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
 
 PROFILE_POINTS = 4096  # samples per period of a Richardson-combined profile
 
@@ -357,7 +360,7 @@ class MonodromyResult:
 def monodromy_exponents(
     system: DiscretizedSystem,
     orbit: PeriodicOrbit,
-    k: int = 5,
+    k: int = 2,
     seed: int = 0,
     start: np.ndarray | None = None,
 ) -> MonodromyResult:
@@ -365,8 +368,10 @@ def monodromy_exponents(
 
     Subspace iteration over one-period sweeps (k+3 vectors, QR
     re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
-    fundamental matrix.  It stops at the first sweep W = Phi V after which
-    each of the k leading Ritz pairs (theta, y) of V^T W has the residual
+    fundamental matrix; the default k = 2 keeps the unit multiplier and
+    the leading nontrivial one, all that validation reads.  It stops at
+    the first sweep W = Phi V after which each of the k leading Ritz pairs
+    (theta, y) of V^T W has the residual
     ||W y - theta V y|| <= RITZ_TOL max(1, |theta|), so that it is an exact
     eigenpair of a matrix that far from Phi (or after
     MONODROMY_MAX_ITERATIONS sweeps).  Every sweep records the head block
@@ -600,7 +605,7 @@ def direct_prc(
     phases,
     scales=(1.0,),
     dt: float | None = None,
-    periods: int = 20,
+    periods: int = PRC_PERIODS,
 ) -> list[PrcResult]:
     """Measure the PRC by pulse perturbation and cross-correlation.
 
@@ -614,6 +619,8 @@ def direct_prc(
     peak of the circular cross-correlation of the two near-sinusoidal
     signals, located spectrally.  Returns one result per entry of scales.
     """
+    if periods <= PRC_WINDOW_PERIODS:  # the window would reach the history
+        raise ValueError(f"periods={periods} must exceed {PRC_WINDOW_PERIODS}")
     phases = np.asarray(phases, dtype=float)
     T = orbit.T
     omega = orbit.omega
@@ -701,7 +708,7 @@ def oracle_floquet(
     model: ModelSpec,
     orbit: PeriodicOrbit,
     N: int = 2000,
-    k: int = 5,
+    k: int = 2,
     levels: int = 3,
     seed: int = 0,
 ) -> OracleFloquet:

@@ -198,8 +198,7 @@ def _oracle_floquet(results, prefix, cfg: RunConfig, st: _Stage, exponent_tol):
     """One oracle_floquet call and the two spectrum rows that split its time."""
     t0 = time.perf_counter()
     ofl = oracle.oracle_floquet(st.model, st.orbit, N=cfg.oracle.N,
-                                k=cfg.oracle.exponents, levels=cfg.oracle.levels,
-                                seed=cfg.rng_seed)
+                                levels=cfg.oracle.levels, seed=cfg.rng_seed)
     mu_oracle = ofl.leading_nontrivial()
     half = _since(t0, 0.5)
     results.append(_check(f"{prefix}.oracle_unit_multiplier", ofl.unit_multiplier_error,
@@ -257,9 +256,8 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
 
     # direct perturbation (criterion 5); one integration serves both checks
     t0 = time.perf_counter()
-    phases = np.arange(cfg.oracle.prc_phases) * 2.0 * np.pi / cfg.oracle.prc_phases
-    prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5),
-                                      periods=cfg.oracle.prc_periods, dt=cfg.oracle.dt)
+    phases = np.arange(oracle.PRC_PHASES) * 2.0 * np.pi / oracle.PRC_PHASES
+    prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5))
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)

@@ -2,14 +2,18 @@
 all session-scoped.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, floquet, oracle
+from ddehb import adjoint, floquet, oracle, pipeline
+from ddehb.config import load_config
 from ddehb.cycle import CycleSeed
 from ddehb.model import ModelSpec
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KOTANI_SCAN = (-0.2, 0.05)
 CORTICO_SCAN = (-0.02, 0.01)
 
@@ -70,18 +74,11 @@ def cortico_model():
 
 @pytest.fixture(scope="session")
 def cortico_settle(cortico_model):
-    def history(s):
-        s = np.asarray(s, dtype=float)
-        return np.stack(
-            [0.05 * np.cos(0.2 * s), -0.05 * 0.2 * np.sin(0.2 * s)], axis=-1
-        )
-
-    return oracle.settle_to_cycle(
-        cortico_model,
-        history,
-        transient=1500.0,
-        opts=oracle.SettleOptions(dt=0.04, M=20, observe_time=900.0),
-    )
+    """The settle of the shipped cortico config's oracle seed, made once per
+    session; the acceptance reports reuse it."""
+    _, settled = pipeline.build_seed(load_config(str(CONFIG_DIR / "cortico_fig2.yaml")),
+                                     cortico_model)
+    return settled
 
 
 @pytest.fixture(scope="session")

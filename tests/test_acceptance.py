@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ddehb import pipeline
 from ddehb.config import load_config
 from ddehb.validation import run_validation
 
@@ -86,13 +87,24 @@ CRITERIA = {
 
 
 @pytest.fixture(scope="session")
-def report_rows():
-    """Every row of the validation reports of the shipped configs."""
-    return [
-        row
-        for name in CONFIGS
-        for row in run_validation(load_config(str(CONFIG_DIR / name)))
-    ]
+def report_rows(cortico_settle):
+    """Every row of the validation reports of the shipped configs.  The
+    cortico seed is the session's settle of the same config, so the cycle
+    is not settled again; every row but the wall times is unchanged by it."""
+    build_seed = pipeline.build_seed
+
+    def shared_seed(cfg, model):
+        if cfg.model.name == "cortico":
+            return cortico_settle.seed, cortico_settle
+        return build_seed(cfg, model)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_seed", shared_seed)
+        return [
+            row
+            for name in CONFIGS
+            for row in run_validation(load_config(str(CONFIG_DIR / name)))
+        ]
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)

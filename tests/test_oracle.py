@@ -335,6 +335,20 @@ class TestMonodromy:
         res = oracle.monodromy_exponents(sys, kotani_orbit, k=4)
         assert res.unit_multiplier_error < 1e-2
 
+    def test_two_pairs_suffice(self, kotani_model, kotani_orbit, kotani_oracle_floquet):
+        # the default k = 2 keeps the unit multiplier and the leading
+        # nontrivial one, and reads them as the k = 5 run does
+        two, five = oracle.oracle_floquet(kotani_model, kotani_orbit), kotani_oracle_floquet
+        assert [res.multipliers.size for res in two.results] == [2, 2, 2]
+        mu = five.leading_nontrivial()
+        assert abs(two.leading_nontrivial() - mu) <= 1e-10 * abs(mu)
+        # |lambda - 1| of the multiplier closest to 1, relative to that multiplier
+        assert abs(two.unit_multiplier_error - five.unit_multiplier_error) <= 1e-10
+        t = np.linspace(0.0, kotani_orbit.T, 512)
+        rho = oracle.oracle_eigenfunction(kotani_orbit, five)(t)
+        gap = np.abs(oracle.oracle_eigenfunction(kotani_orbit, two)(t) - rho).max()
+        assert gap <= 1e-10 * np.abs(rho).max()
+
     def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
         mu_o = cortico_oracle_floquet.leading_nontrivial()
         assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
@@ -762,6 +776,13 @@ class TestDirectPrc:
         assert prc2.eps == prc1.eps / 2
         ratio = np.linalg.norm(prc1.raw_shifts) / np.linalg.norm(prc2.raw_shifts)
         assert abs(ratio - 2.0) < 0.04
+
+    def test_too_few_periods_rejected(self, kotani_model, kotani_orbit):
+        # the phase shift is read over the trailing PRC_WINDOW_PERIODS periods,
+        # which must all follow the kick
+        with pytest.raises(ValueError, match="periods=5"):
+            oracle.direct_prc(kotani_model, kotani_orbit, [0.0],
+                              periods=oracle.PRC_WINDOW_PERIODS)
 
     def test_pulse_at_zero_of_z(self, kotani_model, kotani_orbit, kotani_z):
         # locate a zero crossing of z by bisection on the interpolant
