@@ -122,14 +122,6 @@ _REMOVED = {
         "16 to 256 nodes give the same pairing to within 8e-15 on both shipped "
         "configs"
     ),
-    **{
-        ("oracle", key): (
-            f"oracle.{key} was removed: the oracle only checks the harmonic-balance "
-            "results, so its monodromy pair count, step and direct-PRC sampling "
-            "are constants in ddehb.oracle"
-        )
-        for key in ("exponents", "dt", "prc_phases", "prc_periods")
-    },
 }
 
 

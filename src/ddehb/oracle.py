@@ -604,29 +604,24 @@ def direct_prc(
     orbit: PeriodicOrbit,
     phases,
     scales=(1.0,),
-    dt: float | None = None,
-    periods: int = PRC_PERIODS,
 ) -> list[PrcResult]:
     """Measure the PRC by pulse perturbation and cross-correlation.
 
     For each phase the unperturbed copy and one copy per pulse size
     eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
     orbit's peak there, start from the same orbit history and run for
-    `periods` cycles; all trajectories advance as one batch, so the
-    unperturbed copies are integrated once for every size.  The asymptotic
-    time shift is read off as the phase difference of the fundamental
-    harmonic over the trailing PRC_WINDOW_PERIODS periods, which is the
-    peak of the circular cross-correlation of the two near-sinusoidal
-    signals, located spectrally.  Returns one result per entry of scales.
+    PRC_PERIODS cycles at step tau/64; all trajectories advance as one
+    batch, so the unperturbed copies are integrated once for every size.
+    The asymptotic time shift is read off as the phase difference of the
+    fundamental harmonic over the trailing PRC_WINDOW_PERIODS periods,
+    which is the peak of the circular cross-correlation of the two
+    near-sinusoidal signals, located spectrally.  Returns one result per
+    entry of scales.
     """
-    if periods <= PRC_WINDOW_PERIODS:  # the window would reach the history
-        raise ValueError(f"periods={periods} must exceed {PRC_WINDOW_PERIODS}")
     phases = np.asarray(phases, dtype=float)
     T = orbit.T
     omega = orbit.omega
     eps = PRC_EPS * float(np.abs(orbit.X[:, PRC_COMPONENT]).max())
-    if dt is None:
-        dt = model.tau / 64.0
     t_theta = phases / omega  # kick times along the cycle
     B = phases.size
     sizes = [eps * s for s in scales]
@@ -639,10 +634,11 @@ def direct_prc(
     kick = np.zeros(((1 + len(sizes)) * B, model.m))
     for j, size in enumerate(sizes):
         kick[(j + 1) * B : (j + 2) * B, PRC_COMPONENT] = size
-    traj = integrate_dde(model, history, periods * T, dt, initial_kick=kick)
+    traj = integrate_dde(model, history, PRC_PERIODS * T, model.tau / 64.0,
+                         initial_kick=kick)
 
     times = traj.times
-    sel = times >= periods * T - PRC_WINDOW_PERIODS * T
+    sel = times >= PRC_PERIODS * T - PRC_WINDOW_PERIODS * T
     tw = times[sel]
     xw = traj.states[sel][:, :, PRC_COMPONENT]  # (nt, (1 + sizes) B)
     phi = np.angle(np.exp(-1j * omega * tw) @ xw)

@@ -54,7 +54,7 @@ def kotani_q(kotani_orbit, kotani_mu, kotani_mode):
 
 @pytest.fixture(scope="session")
 def kotani_oracle_floquet(kotani_model, kotani_orbit):
-    return oracle.oracle_floquet(kotani_model, kotani_orbit, N=2000, k=5)
+    return oracle.oracle_floquet(kotani_model, kotani_orbit, N=2000)
 
 
 @pytest.fixture(scope="session")
@@ -110,7 +110,7 @@ def cortico_q(cortico_orbit, cortico_mu, cortico_mode):
 
 @pytest.fixture(scope="session")
 def cortico_oracle_floquet(cortico_model, cortico_orbit):
-    return oracle.oracle_floquet(cortico_model, cortico_orbit, N=2000, k=5)
+    return oracle.oracle_floquet(cortico_model, cortico_orbit, N=2000)
 
 
 def stuart_landau(tau: float) -> ModelSpec:

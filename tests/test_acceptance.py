@@ -90,7 +90,9 @@ CRITERIA = {
 def report_rows(cortico_settle):
     """Every row of the validation reports of the shipped configs.  The
     cortico seed is the session's settle of the same config, so the cycle
-    is not settled again; every row but the wall times is unchanged by it."""
+    is not settled again; every row but the wall times is unchanged by it.
+    So the cortico.floquet_runtime row leaves out the settle here, which
+    `ddehb validate --config configs/cortico_fig2.yaml` still times."""
     build_seed = pipeline.build_seed
 
     def shared_seed(cfg, model):

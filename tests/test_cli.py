@@ -510,32 +510,19 @@ class TestConfigValidation:
         assert "adjoint.QUAD_NODES" in err
         assert not list(tmp_path.iterdir())
 
-    # the removed settings at their former defaults
-    @pytest.mark.parametrize(
-        "key, value",
-        [("exponents", 5), ("dt", None), ("prc_phases", 16), ("prc_periods", 20)],
-    )
-    def test_removed_oracle_setting_in_file(self, tmp_path, capsys, key, value):
-        data = yaml.safe_load(Path(KOTANI_CFG).read_text())
-        data["oracle"][key] = value
-        path = tmp_path / "old.yaml"
-        path.write_text(yaml.safe_dump(data))
-        out = tmp_path / "run"
-        assert run("validate", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"oracle.{key} was removed" in err and "ddehb.oracle" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "name, override",
         [
-            # removed oracle settings
+            # removed oracle settings, also at their former defaults
             ("kotani_fig1.yaml", "oracle.exponents=0"),
             ("kotani_fig1.yaml", "oracle.prc_phases=0"),
             ("kotani_fig1.yaml", "oracle.prc_periods=-1"),
             ("kotani_fig1.yaml", "oracle.dt=1.0"),
             ("kotani_fig1.yaml", "oracle.dt=-0.01"),
+            ("kotani_fig1.yaml", "oracle.exponents=5"),
+            ("kotani_fig1.yaml", "oracle.prc_phases=16"),
+            ("kotani_fig1.yaml", "oracle.prc_periods=20"),
+            ("kotani_fig1.yaml", "oracle.dt=null"),
             ("cortico_fig2.yaml", "seed.dt=-0.04"),
             ("cortico_fig2.yaml", "seed.observe_time=-1.0"),
             ("cortico_fig2.yaml", "solver.anchor_component=2"),

@@ -337,8 +337,9 @@ class TestMonodromy:
 
     def test_two_pairs_suffice(self, kotani_model, kotani_orbit, kotani_oracle_floquet):
         # the default k = 2 keeps the unit multiplier and the leading
-        # nontrivial one, and reads them as the k = 5 run does
-        two, five = oracle.oracle_floquet(kotani_model, kotani_orbit), kotani_oracle_floquet
+        # nontrivial one, and reads them as a k = 5 run does
+        two = kotani_oracle_floquet
+        five = oracle.oracle_floquet(kotani_model, kotani_orbit, k=5)
         assert [res.multipliers.size for res in two.results] == [2, 2, 2]
         mu = five.leading_nontrivial()
         assert abs(two.leading_nontrivial() - mu) <= 1e-10 * abs(mu)
@@ -770,19 +771,11 @@ class TestDiscretizedAdjoint:
 class TestDirectPrc:
     def test_linearity_in_pulse_size(self, kotani_model, kotani_orbit):
         phases = np.arange(8) * 2 * np.pi / 8
-        prc1, prc2 = oracle.direct_prc(
-            kotani_model, kotani_orbit, phases, scales=(1.0, 0.5), periods=20
-        )
+        prc1, prc2 = oracle.direct_prc(kotani_model, kotani_orbit, phases,
+                                       scales=(1.0, 0.5))
         assert prc2.eps == prc1.eps / 2
         ratio = np.linalg.norm(prc1.raw_shifts) / np.linalg.norm(prc2.raw_shifts)
         assert abs(ratio - 2.0) < 0.04
-
-    def test_too_few_periods_rejected(self, kotani_model, kotani_orbit):
-        # the phase shift is read over the trailing PRC_WINDOW_PERIODS periods,
-        # which must all follow the kick
-        with pytest.raises(ValueError, match="periods=5"):
-            oracle.direct_prc(kotani_model, kotani_orbit, [0.0],
-                              periods=oracle.PRC_WINDOW_PERIODS)
 
     def test_pulse_at_zero_of_z(self, kotani_model, kotani_orbit, kotani_z):
         # locate a zero crossing of z by bisection on the interpolant
@@ -797,5 +790,5 @@ class TestDirectPrc:
             else:
                 hi = mid
         theta0 = 0.5 * (lo + hi) * kotani_orbit.omega
-        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, [theta0], periods=20)
+        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, [theta0])
         assert abs(prc.measured[0]) < 0.05 * np.abs(kotani_z.Q).max()
