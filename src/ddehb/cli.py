@@ -139,7 +139,7 @@ def cmd_cycle(cfg: RunConfig) -> int:
     model = pipeline.build_model(cfg)
     verify_jacobians(model, trials=25, tol=1e-6, seed=cfg.rng_seed)
     seed, settled = pipeline.build_seed(cfg, model)
-    orbit = solve_cycle(model, seed, pipeline.solve_options(cfg))
+    orbit = solve_cycle(model, seed, cfg.solver)
 
     h = cfg.config_hash()
     _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
@@ -162,18 +162,9 @@ def cmd_floquet(cfg: RunConfig) -> int:
     run = pipeline.run_floquet(cfg, orbit)
 
     h = cfg.config_hash()
-    pts = run.scan.points
-    _write_csv(
-        out_dir / "floquet_scan.csv",
-        ["mu", "log_abs_det", "sign", "sigma_min"],
-        [
-            np.array([p.mu for p in pts]),
-            np.array([p.log_abs_det for p in pts]),
-            np.array([p.sign for p in pts]),
-            np.array([p.sigma_min for p in pts]),
-        ],
-        h,
-    )
+    scan = run.scan
+    _write_csv(out_dir / "floquet_scan.csv", ["mu", "log_abs_det", "sign", "sigma_min"],
+               [scan.mu, scan.log_abs_det, scan.sign, scan.sigma_min], h)
     tg = orbit.grid.sample_times
     outputs = ["floquet_scan.csv", "exponents.json"]
     entries = []

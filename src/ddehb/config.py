@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 import yaml
 
+from .cycle import SolveOptions
 from .errors import ConfigError
 
 # The integrator's step limit, defined here so that checking seed.dt loads
@@ -47,14 +48,6 @@ _Loader.add_implicit_resolver(
 class ModelConfig:
     name: str = "kotani"
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class SolverConfig:
-    M: int = 20
-    anchor_component: int = 0
-    tolerance: float = 1e-10
-    max_iterations: int = 100
 
 
 @dataclass
@@ -90,7 +83,7 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolveOptions = field(default_factory=SolveOptions)
     seed: SeedConfig = field(default_factory=SeedConfig)
     scan: ScanConfig = field(default_factory=ScanConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
@@ -223,6 +216,8 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(
             f"seed.amplitude must hold {counts} finite real numbers, got {amp!r}"
         )
+    if cfg.seed.transient < 0:
+        raise ConfigError(f"seed.transient must be >= 0, got {cfg.seed.transient}")
     if cfg.seed.period_guess <= 0:
         raise ConfigError("seed.period_guess must be positive")
     if cfg.seed.observe_time is not None and not cfg.seed.observe_time > 0:

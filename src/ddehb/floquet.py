@@ -48,24 +48,21 @@ def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
 
 
 @dataclass
-class ScanPoint:
-    mu: float
-    log_abs_det: float
-    sign: float
-    sigma_min: float
-
-
-@dataclass
 class DetScanResult:
-    points: list[ScanPoint]
+    """log|det M(mu)|, its sign (+1, -1, or 0 where the factorization is
+    exactly singular) and sigma_min at the grid values mu, one array each."""
+
+    mu: np.ndarray
+    log_abs_det: np.ndarray
+    sign: np.ndarray
+    sigma_min: np.ndarray
 
     def sign_changes(self):
-        """Bracketing intervals (mu_lo, mu_hi) where det changes sign."""
-        out = []
-        for a, b in zip(self.points, self.points[1:]):
-            if a.sign != 0 and b.sign != 0 and a.sign != b.sign:
-                out.append((a.mu, b.mu))
-        return out
+        """Bracketing intervals (mu_lo, mu_hi) of neighbouring grid values
+        where det changes sign, in grid order; a zero sign brackets nothing."""
+        s = self.sign
+        return [(float(self.mu[i]), float(self.mu[i + 1]))
+                for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
 
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
@@ -74,27 +71,25 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
 
     The grid is assembled SCAN_CHUNK points at a time (Linearization.matrices)
     and each chunk goes through one stacked slogdet and one stacked
-    singular-value call.  These run the same LAPACK routine on each matrix
-    as a call per point would, so the values are the same to the bit; a
-    chunk holds at most SCAN_CHUNK n^2 doubles (1.3 MB at n = 81).
+    singular-value call that fills its slice of the arrays.  These run the
+    same LAPACK routine on each matrix as a call per point would, so the
+    values are the same to the bit; a chunk holds at most SCAN_CHUNK n^2
+    doubles (1.3 MB at n = 81).
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
-    mus = np.linspace(lo, hi, grid_points)
+    scan = DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((3, grid_points)))
     lin = orbit_linearization(orbit)
-    points = []
     for start in range(0, grid_points, SCAN_CHUNK):
-        chunk = mus[start : start + SCAN_CHUNK]
+        chunk = slice(start, start + SCAN_CHUNK)
         try:
-            mats = lin.matrices(chunk)
+            mats = lin.matrices(scan.mu[chunk])
         except NonFiniteState as exc:
             raise NonFiniteState(f"{exc}; increase scan.mu_min (now {lo:g})") from None
-        signs, logdets = np.linalg.slogdet(mats)
-        sigma_min = np.linalg.svd(mats, compute_uv=False)[:, -1]
-        points += map(ScanPoint, chunk.tolist(), logdets.tolist(), signs.tolist(),
-                      sigma_min.tolist())
-    return DetScanResult(points=points)
+        scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(mats)
+        scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    return scan
 
 
 def _sigma_extremes(lin: Linearization, mu):
@@ -268,13 +263,11 @@ def find_exponents(
     determinant sign changes and from interior sigma_min dips.
     """
     scan = det_scan(orbit, mu_range, grid_points)
-    brackets = list(scan.sign_changes())
-    pts = scan.points
-    for i in range(1, len(pts) - 1):
-        if pts[i].sigma_min < pts[i - 1].sigma_min and pts[i].sigma_min < pts[i + 1].sigma_min:
-            bracket = (pts[i - 1].mu, pts[i + 1].mu)
-            if not any(b[0] <= pts[i].mu <= b[1] for b in brackets):
-                brackets.append(bracket)
+    brackets = scan.sign_changes()
+    mu, s = scan.mu, scan.sigma_min
+    for i in np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1:
+        if not any(b[0] <= mu[i] <= b[1] for b in brackets):
+            brackets.append((mu[i - 1], mu[i + 1]))
     roots = []
     for bracket in brackets:
         try:

@@ -207,14 +207,6 @@ def _integrate_ode(model, history, t_end, dt, initial_kick):
 
 
 @dataclass
-class SettleOptions:
-    dt: float = 0.05
-    M: int = 20
-    component: int = 0
-    observe_time: float | None = None  # defaults to 100 * max(tau, 1)
-
-
-@dataclass
 class SettleResult:
     period: float
     spread: float
@@ -222,25 +214,23 @@ class SettleResult:
     seed: CycleSeed
 
 
-def settle_to_cycle(
-    model: ModelSpec, history, transient: float, opts: SettleOptions | None = None
-) -> SettleResult:
-    """Relax onto the attracting cycle and extract a period + Fourier seed.
-
-    The period comes from successive upward mean-crossings of the
-    anchored component over the post-transient window (mean of the last
-    SETTLE_LAST_INTERVALS intervals, spread reported).  The seed resamples
-    one period onto a 2M+1 grid, time-shifted so the anchor component
-    peaks at t=0, which pre-satisfies the solver's phase anchor.
+def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.05,
+                    M: int = 20, component: int = 0,
+                    observe_time: float | None = None) -> SettleResult:
+    """Relax onto the attracting cycle at step dt and extract a period and
+    a Fourier seed.  The period comes from successive upward mean-crossings
+    of the anchor component over the observe_time (default 100 max(tau, 1))
+    after the transient: the mean of the last SETTLE_LAST_INTERVALS
+    intervals, spread reported.  The seed resamples one period onto a 2M+1
+    grid, time-shifted so the anchor component peaks at t=0, which
+    pre-satisfies the solver's phase anchor.
     """
-    opts = opts or SettleOptions()
-    observe = opts.observe_time
-    if observe is None:
-        observe = 100.0 * max(model.tau, 1.0)
-    traj = integrate_dde(model, history, transient + observe, opts.dt)
+    if observe_time is None:
+        observe_time = 100.0 * max(model.tau, 1.0)
+    traj = integrate_dde(model, history, transient + observe_time, dt)
 
     times = traj.times
-    comp = traj.states[..., opts.component]
+    comp = traj.states[..., component]
     window = times >= transient
     tw = times[window]
     xw = comp[window]
@@ -251,7 +241,7 @@ def settle_to_cycle(
     ref = xw.mean()
     y = xw - ref
     up = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
-    crossings = tw[up] - y[up] * opts.dt / (y[up + 1] - y[up])
+    crossings = tw[up] - y[up] * dt / (y[up + 1] - y[up])
     if crossings.size < SETTLE_MIN_CROSSINGS:
         raise NoOscillationDetected(
             f"only {crossings.size} upward crossings detected "
@@ -269,7 +259,7 @@ def settle_to_cycle(
     # anchor the seed at the maximum of the anchored component
     t_ref = crossings[-1]
     fine = np.linspace(t_ref - period, t_ref, 4096)
-    vals = traj.value(fine)[..., opts.component]
+    vals = traj.value(fine)[..., component]
     i = int(np.argmax(vals))
     if 0 < i < fine.size - 1:
         a, b, c = vals[i - 1], vals[i], vals[i + 1]
@@ -279,8 +269,8 @@ def settle_to_cycle(
     else:
         t_max = fine[i]
 
-    K = 2 * opts.M + 1
-    grid_t = t_max + np.arange(-opts.M, opts.M + 1) * (period / K)
+    K = 2 * M + 1
+    grid_t = t_max + np.arange(-M, M + 1) * (period / K)
     samples = traj.value(grid_t)
     seed = CycleSeed(series=sample_to_coeffs(samples, period), period=period)
     return SettleResult(period=period, spread=spread, crossings=crossings, seed=seed)
@@ -480,15 +470,6 @@ def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInte
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OracleResponse:
-    interp: _PeriodicInterp
-    iterations: int
-
-    def value(self, t) -> np.ndarray:
-        return self.interp(t)
-
-
 def _orbit_tangent(orbit):
     """Cycle tangent from the delay system itself, x' = F(x, x_delayed)."""
 
@@ -499,24 +480,24 @@ def _orbit_tangent(orbit):
     return xdot
 
 
-def _response(orbit, curve, mu, rho, iterations) -> OracleResponse:
+def _response(orbit, curve, mu, rho) -> _PeriodicInterp:
     """Response from a periodic curve sampled uniformly over one period,
     scaled so that its pairing with the cycle tangent is omega (mu = 0,
     phase) or with the eigenfunction rho is 1 (amplitude)."""
     partner, target = (_orbit_tangent(orbit), orbit.omega) if mu == 0.0 else (rho, 1.0)
     raw = _PeriodicInterp(T=orbit.T, values=curve)
     scale = normalization(orbit, raw, partner, mu, target)
-    return OracleResponse(_PeriodicInterp(T=orbit.T, values=curve * scale), iterations)
+    return _PeriodicInterp(T=orbit.T, values=curve * scale)
 
 
-def _adjoint_response(orbit, mu, rho, w0, iterations):
+def _adjoint_response(orbit, mu, rho, w0):
     """Response q(t) = e^{mu t} w(t) (z for mu = 0) from the head profile w0
     of an adjoint vector, sampled at the steps+1 nodes of one period; the
     last node repeats the first and is dropped."""
     steps = w0.shape[0] - 1
     t = np.arange(steps) * (orbit.T / steps)
     curve = np.exp(mu * t)[:, None] * w0[:-1]
-    return _response(orbit, curve, mu, rho, iterations)
+    return _response(orbit, curve, mu, rho)
 
 
 @dataclass
@@ -524,9 +505,14 @@ class AdjointIteration:
     """One backward subspace iteration on a chain level and the response
     curves it served."""
 
-    responses: list[OracleResponse]  # one per target, in the order given
+    responses: list[_PeriodicInterp]  # one per target, in the order given
+    periods: list[int]  # backward periods each target needed
     vectors: np.ndarray  # (dim, targets) unit adjoint vectors, as converged
-    iterations: int  # backward periods swept: the most any target needed
+
+    @property
+    def iterations(self) -> int:
+        """Backward periods swept: the most any target needed."""
+        return max(self.periods)
 
 
 def discretized_adjoint(
@@ -562,6 +548,7 @@ def discretized_adjoint(
 
     vectors = np.empty((system.dim, len(targets)))
     responses = [None] * len(targets)
+    periods = [0] * len(targets)
     for iterations in range(1, ADJOINT_MAX_PERIODS + 1):
         W, head = _sweep_backward(plan, V, steps, store_head=True)
         H = V.T @ W
@@ -574,7 +561,8 @@ def discretized_adjoint(
             norm = np.linalg.norm(u)
             u, c = u / norm, c / norm
             if np.linalg.norm(W @ c - vals[i] * u) <= ADJOINT_TOL * abs(vals[i]):
-                responses[j] = _adjoint_response(orbit, mu, rho, head @ c, iterations)
+                responses[j] = _adjoint_response(orbit, mu, rho, head @ c)
+                periods[j] = iterations
                 vectors[:, j] = u
         if all(r is not None for r in responses):
             break
@@ -584,7 +572,7 @@ def discretized_adjoint(
             f"adjoint Ritz residual above {ADJOINT_TOL:g} after "
             f"{ADJOINT_MAX_PERIODS} backward periods"
         )
-    return AdjointIteration(responses=responses, vectors=vectors, iterations=iterations)
+    return AdjointIteration(responses=responses, periods=periods, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +679,7 @@ class OracleFloquet:
     levels: list[int]
     systems: list[DiscretizedSystem]
     results: list[MonodromyResult]
-    modes: list[tuple[float, _PeriodicInterp]]  # per level: (mu, rho), unaligned
+    modes: list[tuple[float, _PeriodicInterp]]  # per level: (mu, rho), signs aligned
     multipliers: np.ndarray  # extrapolated, matched across levels
     exponents: np.ndarray
     unit_multiplier_error: float
@@ -715,7 +703,8 @@ def oracle_floquet(
     the level below resampled onto its chain (_refine_block).  Multipliers
     are matched between levels by proximity before combining; unmatched
     ones keep the finest-level value.  Each level's eigenfunction at its
-    leading nontrivial exponent is read once, into modes.
+    leading nontrivial exponent is read once, into modes, with its sign
+    set there against the finest level's (inner product over 512 times).
     """
     sizes = _level_sizes(N, levels)
     weights = _RICHARDSON_WEIGHTS[levels]
@@ -725,7 +714,11 @@ def oracle_floquet(
         start = _refine_block(results[-1].image, model.m) if results else None
         results.append(monodromy_exponents(sys, orbit, k=k, seed=seed, start=start))
     mus = [float(res.leading_nontrivial().real) for res in results]
-    modes = [(mu, monodromy_eigenfunction(res, mu)) for res, mu in zip(results, mus)]
+    profiles = [monodromy_eigenfunction(res, mu) for res, mu in zip(results, mus)]
+    t_ref = np.linspace(0.0, orbit.T, 512)
+    ref = profiles[-1](t_ref)
+    modes = [(mu, _PeriodicInterp(p.T, _sign_against(p(t_ref), ref) * p.values))
+             for mu, p in zip(mus, profiles)]
     fine = results[-1]
     multipliers = np.array(fine.multipliers, dtype=complex)
     for j, lam in enumerate(fine.multipliers):
@@ -756,21 +749,14 @@ def oracle_floquet(
 
 def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicInterp:
     """Extrapolated, max-normalized eigenfunction profile at the leading
-    nontrivial exponent, sign-aligned across levels."""
+    nontrivial exponent, from the sign-aligned level profiles of ofl.modes."""
     weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
-    profiles = [rho for _, rho in ofl.modes]
-    t_ref = np.linspace(0.0, orbit.T, 512)
-    ref = profiles[-1](t_ref)
-    aligned = [
-        _PeriodicInterp(T=p.T, values=_sign_against(p(t_ref), ref) * p.values)
-        for p in profiles
-    ]
-    combined = _combine_profiles(aligned, weights, orbit.T)
+    combined = _combine_profiles([rho for _, rho in ofl.modes], weights, orbit.T)
     combined.values[:] = _mode_gauge(combined.values)
     return combined
 
 
-def _extrapolated_responses(orbit, systems, level_targets, targets) -> list[OracleResponse]:
+def _extrapolated_responses(orbit, systems, level_targets, targets):
     """Richardson-extrapolated response curves, one per target (mu, rho).
 
     Each chain level runs one backward subspace iteration for its own
@@ -785,9 +771,8 @@ def _extrapolated_responses(orbit, systems, level_targets, targets) -> list[Orac
     out = []
     for j, (mu, rho) in enumerate(targets):
         curves = [lvl.responses[j] for lvl in levels]
-        combined = _combine_profiles([c.interp for c in curves], weights, orbit.T)
-        out.append(_response(orbit, combined.values, mu, rho,
-                             iterations=max(c.iterations for c in curves)))
+        combined = _combine_profiles(curves, weights, orbit.T)
+        out.append(_response(orbit, combined.values, mu, rho))
     return out
 
 
@@ -795,22 +780,16 @@ def oracle_responses(
     orbit: PeriodicOrbit,
     ofl: OracleFloquet,
     rho: _PeriodicInterp,
-) -> tuple[OracleResponse, OracleResponse]:
+) -> tuple[_PeriodicInterp, _PeriodicInterp]:
     """Extrapolated oracle phase and amplitude responses, the latter at the
     leading exponent, from one backward iteration per chain level of ofl.
 
-    Each chain level uses its own exponent and (sign-aligned)
-    eigenfunction from ofl.modes; the combined amplitude curve is
-    renormalized against the extrapolated pair (rho from
-    oracle_eigenfunction) so its pairing is exactly 1.
+    Each chain level uses its own exponent and eigenfunction from
+    ofl.modes as they are; the combined amplitude curve is renormalized
+    against the extrapolated pair (rho from oracle_eigenfunction), so its
+    pairing is exactly 1 whatever common sign the levels carry.
     """
-    t_ref = np.linspace(0.0, orbit.T, 512)
-    ref = rho(t_ref)
-    level_targets = []
-    for mu_lvl, rho_lvl in ofl.modes:
-        s = _sign_against(rho_lvl(t_ref), ref)
-        rho_lvl = _PeriodicInterp(T=rho_lvl.T, values=s * rho_lvl.values)
-        level_targets.append([(0.0, None), (mu_lvl, rho_lvl)])
+    level_targets = [[(0.0, None), mode] for mode in ofl.modes]
     targets = [(0.0, None), (ofl.leading_nontrivial(), rho)]
     z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets)
     return z, q

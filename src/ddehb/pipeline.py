@@ -9,7 +9,7 @@ import numpy as np
 
 from . import adjoint, floquet
 from .config import RunConfig
-from .cycle import CycleSeed, PeriodicOrbit, SolveOptions, seed_from_ansatz
+from .cycle import CycleSeed, PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput
 from .model import ModelSpec, make_model
 from .spectral import FourierSeries
@@ -35,7 +35,8 @@ def read_orbit_file(path):
 
     "coeffs" holds one [re, im] pair per harmonic p = -M..M, grouped per
     component, as `ddehb cycle` writes it; MalformedInput if "T" or
-    "coeffs" is missing or not of that form.
+    "coeffs" is missing or not of that form, if T is not finite and
+    positive, or if M < 1.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -43,11 +44,15 @@ def read_orbit_file(path):
         coeffs = np.array(
             [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
         ).T
-        return data, FourierSeries(float(data["T"]), coeffs)
+        series = FourierSeries(float(data["T"]), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(
             f"orbit file {path}: {type(exc).__name__}: {exc}"
         ) from None
+    if not (np.isfinite(series.T) and series.T > 0) or series.M < 1:
+        raise MalformedInput(f"orbit file {path}: need a finite positive period T "
+                             f"and M >= 1, got T={series.T!r}, M={series.M}")
+    return data, series
 
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
@@ -58,29 +63,15 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     if sc.kind == "oracle":
         from . import oracle  # loaded only for an oracle seed
 
-        dt = sc.dt if sc.dt is not None else model.tau / 64.0
-        opts = oracle.SettleOptions(
-            dt=dt,
-            M=cfg.solver.M,
-            component=cfg.solver.anchor_component,
-            observe_time=sc.observe_time,
-        )
-        history = sinusoid_history(model, sc.amplitude, sc.period_guess)
-        settled = oracle.settle_to_cycle(model, history, sc.transient, opts)
+        settled = oracle.settle_to_cycle(
+            model, sinusoid_history(model, sc.amplitude, sc.period_guess), sc.transient,
+            dt=sc.dt if sc.dt is not None else model.tau / 64.0, M=cfg.solver.M,
+            component=cfg.solver.anchor_component, observe_time=sc.observe_time)
         return settled.seed, settled
     if sc.kind == "file":
         _, series = read_orbit_file(sc.path)
         return CycleSeed(series=series, period=series.T), None
     raise ConfigError(f"unknown seed kind {sc.kind!r}")
-
-
-def solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(
-        M=cfg.solver.M,
-        anchor_component=cfg.solver.anchor_component,
-        tolerance=cfg.solver.tolerance,
-        max_iterations=cfg.solver.max_iterations,
-    )
 
 
 @dataclass

@@ -22,9 +22,7 @@ from .config import RunConfig
 # when it loads would stay bound here after being removed from cycle: the
 # solves call cycle.solve_cycle.  The name stays importable from here for
 # code that reads it (bench/test_bench.py).
-from .cycle import (  # noqa: F401
-    CycleSeed, PeriodicOrbit, SolveOptions, convergence_sweep, solve_cycle,
-)
+from .cycle import CycleSeed, PeriodicOrbit, convergence_sweep, solve_cycle  # noqa: F401
 from .errors import NoExponentInRange
 from .model import ModelSpec
 
@@ -142,7 +140,6 @@ class _Stage:
     model: ModelSpec
     seed: CycleSeed
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
-    opts: SolveOptions
     orbit: PeriodicOrbit
     mu: float  # leading nontrivial exponent
     solve_seconds: float  # seed (settle included) and cycle solve
@@ -153,12 +150,10 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     model = pipeline.build_model(cfg)
     t0 = time.perf_counter()
     seed, settled = pipeline.build_seed(cfg, model)
-    opts = pipeline.solve_options(cfg)
-    orbit = cycle.solve_cycle(model, seed, opts)
+    orbit = cycle.solve_cycle(model, seed, cfg.solver)
     t1 = time.perf_counter()
     mu = _leading_exponent(orbit, cfg.scan)
-    return _Stage(model, seed, settled, opts, orbit, mu, t1 - t0,
-                  time.perf_counter() - t1)
+    return _Stage(model, seed, settled, orbit, mu, t1 - t0, time.perf_counter() - t1)
 
 
 def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
@@ -175,7 +170,7 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
                           half))
 
     t0 = time.perf_counter()
-    orbit2 = cycle.solve_cycle(st.model, st.seed, replace(st.opts, M=2 * st.opts.M))
+    orbit2 = cycle.solve_cycle(st.model, st.seed, replace(cfg.solver, M=2 * cfg.solver.M))
     mu2 = _leading_exponent(orbit2, cfg.scan)
     results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - mu2), 1e-6,
                           _since(t0), detail=f"mu={st.mu:.6f}"))
@@ -230,9 +225,9 @@ def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tol, relative
     # one backward iteration per chain level yields both z and q: split its time
     t0 = time.perf_counter()
     z_o, q_o = oracle.oracle_responses(st.orbit, ofl, rho_o)
-    results.append(_check(f"{prefix}.oracle_z", gap(z_o.value, z.Q, align=False), tol,
+    results.append(_check(f"{prefix}.oracle_z", gap(z_o, z.Q, align=False), tol,
                           _since(t0, 0.5)))
-    results.append(_check(f"{prefix}.oracle_q", gap(q_o.value, q.Q), tol, _since(t0, 0.5)))
+    results.append(_check(f"{prefix}.oracle_q", gap(q_o, q.Q), tol, _since(t0, 0.5)))
 
 
 def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
@@ -288,7 +283,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     spectral = _spectral_rows(results, "cortico", cfg, st)
 
     t0 = time.perf_counter()
-    rows = convergence_sweep(st.model, st.seed, st.opts, [10, 20, 40])
+    rows = convergence_sweep(st.model, st.seed, cfg.solver, [10, 20, 40])
     tails = [r.tail_energy for r in rows]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,

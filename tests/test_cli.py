@@ -19,7 +19,7 @@ from ddehb.cli import (
     main,
 )
 import ddehb
-from ddehb import cycle, pipeline, validation
+from ddehb import cycle, validation
 from ddehb.config import load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
@@ -270,6 +270,45 @@ class TestMalformedInput:
         )
         assert not (tmp_path / "again" / "orbit_coeffs.json").exists()
 
+    @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_orbit_file_period_not_finite_positive(self, tmp_path, capsys, T):
+        # these ended in a ValueError traceback (exit 1), inf in a misleading
+        # overflow (exit 3)
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["T"] = T
+        path.write_text(json.dumps(data))
+        self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG, "--out", str(out))
+        assert not (out / "exponents.json").exists()
+
+    def test_orbit_file_without_harmonics(self, tmp_path, capsys):
+        # one coefficient pair per component is M = 0: no oscillation to solve
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        M = len(data["coeffs"][0]) // 2
+        data["coeffs"] = [comp[M : M + 1] for comp in data["coeffs"]]
+        path.write_text(json.dumps(data))
+        self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG, "--out", str(out))
+        assert not (out / "exponents.json").exists()
+
+    def test_seed_file_period_negative(self, tmp_path, capsys):
+        # this ended in a ValueError traceback
+        first = tmp_path / "first"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(first))
+        path = first / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["T"] = -6.0
+        path.write_text(json.dumps(data))
+        self.expect_malformed(
+            capsys, "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path / "again"),
+            "--seed-from", "file", "--override", f"seed.path={path}",
+        )
+        assert not list((tmp_path / "again").iterdir())
+
     @pytest.mark.parametrize("field", ["mu", "trivial"])
     def test_exponent_entry_without_field(self, tmp_path, capsys, field):
         out = tmp_path / "run"
@@ -432,7 +471,7 @@ class TestValidateCommand:
         monkeypatch.setattr(cycle, "solve_cycle", recording)
         with pytest.raises(Doubled):
             validation.validate_kotani(cfg)
-        assert received[0] == pipeline.solve_options(cfg)
+        assert received[0] == cfg.solver
         assert received[-1] == dataclasses.replace(received[0], M=2 * cfg.solver.M)
 
     def test_no_exponent_in_scan_range(self, tmp_path, capsys):
@@ -552,6 +591,8 @@ class TestConfigValidation:
             ("kotani_fig1.yaml", "oracle.dt=true"),
             # a negative seed ended in a ValueError traceback from numpy.random
             ("kotani_fig1.yaml", "rng_seed=-1"),
+            # a negative transient ended in a ValueError traceback from numpy
+            ("cortico_fig2.yaml", "seed.transient=-1.0"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):

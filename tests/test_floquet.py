@@ -49,8 +49,7 @@ class TestDetScan:
 
     def test_cortico_dip_at_paper_value(self, cortico_orbit):
         scan = floquet.det_scan(cortico_orbit, CORTICO_SCAN, 200)
-        sigmin = np.array([p.sigma_min for p in scan.points])
-        mus = np.array([p.mu for p in scan.points])
+        sigmin, mus = scan.sigma_min, scan.mu
         negative = (mus < -1e-3) & (mus > -0.01)
         dip_mu = mus[negative][np.argmin(sigmin[negative])]
         assert abs(dip_mu - (-0.00296)) < 3e-4  # grid-resolution locate
@@ -58,9 +57,17 @@ class TestDetScan:
     def test_rootfree_range_bounded_away(self, kotani_orbit):
         scan = floquet.det_scan(kotani_orbit, (-0.008, -0.001), 40)
         assert scan.sign_changes() == []
-        sigmin = np.array([p.sigma_min for p in scan.points])
+        sigmin = scan.sigma_min
         assert sigmin.min() > 1e-4
         assert np.all(np.diff(sigmin) < 0)  # single root ahead: monotone approach
+
+    def test_zero_sign_brackets_nothing(self):
+        # signs 1, 0, -1, -1, 1: the zero neither closes nor opens a bracket
+        scan = floquet.DetScanResult(
+            mu=np.arange(5.0), log_abs_det=np.zeros(5),
+            sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]), sigma_min=np.ones(5),
+        )
+        assert scan.sign_changes() == [(3.0, 4.0)]
 
     def test_grid_validation(self, kotani_orbit):
         with pytest.raises(ValueError):

@@ -117,9 +117,9 @@ class TestAgainstFreshAssembly:
         lin = floquet.orbit_linearization(orbit)
         mus = np.linspace(*scan, points)
         np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
-        result = floquet.det_scan(orbit, scan, points).points
-        assert len(result) == points
-        for p, mu in zip(result, mus):
+        result = floquet.det_scan(orbit, scan, points)
+        assert result.mu.shape == (points,)
+        for i, mu in enumerate(mus):
             mat = lin.matrix(mu)
             # the per-point assembly that the stacked one replaced
             ref = lin.A0 - np.exp(-mu * lin.tau) * lin.B
@@ -127,7 +127,8 @@ class TestAgainstFreshAssembly:
             np.testing.assert_array_equal(mat, ref)
             sign, logdet = np.linalg.slogdet(mat)
             sigma_min = np.linalg.svd(mat, compute_uv=False)[-1]
-            assert (p.mu, p.sign, p.log_abs_det, p.sigma_min) == (mu, sign, logdet, sigma_min)
+            assert (result.mu[i], result.sign[i], result.log_abs_det[i],
+                    result.sigma_min[i]) == (mu, sign, logdet, sigma_min)
 
     def test_cycle_jacobian_x_block(self, request, name, scan):
         orbit = request.getfixturevalue(name)

@@ -212,7 +212,8 @@ class TestSettleToCycle:
             kotani_model,
             lambda s: 0.9 * cos_history(s),
             transient=60.0,
-            opts=oracle.SettleOptions(dt=kotani_model.tau / 64, M=20),
+            dt=kotani_model.tau / 64,
+            M=20,
         )
         assert abs(res.period - 2 * np.pi) < 1e-3
         assert res.crossings.size >= 12
@@ -223,7 +224,8 @@ class TestSettleToCycle:
                 decaying_model(),
                 lambda s: np.ones(np.shape(np.asarray(s)) + (1,)),
                 transient=25.0,
-                opts=oracle.SettleOptions(dt=0.05, observe_time=30.0),
+                dt=0.05,
+                observe_time=30.0,
             )
 
     def test_drifting_period_raises(self):
@@ -233,7 +235,7 @@ class TestSettleToCycle:
         with pytest.raises(PeriodDrift):
             oracle.settle_to_cycle(
                 shearing_spiral(), history, transient=5.0,
-                opts=oracle.SettleOptions(dt=0.05, observe_time=60.0),
+                dt=0.05, observe_time=60.0,
             )
 
 
@@ -463,10 +465,10 @@ class TestStoppingRule:
         calls = _recording(monkeypatch, "_sweep_backward")
         adj = oracle.discretized_adjoint(system, orbit, targets)
         periods = []
-        for (mu_j, _), r in zip(targets, adj.responses):
+        for (mu_j, _), n in zip(targets, adj.periods):
             lam = float(np.exp(mu_j * orbit.T))
             periods.append(_first_pass([self.adjoint_passes(V, W, lam) for V, W in calls]))
-            assert r.iterations == periods[-1]
+            assert n == periods[-1]
         assert len(calls) == adj.iterations == max(periods)
 
 
@@ -666,9 +668,8 @@ class TestHeadReadout:
         for j, (mu_j, rho) in enumerate(targets):
             u = adj.vectors[:, j]
             _, head = sweep._sweep_backward(plan, u[:, None], steps, store_head=True)
-            r = adj.responses[j]
-            ref = oracle._adjoint_response(orbit, mu_j, rho, head[..., 0], r.iterations)
-            assert _rel_gap(r.interp.values, ref.interp.values) <= SWEEP_RTOL
+            ref = oracle._adjoint_response(orbit, mu_j, rho, head[..., 0])
+            assert _rel_gap(adj.responses[j].values, ref.values) <= SWEEP_RTOL
 
 
 class TestDiscretizedAdjoint:
@@ -676,7 +677,7 @@ class TestDiscretizedAdjoint:
         tangent = oracle._orbit_tangent(kotani_orbit)
         vals = [
             adjoint.pairing_functional(
-                kotani_orbit, kotani_z_oracle_fine.interp, tangent, 0.0, t0
+                kotani_orbit, kotani_z_oracle_fine, tangent, 0.0, t0
             )
             for t0 in np.arange(8) * kotani_orbit.T / 8
         ]
@@ -687,7 +688,7 @@ class TestDiscretizedAdjoint:
         # a vanishing pairing is an error, not a curve scaled to NaN
         rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
         with pytest.raises(NormalizationSingular):
-            oracle._response(kotani_orbit, np.zeros((64, 1)), mu, rho, 1)
+            oracle._response(kotani_orbit, np.zeros((64, 1)), mu, rho)
 
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the chain decouples and the head block must solve the
@@ -696,7 +697,7 @@ class TestDiscretizedAdjoint:
         (res,) = oracle.discretized_adjoint(sys, sl_orbit, [(0.0, None)]).responses
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        assert np.abs(res.value(t) - expected).max() < 1e-4
+        assert np.abs(res(t) - expected).max() < 1e-4
 
     def test_level_eigenfunctions_swept_once(self, kotani_model, kotani_orbit,
                                              monkeypatch):
@@ -730,6 +731,34 @@ class TestDiscretizedAdjoint:
         assert forward == []
         assert len(read) == len(ofl.systems)
 
+    def test_flipped_level_sign_changes_nothing(self, kotani_model, kotani_orbit,
+                                                monkeypatch):
+        # oracle_floquet sets each level's eigenfunction sign once, so a
+        # level read with the opposite sign gives the same curves to the bit
+        def curves():
+            ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512)
+            rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
+            return ofl, [rho, *oracle.oracle_responses(kotani_orbit, ofl, rho)]
+
+        ofl, plain = curves()
+        read = oracle.monodromy_eigenfunction
+        calls = []
+
+        def flip_coarsest(result, mu):
+            rho = read(result, mu)
+            calls.append(result.vectors.shape[0])
+            if len(calls) == 1:  # levels are read coarsest first
+                rho = oracle._PeriodicInterp(T=rho.T, values=-rho.values)
+            return rho
+
+        monkeypatch.setattr(oracle, "monodromy_eigenfunction", flip_coarsest)
+        flipped_ofl, flipped = curves()
+        assert calls == [s.dim for s in ofl.systems]
+        for (_, a), (_, b) in zip(ofl.modes, flipped_ofl.modes):
+            assert np.array_equal(a.values, b.values)
+        for a, b in zip(plain, flipped):
+            assert np.array_equal(a.values, b.values)
+
     def test_shared_iteration_matches_one_target_runs(self, kotani_model,
                                                       kotani_orbit, monkeypatch):
         system = oracle.DiscretizedSystem(kotani_model, 128)
@@ -749,9 +778,9 @@ class TestDiscretizedAdjoint:
         single = [oracle.discretized_adjoint(system, kotani_orbit, [t]) for t in targets]
         for j, one in enumerate(single):
             (r,) = one.responses
-            assert np.array_equal(both.responses[j].interp.values, r.interp.values)
+            assert np.array_equal(both.responses[j].values, r.values)
             assert np.array_equal(both.vectors[:, j], one.vectors[:, 0])
-            assert both.responses[j].iterations == r.iterations == one.iterations
+            assert both.periods[j] == one.periods[0] == one.iterations
         periods = [one.iterations for one in single]
         assert n_both == both.iterations == max(periods)
         assert len(swept) - n_both == sum(periods)
