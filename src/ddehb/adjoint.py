@@ -10,8 +10,8 @@ assembled once per orbit with this advanced delay block
 evaluated at the advanced pair (x(t_n + tau), x(t_n)).  Written out column-wise (A^T Q = 0), the rows
 sample the continuous adjoint equation: the advance operator Delta^T
 realizes q(t + tau) exactly for trigonometric polynomials, and the
-advanced Jacobian multiplies it pointwise.  mu = 0 yields the phase
-response; the leading nontrivial exponent yields the amplitude response.
+advanced Jacobian multiplies it pointwise.  No mode yields the phase
+response (mu = 0); a Floquet mode yields the amplitude response at its mu.
 
 Normalization pins the scale through the bilinear pairing of the curve
 with the cycle tangent (phase, pairing omega) or the Floquet
@@ -49,7 +49,6 @@ def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
 class ResponseCurve:
     """Normalized phase (z) or amplitude (q) response samples."""
 
-    kind: str  # "phase" | "amplitude"
     mu: float
     Q: np.ndarray  # (2M+1, m)
     series: FourierSeries
@@ -133,41 +132,24 @@ def normalization(orbit: PeriodicOrbit, curve, partner, mu: float,
     return target / c
 
 
-def solve_response(
-    orbit: PeriodicOrbit,
-    mu: float,
-    kind: str,
-    floquet_mode: FloquetMode | None = None,
-) -> ResponseCurve:
-    """Compute a normalized response curve at the given exponent.
-
-    kind="phase" requires mu = 0 and pairs with the cycle tangent;
-    kind="amplitude" requires the matching FloquetMode for the
-    normalization.  The raw curve is the left null vector of the adjoint
-    operator, extracted as the smallest left singular vector.
-    """
-    if kind not in ("phase", "amplitude"):
-        raise ValueError(f"kind must be 'phase' or 'amplitude', got {kind!r}")
-    if kind == "phase" and mu != 0.0:
-        raise ValueError("phase response requires mu = 0")
-    if kind == "amplitude" and floquet_mode is None:
-        raise ValueError("amplitude response requires the matching FloquetMode")
-
+def solve_response(orbit: PeriodicOrbit,
+                   mode: FloquetMode | None = None) -> ResponseCurve:
+    """The normalized response curve that pairs with mode: with no mode the
+    phase response (mu = 0, pairing omega with the cycle tangent), with a
+    FloquetMode the amplitude response at mode.mu (pairing 1 with its
+    eigenfunction).  The raw curve is the left null vector of the adjoint
+    operator, extracted as the smallest left singular vector."""
+    mu, partner, target = ((0.0, orbit.series.derivative(), orbit.omega) if mode is None
+                           else (mode.mu, mode, 1.0))
     A = build_adjoint_matrix(orbit, mu)
     U, svals, _ = simple_null_svd(A, mu, "adjoint system")
     raw = U[:, -1].reshape(-1, orbit.model.m)
-
-    if kind == "phase":
-        partner, target = orbit.series.derivative(), orbit.omega
-    else:
-        partner, target = floquet_mode, 1.0
     Q = raw * normalization(orbit, raw, partner, mu, target)
     achieved = pairing_functional(orbit, Q, partner, mu)
 
     Qflat = Q.ravel()
     residual = float(np.linalg.norm(Qflat @ A) / np.linalg.norm(Qflat))
     return ResponseCurve(
-        kind=kind,
         mu=float(mu),
         Q=Q,
         series=sample_to_coeffs(Q, orbit.T),

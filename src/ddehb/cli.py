@@ -134,14 +134,14 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, outputs: list[s
 
 def cmd_cycle(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = pipeline.build_model(cfg)
     verify_jacobians(model, trials=25, tol=1e-6, seed=cfg.rng_seed)
     seed, settled = pipeline.build_seed(cfg, model)
     orbit = solve_cycle(model, seed, cfg.solver)
 
     h = cfg.config_hash()
+    out_dir = Path(cfg.output.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run writes nothing
     _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
     _write_json(out_dir / "orbit_coeffs.json", _orbit_payload(orbit, cfg))
     extra = {"T": orbit.T, "residual_norm": orbit.residual_norm}
@@ -185,7 +185,7 @@ def cmd_floquet(cfg: RunConfig) -> int:
         outputs.append(name)
     _write_json(out_dir / "exponents.json", {"config_hash": h, "exponents": entries})
     _write_manifest(out_dir, cfg, "floquet", outputs, time.perf_counter() - t0)
-    nontrivial = ", ".join(f"{mu:.8g}" for mu in run.exponents) or "none found"
+    nontrivial = ", ".join(f"{m.mu:.8g}" for m in run.modes) or "none found"
     print(f"floquet: trivial root confirmed; nontrivial exponents: {nontrivial}")
     return EXIT_OK
 
@@ -221,12 +221,10 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     t0 = time.perf_counter()
     out_dir = Path(cfg.output.directory)
     orbit = _load_orbit(out_dir, cfg)
-    mu = None
     mode = None
     if kinds in ("both", "amplitude"):
-        mu = _load_leading_exponent(out_dir, cfg)
-        mode = floquet.eigenfunction(orbit, mu)
-    run = pipeline.run_responses(orbit, mu, mode, kinds)
+        mode = floquet.eigenfunction(orbit, _load_leading_exponent(out_dir, cfg))
+    run = pipeline.run_responses(orbit, mode, kinds)
 
     h = cfg.config_hash()
     tg = orbit.grid.sample_times
@@ -258,8 +256,6 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     from . import validation  # the one command that loads the oracle
 
     results = validation.run_validation(cfg)
@@ -282,6 +278,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         ],
         "runtime_seconds": time.perf_counter() - t0,
     }
+    out_dir = Path(cfg.output.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validation_report.json", payload)
     print(f"validate: {len(results) - n_fail}/{len(results)} checks passed "
           f"in {payload['runtime_seconds']:.1f}s")

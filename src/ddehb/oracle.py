@@ -241,7 +241,7 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
     ref = xw.mean()
     y = xw - ref
     up = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
-    crossings = tw[up] - y[up] * dt / (y[up + 1] - y[up])
+    crossings = tw[up] - y[up] * traj.dt / (y[up + 1] - y[up])
     if crossings.size < SETTLE_MIN_CROSSINGS:
         raise NoOscillationDetected(
             f"only {crossings.size} upward crossings detected "
@@ -291,6 +291,8 @@ class DiscretizedSystem:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if not self.model.tau > 0.0:  # the lags run at rate N / tau
+            raise ValueError(f"a delay line needs tau > 0, got tau={self.model.tau!r}")
 
     @property
     def m(self) -> int:
@@ -480,24 +482,29 @@ def _orbit_tangent(orbit):
     return xdot
 
 
-def _response(orbit, curve, mu, rho) -> _PeriodicInterp:
+def _target_mu(mode) -> float:
+    return 0.0 if mode is None else mode[0]  # None is the phase response
+
+
+def _response(orbit, curve, mode) -> _PeriodicInterp:
     """Response from a periodic curve sampled uniformly over one period,
-    scaled so that its pairing with the cycle tangent is omega (mu = 0,
-    phase) or with the eigenfunction rho is 1 (amplitude)."""
-    partner, target = (_orbit_tangent(orbit), orbit.omega) if mu == 0.0 else (rho, 1.0)
+    scaled to pair with the cycle tangent to omega (mode None: phase, at
+    mu = 0) or with rho to 1 (mode (mu, rho): amplitude, at mu)."""
+    mu, partner, target = ((0.0, _orbit_tangent(orbit), orbit.omega) if mode is None
+                           else (*mode, 1.0))
     raw = _PeriodicInterp(T=orbit.T, values=curve)
     scale = normalization(orbit, raw, partner, mu, target)
     return _PeriodicInterp(T=orbit.T, values=curve * scale)
 
 
-def _adjoint_response(orbit, mu, rho, w0):
-    """Response q(t) = e^{mu t} w(t) (z for mu = 0) from the head profile w0
-    of an adjoint vector, sampled at the steps+1 nodes of one period; the
-    last node repeats the first and is dropped."""
+def _adjoint_response(orbit, mode, w0):
+    """Response q(t) = e^{mu t} w(t) to the target mode (z for None) from
+    the head profile w0 of an adjoint vector, sampled at the steps+1 nodes
+    of one period; the last node repeats the first and is dropped."""
     steps = w0.shape[0] - 1
     t = np.arange(steps) * (orbit.T / steps)
-    curve = np.exp(mu * t)[:, None] * w0[:-1]
-    return _response(orbit, curve, mu, rho)
+    curve = np.exp(_target_mu(mode) * t)[:, None] * w0[:-1]
+    return _response(orbit, curve, mode)
 
 
 @dataclass
@@ -524,11 +531,11 @@ def discretized_adjoint(
 
     Repeated one-period backward sweeps of I' = -J(t)^T I (a small block
     of vectors at once, re-orthonormalized each period) converge on the
-    left eigenspace of the monodromy map.  targets lists (mu, rho) pairs:
-    mu = 0 with rho None gives the phase response; a nonzero exponent
-    needs rho (from monodromy_eigenfunction) for the amplitude
-    normalization.  Each target follows the Ritz pair (theta, c) at
-    multiplier e^{mu T}: with u = V c its unit real Ritz vector and W the
+    left eigenspace of the monodromy map.  Each target names the mode its
+    response pairs with: None gives the phase response (mu = 0), a mode
+    (mu, rho) the amplitude response at mu, normalized against rho (from
+    monodromy_eigenfunction).  Each target follows the Ritz pair (theta, c)
+    at multiplier e^{mu T}: with u = V c its unit real Ritz vector and W the
     period's image of V, it has converged once
     ||W c - theta u|| <= ADJOINT_TOL |theta|.  Its profile, whose first
     block is the response, is read from the head block that same period's
@@ -538,8 +545,6 @@ def discretized_adjoint(
     ADJOINT_MAX_PERIODS.  The start block of ADJOINT_SUBSPACE vectors is
     drawn from ADJOINT_SEED.
     """
-    if any(mu != 0.0 and rho is None for mu, rho in targets):
-        raise ValueError("amplitude-side adjoint needs the eigenfunction rho")
     steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps, backward=True)
     kk = min(ADJOINT_SUBSPACE, system.dim)
@@ -553,15 +558,15 @@ def discretized_adjoint(
         W, head = _sweep_backward(plan, V, steps, store_head=True)
         H = V.T @ W
         vals, vecs = np.linalg.eig(H)
-        for j, (mu, rho) in enumerate(targets):
+        for j, mode in enumerate(targets):
             if responses[j] is not None:
                 continue
-            i = int(np.argmin(np.abs(vals - float(np.exp(mu * orbit.T)))))
+            i = int(np.argmin(np.abs(vals - float(np.exp(_target_mu(mode) * orbit.T)))))
             u, c = _realify(V @ vecs[:, i], vecs[:, i])
             norm = np.linalg.norm(u)
             u, c = u / norm, c / norm
             if np.linalg.norm(W @ c - vals[i] * u) <= ADJOINT_TOL * abs(vals[i]):
-                responses[j] = _adjoint_response(orbit, mu, rho, head @ c)
+                responses[j] = _adjoint_response(orbit, mode, head @ c)
                 periods[j] = iterations
                 vectors[:, j] = u
         if all(r is not None for r in responses):
@@ -757,7 +762,8 @@ def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicI
 
 
 def _extrapolated_responses(orbit, systems, level_targets, targets):
-    """Richardson-extrapolated response curves, one per target (mu, rho).
+    """Richardson-extrapolated response curves, one per target (None or
+    (mu, rho), as in discretized_adjoint).
 
     Each chain level runs one backward subspace iteration for its own
     targets, given in the same order (its exponent and eigenfunction); the
@@ -769,10 +775,10 @@ def _extrapolated_responses(orbit, systems, level_targets, targets):
         for sys, tg in zip(systems, level_targets)
     ]
     out = []
-    for j, (mu, rho) in enumerate(targets):
+    for j, mode in enumerate(targets):
         curves = [lvl.responses[j] for lvl in levels]
         combined = _combine_profiles(curves, weights, orbit.T)
-        out.append(_response(orbit, combined.values, mu, rho))
+        out.append(_response(orbit, combined.values, mode))
     return out
 
 
@@ -784,12 +790,12 @@ def oracle_responses(
     """Extrapolated oracle phase and amplitude responses, the latter at the
     leading exponent, from one backward iteration per chain level of ofl.
 
-    Each chain level uses its own exponent and eigenfunction from
-    ofl.modes as they are; the combined amplitude curve is renormalized
-    against the extrapolated pair (rho from oracle_eigenfunction), so its
-    pairing is exactly 1 whatever common sign the levels carry.
+    Each chain level has the targets [None, mode], its own mode from
+    ofl.modes as it is; the combined curves have [None, (mu, rho)], the
+    extrapolated exponent with rho from oracle_eigenfunction, so the
+    amplitude pairing is exactly 1 whatever common sign the levels carry.
     """
-    level_targets = [[(0.0, None), mode] for mode in ofl.modes]
-    targets = [(0.0, None), (ofl.leading_nontrivial(), rho)]
+    level_targets = [[None, mode] for mode in ofl.modes]
+    targets = [None, (ofl.leading_nontrivial(), rho)]
     z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets)
     return z, q

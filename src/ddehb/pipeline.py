@@ -77,22 +77,18 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
 @dataclass
 class FloquetRun:
     scan: floquet.DetScanResult
-    exponents: list[float]  # nontrivial, descending
-    modes: list[floquet.FloquetMode]
+    modes: list[floquet.FloquetMode]  # nontrivial, exponents descending
     trivial_mode: floquet.FloquetMode
 
 
 def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
-    scan = floquet.det_scan(orbit, (cfg.scan.mu_min, cfg.scan.mu_max), cfg.scan.points)
-    exponents = floquet.find_exponents(
-        orbit,
-        (cfg.scan.mu_min, cfg.scan.mu_max),
-        cfg.scan.points,
-        cfg.scan.exclude_zero_radius,
-    )
+    mu_range = (cfg.scan.mu_min, cfg.scan.mu_max)
+    scan = floquet.det_scan(orbit, mu_range, cfg.scan.points)
+    exponents = floquet.find_exponents(orbit, mu_range, cfg.scan.points,
+                                       cfg.scan.exclude_zero_radius)
     modes = [floquet.eigenfunction(orbit, mu) for mu in exponents]
     trivial = floquet.eigenfunction(orbit, 0.0)
-    return FloquetRun(scan=scan, exponents=exponents, modes=modes, trivial_mode=trivial)
+    return FloquetRun(scan=scan, modes=modes, trivial_mode=trivial)
 
 
 @dataclass
@@ -101,18 +97,16 @@ class ResponseRun:
     q: adjoint.ResponseCurve | None
 
 
-def run_responses(
-    orbit: PeriodicOrbit,
-    mu: float | None,
-    mode: floquet.FloquetMode | None,
-    kinds: str = "both",
-) -> ResponseRun:
-    z = None
-    q = None
+def run_responses(orbit: PeriodicOrbit, mode: floquet.FloquetMode | None,
+                  kinds: str = "both") -> ResponseRun:
+    """The phase response and the amplitude response that pairs with mode,
+    or only the one kinds names ("phase" or "amplitude").  ConfigError if
+    an amplitude response is asked for without a mode."""
+    z = q = None
     if kinds in ("both", "phase"):
-        z = adjoint.solve_response(orbit, 0.0, "phase")
+        z = adjoint.solve_response(orbit)
     if kinds in ("both", "amplitude"):
-        if mu is None or mode is None:
+        if mode is None:
             raise ConfigError("amplitude response requires a refined nontrivial exponent")
-        q = adjoint.solve_response(orbit, mu, "amplitude", floquet_mode=mode)
+        q = adjoint.solve_response(orbit, mode)
     return ResponseRun(z=z, q=q)

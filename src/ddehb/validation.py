@@ -176,7 +176,7 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
                           _since(t0), detail=f"mu={st.mu:.6f}"))
 
     mode = floquet.eigenfunction(st.orbit, st.mu)
-    run = pipeline.run_responses(st.orbit, st.mu, mode)
+    run = pipeline.run_responses(st.orbit, mode)
     z, q = run.z, run.q
     for kind, curve in (("phase", z), ("amplitude", q)):
         results.append(_check(f"{prefix}.normalization_{kind}",

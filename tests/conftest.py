@@ -42,14 +42,12 @@ def kotani_mode(kotani_orbit, kotani_mu):
 
 @pytest.fixture(scope="session")
 def kotani_z(kotani_orbit):
-    return adjoint.solve_response(kotani_orbit, 0.0, "phase")
+    return adjoint.solve_response(kotani_orbit)
 
 
 @pytest.fixture(scope="session")
-def kotani_q(kotani_orbit, kotani_mu, kotani_mode):
-    return adjoint.solve_response(
-        kotani_orbit, kotani_mu, "amplitude", floquet_mode=kotani_mode
-    )
+def kotani_q(kotani_orbit, kotani_mode):
+    return adjoint.solve_response(kotani_orbit, kotani_mode)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +60,7 @@ def kotani_z_oracle_fine(kotani_model, kotani_orbit):
     # the oracle-side pairing constancy at 1e-6 sits below the N=2000
     # extrapolation residual, so these chains are finer
     systems = [oracle.DiscretizedSystem(kotani_model, n) for n in (1000, 2000, 4000)]
-    phase = [(0.0, None)]
+    phase = [None]
     (z,) = oracle._extrapolated_responses(kotani_orbit, systems, [phase] * 3, phase)
     return z
 
@@ -98,14 +96,12 @@ def cortico_mode(cortico_orbit, cortico_mu):
 
 @pytest.fixture(scope="session")
 def cortico_z(cortico_orbit):
-    return adjoint.solve_response(cortico_orbit, 0.0, "phase")
+    return adjoint.solve_response(cortico_orbit)
 
 
 @pytest.fixture(scope="session")
-def cortico_q(cortico_orbit, cortico_mu, cortico_mode):
-    return adjoint.solve_response(
-        cortico_orbit, cortico_mu, "amplitude", floquet_mode=cortico_mode
-    )
+def cortico_q(cortico_orbit, cortico_mode):
+    return adjoint.solve_response(cortico_orbit, cortico_mode)
 
 
 @pytest.fixture(scope="session")

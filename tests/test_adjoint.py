@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,19 +40,10 @@ class TestSolveResponse:
         for curve in (kotani_z, kotani_q, cortico_z, cortico_q):
             assert curve.residual <= 1e-6
 
-    def test_phase_requires_zero_mu(self, kotani_orbit):
-        with pytest.raises(ValueError):
-            adjoint.solve_response(kotani_orbit, -0.01, "phase")
-
     def test_regular_mu_is_typed(self, kotani_orbit, kotani_mode):
         with pytest.raises(NotSingular, match="not singular"):
-            adjoint.solve_response(
-                kotani_orbit, -0.015, "amplitude", floquet_mode=kotani_mode
-            )
-
-    def test_amplitude_requires_mode(self, kotani_orbit, kotani_mu):
-        with pytest.raises(ValueError):
-            adjoint.solve_response(kotani_orbit, kotani_mu, "amplitude")
+            adjoint.solve_response(kotani_orbit,
+                                   dataclasses.replace(kotani_mode, mu=-0.015))
 
     def test_phase_and_amplitude_machinery_parallel_at_zero(
         self, kotani_orbit, kotani_z
@@ -58,7 +51,7 @@ class TestSolveResponse:
         from ddehb import floquet
 
         mode0 = floquet.eigenfunction(kotani_orbit, 0.0)
-        q0 = adjoint.solve_response(kotani_orbit, 0.0, "amplitude", floquet_mode=mode0)
+        q0 = adjoint.solve_response(kotani_orbit, mode0)
         scale = float(
             (kotani_z.Q.ravel() @ q0.Q.ravel()) / (q0.Q.ravel() @ q0.Q.ravel())
         )
@@ -80,7 +73,7 @@ class TestNormalizePhase:
     def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_z):
         assert adjoint.QUAD_NODES == 64
         monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
-        z256 = adjoint.solve_response(kotani_orbit, 0.0, "phase")
+        z256 = adjoint.solve_response(kotani_orbit)
         assert np.abs(z256.Q - kotani_z.Q).max() < 1e-10
 
     def test_zero_curve_rejected(self, kotani_orbit):
@@ -105,11 +98,10 @@ class TestNormalizeAmplitude:
         sign = np.sign(np.sum(q * expected))
         assert np.abs(sign * q - expected).max() < 1e-8
 
-    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_mu,
-                                           kotani_mode, kotani_q):
+    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_mode,
+                                           kotani_q):
         monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
-        q256 = adjoint.solve_response(kotani_orbit, kotani_mu, "amplitude",
-                                      floquet_mode=kotani_mode)
+        q256 = adjoint.solve_response(kotani_orbit, kotani_mode)
         assert np.abs(q256.Q - kotani_q.Q).max() < 1e-10
 
 

@@ -102,7 +102,7 @@ class TestCycleCommand:
         err = capsys.readouterr().err
         assert "ConfigError: model 'kotani_abs': DF0[0, 0] at z0=" in err
         assert "Traceback" not in err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_override_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -307,7 +307,7 @@ class TestMalformedInput:
             capsys, "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path / "again"),
             "--seed-from", "file", "--override", f"seed.path={path}",
         )
-        assert not list((tmp_path / "again").iterdir())
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("field", ["mu", "trivial"])
     def test_exponent_entry_without_field(self, tmp_path, capsys, field):
@@ -486,6 +486,13 @@ class TestValidateCommand:
         assert "Traceback" not in err
         assert err.startswith("NoExponentInRange: ")
         assert "[-0.01, 0.05]" in err
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "run"
+        code = run("validate", "--config", KOTANI_CFG, "--out", str(out),
+                   "--override", "scan.mu_min=-0.01")
+        assert code == EXIT_CONVERGENCE
+        assert not out.exists()
 
 
 class TestConfigValidation:

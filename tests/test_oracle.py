@@ -228,6 +228,20 @@ class TestSettleToCycle:
                 observe_time=30.0,
             )
 
+    def test_crossings_read_at_the_step_it_ran(self, kotani_model):
+        # dt = 0.15 does not divide tau, so the settle runs at a smaller
+        # step; each crossing is a root of the linear interpolant of the
+        # anchor component, less its window mean, at that step
+        history = lambda s: 0.9 * cos_history(s)
+        res = oracle.settle_to_cycle(kotani_model, history, transient=60.0, dt=0.15,
+                                     observe_time=100.0)
+        traj = oracle.integrate_dde(kotani_model, history, 160.0, 0.15)
+        assert traj.dt < 0.15
+        x = traj.states[:, 0]
+        y = x - x[traj.times >= 60.0].mean()
+        assert res.crossings.size >= 12
+        assert np.abs(np.interp(res.crossings, traj.times, y)).max() <= 1e-12
+
     def test_drifting_period_raises(self):
         history = lambda s: np.broadcast_to(
             np.array([1.5, 0.0]), np.shape(np.asarray(s)) + (2,)
@@ -329,6 +343,12 @@ class TestDiscretizedSystem:
     def test_rejects_tiny_N(self, kotani_model):
         with pytest.raises(ValueError):
             oracle.DiscretizedSystem(kotani_model, 1)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_rejects_delay_not_positive(self, tau):
+        # tau = 0 ended in an OverflowError when the first engine chose its steps
+        with pytest.raises(ValueError, match="tau"):
+            oracle.DiscretizedSystem(stuart_landau(tau), 64)
 
 
 class TestMonodromy:
@@ -461,11 +481,11 @@ class TestStoppingRule:
         system = oracle.DiscretizedSystem(model, 128)
         res = oracle.monodromy_exponents(system, orbit, k=3)
         mu = float(res.leading_nontrivial().real)
-        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
         calls = _recording(monkeypatch, "_sweep_backward")
         adj = oracle.discretized_adjoint(system, orbit, targets)
         periods = []
-        for (mu_j, _), n in zip(targets, adj.periods):
+        for mu_j, n in zip([0.0, mu], adj.periods):
             lam = float(np.exp(mu_j * orbit.T))
             periods.append(_first_pass([self.adjoint_passes(V, W, lam) for V, W in calls]))
             assert n == periods[-1]
@@ -661,14 +681,14 @@ class TestHeadReadout:
         system = oracle.DiscretizedSystem(model, self.N)
         res = oracle.monodromy_exponents(system, orbit, k=3)
         mu = float(res.leading_nontrivial().real)
-        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
         adj = oracle.discretized_adjoint(system, orbit, targets)
         steps = oracle._choose_steps(system, orbit.T)
         plan = sweep._sweep_plan(system, orbit, steps, backward=True)
-        for j, (mu_j, rho) in enumerate(targets):
+        for j, mode in enumerate(targets):
             u = adj.vectors[:, j]
             _, head = sweep._sweep_backward(plan, u[:, None], steps, store_head=True)
-            ref = oracle._adjoint_response(orbit, mu_j, rho, head[..., 0])
+            ref = oracle._adjoint_response(orbit, mode, head[..., 0])
             assert _rel_gap(adj.responses[j].values, ref.values) <= SWEEP_RTOL
 
 
@@ -683,18 +703,20 @@ class TestDiscretizedAdjoint:
         ]
         assert max(vals) - min(vals) < 1e-6
 
-    @pytest.mark.parametrize("mu", [0.0, -0.03])
+    # None is the phase target, named by the mu it sits at
+    @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
     def test_zero_curve_rejected(self, kotani_orbit, mu):
         # a vanishing pairing is an error, not a curve scaled to NaN
         rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
+        mode = None if mu is None else (mu, rho)
         with pytest.raises(NormalizationSingular):
-            oracle._response(kotani_orbit, np.zeros((64, 1)), mu, rho)
+            oracle._response(kotani_orbit, np.zeros((64, 1)), mode)
 
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the chain decouples and the head block must solve the
         # plain ODE adjoint, which is (-sin, cos) for this oscillator
         sys = oracle.DiscretizedSystem(sl_model, 128)
-        (res,) = oracle.discretized_adjoint(sys, sl_orbit, [(0.0, None)]).responses
+        (res,) = oracle.discretized_adjoint(sys, sl_orbit, [None]).responses
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(res(t) - expected).max() < 1e-4
@@ -764,7 +786,7 @@ class TestDiscretizedAdjoint:
         system = oracle.DiscretizedSystem(kotani_model, 128)
         res = oracle.monodromy_exponents(system, kotani_orbit, k=3)
         mu = float(res.leading_nontrivial().real)
-        targets = [(0.0, None), (mu, oracle.monodromy_eigenfunction(res, mu))]
+        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
         swept = []
         sweep_backward = oracle._sweep_backward
 
@@ -785,16 +807,22 @@ class TestDiscretizedAdjoint:
         assert n_both == both.iterations == max(periods)
         assert len(swept) - n_both == sum(periods)
 
-    def test_amplitude_target_needs_rho(self, kotani_model, kotani_orbit):
-        sys = oracle.DiscretizedSystem(kotani_model, 64)
-        with pytest.raises(ValueError):
-            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None), (-0.05, None)])
+    def test_amplitude_target_at_zero_pairs_with_its_rho(self, kotani_model,
+                                                         kotani_orbit):
+        # a mode at mu = 0 is an amplitude target: its curve pairs with its
+        # own rho (here twice the tangent) to 1, not like the phase response
+        tangent = oracle._orbit_tangent(kotani_orbit)
+        partner = lambda t: 2.0 * tangent(t)
+        system = oracle.DiscretizedSystem(kotani_model, 128)
+        adj = oracle.discretized_adjoint(system, kotani_orbit, [None, (0.0, partner)])
+        value = adjoint.pairing_functional(kotani_orbit, adj.responses[1], partner, 0.0)
+        assert abs(value - 1.0) <= 1e-12
 
     def test_nonconvergence_reported(self, kotani_model, kotani_orbit, monkeypatch):
         sys = oracle.DiscretizedSystem(kotani_model, 64)
         monkeypatch.setattr(oracle, "ADJOINT_MAX_PERIODS", 1)
         with pytest.raises(NonConvergentAdjoint):
-            oracle.discretized_adjoint(sys, kotani_orbit, [(0.0, None)])
+            oracle.discretized_adjoint(sys, kotani_orbit, [None])
 
 
 class TestDirectPrc:

@@ -48,7 +48,7 @@ def test_kotani_phase_response_is_closed_form(delta):
     orbit = d.solve_cycle(
         d.kotani_scalar(delta), d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
     )
-    z = adjoint.solve_response(orbit, 0.0, "phase")
+    z = adjoint.solve_response(orbit)
     exact = -8.0 * np.sin(orbit.grid.sample_times) / (4.0 + np.pi * delta)
     assert np.abs(z.Q[:, 0] - exact).max() <= 1e-11
 
