@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 
 _HOME = {  # home module -> the public names it defines
     "adjoint": ["ResponseCurve", "build_adjoint_matrix", "solve_response"],
-    "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "convergence_sweep",
-              "residual", "seed_from_ansatz", "solve_cycle"],
+    "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "residual",
+              "seed_from_ansatz", "solve_cycle"],
     "floquet": ["FloquetMode", "build_stability_matrix", "det_scan", "eigenfunction",
                 "find_exponents", "refine_exponent"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",

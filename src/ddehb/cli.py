@@ -203,12 +203,14 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
     if data.get("config_hash") != cfg.config_hash():
         raise StaleInput(f"exponent file {path} is stale for this configuration")
     try:
-        nontrivial = [float(e["mu"]) for e in data["exponents"] if not e["trivial"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [(e["mu"], e["trivial"]) for e in data["exponents"]]
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(
             f"exponent file {path}: each entry needs a numeric 'mu' and 'trivial' "
             f"({type(exc).__name__}: {exc})"
         ) from None
+    pipeline.check_numbers(path, "mu", [mu for mu, _ in entries])
+    nontrivial = [float(mu) for mu, trivial in entries if not trivial]
     if not nontrivial:
         raise NoExponentInRange(
             f"no nontrivial Floquet exponent recorded in {path} for the scan range "

@@ -102,22 +102,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# removed keys and why; a config that still sets one is rejected with the reason
-_REMOVED = {
-    ("response", "legacy_amplitude_normalization"): (
-        "response.legacy_amplitude_normalization was removed: without the "
-        "e^{-mu tau} factor on its delay integral the amplitude pairing is not "
-        "constant in its base time, so the scale it set was not the paper's"
-    ),
-    ("response", "quadrature_nodes"): (
-        "response.quadrature_nodes was removed: the pairing's delay integral "
-        "always uses the 64-node Gauss-Legendre rule (adjoint.QUAD_NODES), and "
-        "16 to 256 nodes give the same pairing to within 8e-15 on both shipped "
-        "configs"
-    ),
-}
-
-
 def _finite_real(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -125,17 +109,14 @@ def _finite_real(value) -> bool:
 
 def _check_field(name: str, value, kind):
     """value checked against the annotation kind of the field name: int,
-    float, str, list, dict or X | None.  A bool is never a number."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    float, str, list, dict or X | None.  A number is finite and never a bool."""
     options = typing.get_args(kind)
     if options:  # X | None
         if value is None:
             return value
         (kind,) = (k for k in options if k is not type(None))
     if kind in (int, float):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or (kind is int and value != int(value)):
+        if not _finite_real(value) or (kind is int and value != int(value)):
             raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
         return kind(value)
     if not isinstance(value, kind):
@@ -149,11 +130,9 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig()
     sections = typing.get_type_hints(RunConfig)
     for section, value in data.items():
-        for key in value if isinstance(value, dict) else ():
-            if (section, key) in _REMOVED:
-                raise ConfigError(_REMOVED[section, key])
         if section not in sections:
-            raise ConfigError(f"unknown configuration section {section!r}")
+            keys = isinstance(value, dict) and ", ".join(f"{section}.{k}" for k in value)
+            raise ConfigError(f"unknown section {section!r}: {keys or repr(value)}")
         if not is_dataclass(sections[section]):  # a top-level setting
             setattr(cfg, section, _check_field(section, value, sections[section]))
             continue
@@ -250,29 +229,43 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
 
 
+def _parse_yaml(text: str, source: str):
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML in {source}: {exc}") from None
+
+
+def _assign(data, dotted: str, value):
+    """Set a dotted key; every level on its path, the top included, is a mapping."""
+    keys = dotted.split(".")
+    node = data
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            where = ".".join(keys[:depth]) or "the top level"
+            raise ConfigError(f"cannot set {dotted}: {where} is not a mapping")
+        if depth < len(keys) - 1:
+            node = node.setdefault(key, {})
+    node[keys[-1]] = value
+
+
 def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None,
                 seed_from: str | None = None) -> RunConfig:
-    """Load a YAML config file and apply command-line overrides."""
+    """Load a YAML config file and apply command-line overrides; the flags
+    --seed-from and --out set seed.kind and output.directory as given."""
     try:
-        with open(path) as fh:
-            data = yaml.load(fh, Loader=_Loader) or {}
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed YAML in {path}: {exc}") from None
+        with open(path, encoding="utf-8") as fh:
+            data = _parse_yaml(fh.read(), path) or {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must look like section.key=value: {ov!r}")
         dotted, _, raw = ov.partition("=")
-        keys = dotted.strip().split(".")
-        node = data
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot override through non-mapping at {k!r}")
-        node[keys[-1]] = yaml.load(raw, Loader=_Loader)
+        dotted = dotted.strip()
+        _assign(data, dotted, _parse_yaml(raw, f"the override of {dotted}"))
     if seed_from is not None:
-        data.setdefault("seed", {})["kind"] = seed_from
+        _assign(data, "seed.kind", seed_from)
     if out_dir is not None:
-        data.setdefault("output", {})["directory"] = out_dir
+        _assign(data, "output.directory", out_dir)
     return config_from_dict(data)

@@ -17,7 +17,7 @@ column in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -307,43 +307,3 @@ def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = N
         residual_norm=res_norm,
         iterations=iterations,
     )
-
-
-@dataclass
-class SweepRow:
-    M: int
-    T: float
-    tail_energy: float
-    residual_norm: float
-    error: str = ""
-
-
-def convergence_sweep(model, seed, opts, M_list) -> list[SweepRow]:
-    """Re-solve the cycle over increasing truncations M.
-
-    Reports the period and the coefficient tail energy
-    sum_{|p| > M/2} |a_p|^2 per truncation, used to certify that M is
-    large enough.  Solver errors are recorded per entry.
-    """
-    M_list = list(M_list)
-    if not M_list:
-        raise ValueError("M_list must be nonempty")
-    if any(b <= a for a, b in zip(M_list, M_list[1:])):
-        raise ValueError("M_list must be strictly increasing")
-    rows = []
-    for M in M_list:
-        try:
-            orbit = solve_cycle(model, seed, replace(opts, M=M))
-        except Exception as exc:  # propagate details per entry
-            rows.append(SweepRow(M=M, T=float("nan"), tail_energy=float("nan"),
-                                 residual_norm=float("nan"), error=str(exc)))
-            continue
-        rows.append(
-            SweepRow(
-                M=M,
-                T=orbit.T,
-                tail_energy=orbit.series.tail_energy(M // 2),
-                residual_norm=orbit.residual_norm,
-            )
-        )
-    return rows

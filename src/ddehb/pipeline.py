@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjoint, floquet
-from .config import RunConfig
+from .config import RunConfig, _finite_real
 from .cycle import CycleSeed, PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput
 from .model import ModelSpec, make_model
@@ -30,27 +30,36 @@ def sinusoid_history(model: ModelSpec, amplitude, period: float):
     return history
 
 
+def check_numbers(path, field: str, values):
+    """MalformedInput naming the file and the field unless every value is a
+    finite real number; a bool is not one."""
+    bad = [v for v in values if not _finite_real(v)]
+    if bad:
+        raise MalformedInput(f"{path}: {field}: not a finite real number: {bad[0]!r}")
+
+
 def read_orbit_file(path):
     """The payload of an orbit_coeffs.json file and its Fourier series.
 
     "coeffs" holds one [re, im] pair per harmonic p = -M..M, grouped per
     component, as `ddehb cycle` writes it; MalformedInput if "T" or
-    "coeffs" is missing or not of that form, if T is not finite and
-    positive, or if M < 1.
+    "coeffs" is missing or not of that form, if T or a coefficient is not
+    a finite real number, if T is not positive, or if M < 1.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
-        coeffs = np.array(
-            [[complex(re, im) for re, im in comp] for comp in data["coeffs"]]
-        ).T
-        series = FourierSeries(float(data["T"]), coeffs)
+        T, comps = data["T"], data["coeffs"]
+        check_numbers(path, "T", [T])
+        check_numbers(path, "coeffs", [x for comp in comps for pair in comp for x in pair])
+        coeffs = np.array([[complex(re, im) for re, im in comp] for comp in comps]).T
+        series = FourierSeries(float(T), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(
             f"orbit file {path}: {type(exc).__name__}: {exc}"
         ) from None
-    if not (np.isfinite(series.T) and series.T > 0) or series.M < 1:
-        raise MalformedInput(f"orbit file {path}: need a finite positive period T "
+    if not series.T > 0 or series.M < 1:
+        raise MalformedInput(f"orbit file {path}: need a positive period T "
                              f"and M >= 1, got T={series.T!r}, M={series.M}")
     return data, series
 

@@ -22,7 +22,7 @@ from .config import RunConfig
 # when it loads would stay bound here after being removed from cycle: the
 # solves call cycle.solve_cycle.  The name stays importable from here for
 # code that reads it (bench/test_bench.py).
-from .cycle import CycleSeed, PeriodicOrbit, convergence_sweep, solve_cycle  # noqa: F401
+from .cycle import CycleSeed, PeriodicOrbit, solve_cycle  # noqa: F401
 from .errors import NoExponentInRange
 from .model import ModelSpec
 
@@ -135,15 +135,18 @@ def _leading_exponent(orbit, scan) -> float:
 
 @dataclass
 class _Stage:
-    """The spectral pipeline a suite checks, with the seconds of its parts."""
+    """The spectral pipeline a suite checks at M and 2M, with the seconds of its parts."""
 
     model: ModelSpec
     seed: CycleSeed
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
     orbit: PeriodicOrbit
     mu: float  # leading nontrivial exponent
+    orbit2: PeriodicOrbit  # the same seed solved at 2M
+    mu2: float  # leading nontrivial exponent of orbit2
     solve_seconds: float  # seed (settle included) and cycle solve
     exponent_seconds: float  # leading-exponent search
+    doubling_seconds: float  # solve and exponent search at 2M
 
 
 def _solve_stage(cfg: RunConfig) -> _Stage:
@@ -153,10 +156,14 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     orbit = cycle.solve_cycle(model, seed, cfg.solver)
     t1 = time.perf_counter()
     mu = _leading_exponent(orbit, cfg.scan)
-    return _Stage(model, seed, settled, orbit, mu, t1 - t0, time.perf_counter() - t1)
+    t2 = time.perf_counter()
+    orbit2 = cycle.solve_cycle(model, seed, replace(cfg.solver, M=2 * cfg.solver.M))
+    mu2 = _leading_exponent(orbit2, cfg.scan)
+    return _Stage(model, seed, settled, orbit, mu, orbit2, mu2, t1 - t0, t2 - t1,
+                  time.perf_counter() - t2)
 
 
-def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
+def _spectral_rows(results, prefix, st: _Stage):
     """Trivial-mode, M-doubling and normalization-identity rows of a suite;
     returns the leading mode and the responses z and q."""
     # one SVD of M(0) yields both the singular-value ratio and the mode
@@ -169,11 +176,8 @@ def _spectral_rows(results, prefix, cfg: RunConfig, st: _Stage):
     results.append(_check(f"{prefix}.trivial_mode", np.abs(mode0.R - xdot).max(), 1e-6,
                           half))
 
-    t0 = time.perf_counter()
-    orbit2 = cycle.solve_cycle(st.model, st.seed, replace(cfg.solver, M=2 * cfg.solver.M))
-    mu2 = _leading_exponent(orbit2, cfg.scan)
-    results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - mu2), 1e-6,
-                          _since(t0), detail=f"mu={st.mu:.6f}"))
+    results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - st.mu2), 1e-6,
+                          st.doubling_seconds, detail=f"mu={st.mu:.6f}"))
 
     mode = floquet.eigenfunction(st.orbit, st.mu)
     run = pipeline.run_responses(st.orbit, mode)
@@ -240,7 +244,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
                0.0),
         _check("kotani.cycle_runtime", st.solve_seconds, 10.0, st.solve_seconds),
     ]
-    mode, z, q = _spectral_rows(results, "kotani", cfg, st)
+    mode, z, q = _spectral_rows(results, "kotani", st)
 
     # oracle block (criterion: Fig. 1 reproduction within 1e-3, <= 5 min)
     t_oracle = time.perf_counter()
@@ -280,11 +284,11 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
                detail=f"mu={mu:.6f}"),
         _check("cortico.floquet_runtime", pipe_seconds, 120.0, pipe_seconds),
     ]
-    spectral = _spectral_rows(results, "cortico", cfg, st)
+    spectral = _spectral_rows(results, "cortico", st)
 
     t0 = time.perf_counter()
-    rows = convergence_sweep(st.model, st.seed, cfg.solver, [10, 20, 40])
-    tails = [r.tail_energy for r in rows]
+    half = cycle.solve_cycle(st.model, st.seed, replace(cfg.solver, M=cfg.solver.M // 2))
+    tails = [o.series.tail_energy(o.M // 2) for o in (half, orbit, st.orbit2)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,
                           _since(t0),

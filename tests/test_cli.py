@@ -19,7 +19,7 @@ from ddehb.cli import (
     main,
 )
 import ddehb
-from ddehb import cycle, validation
+from ddehb import cycle, oracle, pipeline, validation
 from ddehb.config import load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
@@ -245,6 +245,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("MalformedInput: ")
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("field", ["T", "coeffs", "anchor_component"])
     def test_orbit_file_without_field(self, tmp_path, capsys, field):
@@ -270,10 +271,10 @@ class TestMalformedInput:
         )
         assert not (tmp_path / "again" / "orbit_coeffs.json").exists()
 
-    @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf"), True])
     def test_orbit_file_period_not_finite_positive(self, tmp_path, capsys, T):
         # these ended in a ValueError traceback (exit 1), inf in a misleading
-        # overflow (exit 3)
+        # overflow (exit 3), true in NotSingular at mu = 0 (exit 3)
         out = tmp_path / "run"
         run("cycle", "--config", KOTANI_CFG, "--out", str(out))
         path = out / "orbit_coeffs.json"
@@ -281,6 +282,20 @@ class TestMalformedInput:
         data["T"] = T
         path.write_text(json.dumps(data))
         self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG, "--out", str(out))
+        assert not (out / "exponents.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_orbit_coefficient_not_a_number(self, tmp_path, capsys, value):
+        # a NaN coefficient ended in an overflow that blamed scan.mu_min (exit 3)
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["coeffs"][0][3][0] = value
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
+                                    "--out", str(out))
+        assert "orbit_coeffs.json: coeffs:" in err
         assert not (out / "exponents.json").exists()
 
     def test_orbit_file_without_harmonics(self, tmp_path, capsys):
@@ -323,6 +338,22 @@ class TestMalformedInput:
             capsys, "response", "--config", KOTANI_CFG, "--out", str(out),
             "--kind", "amplitude",
         )
+        assert not (out / "q.csv").exists()
+
+    @pytest.mark.parametrize("mu", [True, float("nan"), "-0.03"])
+    def test_exponent_not_a_number(self, tmp_path, capsys, mu):
+        # true ended in NotSingular at mu = 1 (exit 3)
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        (out / "exponents.json").write_text(
+            json.dumps({"config_hash": h, "exponents": [{"mu": mu, "trivial": False}]})
+        )
+        err = self.expect_malformed(
+            capsys, "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert "exponents.json: mu:" in err
         assert not (out / "q.csv").exists()
 
     def test_exponent_file_not_an_object(self, tmp_path, capsys):
@@ -474,6 +505,29 @@ class TestValidateCommand:
         assert received[0] == cfg.solver
         assert received[-1] == dataclasses.replace(received[0], M=2 * cfg.solver.M)
 
+    def test_each_truncation_solved_once(self, monkeypatch, cortico_settle):
+        # the M-doubling row and the tail row read the stage's two orbits:
+        # the cycle is solved at M, 2M and M/2, each once
+        solved = []
+
+        class OracleReached(Exception):
+            pass
+
+        def recording(model, seed, opts):
+            solved.append(opts.M)
+            return solve_cycle(model, seed, opts)
+
+        def stop(*args, **kwargs):
+            raise OracleReached
+
+        monkeypatch.setattr(cycle, "solve_cycle", recording)
+        monkeypatch.setattr(pipeline, "build_seed",
+                            lambda cfg, model: (cortico_settle.seed, cortico_settle))
+        monkeypatch.setattr(oracle, "oracle_floquet", stop)
+        with pytest.raises(OracleReached):
+            validation.validate_cortico(load_config(CORTICO_CFG))
+        assert solved == [20, 40, 10]
+
     def test_no_exponent_in_scan_range(self, tmp_path, capsys):
         # [-0.01, 0.05] holds only the trivial root; the leading exponent
         # sits near -0.029
@@ -532,30 +586,6 @@ class TestConfigValidation:
             "--override", override,
         ) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("name", ["kotani_fig1.yaml", "cortico_fig2.yaml"])
-    def test_removed_legacy_normalization(self, tmp_path, capsys, name):
-        code = run(
-            "export", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
-            "--override", "response.legacy_amplitude_normalization=true",
-        )
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "legacy_amplitude_normalization was removed" in err
-        assert "e^{-mu tau}" in err and "base time" in err
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("name", ["kotani_fig1.yaml", "cortico_fig2.yaml"])
-    def test_removed_quadrature_nodes(self, tmp_path, capsys, name):
-        code = run(
-            "export", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
-            "--override", "response.quadrature_nodes=32",
-        )
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "quadrature_nodes was removed" in err
-        assert "adjoint.QUAD_NODES" in err
-        assert not list(tmp_path.iterdir())
-
     @pytest.mark.parametrize(
         "name, override",
         [
@@ -569,6 +599,11 @@ class TestConfigValidation:
             ("kotani_fig1.yaml", "oracle.prc_phases=16"),
             ("kotani_fig1.yaml", "oracle.prc_periods=20"),
             ("kotani_fig1.yaml", "oracle.dt=null"),
+            # removed response settings: an unknown section that names the key
+            ("kotani_fig1.yaml", "response.legacy_amplitude_normalization=true"),
+            ("cortico_fig2.yaml", "response.legacy_amplitude_normalization=true"),
+            ("kotani_fig1.yaml", "response.quadrature_nodes=32"),
+            ("cortico_fig2.yaml", "response.quadrature_nodes=32"),
             ("cortico_fig2.yaml", "seed.dt=-0.04"),
             ("cortico_fig2.yaml", "seed.observe_time=-1.0"),
             ("cortico_fig2.yaml", "solver.anchor_component=2"),
@@ -612,6 +647,33 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert override.partition("=")[0] in err  # the message names the key
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "text, flags, named",
+        [
+            # each of these ended in a traceback (exit 1)
+            (b"[a, b]", ["--out", "d"], "output.directory"),
+            (b"3", ["--override", "a.b=1"], "a.b"),
+            (b"seed: 3", ["--seed-from", "oracle"], "seed.kind"),
+            (b"output: 3", ["--out", "d"], "output.directory"),
+            (b"model: {name: kotani}", ["--override", "seed.amplitude=["], "seed.amplitude"),
+            (b"model: {name: kotani\xff}", [], "bad.yaml"),  # not UTF-8
+            (None, [], "bad.yaml"),  # a directory
+        ],
+        ids=["top-list", "top-scalar", "seed-scalar", "output-scalar", "override-yaml",
+             "not-utf8", "directory"],
+    )
+    def test_unreadable_config(self, tmp_path, monkeypatch, capsys, text, flags, named):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.yaml"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_bytes(text)
+        assert run("cycle", "--config", str(path), *flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
     def test_output_directory_not_a_string(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -6,7 +6,6 @@ from ddehb.cycle import (
     CycleSeed,
     SolveOptions,
     _anchor_at_max,
-    convergence_sweep,
     residual,
 )
 from ddehb.errors import DivergedToEquilibrium, MaxIterations
@@ -149,19 +148,7 @@ class TestSeedFromAnsatz:
 class TestConvergenceSweep:
     def test_kotani_period_exact_at_every_M(self, kotani_model):
         seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
-        rows = convergence_sweep(kotani_model, seed, SolveOptions(), [5, 10, 20])
-        for row in rows:
-            assert abs(row.T - 2 * np.pi) < 1e-8
-            assert row.tail_energy < 1e-20
-
-    def test_single_row(self, kotani_model):
-        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
-        rows = convergence_sweep(kotani_model, seed, SolveOptions(), [20])
-        assert len(rows) == 1
-
-    def test_rejects_bad_M_list(self, kotani_model):
-        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
-        with pytest.raises(ValueError):
-            convergence_sweep(kotani_model, seed, SolveOptions(), [])
-        with pytest.raises(ValueError):
-            convergence_sweep(kotani_model, seed, SolveOptions(), [20, 10])
+        for M in (5, 10, 20):
+            orbit = d.solve_cycle(kotani_model, seed, SolveOptions(M=M))
+            assert abs(orbit.T - 2 * np.pi) < 1e-8
+            assert orbit.series.tail_energy(M // 2) < 1e-20
