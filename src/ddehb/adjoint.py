@@ -99,15 +99,13 @@ def pairing_functional(
     is a ResponseCurve, FloquetMode, FourierSeries, grid samples, or a
     callable of time (the oracle's interpolants).  Constant in t0 for
     correctly paired (mu, q, p); without the e^{-mu tau} factor it is not.
+    Every model has tau > 0, so the delay integral always runs.
     """
     model = orbit.model
     q = _evaluator(response, orbit)
     p = _evaluator(partner, orbit)
 
     head = float(np.atleast_2d(q(t0))[0] @ np.atleast_2d(p(t0))[0])
-    if model.tau == 0.0:
-        return head
-
     xi, w = _gauss_legendre(QUAD_NODES)
     zeta = 0.5 * model.tau * (xi - 1.0)  # nodes on [-tau, 0]
     weights = 0.5 * model.tau * w

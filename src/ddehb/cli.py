@@ -105,8 +105,18 @@ def _load_orbit(out_dir: Path, cfg: RunConfig) -> PeriodicOrbit:
         )
     except KeyError as exc:
         raise MalformedInput(f"orbit file {path} lacks the field {exc}") from None
+    pipeline.check_numbers(path, "residual_norm", [residual])
+    model = pipeline.build_model(cfg)
+    for name, ok, want in (
+        ("residual_norm", residual >= 0, "a number >= 0"),
+        ("iterations", type(iterations) is int, "an integer"),  # a bool is not one
+        ("anchor_component", type(anchor) is int and 0 <= anchor < model.m,
+         f"a component of the model, 0..{model.m - 1}"),
+    ):
+        if not ok:
+            raise MalformedInput(f"{path}: {name}: expected {want}, got {data[name]!r}")
     return PeriodicOrbit(
-        model=pipeline.build_model(cfg),
+        model=model,
         T=series.T,
         M=series.M,
         anchor_component=anchor,

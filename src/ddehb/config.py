@@ -158,18 +158,16 @@ def _validate_semantics(cfg: RunConfig):
     for key, value in cfg.model.params.items():
         if not _finite_real(value):
             raise ConfigError(f"model.params.{key}: expected a real number, got {value!r}")
-    if cfg.model.params.get("tau", 0.0) < 0:
-        raise ConfigError(f"model.params.tau must be >= 0, got {cfg.model.params['tau']}")
     try:
         model = BUILTIN_MODELS[cfg.model.name](**cfg.model.params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     tau = model.tau
     dt = cfg.seed.dt
     if dt is not None:
         if not dt > 0:
             raise ConfigError(f"seed.dt must be positive, got {dt}")
-        if tau > 0 and _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
+        if _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
             raise ConfigError(
                 f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
                 f"= {tau / MIN_DELAY_STEPS:g}"
@@ -255,9 +253,11 @@ def load_config(path: str, overrides: list[str] = (), out_dir: str | None = None
     --seed-from and --out set seed.kind and output.directory as given."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = _parse_yaml(fh.read(), path) or {}
+            data = _parse_yaml(fh.read(), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    if data is None:  # an empty or comment-only file: every default
+        data = {}
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must look like section.key=value: {ov!r}")

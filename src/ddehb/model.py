@@ -33,6 +33,7 @@ class ModelSpec:
     complex evaluation (jacobians); verify_jacobians checks that F
     qualifies.  They feed the Floquet and adjoint operators, where
     finite-difference noise would contaminate determinant root-finding.
+    The delay tau must be positive.
     """
 
     name: str
@@ -40,6 +41,10 @@ class ModelSpec:
     tau: float
     F: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.tau > 0:  # NaN included
+            raise ValueError(f"delay tau must be positive, got tau={self.tau!r}")
 
     def jacobians(self, z0, z1) -> tuple[np.ndarray, np.ndarray]:
         """(DF0, DF1), the partials of F in the current and the delayed

@@ -81,11 +81,6 @@ def _lagrange4(x: np.ndarray) -> np.ndarray:
     return w
 
 
-# Half-point weights on a uniform 4-point stencil (dyadic, so exact):
-# centered (nodes -1,0,1,2 at x=1/2) and one-sided (nodes 0..3 at x=1/2).
-_MID_CENTERED, _MID_ONESIDED = _lagrange4(np.array([1.5, 0.5]))
-
-
 def _cubic(values: np.ndarray, s: np.ndarray, periodic: bool) -> np.ndarray:
     """Piecewise-cubic readout of uniform samples values (n, ...) at the
     sample coordinates s.  The 4-point stencil is clamped at the ends, or,
@@ -130,17 +125,16 @@ def integrate_dde(
 ) -> Trajectory:
     """Method-of-steps RK4 integration of the delay system from t=0.
 
-    history(s) supplies the state for s in [-tau, 0]; it may return a
-    batch (..., m), in which case the whole ensemble is advanced in
-    lockstep.  dt is rounded down so it divides tau exactly (and must
-    leave at least MIN_DELAY_STEPS steps per delay), which keeps full-step
-    delayed lookups on stored nodes; only the half-step stage values are
-    interpolated (cubic).
+    history(s) supplies the state for s in [-tau, 0] (tau > 0, as every
+    ModelSpec has it); it may return a batch (..., m), in which case the
+    whole ensemble is advanced in lockstep.  dt is rounded down so it
+    divides tau exactly (and must leave at least MIN_DELAY_STEPS steps per
+    delay), which keeps full-step delayed lookups on stored nodes; only the
+    half-step stage values are interpolated, by the clamped cubic readout
+    of Trajectory.value.
     initial_kick, if given, is added to the state at t=0.
     """
     tau = model.tau
-    if tau == 0.0:
-        return _integrate_ode(model, history, t_end, dt, initial_kick)
     dt, n_tau = _snap_step(tau, dt)
     if n_tau < MIN_DELAY_STEPS:
         raise ValueError(
@@ -157,15 +151,12 @@ def integrate_dde(
         buf[n_tau] = buf[n_tau] + initial_kick
 
     half = 0.5 * dt
-    # Step k reads the delayed nodes k-1..k+2; over a span of n_tau - 1
-    # steps all of them are stored before the span starts, so its delayed
-    # midpoints are gathered at once.
+    # Step k reads its delayed midpoint from the nodes k-1..k+2 (0..3 at
+    # k = 0); over a span of n_tau - 1 steps all of them are stored before
+    # the span starts, so its delayed midpoints are read at once.
     for k0 in range(0, n_steps, n_tau - 1):
         k_end = min(k0 + n_tau - 1, n_steps)
-        ks = np.arange(k0, k_end)
-        weights = np.where((ks > 0)[:, None], _MID_CENTERED, _MID_ONESIDED)
-        lo = np.maximum(ks - 1, 0)
-        xdm = np.einsum("sk,sk...->s...", weights, buf[lo[:, None] + np.arange(4)])
+        xdm = _cubic(buf, np.arange(k0, k_end) + 0.5, periodic=False)
         for k in range(k0, k_end):
             x, xm = buf[n_tau + k], xdm[k - k0]
             k1 = model.F(x, buf[k])
@@ -180,30 +171,6 @@ def integrate_dde(
             raise NonFiniteState(f"integration blew up at t={t_last:.6g}", t_last=t_last)
 
     return Trajectory(t_start=-tau, dt=dt, states=buf)
-
-
-def _integrate_ode(model, history, t_end, dt, initial_kick):
-    """Degenerate tau=0 case: plain RK4 on x' = F(x, x)."""
-    n_steps = int(np.ceil(t_end / dt))
-    x = np.asarray(history(0.0), dtype=float)
-    if initial_kick is not None:
-        x = x + initial_kick
-    buf = np.empty((n_steps + 1,) + x.shape)
-    buf[0] = x
-    for k in range(n_steps):
-        x = buf[k]
-        k1 = model.F(x, x)
-        x2 = x + 0.5 * dt * k1
-        k2 = model.F(x2, x2)
-        x3 = x + 0.5 * dt * k2
-        k3 = model.F(x3, x3)
-        x4 = x + dt * k3
-        k4 = model.F(x4, x4)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_new)):
-            raise NonFiniteState(f"integration blew up at t={k * dt:.6g}", t_last=k * dt)
-        buf[k + 1] = x_new
-    return Trajectory(t_start=0.0, dt=dt, states=buf)
 
 
 @dataclass
@@ -291,8 +258,6 @@ class DiscretizedSystem:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
-        if not self.model.tau > 0.0:  # the lags run at rate N / tau
-            raise ValueError(f"a delay line needs tau > 0, got tau={self.model.tau!r}")
 
     @property
     def m(self) -> int:

@@ -45,9 +45,8 @@ if TYPE_CHECKING:
     from .oracle import DiscretizedSystem
 
 
-# Times or intervals handled in one batch when building a plan: bounds the
-# temporaries (orbit readouts, boundary-map stages) whatever the number of
-# steps per period.
+# Intervals handled in one batch by _boundary_maps: bounds its stage
+# temporaries whatever the number of steps per period.
 _CHUNK = 256
 # Most RK4 steps in one block.  The two block matrices grow as K^2 (at 64,
 # 2 x 0.5 MB) while the per-block FFT is spread over K steps.
@@ -63,13 +62,7 @@ def _variational_tables(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: 
     model = system.model
 
     def tables(ts):
-        DF0 = np.empty((ts.size, model.m, model.m))
-        DF1 = np.empty_like(DF0)
-        for lo in range(0, ts.size, _CHUNK):
-            t = ts[lo : lo + _CHUNK]
-            x, xd = orbit.value(t), orbit.value(t - model.tau)
-            DF0[lo : lo + _CHUNK], DF1[lo : lo + _CHUNK] = model.jacobians(x, xd)
-        return DF0, DF1
+        return model.jacobians(orbit.value(ts), orbit.value(ts - model.tau))
 
     return h, tables(t_nodes), tables(t_mid)
 

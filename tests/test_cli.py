@@ -20,7 +20,7 @@ from ddehb.cli import (
 )
 import ddehb
 from ddehb import cycle, oracle, pipeline, validation
-from ddehb.config import load_config
+from ddehb.config import RunConfig, load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
 
@@ -296,6 +296,25 @@ class TestMalformedInput:
         err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
                                     "--out", str(out))
         assert "orbit_coeffs.json: coeffs:" in err
+        assert not (out / "exponents.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("anchor_component", "x"), ("anchor_component", True), ("anchor_component", 5),
+         ("anchor_component", 1.5), ("residual_norm", "x"), ("residual_norm", None),
+         ("residual_norm", -1.0), ("iterations", True)],
+    )
+    def test_orbit_read_back_field_out_of_form(self, tmp_path, capsys, field, value):
+        # the first six let floquet exit 0; kotani has the one component 0
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
+                                    "--out", str(out))
+        assert f"orbit_coeffs.json: {field}:" in err
         assert not (out / "exponents.json").exists()
 
     def test_orbit_file_without_harmonics(self, tmp_path, capsys):
@@ -578,13 +597,26 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "name, override", [("kotani_fig1.yaml", "model.params.delta=abc"),
                            ("kotani_fig1.yaml", "model.params.omega=1.0"),
-                           ("cortico_fig2.yaml", "model.params.tau=-1.0")],
+                           ("cortico_fig2.yaml", "model.params.tau=-1.0"),
+                           # exited 3 in the solve: cortico has no cycle at tau = 0
+                           ("cortico_fig2.yaml", "model.params.tau=0")],
     )
     def test_bad_model_parameter(self, tmp_path, name, override):
         assert run(
             "cycle", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path),
             "--override", override,
         ) == EXIT_CONFIG
+
+    def test_zero_delay_rejected_at_load(self, tmp_path, capsys):
+        # the settle step tau/64 ended in a ZeroDivisionError traceback (exit 1)
+        out = tmp_path / "run"
+        assert run(
+            "cycle", "--config", CORTICO_CFG, "--out", str(out),
+            "--override", "model.params.tau=0", "--override", "seed.dt=null",
+        ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "tau" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, override",
@@ -659,9 +691,14 @@ class TestConfigValidation:
             (b"model: {name: kotani}", ["--override", "seed.amplitude=["], "seed.amplitude"),
             (b"model: {name: kotani\xff}", [], "bad.yaml"),  # not UTF-8
             (None, [], "bad.yaml"),  # a directory
+            # each of these ran every default and wrote the kotani orbit (exit 0)
+            (b"[]", [], "configuration must be a mapping at top level"),
+            (b"0", [], "configuration must be a mapping at top level"),
+            (b"false", [], "configuration must be a mapping at top level"),
+            (b'""', [], "configuration must be a mapping at top level"),
         ],
         ids=["top-list", "top-scalar", "seed-scalar", "output-scalar", "override-yaml",
-             "not-utf8", "directory"],
+             "not-utf8", "directory", "empty-list", "zero", "false", "empty-string"],
     )
     def test_unreadable_config(self, tmp_path, monkeypatch, capsys, text, flags, named):
         monkeypatch.chdir(tmp_path)
@@ -674,6 +711,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err and named in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+    @pytest.mark.parametrize("text", ["", "# no settings\n"])
+    def test_empty_config_runs_defaults(self, tmp_path, text):
+        path = tmp_path / "empty.yaml"
+        path.write_text(text)
+        assert load_config(str(path)) == RunConfig()
 
     def test_output_directory_not_a_string(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddehb import cycle, floquet, oracle
+from ddehb import floquet, oracle
 from ddehb.errors import NoRootInBracket, NotSingular
 
 from conftest import CORTICO_SCAN, KOTANI_SCAN
@@ -12,28 +12,6 @@ class TestStabilityMatrix:
         mat = floquet.build_stability_matrix(kotani_orbit, 0.0)
         xdot = kotani_orbit.xdot_samples.ravel()
         assert np.linalg.norm(mat @ xdot) <= 1e-8 * np.linalg.norm(xdot)
-
-    def test_zero_delay_reduces_to_ode_form(self, sl_orbit):
-        # with tau = 0 the delay factor is 1 and the delay operator is the
-        # identity, so M(mu) must equal the plain ODE collocation matrix
-        import dataclasses
-
-        from ddehb.spectral import build_operators
-
-        orbit0 = dataclasses.replace(
-            sl_orbit, model=dataclasses.replace(sl_orbit.model, tau=0.0)
-        )
-        mu = 0.123
-        mat = floquet.build_stability_matrix(orbit0, mu)
-        ops = build_operators(orbit0.M, orbit0.T, 0.0)
-        t = orbit0.grid.sample_times
-        DF0, DF1 = orbit0.model.jacobians(orbit0.X, orbit0.X)
-        expected = (
-            np.kron(ops.D0 + mu * np.eye(ops.grid.n_samples), np.eye(2))
-            - cycle._blockdiag(DF0)
-            - cycle._blockdiag(DF1)
-        )
-        np.testing.assert_allclose(mat, expected, atol=1e-12)
 
 
 class TestDetScan:

@@ -151,6 +151,19 @@ class TestCortico:
         np.testing.assert_array_equal(cortico_thalamic().F(z0, z1), ref)
 
 
+class TestDelayPositive:
+    """tau > 0 holds for every model: ModelSpec checks it once."""
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_model_spec_rejects(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            ModelSpec("lag", 1, tau, lambda z0, z1: -z1)
+
+    def test_cortico_rejects_zero(self):
+        with pytest.raises(ValueError, match="tau"):
+            cortico_thalamic(tau=0.0)
+
+
 class TestJacobians:
     @pytest.mark.parametrize("model, reference", REFERENCES, ids=REFERENCE_IDS)
     def test_match_hand_jacobians(self, model, reference):

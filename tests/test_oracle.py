@@ -13,8 +13,6 @@ from ddehb.errors import (
 )
 from ddehb.model import ModelSpec
 
-from conftest import stuart_landau
-
 
 def cos_history(s):
     return np.cos(np.asarray(s, dtype=float))[..., None]
@@ -60,10 +58,10 @@ def per_step_integrate(model, history, t_end, dt):
         buf[j] = history((j - n_tau) * dt)
     for k in range(n_steps):
         j = n_tau + k
-        if k > 0:
-            xdm = np.einsum("k,k...->...", oracle._MID_CENTERED, buf[k - 1 : k + 3])
-        else:
-            xdm = np.einsum("k,k...->...", oracle._MID_ONESIDED, buf[0:4])
+        if k > 0:  # nodes k-1..k+2 at their middle
+            xdm = np.einsum("k,k...->...", np.array([-1, 9, 9, -1]) / 16, buf[k - 1 : k + 3])
+        else:  # nodes 0..3 between the first two
+            xdm = np.einsum("k,k...->...", np.array([5, 15, -5, 1]) / 16, buf[0:4])
         x = buf[j]
         k1 = model.F(x, buf[k])
         k2 = model.F(x + 0.5 * dt * k1, xdm)
@@ -138,46 +136,19 @@ class TestIntegrateDde:
         ratio = errs[0] / errs[1]
         assert 11.0 < ratio < 23.0  # ~16x per halving
 
+    def test_initial_kick_added_at_zero(self, kotani_model):
+        dt = kotani_model.tau / 16  # t = 0 is sample 16
+        plain = oracle.integrate_dde(kotani_model, cos_history, 1.0, dt)
+        kicked = oracle.integrate_dde(kotani_model, cos_history, 1.0, dt,
+                                      initial_kick=np.array([0.25]))
+        assert kicked.times[16] == 0.0
+        assert np.array_equal(kicked.states[:16], plain.states[:16])  # the history
+        assert kicked.states[16, 0] == plain.states[16, 0] + 0.25
+        assert np.all(kicked.states[17:] != plain.states[17:])
+
     def test_step_coarser_than_tau_over_10_rejected(self, kotani_model):
         with pytest.raises(ValueError):
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
-
-
-def ones_history(s):
-    return np.ones(np.shape(np.asarray(s)) + (1,))
-
-
-class TestZeroDelay:
-    """integrate_dde at tau = 0, where it runs plain RK4 on x' = F(x, x)."""
-
-    decay = ModelSpec("decay0", 1, 0.0, lambda z0, z1: -z0)  # x(t) = x(0) e^{-t}
-
-    def test_fourth_order_convergence(self):
-        errs = []
-        for dt in (0.1, 0.05):
-            traj = oracle.integrate_dde(self.decay, ones_history, 5.0, dt)
-            assert traj.times[0] == 0.0 and traj.times[-1] >= 5.0
-            errs.append(np.abs(traj.states[:, 0] - np.exp(-traj.times)).max())
-        assert 14.0 < errs[0] / errs[1] < 19.0  # ~16x per halving
-
-    def test_initial_kick_added_at_zero(self):
-        traj = oracle.integrate_dde(self.decay, ones_history, 2.0, 0.05,
-                                    initial_kick=np.array([0.5]))
-        assert traj.states[0, 0] == 1.5
-        assert np.abs(traj.states[:, 0] - 1.5 * np.exp(-traj.times)).max() < 1e-7
-
-    def test_blowup_names_first_bad_step(self):
-        # x' = x^2 from x(0) = 1 is x = 1/(1 - t), singular at t = 1
-        model, dt = ModelSpec("blowup0", 1, 0.0, lambda z0, z1: z0**2), 0.01
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteState) as exc:
-                oracle.integrate_dde(model, ones_history, 3.0, dt)
-        t_last = exc.value.t_last
-        assert 0.9 < t_last < 1.1
-        assert f"t={t_last:.6g}" in str(exc.value)
-        # every step before the one starting at t_last stays finite
-        traj = oracle.integrate_dde(model, ones_history, t_last - 0.5 * dt, dt)
-        assert np.isfinite(traj.states).all() and traj.times[-1] == pytest.approx(t_last)
 
 
 class TestCubicReadout:
@@ -343,12 +314,6 @@ class TestDiscretizedSystem:
     def test_rejects_tiny_N(self, kotani_model):
         with pytest.raises(ValueError):
             oracle.DiscretizedSystem(kotani_model, 1)
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
-    def test_rejects_delay_not_positive(self, tau):
-        # tau = 0 ended in an OverflowError when the first engine chose its steps
-        with pytest.raises(ValueError, match="tau"):
-            oracle.DiscretizedSystem(stuart_landau(tau), 64)
 
 
 class TestMonodromy:
