@@ -14,6 +14,7 @@ inputs instead of silently recomputing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -23,10 +24,9 @@ import numpy as np
 
 from . import __version__, floquet, pipeline
 from .config import RunConfig, load_config
-from .cycle import PeriodicOrbit, solve_cycle
-from .errors import ConfigError, DdehbError, MalformedInput, NoExponentInRange
+from .cycle import solve_cycle
+from .errors import ConfigError, DdehbError, MalformedInput, NoExponentInRange, StaleInput
 from .model import verify_jacobians
-from .spectral import coeffs_to_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,10 +35,6 @@ EXIT_VALIDATION = 4
 EXIT_IO = 5
 
 _FMT = "%.17g"
-
-
-class StaleInput(DdehbError):
-    """An input file's manifest hash does not match the configuration."""
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], cfg_hash: str):
@@ -62,69 +58,6 @@ def _write_curve(path: Path, prefix: str, t: np.ndarray, values: np.ndarray,
     m = values.shape[1]
     _write_csv(path, ["t"] + [f"{prefix}{j}" for j in range(m)],
                [t] + [values[:, j] for j in range(m)], cfg_hash)
-
-
-def _series_payload(series) -> dict:
-    coeffs = series.coeffs
-    return {
-        "harmonics": list(range(-series.M, series.M + 1)),
-        # one [re, im] pair per harmonic p = -M..M, grouped per component
-        "coeffs": [
-            [[c.real, c.imag] for c in coeffs[:, j]] for j in range(coeffs.shape[1])
-        ],
-    }
-
-
-def _orbit_payload(orbit: PeriodicOrbit, cfg: RunConfig) -> dict:
-    payload = {
-        "config_hash": cfg.config_hash(),
-        "model": cfg.model.name,
-        "T": orbit.T,
-        "M": orbit.M,
-        "anchor_component": orbit.anchor_component,
-        "residual_norm": orbit.residual_norm,
-        "iterations": orbit.iterations,
-    }
-    payload.update(_series_payload(orbit.series))
-    return payload
-
-
-def _load_orbit(out_dir: Path, cfg: RunConfig) -> PeriodicOrbit:
-    path = out_dir / "orbit_coeffs.json"
-    if not path.exists():
-        raise FileNotFoundError(f"missing orbit file {path}; run `ddehb cycle` first")
-    data, series = pipeline.read_orbit_file(path)
-    if data.get("config_hash") != cfg.config_hash():
-        raise StaleInput(
-            f"orbit file {path} was produced under a different configuration "
-            f"({data.get('config_hash')} != {cfg.config_hash()})"
-        )
-    try:
-        anchor, residual, iterations = (
-            data[k] for k in ("anchor_component", "residual_norm", "iterations")
-        )
-    except KeyError as exc:
-        raise MalformedInput(f"orbit file {path} lacks the field {exc}") from None
-    pipeline.check_numbers(path, "residual_norm", [residual])
-    model = pipeline.build_model(cfg)
-    for name, ok, want in (
-        ("residual_norm", residual >= 0, "a number >= 0"),
-        ("iterations", type(iterations) is int, "an integer"),  # a bool is not one
-        ("anchor_component", type(anchor) is int and 0 <= anchor < model.m,
-         f"a component of the model, 0..{model.m - 1}"),
-    ):
-        if not ok:
-            raise MalformedInput(f"{path}: {name}: expected {want}, got {data[name]!r}")
-    return PeriodicOrbit(
-        model=model,
-        T=series.T,
-        M=series.M,
-        anchor_component=anchor,
-        X=coeffs_to_samples(series),
-        series=series,
-        residual_norm=residual,
-        iterations=iterations,
-    )
 
 
 def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, outputs: list[str],
@@ -153,12 +86,12 @@ def cmd_cycle(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run writes nothing
     _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
-    _write_json(out_dir / "orbit_coeffs.json", _orbit_payload(orbit, cfg))
+    _write_json(out_dir / pipeline.ORBIT_FILE, pipeline.orbit_payload(orbit, cfg))
     extra = {"T": orbit.T, "residual_norm": orbit.residual_norm}
     if settled is not None:
         extra["settle_period"] = settled.period
         extra["settle_spread"] = settled.spread
-    _write_manifest(out_dir, cfg, "cycle", ["orbit.csv", "orbit_coeffs.json"],
+    _write_manifest(out_dir, cfg, "cycle", ["orbit.csv", pipeline.ORBIT_FILE],
                     time.perf_counter() - t0, extra)
     print(f"cycle: T={orbit.T:.12g} residual={orbit.residual_norm:.3e} "
           f"iterations={orbit.iterations}")
@@ -168,7 +101,7 @@ def cmd_cycle(cfg: RunConfig) -> int:
 def cmd_floquet(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     out_dir = Path(cfg.output.directory)
-    orbit = _load_orbit(out_dir, cfg)
+    orbit = pipeline.load_orbit(out_dir, cfg)
     run = pipeline.run_floquet(cfg, orbit)
 
     h = cfg.config_hash()
@@ -202,16 +135,7 @@ def cmd_floquet(cfg: RunConfig) -> int:
 
 def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
     path = out_dir / "exponents.json"
-    if not path.exists():
-        raise FileNotFoundError(
-            f"missing exponent file {path}; run `ddehb floquet` first"
-        )
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise MalformedInput(f"exponent file {path} does not hold a JSON object")
-    if data.get("config_hash") != cfg.config_hash():
-        raise StaleInput(f"exponent file {path} is stale for this configuration")
+    data = pipeline.read_stage_file(path, cfg, "floquet")
     try:
         entries = [(e["mu"], e["trivial"]) for e in data["exponents"]]
     except (KeyError, TypeError) as exc:
@@ -220,6 +144,9 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
             f"({type(exc).__name__}: {exc})"
         ) from None
     pipeline.check_numbers(path, "mu", [mu for mu, _ in entries])
+    for _, trivial in entries:
+        if type(trivial) is not bool:
+            raise MalformedInput(f"{path}: trivial: expected true or false, got {trivial!r}")
     nontrivial = [float(mu) for mu, trivial in entries if not trivial]
     if not nontrivial:
         raise NoExponentInRange(
@@ -232,7 +159,7 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
 def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     t0 = time.perf_counter()
     out_dir = Path(cfg.output.directory)
-    orbit = _load_orbit(out_dir, cfg)
+    orbit = pipeline.load_orbit(out_dir, cfg)
     mode = None
     if kinds in ("both", "amplitude"):
         mode = floquet.eigenfunction(orbit, _load_leading_exponent(out_dir, cfg))
@@ -248,7 +175,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
         meta["phase"] = {
             "normalization_residual": run.z.normalization_residual,
             "nullvector_residual": run.z.residual,
-            **_series_payload(run.z.series),
+            **pipeline.series_payload(run.z.series),
         }
     if run.q is not None:
         _write_curve(out_dir / "q.csv", "q", tg, run.q.Q, h)
@@ -257,7 +184,7 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
             "mu": run.q.mu,
             "normalization_residual": run.q.normalization_residual,
             "nullvector_residual": run.q.residual,
-            **_series_payload(run.q.series),
+            **pipeline.series_payload(run.q.series),
         }
     _write_json(out_dir / "response_meta.json", meta)
     _write_manifest(out_dir, cfg, "response", outputs + ["response_meta.json"],
@@ -277,17 +204,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     payload = {
         "config_hash": cfg.config_hash(),
         "passed": n_fail == 0,
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "seconds": r.seconds,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [dataclasses.asdict(r) for r in results],
         "runtime_seconds": time.perf_counter() - t0,
     }
     out_dir = Path(cfg.output.directory)
@@ -310,8 +227,7 @@ def cmd_export(cfg: RunConfig) -> int:
 def _classify_error(exc: Exception) -> int:
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, (StaleInput, MalformedInput, FileNotFoundError, OSError,
-                        json.JSONDecodeError)):
+    if isinstance(exc, (StaleInput, MalformedInput, OSError)):
         return EXIT_IO
     if isinstance(exc, DdehbError):  # every other solver or oracle failure
         return EXIT_CONVERGENCE

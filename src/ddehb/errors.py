@@ -13,6 +13,10 @@ class MalformedInput(DdehbError):
     """An input file lacks a field or holds one of the wrong form."""
 
 
+class StaleInput(DdehbError):
+    """An input file's manifest hash does not match the configuration."""
+
+
 class MaxIterations(DdehbError):
     """Nonlinear solve did not converge within the iteration budget."""
 

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import adjoint, floquet
 from .config import RunConfig, _finite_real
 from .cycle import CycleSeed, PeriodicOrbit, seed_from_ansatz
-from .errors import ConfigError, MalformedInput
+from .errors import ConfigError, MalformedInput, StaleInput
 from .model import ModelSpec, make_model
-from .spectral import FourierSeries
+from .spectral import FourierSeries, coeffs_to_samples
+
+ORBIT_FILE = "orbit_coeffs.json"  # written by `ddehb cycle`, in orbit_payload form
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
@@ -38,30 +41,101 @@ def check_numbers(path, field: str, values):
         raise MalformedInput(f"{path}: {field}: not a finite real number: {bad[0]!r}")
 
 
-def read_orbit_file(path):
-    """The payload of an orbit_coeffs.json file and its Fourier series.
+def series_payload(series: FourierSeries) -> dict:
+    """The harmonics and coefficients of series as every JSON output holds
+    them: one [re, im] pair per harmonic p = -M..M, grouped per component."""
+    return {"harmonics": list(range(-series.M, series.M + 1)),
+            "coeffs": [[[c.real, c.imag] for c in comp] for comp in series.coeffs.T]}
 
-    "coeffs" holds one [re, im] pair per harmonic p = -M..M, grouped per
-    component, as `ddehb cycle` writes it; MalformedInput if "T" or
-    "coeffs" is missing or not of that form, if T or a coefficient is not
-    a finite real number, if T is not positive, or if M < 1.
+
+def orbit_payload(orbit: PeriodicOrbit, cfg: RunConfig) -> dict:
+    """The content of the orbit file, ORBIT_FILE, that `ddehb cycle` writes."""
+    return {
+        "config_hash": cfg.config_hash(),
+        "model": cfg.model.name,
+        "T": orbit.T,
+        "M": orbit.M,
+        "anchor_component": orbit.anchor_component,
+        "residual_norm": orbit.residual_norm,
+        "iterations": orbit.iterations,
+        **series_payload(orbit.series),
+    }
+
+
+def read_stage_file(path, cfg: RunConfig | None, producer: str) -> dict:
+    """The JSON object that `ddehb <producer>` wrote to path under cfg.
+
+    FileNotFoundError naming the producer if path does not exist,
+    MalformedInput unless the file holds a JSON object, StaleInput if its
+    config_hash is not that of cfg.  cfg None (a seed file) skips the hash.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing file {path}; run `ddehb {producer}` first") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise MalformedInput(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{path} does not hold a JSON object")
+    if cfg is not None and data.get("config_hash") != cfg.config_hash():
+        raise StaleInput(f"{path} was produced under a different configuration "
+                         f"({data.get('config_hash')} != {cfg.config_hash()})")
+    return data
+
+
+def read_orbit_file(path, model: ModelSpec, cfg: RunConfig | None = None):
+    """The payload of an orbit file and its Fourier series (cfg None for a
+    seed file, see read_stage_file).  MalformedInput if "T" or "coeffs" is
+    missing or not of the series_payload form, if T or a coefficient is not
+    a finite real number, if T <= 0, M < 1 or coeffs has not model.m
+    components."""
+    data = read_stage_file(path, cfg, "cycle")
     try:
         T, comps = data["T"], data["coeffs"]
         check_numbers(path, "T", [T])
         check_numbers(path, "coeffs", [x for comp in comps for pair in comp for x in pair])
+        if len(comps) != model.m:
+            raise MalformedInput(f"{path}: coeffs: expected {model.m} components for "
+                                 f"model '{model.name}', got {len(comps)}")
         coeffs = np.array([[complex(re, im) for re, im in comp] for comp in comps]).T
         series = FourierSeries(float(T), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(
-            f"orbit file {path}: {type(exc).__name__}: {exc}"
-        ) from None
+        raise MalformedInput(f"orbit file {path}: {type(exc).__name__}: {exc}") from None
     if not series.T > 0 or series.M < 1:
         raise MalformedInput(f"orbit file {path}: need a positive period T "
                              f"and M >= 1, got T={series.T!r}, M={series.M}")
     return data, series
+
+
+def load_orbit(out_dir, cfg: RunConfig) -> PeriodicOrbit:
+    """The orbit that `ddehb cycle` wrote to out_dir under cfg.
+
+    MalformedInput, besides the read_orbit_file cases, unless
+    residual_norm is a finite real >= 0, iterations an integer and
+    anchor_component a component of the model (a bool is no integer).
+    """
+    path = Path(out_dir) / ORBIT_FILE
+    model = build_model(cfg)
+    data, series = read_orbit_file(path, model, cfg)
+    try:
+        anchor, residual, iterations = (
+            data[k] for k in ("anchor_component", "residual_norm", "iterations")
+        )
+    except KeyError as exc:
+        raise MalformedInput(f"orbit file {path} lacks the field {exc}") from None
+    check_numbers(path, "residual_norm", [residual])
+    for name, ok, want in (
+        ("residual_norm", residual >= 0, "a number >= 0"),
+        ("iterations", type(iterations) is int, "an integer"),
+        ("anchor_component", type(anchor) is int and 0 <= anchor < model.m,
+         f"a component of the model, 0..{model.m - 1}"),
+    ):
+        if not ok:
+            raise MalformedInput(f"{path}: {name}: expected {want}, got {data[name]!r}")
+    return PeriodicOrbit(model=model, T=series.T, M=series.M, anchor_component=anchor,
+                         X=coeffs_to_samples(series), series=series,
+                         residual_norm=residual, iterations=iterations)
 
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
@@ -78,7 +152,7 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
             component=cfg.solver.anchor_component, observe_time=sc.observe_time)
         return settled.seed, settled
     if sc.kind == "file":
-        _, series = read_orbit_file(sc.path)
+        _, series = read_orbit_file(sc.path, model)
         return CycleSeed(series=series, period=series.T), None
     raise ConfigError(f"unknown seed kind {sc.kind!r}")
 

@@ -15,7 +15,6 @@ from ddehb.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
-    _series_payload,
     main,
 )
 import ddehb
@@ -23,6 +22,7 @@ from ddehb import cycle, oracle, pipeline, validation
 from ddehb.config import RunConfig, load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
+from ddehb.pipeline import series_payload
 
 from conftest import abs_kotani
 
@@ -375,6 +375,68 @@ class TestMalformedInput:
         assert "exponents.json: mu:" in err
         assert not (out / "q.csv").exists()
 
+    @pytest.mark.parametrize("trivial", ["false", 0, None])
+    def test_exponent_trivial_not_a_boolean(self, tmp_path, capsys, trivial):
+        # "false" is truthy: every entry read as trivial, NoExponentInRange (exit 3)
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        (out / "exponents.json").write_text(json.dumps(
+            {"config_hash": h, "exponents": [{"mu": -0.03, "trivial": trivial}]}
+        ))
+        err = self.expect_malformed(
+            capsys, "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert "exponents.json: trivial:" in err
+        assert not (out / "q.csv").exists()
+
+    def test_orbit_file_component_count(self, tmp_path, capsys):
+        # the one kotani component listed twice ended in a ValueError traceback
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["coeffs"] = data["coeffs"] * 2
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
+                                    "--out", str(out))
+        assert "orbit_coeffs.json: coeffs: expected 1 components" in err
+        assert "got 2" in err
+        assert not (out / "exponents.json").exists()
+
+    @pytest.mark.parametrize("config, copies", [("kotani_fig1.yaml", 2),
+                                                ("cortico_fig2.yaml", 1)])
+    def test_seed_file_component_count(self, tmp_path, capsys, config, copies):
+        # the kotani orbit file with its component listed twice seeded kotani
+        # (exit 0, a two-component orbit file written); with its one component
+        # it seeded cortico into an IndexError traceback
+        first = tmp_path / "first"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(first))
+        path = first / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["coeffs"] = data["coeffs"] * copies
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(
+            capsys, "cycle", "--config", str(CONFIG_DIR / config),
+            "--out", str(tmp_path / "again"),
+            "--seed-from", "file", "--override", f"seed.path={path}",
+        )
+        assert "orbit_coeffs.json: coeffs: expected" in err
+        assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff", b"[1, 2]"])
+    def test_orbit_file_not_a_json_object(self, tmp_path, capsys, content):
+        # the first exited 5 as JSONDecodeError, the second in a UnicodeDecodeError
+        # traceback
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        (out / "orbit_coeffs.json").write_bytes(content)
+        err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
+                                    "--out", str(out))
+        assert "orbit_coeffs.json" in err
+        assert not (out / "exponents.json").exists()
+
     def test_exponent_file_not_an_object(self, tmp_path, capsys):
         out = tmp_path / "run"
         run("cycle", "--config", KOTANI_CFG, "--out", str(out))
@@ -398,7 +460,7 @@ class TestExportPipeline:
         # cycle is not settled a second time
         seed = cortico_settle.seed
         path = tmp_path / "seed_coeffs.json"
-        path.write_text(json.dumps({"T": seed.period, **_series_payload(seed.series)}))
+        path.write_text(json.dumps({"T": seed.period, **series_payload(seed.series)}))
         out = tmp_path / "run"
         args = ("--config", CORTICO_CFG, "--out", str(out), "--seed-from", "file",
                 "--override", f"seed.path={path}")

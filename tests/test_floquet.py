@@ -70,6 +70,20 @@ class TestRefineExponent:
         with pytest.raises(NoRootInBracket):
             floquet.refine_exponent(kotani_orbit, (-0.02, -0.01))
 
+    @pytest.mark.parametrize("bracket, bisected", [((-0.04, 0.01), (-0.06, -0.01)),
+                                                   ((-0.035, 0.02), (-0.004, 0.003))])
+    def test_golden_section_finds_root(self, kotani_orbit, bracket, bisected):
+        # each bracket holds two roots, so det M has one sign at both ends and
+        # the refinement descends on sigma_min; it lands on the root that
+        # bisection finds in a bracket around that root alone
+        lin = floquet.orbit_linearization(kotani_orbit)
+        assert floquet._det_sign(lin, bracket[0]) == floquet._det_sign(lin, bracket[1])
+        assert floquet._det_sign(lin, bisected[0]) != floquet._det_sign(lin, bisected[1])
+        mu = floquet.refine_exponent(kotani_orbit, bracket)
+        assert abs(mu - floquet.refine_exponent(kotani_orbit, bisected)) <= 1e-12
+        s_min, s_max = floquet._sigma_extremes(lin, mu)
+        assert s_min <= 1e-8 * s_max
+
 
 class TestEigenfunction:
     def test_cortico_mode_quality(self, cortico_mode):
