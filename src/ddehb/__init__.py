@@ -4,9 +4,10 @@ The toolkit determines the periodic orbit of a delay-differential
 oscillator by harmonic balance, extracts real Floquet exponents and
 eigenfunctions from the resulting spectral stability system, and computes
 normalized phase and amplitude response curves from the adjoint system.
-An independent time-evolution oracle (method of steps, finite-segment
-discretization, monodromy and backward-adjoint integration, direct
-perturbation) validates every quantity.
+An independent time-evolution oracle (method of steps, a pseudospectral
+discretization of the delay with its monodromy matrix and forward and
+backward eigenvector sweeps, direct perturbation) validates every
+quantity.
 
 Importing the package loads no layer.  Each public name is looked up in
 its home module on each access (module `__getattr__` over `_HOME`), so a

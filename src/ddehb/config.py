@@ -70,12 +70,6 @@ class ScanConfig:
 
 
 @dataclass
-class OracleConfig:
-    N: int = 2000
-    levels: int = 3
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
 
@@ -86,7 +80,6 @@ class RunConfig:
     solver: SolveOptions = field(default_factory=SolveOptions)
     seed: SeedConfig = field(default_factory=SeedConfig)
     scan: ScanConfig = field(default_factory=ScanConfig)
-    oracle: OracleConfig = field(default_factory=OracleConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     rng_seed: int = 0
 
@@ -207,21 +200,6 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(
             "scan.exclude_zero_radius must be positive: it sets the trivial root "
             f"apart from the nontrivial ones, got {cfg.scan.exclude_zero_radius}"
-        )
-    if cfg.oracle.N < 4:
-        raise ConfigError("oracle.N must be >= 4")
-    if cfg.oracle.levels not in (1, 2, 3):
-        raise ConfigError("oracle.levels must be 1, 2 or 3")
-    if cfg.oracle.N % (1 << (cfg.oracle.levels - 1)) != 0:
-        raise ConfigError(
-            f"oracle.N={cfg.oracle.N} must be divisible by "
-            f"{1 << (cfg.oracle.levels - 1)} for {cfg.oracle.levels} levels"
-        )
-    if cfg.oracle.N >> (cfg.oracle.levels - 1) < 2:
-        raise ConfigError(
-            f"oracle.N={cfg.oracle.N} leaves a coarsest chain of "
-            f"{cfg.oracle.N >> (cfg.oracle.levels - 1)} segments for "
-            f"{cfg.oracle.levels} levels; it needs >= 2"
         )
     if cfg.rng_seed < 0:
         raise ConfigError(f"rng_seed must be >= 0, got {cfg.rng_seed}")

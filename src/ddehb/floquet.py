@@ -194,8 +194,7 @@ def _fix_mode_gauge(R: np.ndarray) -> np.ndarray:
 def _sign_against(a: np.ndarray, ref: np.ndarray) -> float:
     """-1.0 if the inner product of a with ref is negative, else 1.0: the
     sign that aligns a profile with a reference of the same gauge class,
-    such as an eigenfunction or amplitude response from another method or
-    chain level."""
+    such as an eigenfunction or amplitude response from another method."""
     return -1.0 if float(np.sum(a * ref)) < 0 else 1.0
 
 

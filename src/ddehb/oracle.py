@@ -1,32 +1,26 @@
 """Independent time-evolution oracle for validating the spectral path.
 
-Four engines, deliberately sharing no operator code with the harmonic
-balance modules (separate delayed-value interpolation, separate Jacobian
-assembly), so that agreement is evidence rather than tautology:
+Its engines share no operator code with the harmonic balance modules
+(separate delayed-value interpolation, separate Jacobian assembly, their
+own discretization of the delay), so that agreement is evidence rather
+than tautology:
 
 * method-of-steps RK4 integration of the delay system, with delayed
   values from piecewise-cubic interpolation of the stored history;
-* the finite-segment ODE discretization (delay line of N first-order
-  lags), the basis for the two linear engines;
-* monodromy exponents/eigenvectors of the variational equation along the
-  orbit, via subspace iteration over one-period sweeps (the block-stepped RK4
-  of `sweep`);
-* backward integration of the discretized adjoint (again via one-period
-  subspace sweeps, which is what repeated backward periods amount to;
-  one iteration serves the phase and the amplitude target) yielding
-  oracle phase/amplitude response curves after the continuum
-  normalization (the shared convention `adjoint.normalization`, applied
-  to the oracle's own tangent and eigenfunction), plus direct
-  pulse-perturbation PRC measurement.
+* the pseudospectral oracle: monodromy matrix, eigenfunction and phase
+  and amplitude responses of the variational equation with the delay
+  interval held on a Chebyshev grid, normalized by the shared convention
+  `adjoint.normalization` against the oracle's own tangent and rho;
+* direct pulse-perturbation PRC measurement.
 
-Both subspace iterations stop at the first sweep whose Ritz pairs have
-small residuals against that sweep's own image, the usual test of
-subspace and Arnoldi eigensolvers: no further sweep is spent to see that
-a converged iterate has stopped moving.
+The delay-line chain engines at the end have no caller in the command
+line; `bench/tracer.py` still times them by name.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +36,7 @@ from .errors import (
     PeriodDrift,
 )
 # shared conventions, no operator
-from .floquet import _fix_mode_gauge as _mode_gauge, _sign_against
+from .floquet import _fix_mode_gauge as _mode_gauge
 from .model import ModelSpec
 from .spectral import sample_to_coeffs
 from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
@@ -67,8 +61,6 @@ PRC_COMPONENT = 0  # the kicked and observed component
 PRC_PHASES = 16  # pulse phases of the validation PRC, evenly spaced
 PRC_PERIODS = 20  # cycles each perturbed copy runs
 PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
-
-PROFILE_POINTS = 4096  # samples per period of a Richardson-combined profile
 
 
 def _lagrange4(x: np.ndarray) -> np.ndarray:
@@ -244,8 +236,288 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
 
 
 # ---------------------------------------------------------------------------
-# Finite-segment discretization of the delay line
+# Pseudospectral oracle: monodromy, eigenfunction and responses
 # ---------------------------------------------------------------------------
+#
+# The history segment x(t + theta), theta in [-tau, 0], is held by its values
+# u_j at the n + 1 Chebyshev extremal nodes theta_j = (tau/2)(cos(j pi/n) - 1),
+# so theta_0 = 0 is the head and theta_n = -tau.  Linearized along the orbit,
+# the head follows u_0' = DF0(t) u_0 + DF1(t) u_n and every other node the
+# transport equation u_j' = sum_k (2/tau) D_jk u_k, D the Chebyshev
+# differentiation matrix (D. Breda, O. Diekmann, M. Gyllenberg, F. Scarabel and
+# R. Vermiglio, SIAM J. Appl. Dyn. Syst. 15 (2016) 1-23; `cheb` of Trefethen,
+# Spectral Methods in MATLAB).  Only the head rows depend on t.
+
+CHEB_NODES = 16  # n: the history segment is held at n + 1 nodes
+STEPS_PER_PERIOD = 4000  # RK4 steps over one period
+# Largest h |lambda| over the eigenvalues lambda of the transport block; RK4
+# is stable on the left half-disk of radius 2.5, so this leaves a margin.
+RK4_STABLE_STEP = 2.0
+STEP_BATCH = 40  # step matrices built at once; a period's worth is never held
+
+
+@dataclass
+class _PeriodicInterp:
+    """Cubic interpolant of dense uniform samples over one period."""
+
+    T: float
+    values: np.ndarray  # (steps, m) at t = 0, h, ..., T - h
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        h = self.T / self.values.shape[0]
+        return _cubic(self.values, np.mod(t, self.T) / h, periodic=True)
+
+
+def _orbit_tangent(orbit):
+    """Cycle tangent from the delay system itself, x' = F(x, x_delayed)."""
+
+    def xdot(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return orbit.model.F(orbit.value(t), orbit.value(t - orbit.model.tau))
+
+    return xdot
+
+
+def _response(orbit, curve, mode) -> _PeriodicInterp:
+    """Response from a periodic curve sampled uniformly over one period,
+    scaled to pair with the cycle tangent to omega (mode None: phase, at
+    mu = 0) or with rho to 1 (mode (mu, rho): amplitude, at mu)."""
+    mu, partner, target = ((0.0, _orbit_tangent(orbit), orbit.omega) if mode is None
+                           else (*mode, 1.0))
+    raw = _PeriodicInterp(T=orbit.T, values=curve)
+    scale = normalization(orbit, raw, partner, mu, target)
+    return _PeriodicInterp(T=orbit.T, values=curve * scale)
+
+
+def _leading_nontrivial(multipliers: np.ndarray, exponents: np.ndarray) -> complex:
+    """Exponent with the largest real part besides the trivial one (the
+    multiplier closest to 1); exponents are sorted by descending real part."""
+    i_unit = int(np.argmin(np.abs(multipliers - 1.0)))
+    return [mu for i, mu in enumerate(exponents) if i != i_unit][0]
+
+
+@functools.lru_cache(maxsize=None)
+def _cheb(n: int) -> tuple[np.ndarray, float]:
+    """Chebyshev differentiation matrix D on the nodes cos(j pi / n),
+    j = 0..n (Trefethen's cheb), read-only, and the spectral radius of its
+    transport block D[1:, 1:]."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.where((np.arange(n + 1) % n) == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    D.flags.writeable = False
+    return D, float(np.abs(np.linalg.eigvals(D[1:, 1:])).max())
+
+
+@dataclass
+class PseudospectralSystem:
+    """The pseudospectral variational equation u' = A(t) u along one period,
+    stepped by RK4 in `steps` steps of h = T / steps."""
+
+    T: float
+    steps: int
+    h: float
+    m: int
+    transport: np.ndarray  # (dim, dim) the t-independent rows of A; head rows zero
+    jac0: np.ndarray  # (2 steps + 1, m, m) DF0 at t = 0, h/2, ..., T
+    jac1: np.ndarray  # DF1 at the same times
+
+    def step_matrices(self, k0: int, k1: int) -> np.ndarray:
+        """RK4 step matrices of the steps k0..k1-1, (k1 - k0, dim, dim); step
+        k maps the state at t_k = k h to the state at t_k + h."""
+        m, h = self.m, self.h
+
+        def generator(i):
+            A = np.repeat(self.transport[None], i.size, axis=0)
+            A[:, :m, :m], A[:, :m, -m:] = self.jac0[i], self.jac1[i]
+            return A
+
+        i = 2 * np.arange(k0, k1)
+        A0, A1, A2 = generator(i), generator(i + 1), generator(i + 2)
+        K2 = A1 + (0.5 * h) * (A1 @ A0)
+        K3 = A1 + (0.5 * h) * (A1 @ K2)
+        K4 = A2 + h * (A2 @ K3)
+        return np.eye(A0.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (K2 + K3) + K4)
+
+
+def pseudospectral_system(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
+                          steps: int = STEPS_PER_PERIOD) -> PseudospectralSystem:
+    """The variational equation along orbit on n + 1 nodes.  steps is raised
+    where needed so that h |lambda| stays within RK4_STABLE_STEP on the
+    transport block."""
+    m, tau, T = model.m, model.tau, orbit.T
+    D, radius = _cheb(n)
+    steps = max(steps, math.ceil(T * (2.0 / tau) * radius / RK4_STABLE_STEP))
+    transport = np.kron((2.0 / tau) * D, np.eye(m))
+    transport[:m] = 0.0
+    t = np.arange(2 * steps + 1) * (0.5 * T / steps)
+    jac0, jac1 = model.jacobians(orbit.value(t), orbit.value(t - tau))
+    return PseudospectralSystem(T, steps, T / steps, m, transport, jac0, jac1)
+
+
+@dataclass
+class OracleMonodromy:
+    """Every Floquet multiplier of a pseudospectral system, from its
+    monodromy matrix."""
+
+    system: PseudospectralSystem
+    matrix: np.ndarray  # (dim, dim) the monodromy matrix
+    heads: np.ndarray  # (steps + 1, m, dim) head rows of the step products up to t_k
+    multipliers: np.ndarray  # in the order of exponents
+    exponents: np.ndarray  # complex, by descending real part, upper member of a pair first
+    unit_multiplier_error: float
+
+    def leading_nontrivial(self) -> float:
+        """Real part of the leading exponent besides the trivial one."""
+        return float(_leading_nontrivial(self.multipliers, self.exponents).real)
+
+
+def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
+                   steps: int = STEPS_PER_PERIOD) -> OracleMonodromy:
+    """The monodromy matrix of the pseudospectral variational equation as
+    the product of its RK4 step matrices over one period, and all its
+    multipliers from one eig.  The head rows of each partial product are
+    kept for the eigenfunction.  The unit multiplier must be present:
+    deviation beyond 1e-2 raises MonodromyIllConditioned.
+    """
+    system = pseudospectral_system(model, orbit, n, steps)
+    P = np.eye(system.transport.shape[0])
+    heads = np.empty((system.steps + 1, system.m, P.shape[0]))
+    heads[0] = P[:system.m]
+    for k0 in range(0, system.steps, STEP_BATCH):
+        k1 = min(k0 + STEP_BATCH, system.steps)
+        for k, S in enumerate(system.step_matrices(k0, k1), k0 + 1):
+            P = S @ P
+            heads[k] = P[:system.m]
+    multipliers = np.linalg.eigvals(P).astype(complex)
+    exponents = np.log(multipliers) / orbit.T
+    order = np.lexsort((-exponents.imag, -exponents.real))
+    unit_err = float(np.min(np.abs(multipliers - 1.0)))
+    if unit_err > 1e-2:
+        raise MonodromyIllConditioned(
+            f"unit Floquet multiplier missing: closest is off by {unit_err:.3e}"
+        )
+    return OracleMonodromy(system, P, heads, multipliers[order], exponents[order], unit_err)
+
+
+def _null_vectors(mono: OracleMonodromy, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left eigenvectors of the monodromy matrix at the real
+    multiplier lam: the null vectors of matrix - lam I, from one SVD."""
+    U, _, Vt = np.linalg.svd(mono.matrix - lam * np.eye(mono.matrix.shape[0]))
+    return Vt[-1], U[:, -1]
+
+
+def oracle_eigenfunction(orbit: PeriodicOrbit, mono: OracleMonodromy) -> _PeriodicInterp:
+    """Eigenfunction rho(t) = e^{-mu t} y(t) at the leading nontrivial
+    exponent mu, y the head of the right eigenvector carried forward by the
+    partial products.  It is gauged as the spectral eigenfunction is, by
+    _fix_mode_gauge on its samples at the orbit's collocation grid."""
+    mu, system = mono.leading_nontrivial(), mono.system
+    v, _ = _null_vectors(mono, float(np.exp(mu * system.T)))
+    t = np.arange(system.steps) * system.h
+    rho = _PeriodicInterp(system.T, np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v))
+    samples = rho(orbit.grid.sample_times)
+    i = int(np.argmax(np.abs(samples)))
+    rho.values *= _mode_gauge(samples).flat[i] / samples.flat[i]
+    return rho
+
+
+def oracle_responses(orbit: PeriodicOrbit, mono: OracleMonodromy,
+                     rho: _PeriodicInterp) -> tuple[_PeriodicInterp, _PeriodicInterp]:
+    """Phase response z and amplitude response q at the leading nontrivial
+    exponent mu, which pairs with rho (from oracle_eigenfunction).  The left
+    eigenvectors at the multipliers 1 and e^{mu T} are stepped back over one
+    period by the transposed step matrices together, and each is read at
+    the head; q takes the factor e^{mu (t - T)}.  Both are scaled by
+    adjoint.normalization, against the orbit's own tangent and against rho.
+    """
+    mu, system = mono.leading_nontrivial(), mono.system
+    m, T = system.m, system.T
+    Y = np.stack([_null_vectors(mono, lam)[1] for lam in (1.0, np.exp(mu * T))], axis=1)
+    heads = np.empty((system.steps + 1, m, 2))
+    heads[-1] = Y[:m]
+    for k1 in range(system.steps, 0, -STEP_BATCH):
+        k0 = max(k1 - STEP_BATCH, 0)
+        S = system.step_matrices(k0, k1)
+        for k in range(k1 - 1, k0 - 1, -1):
+            Y = S[k - k0].T @ Y
+            heads[k] = Y[:m]
+    t = np.arange(system.steps) * system.h
+    z = _response(orbit, heads[:-1, :, 0], None)
+    q = _response(orbit, np.exp(mu * (t - T))[:, None] * heads[:-1, :, 1], (mu, rho))
+    return z, q
+
+
+# ---------------------------------------------------------------------------
+# Direct pulse-perturbation PRC measurement
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PrcResult:
+    eps: float
+    raw_shifts: np.ndarray  # asymptotic phase shifts (radians)
+    measured: np.ndarray  # shifts / eps, comparable to z at the pulse phase
+
+
+def direct_prc(
+    model: ModelSpec,
+    orbit: PeriodicOrbit,
+    phases,
+    scales=(1.0,),
+) -> list[PrcResult]:
+    """Measure the PRC by pulse perturbation and cross-correlation.
+
+    For each phase the unperturbed copy and one copy per pulse size
+    eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
+    orbit's peak there, start from the same orbit history and run for
+    PRC_PERIODS cycles at step tau/64; all trajectories advance as one
+    batch, so the unperturbed copies are integrated once for every size.
+    The asymptotic time shift is read off as the phase difference of the
+    fundamental harmonic over the trailing PRC_WINDOW_PERIODS periods,
+    which is the peak of the circular cross-correlation of the two
+    near-sinusoidal signals, located spectrally.  Returns one result per
+    entry of scales.
+    """
+    phases = np.asarray(phases, dtype=float)
+    T = orbit.T
+    omega = orbit.omega
+    eps = PRC_EPS * float(np.abs(orbit.X[:, PRC_COMPONENT]).max())
+    t_theta = phases / omega  # kick times along the cycle
+    B = phases.size
+    sizes = [eps * s for s in scales]
+
+    def history(s):
+        # batch of orbit histories: rows 0..B-1 unperturbed, then B kicked
+        # rows per pulse size
+        return orbit.value(np.tile(t_theta, 1 + len(sizes)) + s)
+
+    kick = np.zeros(((1 + len(sizes)) * B, model.m))
+    for j, size in enumerate(sizes):
+        kick[(j + 1) * B : (j + 2) * B, PRC_COMPONENT] = size
+    traj = integrate_dde(model, history, PRC_PERIODS * T, model.tau / 64.0,
+                         initial_kick=kick)
+
+    times = traj.times
+    sel = times >= PRC_PERIODS * T - PRC_WINDOW_PERIODS * T
+    tw = times[sel]
+    xw = traj.states[sel][:, :, PRC_COMPONENT]  # (nt, (1 + sizes) B)
+    phi = np.angle(np.exp(-1j * omega * tw) @ xw)
+    results = []
+    for j, size in enumerate(sizes):
+        dphi = phi[(j + 1) * B : (j + 2) * B] - phi[:B]
+        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
+        results.append(PrcResult(eps=size, raw_shifts=dphi, measured=dphi / size))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Delay-line chain engines (N first-order lags), timed by bench/tracer.py only
+# ---------------------------------------------------------------------------
+#
+# Both subspace iterations stop at the first sweep whose Ritz pairs have
+# small residuals against that sweep's own image.
 
 
 @dataclass
@@ -290,13 +562,6 @@ def _by_magnitude(vals: np.ndarray) -> np.ndarray:
     return np.lexsort((-vals.imag, -np.abs(vals)))
 
 
-def _leading_nontrivial(multipliers: np.ndarray, exponents: np.ndarray) -> complex:
-    """Exponent with the largest real part besides the trivial one (the
-    multiplier closest to 1); exponents are sorted by descending real part."""
-    i_unit = int(np.argmin(np.abs(multipliers - 1.0)))
-    return [mu for i, mu in enumerate(exponents) if i != i_unit][0]
-
-
 @dataclass
 class MonodromyResult:
     exponents: np.ndarray  # complex, sorted by descending real part
@@ -304,7 +569,6 @@ class MonodromyResult:
     vectors: np.ndarray  # (dim, n_modes) Ritz vectors matching multipliers
     coeffs: np.ndarray  # (kk, n_modes) the Ritz vectors in the last swept basis
     head: np.ndarray  # (steps+1, m, kk) head block of that basis over the period
-    image: np.ndarray  # (dim, kk) the last sweep's image of that basis
     unit_multiplier_error: float
     T: float
     steps: int
@@ -319,14 +583,13 @@ def monodromy_exponents(
     orbit: PeriodicOrbit,
     k: int = 2,
     seed: int = 0,
-    start: np.ndarray | None = None,
 ) -> MonodromyResult:
     """Leading Floquet exponents of the discretized variational equation.
 
     Subspace iteration over one-period sweeps (k+3 vectors, QR
     re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
     fundamental matrix; the default k = 2 keeps the unit multiplier and
-    the leading nontrivial one, all that validation reads.  It stops at
+    the leading nontrivial one.  It stops at
     the first sweep W = Phi V after which each of the k leading Ritz pairs
     (theta, y) of V^T W has the residual
     ||W y - theta V y|| <= RITZ_TOL max(1, |theta|), so that it is an exact
@@ -335,16 +598,12 @@ def monodromy_exponents(
     of its basis, so the result carries the last one and eigenfunction
     profiles are read from it without sweeping again.  The unit multiplier
     must be present: deviation beyond 1e-2 raises MonodromyIllConditioned.
-    The start block is drawn from seed, its first columns replaced by
-    start if given.
+    The start block is drawn from seed.
     """
     steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps)
     kk = min(k + 3, system.dim)
-    block = np.random.default_rng(seed).standard_normal((system.dim, kk))
-    if start is not None:
-        block[:, : start.shape[1]] = start
-    V, _ = np.linalg.qr(block)
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((system.dim, kk)))
 
     for iterations in range(1, MONODROMY_MAX_ITERATIONS + 1):
         W, head = _sweep_forward(plan, V, steps, store_head=True)
@@ -380,21 +639,11 @@ def monodromy_exponents(
         vectors=vectors,
         coeffs=coeffs,
         head=head,
-        image=W,
         unit_multiplier_error=unit_err,
         T=orbit.T,
         steps=steps,
         iterations=iterations,
     )
-
-
-def _refine_block(block: np.ndarray, m: int) -> np.ndarray:
-    """Columns on a chain of N segments resampled along the delay coordinate
-    onto 2N: fine row 2i is coarse row i, row 2i+1 the mean of rows i, i+1."""
-    coarse = block.reshape(-1, m, block.shape[-1])
-    fine = np.repeat(coarse, 2, axis=0)[:-1]
-    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    return fine.reshape(-1, block.shape[-1])
 
 
 def _realify(vec: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,19 +652,6 @@ def _realify(vec: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     i = int(np.argmax(np.abs(vec)))
     phase = np.exp(-1j * np.angle(vec[i]))
     return np.real(vec * phase), np.real(coeffs * phase)
-
-
-@dataclass
-class _PeriodicInterp:
-    """Cubic interpolant of dense uniform samples over one period."""
-
-    T: float
-    values: np.ndarray  # (steps, m) at t = 0, h, ..., T - h
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        h = self.T / self.values.shape[0]
-        return _cubic(self.values, np.mod(t, self.T) / h, periodic=True)
 
 
 def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInterp:
@@ -437,29 +673,8 @@ def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInte
 # ---------------------------------------------------------------------------
 
 
-def _orbit_tangent(orbit):
-    """Cycle tangent from the delay system itself, x' = F(x, x_delayed)."""
-
-    def xdot(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return orbit.model.F(orbit.value(t), orbit.value(t - orbit.model.tau))
-
-    return xdot
-
-
 def _target_mu(mode) -> float:
     return 0.0 if mode is None else mode[0]  # None is the phase response
-
-
-def _response(orbit, curve, mode) -> _PeriodicInterp:
-    """Response from a periodic curve sampled uniformly over one period,
-    scaled to pair with the cycle tangent to omega (mode None: phase, at
-    mu = 0) or with rho to 1 (mode (mu, rho): amplitude, at mu)."""
-    mu, partner, target = ((0.0, _orbit_tangent(orbit), orbit.omega) if mode is None
-                           else (*mode, 1.0))
-    raw = _PeriodicInterp(T=orbit.T, values=curve)
-    scale = normalization(orbit, raw, partner, mu, target)
-    return _PeriodicInterp(T=orbit.T, values=curve * scale)
 
 
 def _adjoint_response(orbit, mode, w0):
@@ -543,224 +758,3 @@ def discretized_adjoint(
             f"{ADJOINT_MAX_PERIODS} backward periods"
         )
     return AdjointIteration(responses=responses, periods=periods, vectors=vectors)
-
-
-# ---------------------------------------------------------------------------
-# Direct pulse-perturbation PRC measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PrcResult:
-    eps: float
-    raw_shifts: np.ndarray  # asymptotic phase shifts (radians)
-    measured: np.ndarray  # shifts / eps, comparable to z at the pulse phase
-
-
-def direct_prc(
-    model: ModelSpec,
-    orbit: PeriodicOrbit,
-    phases,
-    scales=(1.0,),
-) -> list[PrcResult]:
-    """Measure the PRC by pulse perturbation and cross-correlation.
-
-    For each phase the unperturbed copy and one copy per pulse size
-    eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
-    orbit's peak there, start from the same orbit history and run for
-    PRC_PERIODS cycles at step tau/64; all trajectories advance as one
-    batch, so the unperturbed copies are integrated once for every size.
-    The asymptotic time shift is read off as the phase difference of the
-    fundamental harmonic over the trailing PRC_WINDOW_PERIODS periods,
-    which is the peak of the circular cross-correlation of the two
-    near-sinusoidal signals, located spectrally.  Returns one result per
-    entry of scales.
-    """
-    phases = np.asarray(phases, dtype=float)
-    T = orbit.T
-    omega = orbit.omega
-    eps = PRC_EPS * float(np.abs(orbit.X[:, PRC_COMPONENT]).max())
-    t_theta = phases / omega  # kick times along the cycle
-    B = phases.size
-    sizes = [eps * s for s in scales]
-
-    def history(s):
-        # batch of orbit histories: rows 0..B-1 unperturbed, then B kicked
-        # rows per pulse size
-        return orbit.value(np.tile(t_theta, 1 + len(sizes)) + s)
-
-    kick = np.zeros(((1 + len(sizes)) * B, model.m))
-    for j, size in enumerate(sizes):
-        kick[(j + 1) * B : (j + 2) * B, PRC_COMPONENT] = size
-    traj = integrate_dde(model, history, PRC_PERIODS * T, model.tau / 64.0,
-                         initial_kick=kick)
-
-    times = traj.times
-    sel = times >= PRC_PERIODS * T - PRC_WINDOW_PERIODS * T
-    tw = times[sel]
-    xw = traj.states[sel][:, :, PRC_COMPONENT]  # (nt, (1 + sizes) B)
-    phi = np.angle(np.exp(-1j * omega * tw) @ xw)
-    results = []
-    for j, size in enumerate(sizes):
-        dphi = phi[(j + 1) * B : (j + 2) * B] - phi[:B]
-        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-        results.append(PrcResult(eps=size, raw_shifts=dphi, measured=dphi / size))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Extrapolating oracle layer
-# ---------------------------------------------------------------------------
-#
-# The first-order lag chain converges like a/N + b/N^2 + ...; running the
-# same computation on chain levels N/4, N/2, N and combining the reported
-# quantities (exponents, multipliers, periodic profiles) with Richardson
-# weights removes the low-order bias.  Profiles are functions of time, so
-# they extrapolate across levels despite the differing state dimensions.
-
-_RICHARDSON_WEIGHTS = {
-    1: (1.0,),
-    2: (-1.0, 2.0),
-    3: (1.0 / 3.0, -2.0, 8.0 / 3.0),
-}  # ordered coarsest -> finest, for levels N/2^(L-1), ..., N/2, N
-
-
-def _level_sizes(N: int, levels: int) -> list[int]:
-    """Chain sizes N/2^(levels-1), ..., N/2, N.  Its ValueErrors cannot be
-    reached from the CLI: config.py rejects those level counts and N first."""
-    if levels not in _RICHARDSON_WEIGHTS:
-        raise ValueError("levels must be 1, 2 or 3")
-    sizes = [N >> (levels - 1 - i) for i in range(levels)]
-    if sizes[0] << (levels - 1) != N:
-        raise ValueError(f"N={N} must be divisible by {1 << (levels - 1)}")
-    return sizes
-
-
-def _combine_profiles(interps, weights, T) -> _PeriodicInterp:
-    t = np.linspace(0.0, T, PROFILE_POINTS + 1)[:-1]
-    acc = sum(w * interp(t) for w, interp in zip(weights, interps))
-    return _PeriodicInterp(T=T, values=acc)
-
-
-@dataclass
-class OracleFloquet:
-    """Monodromy exponents across chain levels with extrapolated values."""
-
-    levels: list[int]
-    systems: list[DiscretizedSystem]
-    results: list[MonodromyResult]
-    modes: list[tuple[float, _PeriodicInterp]]  # per level: (mu, rho), signs aligned
-    multipliers: np.ndarray  # extrapolated, matched across levels
-    exponents: np.ndarray
-    unit_multiplier_error: float
-
-    def leading_nontrivial(self) -> float:
-        return float(_leading_nontrivial(self.multipliers, self.exponents).real)
-
-
-def oracle_floquet(
-    model: ModelSpec,
-    orbit: PeriodicOrbit,
-    N: int = 2000,
-    k: int = 2,
-    levels: int = 3,
-    seed: int = 0,
-) -> OracleFloquet:
-    """Monodromy exponents with Richardson extrapolation over chain levels.
-
-    The finest level is N; coarser levels halve it.  The coarsest level
-    starts from a block drawn from seed, each finer one from the image of
-    the level below resampled onto its chain (_refine_block).  Multipliers
-    are matched between levels by proximity before combining; unmatched
-    ones keep the finest-level value.  Each level's eigenfunction at its
-    leading nontrivial exponent is read once, into modes, with its sign
-    set there against the finest level's (inner product over 512 times).
-    """
-    sizes = _level_sizes(N, levels)
-    weights = _RICHARDSON_WEIGHTS[levels]
-    systems = [DiscretizedSystem(model, n) for n in sizes]
-    results = []
-    for sys in systems:
-        start = _refine_block(results[-1].image, model.m) if results else None
-        results.append(monodromy_exponents(sys, orbit, k=k, seed=seed, start=start))
-    mus = [float(res.leading_nontrivial().real) for res in results]
-    profiles = [monodromy_eigenfunction(res, mu) for res, mu in zip(results, mus)]
-    t_ref = np.linspace(0.0, orbit.T, 512)
-    ref = profiles[-1](t_ref)
-    modes = [(mu, _PeriodicInterp(p.T, _sign_against(p(t_ref), ref) * p.values))
-             for mu, p in zip(mus, profiles)]
-    fine = results[-1]
-    multipliers = np.array(fine.multipliers, dtype=complex)
-    for j, lam in enumerate(fine.multipliers):
-        acc = weights[-1] * lam
-        ok = True
-        for w, res in zip(weights[:-1], results[:-1]):
-            i = int(np.argmin(np.abs(res.multipliers - lam)))
-            if abs(res.multipliers[i] - lam) > 0.5 * max(abs(lam), 0.01):
-                ok = False
-                break
-            acc += w * res.multipliers[i]
-        if ok:
-            multipliers[j] = acc
-    exponents = np.log(multipliers) / orbit.T
-    order = np.argsort(-exponents.real)
-    multipliers, exponents = multipliers[order], exponents[order]
-    unit_err = float(np.min(np.abs(multipliers - 1.0)))
-    return OracleFloquet(
-        levels=sizes,
-        systems=systems,
-        results=results,
-        modes=modes,
-        multipliers=multipliers,
-        exponents=exponents,
-        unit_multiplier_error=unit_err,
-    )
-
-
-def oracle_eigenfunction(orbit: PeriodicOrbit, ofl: OracleFloquet) -> _PeriodicInterp:
-    """Extrapolated, max-normalized eigenfunction profile at the leading
-    nontrivial exponent, from the sign-aligned level profiles of ofl.modes."""
-    weights = _RICHARDSON_WEIGHTS[len(ofl.levels)]
-    combined = _combine_profiles([rho for _, rho in ofl.modes], weights, orbit.T)
-    combined.values[:] = _mode_gauge(combined.values)
-    return combined
-
-
-def _extrapolated_responses(orbit, systems, level_targets, targets):
-    """Richardson-extrapolated response curves, one per target (None or
-    (mu, rho), as in discretized_adjoint).
-
-    Each chain level runs one backward subspace iteration for its own
-    targets, given in the same order (its exponent and eigenfunction); the
-    combined curves are renormalized against the extrapolated targets.
-    """
-    weights = _RICHARDSON_WEIGHTS[len(systems)]
-    levels = [
-        discretized_adjoint(sys, orbit, tg)
-        for sys, tg in zip(systems, level_targets)
-    ]
-    out = []
-    for j, mode in enumerate(targets):
-        curves = [lvl.responses[j] for lvl in levels]
-        combined = _combine_profiles(curves, weights, orbit.T)
-        out.append(_response(orbit, combined.values, mode))
-    return out
-
-
-def oracle_responses(
-    orbit: PeriodicOrbit,
-    ofl: OracleFloquet,
-    rho: _PeriodicInterp,
-) -> tuple[_PeriodicInterp, _PeriodicInterp]:
-    """Extrapolated oracle phase and amplitude responses, the latter at the
-    leading exponent, from one backward iteration per chain level of ofl.
-
-    Each chain level has the targets [None, mode], its own mode from
-    ofl.modes as it is; the combined curves have [None, (mu, rho)], the
-    extrapolated exponent with rho from oracle_eigenfunction, so the
-    amplitude pairing is exactly 1 whatever common sign the levels carry.
-    """
-    level_targets = [[None, mode] for mode in ofl.modes]
-    targets = [None, (ofl.leading_nontrivial(), rho)]
-    z, q = _extrapolated_responses(orbit, ofl.systems, level_targets, targets)
-    return z, q

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +90,8 @@ def read_orbit_file(path, model: ModelSpec, cfg: RunConfig | None = None):
     seed file, see read_stage_file).  MalformedInput if "T" or "coeffs" is
     missing or not of the series_payload form, if T or a coefficient is not
     a finite real number, if T <= 0, M < 1 or coeffs has not model.m
-    components."""
+    components, and if "M" or "harmonics", where present, is not what
+    coeffs holds (a seed file may leave them out)."""
     data = read_stage_file(path, cfg, "cycle")
     try:
         T, comps = data["T"], data["coeffs"]
@@ -105,6 +107,12 @@ def read_orbit_file(path, model: ModelSpec, cfg: RunConfig | None = None):
     if not series.T > 0 or series.M < 1:
         raise MalformedInput(f"orbit file {path}: need a positive period T "
                              f"and M >= 1, got T={series.T!r}, M={series.M}")
+    M = series.M
+    for name, want, text in (("M", M, str(M)),
+                             ("harmonics", list(range(-M, M + 1)), f"[{-M}, ..., {M}]")):
+        if name in data and (data[name] != want or type(data[name]) is not type(want)):
+            raise MalformedInput(f"{path}: {name}: expected {text} for {2 * M + 1} "
+                                 f"coefficients, got {reprlib.repr(data[name])}")
     return data, series
 
 

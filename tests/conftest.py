@@ -52,17 +52,14 @@ def kotani_q(kotani_orbit, kotani_mode):
 
 @pytest.fixture(scope="session")
 def kotani_oracle_floquet(kotani_model, kotani_orbit):
-    return oracle.oracle_floquet(kotani_model, kotani_orbit, N=2000)
+    return oracle.oracle_floquet(kotani_model, kotani_orbit)
 
 
 @pytest.fixture(scope="session")
-def kotani_z_oracle_fine(kotani_model, kotani_orbit):
-    # the oracle-side pairing constancy at 1e-6 sits below the N=2000
-    # extrapolation residual, so these chains are finer
-    systems = [oracle.DiscretizedSystem(kotani_model, n) for n in (1000, 2000, 4000)]
-    phase = [None]
-    (z,) = oracle._extrapolated_responses(kotani_orbit, systems, [phase] * 3, phase)
-    return z
+def kotani_oracle_curves(kotani_orbit, kotani_oracle_floquet):
+    """The oracle's eigenfunction, z and q on the kotani orbit."""
+    rho = oracle.oracle_eigenfunction(kotani_orbit, kotani_oracle_floquet)
+    return (rho, *oracle.oracle_responses(kotani_orbit, kotani_oracle_floquet, rho))
 
 
 @pytest.fixture(scope="session")
@@ -106,7 +103,7 @@ def cortico_q(cortico_orbit, cortico_mode):
 
 @pytest.fixture(scope="session")
 def cortico_oracle_floquet(cortico_model, cortico_orbit):
-    return oracle.oracle_floquet(cortico_model, cortico_orbit, N=2000)
+    return oracle.oracle_floquet(cortico_model, cortico_orbit)
 
 
 def stuart_landau(tau: float) -> ModelSpec:

@@ -38,9 +38,9 @@ CRITERIA = {
         "cortico.trivial_mode": 1e-6,
     },
     "4_fig1_oracle_equivalence": {
-        "kotani.oracle_eigenfunction": 1e-3,
-        "kotani.oracle_z": 1e-3,
-        "kotani.oracle_q": 1e-3,
+        "kotani.oracle_eigenfunction": 1e-9,
+        "kotani.oracle_z": 1e-9,
+        "kotani.oracle_q": 2e-9,
         "kotani.oracle_runtime": 300.0,
     },
     "5_direct_perturbation": {
@@ -69,18 +69,18 @@ CRITERIA = {
         "cortico.tail_monotone": 0.5,
     },
     # the analytic center-manifold curve of Fig. 2(B) is not reprinted; the
-    # stand-in is 2% relative agreement with the oracle on both components
-    # of the eigenfunction, z and q
+    # stand-in is relative agreement with the oracle on both components of
+    # the eigenfunction, z and q
     "9_fig2_analytic_standin": {
-        "cortico.oracle_eigenfunction": 0.02,
-        "cortico.oracle_z": 0.02,
-        "cortico.oracle_q": 0.02,
+        "cortico.oracle_eigenfunction": 1e-9,
+        "cortico.oracle_z": 1e-6,
+        "cortico.oracle_q": 2e-9,
     },
     "10_oracle_floquet_spectrum": {
-        "kotani.oracle_unit_multiplier": 1e-4,
-        "cortico.oracle_unit_multiplier": 1e-4,
-        "kotani.oracle_exponent": 1e-2,
-        "cortico.oracle_exponent": 0.1,
+        "kotani.oracle_unit_multiplier": 1e-10,
+        "cortico.oracle_unit_multiplier": 1e-7,
+        "kotani.oracle_exponent": 1e-9,
+        "cortico.oracle_exponent": 1e-9,
         "cortico.period_consistency": 1e-3,
     },
 }

@@ -317,6 +317,36 @@ class TestMalformedInput:
         assert f"orbit_coeffs.json: {field}:" in err
         assert not (out / "exponents.json").exists()
 
+    @pytest.mark.parametrize("field, value", [("M", 7), ("M", 20.0), ("M", True),
+                                              ("harmonics", [0]),
+                                              ("harmonics", list(range(-7, 8)))])
+    def test_orbit_file_size_fields_match_coeffs(self, tmp_path, capsys, field, value):
+        # each of these let floquet exit 0, with M read from the 41 coefficients
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(capsys, "floquet", "--config", KOTANI_CFG,
+                                    "--out", str(out))
+        assert f"orbit_coeffs.json: {field}: expected" in err
+        assert not (out / "exponents.json").exists()
+
+    def test_seed_file_size_field_matches_coeffs(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(first))
+        path = first / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["M"] = 7
+        path.write_text(json.dumps(data))
+        err = self.expect_malformed(
+            capsys, "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path / "again"),
+            "--seed-from", "file", "--override", f"seed.path={path}",
+        )
+        assert "orbit_coeffs.json: M: expected 20" in err
+        assert not (tmp_path / "again").exists()
+
     def test_orbit_file_without_harmonics(self, tmp_path, capsys):
         # one coefficient pair per component is M = 0: no oscillation to solve
         out = tmp_path / "run"
@@ -550,13 +580,8 @@ KOTANI_CHECKS = [
 
 class TestValidateCommand:
     def test_kotani_report_matches_exit_code(self, tmp_path):
-        # a coarse chain keeps the run short; at N=512 some oracle checks
-        # miss their tolerances, so the run exercises the failure exit
         out = tmp_path / "run"
-        code = run(
-            "validate", "--config", KOTANI_CFG, "--out", str(out),
-            "--override", "oracle.N=512",
-        )
+        code = run("validate", "--config", KOTANI_CFG, "--out", str(out))
         report = json.loads((out / "validation_report.json").read_text())
         checks = report["checks"]
         assert [c["name"] for c in checks] == KOTANI_CHECKS
@@ -608,6 +633,25 @@ class TestValidateCommand:
         with pytest.raises(OracleReached):
             validation.validate_cortico(load_config(CORTICO_CFG))
         assert solved == [20, 40, 10]
+
+    def test_period_consistency_from_an_ansatz_seed(self, monkeypatch, cortico_settle):
+        # the row was dropped without a word when the seed was no settle; it
+        # settles from the config's seed settings (here the session settle)
+        build_seed = pipeline.build_seed
+        kinds = []
+
+        def session_settle(cfg, model):
+            kinds.append(cfg.seed.kind)
+            if cfg.seed.kind == "oracle":
+                return cortico_settle.seed, cortico_settle
+            return build_seed(cfg, model)
+
+        monkeypatch.setattr(pipeline, "build_seed", session_settle)
+        rows = validation.validate_cortico(load_config(CORTICO_CFG, ["seed.kind=ansatz"]))
+        assert kinds == ["ansatz", "oracle"]
+        row = {r.name: r for r in rows}["cortico.period_consistency"]
+        assert row.passed and f"settle={cortico_settle.period:.6f}" in row.detail
+        assert all(r.passed for r in rows)
 
     def test_no_exponent_in_scan_range(self, tmp_path, capsys):
         # [-0.01, 0.05] holds only the trivial root; the leading exponent
@@ -684,6 +728,8 @@ class TestConfigValidation:
         "name, override",
         [
             # removed oracle settings, also at their former defaults
+            ("kotani_fig1.yaml", "oracle.N=2000"),
+            ("kotani_fig1.yaml", "oracle.levels=3"),
             ("kotani_fig1.yaml", "oracle.exponents=0"),
             ("kotani_fig1.yaml", "oracle.prc_phases=0"),
             ("kotani_fig1.yaml", "oracle.prc_periods=-1"),
@@ -789,19 +835,8 @@ class TestConfigValidation:
         assert not list(tmp_path.iterdir())
 
     def test_bad_oracle_levels(self, tmp_path):
+        # the oracle section is gone; a key in it is unknown
         assert run(
             "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path),
             "--override", "oracle.levels=5",
         ) == EXIT_CONFIG
-
-    def test_coarsest_chain_too_short(self, tmp_path):
-        # N=4 over 3 levels leaves a coarsest chain of one segment
-        assert run(
-            "validate", "--config", KOTANI_CFG, "--out", str(tmp_path),
-            "--override", "oracle.N=4",
-        ) == EXIT_CONFIG
-        assert not (tmp_path / "validation_report.json").exists()
-        assert run(
-            "cycle", "--config", KOTANI_CFG, "--out", str(tmp_path),
-            "--override", "oracle.N=8",
-        ) == EXIT_OK

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, oracle, sweep
+from ddehb import adjoint, floquet, oracle, sweep
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -322,19 +322,20 @@ class TestMonodromy:
         res = oracle.monodromy_exponents(sys, kotani_orbit, k=4)
         assert res.unit_multiplier_error < 1e-2
 
-    def test_two_pairs_suffice(self, kotani_model, kotani_orbit, kotani_oracle_floquet):
+    def test_two_pairs_suffice(self, kotani_model, kotani_orbit):
         # the default k = 2 keeps the unit multiplier and the leading
         # nontrivial one, and reads them as a k = 5 run does
-        two = kotani_oracle_floquet
-        five = oracle.oracle_floquet(kotani_model, kotani_orbit, k=5)
-        assert [res.multipliers.size for res in two.results] == [2, 2, 2]
-        mu = five.leading_nontrivial()
-        assert abs(two.leading_nontrivial() - mu) <= 1e-10 * abs(mu)
+        system = oracle.DiscretizedSystem(kotani_model, 500)
+        two = oracle.monodromy_exponents(system, kotani_orbit)
+        five = oracle.monodromy_exponents(system, kotani_orbit, k=5)
+        assert two.multipliers.size == 2
+        mu = float(five.leading_nontrivial().real)
+        assert abs(two.leading_nontrivial().real - mu) <= 1e-10 * abs(mu)
         # |lambda - 1| of the multiplier closest to 1, relative to that multiplier
         assert abs(two.unit_multiplier_error - five.unit_multiplier_error) <= 1e-10
         t = np.linspace(0.0, kotani_orbit.T, 512)
-        rho = oracle.oracle_eigenfunction(kotani_orbit, five)(t)
-        gap = np.abs(oracle.oracle_eigenfunction(kotani_orbit, two)(t) - rho).max()
+        rho = oracle.monodromy_eigenfunction(five, mu)(t)
+        gap = np.abs(oracle.monodromy_eigenfunction(two, mu)(t) - rho).max()
         assert gap <= 1e-10 * np.abs(rho).max()
 
     def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
@@ -359,36 +360,6 @@ class TestMonodromy:
             oracle.monodromy_exponents(
                 oracle.DiscretizedSystem(kotani_model, 64), bad, k=4
             )
-
-
-def _levels_against_cold(model, orbit, N, k):
-    """Warm-started levels of oracle_floquet next to cold monodromy runs
-    (random start block from the same seed) on the same chains."""
-    ofl = oracle.oracle_floquet(model, orbit, N=N, k=k)
-    cold = [oracle.monodromy_exponents(s, orbit, k=k) for s in ofl.systems]
-    for warm, ref in zip(ofl.results, cold):
-        assert np.abs(warm.multipliers - ref.multipliers).max() <= 1e-9
-        assert warm.iterations <= ref.iterations
-    return ofl.results, cold
-
-
-class TestWarmStart:
-    def test_refine_block_interpolates_delay_coordinate(self):
-        # two components on a chain of 3 segments, one column
-        coarse = np.arange(8.0).reshape(8, 1)
-        fine = oracle._refine_block(coarse, 2).reshape(7, 2)
-        assert np.array_equal(fine[::2], coarse.reshape(4, 2))
-        assert np.array_equal(fine[1::2], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_kotani_levels_match_cold_start(self, kotani_model, kotani_orbit, k):
-        warm, cold = _levels_against_cold(kotani_model, kotani_orbit, 512, k)
-        assert warm[-1].iterations < cold[-1].iterations
-
-    def test_cortico_levels_match_cold_start(self, cortico_model, cortico_orbit):
-        # two components: a finer-level mode missing from the coarse block
-        # would show as a multiplier gap
-        _levels_against_cold(cortico_model, cortico_orbit, 512, 5)
 
 
 def _recording(monkeypatch, name):
@@ -434,12 +405,9 @@ class TestStoppingRule:
     def test_monodromy_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
         model, orbit = sweep_case
         calls = _recording(monkeypatch, "_sweep_forward")
-        ofl = oracle.oracle_floquet(model, orbit, N=512, k=4)
-        for res in ofl.results:  # a random start, then two warm starts
-            flags = [self.forward_passes(V, W, 4) for V, W in calls[: res.iterations]]
-            del calls[: res.iterations]
-            assert res.iterations == _first_pass(flags) == len(flags)
-        assert calls == []
+        res = oracle.monodromy_exponents(oracle.DiscretizedSystem(model, 512), orbit, k=4)
+        flags = [self.forward_passes(V, W, 4) for V, W in calls]
+        assert res.iterations == _first_pass(flags) == len(flags)
 
     def test_adjoint_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
         model, orbit = sweep_case
@@ -658,15 +626,15 @@ class TestHeadReadout:
 
 
 class TestDiscretizedAdjoint:
-    def test_oracle_pairing_constant(self, kotani_orbit, kotani_z_oracle_fine):
+    def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
+        # the pseudospectral oracle's z with the orbit's own tangent
+        _, z, _ = kotani_oracle_curves
         tangent = oracle._orbit_tangent(kotani_orbit)
         vals = [
-            adjoint.pairing_functional(
-                kotani_orbit, kotani_z_oracle_fine, tangent, 0.0, t0
-            )
+            adjoint.pairing_functional(kotani_orbit, z, tangent, 0.0, t0)
             for t0 in np.arange(8) * kotani_orbit.T / 8
         ]
-        assert max(vals) - min(vals) < 1e-6
+        assert max(vals) - min(vals) < 1e-10
 
     # None is the phase target, named by the mu it sits at
     @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
@@ -685,66 +653,6 @@ class TestDiscretizedAdjoint:
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(res(t) - expected).max() < 1e-4
-
-    def test_level_eigenfunctions_swept_once(self, kotani_model, kotani_orbit,
-                                             monkeypatch):
-        # oracle_floquet reads each level's eigenfunction once, from the
-        # heads its monodromy iteration stored; the extrapolated eigenfunction
-        # and the responses reuse those profiles and sweep nothing forward
-        read = []
-        eigenfunction = oracle.monodromy_eigenfunction
-
-        def counting_read(result, mu):
-            read.append(result.vectors.shape[0])
-            return eigenfunction(result, mu)
-
-        monkeypatch.setattr(oracle, "monodromy_eigenfunction", counting_read)
-        ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512, k=3)
-        assert read == [s.dim for s in ofl.systems]
-        assert [mu for mu, _ in ofl.modes] == [
-            float(r.leading_nontrivial().real) for r in ofl.results
-        ]
-
-        forward = []
-        sweep_forward = oracle._sweep_forward
-
-        def counting(plan, V, steps, **kwargs):
-            forward.append(plan.system.N)
-            return sweep_forward(plan, V, steps, **kwargs)
-
-        monkeypatch.setattr(oracle, "_sweep_forward", counting)
-        rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
-        oracle.oracle_responses(kotani_orbit, ofl, rho)
-        assert forward == []
-        assert len(read) == len(ofl.systems)
-
-    def test_flipped_level_sign_changes_nothing(self, kotani_model, kotani_orbit,
-                                                monkeypatch):
-        # oracle_floquet sets each level's eigenfunction sign once, so a
-        # level read with the opposite sign gives the same curves to the bit
-        def curves():
-            ofl = oracle.oracle_floquet(kotani_model, kotani_orbit, N=512)
-            rho = oracle.oracle_eigenfunction(kotani_orbit, ofl)
-            return ofl, [rho, *oracle.oracle_responses(kotani_orbit, ofl, rho)]
-
-        ofl, plain = curves()
-        read = oracle.monodromy_eigenfunction
-        calls = []
-
-        def flip_coarsest(result, mu):
-            rho = read(result, mu)
-            calls.append(result.vectors.shape[0])
-            if len(calls) == 1:  # levels are read coarsest first
-                rho = oracle._PeriodicInterp(T=rho.T, values=-rho.values)
-            return rho
-
-        monkeypatch.setattr(oracle, "monodromy_eigenfunction", flip_coarsest)
-        flipped_ofl, flipped = curves()
-        assert calls == [s.dim for s in ofl.systems]
-        for (_, a), (_, b) in zip(ofl.modes, flipped_ofl.modes):
-            assert np.array_equal(a.values, b.values)
-        for a, b in zip(plain, flipped):
-            assert np.array_equal(a.values, b.values)
 
     def test_shared_iteration_matches_one_target_runs(self, kotani_model,
                                                       kotani_orbit, monkeypatch):
@@ -788,6 +696,143 @@ class TestDiscretizedAdjoint:
         monkeypatch.setattr(oracle, "ADJOINT_MAX_PERIODS", 1)
         with pytest.raises(NonConvergentAdjoint):
             oracle.discretized_adjoint(sys, kotani_orbit, [None])
+
+
+def oracle_gaps(model, orbit, mu, mode, z, q, n, steps):
+    """Gaps of the pseudospectral oracle on n + 1 nodes and `steps` steps to
+    the spectral side: the exponent (relative), the unit multiplier, and the
+    largest gap of rho, z and q on the collocation grid."""
+    mono = oracle.oracle_floquet(model, orbit, n, steps)
+    rho = oracle.oracle_eigenfunction(orbit, mono)
+    z_o, q_o = oracle.oracle_responses(orbit, mono, rho)
+    tg = orbit.grid.sample_times
+    return {
+        "mu": abs(mono.leading_nontrivial() - mu) / abs(mu),
+        "unit": mono.unit_multiplier_error,
+        "rho": np.abs(rho(tg) - mode.R).max(),
+        "z": np.abs(z_o(tg) - z.Q).max(),
+        "q": np.abs(q_o(tg) - q.Q).max(),
+    }
+
+
+class TestPseudospectralOracle:
+    def test_cheb_differentiates_polynomials(self):
+        D, _ = oracle._cheb(8)
+        x = np.cos(np.pi * np.arange(9) / 8)
+        for k in range(9):
+            np.testing.assert_allclose(D @ x**k, k * x ** max(k - 1, 0) * (k > 0),
+                                       atol=1e-12)
+
+    def test_one_step_matches_assembled_rk4(self, cortico_model, cortico_orbit):
+        # the batched step matrices against RK4 on the generator assembled
+        # from its definition at t, t + h/2, t + h
+        model, n = cortico_model, 6
+        system = oracle.pseudospectral_system(model, cortico_orbit, n, 500)
+        h, k = system.h, 123
+        D, _ = oracle._cheb(n)
+
+        def A(t):
+            DF0, DF1 = model.jacobians(cortico_orbit.value(t),
+                                       cortico_orbit.value(t - model.tau))
+            out = np.kron((2.0 / model.tau) * D, np.eye(2))
+            out[:2] = 0.0
+            out[:2, :2], out[:2, -2:] = DF0, DF1
+            return out
+
+        A0, A1, A2 = A(k * h), A((k + 0.5) * h), A((k + 1) * h)
+        V = np.random.default_rng(3).standard_normal((system.transport.shape[0], 4))
+        k1 = A0 @ V
+        k2 = A1 @ (V + 0.5 * h * k1)
+        k3 = A1 @ (V + 0.5 * h * k2)
+        k4 = A2 @ (V + h * k3)
+        dense = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        (S,) = system.step_matrices(k, k + 1)
+        assert np.abs(S @ V - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_steps_raised_for_stability(self, kotani_orbit):
+        # a delay short against the period: the transport block is stiff
+        model = ModelSpec("short_delay", 1, 0.01, lambda z0, z1: -z1)
+        system = oracle.pseudospectral_system(model, kotani_orbit, 16, 100)
+        _, radius = oracle._cheb(16)
+        assert system.steps > 100
+        assert system.h * (2.0 / model.tau) * radius <= oracle.RK4_STABLE_STEP
+
+    def test_step_matrices_built_in_batches(self, kotani_model, kotani_orbit,
+                                            kotani_oracle_floquet, monkeypatch):
+        built = []
+        step_matrices = oracle.PseudospectralSystem.step_matrices
+
+        def recording(system, k0, k1):
+            built.append((k0, k1))
+            return step_matrices(system, k0, k1)
+
+        monkeypatch.setattr(oracle.PseudospectralSystem, "step_matrices", recording)
+        mono = oracle.oracle_floquet(kotani_model, kotani_orbit)
+        forward = built[:]
+        rho = oracle.oracle_eigenfunction(kotani_orbit, mono)
+        assert built == forward  # the eigenfunction is read from the stored heads
+        oracle.oracle_responses(kotani_orbit, mono, rho)
+        backward = built[len(forward):]
+        steps = mono.system.steps
+        for batches in (forward, backward[::-1]):
+            assert all(0 < k1 - k0 <= oracle.STEP_BATCH for k0, k1 in batches)
+            assert [k for k0, k1 in batches for k in range(k0, k1)] == list(range(steps))
+        assert np.array_equal(mono.matrix, kotani_oracle_floquet.matrix)
+
+    def test_converges_on_doubling(self, kotani_model, kotani_orbit, kotani_mu,
+                                   kotani_mode, kotani_z, kotani_q):
+        # twice the nodes and half the step: each gap to the spectral side
+        # falls at least fourfold (RK4 is fourth order in the step)
+        args = (kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
+        base = oracle_gaps(*args, oracle.CHEB_NODES, oracle.STEPS_PER_PERIOD)
+        fine = oracle_gaps(*args, 2 * oracle.CHEB_NODES, 2 * oracle.STEPS_PER_PERIOD)
+        assert max(base.values()) <= 1e-10
+        for name in base:
+            assert fine[name] <= base[name] / 4, (name, base[name], fine[name])
+
+    def test_kotani_z_exact(self, kotani_orbit, kotani_oracle_curves):
+        # the phase response of the exact cosine cycle
+        _, z, _ = kotani_oracle_curves
+        t = np.linspace(0.0, kotani_orbit.T, 257)
+        exact = -8.0 * np.sin(t) / (4.0 + np.pi * 0.05)
+        assert np.abs(z(t)[:, 0] - exact).max() <= 1e-9
+
+    @pytest.mark.parametrize("name, pair", [("kotani", -1.0213110 + 0.1251805j),
+                                            ("cortico", -0.1896844 + 0.0980210j)])
+    def test_leading_complex_pair(self, request, name, pair):
+        # the leading complex pair, which the spectral det scan cannot see,
+        # against a complex root of det M(mu) polished by Newton on log det,
+        # mu <- mu - 1 / tr(M(mu)^-1 M'(mu)), from the oracle's value; pair is
+        # that root to 7 decimals
+        mono = request.getfixturevalue(f"{name}_oracle_floquet")
+        upper = [mu for mu in mono.exponents if mu.imag > 0][0]
+        assert np.conj(upper) in mono.exponents
+        lin = floquet.orbit_linearization(request.getfixturevalue(f"{name}_orbit"))
+        eye, root = np.eye(lin.A0.shape[0]), upper
+        for _ in range(5):
+            E = np.exp(-root * lin.tau) * lin.B
+            M, dM = lin.A0 + root * eye - E, eye + lin.tau * E
+            root -= 1.0 / np.trace(np.linalg.solve(M, dM))
+        assert abs(root - pair) <= 1e-7
+        assert abs(upper - root) <= 1e-8
+
+    def test_eigenfunction_gauged_on_the_grid(self, kotani_orbit, kotani_mode,
+                                              kotani_oracle_curves):
+        rho, _, _ = kotani_oracle_curves
+        samples = rho(kotani_orbit.grid.sample_times)
+        assert np.abs(samples - floquet._fix_mode_gauge(samples)).max() <= 1e-15
+        assert np.abs(samples - kotani_mode.R).max() <= 1e-9
+
+    def test_corrupted_orbit_rejected(self, kotani_model, kotani_orbit):
+        import dataclasses
+
+        bad = dataclasses.replace(
+            kotani_orbit,
+            X=2.5 * kotani_orbit.X,
+            series=d.sample_to_coeffs(2.5 * kotani_orbit.X, kotani_orbit.T),
+        )
+        with pytest.raises(MonodromyIllConditioned):
+            oracle.oracle_floquet(kotani_model, bad, 8, 500)
 
 
 class TestDirectPrc:
