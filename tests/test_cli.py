@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -579,16 +580,21 @@ KOTANI_CHECKS = [
 
 
 class TestValidateCommand:
-    def test_kotani_report_matches_exit_code(self, tmp_path):
+    def test_kotani_report_matches_exit_code(self, tmp_path, monkeypatch):
+        # a coarse oracle (n = 8, 500 steps) misses the oracle tolerances, so
+        # the run takes the failure exit and writes a failed report
+        coarse = functools.partial(oracle.oracle_floquet, n=8, steps=500)
+        monkeypatch.setattr(oracle, "oracle_floquet", coarse)
         out = tmp_path / "run"
         code = run("validate", "--config", KOTANI_CFG, "--out", str(out))
         report = json.loads((out / "validation_report.json").read_text())
         checks = report["checks"]
         assert [c["name"] for c in checks] == KOTANI_CHECKS
         assert all(np.isfinite(c["measured"]) for c in checks)
-        passed = all(c["passed"] for c in checks)
-        assert report["passed"] == passed
-        assert code == (EXIT_OK if passed else EXIT_VALIDATION)
+        failed = [c["name"] for c in checks if not c["passed"]]
+        assert failed and all(name.startswith("kotani.oracle_") for name in failed)
+        assert report["passed"] is False
+        assert code == EXIT_VALIDATION
 
     def test_doubled_solve_keeps_solver_config(self, monkeypatch):
         cfg = load_config(
