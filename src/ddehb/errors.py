@@ -76,3 +76,8 @@ class MonodromyIllConditioned(DdehbError):
 
 class NonConvergentAdjoint(DdehbError):
     """Backward adjoint integration failed to reach a periodic profile."""
+
+
+class SlowPhaseDecay(DdehbError):
+    """Kicked copies decay onto the cycle too slowly, or not geometrically,
+    to extrapolate their phase shift."""

@@ -34,6 +34,7 @@ from .errors import (
     NonConvergentAdjoint,
     NonFiniteState,
     PeriodDrift,
+    SlowPhaseDecay,
 )
 # shared conventions, no operator
 from .floquet import _fix_mode_gauge as _mode_gauge
@@ -59,8 +60,12 @@ ADJOINT_SUBSPACE = 6  # vectors in that block
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
 PRC_PHASES = 16  # pulse phases of the validation PRC, evenly spaced
-PRC_PERIODS = 20  # cycles each perturbed copy runs
-PRC_WINDOW_PERIODS = 5  # trailing periods the phase shift is read over
+PRC_DELAY_STEPS = 16  # RK4 steps per delay
+PRC_PERIODS = 10  # cycles each perturbed copy runs; the last window ends there
+PRC_WINDOW_PERIODS = 1  # whole periods each phase window covers
+PRC_WINDOW_SAMPLES = 64  # uniform samples a period of a window
+PRC_SPACING = 3  # periods between the starts of successive windows
+PRC_MAX_RATIO = 0.9  # largest |r| the residue extrapolation accepts
 
 
 def _lagrange4(x: np.ndarray) -> np.ndarray:
@@ -124,7 +129,11 @@ def integrate_dde(
     delay), which keeps full-step delayed lookups on stored nodes; only the
     half-step stage values are interpolated, by the clamped cubic readout
     of Trajectory.value.
-    initial_kick, if given, is added to the state at t=0.
+    initial_kick, if given, is added to the state at t=0, so x jumps there
+    and t=0 is a break point: the stored sample at t=0 is x(0+), delayed
+    values for s <= 0 come from the history samples, which end at x(0-),
+    and those for s >= 0 from the solution samples; no cubic stencil
+    straddles t=0.  A run without a kick reads one stencil across t=0.
     """
     tau = model.tau
     dt, n_tau = _snap_step(tau, dt)
@@ -139,7 +148,10 @@ def integrate_dde(
     buf = np.empty((n_tau + n_steps + 1,) + x0.shape)
     for j in range(n_tau + 1):
         buf[j] = history((j - n_tau) * dt)
+    # the delayed values of the steps k < n_tau, whose delayed times are <= 0
+    left = buf
     if initial_kick is not None:
+        left = buf[: n_tau + 1].copy()
         buf[n_tau] = buf[n_tau] + initial_kick
 
     half = 0.5 * dt
@@ -148,13 +160,20 @@ def integrate_dde(
     # the span starts, so its delayed midpoints are read at once.
     for k0 in range(0, n_steps, n_tau - 1):
         k_end = min(k0 + n_tau - 1, n_steps)
-        xdm = _cubic(buf, np.arange(k0, k_end) + 0.5, periodic=False)
+        s = np.arange(k0, k_end) + 0.5
+        if left is buf:
+            xdm = _cubic(buf, s, periodic=False)
+        else:  # the stencils clamp at t=0 from either side
+            pre = s < n_tau
+            xdm = np.concatenate([_cubic(left, s[pre], periodic=False),
+                                  _cubic(buf[n_tau:], s[~pre] - n_tau, periodic=False)])
         for k in range(k0, k_end):
             x, xm = buf[n_tau + k], xdm[k - k0]
-            k1 = model.F(x, buf[k])
+            lag = left if k < n_tau else buf
+            k1 = model.F(x, lag[k])
             k2 = model.F(x + half * k1, xm)
             k3 = model.F(x + half * k2, xm)
-            k4 = model.F(x + dt * k3, buf[k + 1])
+            k4 = model.F(x + dt * k3, lag[k + 1])
             buf[n_tau + k + 1] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         span = buf[n_tau + k0 + 1 : n_tau + k_end + 1].reshape(k_end - k0, -1)
         finite = np.isfinite(span).all(axis=1)
@@ -459,6 +478,8 @@ class PrcResult:
     eps: float
     raw_shifts: np.ndarray  # asymptotic phase shifts (radians)
     measured: np.ndarray  # shifts / eps, comparable to z at the pulse phase
+    ratio: float  # r, the decay of the residue over PRC_SPACING periods
+    mu_flow: float  # log(r) / (PRC_SPACING T), nan unless r > 0
 
 
 def direct_prc(
@@ -472,12 +493,23 @@ def direct_prc(
     For each phase the unperturbed copy and one copy per pulse size
     eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
     orbit's peak there, start from the same orbit history and run for
-    PRC_PERIODS cycles at step tau/64; all trajectories advance as one
-    batch, so the unperturbed copies are integrated once for every size.
-    The asymptotic time shift is read off as the phase difference of the
-    fundamental harmonic over the trailing PRC_WINDOW_PERIODS periods,
-    which is the peak of the circular cross-correlation of the two
-    near-sinusoidal signals, located spectrally.  Returns one result per
+    PRC_PERIODS cycles at the RK4 step tau / PRC_DELAY_STEPS; all
+    trajectories advance as one batch, so the unperturbed copies are
+    integrated once for every size.  The kick is a break point of the
+    integration, so the measurement converges in the step.
+
+    The time shift is read as the phase difference of the fundamental
+    harmonic over a window of PRC_WINDOW_PERIODS whole periods, sampled on
+    a half-open uniform grid of PRC_WINDOW_SAMPLES points a period: the
+    peak of the circular cross-correlation of the two near-sinusoidal
+    signals, located spectrally.  Three windows PRC_SPACING periods apart,
+    the last one ending at PRC_PERIODS periods, give the shifts s1, s2, s3.
+    Each kicked copy still decays onto the cycle, and after the fast modes
+    have died its residue falls by one ratio r = e^{mu L T} (L the spacing)
+    from window to window.  With d1 = s2 - s1 and d2 = s3 - s2, r is fitted
+    over the whole ensemble as sum(d1 d2) / sum(d1^2), and the asymptotic
+    shift is s3 + d2 r / (1 - r).  An r that is not finite or has |r| at
+    or above PRC_MAX_RATIO raises SlowPhaseDecay.  Returns one result per
     entry of scales.
     """
     phases = np.asarray(phases, dtype=float)
@@ -496,20 +528,30 @@ def direct_prc(
     kick = np.zeros(((1 + len(sizes)) * B, model.m))
     for j, size in enumerate(sizes):
         kick[(j + 1) * B : (j + 2) * B, PRC_COMPONENT] = size
-    traj = integrate_dde(model, history, PRC_PERIODS * T, model.tau / 64.0,
+    traj = integrate_dde(model, history, PRC_PERIODS * T, model.tau / PRC_DELAY_STEPS,
                          initial_kick=kick)
 
-    times = traj.times
-    sel = times >= PRC_PERIODS * T - PRC_WINDOW_PERIODS * T
-    tw = times[sel]
-    xw = traj.states[sel][:, :, PRC_COMPONENT]  # (nt, (1 + sizes) B)
-    phi = np.angle(np.exp(-1j * omega * tw) @ xw)
-    results = []
-    for j, size in enumerate(sizes):
-        dphi = phi[(j + 1) * B : (j + 2) * B] - phi[:B]
-        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-        results.append(PrcResult(eps=size, raw_shifts=dphi, measured=dphi / size))
-    return results
+    grid = np.arange(PRC_WINDOW_PERIODS * PRC_WINDOW_SAMPLES) * (T / PRC_WINDOW_SAMPLES)
+    shifts = []  # s1, s2, s3: (sizes B,) each
+    for back in (2, 1, 0):  # windows counted back from the last
+        tw = (PRC_PERIODS - PRC_WINDOW_PERIODS - back * PRC_SPACING) * T + grid
+        phi = np.angle(np.exp(-1j * omega * tw) @ traj.value(tw)[:, :, PRC_COMPONENT])
+        dphi = phi[B:] - np.tile(phi[:B], len(sizes))
+        shifts.append(np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi)
+    d1, d2 = shifts[1] - shifts[0], shifts[2] - shifts[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.dot(d1, d2) / np.dot(d1, d1))
+    if not abs(ratio) < PRC_MAX_RATIO:  # NaN included
+        raise SlowPhaseDecay(
+            f"phase residue ratio r={ratio:.6g} over {PRC_SPACING} periods: need "
+            f"|r| < {PRC_MAX_RATIO:g} to extrapolate the phase shift"
+        )
+    shift = shifts[2] + d2 * (ratio / (1.0 - ratio))
+    mu_flow = math.log(ratio) / (PRC_SPACING * T) if ratio > 0.0 else math.nan
+    return [
+        PrcResult(eps=size, raw_shifts=s, measured=s / size, ratio=ratio, mu_flow=mu_flow)
+        for size, s in zip(sizes, shift.reshape(len(sizes), B))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ def _integrator_order_check(results, model):
 
     errs = []
     denoms = (16, 32, 64)
-    for f in denoms:
-        traj = oracle.integrate_dde(model, history, 4 * T, model.tau / f)
+    for f in denoms:  # one period: the order reads the same as over more
+        traj = oracle.integrate_dde(model, history, T, model.tau / f)
         sel = traj.times >= 0
         errs.append(
             np.abs(traj.states[sel][:, 0] - np.cos(traj.times[sel])).max()
@@ -255,15 +255,19 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     oracle_seconds = _since(t_oracle)
     results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
-    # direct perturbation (criterion 5); one integration serves both checks
+    # direct perturbation (criterion 5); one integration serves both checks.
+    # The PRC gap, 1.3e-3 on the shipped config, is mostly the O(eps) term of
+    # the pulse, so its tolerance is twice it; the linearity, 6.6e-8, gets 1e-6
     t0 = time.perf_counter()
     phases = np.arange(oracle.PRC_PHASES) * 2.0 * np.pi / oracle.PRC_PHASES
     prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5))
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
-    results.append(_check("kotani.direct_prc", rel, 0.05, _since(t0, 0.5)))
-    results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 0.02,
+    # mu_flow: the decay rate of the kicked copies, from the flow alone
+    results.append(_check("kotani.direct_prc", rel, 2.5e-3, _since(t0, 0.5),
+                          detail=f"mu_flow={prc.mu_flow:.6f}"))
+    results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 1e-6,
                           _since(t0, 0.5), detail=f"ratio={ratio:.4f}"))
 
     _spectral_checks(results)

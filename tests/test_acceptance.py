@@ -44,8 +44,8 @@ CRITERIA = {
         "kotani.oracle_runtime": 300.0,
     },
     "5_direct_perturbation": {
-        "kotani.direct_prc": 0.05,
-        "kotani.prc_linearity": 0.02,
+        "kotani.direct_prc": 2.5e-3,
+        "kotani.prc_linearity": 1e-6,
     },
     "6_normalization_identities": {
         f"{model}.{row}": tol

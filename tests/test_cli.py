@@ -679,6 +679,16 @@ class TestValidateCommand:
         assert code == EXIT_CONVERGENCE
         assert not out.exists()
 
+    def test_slow_phase_decay_exits_3(self, tmp_path, capsys, monkeypatch):
+        # kotani's kicked copies decay by r = 0.578 over the window spacing,
+        # so a bound below that rejects the extrapolation
+        monkeypatch.setattr(oracle, "PRC_MAX_RATIO", 0.5)
+        out = tmp_path / "run"
+        code = run("validate", "--config", KOTANI_CFG, "--out", str(out))
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("SlowPhaseDecay: phase residue ratio r=0.578")
+        assert not out.exists()
+
 
 class TestConfigValidation:
     def test_malformed_override(self, tmp_path):

@@ -10,6 +10,7 @@ from ddehb.errors import (
     NonFiniteState,
     NormalizationSingular,
     PeriodDrift,
+    SlowPhaseDecay,
 )
 from ddehb.model import ModelSpec
 
@@ -145,6 +146,24 @@ class TestIntegrateDde:
         assert np.array_equal(kicked.states[:16], plain.states[:16])  # the history
         assert kicked.states[16, 0] == plain.states[16, 0] + 0.25
         assert np.all(kicked.states[17:] != plain.states[17:])
+
+    def test_kicked_run_exact_to_two_delays(self):
+        # x' = a x(t - tau) from the constant history c, kicked by kappa at
+        # t = 0: x = c + kappa + a c t on [0, tau] and a quadratic on
+        # [tau, 2 tau], which RK4 with cubic delayed reads holds exactly once
+        # no stencil straddles the jump; the kink at tau spoils later steps
+        a, tau, c, kappa = -0.7, 1.0, 0.4, 0.3
+        model = ModelSpec("linear", 1, tau, lambda z0, z1: a * z1)
+        traj = oracle.integrate_dde(
+            model, lambda s: np.full(np.shape(np.asarray(s)) + (1,), c), 2.0 * tau,
+            tau / 16, initial_kick=np.array([kappa]),
+        )
+        t = traj.times
+        late = np.maximum(t - tau, 0.0)
+        exact = (c + kappa + a * c * np.minimum(t, tau) + a * (c + kappa) * late
+                 + 0.5 * a * a * c * late**2)
+        sel = (t >= 0.0) & (t < 2.0 * tau - 0.5 * traj.dt)
+        assert np.abs(traj.states[sel, 0] - exact[sel]).max() <= 1e-13
 
     def test_step_coarser_than_tau_over_10_rejected(self, kotani_model):
         with pytest.raises(ValueError):
@@ -843,6 +862,39 @@ class TestDirectPrc:
         assert prc2.eps == prc1.eps / 2
         ratio = np.linalg.norm(prc1.raw_shifts) / np.linalg.norm(prc2.raw_shifts)
         assert abs(ratio - 2.0) < 0.04
+
+    def test_converges_in_the_step(self, kotani_model, kotani_orbit, kotani_z,
+                                   kotani_mu, monkeypatch):
+        # the kick is a break point, so the measured PRC converges in the
+        # step at better than first order, and the decay ratio of the kicked
+        # copies gives the leading exponent from the flow alone
+        phases = np.arange(8) * 2 * np.pi / 8
+        measured = {}
+        for n in (16, 32, 64):
+            monkeypatch.setattr(oracle, "PRC_DELAY_STEPS", n)
+            [prc] = oracle.direct_prc(kotani_model, kotani_orbit, phases)
+            measured[n] = prc.measured
+            assert abs(prc.mu_flow - kotani_mu) <= 1e-5
+        coarse = np.abs(measured[16] - measured[32]).max()
+        fine = np.abs(measured[32] - measured[64]).max()
+        assert coarse <= 2e-3 * np.abs(kotani_z.Q).max()
+        assert fine * 3.0 <= coarse
+
+    def test_nondecaying_residue_raises(self):
+        # a neutral shear oscillator: a kick moves the amplitude and so the
+        # frequency for good, the phase difference grows without end, r ~ 1
+        def F(z0, z1):
+            x, y = z0[..., 0], z0[..., 1]
+            w = x**2 + y**2
+            return np.stack([-w * y, w * x], axis=-1)
+
+        model = ModelSpec("shear", 2, 1.0, F)
+        T, M = 2 * np.pi, 20
+        t = np.arange(-M, M + 1) * (T / (2 * M + 1))
+        X = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        orbit = d.PeriodicOrbit(model, T, M, 0, X, d.sample_to_coeffs(X, T), 0.0, 0)
+        with pytest.raises(SlowPhaseDecay, match="r=0.99"):
+            oracle.direct_prc(model, orbit, np.arange(4) * np.pi / 2)
 
     def test_pulse_at_zero_of_z(self, kotani_model, kotani_orbit, kotani_z):
         # locate a zero crossing of z by bisection on the interpolant
