@@ -14,9 +14,11 @@ its home module on each access (module `__getattr__` over `_HOME`), so a
 command pays only for the layers it runs: `ddehb cycle`, `floquet`,
 `response` and `export` never load `oracle`, `sweep`, `validation` or
 `numpy.random` (`ddehb cycle` with an oracle seed loads `oracle` and
-`sweep`; `ddehb validate` loads every layer).  The object is returned, not
-cached, so `vars(ddehb)` holds no layer object and a function rebound in
-its home module (by a tracer or a test) is what the package name gives.
+`sweep`; `ddehb validate` loads every layer, but not `numpy.random`: its
+random test arrays come from the standard library).  The object is
+returned, not cached, so `vars(ddehb)` holds no layer object and a
+function rebound in its home module (by a tracer or a test) is what the
+package name gives.
 """
 
 import importlib
@@ -28,7 +30,7 @@ _HOME = {  # home module -> the public names it defines
     "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "residual",
               "seed_from_ansatz", "solve_cycle"],
     "floquet": ["FloquetMode", "build_stability_matrix", "det_scan", "eigenfunction",
-                "find_exponents", "refine_exponent"],
+                "find_exponents", "leading_exponent", "refine_exponent"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
               "verify_jacobians"],
     "oracle": ["DiscretizedSystem", "Trajectory", "direct_prc", "discretized_adjoint",

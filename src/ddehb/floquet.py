@@ -20,6 +20,7 @@ smooth near simple roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,8 @@ class DetScanResult:
     def sign_changes(self):
         """Bracketing intervals (mu_lo, mu_hi) of neighbouring grid values
         where det changes sign, in grid order; a zero sign brackets nothing."""
-        s = self.sign
-        return [(float(self.mu[i]), float(self.mu[i + 1]))
-                for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+        brackets = _brackets(self.mu, self.sign, self.sigma_min)
+        return [brackets[key] for key in sorted(brackets) if key[0] == 0]
 
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
@@ -73,23 +73,38 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     and each chunk goes through one stacked slogdet and one stacked
     singular-value call that fills its slice of the arrays.  These run the
     same LAPACK routine on each matrix as a call per point would, so the
-    values are the same to the bit; a chunk holds at most SCAN_CHUNK n^2
-    doubles (1.3 MB at n = 81).
+    values are the same to the bit whatever the chunk bounds; a chunk holds
+    at most SCAN_CHUNK n^2 doubles (1.3 MB at n = 81).
     """
+    scan, lin = _empty_scan(orbit, mu_range, grid_points)
+    for start in range(0, grid_points, SCAN_CHUNK):
+        _scan_chunk(lin, scan, slice(start, start + SCAN_CHUNK))
+    return scan
+
+
+def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int):
+    """The scan grid with unfilled value arrays, and the orbit's (A0, B)."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
     scan = DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((3, grid_points)))
-    lin = orbit_linearization(orbit)
-    for start in range(0, grid_points, SCAN_CHUNK):
-        chunk = slice(start, start + SCAN_CHUNK)
-        try:
-            mats = lin.matrices(scan.mu[chunk])
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"{exc}; increase scan.mu_min (now {lo:g})") from None
-        scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(mats)
-        scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    return scan
+    return scan, orbit_linearization(orbit)
+
+
+def _scan_matrices(lin: Linearization, scan: DetScanResult, chunk: slice) -> np.ndarray:
+    """M(mu) stacked over a chunk of the grid; NonFiniteState names the
+    setting to move when e^{-mu tau} overflows."""
+    try:
+        return lin.matrices(scan.mu[chunk])
+    except NonFiniteState as exc:
+        raise NonFiniteState(f"{exc}; increase scan.mu_min (now {scan.mu[0]:g})") from None
+
+
+def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> None:
+    """Fill a chunk of the scan: one stacked slogdet, one stacked SVD."""
+    mats = _scan_matrices(lin, scan, chunk)
+    scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(mats)
+    scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 
 def _sigma_extremes(lin: Linearization, mu):
@@ -262,18 +277,96 @@ def find_exponents(
     determinant sign changes and from interior sigma_min dips.
     """
     scan = det_scan(orbit, mu_range, grid_points)
-    brackets = scan.sign_changes()
-    mu, s = scan.mu, scan.sigma_min
+    brackets = _brackets(scan.mu, scan.sign, scan.sigma_min)
+    return _distinct_roots([_try_refine(orbit, brackets[key]) for key in sorted(brackets)],
+                           exclude_zero_radius)
+
+
+class LeadingExponent(NamedTuple):
+    """The largest nontrivial exponent of the scan, or None if it has none,
+    and the number of grid points the search evaluated."""
+
+    mu: float | None
+    points: int
+
+
+def leading_exponent(
+    orbit: PeriodicOrbit,
+    mu_range,
+    grid_points: int = 200,
+    exclude_zero_radius: float = 1e-4,
+) -> LeadingExponent:
+    """find_exponents(...)[0] to the bit (None where that list is empty),
+    from as little of the scan as decides it.
+
+    The same grid is evaluated SCAN_CHUNK points at a time from the top, and
+    each bracket is refined as soon as the points it depends on are known.
+    Once the collected nontrivial roots above the highest undecided
+    bracket's top theta all lie above theta + 2 exclude_zero_radius, and at
+    least one does, the search stops: a root from a bracket not yet decided
+    lies at or below theta, so it can neither exceed those roots nor drop
+    one of them as a near-duplicate, and the roots kept above theta are the
+    ones find_exponents keeps.  NonFiniteState as det_scan where M(mu)
+    overflows anywhere on the grid: e^{-mu tau} is largest at mu_min, so
+    that one matrix is assembled first.
+    """
+    scan, lin = _empty_scan(orbit, mu_range, grid_points)
+    _scan_matrices(lin, scan, slice(0, 1))
+    refined = {}  # bracket key -> refined root, None where refinement failed
+    top = grid_points  # points top.. are evaluated
+    while top > 0:
+        start = max(top - SCAN_CHUNK, 0)
+        _scan_chunk(lin, scan, slice(start, top))
+        # the chunk and the two points above it decide every bracket that
+        # needs a point of the chunk
+        window = slice(start, top + 2)
+        brackets = _brackets(scan.mu[window], scan.sign[window], scan.sigma_min[window],
+                             start)
+        for key in sorted(brackets.keys() - refined.keys()):
+            refined[key] = _try_refine(orbit, brackets[key])
+        top = start
+        # undecided: the sign change below point top and the dip at it
+        theta = scan.mu[min(top + 1, grid_points - 1)]
+        above = [mu for mu in refined.values()
+                 if mu is not None and abs(mu) >= exclude_zero_radius and mu > theta]
+        if above and min(above) > theta + 2.0 * exclude_zero_radius:
+            break
+    roots = _distinct_roots([refined[key] for key in sorted(refined)], exclude_zero_radius)
+    return LeadingExponent(roots[0] if roots else None, grid_points - top)
+
+
+def _brackets(mu, sign, sigma_min, offset: int = 0) -> dict:
+    """Candidate brackets of consecutive scan values, keyed in
+    find_exponents' order: (0, i) for a sign change between points i and
+    i + 1 (a zero sign brackets nothing), then (1, i) for a sigma_min dip at
+    interior point i, bracketed by its neighbours and skipped where mu[i]
+    lies in a sign change.  Each bracket needs only its own points, so a
+    slice of the scan decides the brackets inside it; offset is the grid
+    index of the slice's first point."""
+    changes = sign[:-1] * sign[1:] < 0
+    brackets = {(0, offset + i): (float(mu[i]), float(mu[i + 1]))
+                for i in np.flatnonzero(changes)}
+    s = sigma_min
     for i in np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1:
-        if not any(b[0] <= mu[i] <= b[1] for b in brackets):
-            brackets.append((mu[i - 1], mu[i + 1]))
+        # on a monotone grid only the changes at i - 1 and i can hold mu[i]
+        if not any(changes[j] and mu[j] <= mu[i] <= mu[j + 1] for j in (i - 1, i)):
+            brackets[(1, offset + i)] = (float(mu[i - 1]), float(mu[i + 1]))
+    return brackets
+
+
+def _try_refine(orbit: PeriodicOrbit, bracket) -> float | None:
+    try:
+        return refine_exponent(orbit, bracket)
+    except NoRootInBracket:
+        return None
+
+
+def _distinct_roots(refined, exclude_zero_radius: float) -> list[float]:
+    """Refined roots in bracket order, less failed refinements, the trivial
+    root and near-duplicates of a root kept before them, largest first."""
     roots = []
-    for bracket in brackets:
-        try:
-            mu = refine_exponent(orbit, bracket)
-        except NoRootInBracket:
-            continue
-        if abs(mu) < exclude_zero_radius:
+    for mu in refined:
+        if mu is None or abs(mu) < exclude_zero_radius:
             continue
         if all(abs(mu - r) > exclude_zero_radius for r in roots):
             roots.append(mu)

@@ -60,7 +60,7 @@ ADJOINT_SUBSPACE = 6  # vectors in that block
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
 PRC_PHASES = 16  # pulse phases of the validation PRC, evenly spaced
-PRC_DELAY_STEPS = 16  # RK4 steps per delay
+PRC_DELAY_STEPS = 10  # RK4 steps per delay, the coarsest MIN_DELAY_STEPS allows
 PRC_PERIODS = 10  # cycles each perturbed copy runs; the last window ends there
 PRC_WINDOW_PERIODS = 1  # whole periods each phase window covers
 PRC_WINDOW_SAMPLES = 64  # uniform samples a period of a window
@@ -129,11 +129,13 @@ def integrate_dde(
     delay), which keeps full-step delayed lookups on stored nodes; only the
     half-step stage values are interpolated, by the clamped cubic readout
     of Trajectory.value.
-    initial_kick, if given, is added to the state at t=0, so x jumps there
-    and t=0 is a break point: the stored sample at t=0 is x(0+), delayed
-    values for s <= 0 come from the history samples, which end at x(0-),
-    and those for s >= 0 from the solution samples; no cubic stencil
-    straddles t=0.  A run without a kick reads one stencil across t=0.
+    initial_kick, if given, is added to the state at t=0, so x jumps there,
+    x' at tau and x'' at 2 tau, and these are the break points of the run:
+    the stored sample at t=0 is x(0+), delayed values for s <= 0 come from
+    the history samples, which end at x(0-), and those for s >= 0 from the
+    solution samples, and no cubic stencil straddles t=0, tau or 2 tau, so
+    a kicked run stays fourth order.  A run without a kick reads its
+    stencils across them.
     """
     tau = model.tau
     dt, n_tau = _snap_step(tau, dt)
@@ -153,6 +155,11 @@ def integrate_dde(
     if initial_kick is not None:
         left = buf[: n_tau + 1].copy()
         buf[n_tau] = buf[n_tau] + initial_kick
+        # the node slices between the break points 0, tau and 2 tau: the
+        # history's, which ends at x(0-), then the solution's
+        breaks = n_tau * np.arange(1, 4)
+        pieces = [(left, 0, n_tau + 1), (buf, n_tau, 2 * n_tau + 1),
+                  (buf, 2 * n_tau, 3 * n_tau + 1), (buf, 3 * n_tau, None)]
 
     half = 0.5 * dt
     # Step k reads its delayed midpoint from the nodes k-1..k+2 (0..3 at
@@ -163,10 +170,10 @@ def integrate_dde(
         s = np.arange(k0, k_end) + 0.5
         if left is buf:
             xdm = _cubic(buf, s, periodic=False)
-        else:  # the stencils clamp at t=0 from either side
-            pre = s < n_tau
-            xdm = np.concatenate([_cubic(left, s[pre], periodic=False),
-                                  _cubic(buf[n_tau:], s[~pre] - n_tau, periodic=False)])
+        else:  # each stencil clamps inside the piece between two break points
+            parts = np.split(s, np.searchsorted(s, breaks))
+            xdm = np.concatenate([_cubic(src[a:b], part - a, periodic=False)
+                                  for part, (src, a, b) in zip(parts, pieces) if part.size])
         for k in range(k0, k_end):
             x, xm = buf[n_tau + k], xdm[k - k0]
             lag = left if k < n_tau else buf
@@ -495,8 +502,10 @@ def direct_prc(
     orbit's peak there, start from the same orbit history and run for
     PRC_PERIODS cycles at the RK4 step tau / PRC_DELAY_STEPS; all
     trajectories advance as one batch, so the unperturbed copies are
-    integrated once for every size.  The kick is a break point of the
-    integration, so the measurement converges in the step.
+    integrated once for every size.  The kick's jumps in x at 0, in x' at
+    tau and in x'' at 2 tau are break points of the integration, so the run
+    stays fourth order and even the coarsest step, tau / MIN_DELAY_STEPS,
+    leaves the measured PRC at the O(eps) term of the pulse.
 
     The time shift is read as the phase difference of the fundamental
     harmonic over a window of PRC_WINDOW_PERIODS whole periods, sampled on

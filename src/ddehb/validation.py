@@ -10,6 +10,8 @@ test module (`tests/test_acceptance.py`) maps each criterion to its rows.
 
 from __future__ import annotations
 
+import math
+import random
 import time
 from dataclasses import dataclass, replace
 
@@ -77,8 +79,14 @@ def _spectral_checks(results):
         )
     )
     t0 = time.perf_counter()
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal((K, 1)) + 1j * rng.standard_normal((K, 1))
+    # standard normal test arrays from the stdlib random.Random, so that
+    # validate does not load numpy.random
+    rng = random.Random(5)
+
+    def normal(*shape):
+        return np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
+
+    coeffs = normal(K, 1) + 1j * normal(K, 1)
     from .spectral import FourierSeries
 
     series = FourierSeries(T, coeffs)
@@ -92,7 +100,7 @@ def _spectral_checks(results):
     )
     results.append(_check("spectral.exact_operators", err / scale, 1e-10, _since(t0)))
     t0 = time.perf_counter()
-    X = rng.standard_normal((K, 2))
+    X = normal(K, 2)
     rt = sample_to_coeffs(X, T)
     err = np.abs(rt.evaluate(tg) - X).max()
     results.append(_check("spectral.roundtrip", err, 1e-12, _since(t0)))
@@ -121,16 +129,16 @@ def _integrator_order_check(results, model):
     )
 
 
-def _leading_exponent(orbit, scan) -> float:
-    roots = floquet.find_exponents(
+def _leading_exponent(orbit, scan) -> floquet.LeadingExponent:
+    lead = floquet.leading_exponent(
         orbit, (scan.mu_min, scan.mu_max), scan.points, scan.exclude_zero_radius
     )
-    if not roots:
+    if lead.mu is None:
         raise NoExponentInRange(
             f"no nontrivial Floquet exponent in the scan range "
             f"[{scan.mu_min:g}, {scan.mu_max:g}] at M = {orbit.M}"
         )
-    return roots[0]
+    return lead
 
 
 @dataclass
@@ -144,6 +152,7 @@ class _Stage:
     mu: float  # leading nontrivial exponent
     orbit2: PeriodicOrbit  # the same seed solved at 2M
     mu2: float  # leading nontrivial exponent of orbit2
+    search: str  # grid points each search evaluated, of the scan's: "75/200,75/200"
     solve_seconds: float  # seed (settle included) and cycle solve
     exponent_seconds: float  # leading-exponent search
     doubling_seconds: float  # solve and exponent search at 2M
@@ -155,12 +164,13 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     seed, settled = pipeline.build_seed(cfg, model)
     orbit = cycle.solve_cycle(model, seed, cfg.solver)
     t1 = time.perf_counter()
-    mu = _leading_exponent(orbit, cfg.scan)
+    lead = _leading_exponent(orbit, cfg.scan)
     t2 = time.perf_counter()
     orbit2 = cycle.solve_cycle(model, seed, replace(cfg.solver, M=2 * cfg.solver.M))
-    mu2 = _leading_exponent(orbit2, cfg.scan)
-    return _Stage(model, seed, settled, orbit, mu, orbit2, mu2, t1 - t0, t2 - t1,
-                  time.perf_counter() - t2)
+    lead2 = _leading_exponent(orbit2, cfg.scan)
+    search = ",".join(f"{x.points}/{cfg.scan.points}" for x in (lead, lead2))
+    return _Stage(model, seed, settled, orbit, lead.mu, orbit2, lead2.mu, search,
+                  t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
 def _spectral_rows(results, prefix, st: _Stage):
@@ -177,7 +187,8 @@ def _spectral_rows(results, prefix, st: _Stage):
                           half))
 
     results.append(_check(f"{prefix}.exponent_M_doubling", abs(st.mu - st.mu2), 1e-6,
-                          st.doubling_seconds, detail=f"mu={st.mu:.6f}"))
+                          st.doubling_seconds,
+                          detail=f"mu={st.mu:.6f} points={st.search}"))
 
     mode = floquet.eigenfunction(st.orbit, st.mu)
     run = pipeline.run_responses(st.orbit, mode)
@@ -256,8 +267,9 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
     # direct perturbation (criterion 5); one integration serves both checks.
-    # The PRC gap, 1.3e-3 on the shipped config, is mostly the O(eps) term of
-    # the pulse, so its tolerance is twice it; the linearity, 6.6e-8, gets 1e-6
+    # The PRC gap, 5.5e-4 on the shipped config, is the O(eps) term of the
+    # pulse (5.3e-4 at a step of tau/64), so its tolerance is twice it; the
+    # linearity, 6.6e-8, gets 1e-6
     t0 = time.perf_counter()
     phases = np.arange(oracle.PRC_PHASES) * 2.0 * np.pi / oracle.PRC_PHASES
     prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5))
@@ -265,7 +277,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
     # mu_flow: the decay rate of the kicked copies, from the flow alone
-    results.append(_check("kotani.direct_prc", rel, 2.5e-3, _since(t0, 0.5),
+    results.append(_check("kotani.direct_prc", rel, 1.1e-3, _since(t0, 0.5),
                           detail=f"mu_flow={prc.mu_flow:.6f}"))
     results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 1e-6,
                           _since(t0, 0.5), detail=f"ratio={ratio:.4f}"))

@@ -544,6 +544,12 @@ class TestLoadedLayers:
         assert "ddehb.floquet" in loaded
         assert not ORACLE_LAYERS & loaded
 
+    def test_validate_loads_no_numpy_random(self, tmp_path):
+        # its only random draws come from the standard library
+        codes, loaded = run_fresh(["validate", "--config", KOTANI_CFG, "--out", str(tmp_path)])
+        assert codes == [EXIT_OK]
+        assert "ddehb.validation" in loaded and "numpy.random" not in loaded
+
     def test_oracle_seed(self, tmp_path):
         codes, loaded = run_fresh(
             ["cycle", "--config", KOTANI_CFG, "--out", str(tmp_path), "--seed-from", "oracle"]
@@ -671,6 +677,18 @@ class TestValidateCommand:
         assert "Traceback" not in err
         assert err.startswith("NoExponentInRange: ")
         assert "[-0.01, 0.05]" in err
+
+    def test_overflowing_scan_range(self, tmp_path, capsys):
+        # on this grid the leading search would stop far above mu = -500,
+        # but e^{-mu tau} overflows there, so validate fails as export does
+        out = tmp_path / "run"
+        code = run("validate", "--config", KOTANI_CFG, "--out", str(out),
+                   "--override", "scan.mu_min=-500", "--override", "scan.points=20003")
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteState: ")
+        assert "mu=-500" in err and "increase scan.mu_min" in err
+        assert not out.exists()
 
     def test_failed_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "run"

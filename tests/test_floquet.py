@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import ddehb as d
 from ddehb import floquet, oracle
-from ddehb.errors import NoRootInBracket, NotSingular
+from ddehb.errors import NonFiniteState, NoRootInBracket, NotSingular
 
 from conftest import CORTICO_SCAN, KOTANI_SCAN
 
@@ -134,3 +135,74 @@ class TestFindExponents:
     def test_cortico_stable(self, cortico_orbit):
         roots = floquet.find_exponents(cortico_orbit, CORTICO_SCAN, 200)
         assert all(mu < 0 for mu in roots)
+
+
+class TestLeadingExponent:
+    @pytest.mark.parametrize("name, scan", [("kotani", KOTANI_SCAN), ("cortico", CORTICO_SCAN)])
+    @pytest.mark.parametrize("M", [20, 40])
+    def test_shipped_configs_at_M_and_2M(self, request, name, scan, M):
+        orbit = request.getfixturevalue(f"{name}_orbit")
+        if M != orbit.M:  # validate's M-doubling solve, from the same seed
+            seed = (d.seed_from_ansatz(1, 0.8, 6.0, 20) if name == "kotani"
+                    else request.getfixturevalue("cortico_settle").seed)
+            orbit = d.solve_cycle(orbit.model, seed, d.SolveOptions(M=M))
+        roots = floquet.find_exponents(orbit, scan, 200)
+        lead = floquet.leading_exponent(orbit, scan, 200)
+        assert lead.mu == roots[0]
+        assert lead.points < 200  # the search stopped above the bottom of the scan
+
+    def test_brackets_decided_by_slices(self):
+        # the zero sign at 2 brackets nothing; the changes at (6, 7) and
+        # (9, 10) hold the dips at 6 and 10, and the dips at 1, 4 and 8 stand
+        mu = np.arange(12.0)
+        sign = np.array([1, 1, 0, -1, -1, -1, -1, 1, 1, 1, -1, -1], dtype=float)
+        sigma = np.array([5, 4, 6, 5, 3, 4, 1, 2, 0.5, 1, 0.2, 0.3])
+        full = floquet._brackets(mu, sign, sigma)
+        assert full == {(0, 6): (6.0, 7.0), (0, 9): (9.0, 10.0), (1, 1): (0.0, 2.0),
+                        (1, 4): (3.0, 5.0), (1, 8): (7.0, 9.0)}
+        # a chunk [b, 12) and the points [0, b + 2) below it decide them all,
+        # as in leading_exponent, wherever the boundary b falls (b = 4 puts it
+        # on the dip at 4, b = 7 inside a sign change)
+        for b in range(1, 12):
+            upper = floquet._brackets(mu[b:], sign[b:], sigma[b:], b)
+            lower = floquet._brackets(mu[: b + 2], sign[: b + 2], sigma[: b + 2])
+            assert {**lower, **upper} == full
+            assert all(lower[k] == upper[k] for k in lower.keys() & upper.keys())
+
+    def test_stops_only_past_a_gap(self, monkeypatch):
+        # on a grid of step 0.5 with exclude_zero_radius 1, the sign changes
+        # at (9, 10), (11, 12) and (13, 14) hold the roots 4.9, 5.8 and 6.7:
+        # find_exponents keeps 4.9, drops 5.8 as its near-duplicate and keeps
+        # 6.7.  After the top chunk [10, 20) the bracket of 4.9 is undecided,
+        # and stopping there would keep 5.8 and drop 6.7, so the search must
+        # go on although 6.7 lies more than the radius above that bracket
+        i = np.arange(20)
+        sign = np.where((i <= 9) | ((i >= 12) & (i <= 13)), 1.0, -1.0)
+        roots = {(4.5, 5.0): 4.9, (5.5, 6.0): 5.8, (6.5, 7.0): 6.7}
+
+        def fill(lin, scan, chunk):  # no dips: sigma_min rises with mu
+            scan.sign[chunk], scan.sigma_min[chunk] = sign[chunk], 1.0 + scan.mu[chunk]
+
+        monkeypatch.setattr(floquet, "SCAN_CHUNK", 10)
+        monkeypatch.setattr(floquet, "orbit_linearization", lambda orbit: None)
+        monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, scan, chunk: None)
+        monkeypatch.setattr(floquet, "_scan_chunk", fill)
+        monkeypatch.setattr(floquet, "refine_exponent", lambda orbit, bracket: roots[bracket])
+        args = (None, (0.0, 9.5), 20, 1.0)
+        assert floquet.find_exponents(*args) == [6.7, 4.9]
+        assert floquet.leading_exponent(*args) == (6.7, 20)
+
+    def test_overflow_raises_det_scan_message(self, kotani_orbit):
+        # e^{-mu tau} overflows at mu = -500; on this grid of step 0.025 the
+        # search would find the root in its top chunk, far above: it raises
+        # as the full scan does, before any LAPACK call
+        scan = (-500.0, 0.05)
+        with pytest.raises(NonFiniteState) as full:
+            floquet.det_scan(kotani_orbit, scan, 20003)
+        with pytest.raises(NonFiniteState, match="increase scan.mu_min") as lead:
+            floquet.leading_exponent(kotani_orbit, scan, 20003)
+        assert str(lead.value) == str(full.value)
+
+    def test_grid_validation(self, kotani_orbit):
+        with pytest.raises(ValueError):
+            floquet.leading_exponent(kotani_orbit, (-0.1, 0.0), 1)

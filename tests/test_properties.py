@@ -1,6 +1,7 @@
 """Invariance properties of the harmonic-balance path, drawn by Hypothesis."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ddehb.model import ModelSpec
 from conftest import KOTANI_SCAN
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # deterministic draws: the suite must give the same verdict on every run
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -78,6 +79,36 @@ def test_anchor_shift(kotani_orbit, kotani_mu, fraction):
     )
     mu = floquet.find_exponents(shifted, KOTANI_SCAN, 200)[0]
     assert abs(mu - kotani_mu) <= 1e-8 * abs(kotani_mu)
+
+
+def _root_at(position, step=0.005, root=-0.029044149217942475):
+    """The mu_min of a scan of the given step that puts the kotani root at
+    the fractional grid position."""
+    return root - position * step
+
+
+@settings(PROPERTY, max_examples=40)
+@given(lo=st.floats(-0.3, 0.05), width=st.floats(0.005, 0.35),
+       points=st.integers(2, 80), chunk=st.sampled_from([1, 2, 7, 25]))
+@example(lo=-0.02, width=0.015, points=30, chunk=25)  # no root at all
+@example(lo=-0.01, width=0.06, points=40, chunk=25)  # only the trivial root
+@example(lo=-0.22, width=0.28, points=4, chunk=25)  # a dip-only bracket holds it
+@example(lo=-0.25, width=0.29, points=4, chunk=2)  # a dip-only bracket, trivial root
+@example(lo=-0.22, width=0.28, points=4, chunk=2)  # that dip at a chunk's first point
+# the root beside the chunk boundaries at grid points 35 and 10 of 60
+@example(lo=_root_at(34.5), width=0.295, points=60, chunk=25)
+@example(lo=_root_at(35.0), width=0.295, points=60, chunk=25)
+@example(lo=_root_at(35.5), width=0.295, points=60, chunk=25)
+@example(lo=_root_at(9.5), width=0.295, points=60, chunk=25)
+def test_leading_exponent_is_the_first_root(kotani_orbit, lo, width, points, chunk):
+    # the top-down search returns find_exponents' first root to the bit,
+    # whatever size its chunks have; None where find_exponents finds none
+    args = (kotani_orbit, (lo, lo + width), points)
+    roots = floquet.find_exponents(*args)
+    with mock.patch.object(floquet, "SCAN_CHUNK", chunk):
+        lead = floquet.leading_exponent(*args)
+    assert lead.mu == (roots[0] if roots else None)
+    assert 2 <= lead.points <= points
 
 
 def raw_null_vector(orbit, mu):
