@@ -12,9 +12,10 @@ cycle (delayed orbit values read from the Fourier interpolant, never from
 nearest samples).  Only the scalar factors depend on mu, so each public
 call assembles (A0, B) once per orbit and every M(mu) it needs is one
 matrix update.  Raw determinants overflow at modest sizes, so the scan
-works with log-magnitude plus sign from pivoted factorization; the
-smallest singular value serves as the refinement objective because it is
-smooth near simple roots.
+works with log-magnitude plus sign from pivoted factorization: a sign
+change brackets a root, and so does a dip of log|det| without one.  The
+smallest singular value serves as the objective that refines a dip
+because it is smooth near simple roots.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class DetScanResult:
     sign: np.ndarray
     sigma_min: np.ndarray
 
-    def sign_changes(self):
-        """Bracketing intervals (mu_lo, mu_hi) of neighbouring grid values
-        where det changes sign, in grid order; a zero sign brackets nothing."""
-        brackets = _brackets(self.mu, self.sign, self.sigma_min)
-        return [brackets[key] for key in sorted(brackets) if key[0] == 0]
-
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
     """Evaluate log|det M(mu)|, its sign and sigma_min on a uniform grid.
@@ -74,11 +69,14 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     singular-value call that fills its slice of the arrays.  These run the
     same LAPACK routine on each matrix as a call per point would, so the
     values are the same to the bit whatever the chunk bounds; a chunk holds
-    at most SCAN_CHUNK n^2 doubles (1.3 MB at n = 81).
+    at most SCAN_CHUNK n^2 doubles (1.3 MB at n = 81).  No bracket depends on
+    sigma_min, so only this full scan computes it, for floquet_scan.csv.
     """
     scan, lin = _empty_scan(orbit, mu_range, grid_points)
     for start in range(0, grid_points, SCAN_CHUNK):
-        _scan_chunk(lin, scan, slice(start, start + SCAN_CHUNK))
+        chunk = slice(start, start + SCAN_CHUNK)
+        mats = _scan_chunk(lin, scan, chunk)
+        scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
     return scan
 
 
@@ -100,11 +98,12 @@ def _scan_matrices(lin: Linearization, scan: DetScanResult, chunk: slice) -> np.
         raise NonFiniteState(f"{exc}; increase scan.mu_min (now {scan.mu[0]:g})") from None
 
 
-def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> None:
-    """Fill a chunk of the scan: one stacked slogdet, one stacked SVD."""
+def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> np.ndarray:
+    """Fill the sign and log|det| of a chunk of the scan with one stacked
+    slogdet, and return the chunk's stacked M(mu); sigma_min is left as is."""
     mats = _scan_matrices(lin, scan, chunk)
     scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(mats)
-    scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    return mats
 
 
 def _sigma_extremes(lin: Linearization, mu):
@@ -127,9 +126,22 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy mu_lo < mu_hi")
-    width_tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    lin = orbit_linearization(orbit)
+    return _refine(orbit_linearization(orbit), lo, hi, 0.0)
 
+
+def _refine(lin: Linearization, lo: float, hi: float,
+            exclude_zero_radius: float) -> float | None:
+    """refine_exponent's search on the assembled (A0, B).  It returns None as
+    soon as its interval lies inside (-exclude_zero_radius,
+    exclude_zero_radius): the root it would reach lies there too, and
+    find_exponents drops it as the trivial one."""
+
+    def excluded(a, b):
+        return -exclude_zero_radius < a and b < exclude_zero_radius
+
+    if excluded(lo, hi):
+        return None
+    width_tol = 1e-14 * max(1.0, abs(lo), abs(hi))
     s_lo, s_hi = _det_sign(lin, lo), _det_sign(lin, hi)
     if s_lo != 0 and s_hi != 0 and s_lo != s_hi:
         a, b, sa = lo, hi, s_lo
@@ -143,6 +155,8 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
                 a = mid
             else:
                 b = mid
+            if excluded(a, b):
+                return None
         mu_hat = 0.5 * (a + b)
     else:
         # no sign change: descend on the sigma_min dip
@@ -161,6 +175,8 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
                 a, c, fc = c, dpt, fd
                 dpt = a + invphi * (b - a)
                 fd, _ = _sigma_extremes(lin, dpt)
+            if excluded(a, b):
+                return None
         mu_hat = 0.5 * (a + b)
 
     s_min, s_max = _sigma_extremes(lin, mu_hat)
@@ -273,13 +289,15 @@ def find_exponents(
     """Scan-and-refine pipeline for nontrivial real exponents.
 
     The trivial root at mu = 0 is always present, so candidates inside
-    exclude_zero_radius of zero are dropped.  Candidates come from
-    determinant sign changes and from interior sigma_min dips.
+    exclude_zero_radius of zero are dropped, and a refinement stops as soon
+    as it is confined there.  Candidates come from determinant sign changes
+    and from interior log|det| dips.
     """
     scan = det_scan(orbit, mu_range, grid_points)
-    brackets = _brackets(scan.mu, scan.sign, scan.sigma_min)
-    return _distinct_roots([_try_refine(orbit, brackets[key]) for key in sorted(brackets)],
-                           exclude_zero_radius)
+    brackets = _brackets(scan.mu, scan.sign, scan.log_abs_det)
+    lin = orbit_linearization(orbit)
+    return _distinct_roots([_try_refine(lin, brackets[key], exclude_zero_radius)
+                            for key in sorted(brackets)], exclude_zero_radius)
 
 
 class LeadingExponent(NamedTuple):
@@ -299,8 +317,10 @@ def leading_exponent(
     """find_exponents(...)[0] to the bit (None where that list is empty),
     from as little of the scan as decides it.
 
-    The same grid is evaluated SCAN_CHUNK points at a time from the top, and
-    each bracket is refined as soon as the points it depends on are known.
+    The same grid is evaluated SCAN_CHUNK points at a time from the top, by
+    sign and log|det| alone (no sigma_min), and each bracket is refined,
+    through find_exponents' refinement on the one (A0, B) of the search, as
+    soon as the points it depends on are known.
     Once the collected nontrivial roots above the highest undecided
     bracket's top theta all lie above theta + 2 exclude_zero_radius, and at
     least one does, the search stops: a root from a bracket not yet decided
@@ -312,7 +332,7 @@ def leading_exponent(
     """
     scan, lin = _empty_scan(orbit, mu_range, grid_points)
     _scan_matrices(lin, scan, slice(0, 1))
-    refined = {}  # bracket key -> refined root, None where refinement failed
+    refined = {}  # bracket key -> refined root, None where it failed or was trivial
     top = grid_points  # points top.. are evaluated
     while top > 0:
         start = max(top - SCAN_CHUNK, 0)
@@ -320,10 +340,10 @@ def leading_exponent(
         # the chunk and the two points above it decide every bracket that
         # needs a point of the chunk
         window = slice(start, top + 2)
-        brackets = _brackets(scan.mu[window], scan.sign[window], scan.sigma_min[window],
+        brackets = _brackets(scan.mu[window], scan.sign[window], scan.log_abs_det[window],
                              start)
         for key in sorted(brackets.keys() - refined.keys()):
-            refined[key] = _try_refine(orbit, brackets[key])
+            refined[key] = _try_refine(lin, brackets[key], exclude_zero_radius)
         top = start
         # undecided: the sign change below point top and the dip at it
         theta = scan.mu[min(top + 1, grid_points - 1)]
@@ -335,18 +355,18 @@ def leading_exponent(
     return LeadingExponent(roots[0] if roots else None, grid_points - top)
 
 
-def _brackets(mu, sign, sigma_min, offset: int = 0) -> dict:
+def _brackets(mu, sign, log_abs_det, offset: int = 0) -> dict:
     """Candidate brackets of consecutive scan values, keyed in
     find_exponents' order: (0, i) for a sign change between points i and
-    i + 1 (a zero sign brackets nothing), then (1, i) for a sigma_min dip at
-    interior point i, bracketed by its neighbours and skipped where mu[i]
-    lies in a sign change.  Each bracket needs only its own points, so a
-    slice of the scan decides the brackets inside it; offset is the grid
-    index of the slice's first point."""
+    i + 1 (a zero sign brackets nothing), then (1, i) for a dip of log|det|
+    (a strict local minimum) at interior point i, bracketed by its
+    neighbours and skipped where mu[i] lies in a sign change.  Each bracket
+    needs only its own points, so a slice of the scan decides the brackets
+    inside it; offset is the grid index of the slice's first point."""
     changes = sign[:-1] * sign[1:] < 0
     brackets = {(0, offset + i): (float(mu[i]), float(mu[i + 1]))
                 for i in np.flatnonzero(changes)}
-    s = sigma_min
+    s = log_abs_det
     for i in np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1:
         # on a monotone grid only the changes at i - 1 and i can hold mu[i]
         if not any(changes[j] and mu[j] <= mu[i] <= mu[j + 1] for j in (i - 1, i)):
@@ -354,9 +374,11 @@ def _brackets(mu, sign, sigma_min, offset: int = 0) -> dict:
     return brackets
 
 
-def _try_refine(orbit: PeriodicOrbit, bracket) -> float | None:
+def _try_refine(lin: Linearization, bracket, exclude_zero_radius: float) -> float | None:
+    """The refined root of a scan bracket, or None where the refinement
+    fails or is confined to the trivial root's exclusion zone."""
     try:
-        return refine_exponent(orbit, bracket)
+        return _refine(lin, *bracket, exclude_zero_radius)
     except NoRootInBracket:
         return None
 

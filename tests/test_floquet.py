@@ -15,11 +15,17 @@ class TestStabilityMatrix:
         assert np.linalg.norm(mat @ xdot) <= 1e-8 * np.linalg.norm(xdot)
 
 
+def sign_changes(scan):
+    """The sign-change brackets (mu_lo, mu_hi) of a scan, in grid order."""
+    brackets = floquet._brackets(scan.mu, scan.sign, scan.log_abs_det)
+    return [brackets[key] for key in sorted(brackets) if key[0] == 0]
+
+
 class TestDetScan:
     def test_kotani_roots_at_zero_and_negative(self, kotani_orbit, kotani_mu,
                                                kotani_oracle_floquet):
         scan = floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)
-        brackets = scan.sign_changes()
+        brackets = sign_changes(scan)
         assert any(lo <= 0.0 <= hi for lo, hi in brackets)
         assert any(hi < -0.005 for lo, hi in brackets)
         # nontrivial root agrees with the monodromy oracle within 1%
@@ -35,7 +41,7 @@ class TestDetScan:
 
     def test_rootfree_range_bounded_away(self, kotani_orbit):
         scan = floquet.det_scan(kotani_orbit, (-0.008, -0.001), 40)
-        assert scan.sign_changes() == []
+        assert sign_changes(scan) == []
         sigmin = scan.sigma_min
         assert sigmin.min() > 1e-4
         assert np.all(np.diff(sigmin) < 0)  # single root ahead: monotone approach
@@ -46,7 +52,7 @@ class TestDetScan:
             mu=np.arange(5.0), log_abs_det=np.zeros(5),
             sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]), sigma_min=np.ones(5),
         )
-        assert scan.sign_changes() == [(3.0, 4.0)]
+        assert sign_changes(scan) == [(3.0, 4.0)]
 
     def test_grid_validation(self, kotani_orbit):
         with pytest.raises(ValueError):
@@ -70,6 +76,18 @@ class TestRefineExponent:
     def test_no_root_in_bracket(self, kotani_orbit):
         with pytest.raises(NoRootInBracket):
             floquet.refine_exponent(kotani_orbit, (-0.02, -0.01))
+
+    def test_search_stops_inside_trivial_zone(self, kotani_orbit, monkeypatch):
+        # the bracket of test_trivial_root_recovered: the searches' core
+        # gives up once its interval lies within 1e-4 of zero, after a few
+        # bisection steps and before the final SVD
+        lin = floquet.orbit_linearization(kotani_orbit)
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
+        monkeypatch.setattr(np.linalg, "svd", None)  # any SVD call fails
+        assert floquet._refine(lin, -0.004, 0.003, 1e-4) is None
+        assert len(calls) <= 2 + 7  # the endpoints, then 0.007 / 2^7 < 1e-4
 
     @pytest.mark.parametrize("bracket, bisected", [((-0.04, 0.01), (-0.06, -0.01)),
                                                    ((-0.035, 0.02), (-0.004, 0.003))])
@@ -151,21 +169,37 @@ class TestLeadingExponent:
         assert lead.mu == roots[0]
         assert lead.points < 200  # the search stopped above the bottom of the scan
 
+    @pytest.mark.parametrize("M", [20, 40])
+    def test_one_svd_per_search(self, kotani_orbit, kotani_mu, monkeypatch, M):
+        # the search decides its brackets from the LU alone and gives up on
+        # the trivial root's bracket inside the exclusion zone, so its one
+        # SVD is the singularity check of the root -0.029044
+        orbit = (kotani_orbit if M == kotani_orbit.M else
+                 d.solve_cycle(kotani_orbit.model, d.seed_from_ansatz(1, 0.8, 6.0, 20),
+                               d.SolveOptions(M=M)))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        lead = floquet.leading_exponent(orbit, KOTANI_SCAN, 200)
+        assert abs(lead.mu - kotani_mu) < 1e-9
+        assert len(calls) == 1
+
     def test_brackets_decided_by_slices(self):
         # the zero sign at 2 brackets nothing; the changes at (6, 7) and
         # (9, 10) hold the dips at 6 and 10, and the dips at 1, 4 and 8 stand
         mu = np.arange(12.0)
         sign = np.array([1, 1, 0, -1, -1, -1, -1, 1, 1, 1, -1, -1], dtype=float)
-        sigma = np.array([5, 4, 6, 5, 3, 4, 1, 2, 0.5, 1, 0.2, 0.3])
-        full = floquet._brackets(mu, sign, sigma)
+        logdet = np.array([5, 4, 6, 5, 3, 4, 1, 2, 0.5, 1, 0.2, 0.3])
+        full = floquet._brackets(mu, sign, logdet)
         assert full == {(0, 6): (6.0, 7.0), (0, 9): (9.0, 10.0), (1, 1): (0.0, 2.0),
                         (1, 4): (3.0, 5.0), (1, 8): (7.0, 9.0)}
         # a chunk [b, 12) and the points [0, b + 2) below it decide them all,
         # as in leading_exponent, wherever the boundary b falls (b = 4 puts it
         # on the dip at 4, b = 7 inside a sign change)
         for b in range(1, 12):
-            upper = floquet._brackets(mu[b:], sign[b:], sigma[b:], b)
-            lower = floquet._brackets(mu[: b + 2], sign[: b + 2], sigma[: b + 2])
+            upper = floquet._brackets(mu[b:], sign[b:], logdet[b:], b)
+            lower = floquet._brackets(mu[: b + 2], sign[: b + 2], logdet[: b + 2])
             assert {**lower, **upper} == full
             assert all(lower[k] == upper[k] for k in lower.keys() & upper.keys())
 
@@ -180,14 +214,15 @@ class TestLeadingExponent:
         sign = np.where((i <= 9) | ((i >= 12) & (i <= 13)), 1.0, -1.0)
         roots = {(4.5, 5.0): 4.9, (5.5, 6.0): 5.8, (6.5, 7.0): 6.7}
 
-        def fill(lin, scan, chunk):  # no dips: sigma_min rises with mu
-            scan.sign[chunk], scan.sigma_min[chunk] = sign[chunk], 1.0 + scan.mu[chunk]
+        def fill(lin, scan, chunk):  # no dips: log|det| rises with mu
+            scan.sign[chunk], scan.log_abs_det[chunk] = sign[chunk], scan.mu[chunk]
+            return np.ones((len(scan.mu[chunk]), 1, 1))  # for det_scan's sigma_min
 
         monkeypatch.setattr(floquet, "SCAN_CHUNK", 10)
         monkeypatch.setattr(floquet, "orbit_linearization", lambda orbit: None)
         monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, scan, chunk: None)
         monkeypatch.setattr(floquet, "_scan_chunk", fill)
-        monkeypatch.setattr(floquet, "refine_exponent", lambda orbit, bracket: roots[bracket])
+        monkeypatch.setattr(floquet, "_refine", lambda lin, lo, hi, radius: roots[(lo, hi)])
         args = (None, (0.0, 9.5), 20, 1.0)
         assert floquet.find_exponents(*args) == [6.7, 4.9]
         assert floquet.leading_exponent(*args) == (6.7, 20)

@@ -171,6 +171,8 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
     for call in (
         lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
         lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
+        # one assembly for the scan and both of its brackets
+        lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200),
         lambda: floquet.eigenfunction(kotani_orbit, kotani_mu),
     ):
         calls.clear()

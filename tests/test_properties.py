@@ -8,6 +8,7 @@ import pytest
 
 import ddehb as d
 from ddehb import adjoint, floquet
+from ddehb.errors import NoRootInBracket
 from ddehb.model import ModelSpec
 
 from conftest import KOTANI_SCAN
@@ -109,6 +110,19 @@ def test_leading_exponent_is_the_first_root(kotani_orbit, lo, width, points, chu
         lead = floquet.leading_exponent(*args)
     assert lead.mu == (roots[0] if roots else None)
     assert 2 <= lead.points <= points
+    # refining every bracket to the end, with no stop in the trivial root's
+    # exclusion zone, keeps the same roots
+    scan = floquet.det_scan(*args)
+    brackets = floquet._brackets(scan.mu, scan.sign, scan.log_abs_det)
+
+    def refined(bracket):
+        try:
+            return floquet.refine_exponent(kotani_orbit, bracket)
+        except NoRootInBracket:
+            return None
+
+    full = [refined(brackets[key]) for key in sorted(brackets)]
+    assert floquet._distinct_roots(full, 1e-4) == roots
 
 
 def raw_null_vector(orbit, mu):
