@@ -9,8 +9,10 @@ than tautology:
   values from piecewise-cubic interpolation of the stored history;
 * the pseudospectral oracle: monodromy matrix, eigenfunction and phase
   and amplitude responses of the variational equation with the delay
-  interval held on a Chebyshev grid, normalized by the shared convention
-  `adjoint.normalization` against the oracle's own tangent and rho;
+  interval held on a Chebyshev grid, stepped by a sixth-order Runge-Kutta
+  method and read between its steps by trigonometric interpolation,
+  normalized by the shared convention `adjoint.normalization` against the
+  oracle's own tangent and rho;
 * direct pulse-perturbation PRC measurement.
 
 The delay-line chain engines at the end have no caller in the command
@@ -78,19 +80,11 @@ def _lagrange4(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _cubic(values: np.ndarray, s: np.ndarray, periodic: bool) -> np.ndarray:
+def _cubic(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Piecewise-cubic readout of uniform samples values (n, ...) at the
-    sample coordinates s.  The 4-point stencil is clamped at the ends, or,
-    if periodic, wraps around: the n samples cover one period, and sample
-    n is sample 0 again."""
-    j = np.floor(s).astype(int)
-    if periodic:
-        n = values.shape[0]
-        j0 = np.clip(j, 0, n - 1) - 1
-        idx = (j0[:, None] + np.arange(4)) % n
-    else:
-        j0 = np.clip(j - 1, 0, values.shape[0] - 4)
-        idx = j0[:, None] + np.arange(4)
+    sample coordinates s, the 4-point stencil clamped at the ends."""
+    j0 = np.clip(np.floor(s).astype(int) - 1, 0, values.shape[0] - 4)
+    idx = j0[:, None] + np.arange(4)
     return np.einsum("pk,pk...->p...", _lagrange4(s - j0), values[idx])
 
 
@@ -110,7 +104,7 @@ class Trajectory:
         """Piecewise-cubic readout at arbitrary times (stencil clamped at
         the ends)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _cubic(self.states, (t - self.t_start) / self.dt, periodic=False)
+        return _cubic(self.states, (t - self.t_start) / self.dt)
 
 
 def integrate_dde(
@@ -169,10 +163,10 @@ def integrate_dde(
         k_end = min(k0 + n_tau - 1, n_steps)
         s = np.arange(k0, k_end) + 0.5
         if left is buf:
-            xdm = _cubic(buf, s, periodic=False)
+            xdm = _cubic(buf, s)
         else:  # each stencil clamps inside the piece between two break points
             parts = np.split(s, np.searchsorted(s, breaks))
-            xdm = np.concatenate([_cubic(src[a:b], part - a, periodic=False)
+            xdm = np.concatenate([_cubic(src[a:b], part - a)
                                   for part, (src, a, b) in zip(parts, pieces) if part.size])
         for k in range(k0, k_end):
             x, xm = buf[n_tau + k], xdm[k - k0]
@@ -272,27 +266,48 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
 # transport equation u_j' = sum_k (2/tau) D_jk u_k, D the Chebyshev
 # differentiation matrix (D. Breda, O. Diekmann, M. Gyllenberg, F. Scarabel and
 # R. Vermiglio, SIAM J. Appl. Dyn. Syst. 15 (2016) 1-23; `cheb` of Trefethen,
-# Spectral Methods in MATLAB).  Only the head rows depend on t.
+# Spectral Methods in MATLAB).  Only the head rows depend on t.  The system is
+# stepped by Butcher's seven-stage sixth-order explicit Runge-Kutta method
+# (J. C. Butcher, Numerical Methods for Ordinary Differential Equations).
 
 CHEB_NODES = 16  # n: the history segment is held at n + 1 nodes
-STEPS_PER_PERIOD = 4000  # RK4 steps over one period
-# Largest h |lambda| over the eigenvalues lambda of the transport block; RK4
-# is stable on the left half-disk of radius 2.5, so this leaves a margin.
-RK4_STABLE_STEP = 2.0
+STEPS_PER_PERIOD = 750  # Runge-Kutta steps over one period
 STEP_BATCH = 40  # step matrices built at once; a period's worth is never held
+
+# The tableau: the nodes c_i in sixths of a step (the stages' offsets in the
+# Jacobian tables), the matrix A and the weights b.
+RK_SIXTHS = (0, 2, 4, 2, 3, 3, 6)
+RK_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 2 / 3, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 12, 1 / 3, -1 / 12, 0.0, 0.0, 0.0, 0.0],
+    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0.0, 0.0, 0.0],
+    [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0.0, 0.0],
+    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
+])
+RK_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+# Its stability function R(z) = sum_{k <= 6} z^k / k! - z^7 / 2160, by
+# ascending power: a step multiplies an eigencomponent at lambda by R(h lambda).
+RK_STABILITY = tuple(1.0 / math.factorial(k) for k in range(7)) + (-1.0 / 2160,)
 
 
 @dataclass
 class _PeriodicInterp:
-    """Cubic interpolant of dense uniform samples over one period."""
+    """Trigonometric interpolant of uniform samples over one period."""
 
     T: float
-    values: np.ndarray  # (steps, m) at t = 0, h, ..., T - h
+    values: np.ndarray  # (N, m) at t = 0, T/N, ..., T - T/N
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        h = self.T / self.values.shape[0]
-        return _cubic(self.values, np.mod(t, self.T) / h, periodic=True)
+        n = self.values.shape[0]
+        c = np.fft.rfft(self.values, axis=0) / n
+        c[1:(n + 1) // 2] *= 2.0  # k and -k in one term; the Nyquist term (even n) alone
+        # z^k, k >= 1, as running products: one exp per time instead of one per term
+        z = np.exp((2j * np.pi / self.T) * np.mod(t, self.T))[:, None]
+        powers = np.cumprod(np.repeat(z, c.shape[0] - 1, axis=1), axis=1)
+        return (c[0] + powers @ c[1:]).real
 
 
 def _orbit_tangent(orbit):
@@ -324,60 +339,77 @@ def _leading_nontrivial(multipliers: np.ndarray, exponents: np.ndarray) -> compl
 
 
 @functools.lru_cache(maxsize=None)
-def _cheb(n: int) -> tuple[np.ndarray, float]:
+def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev differentiation matrix D on the nodes cos(j pi / n),
-    j = 0..n (Trefethen's cheb), read-only, and the spectral radius of its
+    j = 0..n (Trefethen's cheb), read-only, and the eigenvalues of its
     transport block D[1:, 1:]."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.where((np.arange(n + 1) % n) == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
     D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
     D -= np.diag(D.sum(axis=1))
     D.flags.writeable = False
-    return D, float(np.abs(np.linalg.eigvals(D[1:, 1:])).max())
+    lam = np.linalg.eigvals(D[1:, 1:])
+    lam.flags.writeable = False
+    return D, lam
+
+
+def _stable_steps(z: np.ndarray, steps: int) -> int:
+    """The fewest steps s >= steps with |R(z / s)| <= 1 for every z, the
+    eigenvalues of the transport block times the period.  The method's
+    stability region holds no left half-disk of radius above about 0.07, so
+    each eigenvalue is checked where it falls."""
+    while True:
+        s = steps + np.arange(1024)  # counts tried at once
+        r = np.polynomial.polynomial.polyval(z[None, :] / s[:, None], RK_STABILITY)
+        stable = (np.abs(r) <= 1.0).all(axis=1)
+        if stable.any():
+            return int(s[np.argmax(stable)])
+        steps += s.size
 
 
 @dataclass
 class PseudospectralSystem:
     """The pseudospectral variational equation u' = A(t) u along one period,
-    stepped by RK4 in `steps` steps of h = T / steps."""
+    stepped by Butcher's seven-stage sixth-order Runge-Kutta method in
+    `steps` steps of h = T / steps."""
 
     T: float
     steps: int
     h: float
     m: int
     transport: np.ndarray  # (dim, dim) the t-independent rows of A; head rows zero
-    jac0: np.ndarray  # (2 steps + 1, m, m) DF0 at t = 0, h/2, ..., T
+    jac0: np.ndarray  # (6 steps + 1, m, m) DF0 at t = 0, h/6, ..., T
     jac1: np.ndarray  # DF1 at the same times
 
     def step_matrices(self, k0: int, k1: int) -> np.ndarray:
-        """RK4 step matrices of the steps k0..k1-1, (k1 - k0, dim, dim); step
-        k maps the state at t_k = k h to the state at t_k + h."""
+        """Step matrices of the steps k0..k1-1, (k1 - k0, dim, dim); step k
+        maps the state at t_k = k h to the state at t_k + h.  They are built
+        stage by stage, K_i = A(t_k + c_i h) (I + h sum_j a_ij K_j), and
+        the step is I + h sum_i b_i K_i."""
         m, h = self.m, self.h
-
-        def generator(i):
-            A = np.repeat(self.transport[None], i.size, axis=0)
-            A[:, :m, :m], A[:, :m, -m:] = self.jac0[i], self.jac1[i]
-            return A
-
-        i = 2 * np.arange(k0, k1)
-        A0, A1, A2 = generator(i), generator(i + 1), generator(i + 2)
-        K2 = A1 + (0.5 * h) * (A1 @ A0)
-        K3 = A1 + (0.5 * h) * (A1 @ K2)
-        K4 = A2 + h * (A2 @ K3)
-        return np.eye(A0.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (K2 + K3) + K4)
+        eye = np.eye(self.transport.shape[0])
+        K = np.empty((RK_B.size, k1 - k0) + eye.shape)
+        flat = K.reshape(RK_B.size, -1)  # the stages as rows, to combine them by one product
+        for s, sixths in enumerate(RK_SIXTHS):
+            X = eye + h * (RK_A[s, :s] @ flat[:s]).reshape(K.shape[1:])
+            # A(t) X: the transport rows, then the head rows DF0 X_0 + DF1 X_n
+            at = slice(6 * k0 + sixths, 6 * k1 + sixths, 6)  # t_k + c_s h, k = k0..k1-1
+            np.matmul(self.transport, X, out=K[s])
+            K[s, :, :m] = self.jac0[at] @ X[:, :m] + self.jac1[at] @ X[:, -m:]
+        return eye + h * (RK_B @ flat).reshape(K.shape[1:])
 
 
 def pseudospectral_system(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
                           steps: int = STEPS_PER_PERIOD) -> PseudospectralSystem:
     """The variational equation along orbit on n + 1 nodes.  steps is raised
-    where needed so that h |lambda| stays within RK4_STABLE_STEP on the
-    transport block."""
+    where needed so that |R(h lambda)| <= 1 for every eigenvalue lambda of
+    the transport block (2/tau) D[1:, 1:], R the method's stability function."""
     m, tau, T = model.m, model.tau, orbit.T
-    D, radius = _cheb(n)
-    steps = max(steps, math.ceil(T * (2.0 / tau) * radius / RK4_STABLE_STEP))
+    D, lam = _cheb(n)
+    steps = _stable_steps(T * (2.0 / tau) * lam, steps)
     transport = np.kron((2.0 / tau) * D, np.eye(m))
     transport[:m] = 0.0
-    t = np.arange(2 * steps + 1) * (0.5 * T / steps)
+    t = np.arange(6 * steps + 1) * (T / (6 * steps))
     jac0, jac1 = model.jacobians(orbit.value(t), orbit.value(t - tau))
     return PseudospectralSystem(T, steps, T / steps, m, transport, jac0, jac1)
 
@@ -402,9 +434,10 @@ class OracleMonodromy:
 def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
                    steps: int = STEPS_PER_PERIOD) -> OracleMonodromy:
     """The monodromy matrix of the pseudospectral variational equation as
-    the product of its RK4 step matrices over one period, and all its
-    multipliers from one eig.  The head rows of each partial product are
-    kept for the eigenfunction.  The unit multiplier must be present:
+    the product of its sixth-order Runge-Kutta step matrices over one
+    period, built STEP_BATCH at a time, and all its multipliers from one
+    eig.  The head rows of each partial product are kept for the
+    eigenfunction.  The unit multiplier must be present:
     deviation beyond 1e-2 raises MonodromyIllConditioned.
     """
     system = pseudospectral_system(model, orbit, n, steps)

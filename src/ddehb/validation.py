@@ -261,8 +261,8 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     # oracle block (criterion: Fig. 1 reproduction, <= 5 min); each tolerance
     # is at least 100 times the gap measured on the shipped config
     t_oracle = time.perf_counter()
-    ofl = _oracle_floquet(results, "kotani", st, 1e-10, 1e-9)
-    _oracle_curve_rows(results, "kotani", st, ofl, (mode, z, q), (1e-9, 1e-9, 2e-9), False)
+    ofl = _oracle_floquet(results, "kotani", st, 1e-11, 1e-11)
+    _oracle_curve_rows(results, "kotani", st, ofl, (mode, z, q), (1e-11, 1e-9, 2e-9), False)
     oracle_seconds = _since(t_oracle)
     results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
@@ -318,8 +318,8 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     # oracle agreement, relative for the exponent and for each component of
     # the eigenfunction, z and q; each tolerance is at least 100 times the
     # gap measured from the config's settle seed and from the ansatz seed
-    ofl = _oracle_floquet(results, "cortico", st, 1e-7, 1e-9)
-    _oracle_curve_rows(results, "cortico", st, ofl, spectral, (1e-9, 1e-6, 2e-9), True)
+    ofl = _oracle_floquet(results, "cortico", st, 1e-7, 2e-10)
+    _oracle_curve_rows(results, "cortico", st, ofl, spectral, (1e-10, 1e-6, 5e-10), True)
     return results
 
 

@@ -39,7 +39,7 @@ CRITERIA = {
         "cortico.trivial_mode": 1e-6,
     },
     "4_fig1_oracle_equivalence": {
-        "kotani.oracle_eigenfunction": 1e-9,
+        "kotani.oracle_eigenfunction": 1e-11,
         "kotani.oracle_z": 1e-9,
         "kotani.oracle_q": 2e-9,
         "kotani.oracle_runtime": 300.0,
@@ -73,15 +73,15 @@ CRITERIA = {
     # stand-in is relative agreement with the oracle on both components of
     # the eigenfunction, z and q
     "9_fig2_analytic_standin": {
-        "cortico.oracle_eigenfunction": 1e-9,
+        "cortico.oracle_eigenfunction": 1e-10,
         "cortico.oracle_z": 1e-6,
-        "cortico.oracle_q": 2e-9,
+        "cortico.oracle_q": 5e-10,
     },
     "10_oracle_floquet_spectrum": {
-        "kotani.oracle_unit_multiplier": 1e-10,
+        "kotani.oracle_unit_multiplier": 1e-11,
         "cortico.oracle_unit_multiplier": 1e-7,
-        "kotani.oracle_exponent": 1e-9,
-        "cortico.oracle_exponent": 1e-9,
+        "kotani.oracle_exponent": 1e-11,
+        "cortico.oracle_exponent": 2e-10,
         "cortico.period_consistency": 1e-3,
     },
 }

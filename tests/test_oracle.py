@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,8 @@ class TestIntegrateDde:
 
 
 class TestCubicReadout:
-    """oracle._cubic, the one piecewise-cubic readout behind Trajectory.value
-    (clamped stencil) and the periodic profiles (wrapped stencil)."""
+    """oracle._cubic, the piecewise-cubic readout behind Trajectory.value,
+    and the periodic readout of the oracle's profiles."""
 
     @staticmethod
     def cubic(t):
@@ -218,6 +220,31 @@ class TestCubicReadout:
         for k in (1, 3):
             assert np.array_equal(interp(t + k * T), interp(np.mod(t + k * T, T)))
             assert np.abs(interp(t + k * T)[:, 0] - np.sin(t)).max() <= 1e-5
+
+
+class TestPeriodicReadout:
+    """oracle._PeriodicInterp, the trigonometric interpolant behind every
+    oracle curve."""
+
+    @pytest.mark.parametrize("N", [64, 75])
+    def test_reproduces_trigonometric_polynomials(self, N):
+        # a random real trigonometric polynomial of degree below N/2, two
+        # components, read from its N samples away from the nodes, before 0
+        # and past T
+        rng = np.random.default_rng(N)
+        T, degree = 3.7, (N - 1) // 2
+        a, b = rng.standard_normal((2, degree + 1, 2))
+        k = np.arange(degree + 1)
+
+        def poly(t):
+            phase = (2.0 * np.pi / T) * np.outer(t, k)
+            return np.cos(phase) @ a + np.sin(phase) @ b
+
+        interp = oracle._PeriodicInterp(T=T, values=poly(np.arange(N) * (T / N)))
+        t = np.concatenate([rng.uniform(0.0, T, 50), rng.uniform(-3.0 * T, 0.0, 25),
+                            rng.uniform(T, 4.0 * T, 25)])
+        exact = poly(t)
+        assert np.abs(interp(t) - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 class TestSettleToCycle:
@@ -766,9 +793,10 @@ class TestPseudospectralOracle:
             np.testing.assert_allclose(D @ x**k, k * x ** max(k - 1, 0) * (k > 0),
                                        atol=1e-12)
 
-    def test_one_step_matches_assembled_rk4(self, cortico_model, cortico_orbit):
-        # the batched step matrices against RK4 on the generator assembled
-        # from its definition at t, t + h/2, t + h
+    def test_one_step_matches_assembled_tableau(self, cortico_model, cortico_orbit):
+        # the batched step matrices against Butcher's seven-stage sixth-order
+        # tableau applied stage by stage to the generator assembled from its
+        # definition at the stage times t + c_i h
         model, n = cortico_model, 6
         system = oracle.pseudospectral_system(model, cortico_orbit, n, 500)
         h, k = system.h, 123
@@ -782,23 +810,53 @@ class TestPseudospectralOracle:
             out[:2, :2], out[:2, -2:] = DF0, DF1
             return out
 
-        A0, A1, A2 = A(k * h), A((k + 0.5) * h), A((k + 1) * h)
+        c = [0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0]
+        a = [[], [1 / 3], [0.0, 2 / 3], [1 / 12, 1 / 3, -1 / 12],
+             [-1 / 16, 9 / 8, -3 / 16, -3 / 8], [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2],
+             [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11]]
+        b = [11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120]
         V = np.random.default_rng(3).standard_normal((system.transport.shape[0], 4))
-        k1 = A0 @ V
-        k2 = A1 @ (V + 0.5 * h * k1)
-        k3 = A1 @ (V + 0.5 * h * k2)
-        k4 = A2 @ (V + h * k3)
-        dense = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stages = []
+        for ci, row in zip(c, a):
+            stages.append(A((k + ci) * h) @ (V + h * sum(aj * kj for aj, kj in zip(row, stages))))
+        dense = V + h * sum(bi * ki for bi, ki in zip(b, stages))
         (S,) = system.step_matrices(k, k + 1)
         assert np.abs(S @ V - dense).max() <= 1e-13 * np.abs(dense).max()
 
-    def test_steps_raised_for_stability(self, kotani_orbit):
-        # a delay short against the period: the transport block is stiff
+    def test_sixth_order_in_the_step(self, kotani_orbit):
+        # F = -(5/2) x^2 has DF1 = 0, so on the cycle cos t the head of the
+        # partial product P_k is exp(-5 sin t_k); halving the step cuts its
+        # error at least 32-fold (sixth order gives 64; RK4 about 16).  The
+        # cycle is the exact cosine: the solved orbit's 4e-13 error, grown
+        # by up to e^5 along the product, would reach the error at 800 steps
+        model = ModelSpec("quadratic", 1, kotani_orbit.model.tau, lambda z0, z1: -2.5 * z0**2)
+        T, M = 2.0 * np.pi, kotani_orbit.M
+        X = np.cos(np.arange(-M, M + 1) * (T / (2 * M + 1)))[:, None]
+        orbit = d.PeriodicOrbit(model, T, M, 0, X, d.sample_to_coeffs(X, T), 0.0, 0)
+        errs = []
+        for steps in (400, 800):
+            mono = oracle.oracle_floquet(model, orbit, oracle.CHEB_NODES, steps)
+            t = np.arange(steps + 1) * (T / steps)
+            assert np.array_equal(mono.heads[:, 0, 1:], np.zeros((steps + 1, oracle.CHEB_NODES)))
+            errs.append(np.abs(mono.heads[:, 0, 0] - np.exp(-5.0 * np.sin(t))).max())
+        assert errs[1] * 32.0 <= errs[0], errs
+
+    def test_steps_raised_for_stability(self, kotani_model, kotani_orbit):
+        # a delay short against the period: the transport block is stiff,
+        # and the step count rises to the fewest that keep |R(h lambda)| <= 1
+        # for every eigenvalue lambda of the transport block
+        def worst(tau, steps):
+            _, lam = oracle._cheb(16)
+            z = (kotani_orbit.T / steps) * (2.0 / tau) * lam
+            R = sum(z**k / math.factorial(k) for k in range(7)) - z**7 / 2160.0
+            return np.abs(R).max()
+
         model = ModelSpec("short_delay", 1, 0.01, lambda z0, z1: -z1)
         system = oracle.pseudospectral_system(model, kotani_orbit, 16, 100)
-        _, radius = oracle._cheb(16)
         assert system.steps > 100
-        assert system.h * (2.0 / model.tau) * radius <= oracle.RK4_STABLE_STEP
+        assert worst(model.tau, system.steps) <= 1.0 < worst(model.tau, system.steps - 1)
+        # the shipped kotani delay needs 73 steps a period
+        assert oracle.pseudospectral_system(kotani_model, kotani_orbit, 16, 1).steps == 73
 
     def test_step_matrices_built_in_batches(self, kotani_model, kotani_orbit,
                                             kotani_oracle_floquet, monkeypatch):
@@ -824,14 +882,25 @@ class TestPseudospectralOracle:
 
     def test_converges_on_doubling(self, kotani_model, kotani_orbit, kotani_mu,
                                    kotani_mode, kotani_z, kotani_q):
-        # twice the nodes and half the step: each gap to the spectral side
-        # falls at least fourfold (RK4 is fourth order in the step)
+        # half the step, from 250 to 500 a period, where every gap is above
+        # round-off: each gap to the spectral side falls at least 16-fold
+        # (measured 18x to 118x; the method is sixth order in the step)
         args = (kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
-        base = oracle_gaps(*args, oracle.CHEB_NODES, oracle.STEPS_PER_PERIOD)
-        fine = oracle_gaps(*args, 2 * oracle.CHEB_NODES, 2 * oracle.STEPS_PER_PERIOD)
-        assert max(base.values()) <= 1e-10
+        base = oracle_gaps(*args, oracle.CHEB_NODES, 250)
+        fine = oracle_gaps(*args, oracle.CHEB_NODES, 500)
         for name in base:
-            assert fine[name] <= base[name] / 4, (name, base[name], fine[name])
+            assert fine[name] <= base[name] / 16, (name, base[name], fine[name])
+
+    def test_converged_in_the_nodes(self, kotani_model, kotani_orbit, kotani_mu,
+                                    kotani_mode, kotani_z, kotani_q):
+        # twice the nodes at a fixed step, twice the shipped count so the
+        # step error stays small for the stiffer transport of 2n: n + 1 nodes
+        # and 2n + 1 nodes both sit within 1e-11 of the spectral side
+        # (measured at most 3.1e-13 and 5.3e-12)
+        args = (kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
+        for n in (oracle.CHEB_NODES, 2 * oracle.CHEB_NODES):
+            gaps = oracle_gaps(*args, n, 2 * oracle.STEPS_PER_PERIOD)
+            assert max(gaps.values()) <= 1e-11, (n, gaps)
 
     def test_kotani_z_exact(self, kotani_orbit, kotani_oracle_curves):
         # the phase response of the exact cosine cycle
