@@ -12,10 +12,10 @@ quantity.
 Importing the package loads no layer.  Each public name is looked up in
 its home module on each access (module `__getattr__` over `_HOME`), so a
 command pays only for the layers it runs: `ddehb cycle`, `floquet`,
-`response` and `export` never load `oracle`, `sweep`, `validation` or
-`numpy.random` (`ddehb cycle` with an oracle seed loads `oracle` and
-`sweep`; `ddehb validate` loads every layer, but not `numpy.random`: its
-random test arrays come from the standard library).  The object is
+`response` and `export` never load `oracle`, `validation` or
+`numpy.random` (`ddehb cycle` with an oracle seed loads `oracle`;
+`ddehb validate` loads every layer, but not `numpy.random`: its random
+test arrays come from the standard library).  The object is
 returned, not cached, so `vars(ddehb)` holds no layer object and a
 function rebound in its home module (by a tracer or a test) is what the
 package name gives.

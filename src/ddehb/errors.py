@@ -71,7 +71,8 @@ class PeriodDrift(DdehbError):
 
 
 class MonodromyIllConditioned(DdehbError):
-    """Unit Floquet multiplier missing from the monodromy spectrum."""
+    """Unit Floquet multiplier missing from the monodromy spectrum, or the
+    chain monodromy's leading Ritz pairs left uncertified at its sweep cap."""
 
 
 class NonConvergentAdjoint(DdehbError):

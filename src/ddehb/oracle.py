@@ -15,8 +15,9 @@ than tautology:
   oracle's own tangent and rho;
 * direct pulse-perturbation PRC measurement.
 
-The delay-line chain engines at the end have no caller in the command
-line; `bench/tracer.py` still times them by name.
+The delay-line chain engines at the end step the chain by the plain
+four-stage RK4 loop.  They have no caller in the command line;
+`bench/tracer.py` still times them by name.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
 from .floquet import _fix_mode_gauge as _mode_gauge
 from .model import ModelSpec
 from .spectral import sample_to_coeffs
-from .sweep import _sweep_backward, _sweep_forward, _sweep_plan
 
 # settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
 # of at least SETTLE_MIN_CROSSINGS upward mean-crossings
@@ -52,6 +52,7 @@ SETTLE_DRIFT_TOL = 0.01  # largest interval spread, relative to the period
 SETTLE_AMPLITUDE_FLOOR = 1e-8  # smallest post-transient peak-to-peak swing
 
 MONODROMY_MAX_ITERATIONS = 40
+MONODROMY_SEED = 0  # random start block of the forward iteration
 RITZ_TOL = 1e-10  # residual of a leading Ritz pair, relative to max(1, |theta|)
 
 ADJOINT_MAX_PERIODS = 50
@@ -601,7 +602,8 @@ def direct_prc(
 # ---------------------------------------------------------------------------
 #
 # Both subspace iterations stop at the first sweep whose Ritz pairs have
-# small residuals against that sweep's own image.
+# small residuals against that sweep's own image.  A sweep is one period of
+# the unfactored RK4 step, applied to a block of vectors at once.
 
 
 @dataclass
@@ -634,10 +636,85 @@ class DiscretizedSystem:
 
 
 def _choose_steps(system: DiscretizedSystem, T: float) -> int:
-    # The upwind lag blocks put eigenvalues on the circle |z + c| = c with
-    # c = N/tau, reaching -2c, so RK4 stability needs 2*h*c below ~2.78.
+    # The upwind lag blocks put eigenvalues on the circle |z + c| = c, c = N/tau,
+    # reaching -2c; h <= tau/N keeps h c <= 1, inside RK4's limit of about 1.39.
     h_max = 1.0 * system.model.tau / system.N
     return max(int(np.ceil(T / h_max)), 1024)
+
+
+@dataclass
+class _SweepPlan:
+    """DF0/DF1 along the cycle at the RK4 nodes and midpoints of one period,
+    t = 0, h/2, ..., T; an engine builds it once for all its sweeps."""
+
+    system: DiscretizedSystem
+    h: float
+    jac0: np.ndarray  # (2 steps + 1, m, m)
+    jac1: np.ndarray
+
+
+def _sweep_plan(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: int) -> _SweepPlan:
+    t = np.arange(2 * steps + 1) * (0.5 * orbit.T / steps)
+    jac0, jac1 = system.model.jacobians(orbit.value(t), orbit.value(t - system.model.tau))
+    return _SweepPlan(system, orbit.T / steps, jac0, jac1)
+
+
+def _sweep(plan, V, steps, store_head, backward=False):
+    """Propagate the columns of V over `steps` intervals of the plan by the
+    four-stage RK4 step: y' = J(t) y from t = 0 up, or (backward)
+    I' = -J(t)^T I from t = T down, which is the step of J^T at +h on the
+    tables read from their ends."""
+    system, h = plan.system, plan.h
+    c = system.rate
+    DF0, DF1 = plan.jac0, plan.jac1
+    if backward:
+        DF0, DF1 = (np.swapaxes(a, -1, -2)[::-1] for a in (DF0, DF1))
+
+    def jac(i, X, out):
+        """out = J X, or J^T X backward, at table row i; X is (N+1, m, k)."""
+        if backward:
+            np.subtract(X[2:], X[1:-1], out=out[1:-1])
+            out[1:-1] *= c
+            out[0] = np.dot(DF0[i], X[0]) + c * X[1]
+            out[-1] = np.dot(DF1[i], X[0]) - c * X[-1]
+        else:
+            np.subtract(X[:-1], X[1:], out=out[1:])
+            out[1:] *= c
+            out[0] = np.dot(DF0[i], X[0]) + np.dot(DF1[i], X[-1])
+        return out
+
+    Y = V.reshape(system.N + 1, system.m, -1).copy()
+    k1, k2, k3, k4, X = (np.empty_like(Y) for _ in range(5))
+
+    def state(k, a):
+        """Y + a k, the state a stage reads, in X."""
+        return np.add(Y, np.multiply(k, a, out=X), out=X)
+
+    head = np.empty((steps + 1,) + Y.shape[1:])
+    swept = head[::-1] if backward else head  # heads in the order they are reached
+    swept[0] = Y[0]
+    for j in range(steps):
+        jac(2 * j, Y, k1)
+        jac(2 * j + 1, state(k1, 0.5 * h), k2)
+        jac(2 * j + 1, state(k2, 0.5 * h), k3)
+        jac(2 * j + 2, state(k3, h), k4)
+        k2 += k3
+        k1 += k4
+        k1 += np.multiply(k2, 2.0, out=k2)
+        Y += np.multiply(k1, h / 6.0, out=k1)
+        swept[j + 1] = Y[0]
+    return Y.reshape(system.dim, -1), head if store_head else None
+
+
+def _sweep_forward(plan, V, steps, store_head=False):
+    """Propagate columns of V through `steps` intervals of y' = J(t) y."""
+    return _sweep(plan, V, steps, store_head)
+
+
+def _sweep_backward(plan, V, steps, store_head=False):
+    """Propagate columns of V through `steps` intervals of I' = -J(t)^T I,
+    integrating from t = T down (the transposed monodromy)."""
+    return _sweep(plan, V, steps, store_head, backward=True)
 
 
 def _by_magnitude(vals: np.ndarray) -> np.ndarray:
@@ -666,7 +743,6 @@ def monodromy_exponents(
     system: DiscretizedSystem,
     orbit: PeriodicOrbit,
     k: int = 2,
-    seed: int = 0,
 ) -> MonodromyResult:
     """Leading Floquet exponents of the discretized variational equation.
 
@@ -677,17 +753,18 @@ def monodromy_exponents(
     the first sweep W = Phi V after which each of the k leading Ritz pairs
     (theta, y) of V^T W has the residual
     ||W y - theta V y|| <= RITZ_TOL max(1, |theta|), so that it is an exact
-    eigenpair of a matrix that far from Phi (or after
-    MONODROMY_MAX_ITERATIONS sweeps).  Every sweep records the head block
-    of its basis, so the result carries the last one and eigenfunction
-    profiles are read from it without sweeping again.  The unit multiplier
-    must be present: deviation beyond 1e-2 raises MonodromyIllConditioned.
-    The start block is drawn from seed.
+    eigenpair of a matrix that far from Phi; MonodromyIllConditioned if no
+    sweep has that within MONODROMY_MAX_ITERATIONS.  Every sweep records
+    the head block of its basis, so the result carries the last one and
+    eigenfunction profiles are read from it without sweeping again.  The
+    unit multiplier must be present: deviation beyond 1e-2 raises
+    MonodromyIllConditioned.  The start block is drawn from MONODROMY_SEED.
     """
     steps = _choose_steps(system, orbit.T)
     plan = _sweep_plan(system, orbit, steps)
     kk = min(k + 3, system.dim)
-    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((system.dim, kk)))
+    rng = np.random.default_rng(MONODROMY_SEED)
+    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
 
     for iterations in range(1, MONODROMY_MAX_ITERATIONS + 1):
         W, head = _sweep_forward(plan, V, steps, store_head=True)
@@ -698,11 +775,15 @@ def monodromy_exponents(
         # residual of each leading Ritz pair: an exact eigenpair of Phi + E
         # with ||E|| equal to it, since V is orthonormal and coeffs unit
         residual = np.linalg.norm(W @ coeffs - vectors * multipliers, axis=0)
-        if iterations == MONODROMY_MAX_ITERATIONS or np.all(
-            residual <= RITZ_TOL * np.maximum(1.0, np.abs(multipliers))
-        ):
+        scale = np.maximum(1.0, np.abs(multipliers))
+        if np.all(residual <= RITZ_TOL * scale):
             break
         V, _ = np.linalg.qr(W)
+    else:
+        raise MonodromyIllConditioned(
+            f"Ritz residual {np.max(residual / scale):.3e} above {RITZ_TOL:g} (relative) "
+            f"after {MONODROMY_MAX_ITERATIONS} sweeps"
+        )
 
     exponents = np.log(multipliers.astype(complex)) / orbit.T
     order = np.argsort(-exponents.real)
@@ -810,7 +891,7 @@ def discretized_adjoint(
     drawn from ADJOINT_SEED.
     """
     steps = _choose_steps(system, orbit.T)
-    plan = _sweep_plan(system, orbit, steps, backward=True)
+    plan = _sweep_plan(system, orbit, steps)
     kk = min(ADJOINT_SUBSPACE, system.dim)
     rng = np.random.default_rng(ADJOINT_SEED)
     V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, floquet, oracle, sweep
+from ddehb import adjoint, floquet, oracle
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -305,14 +305,15 @@ def chain_field(system, y):
 
 
 def chain_jacobian(system, z0, zN):
-    """Dense Jacobian of chain_field at a state with head z0 and tail zN;
-    only sensible for small N."""
+    """Dense Jacobian of chain_field at states with heads z0 and tails zN of
+    shape (..., m), (..., dim, dim); only sensible for small N."""
     m, N, c = system.m, system.N, system.rate
-    J = np.zeros((system.dim, system.dim))
-    J[:m, :m], J[:m, N * m :] = system.model.jacobians(z0, zN)
+    z0 = np.asarray(z0)
+    J = np.zeros(z0.shape[:-1] + (system.dim, system.dim))
+    J[..., :m, :m], J[..., :m, N * m :] = system.model.jacobians(z0, zN)
     for i in range(1, N + 1):
-        J[i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
-        J[i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
+        J[..., i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
+        J[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
     return J
 
 
@@ -431,6 +432,13 @@ class TestMonodromy:
                 oracle.DiscretizedSystem(kotani_model, 64), bad, k=4
             )
 
+    def test_nonconvergence_reported(self, kotani_model, kotani_orbit, monkeypatch):
+        # Ritz pairs still uncertified at the sweep cap are an error
+        sys = oracle.DiscretizedSystem(kotani_model, 64)
+        monkeypatch.setattr(oracle, "MONODROMY_MAX_ITERATIONS", 1)
+        with pytest.raises(MonodromyIllConditioned, match="Ritz residual"):
+            oracle.monodromy_exponents(sys, kotani_orbit)
+
 
 def _recording(monkeypatch, name):
     """Wrap oracle.<name> so that every call appends its (V, W) to a list."""
@@ -495,65 +503,6 @@ class TestStoppingRule:
         assert len(calls) == adj.iterations == max(periods)
 
 
-def _jac_apply(DF0, DF1, c, V):
-    """J V for block states V of shape (N+1, m, k)."""
-    out = np.empty_like(V)
-    out[0] = DF0 @ V[0] + DF1 @ V[-1]
-    out[1:] = c * (V[:-1] - V[1:])
-    return out
-
-
-def _jac_apply_T(DF0, DF1, c, V):
-    """J^T V: first block feeds back into head and tail rows."""
-    out = np.empty_like(V)
-    out[0] = DF0.T @ V[0] + c * V[1]
-    out[1:-1] = c * (V[2:] - V[1:-1])
-    out[-1] = DF1.T @ V[0] - c * V[-1]
-    return out
-
-
-def reference_sweep_forward(system, V, h, steps, node_tab, mid_tab, store_head=False):
-    """Unfactored four-stage RK4 over one period of y' = J(t) y."""
-    c = system.rate
-    DF0_n, DF1_n = node_tab
-    DF0_m, DF1_m = mid_tab
-    Y = V.reshape(system.N + 1, system.m, -1).copy()
-    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
-    if store_head:
-        head[0] = Y[0]
-    for j in range(steps):
-        k1 = _jac_apply(DF0_n[j], DF1_n[j], c, Y)
-        k2 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k1)
-        k3 = _jac_apply(DF0_m[j], DF1_m[j], c, Y + 0.5 * h * k2)
-        k4 = _jac_apply(DF0_n[j + 1], DF1_n[j + 1], c, Y + h * k3)
-        Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if store_head:
-            head[j + 1] = Y[0]
-    return Y.reshape(system.dim, -1), head
-
-
-def reference_sweep_backward(system, V, h, steps, node_tab, mid_tab, store_head=False):
-    """Unfactored four-stage RK4 over one period of I' = -J(t)^T I, from
-    t = T down to t = 0."""
-    c = system.rate
-    DF0_n, DF1_n = node_tab
-    DF0_m, DF1_m = mid_tab
-    Y = V.reshape(system.N + 1, system.m, -1).copy()
-    head = np.empty((steps + 1, system.m, Y.shape[-1])) if store_head else None
-    if store_head:
-        head[steps] = Y[0]
-    s = -h
-    for j in range(steps, 0, -1):
-        k1 = -_jac_apply_T(DF0_n[j], DF1_n[j], c, Y)
-        k2 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k1)
-        k3 = -_jac_apply_T(DF0_m[j - 1], DF1_m[j - 1], c, Y + 0.5 * s * k2)
-        k4 = -_jac_apply_T(DF0_n[j - 1], DF1_n[j - 1], c, Y + s * k3)
-        Y += (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if store_head:
-            head[j - 1] = Y[0]
-    return Y.reshape(system.dim, -1), head
-
-
 SWEEP_RTOL = 1e-12  # sup-norm gap relative to the reference, fixed in advance
 
 
@@ -570,76 +519,32 @@ def sweep_case(request):
     return model, orbit
 
 
-def _check_against_reference(plan, steps, ks, seed):
-    """Sweep random blocks of ks[i] columns over the first `steps` intervals
-    the plan sweeps and compare with the unfactored loop on those intervals."""
-    system, backward = plan.system, plan.backward
-    node_tab, mid_tab = plan.node_tab, plan.mid_tab
-    if backward:  # the first intervals swept are the last ones of the period
-        run, reference = sweep._sweep_backward, reference_sweep_backward
-        node_tab = tuple(a[-steps - 1 :] for a in node_tab)
-        mid_tab = tuple(a[-steps:] for a in mid_tab)
-    else:
-        run, reference = sweep._sweep_forward, reference_sweep_forward
-    rng = np.random.default_rng(seed)
-    for k in ks:
-        V = rng.standard_normal((system.dim, k))
-        W, head = run(plan, V, steps, store_head=True)
-        W_ref, head_ref = reference(
-            system, V, plan.h, steps, node_tab, mid_tab, store_head=True
-        )
-        assert _rel_gap(W, W_ref) <= SWEEP_RTOL
-        assert _rel_gap(head, head_ref) <= SWEEP_RTOL
-        assert np.array_equal(head[-1 if backward else 0], V[: system.m])
+def dense_rk4_steps(system, orbit, steps, backward):
+    """Dense RK4 step matrices of the chain over one period, (steps, dim, dim),
+    in the order a sweep takes them: forward from t = 0, or backward with
+    -J^T and the step -h from t = T."""
+    h = orbit.T / steps
+    t = np.arange(2 * steps + 1) * (0.5 * h)  # nodes and midpoints
+    J = chain_jacobian(system, orbit.value(t), orbit.value(t - system.model.tau))
+    s = h
+    if backward:
+        J, s = -np.swapaxes(J, -1, -2)[::-1], -h
+    eye = np.eye(system.dim)
+    k1 = J[:-1:2]
+    k2 = J[1::2] @ (eye + 0.5 * s * k1)
+    k3 = J[1::2] @ (eye + 0.5 * s * k2)
+    k4 = J[2::2] @ (eye + s * k3)
+    return eye + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestSweepPlan:
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    @pytest.mark.parametrize("N", [2, 3, 5, 7, 8, 64, 257, 500])
-    def test_matches_unfactored_rk4(self, sweep_case, N, backward):
-        # from N = 16 on a block holds K > 1 steps; at N = 257 and 500 it
-        # holds 62 and 64, which divide neither period (1028 and 2000 steps
-        # on kotani), so the last block of each period is partial
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, N)
-        steps = oracle._choose_steps(system, orbit.T)
-        plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
-        _check_against_reference(plan, steps, (1, 5) if N <= 64 else (1,), N)
-
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_fewer_steps_than_a_block(self, kotani_model, kotani_orbit, backward):
-        system = oracle.DiscretizedSystem(kotani_model, 257)
-        steps = oracle._choose_steps(system, kotani_orbit.T)
-        plan = sweep._sweep_plan(system, kotani_orbit, steps, backward=backward)
-        assert plan.K > 20
-        _check_against_reference(plan, plan.K - 20, (1, 3), 1)
-
-    def test_block_operators_built_once(self, kotani_model, kotani_orbit,
-                                        monkeypatch):
-        system = oracle.DiscretizedSystem(kotani_model, 257)
-        steps = oracle._choose_steps(system, kotani_orbit.T)
-        plan = sweep._sweep_plan(system, kotani_orbit, steps)
-        built = []
-        block_operators = sweep._block_operators
-
-        def counting(taps, K, *args):
-            built.append(K)
-            return block_operators(taps, K, *args)
-
-        monkeypatch.setattr(sweep, "_block_operators", counting)
-        V = np.random.default_rng(0).standard_normal((system.dim, 2))
-        for _ in range(3):
-            V, _ = sweep._sweep_forward(plan, V, steps)
-        assert steps % plan.K
-        assert built == [plan.K, steps % plan.K]
-
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("N", [2, 3, 5, 7])
     def test_one_step_matches_dense_rk4(self, sweep_case, N, backward):
         model, orbit = sweep_case
         system = oracle.DiscretizedSystem(model, N)
         steps = oracle._choose_steps(system, orbit.T)
-        plan = sweep._sweep_plan(system, orbit, steps, backward=backward)
+        plan = oracle._sweep_plan(system, orbit, steps)
         h = plan.h
 
         def J(t):
@@ -650,17 +555,36 @@ class TestSweepPlan:
         if backward:  # first interval swept is [T - h, T], from its right end
             t0, s = steps * h, -h
             A = [-J(t).T for t in (t0, t0 - 0.5 * h, t0 - h)]
-            W, _ = sweep._sweep_backward(plan, V, 1)
+            W, _ = oracle._sweep_backward(plan, V, 1)
         else:
             t0, s = 0.0, h
             A = [J(t) for t in (t0, 0.5 * h, h)]
-            W, _ = sweep._sweep_forward(plan, V, 1)
+            W, _ = oracle._sweep_forward(plan, V, 1)
         k1 = A[0] @ V
         k2 = A[1] @ (V + 0.5 * s * k1)
         k3 = A[1] @ (V + 0.5 * s * k2)
         k4 = A[2] @ (V + s * k3)
         dense = V + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert _rel_gap(W, dense) <= SWEEP_RTOL
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_full_period_matches_dense_product(self, sweep_case, backward):
+        # the ordered product of the dense step matrices, and the head rows
+        # of its partial products
+        model, orbit = sweep_case
+        system = oracle.DiscretizedSystem(model, 2)
+        steps = oracle._choose_steps(system, orbit.T)
+        V = np.random.default_rng(2).standard_normal((system.dim, 3))
+        P, heads = V, [V[: system.m]]
+        for S in dense_rk4_steps(system, orbit, steps, backward):
+            P = S @ P
+            heads.append(P[: system.m])
+        heads = np.array(heads[::-1] if backward else heads)
+        sweep = oracle._sweep_backward if backward else oracle._sweep_forward
+        W, head = sweep(oracle._sweep_plan(system, orbit, steps), V, steps, store_head=True)
+        assert _rel_gap(W, P) <= SWEEP_RTOL
+        assert _rel_gap(head, heads) <= SWEEP_RTOL
+        assert np.array_equal(head[-1 if backward else 0], V[: system.m])
 
 
 class TestHeadReadout:
@@ -673,10 +597,10 @@ class TestHeadReadout:
         model, orbit = sweep_case
         system = oracle.DiscretizedSystem(model, self.N)
         res = oracle.monodromy_exponents(system, orbit, k=3)
-        plan = sweep._sweep_plan(system, orbit, res.steps)
+        plan = oracle._sweep_plan(system, orbit, res.steps)
         for i in range(res.multipliers.size):
             v, c = oracle._realify(res.vectors[:, i], res.coeffs[:, i])
-            _, head = sweep._sweep_forward(plan, v[:, None], res.steps, store_head=True)
+            _, head = oracle._sweep_forward(plan, v[:, None], res.steps, store_head=True)
             assert _rel_gap(res.head @ c, head[..., 0]) <= SWEEP_RTOL
 
     def test_adjoint_readout_matches_sweep(self, sweep_case):
@@ -687,10 +611,10 @@ class TestHeadReadout:
         targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
         adj = oracle.discretized_adjoint(system, orbit, targets)
         steps = oracle._choose_steps(system, orbit.T)
-        plan = sweep._sweep_plan(system, orbit, steps, backward=True)
+        plan = oracle._sweep_plan(system, orbit, steps)
         for j, mode in enumerate(targets):
             u = adj.vectors[:, j]
-            _, head = sweep._sweep_backward(plan, u[:, None], steps, store_head=True)
+            _, head = oracle._sweep_backward(plan, u[:, None], steps, store_head=True)
             ref = oracle._adjoint_response(orbit, mode, head[..., 0])
             assert _rel_gap(adj.responses[j].values, ref.values) <= SWEEP_RTOL
 
