@@ -30,7 +30,7 @@ _HOME = {  # home module -> the public names it defines
     "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "residual",
               "seed_from_ansatz", "solve_cycle"],
     "floquet": ["FloquetMode", "build_stability_matrix", "det_scan", "eigenfunction",
-                "find_exponents", "leading_exponent", "refine_exponent"],
+                "find_exponents", "leading_exponent", "refine_exponent", "scan_sigma_min"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
               "verify_jacobians"],
     "oracle": ["DiscretizedSystem", "Trajectory", "direct_prc", "discretized_adjoint",

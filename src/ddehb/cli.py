@@ -107,7 +107,7 @@ def cmd_floquet(cfg: RunConfig) -> int:
     h = cfg.config_hash()
     scan = run.scan
     _write_csv(out_dir / "floquet_scan.csv", ["mu", "log_abs_det", "sign", "sigma_min"],
-               [scan.mu, scan.log_abs_det, scan.sign, scan.sigma_min], h)
+               [scan.mu, scan.log_abs_det, scan.sign, run.sigma_min], h)
     tg = orbit.grid.sample_times
     outputs = ["floquet_scan.csv", "exponents.json"]
     entries = []

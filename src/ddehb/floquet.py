@@ -15,7 +15,8 @@ matrix update.  Raw determinants overflow at modest sizes, so the scan
 works with log-magnitude plus sign from pivoted factorization: a sign
 change brackets a root, and so does a dip of log|det| without one.  The
 smallest singular value serves as the objective that refines a dip
-because it is smooth near simple roots.
+because it is smooth near simple roots.  No scan computes it:
+scan_sigma_min gives it over a grid, for floquet_scan.csv.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .spectral import FourierSeries, build_operators, sample_to_coeffs
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
 DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
 GAUGE_TIE_RATIO = 1e-9  # entries within this relative margin of the largest magnitude tie
-SCAN_CHUNK = 25  # det_scan grid points per stacked assembly and LAPACK call
+SCAN_CHUNK = 25  # scan grid points per stacked assembly and LAPACK call
 
 
 def orbit_linearization(orbit: PeriodicOrbit, advanced: bool = False) -> Linearization:
@@ -51,33 +52,43 @@ def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
 
 @dataclass
 class DetScanResult:
-    """log|det M(mu)|, its sign (+1, -1, or 0 where the factorization is
-    exactly singular) and sigma_min at the grid values mu, one array each."""
+    """log|det M(mu)| and its sign (+1, -1, or 0 where the factorization is
+    exactly singular) at the grid values mu, one array each."""
 
     mu: np.ndarray
     log_abs_det: np.ndarray
     sign: np.ndarray
-    sigma_min: np.ndarray
 
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
-    """Evaluate log|det M(mu)|, its sign and sigma_min on a uniform grid.
+    """Evaluate log|det M(mu)| and its sign on a uniform grid.
     NonFiniteState where e^{-mu tau} overflows and M(mu) is not finite.
 
     The grid is assembled SCAN_CHUNK points at a time (Linearization.matrices)
-    and each chunk goes through one stacked slogdet and one stacked
-    singular-value call that fills its slice of the arrays.  These run the
-    same LAPACK routine on each matrix as a call per point would, so the
-    values are the same to the bit whatever the chunk bounds; a chunk holds
-    at most SCAN_CHUNK n^2 doubles (1.3 MB at n = 81).  No bracket depends on
-    sigma_min, so only this full scan computes it, for floquet_scan.csv.
+    and each chunk goes through one stacked slogdet that fills its slice of
+    the arrays.  It runs the same LAPACK routine on each matrix as a call
+    per point would, so the values are the same to the bit whatever the
+    chunk bounds; a chunk holds at most SCAN_CHUNK n^2 doubles (1.3 MB at
+    n = 81).  No bracket depends on sigma_min, so no scan computes it.
     """
     scan, lin = _empty_scan(orbit, mu_range, grid_points)
     for start in range(0, grid_points, SCAN_CHUNK):
-        chunk = slice(start, start + SCAN_CHUNK)
-        mats = _scan_chunk(lin, scan, chunk)
-        scan.sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
+        _scan_chunk(lin, scan, slice(start, start + SCAN_CHUNK))
     return scan
+
+
+def scan_sigma_min(orbit: PeriodicOrbit, mu: np.ndarray) -> np.ndarray:
+    """sigma_min of M(mu) at each value of the 1-D array mu, from one stacked
+    singular-value call per SCAN_CHUNK values on one assembly of (A0, B);
+    bit-identical to a call per point, as det_scan's slogdet.
+    NonFiniteState as det_scan where M(mu) is not finite."""
+    lin = orbit_linearization(orbit)
+    sigma_min = np.empty(len(mu))
+    for start in range(0, len(mu), SCAN_CHUNK):
+        chunk = slice(start, start + SCAN_CHUNK)
+        mats = _scan_matrices(lin, mu, chunk)
+        sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    return sigma_min
 
 
 def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int):
@@ -85,25 +96,24 @@ def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int):
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
-    scan = DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((3, grid_points)))
+    scan = DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((2, grid_points)))
     return scan, orbit_linearization(orbit)
 
 
-def _scan_matrices(lin: Linearization, scan: DetScanResult, chunk: slice) -> np.ndarray:
-    """M(mu) stacked over a chunk of the grid; NonFiniteState names the
+def _scan_matrices(lin: Linearization, mu: np.ndarray, chunk: slice) -> np.ndarray:
+    """M(mu) stacked over a chunk of the grid mu; NonFiniteState names the
     setting to move when e^{-mu tau} overflows."""
     try:
-        return lin.matrices(scan.mu[chunk])
+        return lin.matrices(mu[chunk])
     except NonFiniteState as exc:
-        raise NonFiniteState(f"{exc}; increase scan.mu_min (now {scan.mu[0]:g})") from None
+        raise NonFiniteState(f"{exc}; increase scan.mu_min (now {mu[0]:g})") from None
 
 
-def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> np.ndarray:
+def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> None:
     """Fill the sign and log|det| of a chunk of the scan with one stacked
-    slogdet, and return the chunk's stacked M(mu); sigma_min is left as is."""
-    mats = _scan_matrices(lin, scan, chunk)
-    scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(mats)
-    return mats
+    slogdet."""
+    scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(
+        _scan_matrices(lin, scan.mu, chunk))
 
 
 def _sigma_extremes(lin: Linearization, mu):
@@ -318,7 +328,7 @@ def leading_exponent(
     from as little of the scan as decides it.
 
     The same grid is evaluated SCAN_CHUNK points at a time from the top, by
-    sign and log|det| alone (no sigma_min), and each bracket is refined,
+    sign and log|det| alone, as in det_scan, and each bracket is refined,
     through find_exponents' refinement on the one (A0, B) of the search, as
     soon as the points it depends on are known.
     Once the collected nontrivial roots above the highest undecided
@@ -331,7 +341,7 @@ def leading_exponent(
     that one matrix is assembled first.
     """
     scan, lin = _empty_scan(orbit, mu_range, grid_points)
-    _scan_matrices(lin, scan, slice(0, 1))
+    _scan_matrices(lin, scan.mu, slice(0, 1))
     refined = {}  # bracket key -> refined root, None where it failed or was trivial
     top = grid_points  # points top.. are evaluated
     while top > 0:

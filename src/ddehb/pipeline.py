@@ -168,6 +168,7 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
 @dataclass
 class FloquetRun:
     scan: floquet.DetScanResult
+    sigma_min: np.ndarray  # of M(mu) at each scan.mu
     modes: list[floquet.FloquetMode]  # nontrivial, exponents descending
     trivial_mode: floquet.FloquetMode
 
@@ -175,11 +176,12 @@ class FloquetRun:
 def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
     mu_range = (cfg.scan.mu_min, cfg.scan.mu_max)
     scan = floquet.det_scan(orbit, mu_range, cfg.scan.points)
+    sigma_min = floquet.scan_sigma_min(orbit, scan.mu)
     exponents = floquet.find_exponents(orbit, mu_range, cfg.scan.points,
                                        cfg.scan.exclude_zero_radius)
     modes = [floquet.eigenfunction(orbit, mu) for mu in exponents]
     trivial = floquet.eigenfunction(orbit, 0.0)
-    return FloquetRun(scan=scan, modes=modes, trivial_mode=trivial)
+    return FloquetRun(scan=scan, sigma_min=sigma_min, modes=modes, trivial_mode=trivial)
 
 
 @dataclass

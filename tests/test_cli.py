@@ -486,6 +486,23 @@ class TestExportPipeline:
         assert meta["phase"]["normalization_residual"] < 1e-8
         assert meta["amplitude"]["normalization_residual"] < 1e-8
 
+    def test_deterministic_output(self, tmp_path):
+        # two exports under one config and seed agree byte for byte in every
+        # data file; the manifests hold runtime_seconds and the output
+        # directory, and are left out
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert run("export", "--config", KOTANI_CFG, "--out", str(out)) == EXIT_OK
+        names = sorted(p.name for p in runs[0].iterdir())
+        data = [n for n in names if n.endswith(".csv")]
+        data += ["exponents.json", "orbit_coeffs.json", "response_meta.json"]
+        assert sorted(p.name for p in runs[1].iterdir()) == names
+        assert set(names) - set(data) == {f"manifest_{step}.json"
+                                          for step in ("cycle", "floquet", "response")}
+        assert len(data) == 9
+        for name in data:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
     def test_cortico_fig2_exponent_report(self, tmp_path, cortico_settle):
         # seeded from the session settle through an orbit-format file, so the
         # cycle is not settled a second time

@@ -1,11 +1,15 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import floquet, oracle
+from ddehb import floquet, oracle, pipeline
+from ddehb.config import load_config
 from ddehb.errors import NonFiniteState, NoRootInBracket, NotSingular
 
-from conftest import CORTICO_SCAN, KOTANI_SCAN
+from conftest import CONFIG_DIR, CORTICO_SCAN, KOTANI_SCAN
 
 
 class TestStabilityMatrix:
@@ -33,8 +37,8 @@ class TestDetScan:
         assert abs(kotani_mu - mu_oracle) / abs(mu_oracle) < 0.01
 
     def test_cortico_dip_at_paper_value(self, cortico_orbit):
-        scan = floquet.det_scan(cortico_orbit, CORTICO_SCAN, 200)
-        sigmin, mus = scan.sigma_min, scan.mu
+        mus = np.linspace(*CORTICO_SCAN, 200)
+        sigmin = floquet.scan_sigma_min(cortico_orbit, mus)
         negative = (mus < -1e-3) & (mus > -0.01)
         dip_mu = mus[negative][np.argmin(sigmin[negative])]
         assert abs(dip_mu - (-0.00296)) < 3e-4  # grid-resolution locate
@@ -42,7 +46,7 @@ class TestDetScan:
     def test_rootfree_range_bounded_away(self, kotani_orbit):
         scan = floquet.det_scan(kotani_orbit, (-0.008, -0.001), 40)
         assert sign_changes(scan) == []
-        sigmin = scan.sigma_min
+        sigmin = floquet.scan_sigma_min(kotani_orbit, scan.mu)
         assert sigmin.min() > 1e-4
         assert np.all(np.diff(sigmin) < 0)  # single root ahead: monotone approach
 
@@ -50,13 +54,44 @@ class TestDetScan:
         # signs 1, 0, -1, -1, 1: the zero neither closes nor opens a bracket
         scan = floquet.DetScanResult(
             mu=np.arange(5.0), log_abs_det=np.zeros(5),
-            sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]), sigma_min=np.ones(5),
+            sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]),
         )
         assert sign_changes(scan) == [(3.0, 4.0)]
 
     def test_grid_validation(self, kotani_orbit):
         with pytest.raises(ValueError):
             floquet.det_scan(kotani_orbit, (-0.1, 0.0), 1)
+
+
+def test_only_the_scan_file_computes_singular_values(kotani_orbit, monkeypatch):
+    # the root search reads the scan's sign and log|det| alone: its SVDs are
+    # single matrices of the refinement; only floquet_scan.csv's sigma_min
+    # column takes stacked ones, one per SCAN_CHUNK points, in one pass
+    calls = Counter()
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls["stacked" if np.ndim(a) == 3 else "single"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    single = {}
+    for name, call in (
+        ("det_scan", lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)),
+        ("find_exponents", lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)),
+        ("leading_exponent", lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200)),
+    ):
+        calls.clear()
+        call()
+        assert calls["stacked"] == 0, name
+        single[name] = calls["single"]
+    assert single["det_scan"] == 0
+    cfg = load_config(str(CONFIG_DIR / "kotani_fig1.yaml"))
+    calls.clear()
+    run = pipeline.run_floquet(cfg, kotani_orbit)
+    assert calls["stacked"] == math.ceil(cfg.scan.points / floquet.SCAN_CHUNK) == 8
+    # the root search's refinement, and one full SVD per mode, the trivial one included
+    assert calls["single"] == single["find_exponents"] + len(run.modes) + 1
 
 
 class TestRefineExponent:
@@ -216,11 +251,10 @@ class TestLeadingExponent:
 
         def fill(lin, scan, chunk):  # no dips: log|det| rises with mu
             scan.sign[chunk], scan.log_abs_det[chunk] = sign[chunk], scan.mu[chunk]
-            return np.ones((len(scan.mu[chunk]), 1, 1))  # for det_scan's sigma_min
 
         monkeypatch.setattr(floquet, "SCAN_CHUNK", 10)
         monkeypatch.setattr(floquet, "orbit_linearization", lambda orbit: None)
-        monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, scan, chunk: None)
+        monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, mu, chunk: None)
         monkeypatch.setattr(floquet, "_scan_chunk", fill)
         monkeypatch.setattr(floquet, "_refine", lambda lin, lo, hi, radius: roots[(lo, hi)])
         args = (None, (0.0, 9.5), 20, 1.0)
@@ -230,13 +264,16 @@ class TestLeadingExponent:
     def test_overflow_raises_det_scan_message(self, kotani_orbit):
         # e^{-mu tau} overflows at mu = -500; on this grid of step 0.025 the
         # search would find the root in its top chunk, far above: it raises
-        # as the full scan does, before any LAPACK call
+        # as the full scan does, before any LAPACK call, and so do the
+        # singular values of that grid
         scan = (-500.0, 0.05)
         with pytest.raises(NonFiniteState) as full:
             floquet.det_scan(kotani_orbit, scan, 20003)
         with pytest.raises(NonFiniteState, match="increase scan.mu_min") as lead:
             floquet.leading_exponent(kotani_orbit, scan, 20003)
-        assert str(lead.value) == str(full.value)
+        with pytest.raises(NonFiniteState) as sigma:
+            floquet.scan_sigma_min(kotani_orbit, np.linspace(*scan, 20003))
+        assert str(lead.value) == str(full.value) == str(sigma.value)
 
     def test_grid_validation(self, kotani_orbit):
         with pytest.raises(ValueError):

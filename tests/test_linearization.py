@@ -111,14 +111,17 @@ class TestAgainstFreshAssembly:
 
     @pytest.mark.parametrize("points", [2, 40, 200])
     def test_stacked_scan_is_per_point(self, request, name, scan, points):
-        """det_scan's chunked assembly, slogdet and singular values equal the
-        per-point ones bit for bit, a partial last chunk included."""
+        """det_scan's chunked assembly and slogdet, and scan_sigma_min's
+        singular values, equal the per-point ones bit for bit, a partial
+        last chunk included."""
         orbit = request.getfixturevalue(name)
         lin = floquet.orbit_linearization(orbit)
         mus = np.linspace(*scan, points)
         np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
         result = floquet.det_scan(orbit, scan, points)
         assert result.mu.shape == (points,)
+        sigma = floquet.scan_sigma_min(orbit, result.mu)
+        assert sigma.shape == (points,)
         for i, mu in enumerate(mus):
             mat = lin.matrix(mu)
             # the per-point assembly that the stacked one replaced
@@ -128,7 +131,7 @@ class TestAgainstFreshAssembly:
             sign, logdet = np.linalg.slogdet(mat)
             sigma_min = np.linalg.svd(mat, compute_uv=False)[-1]
             assert (result.mu[i], result.sign[i], result.log_abs_det[i],
-                    result.sigma_min[i]) == (mu, sign, logdet, sigma_min)
+                    sigma[i]) == (mu, sign, logdet, sigma_min)
 
     def test_cycle_jacobian_x_block(self, request, name, scan):
         orbit = request.getfixturevalue(name)
@@ -170,6 +173,7 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
     monkeypatch.setattr(ModelSpec, "jacobians", counted("jacobians", ModelSpec.jacobians))
     for call in (
         lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
+        lambda: floquet.scan_sigma_min(kotani_orbit, np.linspace(*KOTANI_SCAN, 200)),
         lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
         # one assembly for the scan and both of its brackets
         lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200),
