@@ -27,14 +27,13 @@ __version__ = "0.1.0"
 
 _HOME = {  # home module -> the public names it defines
     "adjoint": ["ResponseCurve", "build_adjoint_matrix", "solve_response"],
-    "cycle": ["CycleSeed", "PeriodicOrbit", "SolveOptions", "residual",
-              "seed_from_ansatz", "solve_cycle"],
+    "cycle": ["PeriodicOrbit", "SolveOptions", "residual", "seed_from_ansatz",
+              "solve_cycle"],
     "floquet": ["FloquetMode", "build_stability_matrix", "det_scan", "eigenfunction",
                 "find_exponents", "leading_exponent", "refine_exponent", "scan_sigma_min"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
               "verify_jacobians"],
-    "oracle": ["DiscretizedSystem", "Trajectory", "direct_prc", "discretized_adjoint",
-               "integrate_dde", "monodromy_exponents", "oracle_eigenfunction",
+    "oracle": ["Trajectory", "direct_prc", "integrate_dde", "oracle_eigenfunction",
                "oracle_floquet", "oracle_responses", "settle_to_cycle"],
     "spectral": ["FourierSeries", "SpectralGrid", "SpectralOperators", "build_operators",
                  "coeffs_to_samples", "sample_to_coeffs"],

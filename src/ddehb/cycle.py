@@ -12,7 +12,8 @@ damped (Levenberg-Marquardt) least squares with an exact Jacobian: the
 model's partials come from the complex step (ModelSpec.jacobians), and
 D0 and Delta depend on T only through omega_p = 2 pi p / T, so
 dD0/dT = -D0/T and dDelta/dT = (tau/T) D0 Delta, which gives the T
-column in closed form.
+column in closed form.  A seed is a FourierSeries; its period T is the
+period guess.
 """
 
 from __future__ import annotations
@@ -42,20 +43,6 @@ class SolveOptions:
     anchor_component: int = 0
     max_iterations: int = 100
     tolerance: float = 1e-10  # residual max-norm
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.anchor_component < 0:
-            raise ValueError("anchor component must be nonnegative")
-
-
-@dataclass
-class CycleSeed:
-    """Initial guess: a Fourier series plus a period guess."""
-
-    series: FourierSeries
-    period: float
 
 
 @dataclass
@@ -187,15 +174,15 @@ def _jacobian(model, ops, X, anchor):
     return J
 
 
-def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> CycleSeed:
-    """Single-harmonic seed: a_1 = amplitude/2 per component, a_0 = 0."""
+def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> FourierSeries:
+    """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0."""
     if period_guess <= 0:
         raise ValueError("period guess must be positive")
     amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, dtype=float)), (m,))
     coeffs = np.zeros((2 * M + 1, m), dtype=complex)
     coeffs[M + 1] = amp / 2.0  # p = +1
     coeffs[M - 1] = amp / 2.0  # p = -1 (conjugate partner)
-    return CycleSeed(series=FourierSeries(period_guess, coeffs), period=period_guess)
+    return FourierSeries(period_guess, coeffs)
 
 
 def _anchor_at_max(series: FourierSeries, component: int) -> FourierSeries:
@@ -210,26 +197,30 @@ def _anchor_at_max(series: FourierSeries, component: int) -> FourierSeries:
     return series if s == 0.0 else series.shifted(s)
 
 
-def solve_cycle(model: ModelSpec, seed: CycleSeed, opts: SolveOptions | None = None) -> PeriodicOrbit:
-    """Solve the collocated zero problem for (X, T) by damped least squares.
+def solve_cycle(model: ModelSpec, seed: FourierSeries,
+                opts: SolveOptions | None = None) -> PeriodicOrbit:
+    """Solve the collocated zero problem for (X, T) by damped least squares
+    from the seed series, whose period seed.T is the period guess.
 
     The seed is first shifted so that its anchor component peaks at t = 0.
+    ValueError if the anchor component is not one of the model's or the
+    tolerance is not positive (checked here, whatever set the options).
     Raises MaxIterations, SingularJacobian or DivergedToEquilibrium; the
     last one signals collapse onto an equilibrium (all nonzero harmonics
     below 1e-8), which the zero problem always admits.
     """
     opts = opts or SolveOptions()
-    if seed.period <= 0:
-        raise ValueError("seed period must be positive")
-    if opts.anchor_component >= model.m:
+    if not 0 <= opts.anchor_component < model.m:
         raise ValueError("anchor component out of range")
+    if not opts.tolerance > 0:
+        raise ValueError("tolerance must be positive")
 
     M = opts.M
     K = 2 * M + 1
-    T = float(seed.period)
+    T = float(seed.T)
     ops = build_operators(M, T, model.tau)  # always those of the current T
     anchor = opts.anchor_component
-    X = _anchor_at_max(seed.series, anchor).evaluate(ops.grid.sample_times)
+    X = _anchor_at_max(seed, anchor).evaluate(ops.grid.sample_times)
 
     r = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(r)):

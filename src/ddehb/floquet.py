@@ -11,12 +11,13 @@ J0, J1 the block-diagonal Jacobians of the right-hand side along the
 cycle (delayed orbit values read from the Fourier interpolant, never from
 nearest samples).  Only the scalar factors depend on mu, so each public
 call assembles (A0, B) once per orbit and every M(mu) it needs is one
-matrix update.  Raw determinants overflow at modest sizes, so the scan
-works with log-magnitude plus sign from pivoted factorization: a sign
-change brackets a root, and so does a dip of log|det| without one.  The
-smallest singular value serves as the objective that refines a dip
-because it is smooth near simple roots.  No scan computes it:
-scan_sigma_min gives it over a grid, for floquet_scan.csv.
+matrix update: a scan carries its (A0, B), which refines its brackets.
+Raw determinants overflow at modest sizes, so the scan works with
+log-magnitude plus sign from pivoted factorization: a sign change
+brackets a root, and so does a dip of log|det| without one.  The smallest
+singular value serves as the objective that refines a dip because it is
+smooth near simple roots.  No scan computes it: scan_sigma_min gives it
+over a grid, for floquet_scan.csv.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
 @dataclass
 class DetScanResult:
     """log|det M(mu)| and its sign (+1, -1, or 0 where the factorization is
-    exactly singular) at the grid values mu, one array each."""
+    exactly singular) at the grid values mu, one array each, on lin = (A0, B)."""
 
     mu: np.ndarray
     log_abs_det: np.ndarray
     sign: np.ndarray
+    lin: Linearization
 
 
 def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
@@ -71,9 +73,9 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     chunk bounds; a chunk holds at most SCAN_CHUNK n^2 doubles (1.3 MB at
     n = 81).  No bracket depends on sigma_min, so no scan computes it.
     """
-    scan, lin = _empty_scan(orbit, mu_range, grid_points)
+    scan = _empty_scan(orbit, mu_range, grid_points)
     for start in range(0, grid_points, SCAN_CHUNK):
-        _scan_chunk(lin, scan, slice(start, start + SCAN_CHUNK))
+        _scan_chunk(scan, slice(start, start + SCAN_CHUNK))
     return scan
 
 
@@ -91,13 +93,13 @@ def scan_sigma_min(orbit: PeriodicOrbit, mu: np.ndarray) -> np.ndarray:
     return sigma_min
 
 
-def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int):
-    """The scan grid with unfilled value arrays, and the orbit's (A0, B)."""
+def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int) -> DetScanResult:
+    """The scan grid with unfilled value arrays, on the orbit's (A0, B)."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
-    scan = DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((2, grid_points)))
-    return scan, orbit_linearization(orbit)
+    return DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((2, grid_points)),
+                         orbit_linearization(orbit))
 
 
 def _scan_matrices(lin: Linearization, mu: np.ndarray, chunk: slice) -> np.ndarray:
@@ -109,11 +111,11 @@ def _scan_matrices(lin: Linearization, mu: np.ndarray, chunk: slice) -> np.ndarr
         raise NonFiniteState(f"{exc}; increase scan.mu_min (now {mu[0]:g})") from None
 
 
-def _scan_chunk(lin: Linearization, scan: DetScanResult, chunk: slice) -> None:
+def _scan_chunk(scan: DetScanResult, chunk: slice) -> None:
     """Fill the sign and log|det| of a chunk of the scan with one stacked
     slogdet."""
     scan.sign[chunk], scan.log_abs_det[chunk] = np.linalg.slogdet(
-        _scan_matrices(lin, scan.mu, chunk))
+        _scan_matrices(scan.lin, scan.mu, chunk))
 
 
 def _sigma_extremes(lin: Linearization, mu):
@@ -301,12 +303,12 @@ def find_exponents(
     The trivial root at mu = 0 is always present, so candidates inside
     exclude_zero_radius of zero are dropped, and a refinement stops as soon
     as it is confined there.  Candidates come from determinant sign changes
-    and from interior log|det| dips.
+    and from interior log|det| dips.  One assembly of (A0, B), the scan's,
+    serves the scan and every refinement.
     """
     scan = det_scan(orbit, mu_range, grid_points)
     brackets = _brackets(scan.mu, scan.sign, scan.log_abs_det)
-    lin = orbit_linearization(orbit)
-    return _distinct_roots([_try_refine(lin, brackets[key], exclude_zero_radius)
+    return _distinct_roots([_try_refine(scan.lin, brackets[key], exclude_zero_radius)
                             for key in sorted(brackets)], exclude_zero_radius)
 
 
@@ -340,20 +342,20 @@ def leading_exponent(
     overflows anywhere on the grid: e^{-mu tau} is largest at mu_min, so
     that one matrix is assembled first.
     """
-    scan, lin = _empty_scan(orbit, mu_range, grid_points)
-    _scan_matrices(lin, scan.mu, slice(0, 1))
+    scan = _empty_scan(orbit, mu_range, grid_points)
+    _scan_matrices(scan.lin, scan.mu, slice(0, 1))
     refined = {}  # bracket key -> refined root, None where it failed or was trivial
     top = grid_points  # points top.. are evaluated
     while top > 0:
         start = max(top - SCAN_CHUNK, 0)
-        _scan_chunk(lin, scan, slice(start, top))
+        _scan_chunk(scan, slice(start, top))
         # the chunk and the two points above it decide every bracket that
         # needs a point of the chunk
         window = slice(start, top + 2)
         brackets = _brackets(scan.mu[window], scan.sign[window], scan.log_abs_det[window],
                              start)
         for key in sorted(brackets.keys() - refined.keys()):
-            refined[key] = _try_refine(lin, brackets[key], exclude_zero_radius)
+            refined[key] = _try_refine(scan.lin, brackets[key], exclude_zero_radius)
         top = start
         # undecided: the sign change below point top and the dip at it
         theta = scan.mu[min(top + 1, grid_points - 1)]

@@ -16,8 +16,8 @@ than tautology:
 * direct pulse-perturbation PRC measurement.
 
 The delay-line chain engines at the end step the chain by the plain
-four-stage RK4 loop.  They have no caller in the command line;
-`bench/tracer.py` still times them by name.
+four-stage RK4 loop.  No command runs them and the package does not
+export them; `bench/tracer.py` still times them here, by name.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .adjoint import normalization  # the paper's normalization, no operator
 from .config import MIN_DELAY_STEPS, _snap_step
-from .cycle import CycleSeed, PeriodicOrbit
+from .cycle import PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -42,7 +42,7 @@ from .errors import (
 # shared conventions, no operator
 from .floquet import _fix_mode_gauge as _mode_gauge
 from .model import ModelSpec
-from .spectral import sample_to_coeffs
+from .spectral import FourierSeries, sample_to_coeffs
 
 # settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
 # of at least SETTLE_MIN_CROSSINGS upward mean-crossings
@@ -63,7 +63,7 @@ ADJOINT_SUBSPACE = 6  # vectors in that block
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
 PRC_PHASES = 16  # pulse phases of the validation PRC, evenly spaced
-PRC_DELAY_STEPS = 10  # RK4 steps per delay, the coarsest MIN_DELAY_STEPS allows
+PRC_DELAY_STEPS = MIN_DELAY_STEPS  # RK4 steps per delay: the coarsest step allowed
 PRC_PERIODS = 10  # cycles each perturbed copy runs; the last window ends there
 PRC_WINDOW_PERIODS = 1  # whole periods each phase window covers
 PRC_WINDOW_SAMPLES = 64  # uniform samples a period of a window
@@ -129,8 +129,8 @@ def integrate_dde(
     the stored sample at t=0 is x(0+), delayed values for s <= 0 come from
     the history samples, which end at x(0-), and those for s >= 0 from the
     solution samples, and no cubic stencil straddles t=0, tau or 2 tau, so
-    a kicked run stays fourth order.  A run without a kick reads its
-    stencils across them.
+    a kicked run stays fourth order.  A run without a kick is one with no
+    break points: its stencils read across t=0, tau and 2 tau.
     """
     tau = model.tau
     dt, n_tau = _snap_step(tau, dt)
@@ -145,13 +145,14 @@ def integrate_dde(
     buf = np.empty((n_tau + n_steps + 1,) + x0.shape)
     for j in range(n_tau + 1):
         buf[j] = history((j - n_tau) * dt)
-    # the delayed values of the steps k < n_tau, whose delayed times are <= 0
-    left = buf
+    # the delayed values of the steps k < n_tau, whose delayed times are <= 0,
+    # and the node slices between the break points: none without a kick
+    left, breaks, pieces = buf, [], [(buf, 0, None)]
     if initial_kick is not None:
         left = buf[: n_tau + 1].copy()
         buf[n_tau] = buf[n_tau] + initial_kick
-        # the node slices between the break points 0, tau and 2 tau: the
-        # history's, which ends at x(0-), then the solution's
+        # at 0, tau and 2 tau: the history's, which ends at x(0-), then the
+        # solution's
         breaks = n_tau * np.arange(1, 4)
         pieces = [(left, 0, n_tau + 1), (buf, n_tau, 2 * n_tau + 1),
                   (buf, 2 * n_tau, 3 * n_tau + 1), (buf, 3 * n_tau, None)]
@@ -163,12 +164,10 @@ def integrate_dde(
     for k0 in range(0, n_steps, n_tau - 1):
         k_end = min(k0 + n_tau - 1, n_steps)
         s = np.arange(k0, k_end) + 0.5
-        if left is buf:
-            xdm = _cubic(buf, s)
-        else:  # each stencil clamps inside the piece between two break points
-            parts = np.split(s, np.searchsorted(s, breaks))
-            xdm = np.concatenate([_cubic(src[a:b], part - a)
-                                  for part, (src, a, b) in zip(parts, pieces) if part.size])
+        # each stencil clamps inside the piece between two break points
+        parts = np.split(s, np.searchsorted(s, breaks))
+        xdm = np.concatenate([_cubic(src[a:b], part - a)
+                              for part, (src, a, b) in zip(parts, pieces) if part.size])
         for k in range(k0, k_end):
             x, xm = buf[n_tau + k], xdm[k - k0]
             lag = left if k < n_tau else buf
@@ -191,7 +190,7 @@ class SettleResult:
     period: float
     spread: float
     crossings: np.ndarray
-    seed: CycleSeed
+    seed: FourierSeries  # of period `period`
 
 
 def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.05,
@@ -252,8 +251,8 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
     K = 2 * M + 1
     grid_t = t_max + np.arange(-M, M + 1) * (period / K)
     samples = traj.value(grid_t)
-    seed = CycleSeed(series=sample_to_coeffs(samples, period), period=period)
-    return SettleResult(period=period, spread=spread, crossings=crossings, seed=seed)
+    return SettleResult(period=period, spread=spread, crossings=crossings,
+                        seed=sample_to_coeffs(samples, period))
 
 
 # ---------------------------------------------------------------------------

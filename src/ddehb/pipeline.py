@@ -11,7 +11,7 @@ import numpy as np
 
 from . import adjoint, floquet
 from .config import RunConfig, _finite_real
-from .cycle import CycleSeed, PeriodicOrbit, seed_from_ansatz
+from .cycle import PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput, StaleInput
 from .model import ModelSpec, make_model
 from .spectral import FourierSeries, coeffs_to_samples
@@ -147,7 +147,9 @@ def load_orbit(out_dir, cfg: RunConfig) -> PeriodicOrbit:
 
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
-    """Seed per config: single-harmonic ansatz, oracle settle, or file."""
+    """Seed series per config (its T the period guess): single-harmonic
+    ansatz, oracle settle, or file; and the settle behind an oracle seed,
+    else None."""
     sc = cfg.seed
     if sc.kind == "ansatz":
         return seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M), None
@@ -160,8 +162,7 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
             component=cfg.solver.anchor_component, observe_time=sc.observe_time)
         return settled.seed, settled
     if sc.kind == "file":
-        _, series = read_orbit_file(sc.path, model)
-        return CycleSeed(series=series, period=series.T), None
+        return read_orbit_file(sc.path, model)[1], None
     raise ConfigError(f"unknown seed kind {sc.kind!r}")
 
 

@@ -19,13 +19,6 @@ import numpy as np
 IMAG_RESIDUE_BOUND = 1e-12
 
 
-def _validate_grid(M, T):
-    if int(M) != M or M < 1:
-        raise ValueError(f"truncation order M must be a positive integer, got {M}")
-    if not T > 0:
-        raise ValueError(f"period T must be positive, got {T}")
-
-
 @dataclass(frozen=True)
 class SpectralGrid:
     """Collocation grid of 2M+1 equispaced samples, symmetric about t=0."""
@@ -34,7 +27,10 @@ class SpectralGrid:
     T: float
 
     def __post_init__(self):
-        _validate_grid(self.M, self.T)
+        if int(self.M) != self.M or self.M < 1:
+            raise ValueError(f"truncation order M must be a positive integer, got {self.M}")
+        if not self.T > 0:
+            raise ValueError(f"period T must be positive, got {self.T}")
 
     @property
     def n_samples(self) -> int:
@@ -147,10 +143,9 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     derived matrices D0 and Delta are realified; the discarded imaginary
     magnitude must stay below IMAG_RESIDUE_BOUND * (2M+1).
     """
-    _validate_grid(M, T)
+    grid = SpectralGrid(M, T)
     if tau < 0:
         raise ValueError(f"delay tau must be nonnegative, got {tau}")
-    grid = SpectralGrid(M, T)
     n = grid.indices
     K = grid.n_samples
     S = np.exp(2j * np.pi * np.outer(n, n) / K)

@@ -24,9 +24,10 @@ from .config import RunConfig
 # when it loads would stay bound here after being removed from cycle: the
 # solves call cycle.solve_cycle.  The name stays importable from here for
 # code that reads it (bench/test_bench.py).
-from .cycle import CycleSeed, PeriodicOrbit, solve_cycle  # noqa: F401
+from .cycle import PeriodicOrbit, solve_cycle  # noqa: F401
 from .errors import NoExponentInRange
 from .model import ModelSpec
+from .spectral import FourierSeries
 
 
 @dataclass
@@ -146,7 +147,7 @@ class _Stage:
     """The spectral pipeline a suite checks at M and 2M, with the seconds of its parts."""
 
     model: ModelSpec
-    seed: CycleSeed
+    seed: FourierSeries
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
     orbit: PeriodicOrbit
     mu: float  # leading nontrivial exponent

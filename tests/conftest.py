@@ -10,7 +10,6 @@ import pytest
 import ddehb as d
 from ddehb import adjoint, floquet, oracle, pipeline
 from ddehb.config import load_config
-from ddehb.cycle import CycleSeed
 from ddehb.model import ModelSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -138,5 +137,5 @@ def sl_orbit(sl_model):
     # seed with the exact unit cycle (x, y) = (cos, sin)
     t = np.arange(-20, 21) * (2.0 * np.pi / 41)
     samples = np.stack([np.cos(t), np.sin(t)], axis=-1)
-    seed = CycleSeed(series=d.sample_to_coeffs(samples, 2.0 * np.pi), period=2.0 * np.pi)
-    return d.solve_cycle(sl_model, seed, d.SolveOptions(M=20))
+    return d.solve_cycle(sl_model, d.sample_to_coeffs(samples, 2.0 * np.pi),
+                         d.SolveOptions(M=20))

@@ -508,7 +508,7 @@ class TestExportPipeline:
         # cycle is not settled a second time
         seed = cortico_settle.seed
         path = tmp_path / "seed_coeffs.json"
-        path.write_text(json.dumps({"T": seed.period, **series_payload(seed.series)}))
+        path.write_text(json.dumps({"T": seed.T, **series_payload(seed)}))
         out = tmp_path / "run"
         args = ("--config", CORTICO_CFG, "--out", str(out), "--seed-from", "file",
                 "--override", f"seed.path={path}")

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb.cycle import (
-    CycleSeed,
-    SolveOptions,
-    _anchor_at_max,
-    residual,
-)
+from ddehb.cycle import SolveOptions, _anchor_at_max, residual
 from ddehb.errors import DivergedToEquilibrium, MaxIterations
 
 
@@ -57,20 +52,39 @@ class TestSolveCycle:
         # with another time origin reaches the same cycle, not an
         # equilibrium or -cos t
         base = d.seed_from_ansatz(1, 0.8, 6.0, 20)
-        seed = CycleSeed(series=base.series.shifted(shift), period=base.period)
-        orbit = d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
+        orbit = d.solve_cycle(kotani_model, base.shifted(shift), SolveOptions(M=20))
         assert abs(orbit.T - 2 * np.pi) < 1e-8
         assert np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max() < 1e-8
 
     def test_anchored_ansatz_seed_is_unshifted(self):
         seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
-        anchored = _anchor_at_max(seed.series, 0)
-        assert np.array_equal(anchored.coeffs, seed.series.coeffs)
+        anchored = _anchor_at_max(seed, 0)
+        assert np.array_equal(anchored.coeffs, seed.coeffs)
 
     def test_iteration_budget_enforced(self, kotani_model):
         seed = d.seed_from_ansatz(1, 2.5, 9.0, 20)
         with pytest.raises(MaxIterations):
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20, max_iterations=2))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("anchor_component", -1, "anchor component out of range"),
+        ("anchor_component", 1, "anchor component out of range"),
+        ("tolerance", 0.0, "tolerance must be positive"),
+    ])
+    def test_options_set_after_construction_are_checked(self, kotani_model, field, value,
+                                                         message):
+        # the config sets its values on the options after construction, so
+        # the solve checks them, where the model's component count is known
+        opts = SolveOptions(M=20)
+        setattr(opts, field, value)
+        with pytest.raises(ValueError, match=message):
+            d.solve_cycle(kotani_model, d.seed_from_ansatz(1, 0.8, 6.0, 20), opts)
+
+    def test_nonpositive_seed_period_rejected(self, kotani_model):
+        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
+        seed.T = -6.0
+        with pytest.raises(ValueError, match="period T must be positive"):
+            d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
 
     def test_orbit_samples_match_series(self, kotani_orbit):
         resampled = kotani_orbit.series.evaluate(kotani_orbit.grid.sample_times)
@@ -88,11 +102,9 @@ class TestSolveCycle:
         # re-anchor on the second component; seed shifted so that component
         # peaks at t=0, then align the two orbits at the correlation peak
         seed = cortico_settle.seed
-        tt = np.linspace(0.0, seed.period, 4096, endpoint=False)
-        y = seed.series.evaluate(tt)[:, 1]
-        shifted = CycleSeed(
-            series=seed.series.shifted(tt[np.argmax(y)]), period=seed.period
-        )
+        tt = np.linspace(0.0, seed.T, 4096, endpoint=False)
+        y = seed.evaluate(tt)[:, 1]
+        shifted = seed.shifted(tt[np.argmax(y)])
         orbit_b = d.solve_cycle(
             cortico_model, shifted, SolveOptions(M=20, anchor_component=1)
         )
@@ -127,15 +139,15 @@ class TestSeedFromAnsatz:
     def test_unit_amplitude_samples_to_cosine(self):
         seed = d.seed_from_ansatz(1, 1.0, 2 * np.pi, 20)
         t = np.linspace(0, 2 * np.pi, 50)
-        np.testing.assert_allclose(seed.series.evaluate(t)[:, 0], np.cos(t), atol=1e-14)
+        np.testing.assert_allclose(seed.evaluate(t)[:, 0], np.cos(t), atol=1e-14)
 
     def test_zero_amplitude_gives_zero_seed(self):
         seed = d.seed_from_ansatz(1, 0.0, 5.0, 8)
-        assert np.abs(seed.series.coeffs).max() == 0.0
+        assert np.abs(seed.coeffs).max() == 0.0
 
     def test_two_component_block_seed(self):
         seed = d.seed_from_ansatz(2, [0.1, 0.05], 10.0, 6)
-        c = seed.series.coeffs
+        c = seed.coeffs
         np.testing.assert_allclose(c[7], [0.05, 0.025], atol=1e-15)
         np.testing.assert_allclose(c[5], [0.05, 0.025], atol=1e-15)
         assert np.abs(np.delete(c, [5, 7], axis=0)).max() == 0.0

@@ -54,7 +54,7 @@ class TestDetScan:
         # signs 1, 0, -1, -1, 1: the zero neither closes nor opens a bracket
         scan = floquet.DetScanResult(
             mu=np.arange(5.0), log_abs_det=np.zeros(5),
-            sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]),
+            sign=np.array([1.0, 0.0, -1.0, -1.0, 1.0]), lin=None,
         )
         assert sign_changes(scan) == [(3.0, 4.0)]
 
@@ -249,7 +249,7 @@ class TestLeadingExponent:
         sign = np.where((i <= 9) | ((i >= 12) & (i <= 13)), 1.0, -1.0)
         roots = {(4.5, 5.0): 4.9, (5.5, 6.0): 5.8, (6.5, 7.0): 6.7}
 
-        def fill(lin, scan, chunk):  # no dips: log|det| rises with mu
+        def fill(scan, chunk):  # no dips: log|det| rises with mu
             scan.sign[chunk], scan.log_abs_det[chunk] = sign[chunk], scan.mu[chunk]
 
         monkeypatch.setattr(floquet, "SCAN_CHUNK", 10)

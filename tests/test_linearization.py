@@ -175,6 +175,8 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
         lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
         lambda: floquet.scan_sigma_min(kotani_orbit, np.linspace(*KOTANI_SCAN, 200)),
         lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
+        # the scan's assembly serves its refinements
+        lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200),
         # one assembly for the scan and both of its brackets
         lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200),
         lambda: floquet.eigenfunction(kotani_orbit, kotani_mu),
