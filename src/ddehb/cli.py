@@ -89,7 +89,7 @@ def cmd_cycle(cfg: RunConfig) -> int:
     _write_json(out_dir / pipeline.ORBIT_FILE, pipeline.orbit_payload(orbit, cfg))
     extra = {"T": orbit.T, "residual_norm": orbit.residual_norm}
     if settled is not None:
-        extra["settle_period"] = settled.period
+        extra["settle_period"] = settled.seed.T
         extra["settle_spread"] = settled.spread
     _write_manifest(out_dir, cfg, "cycle", ["orbit.csv", pipeline.ORBIT_FILE],
                     time.perf_counter() - t0, extra)

@@ -71,12 +71,7 @@ class PeriodDrift(DdehbError):
 
 
 class MonodromyIllConditioned(DdehbError):
-    """Unit Floquet multiplier missing from the monodromy spectrum, or the
-    chain monodromy's leading Ritz pairs left uncertified at its sweep cap."""
-
-
-class NonConvergentAdjoint(DdehbError):
-    """Backward adjoint integration failed to reach a periodic profile."""
+    """Unit Floquet multiplier missing from the monodromy spectrum."""
 
 
 class SlowPhaseDecay(DdehbError):

@@ -15,9 +15,8 @@ than tautology:
   oracle's own tangent and rho;
 * direct pulse-perturbation PRC measurement.
 
-The delay-line chain engines at the end step the chain by the plain
-four-stage RK4 loop.  No command runs them and the package does not
-export them; `bench/tracer.py` still times them here, by name.
+The module ends with five placeholders under the names of the deleted
+delay-line chain engines, which `bench/tracer.py` still looks up.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .cycle import PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
-    NonConvergentAdjoint,
     NonFiniteState,
     PeriodDrift,
     SlowPhaseDecay,
@@ -50,15 +48,6 @@ SETTLE_MIN_CROSSINGS = 12
 SETTLE_LAST_INTERVALS = 10
 SETTLE_DRIFT_TOL = 0.01  # largest interval spread, relative to the period
 SETTLE_AMPLITUDE_FLOOR = 1e-8  # smallest post-transient peak-to-peak swing
-
-MONODROMY_MAX_ITERATIONS = 40
-MONODROMY_SEED = 0  # random start block of the forward iteration
-RITZ_TOL = 1e-10  # residual of a leading Ritz pair, relative to max(1, |theta|)
-
-ADJOINT_MAX_PERIODS = 50
-ADJOINT_TOL = 1e-8  # residual of a target's unit Ritz vector, relative to |theta|
-ADJOINT_SEED = 1  # random start block of the backward iteration
-ADJOINT_SUBSPACE = 6  # vectors in that block
 
 PRC_EPS = 1e-3  # pulse size relative to the orbit's peak in PRC_COMPONENT
 PRC_COMPONENT = 0  # the kicked and observed component
@@ -187,10 +176,9 @@ def integrate_dde(
 
 @dataclass
 class SettleResult:
-    period: float
     spread: float
     crossings: np.ndarray
-    seed: FourierSeries  # of period `period`
+    seed: FourierSeries  # its T is the settled period
 
 
 def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.05,
@@ -251,7 +239,7 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
     K = 2 * M + 1
     grid_t = t_max + np.arange(-M, M + 1) * (period / K)
     samples = traj.value(grid_t)
-    return SettleResult(period=period, spread=spread, crossings=crossings,
+    return SettleResult(spread=spread, crossings=crossings,
                         seed=sample_to_coeffs(samples, period))
 
 
@@ -329,13 +317,6 @@ def _response(orbit, curve, mode) -> _PeriodicInterp:
     raw = _PeriodicInterp(T=orbit.T, values=curve)
     scale = normalization(orbit, raw, partner, mu, target)
     return _PeriodicInterp(T=orbit.T, values=curve * scale)
-
-
-def _leading_nontrivial(multipliers: np.ndarray, exponents: np.ndarray) -> complex:
-    """Exponent with the largest real part besides the trivial one (the
-    multiplier closest to 1); exponents are sorted by descending real part."""
-    i_unit = int(np.argmin(np.abs(multipliers - 1.0)))
-    return [mu for i, mu in enumerate(exponents) if i != i_unit][0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -427,8 +408,10 @@ class OracleMonodromy:
     unit_multiplier_error: float
 
     def leading_nontrivial(self) -> float:
-        """Real part of the leading exponent besides the trivial one."""
-        return float(_leading_nontrivial(self.multipliers, self.exponents).real)
+        """Real part of the leading exponent besides the trivial one (the
+        multiplier closest to 1); exponents are sorted by descending real part."""
+        i_unit = int(np.argmin(np.abs(self.multipliers - 1.0)))
+        return float(next(mu for i, mu in enumerate(self.exponents) if i != i_unit).real)
 
 
 def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
@@ -597,328 +580,29 @@ def direct_prc(
 
 
 # ---------------------------------------------------------------------------
-# Delay-line chain engines (N first-order lags), timed by bench/tracer.py only
+# Names of the deleted delay-line chain engines
 # ---------------------------------------------------------------------------
 #
-# Both subspace iterations stop at the first sweep whose Ritz pairs have
-# small residuals against that sweep's own image.  A sweep is one period of
-# the unfactored RK4 step, applied to a block of vectors at once.
+# bench/tracer.py still wraps these five names when it traces a command, and
+# the benchmark's files change only with the benchmark itself.  Nothing calls
+# them; they go when the benchmark retires its chain metrics (ROADMAP item 3).
 
 
-@dataclass
-class DiscretizedSystem:
-    """Delay line of N first-order lags: y = (x_0, ..., x_N), dim m(N+1)."""
-
-    model: ModelSpec
-    N: int
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-
-    @property
-    def m(self) -> int:
-        return self.model.m
-
-    @property
-    def dim(self) -> int:
-        return self.model.m * (self.N + 1)
-
-    @property
-    def rate(self) -> float:
-        return self.N / self.model.tau
+def monodromy_exponents(*args, **kwargs):
+    raise NotImplementedError("the delay-line chain engines are deleted")
 
 
-# ---------------------------------------------------------------------------
-# Monodromy of the variational equation along the orbit
-# ---------------------------------------------------------------------------
+def monodromy_eigenfunction(*args, **kwargs):
+    raise NotImplementedError("the delay-line chain engines are deleted")
 
 
-def _choose_steps(system: DiscretizedSystem, T: float) -> int:
-    # The upwind lag blocks put eigenvalues on the circle |z + c| = c, c = N/tau,
-    # reaching -2c; h <= tau/N keeps h c <= 1, inside RK4's limit of about 1.39.
-    h_max = 1.0 * system.model.tau / system.N
-    return max(int(np.ceil(T / h_max)), 1024)
+def discretized_adjoint(*args, **kwargs):
+    raise NotImplementedError("the delay-line chain engines are deleted")
 
 
-@dataclass
-class _SweepPlan:
-    """DF0/DF1 along the cycle at the RK4 nodes and midpoints of one period,
-    t = 0, h/2, ..., T; an engine builds it once for all its sweeps."""
-
-    system: DiscretizedSystem
-    h: float
-    jac0: np.ndarray  # (2 steps + 1, m, m)
-    jac1: np.ndarray
+def _sweep_forward(*args, **kwargs):
+    raise NotImplementedError("the delay-line chain engines are deleted")
 
 
-def _sweep_plan(system: DiscretizedSystem, orbit: PeriodicOrbit, steps: int) -> _SweepPlan:
-    t = np.arange(2 * steps + 1) * (0.5 * orbit.T / steps)
-    jac0, jac1 = system.model.jacobians(orbit.value(t), orbit.value(t - system.model.tau))
-    return _SweepPlan(system, orbit.T / steps, jac0, jac1)
-
-
-def _sweep(plan, V, steps, store_head, backward=False):
-    """Propagate the columns of V over `steps` intervals of the plan by the
-    four-stage RK4 step: y' = J(t) y from t = 0 up, or (backward)
-    I' = -J(t)^T I from t = T down, which is the step of J^T at +h on the
-    tables read from their ends."""
-    system, h = plan.system, plan.h
-    c = system.rate
-    DF0, DF1 = plan.jac0, plan.jac1
-    if backward:
-        DF0, DF1 = (np.swapaxes(a, -1, -2)[::-1] for a in (DF0, DF1))
-
-    def jac(i, X, out):
-        """out = J X, or J^T X backward, at table row i; X is (N+1, m, k)."""
-        if backward:
-            np.subtract(X[2:], X[1:-1], out=out[1:-1])
-            out[1:-1] *= c
-            out[0] = np.dot(DF0[i], X[0]) + c * X[1]
-            out[-1] = np.dot(DF1[i], X[0]) - c * X[-1]
-        else:
-            np.subtract(X[:-1], X[1:], out=out[1:])
-            out[1:] *= c
-            out[0] = np.dot(DF0[i], X[0]) + np.dot(DF1[i], X[-1])
-        return out
-
-    Y = V.reshape(system.N + 1, system.m, -1).copy()
-    k1, k2, k3, k4, X = (np.empty_like(Y) for _ in range(5))
-
-    def state(k, a):
-        """Y + a k, the state a stage reads, in X."""
-        return np.add(Y, np.multiply(k, a, out=X), out=X)
-
-    head = np.empty((steps + 1,) + Y.shape[1:])
-    swept = head[::-1] if backward else head  # heads in the order they are reached
-    swept[0] = Y[0]
-    for j in range(steps):
-        jac(2 * j, Y, k1)
-        jac(2 * j + 1, state(k1, 0.5 * h), k2)
-        jac(2 * j + 1, state(k2, 0.5 * h), k3)
-        jac(2 * j + 2, state(k3, h), k4)
-        k2 += k3
-        k1 += k4
-        k1 += np.multiply(k2, 2.0, out=k2)
-        Y += np.multiply(k1, h / 6.0, out=k1)
-        swept[j + 1] = Y[0]
-    return Y.reshape(system.dim, -1), head if store_head else None
-
-
-def _sweep_forward(plan, V, steps, store_head=False):
-    """Propagate columns of V through `steps` intervals of y' = J(t) y."""
-    return _sweep(plan, V, steps, store_head)
-
-
-def _sweep_backward(plan, V, steps, store_head=False):
-    """Propagate columns of V through `steps` intervals of I' = -J(t)^T I,
-    integrating from t = T down (the transposed monodromy)."""
-    return _sweep(plan, V, steps, store_head, backward=True)
-
-
-def _by_magnitude(vals: np.ndarray) -> np.ndarray:
-    """Order of descending magnitude.  A conjugate pair ties exactly, so its
-    upper member goes first, whatever order eig returned the pair in."""
-    return np.lexsort((-vals.imag, -np.abs(vals)))
-
-
-@dataclass
-class MonodromyResult:
-    exponents: np.ndarray  # complex, sorted by descending real part
-    multipliers: np.ndarray
-    vectors: np.ndarray  # (dim, n_modes) Ritz vectors matching multipliers
-    coeffs: np.ndarray  # (kk, n_modes) the Ritz vectors in the last swept basis
-    head: np.ndarray  # (steps+1, m, kk) head block of that basis over the period
-    unit_multiplier_error: float
-    T: float
-    steps: int
-    iterations: int
-
-    def leading_nontrivial(self) -> complex:
-        return _leading_nontrivial(self.multipliers, self.exponents)
-
-
-def monodromy_exponents(
-    system: DiscretizedSystem,
-    orbit: PeriodicOrbit,
-    k: int = 2,
-) -> MonodromyResult:
-    """Leading Floquet exponents of the discretized variational equation.
-
-    Subspace iteration over one-period sweeps (k+3 vectors, QR
-    re-orthonormalization, Rayleigh-Ritz extraction) instead of the full
-    fundamental matrix; the default k = 2 keeps the unit multiplier and
-    the leading nontrivial one.  It stops at
-    the first sweep W = Phi V after which each of the k leading Ritz pairs
-    (theta, y) of V^T W has the residual
-    ||W y - theta V y|| <= RITZ_TOL max(1, |theta|), so that it is an exact
-    eigenpair of a matrix that far from Phi; MonodromyIllConditioned if no
-    sweep has that within MONODROMY_MAX_ITERATIONS.  Every sweep records
-    the head block of its basis, so the result carries the last one and
-    eigenfunction profiles are read from it without sweeping again.  The
-    unit multiplier must be present: deviation beyond 1e-2 raises
-    MonodromyIllConditioned.  The start block is drawn from MONODROMY_SEED.
-    """
-    steps = _choose_steps(system, orbit.T)
-    plan = _sweep_plan(system, orbit, steps)
-    kk = min(k + 3, system.dim)
-    rng = np.random.default_rng(MONODROMY_SEED)
-    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
-
-    for iterations in range(1, MONODROMY_MAX_ITERATIONS + 1):
-        W, head = _sweep_forward(plan, V, steps, store_head=True)
-        vals, vecs = np.linalg.eig(V.T @ W)
-        order = _by_magnitude(vals)[:k]
-        multipliers, coeffs = vals[order], vecs[:, order]
-        vectors = V @ coeffs
-        # residual of each leading Ritz pair: an exact eigenpair of Phi + E
-        # with ||E|| equal to it, since V is orthonormal and coeffs unit
-        residual = np.linalg.norm(W @ coeffs - vectors * multipliers, axis=0)
-        scale = np.maximum(1.0, np.abs(multipliers))
-        if np.all(residual <= RITZ_TOL * scale):
-            break
-        V, _ = np.linalg.qr(W)
-    else:
-        raise MonodromyIllConditioned(
-            f"Ritz residual {np.max(residual / scale):.3e} above {RITZ_TOL:g} (relative) "
-            f"after {MONODROMY_MAX_ITERATIONS} sweeps"
-        )
-
-    exponents = np.log(multipliers.astype(complex)) / orbit.T
-    order = np.argsort(-exponents.real)
-    multipliers, exponents, vectors, coeffs = (
-        multipliers[order],
-        exponents[order],
-        vectors[:, order],
-        coeffs[:, order],
-    )
-    unit_err = float(np.min(np.abs(multipliers - 1.0)))
-    if unit_err > 1e-2:
-        raise MonodromyIllConditioned(
-            f"unit Floquet multiplier missing: closest is off by {unit_err:.3e}"
-        )
-    return MonodromyResult(
-        exponents=exponents,
-        multipliers=multipliers,
-        vectors=vectors,
-        coeffs=coeffs,
-        head=head,
-        unit_multiplier_error=unit_err,
-        T=orbit.T,
-        steps=steps,
-        iterations=iterations,
-    )
-
-
-def _realify(vec: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a numerically-real complex Ritz vector onto the real axis; the
-    same rotation makes its coefficients in the real basis real."""
-    i = int(np.argmax(np.abs(vec)))
-    phase = np.exp(-1j * np.angle(vec[i]))
-    return np.real(vec * phase), np.real(coeffs * phase)
-
-
-def monodromy_eigenfunction(result: MonodromyResult, mu: float) -> _PeriodicInterp:
-    """Periodic eigenfunction profile rho(t) = e^{-mu t} y_0(t) from the
-    monodromy eigenvector at multiplier e^{mu T}, max-normalized with the
-    same gauge as the spectral path.  y_0 is read from the head block the
-    last sweep recorded, combined with the eigenvector's real coefficients;
-    by linearity that is its own sweep, up to round-off."""
-    lam = np.exp(mu * result.T)
-    i = int(np.argmin(np.abs(result.multipliers - lam)))
-    _, c = _realify(result.vectors[:, i], result.coeffs[:, i])
-    t = np.arange(result.steps) * (result.T / result.steps)
-    rho = np.exp(-mu * t)[:, None] * (result.head @ c)[:-1]
-    return _PeriodicInterp(T=result.T, values=_mode_gauge(rho))
-
-
-# ---------------------------------------------------------------------------
-# Discretized adjoint (oracle response curves)
-# ---------------------------------------------------------------------------
-
-
-def _target_mu(mode) -> float:
-    return 0.0 if mode is None else mode[0]  # None is the phase response
-
-
-def _adjoint_response(orbit, mode, w0):
-    """Response q(t) = e^{mu t} w(t) to the target mode (z for None) from
-    the head profile w0 of an adjoint vector, sampled at the steps+1 nodes
-    of one period; the last node repeats the first and is dropped."""
-    steps = w0.shape[0] - 1
-    t = np.arange(steps) * (orbit.T / steps)
-    curve = np.exp(_target_mu(mode) * t)[:, None] * w0[:-1]
-    return _response(orbit, curve, mode)
-
-
-@dataclass
-class AdjointIteration:
-    """One backward subspace iteration on a chain level and the response
-    curves it served."""
-
-    responses: list[_PeriodicInterp]  # one per target, in the order given
-    periods: list[int]  # backward periods each target needed
-    vectors: np.ndarray  # (dim, targets) unit adjoint vectors, as converged
-
-    @property
-    def iterations(self) -> int:
-        """Backward periods swept: the most any target needed."""
-        return max(self.periods)
-
-
-def discretized_adjoint(
-    system: DiscretizedSystem,
-    orbit: PeriodicOrbit,
-    targets,
-) -> AdjointIteration:
-    """Oracle response curves from backward adjoint integration.
-
-    Repeated one-period backward sweeps of I' = -J(t)^T I (a small block
-    of vectors at once, re-orthonormalized each period) converge on the
-    left eigenspace of the monodromy map.  Each target names the mode its
-    response pairs with: None gives the phase response (mu = 0), a mode
-    (mu, rho) the amplitude response at mu, normalized against rho (from
-    monodromy_eigenfunction).  Each target follows the Ritz pair (theta, c)
-    at multiplier e^{mu T}: with u = V c its unit real Ritz vector and W the
-    period's image of V, it has converged once
-    ||W c - theta u|| <= ADJOINT_TOL |theta|.  Its profile, whose first
-    block is the response, is read from the head block that same period's
-    sweep recorded.  The sweeps do not depend on the targets, so each
-    target gets what a one-target run gives, and the iteration stops when
-    the last target has converged; NonConvergentAdjoint after
-    ADJOINT_MAX_PERIODS.  The start block of ADJOINT_SUBSPACE vectors is
-    drawn from ADJOINT_SEED.
-    """
-    steps = _choose_steps(system, orbit.T)
-    plan = _sweep_plan(system, orbit, steps)
-    kk = min(ADJOINT_SUBSPACE, system.dim)
-    rng = np.random.default_rng(ADJOINT_SEED)
-    V, _ = np.linalg.qr(rng.standard_normal((system.dim, kk)))
-
-    vectors = np.empty((system.dim, len(targets)))
-    responses = [None] * len(targets)
-    periods = [0] * len(targets)
-    for iterations in range(1, ADJOINT_MAX_PERIODS + 1):
-        W, head = _sweep_backward(plan, V, steps, store_head=True)
-        H = V.T @ W
-        vals, vecs = np.linalg.eig(H)
-        for j, mode in enumerate(targets):
-            if responses[j] is not None:
-                continue
-            i = int(np.argmin(np.abs(vals - float(np.exp(_target_mu(mode) * orbit.T)))))
-            u, c = _realify(V @ vecs[:, i], vecs[:, i])
-            norm = np.linalg.norm(u)
-            u, c = u / norm, c / norm
-            if np.linalg.norm(W @ c - vals[i] * u) <= ADJOINT_TOL * abs(vals[i]):
-                responses[j] = _adjoint_response(orbit, mode, head @ c)
-                periods[j] = iterations
-                vectors[:, j] = u
-        if all(r is not None for r in responses):
-            break
-        V, _ = np.linalg.qr(W)
-    else:
-        raise NonConvergentAdjoint(
-            f"adjoint Ritz residual above {ADJOINT_TOL:g} after "
-            f"{ADJOINT_MAX_PERIODS} backward periods"
-        )
-    return AdjointIteration(responses=responses, periods=periods, vectors=vectors)
+def _sweep_backward(*args, **kwargs):
+    raise NotImplementedError("the delay-line chain engines are deleted")

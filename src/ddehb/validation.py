@@ -297,9 +297,9 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
         _, settled = pipeline.build_seed(replace(cfg, seed=replace(cfg.seed, kind="oracle")),
                                          st.model)
         settle_seconds = _since(t0)
-    results = [_check("cortico.period_consistency", abs(settled.period - orbit.T) / orbit.T,
+    results = [_check("cortico.period_consistency", abs(settled.seed.T - orbit.T) / orbit.T,
                       1e-3, settle_seconds,
-                      detail=f"settle={settled.period:.6f} hb={orbit.T:.6f}")]
+                      detail=f"settle={settled.seed.T:.6f} hb={orbit.T:.6f}")]
     pipe_seconds = st.solve_seconds + st.exponent_seconds
     results += [
         _check("cortico.exponent", abs(mu - (-0.00296)), 5e-5, st.exponent_seconds,

@@ -1,7 +1,9 @@
 """The package namespace: every public name resolves on first access to the
 object in its home module, and nothing is cached in the package."""
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,17 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ddehb import *", namespace)
     assert set(ddehb.__all__) <= set(namespace)
+
+
+def test_every_name_the_tracer_wraps_is_callable():
+    # the benchmark's tracer wraps these names by lookup; it imports only
+    # the standard library, so it loads here without the benchmark
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = tracer.TIMED + tracer.SELF_TIMED + tracer.SWEEPS
+    assert names
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(f"ddehb.{module}"), name, None)), \
+            f"ddehb.{module}.{name}"

@@ -679,7 +679,7 @@ class TestValidateCommand:
         rows = validation.validate_cortico(load_config(CORTICO_CFG, ["seed.kind=ansatz"]))
         assert kinds == ["ansatz", "oracle"]
         row = {r.name: r for r in rows}["cortico.period_consistency"]
-        assert row.passed and f"settle={cortico_settle.period:.6f}" in row.detail
+        assert row.passed and f"settle={cortico_settle.seed.T:.6f}" in row.detail
         assert all(r.passed for r in rows)
 
     def test_no_exponent_in_scan_range(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ class TestSolveCycle:
 
     def test_cortico_from_oracle_seed(self, cortico_model, cortico_settle, cortico_orbit):
         assert cortico_orbit.residual_norm <= 1e-8
-        assert abs(cortico_settle.period - cortico_orbit.T) / cortico_orbit.T < 1e-3
+        assert abs(cortico_settle.seed.T - cortico_orbit.T) / cortico_orbit.T < 1e-3
 
     def test_zero_seed_collapses_to_equilibrium(self, kotani_model):
         seed = d.seed_from_ansatz(1, 0.0, 6.0, 20)

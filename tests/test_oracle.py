@@ -8,7 +8,6 @@ from ddehb import adjoint, floquet, oracle
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
-    NonConvergentAdjoint,
     NonFiniteState,
     NormalizationSingular,
     PeriodDrift,
@@ -256,7 +255,7 @@ class TestSettleToCycle:
             dt=kotani_model.tau / 64,
             M=20,
         )
-        assert abs(res.period - 2 * np.pi) < 1e-3
+        assert abs(res.seed.T - 2 * np.pi) < 1e-3
         assert res.crossings.size >= 12
 
     def test_decaying_model_raises(self):
@@ -292,404 +291,6 @@ class TestSettleToCycle:
                 shearing_spiral(), history, transient=5.0,
                 dt=0.05, observe_time=60.0,
             )
-
-
-def chain_field(system, y):
-    """Vector field of the discretized system on flat states (..., dim)."""
-    y = np.asarray(y, dtype=float)
-    blocks = y.reshape(y.shape[:-1] + (system.N + 1, system.m))
-    out = np.empty_like(blocks)
-    out[..., 0, :] = system.model.F(blocks[..., 0, :], blocks[..., system.N, :])
-    out[..., 1:, :] = system.rate * (blocks[..., :-1, :] - blocks[..., 1:, :])
-    return out.reshape(y.shape)
-
-
-def chain_jacobian(system, z0, zN):
-    """Dense Jacobian of chain_field at states with heads z0 and tails zN of
-    shape (..., m), (..., dim, dim); only sensible for small N."""
-    m, N, c = system.m, system.N, system.rate
-    z0 = np.asarray(z0)
-    J = np.zeros(z0.shape[:-1] + (system.dim, system.dim))
-    J[..., :m, :m], J[..., :m, N * m :] = system.model.jacobians(z0, zN)
-    for i in range(1, N + 1):
-        J[..., i * m : (i + 1) * m, (i - 1) * m : i * m] = c * np.eye(m)
-        J[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = -c * np.eye(m)
-    return J
-
-
-def lift(system, orbit, t):
-    """Lifted orbit state: x_i = x^gamma(t - i tau / N), flattened."""
-    s = t - np.arange(system.N + 1) * (system.model.tau / system.N)
-    return orbit.value(s).reshape(-1)
-
-
-def integrate_chain(system, y0, t_end, dt):
-    """Plain RK4 on the discretized vector field; records the head x(t)."""
-    n_steps = int(np.ceil(t_end / dt))
-    dt = t_end / n_steps
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((n_steps + 1, system.m))
-    out[0] = y[: system.m]
-    for k in range(n_steps):
-        k1 = chain_field(system, y)
-        k2 = chain_field(system, y + 0.5 * dt * k1)
-        k3 = chain_field(system, y + 0.5 * dt * k2)
-        k4 = chain_field(system, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y[: system.m]
-    return oracle.Trajectory(t_start=0.0, dt=dt, states=out)
-
-
-class TestDiscretizedSystem:
-    def test_minimal_jacobian_pattern(self, kotani_model):
-        sys2 = oracle.DiscretizedSystem(kotani_model, 2)
-        z0, zN = np.array([0.3]), np.array([-0.2])
-        J = chain_jacobian(sys2, z0, zN)
-        c = 2.0 / kotani_model.tau
-        assert J.shape == (3, 3)
-        DF0, DF1 = kotani_model.jacobians(z0, zN)
-        assert abs(J[0, 0] - DF0[0, 0]) < 1e-15
-        assert J[0, 1] == 0.0
-        assert abs(J[0, 2] - DF1[0, 0]) < 1e-15
-        np.testing.assert_allclose(J[1], [c, -c, 0.0], atol=1e-15)
-        np.testing.assert_allclose(J[2], [0.0, c, -c], atol=1e-15)
-
-    def test_vector_field_on_lifted_cycle(self, kotani_model, kotani_orbit):
-        sys = oracle.DiscretizedSystem(kotani_model, 50)
-        g = chain_field(sys, lift(sys, kotani_orbit, 0.7))
-        expected = kotani_model.F(
-            kotani_orbit.value(0.7), kotani_orbit.value(0.7 - kotani_model.tau)
-        )
-        np.testing.assert_allclose(g[:1], expected, atol=1e-12)
-
-    def test_discretized_tracks_dde_over_one_period(self, kotani_model, kotani_orbit):
-        # the lag-chain bias is first order in 1/N: check the rate on two
-        # coarse chains, then the 1e-3 bound on a chain fine enough to meet it
-        T = kotani_orbit.T
-        traj = oracle.integrate_dde(
-            kotani_model, lambda s: kotani_orbit.value(s), T, kotani_model.tau / 64
-        )
-        probe = np.linspace(0.0, T, 101)
-
-        def gap(N):
-            sys = oracle.DiscretizedSystem(kotani_model, N)
-            traj_d = integrate_chain(
-                sys, lift(sys, kotani_orbit, 0.0), T, kotani_model.tau / N
-            )
-            return np.abs(traj_d.value(probe) - traj.value(probe)).max()
-
-        g500, g1000 = gap(500), gap(1000)
-        assert 1.6 < g500 / g1000 < 2.4
-        assert gap(4000) < 1e-3
-
-    def test_rejects_tiny_N(self, kotani_model):
-        with pytest.raises(ValueError):
-            oracle.DiscretizedSystem(kotani_model, 1)
-
-
-class TestMonodromy:
-    def test_single_level_unit_multiplier(self, kotani_model, kotani_orbit):
-        sys = oracle.DiscretizedSystem(kotani_model, 1000)
-        res = oracle.monodromy_exponents(sys, kotani_orbit, k=4)
-        assert res.unit_multiplier_error < 1e-2
-
-    def test_two_pairs_suffice(self, kotani_model, kotani_orbit):
-        # the default k = 2 keeps the unit multiplier and the leading
-        # nontrivial one, and reads them as a k = 5 run does
-        system = oracle.DiscretizedSystem(kotani_model, 500)
-        two = oracle.monodromy_exponents(system, kotani_orbit)
-        five = oracle.monodromy_exponents(system, kotani_orbit, k=5)
-        assert two.multipliers.size == 2
-        mu = float(five.leading_nontrivial().real)
-        assert abs(two.leading_nontrivial().real - mu) <= 1e-10 * abs(mu)
-        # |lambda - 1| of the multiplier closest to 1, relative to that multiplier
-        assert abs(two.unit_multiplier_error - five.unit_multiplier_error) <= 1e-10
-        t = np.linspace(0.0, kotani_orbit.T, 512)
-        rho = oracle.monodromy_eigenfunction(five, mu)(t)
-        gap = np.abs(oracle.monodromy_eigenfunction(two, mu)(t) - rho).max()
-        assert gap <= 1e-10 * np.abs(rho).max()
-
-    def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
-        mu_o = cortico_oracle_floquet.leading_nontrivial()
-        assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
-
-    def test_conjugate_pair_order_is_fixed(self):
-        lam = 4.4e-5 + 5.7e-5j
-        for vals in ([lam.conjugate(), lam, 0.8], [0.8, lam, lam.conjugate()]):
-            vals = np.array(vals)
-            assert list(vals[oracle._by_magnitude(vals)]) == [0.8, lam, lam.conjugate()]
-
-    def test_corrupted_orbit_rejected(self, kotani_model, kotani_orbit):
-        import dataclasses
-
-        bad = dataclasses.replace(
-            kotani_orbit,
-            X=2.5 * kotani_orbit.X,
-            series=d.sample_to_coeffs(2.5 * kotani_orbit.X, kotani_orbit.T),
-        )
-        with pytest.raises(MonodromyIllConditioned):
-            oracle.monodromy_exponents(
-                oracle.DiscretizedSystem(kotani_model, 64), bad, k=4
-            )
-
-    def test_nonconvergence_reported(self, kotani_model, kotani_orbit, monkeypatch):
-        # Ritz pairs still uncertified at the sweep cap are an error
-        sys = oracle.DiscretizedSystem(kotani_model, 64)
-        monkeypatch.setattr(oracle, "MONODROMY_MAX_ITERATIONS", 1)
-        with pytest.raises(MonodromyIllConditioned, match="Ritz residual"):
-            oracle.monodromy_exponents(sys, kotani_orbit)
-
-
-def _recording(monkeypatch, name):
-    """Wrap oracle.<name> so that every call appends its (V, W) to a list."""
-    calls = []
-    run = getattr(oracle, name)
-
-    def recording(plan, V, steps, **kwargs):
-        W, head = run(plan, V, steps, **kwargs)
-        calls.append((V, W))
-        return W, head
-
-    monkeypatch.setattr(oracle, name, recording)
-    return calls
-
-
-def _first_pass(flags):
-    """1-based index of the first True in flags, as a sweep count."""
-    return flags.index(True) + 1
-
-
-class TestStoppingRule:
-    """Each subspace iteration stops at the first sweep whose Ritz residuals
-    pass, computed from the (V, W = Phi V) pairs the sweeps were handed and
-    returned, and not one sweep later."""
-
-    @staticmethod
-    def forward_passes(V, W, k):
-        vals, vecs = np.linalg.eig(V.T @ W)
-        order = oracle._by_magnitude(vals)[:k]
-        vals, vecs = vals[order], vecs[:, order]
-        residual = np.linalg.norm(W @ vecs - (V @ vecs) * vals, axis=0)
-        return bool(np.all(residual <= oracle.RITZ_TOL * np.maximum(1.0, np.abs(vals))))
-
-    @staticmethod
-    def adjoint_passes(V, W, multiplier):
-        vals, vecs = np.linalg.eig(V.T @ W)
-        i = int(np.argmin(np.abs(vals - multiplier)))
-        u, c = oracle._realify(V @ vecs[:, i], vecs[:, i])
-        u, c = u / np.linalg.norm(u), c / np.linalg.norm(u)
-        return bool(np.linalg.norm(W @ c - vals[i] * u) <= oracle.ADJOINT_TOL * abs(vals[i]))
-
-    def test_monodromy_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
-        model, orbit = sweep_case
-        calls = _recording(monkeypatch, "_sweep_forward")
-        res = oracle.monodromy_exponents(oracle.DiscretizedSystem(model, 512), orbit, k=4)
-        flags = [self.forward_passes(V, W, 4) for V, W in calls]
-        assert res.iterations == _first_pass(flags) == len(flags)
-
-    def test_adjoint_stops_at_first_passing_sweep(self, sweep_case, monkeypatch):
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, 128)
-        res = oracle.monodromy_exponents(system, orbit, k=3)
-        mu = float(res.leading_nontrivial().real)
-        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
-        calls = _recording(monkeypatch, "_sweep_backward")
-        adj = oracle.discretized_adjoint(system, orbit, targets)
-        periods = []
-        for mu_j, n in zip([0.0, mu], adj.periods):
-            lam = float(np.exp(mu_j * orbit.T))
-            periods.append(_first_pass([self.adjoint_passes(V, W, lam) for V, W in calls]))
-            assert n == periods[-1]
-        assert len(calls) == adj.iterations == max(periods)
-
-
-SWEEP_RTOL = 1e-12  # sup-norm gap relative to the reference, fixed in advance
-
-
-def _rel_gap(a, ref):
-    return np.abs(a - ref).max() / np.abs(ref).max()
-
-
-@pytest.fixture(params=["kotani", "cortico"])
-def sweep_case(request):
-    """Model and orbit of the sweep checks: the scalar benchmark (m = 1) and
-    the two-component cortico cycle, whose delayed Jacobian DF1 is nonzero."""
-    model = request.getfixturevalue(f"{request.param}_model")
-    orbit = request.getfixturevalue(f"{request.param}_orbit")
-    return model, orbit
-
-
-def dense_rk4_steps(system, orbit, steps, backward):
-    """Dense RK4 step matrices of the chain over one period, (steps, dim, dim),
-    in the order a sweep takes them: forward from t = 0, or backward with
-    -J^T and the step -h from t = T."""
-    h = orbit.T / steps
-    t = np.arange(2 * steps + 1) * (0.5 * h)  # nodes and midpoints
-    J = chain_jacobian(system, orbit.value(t), orbit.value(t - system.model.tau))
-    s = h
-    if backward:
-        J, s = -np.swapaxes(J, -1, -2)[::-1], -h
-    eye = np.eye(system.dim)
-    k1 = J[:-1:2]
-    k2 = J[1::2] @ (eye + 0.5 * s * k1)
-    k3 = J[1::2] @ (eye + 0.5 * s * k2)
-    k4 = J[2::2] @ (eye + s * k3)
-    return eye + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-class TestSweepPlan:
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    @pytest.mark.parametrize("N", [2, 3, 5, 7])
-    def test_one_step_matches_dense_rk4(self, sweep_case, N, backward):
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, N)
-        steps = oracle._choose_steps(system, orbit.T)
-        plan = oracle._sweep_plan(system, orbit, steps)
-        h = plan.h
-
-        def J(t):
-            x = orbit.value(np.array([t, t - model.tau]))
-            return chain_jacobian(system, x[0], x[1])
-
-        V = np.random.default_rng(N).standard_normal((system.dim, 3))
-        if backward:  # first interval swept is [T - h, T], from its right end
-            t0, s = steps * h, -h
-            A = [-J(t).T for t in (t0, t0 - 0.5 * h, t0 - h)]
-            W, _ = oracle._sweep_backward(plan, V, 1)
-        else:
-            t0, s = 0.0, h
-            A = [J(t) for t in (t0, 0.5 * h, h)]
-            W, _ = oracle._sweep_forward(plan, V, 1)
-        k1 = A[0] @ V
-        k2 = A[1] @ (V + 0.5 * s * k1)
-        k3 = A[1] @ (V + 0.5 * s * k2)
-        k4 = A[2] @ (V + s * k3)
-        dense = V + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert _rel_gap(W, dense) <= SWEEP_RTOL
-
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_full_period_matches_dense_product(self, sweep_case, backward):
-        # the ordered product of the dense step matrices, and the head rows
-        # of its partial products
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, 2)
-        steps = oracle._choose_steps(system, orbit.T)
-        V = np.random.default_rng(2).standard_normal((system.dim, 3))
-        P, heads = V, [V[: system.m]]
-        for S in dense_rk4_steps(system, orbit, steps, backward):
-            P = S @ P
-            heads.append(P[: system.m])
-        heads = np.array(heads[::-1] if backward else heads)
-        sweep = oracle._sweep_backward if backward else oracle._sweep_forward
-        W, head = sweep(oracle._sweep_plan(system, orbit, steps), V, steps, store_head=True)
-        assert _rel_gap(W, P) <= SWEEP_RTOL
-        assert _rel_gap(head, heads) <= SWEEP_RTOL
-        assert np.array_equal(head[-1 if backward else 0], V[: system.m])
-
-
-class TestHeadReadout:
-    """Profiles read as head_V @ c from the stored heads of a subspace
-    iteration against an explicit sweep of the same real vector."""
-
-    N = 128
-
-    def test_eigenfunction_readout_matches_sweep(self, sweep_case):
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, self.N)
-        res = oracle.monodromy_exponents(system, orbit, k=3)
-        plan = oracle._sweep_plan(system, orbit, res.steps)
-        for i in range(res.multipliers.size):
-            v, c = oracle._realify(res.vectors[:, i], res.coeffs[:, i])
-            _, head = oracle._sweep_forward(plan, v[:, None], res.steps, store_head=True)
-            assert _rel_gap(res.head @ c, head[..., 0]) <= SWEEP_RTOL
-
-    def test_adjoint_readout_matches_sweep(self, sweep_case):
-        model, orbit = sweep_case
-        system = oracle.DiscretizedSystem(model, self.N)
-        res = oracle.monodromy_exponents(system, orbit, k=3)
-        mu = float(res.leading_nontrivial().real)
-        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
-        adj = oracle.discretized_adjoint(system, orbit, targets)
-        steps = oracle._choose_steps(system, orbit.T)
-        plan = oracle._sweep_plan(system, orbit, steps)
-        for j, mode in enumerate(targets):
-            u = adj.vectors[:, j]
-            _, head = oracle._sweep_backward(plan, u[:, None], steps, store_head=True)
-            ref = oracle._adjoint_response(orbit, mode, head[..., 0])
-            assert _rel_gap(adj.responses[j].values, ref.values) <= SWEEP_RTOL
-
-
-class TestDiscretizedAdjoint:
-    def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
-        # the pseudospectral oracle's z with the orbit's own tangent
-        _, z, _ = kotani_oracle_curves
-        tangent = oracle._orbit_tangent(kotani_orbit)
-        vals = [
-            adjoint.pairing_functional(kotani_orbit, z, tangent, 0.0, t0)
-            for t0 in np.arange(8) * kotani_orbit.T / 8
-        ]
-        assert max(vals) - min(vals) < 1e-10
-
-    # None is the phase target, named by the mu it sits at
-    @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
-    def test_zero_curve_rejected(self, kotani_orbit, mu):
-        # a vanishing pairing is an error, not a curve scaled to NaN
-        rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
-        mode = None if mu is None else (mu, rho)
-        with pytest.raises(NormalizationSingular):
-            oracle._response(kotani_orbit, np.zeros((64, 1)), mode)
-
-    def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
-        # DF1 == 0: the chain decouples and the head block must solve the
-        # plain ODE adjoint, which is (-sin, cos) for this oscillator
-        sys = oracle.DiscretizedSystem(sl_model, 128)
-        (res,) = oracle.discretized_adjoint(sys, sl_orbit, [None]).responses
-        t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        assert np.abs(res(t) - expected).max() < 1e-4
-
-    def test_shared_iteration_matches_one_target_runs(self, kotani_model,
-                                                      kotani_orbit, monkeypatch):
-        system = oracle.DiscretizedSystem(kotani_model, 128)
-        res = oracle.monodromy_exponents(system, kotani_orbit, k=3)
-        mu = float(res.leading_nontrivial().real)
-        targets = [None, (mu, oracle.monodromy_eigenfunction(res, mu))]
-        swept = []
-        sweep_backward = oracle._sweep_backward
-
-        def counting(plan, V, steps, **kwargs):
-            swept.append(V.shape[-1])
-            return sweep_backward(plan, V, steps, **kwargs)
-
-        monkeypatch.setattr(oracle, "_sweep_backward", counting)
-        both = oracle.discretized_adjoint(system, kotani_orbit, targets)
-        n_both = len(swept)
-        single = [oracle.discretized_adjoint(system, kotani_orbit, [t]) for t in targets]
-        for j, one in enumerate(single):
-            (r,) = one.responses
-            assert np.array_equal(both.responses[j].values, r.values)
-            assert np.array_equal(both.vectors[:, j], one.vectors[:, 0])
-            assert both.periods[j] == one.periods[0] == one.iterations
-        periods = [one.iterations for one in single]
-        assert n_both == both.iterations == max(periods)
-        assert len(swept) - n_both == sum(periods)
-
-    def test_amplitude_target_at_zero_pairs_with_its_rho(self, kotani_model,
-                                                         kotani_orbit):
-        # a mode at mu = 0 is an amplitude target: its curve pairs with its
-        # own rho (here twice the tangent) to 1, not like the phase response
-        tangent = oracle._orbit_tangent(kotani_orbit)
-        partner = lambda t: 2.0 * tangent(t)
-        system = oracle.DiscretizedSystem(kotani_model, 128)
-        adj = oracle.discretized_adjoint(system, kotani_orbit, [None, (0.0, partner)])
-        value = adjoint.pairing_functional(kotani_orbit, adj.responses[1], partner, 0.0)
-        assert abs(value - 1.0) <= 1e-12
-
-    def test_nonconvergence_reported(self, kotani_model, kotani_orbit, monkeypatch):
-        sys = oracle.DiscretizedSystem(kotani_model, 64)
-        monkeypatch.setattr(oracle, "ADJOINT_MAX_PERIODS", 1)
-        with pytest.raises(NonConvergentAdjoint):
-            oracle.discretized_adjoint(sys, kotani_orbit, [None])
 
 
 def oracle_gaps(model, orbit, mu, mode, z, q, n, steps):
@@ -869,6 +470,52 @@ class TestPseudospectralOracle:
         )
         with pytest.raises(MonodromyIllConditioned):
             oracle.oracle_floquet(kotani_model, bad, 8, 500)
+
+    def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
+        mu_o = cortico_oracle_floquet.leading_nontrivial()
+        assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
+
+    def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
+        # DF1 == 0: the history nodes do not feed back into the head, so z
+        # solves the plain ODE adjoint, which is (-sin, cos) for this
+        # oscillator (measured 5e-15)
+        mono = oracle.oracle_floquet(sl_model, sl_orbit)
+        z, _ = oracle.oracle_responses(sl_orbit, mono, oracle.oracle_eigenfunction(sl_orbit, mono))
+        t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        assert np.abs(z(t) - expected).max() <= 1e-12
+
+    def test_amplitude_target_at_zero_pairs_with_its_rho(self, kotani_orbit,
+                                                         kotani_oracle_curves):
+        # a mode at mu = 0 is an amplitude target: its curve pairs with its
+        # own rho (here twice the tangent) to 1, where the phase response
+        # pairs with it to 2 omega
+        _, z, _ = kotani_oracle_curves
+        tangent = oracle._orbit_tangent(kotani_orbit)
+        partner = lambda t: 2.0 * tangent(t)
+        q = oracle._response(kotani_orbit, z.values, (0.0, partner))
+        assert abs(adjoint.pairing_functional(kotani_orbit, q, partner, 0.0) - 1.0) <= 1e-12
+        phase = adjoint.pairing_functional(kotani_orbit, z, partner, 0.0)
+        assert abs(phase - 2.0 * kotani_orbit.omega) <= 1e-12
+
+    def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
+        # the pseudospectral oracle's z with the orbit's own tangent
+        _, z, _ = kotani_oracle_curves
+        tangent = oracle._orbit_tangent(kotani_orbit)
+        vals = [
+            adjoint.pairing_functional(kotani_orbit, z, tangent, 0.0, t0)
+            for t0 in np.arange(8) * kotani_orbit.T / 8
+        ]
+        assert max(vals) - min(vals) < 1e-10
+
+    # None is the phase target, named by the mu it sits at
+    @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
+    def test_zero_curve_rejected(self, kotani_orbit, mu):
+        # a vanishing pairing is an error, not a curve scaled to NaN
+        rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
+        mode = None if mu is None else (mu, rho)
+        with pytest.raises(NormalizationSingular):
+            oracle._response(kotani_orbit, np.zeros((64, 1)), mode)
 
 
 class TestDirectPrc:
