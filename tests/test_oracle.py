@@ -471,10 +471,6 @@ class TestPseudospectralOracle:
         with pytest.raises(MonodromyIllConditioned):
             oracle.oracle_floquet(kotani_model, bad, 8, 500)
 
-    def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
-        mu_o = cortico_oracle_floquet.leading_nontrivial()
-        assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
-
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the history nodes do not feed back into the head, so z
         # solves the plain ODE adjoint, which is (-sin, cos) for this
@@ -498,6 +494,19 @@ class TestPseudospectralOracle:
         phase = adjoint.pairing_functional(kotani_orbit, z, partner, 0.0)
         assert abs(phase - 2.0 * kotani_orbit.omega) <= 1e-12
 
+
+class TestMonodromy:
+    # checks the pseudospectral oracle's monodromy; the class keeps the name
+    # its test ids have carried since the chain engines were tested here
+    def test_cortico_exponent_near_paper_value(self, cortico_oracle_floquet):
+        mu_o = cortico_oracle_floquet.leading_nontrivial()
+        assert abs(mu_o - (-0.00296)) / 0.00296 < 0.1
+
+
+class TestDiscretizedAdjoint:
+    # checks the pseudospectral oracle's response normalisation; the class
+    # keeps the name its test ids have carried since the chain engines were
+    # tested here
     def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
         # the pseudospectral oracle's z with the orbit's own tangent
         _, z, _ = kotani_oracle_curves
