@@ -8,12 +8,11 @@ gives m(2M+1) equations
 
 closed by one phase-anchor equation: the chosen state component has
 vanishing time derivative at t = 0.  The square system is solved by
-damped (Levenberg-Marquardt) least squares with an exact Jacobian: the
-model's partials come from the complex step (ModelSpec.jacobians), and
-D0 and Delta depend on T only through omega_p = 2 pi p / T, so
-dD0/dT = -D0/T and dDelta/dT = (tau/T) D0 Delta, which gives the T
-column in closed form.  A seed is a FourierSeries; its period T is the
-period guess.
+Newton's method with an exact Jacobian: the model's partials come from
+the complex step (ModelSpec.jacobians), and D0 and Delta depend on T
+only through omega_p = 2 pi p / T, so dD0/dT = -D0/T and
+dDelta/dT = (tau/T) D0 Delta, which gives the T column in closed form.
+A seed is a FourierSeries; its period T is the period guess.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .model import ModelSpec
 from .spectral import FourierSeries, SpectralGrid, build_operators, sample_to_coeffs
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
-LAMBDA_INIT = 1e-3  # initial Levenberg-Marquardt damping
-LAMBDA_FACTOR = 10.0  # damping growth on rejection, decay on acceptance
-STEP_TOLERANCE = 1e-14  # an accepted step this short ends the iteration
 
 
 @dataclass
@@ -42,7 +38,7 @@ class SolveOptions:
     M: int = 20
     anchor_component: int = 0
     max_iterations: int = 100
-    tolerance: float = 1e-10  # residual max-norm
+    tolerance: float = 1e-10  # bound on the last Newton step and the residual
 
 
 @dataclass
@@ -197,17 +193,36 @@ def _anchor_at_max(series: FourierSeries, component: int) -> FourierSeries:
     return series if s == 0.0 else series.shifted(s)
 
 
+def _off_equilibrium(X: np.ndarray, T: float) -> FourierSeries:
+    """The Fourier series of the samples X; DivergedToEquilibrium if all its
+    nonzero harmonics lie below EQUILIBRIUM_HARMONIC_FLOOR."""
+    series = sample_to_coeffs(X, T)
+    nonzero = np.abs(series.coeffs)
+    nonzero[series.M] = 0.0  # drop the a_0 row
+    if nonzero.max() < EQUILIBRIUM_HARMONIC_FLOOR:
+        raise DivergedToEquilibrium(
+            "orbit is a constant (an equilibrium): all nonzero harmonics below "
+            f"{EQUILIBRIUM_HARMONIC_FLOOR:.0e}"
+        )
+    return series
+
+
 def solve_cycle(model: ModelSpec, seed: FourierSeries,
                 opts: SolveOptions | None = None) -> PeriodicOrbit:
-    """Solve the collocated zero problem for (X, T) by damped least squares
-    from the seed series, whose period seed.T is the period guess.
+    """Solve the collocated zero problem for (X, T) by Newton's method from
+    the seed series, whose period seed.T is the period guess.
 
     The seed is first shifted so that its anchor component peaks at t = 0.
+    Each step solves J delta = -r and is halved until ||r||_2 falls; a
+    step halved below opts.tolerance fails the search.  The iteration
+    stops on the first step with both ||delta||_inf and ||r||_inf at most
+    opts.tolerance; that step is applied and counts as an iteration.
     ValueError if the anchor component is not one of the model's or the
     tolerance is not positive (checked here, whatever set the options).
-    Raises MaxIterations, SingularJacobian or DivergedToEquilibrium; the
-    last one signals collapse onto an equilibrium (all nonzero harmonics
-    below 1e-8), which the zero problem always admits.
+    Raises MaxIterations (budget spent or line search failed),
+    SingularJacobian or DivergedToEquilibrium; the last one signals a seed
+    or a solution on an equilibrium (all nonzero harmonics below 1e-8),
+    which the zero problem always admits.
     """
     opts = opts or SolveOptions()
     if not 0 <= opts.anchor_component < model.m:
@@ -225,12 +240,12 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
     r = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(r)):
         raise NonFiniteState("non-finite residual at the seed")
-    lam = LAMBDA_INIT
+    _off_equilibrium(X, T)  # J is singular on an equilibrium: no step from there
     n_dyn = K * model.m
-    iterations = 0
-    res_norm = float(np.abs(r).max())
+    iterations, done = 0, False
 
-    while res_norm > opts.tolerance:
+    while not done:
+        res_norm = float(np.abs(r).max())
         if iterations >= opts.max_iterations:
             raise MaxIterations(
                 f"no convergence in {opts.max_iterations} iterations "
@@ -239,54 +254,34 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
                 iterations=iterations,
             )
         iterations += 1
-        J = _jacobian(model, ops, X, anchor)
-        A = J.T @ J
-        g = J.T @ r
+        try:
+            step = np.linalg.solve(_jacobian(model, ops, X, anchor), -r)
+        except np.linalg.LinAlgError:
+            raise SingularJacobian("the Newton matrix is singular") from None
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("the Newton step is not finite")
+        step_norm = float(np.abs(step).max())
+        done = step_norm <= opts.tolerance and res_norm <= opts.tolerance
 
-        accepted = False
-        step_norm = 0.0
-        for _ in range(60):
-            A_damped = A + lam * np.eye(A.shape[0])
-            try:
-                step = np.linalg.solve(A_damped, -g)
-            except np.linalg.LinAlgError:
-                raise SingularJacobian("normal equations are singular") from None
-            if not np.all(np.isfinite(step)):
-                raise SingularJacobian("normal equations produced non-finite step")
-            X_new = X + step[:n_dyn].reshape(K, model.m)
-            T_new = T + step[n_dyn]
-            if T_new <= 0:
-                lam *= LAMBDA_FACTOR
-                continue
-            ops_new = build_operators(M, T_new, model.tau)
-            r_new = _stacked_residual(model, ops_new, X_new, anchor)
-            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < np.linalg.norm(r):
-                X, T, r, ops = X_new, T_new, r_new, ops_new
-                lam = max(lam / LAMBDA_FACTOR, 1e-14)
-                accepted = True
-                step_norm = float(np.linalg.norm(step))
-                break
-            lam *= LAMBDA_FACTOR
-
-        res_norm = float(np.abs(r).max())
-        if not accepted or step_norm <= STEP_TOLERANCE:
-            break
-
-    if res_norm > opts.tolerance:
-        raise MaxIterations(
-            f"stalled at residual {res_norm:.3e} above tolerance {opts.tolerance:.1e}",
-            residual_norm=res_norm,
-            iterations=iterations,
-        )
-
-    series = sample_to_coeffs(X, T)
-    nonzero = np.abs(series.coeffs.copy())
-    nonzero[M] = 0.0  # drop the a_0 row
-    if nonzero.max() < EQUILIBRIUM_HARMONIC_FLOOR:
-        raise DivergedToEquilibrium(
-            "solution collapsed to a constant: all nonzero harmonics below "
-            f"{EQUILIBRIUM_HARMONIC_FLOOR:.0e}"
-        )
+        t = 1.0
+        while True:  # halve the step until ||r||_2 falls
+            T_new = T + t * step[n_dyn]
+            if T_new > 0:
+                X_new = X + t * step[:n_dyn].reshape(K, model.m)
+                ops_new = build_operators(M, T_new, model.tau)
+                r_new = _stacked_residual(model, ops_new, X_new, anchor)
+                if done or (np.all(np.isfinite(r_new)) and
+                            np.linalg.norm(r_new) < np.linalg.norm(r)):
+                    break
+            t /= 2
+            if t * step_norm < opts.tolerance:
+                raise MaxIterations(
+                    f"line search failed at residual {res_norm:.3e} "
+                    f"(Newton step {step_norm:.3e})",
+                    residual_norm=res_norm,
+                    iterations=iterations,
+                )
+        X, T, ops, r = X_new, T_new, ops_new, r_new
 
     return PeriodicOrbit(
         model=model,
@@ -294,7 +289,7 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
         M=M,
         anchor_component=anchor,
         X=X,
-        series=series,
-        residual_norm=res_norm,
+        series=_off_equilibrium(X, T),  # a safety check: the step may land there
+        residual_norm=float(np.abs(r).max()),
         iterations=iterations,
     )

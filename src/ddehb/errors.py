@@ -27,11 +27,11 @@ class MaxIterations(DdehbError):
 
 
 class SingularJacobian(DdehbError):
-    """Normal equations of the least-squares step are ill-conditioned."""
+    """The Newton matrix of the cycle solve is singular."""
 
 
 class DivergedToEquilibrium(DdehbError):
-    """The cycle solve collapsed onto a constant (equilibrium) solution."""
+    """The cycle solve started from or reached a constant (equilibrium) solution."""
 
 
 class NoRootInBracket(DdehbError):

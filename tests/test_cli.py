@@ -93,8 +93,10 @@ class TestCycleCommand:
         )
         assert code == EXIT_OK
         data = json.loads((again / "orbit_coeffs.json").read_text())
+        T = json.loads((first / "orbit_coeffs.json").read_text())["T"]
         assert abs(data["T"] - 2 * np.pi) < 1e-8
-        assert data["iterations"] == 0  # the seed is the converged orbit
+        assert abs(data["T"] - T) <= load_config(KOTANI_CFG).solver.tolerance
+        assert data["iterations"] == 1  # the converged seed takes one certifying step
 
     def test_non_analytic_model_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(BUILTIN_MODELS, "kotani", abs_kotani)

@@ -41,6 +41,13 @@ class TestSolveCycle:
         assert cortico_orbit.residual_norm <= 1e-8
         assert abs(cortico_settle.seed.T - cortico_orbit.T) / cortico_orbit.T < 1e-3
 
+    def test_cortico_period_independent_of_seed(self, cortico_model, cortico_orbit):
+        # the solve stops on its own Newton step, so the settle seed and the
+        # ansatz reach one T, not two points within the residual tolerance
+        seed = d.seed_from_ansatz(2, [0.05, 0.01], 31.4, 20)
+        orbit = d.solve_cycle(cortico_model, seed, SolveOptions(M=20))
+        assert abs(orbit.T - cortico_orbit.T) <= 1e-12
+
     def test_zero_seed_collapses_to_equilibrium(self, kotani_model):
         seed = d.seed_from_ansatz(1, 0.0, 6.0, 20)
         with pytest.raises(DivergedToEquilibrium):
@@ -65,6 +72,13 @@ class TestSolveCycle:
         seed = d.seed_from_ansatz(1, 2.5, 9.0, 20)
         with pytest.raises(MaxIterations):
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20, max_iterations=2))
+
+    def test_tolerance_below_roundoff_fails_line_search(self, kotani_model):
+        # no step can take the residual under 1e-20, so the halving runs out
+        # instead of the solve spending its budget at the roundoff floor
+        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
+        with pytest.raises(MaxIterations, match="line search failed"):
+            d.solve_cycle(kotani_model, seed, SolveOptions(M=20, tolerance=1e-20))
 
     @pytest.mark.parametrize("field, value, message", [
         ("anchor_component", -1, "anchor component out of range"),

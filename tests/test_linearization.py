@@ -62,7 +62,7 @@ def fresh_adjoint_matrix(orbit, mu):
 
 
 def loop_x_block(model, ops, X):
-    """The X-block of the Levenberg-Marquardt Jacobian, filled block by block."""
+    """The X-block of the Newton Jacobian of the cycle solve, filled block by block."""
     K, m = X.shape
     Xd = ops.Delta @ X
     DF0, DF1 = model.jacobians(X, Xd)

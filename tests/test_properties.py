@@ -33,26 +33,19 @@ def rescaled(model: ModelSpec, alpha: float) -> ModelSpec:
 
 @settings(PROPERTY, max_examples=12)
 @given(delta=st.floats(0.01, 0.5))
+@example(delta=0.05)
+@example(delta=0.2)
 def test_kotani_cycle_is_cosine(delta):
+    # the cycle is cos t of period 2 pi, and z(t) = -8 sin t / (4 + pi delta)
+    # on it: the one exact check of F -> Jacobians -> adjoint -> normalization
     orbit = d.solve_cycle(
         d.kotani_scalar(delta), d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
     )
-    assert abs(orbit.T - 2.0 * np.pi) <= 1e-8
-    assert np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max() <= 1e-8
-
-
-@pytest.mark.parametrize("delta", [0.05, 0.2])
-def test_kotani_phase_response_is_closed_form(delta):
-    # the one exact check of F -> Jacobians -> adjoint -> normalization: on
-    # the cycle cos t, z(t) = -8 sin t / (4 + pi delta).  Measured 1.4e-12
-    # (delta = 0.05) and 6.2e-14 (delta = 0.2).  Not a clause of the cosine
-    # property: at delta = 0.02 or 0.1 the solve stops where z is off by 2e-9.
-    orbit = d.solve_cycle(
-        d.kotani_scalar(delta), d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
-    )
+    t = orbit.grid.sample_times
+    assert abs(orbit.T - 2.0 * np.pi) <= 1e-12
+    assert np.abs(orbit.X[:, 0] - np.cos(t)).max() <= 1e-12
     z = adjoint.solve_response(orbit)
-    exact = -8.0 * np.sin(orbit.grid.sample_times) / (4.0 + np.pi * delta)
-    assert np.abs(z.Q[:, 0] - exact).max() <= 1e-11
+    assert np.abs(z.Q[:, 0] + 8.0 * np.sin(t) / (4.0 + np.pi * delta)).max() <= 1e-11
 
 
 @settings(PROPERTY, max_examples=8)
