@@ -33,9 +33,17 @@ def rescaled(model: ModelSpec, alpha: float) -> ModelSpec:
 
 @settings(PROPERTY, max_examples=12)
 @given(delta=st.floats(0.01, 0.5))
-@example(delta=0.05)
-@example(delta=0.2)
 def test_kotani_cycle_is_cosine(delta):
+    _assert_kotani_closed_form(delta)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2])
+def test_kotani_phase_response_is_closed_form(delta):
+    # the two deltas the closed form was first checked at, kept fixed
+    _assert_kotani_closed_form(delta)
+
+
+def _assert_kotani_closed_form(delta):
     # the cycle is cos t of period 2 pi, and z(t) = -8 sin t / (4 + pi delta)
     # on it: the one exact check of F -> Jacobians -> adjoint -> normalization
     orbit = d.solve_cycle(
