@@ -2,8 +2,9 @@
 
 The toolkit determines the periodic orbit of a delay-differential
 oscillator by harmonic balance, extracts real Floquet exponents and
-eigenfunctions from the resulting spectral stability system, and computes
-normalized phase and amplitude response curves from the adjoint system.
+eigenfunctions from the resulting spectral stability matrix M(mu), and
+computes normalized phase and amplitude response curves as the left null
+vectors of that same matrix.
 An independent time-evolution oracle (method of steps, a pseudospectral
 discretization of the delay with its monodromy matrix and forward and
 backward eigenvector sweeps, direct perturbation) validates every

@@ -1,17 +1,22 @@
-"""Phase and amplitude response curves from the adjoint spectral system.
+"""Phase and amplitude response curves as left null vectors of M(mu).
 
-The response curve is the left null vector Q of
+The response curve is the left null vector Q of the stability matrix
 
-    A(mu) = A0 + mu I - e^{-mu tau} (Delta kron I_m) J1~,
+    M(mu) = A0 + mu I - e^{-mu tau} B,    B = J1 (Delta kron I_m),
 
-with A0 = (D0 kron I_m) - J0 the matrix of the stability operator,
-assembled once per orbit with this advanced delay block
-(`floquet.orbit_linearization`).  J1~ holds the delayed-state Jacobian
-evaluated at the advanced pair (x(t_n + tau), x(t_n)).  Written out column-wise (A^T Q = 0), the rows
-sample the continuous adjoint equation: the advance operator Delta^T
-realizes q(t + tau) exactly for trigonometric polynomials, and the
-advanced Jacobian multiplies it pointwise.  No mode yields the phase
-response (mu = 0); a Floquet mode yields the amplitude response at its mu.
+the one whose right null vectors are the Floquet modes
+(`floquet.orbit_linearization`).  Its transpose is the harmonic-balance
+matrix of the adjoint equation: D0 is antisymmetric and Delta^T is the
+exact advance by tau (`spectral.SpectralOperators`), so Q^T M(mu) = 0
+collocates
+
+    -q' - DF0^T q + mu q - e^{-mu tau} [DF1^T q](t + tau) = 0.
+
+The product DF1^T q is formed on the grid and then shifted by tau.
+Evaluating DF1 at (x(t + tau), x(t)) and shifting q alone differs from
+that only by the aliasing of the product on the grid; in a Galerkin
+harmonic balance the two coincide.  No mode yields the phase response
+(mu = 0); a Floquet mode yields the amplitude response at its mu.
 
 Normalization pins the scale through the bilinear pairing of the curve
 with the cycle tangent (phase, pairing omega) or the Floquet
@@ -40,9 +45,9 @@ QUAD_NODES = 64  # Gauss-Legendre nodes of the pairing's delay integral
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
-    """Assemble the operator whose left null vector is the response curve;
-    NonFiniteState where it is not finite."""
-    return orbit_linearization(orbit, advanced=True).matrix(mu)
+    """M(mu) itself, as floquet.build_stability_matrix gives it: its left null
+    vector is the response curve.  NonFiniteState where it is not finite."""
+    return orbit_linearization(orbit).matrix(mu)
 
 
 @dataclass
@@ -55,7 +60,7 @@ class ResponseCurve:
     normalization_residual: float
     sigma_min: float
     sigma_max: float
-    residual: float  # ||Q^T A(mu)|| / ||Q||
+    residual: float  # ||Q^T M(mu)|| / ||Q||
 
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
@@ -135,8 +140,8 @@ def solve_response(orbit: PeriodicOrbit,
     """The normalized response curve that pairs with mode: with no mode the
     phase response (mu = 0, pairing omega with the cycle tangent), with a
     FloquetMode the amplitude response at mode.mu (pairing 1 with its
-    eigenfunction).  The raw curve is the left null vector of the adjoint
-    operator, extracted as the smallest left singular vector."""
+    eigenfunction).  The raw curve is the left null vector of M(mu),
+    extracted as the smallest left singular vector."""
     mu, partner, target = ((0.0, orbit.series.derivative(), orbit.omega) if mode is None
                            else (mode.mu, mode, 1.0))
     A = build_adjoint_matrix(orbit, mu)

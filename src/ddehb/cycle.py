@@ -74,9 +74,12 @@ class PeriodicOrbit:
 
 
 def _stacked_residual(model, ops, X, anchor):
-    """Collocated residual rows (grid-major), then the anchor derivative at t = 0."""
-    R = ops.D0 @ X - model.F(X, ops.Delta @ X)
-    phase = float((ops.D0 @ X[:, anchor])[ops.grid.M])
+    """Collocated residual rows (grid-major), then the anchor derivative at
+    t = 0.  Overflow gives non-finite entries, not warnings: every caller
+    checks them and raises NonFiniteState or rejects the step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = ops.D0 @ X - model.F(X, ops.Delta @ X)
+        phase = float((ops.D0 @ X[:, anchor])[ops.grid.M])
     return np.concatenate([R.ravel(), [phase]])
 
 
@@ -134,18 +137,14 @@ class Linearization:
         return self.matrices([mu])[0]
 
 
-def assemble_linearization(model, ops, X, Xd, X_adv=None) -> Linearization:
+def assemble_linearization(model, ops, X, Xd) -> Linearization:
     """A0 = (D0 kron I_m) - blockdiag(DF0), B = blockdiag(DF1) (Delta kron I_m)
-    at samples X and delayed samples Xd.  Given the samples
-    X_adv of x(t + tau), B is the adjoint's (Delta kron I_m) blockdiag(DF1~)."""
+    at samples X and delayed samples Xd.  M(mu) serves both the Floquet
+    modes (right null vectors) and the response curves (left null vectors)."""
     Im = np.eye(model.m)
-    delay = np.kron(ops.Delta, Im)
     DF0, DF1 = model.jacobians(X, Xd)
     A0 = np.kron(ops.D0, Im) - _blockdiag(DF0)
-    if X_adv is None:
-        B = _blockdiag(DF1) @ delay
-    else:
-        B = delay @ _blockdiag(model.jacobians(X_adv, X)[1])
+    B = _blockdiag(DF1) @ np.kron(ops.Delta, Im)
     return Linearization(A0=A0, B=B, tau=model.tau)
 
 
@@ -249,9 +248,7 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
         if iterations >= opts.max_iterations:
             raise MaxIterations(
                 f"no convergence in {opts.max_iterations} iterations "
-                f"(residual {res_norm:.3e})",
-                residual_norm=res_norm,
-                iterations=iterations,
+                f"(residual {res_norm:.3e})"
             )
         iterations += 1
         try:
@@ -270,16 +267,15 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
                 X_new = X + t * step[:n_dyn].reshape(K, model.m)
                 ops_new = build_operators(M, T_new, model.tau)
                 r_new = _stacked_residual(model, ops_new, X_new, anchor)
-                if done or (np.all(np.isfinite(r_new)) and
-                            np.linalg.norm(r_new) < np.linalg.norm(r)):
+                with np.errstate(over="ignore"):  # an overflowing norm is inf
+                    falls = np.linalg.norm(r_new) < np.linalg.norm(r)
+                if done or (np.all(np.isfinite(r_new)) and falls):
                     break
             t /= 2
             if t * step_norm < opts.tolerance:
                 raise MaxIterations(
                     f"line search failed at residual {res_norm:.3e} "
-                    f"(Newton step {step_norm:.3e})",
-                    residual_norm=res_norm,
-                    iterations=iterations,
+                    f"(Newton step {step_norm:.3e})"
                 )
         X, T, ops, r = X_new, T_new, ops_new, r_new
 

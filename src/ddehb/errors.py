@@ -20,11 +20,6 @@ class StaleInput(DdehbError):
 class MaxIterations(DdehbError):
     """Nonlinear solve did not converge within the iteration budget."""
 
-    def __init__(self, message, residual_norm=None, iterations=None):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
 
 class SingularJacobian(DdehbError):
     """The Newton matrix of the cycle solve is singular."""

@@ -37,13 +37,11 @@ GAUGE_TIE_RATIO = 1e-9  # entries within this relative margin of the largest mag
 SCAN_CHUNK = 25  # scan grid points per stacked assembly and LAPACK call
 
 
-def orbit_linearization(orbit: PeriodicOrbit, advanced: bool = False) -> Linearization:
-    """(A0, B) about the orbit; advanced=True gives the adjoint's B."""
-    tau = orbit.model.tau
-    t = orbit.grid.sample_times
-    x_adv = orbit.value(t + tau) if advanced else None
-    ops = build_operators(orbit.M, orbit.T, tau)
-    return assemble_linearization(orbit.model, ops, orbit.X, orbit.delayed(t), x_adv)
+def orbit_linearization(orbit: PeriodicOrbit) -> Linearization:
+    """(A0, B) about the orbit, delayed values read from its interpolant."""
+    ops = build_operators(orbit.M, orbit.T, orbit.model.tau)
+    return assemble_linearization(orbit.model, ops, orbit.X,
+                                  orbit.delayed(orbit.grid.sample_times))
 
 
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:

@@ -149,27 +149,29 @@ def integrate_dde(
     half = 0.5 * dt
     # Step k reads its delayed midpoint from the nodes k-1..k+2 (0..3 at
     # k = 0); over a span of n_tau - 1 steps all of them are stored before
-    # the span starts, so its delayed midpoints are read at once.
-    for k0 in range(0, n_steps, n_tau - 1):
-        k_end = min(k0 + n_tau - 1, n_steps)
-        s = np.arange(k0, k_end) + 0.5
-        # each stencil clamps inside the piece between two break points
-        parts = np.split(s, np.searchsorted(s, breaks))
-        xdm = np.concatenate([_cubic(src[a:b], part - a)
-                              for part, (src, a, b) in zip(parts, pieces) if part.size])
-        for k in range(k0, k_end):
-            x, xm = buf[n_tau + k], xdm[k - k0]
-            lag = left if k < n_tau else buf
-            k1 = model.F(x, lag[k])
-            k2 = model.F(x + half * k1, xm)
-            k3 = model.F(x + half * k2, xm)
-            k4 = model.F(x + dt * k3, lag[k + 1])
-            buf[n_tau + k + 1] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        span = buf[n_tau + k0 + 1 : n_tau + k_end + 1].reshape(k_end - k0, -1)
-        finite = np.isfinite(span).all(axis=1)
-        if not finite.all():
-            t_last = (k0 + int(np.argmin(finite))) * dt
-            raise NonFiniteState(f"integration blew up at t={t_last:.6g}", t_last=t_last)
+    # the span starts, so its delayed midpoints are read at once.  A state
+    # that overflows raises NonFiniteState at the check of its span.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, n_tau - 1):
+            k_end = min(k0 + n_tau - 1, n_steps)
+            s = np.arange(k0, k_end) + 0.5
+            # each stencil clamps inside the piece between two break points
+            parts = np.split(s, np.searchsorted(s, breaks))
+            xdm = np.concatenate([_cubic(src[a:b], part - a)
+                                  for part, (src, a, b) in zip(parts, pieces) if part.size])
+            for k in range(k0, k_end):
+                x, xm = buf[n_tau + k], xdm[k - k0]
+                lag = left if k < n_tau else buf
+                k1 = model.F(x, lag[k])
+                k2 = model.F(x + half * k1, xm)
+                k3 = model.F(x + half * k2, xm)
+                k4 = model.F(x + dt * k3, lag[k + 1])
+                buf[n_tau + k + 1] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            span = buf[n_tau + k0 + 1 : n_tau + k_end + 1].reshape(k_end - k0, -1)
+            finite = np.isfinite(span).all(axis=1)
+            if not finite.all():
+                t_last = (k0 + int(np.argmin(finite))) * dt
+                raise NonFiniteState(f"integration blew up at t={t_last:.6g}", t_last=t_last)
 
     return Trajectory(t_start=-tau, dt=dt, states=buf)
 

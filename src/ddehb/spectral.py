@@ -1,11 +1,12 @@
 """Fourier collocation machinery on the symmetric grid t_n = nT/(2M+1).
 
 All operators act on real sample vectors laid out grid-major: an array of
-shape (2M+1, m) flattens (C order) to the stacked vector used by the
-stability and adjoint systems.  Complex quantities (the DFT matrix, the
-diagonal derivative/delay symbols) stay internal; the public matrices are
-the real parts left after symmetrization, with the discarded imaginary
-residue tracked and bounded.
+shape (2M+1, m) flattens (C order) to the stacked vector on which the
+stability matrix M(mu) acts, from the right for the Floquet modes and
+from the left for the response curves.  Complex quantities (the DFT
+matrix, the diagonal derivative/delay symbols) stay internal; the public
+matrices are the real parts left after symmetrization, with the discarded
+imaginary residue tracked and bounded.
 """
 
 from __future__ import annotations

@@ -17,17 +17,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adjoint, cycle, floquet, oracle, pipeline
+from . import adjoint, cycle, floquet, oracle, pipeline, spectral
 from .config import RunConfig
 
 # This module loads on demand, so a wrapper installed on cycle.solve_cycle
-# when it loads would stay bound here after being removed from cycle: the
-# solves call cycle.solve_cycle.  The name stays importable from here for
-# code that reads it (bench/test_bench.py).
+# or spectral.build_operators when it loads would stay bound here after
+# being removed from its module: the solves call cycle.solve_cycle and the
+# spectral checks spectral.build_operators.  solve_cycle stays importable
+# from here for code that reads it (bench/test_bench.py).
 from .cycle import PeriodicOrbit, solve_cycle  # noqa: F401
 from .errors import NoExponentInRange
 from .model import ModelSpec
-from .spectral import FourierSeries
+from .spectral import FourierSeries, sample_to_coeffs
 
 
 @dataclass
@@ -67,11 +68,9 @@ def _pairing_spread(orbit, curve, partner, mu):
 
 
 def _spectral_checks(results):
-    from .spectral import build_operators, sample_to_coeffs
-
     t0 = time.perf_counter()
     M, T, tau = 24, 2.0 * np.pi, 1.3
-    ops = build_operators(M, T, tau)
+    ops = spectral.build_operators(M, T, tau)
     K = 2 * M + 1
     results.append(
         _check(
@@ -88,8 +87,6 @@ def _spectral_checks(results):
         return np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
 
     coeffs = normal(K, 1) + 1j * normal(K, 1)
-    from .spectral import FourierSeries
-
     series = FourierSeries(T, coeffs)
     tg = ops.grid.sample_times
     f = series.evaluate(tg)

@@ -1,9 +1,16 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import ddehb as d
+from ddehb import pipeline
+from ddehb.config import load_config
 from ddehb.cycle import SolveOptions, _anchor_at_max, residual
-from ddehb.errors import DivergedToEquilibrium, MaxIterations
+from ddehb.errors import DivergedToEquilibrium, MaxIterations, NonFiniteState
+
+from conftest import CONFIG_DIR
 
 
 def cos_samples(M, T=2 * np.pi):
@@ -79,6 +86,24 @@ class TestSolveCycle:
         seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
         with pytest.raises(MaxIterations, match="line search failed"):
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20, tolerance=1e-20))
+
+    @pytest.mark.parametrize("seed_from, amplitude, error, message", [
+        ("ansatz", 1e308, NonFiniteState, "non-finite residual at the seed"),
+        ("ansatz", 1e100, MaxIterations,
+         "line search failed at residual 5.077e+298 (Newton step 3.333e+99)"),
+        ("oracle", 1e200, NonFiniteState, "integration blew up at t=0"),
+    ], ids=["ansatz-1e308", "ansatz-1e100", "oracle-1e200"])
+    def test_overflowing_seed_raises_without_warnings(self, seed_from, amplitude, error,
+                                                      message):
+        # the overflow is caught by a finiteness check, not reported by numpy
+        cfg = load_config(str(CONFIG_DIR / "kotani_fig1.yaml"),
+                          [f"seed.amplitude=[{amplitude:g}]"], seed_from=seed_from)
+        model = pipeline.build_model(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                seed, _ = pipeline.build_seed(cfg, model)
+                d.solve_cycle(model, seed, cfg.solver)
 
     @pytest.mark.parametrize("field, value, message", [
         ("anchor_component", -1, "anchor component out of range"),

@@ -2,7 +2,9 @@
 
 M(mu) = A0 + mu I - e^{-mu tau} B is checked against the fresh per-mu
 assembly from Re(S L(mu) S^-1), kept here as the reference; the two agree
-in exact arithmetic and, at mu = 0, in every bit.
+in exact arithmetic and, at mu = 0, in every bit.  The response curves are
+the left null vectors of that same M(mu); they are checked against those
+of the paper's advanced collocation of the adjoint, kept here as well.
 """
 
 from collections import Counter
@@ -10,7 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ddehb import adjoint, cycle, floquet, spectral
+import ddehb as d
+from ddehb import adjoint, cycle, floquet, oracle, spectral
 from ddehb.model import ModelSpec
 from ddehb.spectral import build_operators
 
@@ -48,7 +51,9 @@ def fresh_stability_matrix(orbit, mu):
 
 
 def fresh_adjoint_matrix(orbit, mu):
-    """A(mu) with the advanced Jacobian DF1(x(t + tau), x(t)), rebuilt at this mu."""
+    """The paper's advanced collocation of the adjoint: A(mu) with the
+    Jacobian DF1(x(t + tau), x(t)) applied after the advance, rebuilt at
+    this mu.  Its left null vectors are the raw response curves."""
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau)
     t = orbit.grid.sample_times
@@ -92,22 +97,19 @@ class TestAgainstFreshAssembly:
                          fresh_stability_matrix(orbit, mu))
 
     def test_adjoint_matrix(self, request, name, scan):
+        # the response curves are left null vectors of M(mu) itself
         orbit = request.getfixturevalue(name)
         for mu in np.linspace(*scan, 5):
-            assert_close(adjoint.build_adjoint_matrix(orbit, mu),
-                         fresh_adjoint_matrix(orbit, mu))
+            np.testing.assert_array_equal(adjoint.build_adjoint_matrix(orbit, mu),
+                                          floquet.build_stability_matrix(orbit, mu))
 
     def test_bit_identical_at_zero(self, request, name, scan):
         orbit = request.getfixturevalue(name)
         lin = floquet.orbit_linearization(orbit)
         assert np.abs(lin.B).max() > 0.1  # the delay block is exercised
-        np.testing.assert_array_equal(
-            floquet.build_stability_matrix(orbit, 0.0),
-            fresh_stability_matrix(orbit, 0.0),
-        )
-        np.testing.assert_array_equal(
-            adjoint.build_adjoint_matrix(orbit, 0.0), fresh_adjoint_matrix(orbit, 0.0)
-        )
+        for build in (floquet.build_stability_matrix, adjoint.build_adjoint_matrix):
+            np.testing.assert_array_equal(build(orbit, 0.0),
+                                          fresh_stability_matrix(orbit, 0.0))
 
     @pytest.mark.parametrize("points", [2, 40, 200])
     def test_stacked_scan_is_per_point(self, request, name, scan, points):
@@ -180,7 +182,42 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
         # one assembly for the scan and both of its brackets
         lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200),
         lambda: floquet.eigenfunction(kotani_orbit, kotani_mu),
+        lambda: adjoint.build_adjoint_matrix(kotani_orbit, kotani_mu),
     ):
         calls.clear()
         call()
         assert calls == {"build_operators": 1, "jacobians": 1}
+
+
+def mackey_glass() -> ModelSpec:
+    """x' = 0.2 x(t - 5) / (1 + x(t - 5)^10) - 0.1 x, whose DF1 varies along
+    the cycle, unlike cortico's."""
+
+    def F(z0, z1):
+        return 0.2 * z1 / (1.0 + z1**10) - 0.1 * z0
+
+    return ModelSpec("mackey_glass", 1, 5.0, F)
+
+
+@pytest.fixture(scope="module")
+def mackey_glass_orbit():
+    model = mackey_glass()
+    settled = oracle.settle_to_cycle(model, lambda s: np.array([1.2]), 600.0,
+                                     dt=model.tau / 16, M=20, observe_time=300.0)
+    return d.solve_cycle(model, settled.seed, d.SolveOptions(M=20))
+
+
+@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])
+def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan):
+    """z and q, the left null vectors of M(mu), equal those of the advanced
+    adjoint collocation, normalized alike, to 1e-12 of each curve's peak."""
+    orbit = request.getfixturevalue(name)
+    mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
+    for curve, partner, target in (
+        (adjoint.solve_response(orbit), orbit.series.derivative(), orbit.omega),
+        (adjoint.solve_response(orbit, mode), mode, 1.0),
+    ):
+        U = np.linalg.svd(fresh_adjoint_matrix(orbit, curve.mu))[0]
+        raw = U[:, -1].reshape(-1, orbit.model.m)
+        ref = raw * adjoint.normalization(orbit, raw, partner, curve.mu, target)
+        assert np.abs(curve.Q - ref).max() <= 1e-12 * np.abs(ref).max()
