@@ -218,8 +218,9 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
     opts.tolerance; that step is applied and counts as an iteration.
     ValueError if the anchor component is not one of the model's or the
     tolerance is not positive (checked here, whatever set the options).
-    Raises MaxIterations (budget spent or line search failed),
-    SingularJacobian or DivergedToEquilibrium; the last one signals a seed
+    Raises NonFiniteState (a seed whose residual or its 2-norm overflows),
+    MaxIterations (budget spent or line search failed), SingularJacobian
+    or DivergedToEquilibrium; the last one signals a seed
     or a solution on an equilibrium (all nonzero harmonics below 1e-8),
     which the zero problem always admits.
     """
@@ -239,6 +240,10 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
     r = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(r)):
         raise NonFiniteState("non-finite residual at the seed")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf
+        r_norm = np.linalg.norm(r)
+    if not np.isfinite(r_norm):  # no trial step could make it fall
+        raise NonFiniteState("residual 2-norm overflows at the seed")
     _off_equilibrium(X, T)  # J is singular on an equilibrium: no step from there
     n_dyn = K * model.m
     iterations, done = 0, False
@@ -267,9 +272,9 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
                 X_new = X + t * step[:n_dyn].reshape(K, model.m)
                 ops_new = build_operators(M, T_new, model.tau)
                 r_new = _stacked_residual(model, ops_new, X_new, anchor)
-                with np.errstate(over="ignore"):  # an overflowing norm is inf
-                    falls = np.linalg.norm(r_new) < np.linalg.norm(r)
-                if done or (np.all(np.isfinite(r_new)) and falls):
+                with np.errstate(over="ignore"):
+                    r_new_norm = np.linalg.norm(r_new)
+                if done or (np.all(np.isfinite(r_new)) and r_new_norm < r_norm):
                     break
             t /= 2
             if t * step_norm < opts.tolerance:
@@ -277,7 +282,7 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
                     f"line search failed at residual {res_norm:.3e} "
                     f"(Newton step {step_norm:.3e})"
                 )
-        X, T, ops, r = X_new, T_new, ops_new, r_new
+        X, T, ops, r, r_norm = X_new, T_new, ops_new, r_new, r_new_norm
 
     return PeriodicOrbit(
         model=model,

@@ -160,7 +160,17 @@ def test_rows_are_plain_json(report_rows):
 def test_doubling_row_names_the_points_searched(model, report_rows):
     # the leading search at M and at 2M each stop above the bottom of the
     # 200-point scan, and the row says where
+    searched = {"kotani": 75, "cortico": 100}[model]
     detail = {row.name: row for row in report_rows}[f"{model}.exponent_M_doubling"].detail
     match = re.fullmatch(r"mu=-0\.\d{6} points=(\d+)/200,(\d+)/200", detail)
     assert match, detail
-    assert all(0 < int(n) < 200 for n in match.groups())
+    assert [int(n) for n in match.groups()] == [searched, searched], detail
+
+
+def test_direct_prc_row_reads_the_decay_rate_of_the_flow(report_rows):
+    # the kicked copies decay at the leading exponent, read from the flow alone
+    detail = {row.name: row.detail for row in report_rows}
+    mu_flow = re.fullmatch(r"mu_flow=(\S+)", detail["kotani.direct_prc"])
+    mu = re.match(r"mu=(\S+) ", detail["kotani.exponent_M_doubling"])
+    assert mu_flow and mu, detail
+    assert abs(float(mu_flow[1]) - float(mu[1])) <= 1e-5, detail

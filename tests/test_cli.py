@@ -36,6 +36,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this ddehb."""
+    src = str(Path(ddehb.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 class TestCycleCommand:
     def test_kotani_fig1_writes_orbit(self, tmp_path):
         out = str(tmp_path / "run")
@@ -75,6 +81,21 @@ class TestCycleCommand:
             "--override", "seed.amplitude=[0.0]",
         )
         assert code == EXIT_CONVERGENCE
+
+    @pytest.mark.parametrize("amplitude", ["1e308", "1e100"])
+    def test_overflowing_seed_prints_one_line(self, tmp_path, amplitude):
+        # a fresh interpreter, since pytest captures numpy warnings in process:
+        # the typed error is the one line on stderr, and no directory is made
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddehb.cli", "cycle", "--config", KOTANI_CFG,
+             "--out", str(out), "--override", f"seed.amplitude=[{amplitude}]"],
+            capture_output=True, text=True, env=fresh_env(),
+        )
+        assert proc.returncode == EXIT_CONVERGENCE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NonFiniteState: "), proc.stderr
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -540,11 +561,9 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 def run_fresh(*commands):
     """Exit codes of the commands, run in one fresh interpreter, and the set
     of modules they loaded."""
-    src = str(Path(ddehb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=fresh_env(), check=True,
     )
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     return codes, set(loaded)

@@ -89,8 +89,7 @@ class TestSolveCycle:
 
     @pytest.mark.parametrize("seed_from, amplitude, error, message", [
         ("ansatz", 1e308, NonFiniteState, "non-finite residual at the seed"),
-        ("ansatz", 1e100, MaxIterations,
-         "line search failed at residual 5.077e+298 (Newton step 3.333e+99)"),
+        ("ansatz", 1e100, NonFiniteState, "residual 2-norm overflows at the seed"),
         ("oracle", 1e200, NonFiniteState, "integration blew up at t=0"),
     ], ids=["ansatz-1e308", "ansatz-1e100", "oracle-1e200"])
     def test_overflowing_seed_raises_without_warnings(self, seed_from, amplitude, error,
