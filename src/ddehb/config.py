@@ -9,7 +9,6 @@ commands refuse stale inputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -20,6 +19,16 @@ import yaml
 
 from .cycle import SolveOptions
 from .errors import ConfigError
+
+# The interpreter's own SHA-256: importing hashlib loads OpenSSL's libcrypto,
+# about 3.5 MB of resident memory in every command, for one digest.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 # The integrator's step limit, defined here so that checking seed.dt loads
 # no oracle code; the oracle imports it.
@@ -88,11 +97,12 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """Hash of every section that affects computed results (the output
-        location is excluded so moving files does not invalidate them)."""
+        location is excluded so moving files does not invalidate them): the
+        first 16 hex digits of SHA-256 over the compact, key-sorted JSON."""
         payload = self.resolved()
         payload.pop("output")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _finite_real(value) -> bool:

@@ -41,6 +41,12 @@ class NotSingular(DdehbError, ValueError):
     """M(mu) or its adjoint is regular at mu: mu is not a Floquet exponent."""
 
 
+class PeriodTooShort(DdehbError, ValueError):
+    """The period is too short against the delay at the truncation M: the
+    phases omega_p tau of the delay symbol are too large to realify the
+    spectral operators exactly."""
+
+
 class DegenerateNullspace(DdehbError):
     """Two near-equal smallest singular values: multiple eigenfunction."""
 

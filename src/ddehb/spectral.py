@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PeriodTooShort
+
 # Largest tolerated imaginary residue, per unit of 2M+1, when realifying
 # S L S^-1 and S Gamma S^-1.
 IMAG_RESIDUE_BOUND = 1e-12
@@ -142,7 +144,8 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     S has entries e^{2 pi i n p/(2M+1)} for n, p = -M..M, L the diagonal
     entries i omega_p and Gamma the delay symbol e^{-i omega_p tau}.  The
     derived matrices D0 and Delta are realified; the discarded imaginary
-    magnitude must stay below IMAG_RESIDUE_BOUND * (2M+1).
+    magnitude must stay below IMAG_RESIDUE_BOUND * (2M+1), or PeriodTooShort
+    is raised.
     """
     grid = SpectralGrid(M, T)
     if tau < 0:
@@ -159,7 +162,8 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     Delta_c = S @ Gamma @ S_inv
     residue = max(np.abs(D_c.imag).max(), np.abs(Delta_c.imag).max())
     if residue > IMAG_RESIDUE_BOUND * K:
-        raise ValueError(
+        raise PeriodTooShort(
+            f"period T={T:.6g} too short for delay tau={tau:.6g} at M={M}: "
             f"imaginary residue {residue:.3e} above bound {IMAG_RESIDUE_BOUND * K:.3e}"
         )
     return SpectralOperators(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,12 @@ def fresh_env():
     """The environment for a fresh interpreter that imports this ddehb."""
     src = str(Path(ddehb.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def cli_fresh(*argv):
+    """The finished process of one ddehb command in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "ddehb.cli", *argv],
+                          capture_output=True, text=True, env=fresh_env())
 
 
 class TestCycleCommand:
@@ -87,14 +94,21 @@ class TestCycleCommand:
         # a fresh interpreter, since pytest captures numpy warnings in process:
         # the typed error is the one line on stderr, and no directory is made
         out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ddehb.cli", "cycle", "--config", KOTANI_CFG,
-             "--out", str(out), "--override", f"seed.amplitude=[{amplitude}]"],
-            capture_output=True, text=True, env=fresh_env(),
-        )
+        proc = cli_fresh("cycle", "--config", KOTANI_CFG, "--out", str(out),
+                         "--override", f"seed.amplitude=[{amplitude}]")
         assert proc.returncode == EXIT_CONVERGENCE
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("NonFiniteState: "), proc.stderr
+        assert not out.exists()
+
+    def test_tiny_period_prints_one_line(self, tmp_path):
+        # omega_p tau too large to realify ended in a ValueError traceback (exit 1)
+        out = tmp_path / "run"
+        proc = cli_fresh("cycle", "--config", KOTANI_CFG, "--out", str(out),
+                         "--override", "seed.period_guess=1e-6")
+        assert proc.returncode == EXIT_CONVERGENCE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("PeriodTooShort: period T=1e-06 "), proc.stderr
         assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
@@ -151,6 +165,20 @@ class TestFloquetCommand:
         data["config_hash"] = "0" * 16
         path.write_text(json.dumps(data))
         assert run("floquet", "--config", KOTANI_CFG, "--out", str(out)) == EXIT_IO
+
+    def test_tiny_orbit_period_prints_one_line(self, tmp_path):
+        # ended in a ValueError traceback (exit 1) from the spectral operators
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        path = out / "orbit_coeffs.json"
+        data = json.loads(path.read_text())
+        data["T"] = 1e-6
+        path.write_text(json.dumps(data))
+        proc = cli_fresh("floquet", "--config", KOTANI_CFG, "--out", str(out))
+        assert proc.returncode == EXIT_CONVERGENCE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("PeriodTooShort: period T=1e-06 "), proc.stderr
+        assert not (out / "exponents.json").exists()
 
     def test_scan_and_exponents_written(self, tmp_path):
         out = tmp_path / "run"
@@ -571,7 +599,8 @@ def run_fresh(*commands):
 
 class TestLoadedLayers:
     """The spectral commands load no oracle, validation or numpy.random
-    code; an oracle seed loads the oracle on demand."""
+    code; an oracle seed loads the oracle on demand.  No command loads
+    OpenSSL (_hashlib), which costs about 3.5 MB of resident memory."""
 
     @pytest.mark.parametrize("steps", [("cycle", "floquet", "response"), ("export",)])
     def test_spectral_commands(self, tmp_path, steps):
@@ -581,12 +610,14 @@ class TestLoadedLayers:
         assert codes == [EXIT_OK] * len(steps)
         assert "ddehb.floquet" in loaded
         assert not ORACLE_LAYERS & loaded
+        assert "_hashlib" not in loaded
 
     def test_validate_loads_no_numpy_random(self, tmp_path):
         # its only random draws come from the standard library
         codes, loaded = run_fresh(["validate", "--config", KOTANI_CFG, "--out", str(tmp_path)])
         assert codes == [EXIT_OK]
         assert "ddehb.validation" in loaded and "numpy.random" not in loaded
+        assert "_hashlib" not in loaded
 
     def test_oracle_seed(self, tmp_path):
         codes, loaded = run_fresh(
@@ -595,6 +626,7 @@ class TestLoadedLayers:
         assert codes == [EXIT_OK]
         assert "ddehb.oracle" in loaded
         assert "ddehb.validation" not in loaded
+        assert "_hashlib" not in loaded
 
 
 KOTANI_CHECKS = [
@@ -744,6 +776,24 @@ class TestValidateCommand:
         assert code == EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("SlowPhaseDecay: phase residue ratio r=0.578")
         assert not out.exists()
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("config, overrides, pinned", [
+        (KOTANI_CFG, [], "63e03ebecc1105a3"),
+        (CORTICO_CFG, [], "1871ef73b50ae5aa"),
+        (KOTANI_CFG, ["model.params.delta=0.1"], None),
+    ])
+    def test_sha256_of_the_sorted_compact_json(self, config, overrides, pinned):
+        # the stored hashes of existing outputs stay valid, whichever
+        # SHA-256 module the interpreter provides
+        cfg = load_config(config, overrides)
+        payload = dataclasses.asdict(cfg)
+        del payload["output"]
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
+        if pinned is not None:
+            assert cfg.config_hash() == pinned
 
 
 class TestConfigValidation:
