@@ -7,17 +7,22 @@ gives m(2M+1) equations
     (D0 kron I_m) X - F(X, (Delta kron I_m) X) = 0,
 
 closed by one phase-anchor equation: the chosen state component has
-vanishing time derivative at t = 0.  The square system is solved by
-Newton's method with an exact Jacobian: the model's partials come from
-the complex step (ModelSpec.jacobians), and D0 and Delta depend on T
-only through omega_p = 2 pi p / T, so dD0/dT = -D0/T and
-dDelta/dT = (tau/T) D0 Delta, which gives the T column in closed form.
-A seed is a FourierSeries; its period T is the period guess.
+vanishing time derivative at t = 0.  solve_cycle alone anchors a seed:
+it shifts the seed so that component peaks at t = 0, so a seed of any
+time origin will do.  The square system is solved by Newton's method
+with an exact Jacobian: the model's partials come from the complex step
+(ModelSpec.jacobians), and D0 and Delta depend on T only through
+omega_p = 2 pi p / T, so dD0/dT = -D0/T and dDelta/dT = (tau/T) D0 Delta,
+which gives the T column in closed form.
+A seed is a FourierSeries; its period T is the period guess.  The solved
+PeriodicOrbit is its Fourier series too: T, M and the grid samples X are
+derived from the series, so an orbit read back from its coefficients is
+the same to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .errors import (
     SingularJacobian,
 )
 from .model import ModelSpec
-from .spectral import FourierSeries, SpectralGrid, build_operators, sample_to_coeffs
+from .spectral import (FourierSeries, SpectralGrid, build_operators, coeffs_to_samples,
+                       sample_to_coeffs)
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
 
@@ -43,16 +49,26 @@ class SolveOptions:
 
 @dataclass
 class PeriodicOrbit:
-    """A converged harmonic-balance orbit with its Fourier interpolant."""
+    """A converged harmonic-balance orbit: its Fourier series owns T, M and
+    the grid samples X, which are computed from it once."""
 
     model: ModelSpec
-    T: float
-    M: int
-    anchor_component: int
-    X: np.ndarray  # (2M+1, m) samples on the collocation grid
     series: FourierSeries
+    anchor_component: int
     residual_norm: float
     iterations: int
+    X: np.ndarray = field(init=False)  # (2M+1, m) samples on the collocation grid
+
+    def __post_init__(self):
+        self.X = coeffs_to_samples(self.series)
+
+    @property
+    def T(self) -> float:
+        return self.series.T
+
+    @property
+    def M(self) -> int:
+        return self.series.M
 
     @property
     def omega(self) -> float:
@@ -286,11 +302,8 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
 
     return PeriodicOrbit(
         model=model,
-        T=T,
-        M=M,
-        anchor_component=anchor,
-        X=X,
         series=_off_equilibrium(X, T),  # a safety check: the step may land there
+        anchor_component=anchor,
         residual_norm=float(np.abs(r).max()),
         iterations=iterations,
     )

@@ -11,13 +11,14 @@ J0, J1 the block-diagonal Jacobians of the right-hand side along the
 cycle (delayed orbit values read from the Fourier interpolant, never from
 nearest samples).  Only the scalar factors depend on mu, so each public
 call assembles (A0, B) once per orbit and every M(mu) it needs is one
-matrix update: a scan carries its (A0, B), which refines its brackets.
+matrix update: a scan carries its (A0, B), which refines its brackets and
+gives its singular values.
 Raw determinants overflow at modest sizes, so the scan works with
 log-magnitude plus sign from pivoted factorization: a sign change
 brackets a root, and so does a dip of log|det| without one.  The smallest
 singular value serves as the objective that refines a dip because it is
 smooth near simple roots.  No scan computes it: scan_sigma_min gives it
-over a grid, for floquet_scan.csv.
+over a scan's grid, for floquet_scan.csv.
 """
 
 from __future__ import annotations
@@ -77,17 +78,16 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     return scan
 
 
-def scan_sigma_min(orbit: PeriodicOrbit, mu: np.ndarray) -> np.ndarray:
-    """sigma_min of M(mu) at each value of the 1-D array mu, from one stacked
-    singular-value call per SCAN_CHUNK values on one assembly of (A0, B);
-    bit-identical to a call per point, as det_scan's slogdet.
-    NonFiniteState as det_scan where M(mu) is not finite."""
-    lin = orbit_linearization(orbit)
-    sigma_min = np.empty(len(mu))
-    for start in range(0, len(mu), SCAN_CHUNK):
+def scan_sigma_min(scan: DetScanResult) -> np.ndarray:
+    """sigma_min of M(mu) at each scan.mu, from one stacked singular-value
+    call per SCAN_CHUNK values on the scan's own (A0, B); bit-identical to a
+    call per point, as det_scan's slogdet.  NonFiniteState as det_scan where
+    M(mu) is not finite."""
+    sigma_min = np.empty(len(scan.mu))
+    for start in range(0, len(scan.mu), SCAN_CHUNK):
         chunk = slice(start, start + SCAN_CHUNK)
-        mats = _scan_matrices(lin, mu, chunk)
-        sigma_min[chunk] = np.linalg.svd(mats, compute_uv=False)[:, -1]
+        sigma_min[chunk] = np.linalg.svd(_scan_matrices(scan.lin, scan.mu, chunk),
+                                         compute_uv=False)[:, -1]
     return sigma_min
 
 

@@ -190,9 +190,10 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
     a Fourier seed.  The period comes from successive upward mean-crossings
     of the anchor component over the observe_time (default 100 max(tau, 1))
     after the transient: the mean of the last SETTLE_LAST_INTERVALS
-    intervals, spread reported.  The seed resamples one period onto a 2M+1
-    grid, time-shifted so the anchor component peaks at t=0, which
-    pre-satisfies the solver's phase anchor.
+    intervals, spread reported.  The seed resamples the last whole period,
+    [crossings[-1] - period, crossings[-1]), on a 2M+1 grid centred in it,
+    so it reads only computed states; it is not anchored, since
+    cycle.solve_cycle anchors every seed.
     """
     if observe_time is None:
         observe_time = 100.0 * max(model.tau, 1.0)
@@ -225,24 +226,9 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
             f"{SETTLE_DRIFT_TOL:.0%} of the mean period {period:.6g}"
         )
 
-    # anchor the seed at the maximum of the anchored component
-    t_ref = crossings[-1]
-    fine = np.linspace(t_ref - period, t_ref, 4096)
-    vals = traj.value(fine)[..., component]
-    i = int(np.argmax(vals))
-    if 0 < i < fine.size - 1:
-        a, b, c = vals[i - 1], vals[i], vals[i + 1]
-        denom = a - 2.0 * b + c
-        shift = 0.5 * (a - c) / denom if denom != 0 else 0.0
-        t_max = fine[i] + shift * (fine[1] - fine[0])
-    else:
-        t_max = fine[i]
-
-    K = 2 * M + 1
-    grid_t = t_max + np.arange(-M, M + 1) * (period / K)
-    samples = traj.value(grid_t)
+    grid_t = crossings[-1] - 0.5 * period + np.arange(-M, M + 1) * (period / (2 * M + 1))
     return SettleResult(spread=spread, crossings=crossings,
-                        seed=sample_to_coeffs(samples, period))
+                        seed=sample_to_coeffs(traj.value(grid_t), period))
 
 
 # ---------------------------------------------------------------------------

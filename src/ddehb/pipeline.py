@@ -14,7 +14,7 @@ from .config import RunConfig, _finite_real
 from .cycle import PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput, StaleInput
 from .model import ModelSpec, make_model
-from .spectral import FourierSeries, coeffs_to_samples
+from .spectral import FourierSeries
 
 ORBIT_FILE = "orbit_coeffs.json"  # written by `ddehb cycle`, in orbit_payload form
 
@@ -141,9 +141,7 @@ def load_orbit(out_dir, cfg: RunConfig) -> PeriodicOrbit:
     ):
         if not ok:
             raise MalformedInput(f"{path}: {name}: expected {want}, got {data[name]!r}")
-    return PeriodicOrbit(model=model, T=series.T, M=series.M, anchor_component=anchor,
-                         X=coeffs_to_samples(series), series=series,
-                         residual_norm=residual, iterations=iterations)
+    return PeriodicOrbit(model, series, anchor, residual, iterations)
 
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
@@ -177,7 +175,7 @@ class FloquetRun:
 def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
     mu_range = (cfg.scan.mu_min, cfg.scan.mu_max)
     scan = floquet.det_scan(orbit, mu_range, cfg.scan.points)
-    sigma_min = floquet.scan_sigma_min(orbit, scan.mu)
+    sigma_min = floquet.scan_sigma_min(scan)
     exponents = floquet.find_exponents(orbit, mu_range, cfg.scan.points,
                                        cfg.scan.exclude_zero_radius)
     modes = [floquet.eigenfunction(orbit, mu) for mu in exponents]

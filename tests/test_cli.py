@@ -20,7 +20,7 @@ from ddehb.cli import (
     main,
 )
 import ddehb
-from ddehb import cycle, oracle, pipeline, validation
+from ddehb import cycle, floquet, oracle, pipeline, validation
 from ddehb.config import RunConfig, load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
@@ -553,6 +553,28 @@ class TestExportPipeline:
         assert len(data) == 9
         for name in data:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("config", [KOTANI_CFG, CORTICO_CFG], ids=["kotani", "cortico"])
+    def test_validate_checks_the_exported_orbit_and_responses(self, tmp_path, monkeypatch,
+                                                              request, config):
+        # the series owns the orbit: `ddehb cycle` writes it and load_orbit
+        # reads back the very T, M and samples that solve_cycle gave, so the
+        # z and q that validate checks are those in z.csv and q.csv, bit for
+        # bit.  Cortico is seeded from the session settle in both commands
+        if config == CORTICO_CFG:
+            settled = request.getfixturevalue("cortico_settle")
+            monkeypatch.setattr(pipeline, "build_seed", lambda cfg, model: (settled.seed, settled))
+        assert run("export", "--config", config, "--out", str(tmp_path)) == EXIT_OK
+        cfg = load_config(config, out_dir=str(tmp_path))
+        st = validation._solve_stage(cfg)
+        read = pipeline.load_orbit(tmp_path, cfg)
+        assert (read.T, read.M) == (st.orbit.T, st.orbit.M)
+        assert np.array_equal(read.X, st.orbit.X)
+        responses = pipeline.run_responses(st.orbit, floquet.eigenfunction(st.orbit, st.mu))
+        for name, curve in (("z.csv", responses.z), ("q.csv", responses.q)):
+            written = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, ndmin=2)
+            assert np.array_equal(written[:, 0], st.orbit.grid.sample_times), name
+            assert np.array_equal(written[:, 1:], curve.Q), name
 
     def test_cortico_fig2_exponent_report(self, tmp_path, cortico_settle):
         # seeded from the session settle through an orbit-format file, so the

@@ -37,8 +37,8 @@ class TestDetScan:
         assert abs(kotani_mu - mu_oracle) / abs(mu_oracle) < 0.01
 
     def test_cortico_dip_at_paper_value(self, cortico_orbit):
-        mus = np.linspace(*CORTICO_SCAN, 200)
-        sigmin = floquet.scan_sigma_min(cortico_orbit, mus)
+        scan = floquet.det_scan(cortico_orbit, CORTICO_SCAN, 200)
+        mus, sigmin = scan.mu, floquet.scan_sigma_min(scan)
         negative = (mus < -1e-3) & (mus > -0.01)
         dip_mu = mus[negative][np.argmin(sigmin[negative])]
         assert abs(dip_mu - (-0.00296)) < 3e-4  # grid-resolution locate
@@ -46,7 +46,7 @@ class TestDetScan:
     def test_rootfree_range_bounded_away(self, kotani_orbit):
         scan = floquet.det_scan(kotani_orbit, (-0.008, -0.001), 40)
         assert sign_changes(scan) == []
-        sigmin = floquet.scan_sigma_min(kotani_orbit, scan.mu)
+        sigmin = floquet.scan_sigma_min(scan)
         assert sigmin.min() > 1e-4
         assert np.all(np.diff(sigmin) < 0)  # single root ahead: monotone approach
 
@@ -265,14 +265,14 @@ class TestLeadingExponent:
         # e^{-mu tau} overflows at mu = -500; on this grid of step 0.025 the
         # search would find the root in its top chunk, far above: it raises
         # as the full scan does, before any LAPACK call, and so do the
-        # singular values of that grid
+        # singular values of a scan on that grid
         scan = (-500.0, 0.05)
         with pytest.raises(NonFiniteState) as full:
             floquet.det_scan(kotani_orbit, scan, 20003)
         with pytest.raises(NonFiniteState, match="increase scan.mu_min") as lead:
             floquet.leading_exponent(kotani_orbit, scan, 20003)
         with pytest.raises(NonFiniteState) as sigma:
-            floquet.scan_sigma_min(kotani_orbit, np.linspace(*scan, 20003))
+            floquet.scan_sigma_min(floquet._empty_scan(kotani_orbit, scan, 20003))
         assert str(lead.value) == str(full.value) == str(sigma.value)
 
     def test_grid_validation(self, kotani_orbit):

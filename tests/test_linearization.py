@@ -122,7 +122,7 @@ class TestAgainstFreshAssembly:
         np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
         result = floquet.det_scan(orbit, scan, points)
         assert result.mu.shape == (points,)
-        sigma = floquet.scan_sigma_min(orbit, result.mu)
+        sigma = floquet.scan_sigma_min(result)
         assert sigma.shape == (points,)
         for i, mu in enumerate(mus):
             mat = lin.matrix(mu)
@@ -175,7 +175,8 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
     monkeypatch.setattr(ModelSpec, "jacobians", counted("jacobians", ModelSpec.jacobians))
     for call in (
         lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
-        lambda: floquet.scan_sigma_min(kotani_orbit, np.linspace(*KOTANI_SCAN, 200)),
+        # a scan's singular values are taken on its own assembly
+        lambda: floquet.scan_sigma_min(floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)),
         lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
         # the scan's assembly serves its refinements
         lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200),

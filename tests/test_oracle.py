@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import adjoint, floquet, oracle
+from ddehb import adjoint, cycle, floquet, oracle
 from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -258,6 +258,30 @@ class TestSettleToCycle:
         assert abs(res.seed.T - 2 * np.pi) < 1e-3
         assert res.crossings.size >= 12
 
+    def test_seed_from_the_last_whole_period(self, kotani_model, monkeypatch):
+        # the run ends 2.9 after its last upward crossing, less than T/2: the
+        # seed reads the run only in the last whole period before that
+        # crossing, so never past its end, and anchored as the solver anchors
+        # it, it is the cosine cycle within 1e-3 on every grid sample
+        # (measured 6.1e-4, the relaxation still running)
+        reads, value = [], oracle.Trajectory.value
+
+        def recorded(traj, t):
+            reads.append(np.atleast_1d(t))
+            return value(traj, t)
+
+        monkeypatch.setattr(oracle.Trajectory, "value", recorded)
+        transient, observe = 100.0, 90.0
+        res = oracle.settle_to_cycle(kotani_model, lambda s: 0.9 * cos_history(s), transient,
+                                     dt=kotani_model.tau / 16, observe_time=observe)
+        last, T = res.crossings[-1], res.seed.T
+        assert transient + observe - last < T / 2
+        reads = np.concatenate(reads)
+        assert last - T <= reads.min() and reads.max() < last
+        n = np.arange(-20, 21)
+        seed = cycle._anchor_at_max(res.seed, 0).evaluate(n * (T / 41))[:, 0]
+        assert np.abs(seed - np.cos(2.0 * np.pi * n / 41)).max() <= 1e-3
+
     def test_decaying_model_raises(self):
         with pytest.raises(NoOscillationDetected):
             oracle.settle_to_cycle(
@@ -357,7 +381,7 @@ class TestPseudospectralOracle:
         model = ModelSpec("quadratic", 1, kotani_orbit.model.tau, lambda z0, z1: -2.5 * z0**2)
         T, M = 2.0 * np.pi, kotani_orbit.M
         X = np.cos(np.arange(-M, M + 1) * (T / (2 * M + 1)))[:, None]
-        orbit = d.PeriodicOrbit(model, T, M, 0, X, d.sample_to_coeffs(X, T), 0.0, 0)
+        orbit = d.PeriodicOrbit(model, d.sample_to_coeffs(X, T), 0, 0.0, 0)
         errs = []
         for steps in (400, 800):
             mono = oracle.oracle_floquet(model, orbit, oracle.CHEB_NODES, steps)
@@ -464,9 +488,7 @@ class TestPseudospectralOracle:
         import dataclasses
 
         bad = dataclasses.replace(
-            kotani_orbit,
-            X=2.5 * kotani_orbit.X,
-            series=d.sample_to_coeffs(2.5 * kotani_orbit.X, kotani_orbit.T),
+            kotani_orbit, series=d.sample_to_coeffs(2.5 * kotani_orbit.X, kotani_orbit.T)
         )
         with pytest.raises(MonodromyIllConditioned):
             oracle.oracle_floquet(kotani_model, bad, 8, 500)
@@ -566,7 +588,7 @@ class TestDirectPrc:
         T, M = 2 * np.pi, 20
         t = np.arange(-M, M + 1) * (T / (2 * M + 1))
         X = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        orbit = d.PeriodicOrbit(model, T, M, 0, X, d.sample_to_coeffs(X, T), 0.0, 0)
+        orbit = d.PeriodicOrbit(model, d.sample_to_coeffs(X, T), 0, 0.0, 0)
         with pytest.raises(SlowPhaseDecay, match="r=0.99"):
             oracle.direct_prc(model, orbit, np.arange(4) * np.pi / 2)
 

@@ -75,9 +75,8 @@ def test_anchor_shift(kotani_orbit, kotani_mu, fraction):
     # the cycle shifted by s in [0, T) is the same cycle with another time
     # origin, so its exponents cannot move; the orbit is shifted, not the
     # seed, because the solver anchors every seed at its maximum
-    series = kotani_orbit.series.shifted(fraction * kotani_orbit.T)
     shifted = dataclasses.replace(
-        kotani_orbit, series=series, X=series.evaluate(kotani_orbit.grid.sample_times)
+        kotani_orbit, series=kotani_orbit.series.shifted(fraction * kotani_orbit.T)
     )
     mu = floquet.find_exponents(shifted, KOTANI_SCAN, 200)[0]
     assert abs(mu - kotani_mu) <= 1e-8 * abs(kotani_mu)
