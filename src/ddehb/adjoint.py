@@ -20,12 +20,12 @@ harmonic balance the two coincide.  No mode yields the phase response
 
 Normalization pins the scale through the bilinear pairing of the curve
 with the cycle tangent (phase, pairing omega) or the Floquet
-eigenfunction (amplitude, pairing 1).  `normalization` is the one place
-that rule lives; the oracle applies it to its own curves and partners.
-The delay integral in the pairing uses QUAD_NODES-point Gauss-Legendre
-quadrature because tau is generally incommensurate with the grid
-spacing.  The count is fixed: on both shipped configs 16 to 256 nodes
-give the same pairing to within 8e-15.
+eigenfunction (amplitude, pairing 1).  On the grid it is
+Q^T M'(mu) P / (2M+1), P the sampled partner and M'(mu) = I + tau
+e^{-mu tau} B (`cycle.Linearization.dmu`).  `normalization` is the one
+place the rule lives; the oracle feeds it `pairing_functional`, whose
+delay integral takes a fixed QUAD_NODES-point Gauss-Legendre rule (on
+both shipped configs 16 to 256 nodes agree to within 8e-15).
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ QUAD_NODES = 64  # Gauss-Legendre nodes of the pairing's delay integral
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
-    """M(mu) itself, as floquet.build_stability_matrix gives it: its left null
-    vector is the response curve.  NonFiniteState where it is not finite."""
+    """M(mu), whose left null vector is the response curve, for public callers
+    (solve_response assembles its own).  NonFiniteState where not finite."""
     return orbit_linearization(orbit).matrix(mu)
 
 
-@dataclass
+@dataclass(eq=False)
 class ResponseCurve:
     """Normalized phase (z) or amplitude (q) response samples."""
 
@@ -66,14 +66,12 @@ class ResponseCurve:
         return self.series.evaluate(t)
 
 
-def _evaluator(f, orbit: PeriodicOrbit):
+def _evaluator(f):
     """The values of a pairing factor as a function of time."""
     if isinstance(f, (ResponseCurve, FloquetMode)):
         return f.value
     if isinstance(f, FourierSeries):
         return f.evaluate
-    if isinstance(f, np.ndarray):
-        return sample_to_coeffs(f, orbit.T).evaluate
     if callable(f):
         return f
     raise TypeError(f"unsupported pairing factor: {type(f)!r}")
@@ -101,14 +99,14 @@ def pairing_functional(
             + e^{-mu tau} int_{-tau}^0 q(t0+tau+z)^T DF1(t0+tau+z) p(t0+z) dz
 
     with p the cycle tangent or a Floquet eigenfunction.  Each of q and p
-    is a ResponseCurve, FloquetMode, FourierSeries, grid samples, or a
-    callable of time (the oracle's interpolants).  Constant in t0 for
-    correctly paired (mu, q, p); without the e^{-mu tau} factor it is not.
+    is a ResponseCurve, FloquetMode, FourierSeries or a callable of time
+    (the oracle's interpolants).  Constant in t0 for correctly paired
+    (mu, q, p); without the e^{-mu tau} factor it is not.
     Every model has tau > 0, so the delay integral always runs.
     """
     model = orbit.model
-    q = _evaluator(response, orbit)
-    p = _evaluator(partner, orbit)
+    q = _evaluator(response)
+    p = _evaluator(partner)
 
     head = float(np.atleast_2d(q(t0))[0] @ np.atleast_2d(p(t0))[0])
     xi, w = _gauss_legendre(QUAD_NODES)
@@ -121,13 +119,11 @@ def pairing_functional(
     return head + np.exp(-mu * model.tau) * float(weights @ integrand)
 
 
-def normalization(orbit: PeriodicOrbit, curve, partner, mu: float,
-                  target: float) -> float:
-    """The factor that scales curve so that its pairing with partner is
-    target: omega against the cycle tangent for a phase response, 1
-    against the Floquet eigenfunction for an amplitude response.
-    NormalizationSingular if the pairing is below NORMALIZATION_FLOOR."""
-    c = pairing_functional(orbit, curve, partner, mu)
+def normalization(c: float, target: float) -> float:
+    """The factor that scales a curve whose pairing with its partner is c so
+    that the pairing becomes target: omega against the cycle tangent for a
+    phase response, 1 against the Floquet eigenfunction for an amplitude
+    response.  NormalizationSingular if |c| is below NORMALIZATION_FLOOR."""
     if abs(c) < NORMALIZATION_FLOOR:
         raise NormalizationSingular(
             f"normalization pairing is {c:.3e} before rescaling"
@@ -141,17 +137,17 @@ def solve_response(orbit: PeriodicOrbit,
     phase response (mu = 0, pairing omega with the cycle tangent), with a
     FloquetMode the amplitude response at mode.mu (pairing 1 with its
     eigenfunction).  The raw curve is the left null vector of M(mu),
-    extracted as the smallest left singular vector."""
-    mu, partner, target = ((0.0, orbit.series.derivative(), orbit.omega) if mode is None
-                           else (mode.mu, mode, 1.0))
-    A = build_adjoint_matrix(orbit, mu)
+    extracted as the smallest left singular vector; the grid pairing scales it."""
+    mu, P, target = ((0.0, orbit.xdot_samples, orbit.omega) if mode is None
+                     else (mode.mu, mode.R, 1.0))
+    lin = orbit_linearization(orbit)
+    A = lin.matrix(mu)
     U, svals, _ = simple_null_svd(A, mu, "adjoint system")
-    raw = U[:, -1].reshape(-1, orbit.model.m)
-    Q = raw * normalization(orbit, raw, partner, mu, target)
-    achieved = pairing_functional(orbit, Q, partner, mu)
-
-    Qflat = Q.ravel()
+    MP = lin.dmu(mu, P.ravel()) / len(P)  # one product serves scaling and check
+    Qflat = U[:, -1] * normalization(float(U[:, -1] @ MP), target)
+    achieved = float(Qflat @ MP)
     residual = float(np.linalg.norm(Qflat @ A) / np.linalg.norm(Qflat))
+    Q = Qflat.reshape(-1, orbit.model.m)
     return ResponseCurve(
         mu=float(mu),
         Q=Q,

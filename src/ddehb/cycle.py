@@ -47,7 +47,7 @@ class SolveOptions:
     tolerance: float = 1e-10  # bound on the last Newton step and the residual
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodicOrbit:
     """A converged harmonic-balance orbit: its Fourier series owns T, M and
     the grid samples X, which are computed from it once."""
@@ -124,7 +124,7 @@ def _blockdiag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Linearization:
     """M(mu) = A0 + mu I - e^{-mu tau} B, one matrix update per mu."""
 
@@ -152,6 +152,10 @@ class Linearization:
         """M(mu); NonFiniteState naming mu where e^{-mu tau} overflows."""
         return self.matrices([mu])[0]
 
+    def dmu(self, mu, v: np.ndarray) -> np.ndarray:
+        """M'(mu) v = v + tau e^{-mu tau} B v for a stacked vector v."""
+        return v + self.tau * np.exp(-mu * self.tau) * (self.B @ v)
+
 
 def assemble_linearization(model, ops, X, Xd) -> Linearization:
     """A0 = (D0 kron I_m) - blockdiag(DF0), B = blockdiag(DF1) (Delta kron I_m)
@@ -169,7 +173,7 @@ def _jacobian(model, ops, X, anchor):
 
     The X-block is M(0) = A0 - B.  In T, dD0/dT = -D0/T and dDelta/dT =
     (tau/T) D0 Delta, and D0 commutes with Delta, so the dynamic rows of
-    the T column are -(I + tau B) vec(D0 X) / T.
+    the T column are -M'(0) vec(D0 X) / T, with M'(0) = I + tau B.
     """
     n_dyn, m = X.size, model.m
     lin = assemble_linearization(model, ops, X, ops.Delta @ X)
@@ -180,7 +184,7 @@ def _jacobian(model, ops, X, anchor):
     J[n_dyn, anchor : n_dyn : m] = ops.D0[center, :]
 
     D0X = (ops.D0 @ X).ravel()
-    J[:n_dyn, n_dyn] = -(D0X + model.tau * (lin.B @ D0X)) / T
+    J[:n_dyn, n_dyn] = -lin.dmu(0.0, D0X) / T
     J[n_dyn, n_dyn] = -D0X[center * m + anchor] / T
     return J
 

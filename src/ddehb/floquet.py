@@ -50,7 +50,7 @@ def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     return orbit_linearization(orbit).matrix(mu)
 
 
-@dataclass
+@dataclass(eq=False)
 class DetScanResult:
     """log|det M(mu)| and its sign (+1, -1, or 0 where the factorization is
     exactly singular) at the grid values mu, one array each, on lin = (A0, B)."""
@@ -198,7 +198,7 @@ def _refine(lin: Linearization, lo: float, hi: float,
     return float(mu_hat)
 
 
-@dataclass
+@dataclass(eq=False)
 class FloquetMode:
     """A real exponent with its max-normalized sampled eigenfunction."""
 

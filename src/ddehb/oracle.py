@@ -11,8 +11,8 @@ than tautology:
   and amplitude responses of the variational equation with the delay
   interval held on a Chebyshev grid, stepped by a sixth-order Runge-Kutta
   method and read between its steps by trigonometric interpolation,
-  normalized by the shared convention `adjoint.normalization` against the
-  oracle's own tangent and rho;
+  normalized by `adjoint.normalization` from the quadrature pairing
+  (`adjoint.pairing_functional`) with the oracle's own tangent and rho;
 * direct pulse-perturbation PRC measurement.
 
 The module ends with five placeholders under the names of the deleted
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import normalization  # the paper's normalization, no operator
+from . import adjoint  # only its normalization rule and quadrature pairing, read per call
 from .config import MIN_DELAY_STEPS, _snap_step
 from .cycle import PeriodicOrbit
 from .errors import (
@@ -78,7 +78,7 @@ def _cubic(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("pk,pk...->p...", _lagrange4(s - j0), values[idx])
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Uniform-step trajectory; the leading samples cover one delay span."""
 
@@ -176,7 +176,7 @@ def integrate_dde(
     return Trajectory(t_start=-tau, dt=dt, states=buf)
 
 
-@dataclass
+@dataclass(eq=False)
 class SettleResult:
     spread: float
     crossings: np.ndarray
@@ -268,7 +268,7 @@ RK_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
 RK_STABILITY = tuple(1.0 / math.factorial(k) for k in range(7)) + (-1.0 / 2160,)
 
 
-@dataclass
+@dataclass(eq=False)
 class _PeriodicInterp:
     """Trigonometric interpolant of uniform samples over one period."""
 
@@ -302,9 +302,8 @@ def _response(orbit, curve, mode) -> _PeriodicInterp:
     mu = 0) or with rho to 1 (mode (mu, rho): amplitude, at mu)."""
     mu, partner, target = ((0.0, _orbit_tangent(orbit), orbit.omega) if mode is None
                            else (*mode, 1.0))
-    raw = _PeriodicInterp(T=orbit.T, values=curve)
-    scale = normalization(orbit, raw, partner, mu, target)
-    return _PeriodicInterp(T=orbit.T, values=curve * scale)
+    c = adjoint.pairing_functional(orbit, _PeriodicInterp(orbit.T, curve), partner, mu)
+    return _PeriodicInterp(orbit.T, curve * adjoint.normalization(c, target))
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,7 +335,7 @@ def _stable_steps(z: np.ndarray, steps: int) -> int:
         steps += s.size
 
 
-@dataclass
+@dataclass(eq=False)
 class PseudospectralSystem:
     """The pseudospectral variational equation u' = A(t) u along one period,
     stepped by Butcher's seven-stage sixth-order Runge-Kutta method in
@@ -383,7 +382,7 @@ def pseudospectral_system(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_
     return PseudospectralSystem(T, steps, T / steps, m, transport, jac0, jac1)
 
 
-@dataclass
+@dataclass(eq=False)
 class OracleMonodromy:
     """Every Floquet multiplier of a pseudospectral system, from its
     monodromy matrix."""
@@ -459,8 +458,8 @@ def oracle_responses(orbit: PeriodicOrbit, mono: OracleMonodromy,
     exponent mu, which pairs with rho (from oracle_eigenfunction).  The left
     eigenvectors at the multipliers 1 and e^{mu T} are stepped back over one
     period by the transposed step matrices together, and each is read at
-    the head; q takes the factor e^{mu (t - T)}.  Both are scaled by
-    adjoint.normalization, against the orbit's own tangent and against rho.
+    the head; q takes the factor e^{mu (t - T)}.  adjoint.normalization
+    scales both from their pairing_functional with the tangent and with rho.
     """
     mu, system = mono.leading_nontrivial(), mono.system
     m, T = system.m, system.T
@@ -484,7 +483,7 @@ def oracle_responses(orbit: PeriodicOrbit, mono: OracleMonodromy,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class PrcResult:
     eps: float
     raw_shifts: np.ndarray  # asymptotic phase shifts (radians)

@@ -164,7 +164,7 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     raise ConfigError(f"unknown seed kind {sc.kind!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FloquetRun:
     scan: floquet.DetScanResult
     sigma_min: np.ndarray  # of M(mu) at each scan.mu

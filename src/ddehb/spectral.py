@@ -58,7 +58,7 @@ class SpectralGrid:
         return self.indices * self.omega
 
 
-@dataclass
+@dataclass(eq=False)
 class FourierSeries:
     """Truncated Fourier series sum_p a_p e^{i omega_p t} with a_{-p} = a_p*.
 
@@ -119,7 +119,7 @@ class FourierSeries:
         return float(np.sum(np.abs(self.coeffs[mask]) ** 2))
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralOperators:
     """DFT matrix and the derived real operators.
 

@@ -11,10 +11,19 @@ import ddehb as d
 from ddehb import adjoint, floquet, oracle, pipeline
 from ddehb.config import load_config
 from ddehb.model import ModelSpec
+from ddehb.spectral import sample_to_coeffs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KOTANI_SCAN = (-0.2, 0.05)
 CORTICO_SCAN = (-0.02, 0.01)
+
+
+def quadrature_normalized(Q, orbit, partner, mu, target):
+    """Grid samples Q rescaled so that their quadrature pairing
+    (adjoint.pairing_functional) with partner is target: the reference that
+    cross-checks the grid pairing solve_response scales by."""
+    c = adjoint.pairing_functional(orbit, sample_to_coeffs(Q, orbit.T), partner, mu)
+    return Q * adjoint.normalization(c, target)
 
 
 @pytest.fixture(scope="session")

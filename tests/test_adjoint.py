@@ -6,16 +6,17 @@ import pytest
 from ddehb import adjoint
 from ddehb.errors import NormalizationSingular, NotSingular
 
+from conftest import quadrature_normalized
+
 
 def normalize_phase(z, orbit):
     """z rescaled so its pairing with the cycle tangent is omega."""
-    tangent = orbit.series.derivative()
-    return z * adjoint.normalization(orbit, z, tangent, 0.0, orbit.omega)
+    return quadrature_normalized(z, orbit, orbit.series.derivative(), 0.0, orbit.omega)
 
 
 def normalize_amplitude(q, orbit, mu, mode):
     """q rescaled so its pairing with the eigenfunction is 1."""
-    return q * adjoint.normalization(orbit, q, mode, mu, 1.0)
+    return quadrature_normalized(q, orbit, mode, mu, 1.0)
 
 
 class TestAdjointMatrix:
@@ -70,11 +71,18 @@ class TestNormalizePhase:
         )
         assert abs(value - 1.0) < 1e-8
 
-    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_z):
+    def test_quadrature_node_insensitivity(self, request, monkeypatch):
+        # 64 and 256 nodes agree to 1.6e-15 (kotani) and 3.3e-16 (cortico)
         assert adjoint.QUAD_NODES == 64
-        monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
-        z256 = adjoint.solve_response(kotani_orbit)
-        assert np.abs(z256.Q - kotani_z.Q).max() < 1e-10
+        for config in ("kotani", "cortico"):
+            orbit = request.getfixturevalue(f"{config}_orbit")
+            z = request.getfixturevalue(f"{config}_z")
+            tangent = orbit.series.derivative()
+            value = adjoint.pairing_functional(orbit, z, tangent, 0.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(adjoint, "QUAD_NODES", 256)
+                fine = adjoint.pairing_functional(orbit, z, tangent, 0.0)
+            assert abs(fine - value) <= 8e-15
 
     def test_zero_curve_rejected(self, kotani_orbit):
         with pytest.raises(NormalizationSingular):
@@ -98,11 +106,17 @@ class TestNormalizeAmplitude:
         sign = np.sign(np.sum(q * expected))
         assert np.abs(sign * q - expected).max() < 1e-8
 
-    def test_quadrature_node_insensitivity(self, monkeypatch, kotani_orbit, kotani_mode,
-                                           kotani_q):
-        monkeypatch.setattr(adjoint, "QUAD_NODES", 256)
-        q256 = adjoint.solve_response(kotani_orbit, kotani_mode)
-        assert np.abs(q256.Q - kotani_q.Q).max() < 1e-10
+    def test_quadrature_node_insensitivity(self, request, monkeypatch):
+        # 64 and 256 nodes agree to 1.8e-15 (kotani) and 1.7e-15 (cortico)
+        for config in ("kotani", "cortico"):
+            orbit = request.getfixturevalue(f"{config}_orbit")
+            mode = request.getfixturevalue(f"{config}_mode")
+            q = request.getfixturevalue(f"{config}_q")
+            value = adjoint.pairing_functional(orbit, q, mode, q.mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(adjoint, "QUAD_NODES", 256)
+                fine = adjoint.pairing_functional(orbit, q, mode, q.mu)
+            assert abs(fine - value) <= 8e-15
 
 
 class TestConservedPairing:
@@ -127,11 +141,11 @@ class TestConservedPairing:
         assert max(vals) - min(vals) < 1e-6
 
     def test_every_form_of_a_curve_pairs_alike(self, kotani_orbit, kotani_z):
-        # a ResponseCurve, its series, its grid samples and its value callable
+        # a ResponseCurve, its series and its value callable
         tangent = kotani_orbit.series.derivative()
         vals = [
             adjoint.pairing_functional(kotani_orbit, curve, tangent, 0.0, 0.7)
-            for curve in (kotani_z, kotani_z.series, kotani_z.Q, kotani_z.value)
+            for curve in (kotani_z, kotani_z.series, kotani_z.value)
         ]
         np.testing.assert_allclose(vals, vals[0], rtol=1e-12)
 

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves on first access to the
 object in its home module, and nothing is cached in the package."""
 
+import copy
 import importlib.util
 import sys
 from pathlib import Path
@@ -55,3 +56,16 @@ def test_every_name_the_tracer_wraps_is_callable():
     for module, name in names:
         assert callable(getattr(importlib.import_module(f"ddehb.{module}"), name, None)), \
             f"ddehb.{module}.{name}"
+
+
+def test_equality_of_array_holders_is_a_bool(kotani_orbit, kotani_mode, kotani_z):
+    # a type that holds arrays compares by identity: an elementwise == of
+    # its arrays would have no single truth value
+    from ddehb import floquet, spectral
+
+    for obj in (kotani_orbit.series, kotani_orbit, kotani_z, kotani_mode,
+                floquet.orbit_linearization(kotani_orbit),
+                floquet.det_scan(kotani_orbit, (-0.2, 0.05), 2),
+                spectral.build_operators(4, 6.0, 1.0)):
+        assert (obj == obj) is True
+        assert (obj == copy.copy(obj)) is False, type(obj).__name__

@@ -597,7 +597,8 @@ class TestExportPipeline:
 ORACLE_LAYERS = {"ddehb.oracle", "ddehb.validation", "numpy.random"}
 # runs the commands of argv[1] (a JSON list of argument lists) in order and
 # prints their exit codes and the modules loaded after `import numpy`
-# (numpy < 2 loads numpy.random itself, which then counts as not loaded)
+# (numpy < 2 loads numpy.random and numpy.polynomial itself, which then count
+# as not loaded)
 _PROBE = """
 import json, sys
 import numpy
@@ -620,9 +621,11 @@ def run_fresh(*commands):
 
 
 class TestLoadedLayers:
-    """The spectral commands load no oracle, validation or numpy.random
-    code; an oracle seed loads the oracle on demand.  No command loads
-    OpenSSL (_hashlib), which costs about 3.5 MB of resident memory."""
+    """The spectral commands load no oracle, validation, numpy.random or
+    numpy.polynomial code (only the quadrature pairing of the oracle and
+    the validators needs Gauss-Legendre nodes); an oracle seed loads the
+    oracle on demand.  No command loads OpenSSL (_hashlib), which costs
+    about 3.5 MB of resident memory."""
 
     @pytest.mark.parametrize("steps", [("cycle", "floquet", "response"), ("export",)])
     def test_spectral_commands(self, tmp_path, steps):
@@ -632,6 +635,7 @@ class TestLoadedLayers:
         assert codes == [EXIT_OK] * len(steps)
         assert "ddehb.floquet" in loaded
         assert not ORACLE_LAYERS & loaded
+        assert "numpy.polynomial" not in loaded
         assert "_hashlib" not in loaded
 
     def test_validate_loads_no_numpy_random(self, tmp_path):

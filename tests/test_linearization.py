@@ -17,7 +17,7 @@ from ddehb import adjoint, cycle, floquet, oracle, spectral
 from ddehb.model import ModelSpec
 from ddehb.spectral import build_operators
 
-from conftest import CORTICO_SCAN, KOTANI_SCAN
+from conftest import CORTICO_SCAN, KOTANI_SCAN, quadrature_normalized
 
 CASES = [("kotani_orbit", KOTANI_SCAN), ("cortico_orbit", CORTICO_SCAN)]
 
@@ -157,6 +157,17 @@ class TestAgainstFreshAssembly:
             ref = (cycle.residual(model, X, T + h) - cycle.residual(model, X, T - h)) / (2 * h)
             assert np.abs(column - ref).max() <= 1e-7 * np.abs(ref).max()
 
+    def test_mu_derivative(self, request, name, scan):
+        # M'(mu) v against a central difference of M(mu) v; the gap is at
+        # most 8.8e-10 of the peak (cortico), the difference's round-off
+        orbit = request.getfixturevalue(name)
+        lin = floquet.orbit_linearization(orbit)
+        v = np.cos(np.arange(lin.A0.shape[0]))
+        h = 1e-5
+        for mu in np.linspace(*scan, 5):
+            ref = (lin.matrix(mu + h) @ v - lin.matrix(mu - h) @ v) / (2 * h)
+            assert np.abs(lin.dmu(mu, v) - ref).max() <= 1e-8 * np.abs(ref).max()
+
 
 def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
     calls = Counter()
@@ -210,8 +221,9 @@ def mackey_glass_orbit():
 
 @pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])
 def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan):
-    """z and q, the left null vectors of M(mu), equal those of the advanced
-    adjoint collocation, normalized alike, to 1e-12 of each curve's peak."""
+    """z and q, the left null vectors of M(mu) scaled by the grid pairing,
+    equal those of the advanced adjoint collocation scaled by the quadrature
+    pairing, to 1e-12 of each curve's peak."""
     orbit = request.getfixturevalue(name)
     mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
     for curve, partner, target in (
@@ -220,5 +232,25 @@ def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan
     ):
         U = np.linalg.svd(fresh_adjoint_matrix(orbit, curve.mu))[0]
         raw = U[:, -1].reshape(-1, orbit.model.m)
-        ref = raw * adjoint.normalization(orbit, raw, partner, curve.mu, target)
+        ref = quadrature_normalized(raw, orbit, partner, curve.mu, target)
         assert np.abs(curve.Q - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])
+def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
+    """Q^T M'(mu) P / (2M+1), the pairing solve_response scales by, equals
+    pairing_functional's quadrature for z and q, relative to the target.
+    Measured: 6.7e-16 and 4.4e-16 (kotani), 6.5e-15 and 1.4e-14 (cortico),
+    1.5e-14 and 3.6e-15 (Mackey-Glass)."""
+    orbit = request.getfixturevalue(name)
+    lin = floquet.orbit_linearization(orbit)
+    mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
+    for curve, P, partner, target in (
+        (adjoint.solve_response(orbit), orbit.xdot_samples, orbit.series.derivative(),
+         orbit.omega),
+        (adjoint.solve_response(orbit, mode), mode.R, mode, 1.0),
+    ):
+        grid = curve.Q.ravel() @ lin.dmu(curve.mu, P.ravel()) / len(P)
+        quadrature = adjoint.pairing_functional(orbit, curve, partner, curve.mu)
+        assert abs(grid - target) <= 1e-12 * abs(target)
+        assert abs(grid - quadrature) <= 1e-13 * abs(target)

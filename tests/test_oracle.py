@@ -539,6 +539,18 @@ class TestDiscretizedAdjoint:
         ]
         assert max(vals) - min(vals) < 1e-10
 
+    def test_pairing_read_from_its_home_module(self, kotani_orbit, kotani_oracle_curves,
+                                               monkeypatch):
+        # a function rebound in adjoint (by a tracer or a test) is the one the
+        # oracle calls, whenever the oracle was first imported
+        _, z, _ = kotani_oracle_curves
+        calls = []
+        pairing = adjoint.pairing_functional
+        monkeypatch.setattr(adjoint, "pairing_functional",
+                            lambda *args: calls.append(args) or pairing(*args))
+        oracle._response(kotani_orbit, z.values, None)
+        assert len(calls) == 1
+
     # None is the phase target, named by the mu it sits at
     @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
     def test_zero_curve_rejected(self, kotani_orbit, mu):

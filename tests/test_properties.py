@@ -11,7 +11,7 @@ from ddehb import adjoint, floquet
 from ddehb.errors import NoRootInBracket
 from ddehb.model import ModelSpec
 
-from conftest import KOTANI_SCAN
+from conftest import KOTANI_SCAN, quadrature_normalized
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -147,8 +147,7 @@ def assert_same_curve(Q, ref):
 def test_phase_normalization_ignores_scale_and_sign(kotani_orbit, kotani_z, scale):
     raw = raw_null_vector(kotani_orbit, 0.0)
     tangent = kotani_orbit.series.derivative()
-    z = scale * raw
-    z = z * adjoint.normalization(kotani_orbit, z, tangent, 0.0, kotani_orbit.omega)
+    z = quadrature_normalized(scale * raw, kotani_orbit, tangent, 0.0, kotani_orbit.omega)
     assert_same_curve(z, kotani_z.Q)
 
 
@@ -158,6 +157,5 @@ def test_amplitude_normalization_ignores_scale_and_sign(
     kotani_orbit, kotani_mu, kotani_mode, kotani_q, scale
 ):
     raw = raw_null_vector(kotani_orbit, kotani_mu)
-    q = scale * raw
-    q = q * adjoint.normalization(kotani_orbit, q, kotani_mode, kotani_mu, 1.0)
+    q = quadrature_normalized(scale * raw, kotani_orbit, kotani_mode, kotani_mu, 1.0)
     assert_same_curve(q, kotani_q.Q)
