@@ -34,8 +34,8 @@ _HOME = {  # home module -> the public names it defines
                 "find_exponents", "leading_exponent", "refine_exponent", "scan_sigma_min"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
               "verify_jacobians"],
-    "oracle": ["Trajectory", "direct_prc", "integrate_dde", "oracle_eigenfunction",
-               "oracle_floquet", "oracle_responses", "settle_to_cycle"],
+    "oracle": ["Trajectory", "direct_prc", "integrate_dde", "oracle_curves",
+               "oracle_floquet", "settle_to_cycle"],
     "spectral": ["FourierSeries", "SpectralGrid", "SpectralOperators", "build_operators",
                  "coeffs_to_samples", "sample_to_coeffs"],
 }

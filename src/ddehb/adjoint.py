@@ -23,9 +23,10 @@ with the cycle tangent (phase, pairing omega) or the Floquet
 eigenfunction (amplitude, pairing 1).  On the grid it is
 Q^T M'(mu) P / (2M+1), P the sampled partner and M'(mu) = I + tau
 e^{-mu tau} B (`cycle.Linearization.dmu`).  `normalization` is the one
-place the rule lives; the oracle feeds it `pairing_functional`, whose
-delay integral takes a fixed QUAD_NODES-point Gauss-Legendre rule (on
-both shipped configs 16 to 256 nodes agree to within 8e-15).
+place the rule lives; the oracle feeds it its own pairing.  Validation
+checks t0-invariance with `pairing_functional`, whose delay integral takes
+a fixed QUAD_NODES-point Gauss-Legendre rule (on both shipped configs 16
+to 256 nodes agree to within 8e-15).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class NoExponentInRange(DdehbError):
 
 
 class NotSingular(DdehbError, ValueError):
-    """M(mu) or its adjoint is regular at mu: mu is not a Floquet exponent."""
+    """A matrix that must be singular at mu (M(mu), P - e^{mu T} I) is regular."""
 
 
 class PeriodTooShort(DdehbError, ValueError):

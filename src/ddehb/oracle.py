@@ -10,9 +10,9 @@ than tautology:
 * the pseudospectral oracle: monodromy matrix, eigenfunction and phase
   and amplitude responses of the variational equation with the delay
   interval held on a Chebyshev grid, stepped by a sixth-order Runge-Kutta
-  method and read between its steps by trigonometric interpolation,
-  normalized by `adjoint.normalization` from the quadrature pairing
-  (`adjoint.pairing_functional`) with the oracle's own tangent and rho;
+  method and read between its steps by trigonometric interpolation, and
+  scaled by `adjoint.normalization` from the oracle's own pairing (a left
+  null vector of the monodromy matrix against the forward state);
 * direct pulse-perturbation PRC measurement.
 
 The module ends with five placeholders under the names of the deleted
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adjoint  # only its normalization rule and quadrature pairing, read per call
+from .adjoint import normalization
 from .config import MIN_DELAY_STEPS, _snap_step
 from .cycle import PeriodicOrbit
 from .errors import (
@@ -37,8 +37,8 @@ from .errors import (
     PeriodDrift,
     SlowPhaseDecay,
 )
-# shared conventions, no operator
-from .floquet import _fix_mode_gauge as _mode_gauge
+# shared conventions and an SVD check, no operator
+from .floquet import _fix_mode_gauge as _mode_gauge, simple_null_svd
 from .model import ModelSpec
 from .spectral import FourierSeries, sample_to_coeffs
 
@@ -286,26 +286,6 @@ class _PeriodicInterp:
         return (c[0] + powers @ c[1:]).real
 
 
-def _orbit_tangent(orbit):
-    """Cycle tangent from the delay system itself, x' = F(x, x_delayed)."""
-
-    def xdot(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return orbit.model.F(orbit.value(t), orbit.value(t - orbit.model.tau))
-
-    return xdot
-
-
-def _response(orbit, curve, mode) -> _PeriodicInterp:
-    """Response from a periodic curve sampled uniformly over one period,
-    scaled to pair with the cycle tangent to omega (mode None: phase, at
-    mu = 0) or with rho to 1 (mode (mu, rho): amplitude, at mu)."""
-    mu, partner, target = ((0.0, _orbit_tangent(orbit), orbit.omega) if mode is None
-                           else (*mode, 1.0))
-    c = adjoint.pairing_functional(orbit, _PeriodicInterp(orbit.T, curve), partner, mu)
-    return _PeriodicInterp(orbit.T, curve * adjoint.normalization(c, target))
-
-
 @functools.lru_cache(maxsize=None)
 def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev differentiation matrix D on the nodes cos(j pi / n),
@@ -430,40 +410,39 @@ def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
     return OracleMonodromy(system, P, heads, multipliers[order], exponents[order], unit_err)
 
 
-def _null_vectors(mono: OracleMonodromy, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left eigenvectors of the monodromy matrix at the real
-    multiplier lam: the null vectors of matrix - lam I, from one SVD."""
-    U, _, Vt = np.linalg.svd(mono.matrix - lam * np.eye(mono.matrix.shape[0]))
-    return Vt[-1], U[:, -1]
+def oracle_curves(orbit: PeriodicOrbit, mono: OracleMonodromy
+                  ) -> tuple[_PeriodicInterp, _PeriodicInterp, _PeriodicInterp]:
+    """Eigenfunction rho, phase response z and amplitude response q at the
+    leading nontrivial exponent mu, from the null vectors of P - e^{mu T} I
+    (right v, left w_q) and of P - I (left w_z), P the monodromy matrix;
+    simple_null_svd raises NotSingular where e^{mu T} is no multiplier.
 
+    rho(t) = e^{-mu t} y(t), y the head of v carried forward by the stored
+    partial products, is gauged as the spectral eigenfunction is, by
+    _fix_mode_gauge on its samples at the orbit's collocation grid.  w_z
+    and w_q are stepped back over one period by the transposed step
+    matrices together and read at the head; q takes the factor
+    e^{mu (t - T)}.  A left null vector's product with the forward state
+    is the pairing of the discretized system, so adjoint.normalization
+    scales z from w_z against the tangent x' = F(x, x_tau) at the nodes
+    (target omega) and q from w_q against rho's state at t = 0, the gauged
+    v (target 1).
+    """
+    mu, system, model = mono.leading_nontrivial(), mono.system, orbit.model
+    m, T, P = system.m, system.T, mono.matrix
+    eye = np.eye(P.shape[0])
+    U, _, Vt = simple_null_svd(P - np.exp(mu * T) * eye, mu, "oracle P - e^{mu T} I")
+    v, w_q = Vt[-1], U[:, -1]
+    w_z = simple_null_svd(P - eye, 0.0, "oracle P - I")[0][:, -1]
 
-def oracle_eigenfunction(orbit: PeriodicOrbit, mono: OracleMonodromy) -> _PeriodicInterp:
-    """Eigenfunction rho(t) = e^{-mu t} y(t) at the leading nontrivial
-    exponent mu, y the head of the right eigenvector carried forward by the
-    partial products.  It is gauged as the spectral eigenfunction is, by
-    _fix_mode_gauge on its samples at the orbit's collocation grid."""
-    mu, system = mono.leading_nontrivial(), mono.system
-    v, _ = _null_vectors(mono, float(np.exp(mu * system.T)))
     t = np.arange(system.steps) * system.h
-    rho = _PeriodicInterp(system.T, np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v))
+    rho = _PeriodicInterp(T, np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v))
     samples = rho(orbit.grid.sample_times)
     i = int(np.argmax(np.abs(samples)))
-    rho.values *= _mode_gauge(samples).flat[i] / samples.flat[i]
-    return rho
+    gauge = _mode_gauge(samples).flat[i] / samples.flat[i]
+    rho.values *= gauge
 
-
-def oracle_responses(orbit: PeriodicOrbit, mono: OracleMonodromy,
-                     rho: _PeriodicInterp) -> tuple[_PeriodicInterp, _PeriodicInterp]:
-    """Phase response z and amplitude response q at the leading nontrivial
-    exponent mu, which pairs with rho (from oracle_eigenfunction).  The left
-    eigenvectors at the multipliers 1 and e^{mu T} are stepped back over one
-    period by the transposed step matrices together, and each is read at
-    the head; q takes the factor e^{mu (t - T)}.  adjoint.normalization
-    scales both from their pairing_functional with the tangent and with rho.
-    """
-    mu, system = mono.leading_nontrivial(), mono.system
-    m, T = system.m, system.T
-    Y = np.stack([_null_vectors(mono, lam)[1] for lam in (1.0, np.exp(mu * T))], axis=1)
+    Y = np.stack([w_z, w_q], axis=1)
     heads = np.empty((system.steps + 1, m, 2))
     heads[-1] = Y[:m]
     for k1 in range(system.steps, 0, -STEP_BATCH):
@@ -472,10 +451,14 @@ def oracle_responses(orbit: PeriodicOrbit, mono: OracleMonodromy,
         for k in range(k1 - 1, k0 - 1, -1):
             Y = S[k - k0].T @ Y
             heads[k] = Y[:m]
-    t = np.arange(system.steps) * system.h
-    z = _response(orbit, heads[:-1, :, 0], None)
-    q = _response(orbit, np.exp(mu * (t - T))[:, None] * heads[:-1, :, 1], (mu, rho))
-    return z, q
+
+    n = P.shape[0] // m - 1
+    theta = 0.5 * model.tau * (np.cos(np.pi * np.arange(n + 1) / n) - 1.0)
+    xdot = model.F(orbit.value(theta), orbit.value(theta - model.tau)).ravel()
+    z = heads[:-1, :, 0] * normalization(w_z @ xdot, orbit.omega)
+    q = (np.exp(mu * (t - T))[:, None] * heads[:-1, :, 1]
+         * normalization(gauge * (w_q @ v), 1.0))
+    return rho, _PeriodicInterp(T, z), _PeriodicInterp(T, q)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,7 @@ def kotani_oracle_floquet(kotani_model, kotani_orbit):
 @pytest.fixture(scope="session")
 def kotani_oracle_curves(kotani_orbit, kotani_oracle_floquet):
     """The oracle's eigenfunction, z and q on the kotani orbit."""
-    rho = oracle.oracle_eigenfunction(kotani_orbit, kotani_oracle_floquet)
-    return (rho, *oracle.oracle_responses(kotani_orbit, kotani_oracle_floquet, rho))
+    return oracle.oracle_curves(kotani_orbit, kotani_oracle_floquet)
 
 
 @pytest.fixture(scope="session")
@@ -124,6 +123,25 @@ def stuart_landau(tau: float) -> ModelSpec:
         return np.stack([x - y - x * r2, x + y - y * r2], axis=-1)
 
     return ModelSpec("stuart_landau", 2, tau, F)
+
+
+def mackey_glass(tau: float = 5.0) -> ModelSpec:
+    """x' = 0.2 x(t - tau) / (1 + x(t - tau)^10) - 0.1 x, whose DF1 varies
+    along the cycle, unlike cortico's."""
+
+    def F(z0, z1):
+        return 0.2 * z1 / (1.0 + z1**10) - 0.1 * z0
+
+    return ModelSpec("mackey_glass", 1, tau, F)
+
+
+def mackey_glass_orbit_at(tau: float):
+    """The Mackey-Glass cycle at delay tau, settled from x = 1.2 at the step
+    tau / 16 and solved at M = 20."""
+    model = mackey_glass(tau)
+    settled = oracle.settle_to_cycle(model, lambda s: np.array([1.2]), 600.0,
+                                     dt=model.tau / 16, M=20, observe_time=300.0)
+    return d.solve_cycle(model, settled.seed, d.SolveOptions(M=20))
 
 
 def abs_kotani(delta: float = 0.05) -> ModelSpec:

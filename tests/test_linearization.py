@@ -12,12 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import ddehb as d
-from ddehb import adjoint, cycle, floquet, oracle, spectral
+from ddehb import adjoint, cycle, floquet, spectral
 from ddehb.model import ModelSpec
 from ddehb.spectral import build_operators
 
-from conftest import CORTICO_SCAN, KOTANI_SCAN, quadrature_normalized
+from conftest import CORTICO_SCAN, KOTANI_SCAN, mackey_glass_orbit_at, quadrature_normalized
 
 CASES = [("kotani_orbit", KOTANI_SCAN), ("cortico_orbit", CORTICO_SCAN)]
 
@@ -201,22 +200,9 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
         assert calls == {"build_operators": 1, "jacobians": 1}
 
 
-def mackey_glass() -> ModelSpec:
-    """x' = 0.2 x(t - 5) / (1 + x(t - 5)^10) - 0.1 x, whose DF1 varies along
-    the cycle, unlike cortico's."""
-
-    def F(z0, z1):
-        return 0.2 * z1 / (1.0 + z1**10) - 0.1 * z0
-
-    return ModelSpec("mackey_glass", 1, 5.0, F)
-
-
 @pytest.fixture(scope="module")
 def mackey_glass_orbit():
-    model = mackey_glass()
-    settled = oracle.settle_to_cycle(model, lambda s: np.array([1.2]), 600.0,
-                                     dt=model.tau / 16, M=20, observe_time=300.0)
-    return d.solve_cycle(model, settled.seed, d.SolveOptions(M=20))
+    return mackey_glass_orbit_at(5.0)
 
 
 @pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])

@@ -9,11 +9,13 @@ from ddehb.errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
     NonFiniteState,
-    NormalizationSingular,
+    NotSingular,
     PeriodDrift,
     SlowPhaseDecay,
 )
 from ddehb.model import ModelSpec
+
+from conftest import mackey_glass_orbit_at
 
 
 def cos_history(s):
@@ -322,8 +324,7 @@ def oracle_gaps(model, orbit, mu, mode, z, q, n, steps):
     the spectral side: the exponent (relative), the unit multiplier, and the
     largest gap of rho, z and q on the collocation grid."""
     mono = oracle.oracle_floquet(model, orbit, n, steps)
-    rho = oracle.oracle_eigenfunction(orbit, mono)
-    z_o, q_o = oracle.oracle_responses(orbit, mono, rho)
+    rho, z_o, q_o = oracle.oracle_curves(orbit, mono)
     tg = orbit.grid.sample_times
     return {
         "mu": abs(mono.leading_nontrivial() - mu) / abs(mu),
@@ -419,9 +420,9 @@ class TestPseudospectralOracle:
         monkeypatch.setattr(oracle.PseudospectralSystem, "step_matrices", recording)
         mono = oracle.oracle_floquet(kotani_model, kotani_orbit)
         forward = built[:]
-        rho = oracle.oracle_eigenfunction(kotani_orbit, mono)
-        assert built == forward  # the eigenfunction is read from the stored heads
-        oracle.oracle_responses(kotani_orbit, mono, rho)
+        oracle.oracle_curves(kotani_orbit, mono)
+        # the eigenfunction is read from the stored heads: oracle_curves
+        # builds the batches of one backward sweep and nothing else
         backward = built[len(forward):]
         steps = mono.system.steps
         for batches in (forward, backward[::-1]):
@@ -496,25 +497,41 @@ class TestPseudospectralOracle:
     def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
         # DF1 == 0: the history nodes do not feed back into the head, so z
         # solves the plain ODE adjoint, which is (-sin, cos) for this
-        # oscillator (measured 5e-15)
+        # oscillator (measured 5e-15); the radial mode at mu = -2 gives
+        # rho = g (cos, sin) and q = (cos, sin) / g, whose pairing is the
+        # pointwise product (measured 6.4e-11 and 2.0e-11)
         mono = oracle.oracle_floquet(sl_model, sl_orbit)
-        z, _ = oracle.oracle_responses(sl_orbit, mono, oracle.oracle_eigenfunction(sl_orbit, mono))
+        rho, z, q = oracle.oracle_curves(sl_orbit, mono)
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(z(t) - expected).max() <= 1e-12
+        radial, g = np.stack([np.cos(t), np.sin(t)], axis=-1), rho(0.0)[0, 0]
+        assert np.abs(rho(t) - g * radial).max() <= 1e-9
+        assert np.abs(q(t) - radial / g).max() <= 1e-9
 
-    def test_amplitude_target_at_zero_pairs_with_its_rho(self, kotani_orbit,
-                                                         kotani_oracle_curves):
-        # a mode at mu = 0 is an amplitude target: its curve pairs with its
-        # own rho (here twice the tangent) to 1, where the phase response
-        # pairs with it to 2 omega
-        _, z, _ = kotani_oracle_curves
-        tangent = oracle._orbit_tangent(kotani_orbit)
-        partner = lambda t: 2.0 * tangent(t)
-        q = oracle._response(kotani_orbit, z.values, (0.0, partner))
-        assert abs(adjoint.pairing_functional(kotani_orbit, q, partner, 0.0) - 1.0) <= 1e-12
-        phase = adjoint.pairing_functional(kotani_orbit, z, partner, 0.0)
-        assert abs(phase - 2.0 * kotani_orbit.omega) <= 1e-12
+    def test_negative_leading_multiplier_rejected(self):
+        # Mackey-Glass at tau = 8: the leading nontrivial multiplier is
+        # -0.23582, so e^{Re mu T} is no multiplier (sigma_min/sigma_max
+        # of P - e^{Re mu T} I is 3.0e-2) and no curve is returned
+        orbit = mackey_glass_orbit_at(8.0)
+        mono = oracle.oracle_floquet(orbit.model, orbit)
+        assert mono.multipliers[1].real < 0.0
+        with pytest.raises(NotSingular, match="sigma_min/sigma_max = 3.0"):
+            oracle.oracle_curves(orbit, mono)
+
+    @pytest.mark.parametrize("name", ["kotani", "cortico"])
+    def test_quadrature_pairing_checks_the_scale(self, request, name):
+        # the oracle scales z and q by its own left-right pairing; the
+        # spectral side's quadrature pairs them with the tangent to omega
+        # and with rho to 1 (measured 2.0e-13 and 5.0e-12 on kotani,
+        # 1.2e-13 and 8.4e-14 on cortico, relative)
+        orbit = request.getfixturevalue(f"{name}_orbit")
+        mono = request.getfixturevalue(f"{name}_oracle_floquet")
+        rho, z, q = oracle.oracle_curves(orbit, mono)
+        phase = adjoint.pairing_functional(orbit, z, orbit.series.derivative(), 0.0)
+        amplitude = adjoint.pairing_functional(orbit, q, rho, mono.leading_nontrivial())
+        assert abs(phase - orbit.omega) <= 2e-12 * orbit.omega
+        assert abs(amplitude - 1.0) <= 5e-11
 
 
 class TestMonodromy:
@@ -532,33 +549,24 @@ class TestDiscretizedAdjoint:
     def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
         # the pseudospectral oracle's z with the orbit's own tangent
         _, z, _ = kotani_oracle_curves
-        tangent = oracle._orbit_tangent(kotani_orbit)
+        tangent = kotani_orbit.series.derivative()
         vals = [
             adjoint.pairing_functional(kotani_orbit, z, tangent, 0.0, t0)
             for t0 in np.arange(8) * kotani_orbit.T / 8
         ]
         assert max(vals) - min(vals) < 1e-10
 
-    def test_pairing_read_from_its_home_module(self, kotani_orbit, kotani_oracle_curves,
-                                               monkeypatch):
-        # a function rebound in adjoint (by a tracer or a test) is the one the
-        # oracle calls, whenever the oracle was first imported
-        _, z, _ = kotani_oracle_curves
-        calls = []
-        pairing = adjoint.pairing_functional
-        monkeypatch.setattr(adjoint, "pairing_functional",
-                            lambda *args: calls.append(args) or pairing(*args))
-        oracle._response(kotani_orbit, z.values, None)
-        assert len(calls) == 1
+    def test_curves_scaled_without_the_quadrature(self, kotani_orbit, kotani_oracle_floquet,
+                                                   kotani_oracle_curves, monkeypatch):
+        # the oracle shares no pairing with the spectral side: with the
+        # quadrature disabled it gives the same curves
+        def disabled(*args, **kwargs):
+            raise AssertionError("the oracle called the spectral quadrature")
 
-    # None is the phase target, named by the mu it sits at
-    @pytest.mark.parametrize("mu", [pytest.param(None, id="0.0"), -0.03])
-    def test_zero_curve_rejected(self, kotani_orbit, mu):
-        # a vanishing pairing is an error, not a curve scaled to NaN
-        rho = oracle._PeriodicInterp(T=kotani_orbit.T, values=np.ones((64, 1)))
-        mode = None if mu is None else (mu, rho)
-        with pytest.raises(NormalizationSingular):
-            oracle._response(kotani_orbit, np.zeros((64, 1)), mode)
+        monkeypatch.setattr(adjoint, "pairing_functional", disabled)
+        curves = oracle.oracle_curves(kotani_orbit, kotani_oracle_floquet)
+        for got, ref in zip(curves, kotani_oracle_curves):
+            assert np.array_equal(got.values, ref.values)
 
 
 class TestDirectPrc:
