@@ -101,8 +101,8 @@ def pairing_functional(
 
     with p the cycle tangent or a Floquet eigenfunction.  Each of q and p
     is a ResponseCurve, FloquetMode, FourierSeries or a callable of time
-    (the oracle's interpolants).  Constant in t0 for correctly paired
-    (mu, q, p); without the e^{-mu tau} factor it is not.
+    (validation passes only the first three).  Constant in t0 for
+    correctly paired (mu, q, p); without the e^{-mu tau} factor it is not.
     Every model has tau > 0, so the delay integral always runs.
     """
     model = orbit.model

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import time
@@ -297,5 +298,19 @@ def main(argv=None) -> int:
     return EXIT_CONFIG
 
 
+def run() -> int:
+    """The process entry of `python -m ddehb.cli` and the `ddehb` script.
+
+    main(), then gc.freeze(): the interpreter's shutdown collection, most
+    of a command's exit time, skips the frozen heap (numpy's and ddehb's
+    module graph); atexit handlers, stream flushing and module teardown
+    still run.  main() leaves the collector alone, since tests call it many
+    times in one process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

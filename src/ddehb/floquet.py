@@ -35,7 +35,7 @@ from .spectral import FourierSeries, build_operators, sample_to_coeffs
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
 DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
 GAUGE_TIE_RATIO = 1e-9  # entries within this relative margin of the largest magnitude tie
-SCAN_CHUNK = 25  # scan grid points per stacked assembly and LAPACK call
+SCAN_CHUNK = 10  # scan grid points per stacked assembly and LAPACK call
 
 
 def orbit_linearization(orbit: PeriodicOrbit) -> Linearization:
@@ -69,7 +69,7 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     and each chunk goes through one stacked slogdet that fills its slice of
     the arrays.  It runs the same LAPACK routine on each matrix as a call
     per point would, so the values are the same to the bit whatever the
-    chunk bounds; a chunk holds at most SCAN_CHUNK n^2 doubles (1.3 MB at
+    chunk bounds; a chunk holds at most SCAN_CHUNK n^2 doubles (0.52 MB at
     n = 81).  No bracket depends on sigma_min, so no scan computes it.
     """
     scan = _empty_scan(orbit, mu_range, grid_points)

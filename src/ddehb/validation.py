@@ -150,7 +150,7 @@ class _Stage:
     mu: float  # leading nontrivial exponent
     orbit2: PeriodicOrbit  # the same seed solved at 2M
     mu2: float  # leading nontrivial exponent of orbit2
-    search: str  # grid points each search evaluated, of the scan's: "75/200,75/200"
+    search: str  # grid points each search evaluated, of the scan's: "70/200,70/200"
     solve_seconds: float  # seed (settle included) and cycle solve
     exponent_seconds: float  # leading-exponent search
     doubling_seconds: float  # solve and exponent search at 2M

@@ -160,7 +160,7 @@ def test_rows_are_plain_json(report_rows):
 def test_doubling_row_names_the_points_searched(model, report_rows):
     # the leading search at M and at 2M each stop above the bottom of the
     # 200-point scan, and the row says where
-    searched = {"kotani": 75, "cortico": 100}[model]
+    searched = {"kotani": 70, "cortico": 90}[model]
     detail = {row.name: row for row in report_rows}[f"{model}.exponent_M_doubling"].detail
     match = re.fullmatch(r"mu=-0\.\d{6} points=(\d+)/200,(\d+)/200", detail)
     assert match, detail

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from ddehb.cli import (
     main,
 )
 import ddehb
-from ddehb import cycle, floquet, oracle, pipeline, validation
+from ddehb import cli, cycle, floquet, oracle, pipeline, validation
 from ddehb.config import RunConfig, load_config
 from ddehb.cycle import solve_cycle
 from ddehb.model import BUILTIN_MODELS
@@ -591,6 +592,28 @@ class TestExportPipeline:
         nontrivial = [e["mu"] for e in data["exponents"] if not e["trivial"]]
         assert len(nontrivial) == 1
         assert abs(nontrivial[0] - (-0.00296)) < 5e-5
+
+
+class TestProcessEntry:
+    """A process ends through cli.run: main(), then gc.freeze(), so the
+    shutdown collection skips the heap.  main alone leaves the collector as
+    it is, since tests and the benchmark call it many times in one process."""
+
+    def test_main_freezes_nothing(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run("export", "--config", KOTANI_CFG, "--out", str(tmp_path)) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_returns_the_code_of_main_and_freezes_the_heap(self, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: EXIT_VALIDATION)
+        probe = [object()]
+        frozen = gc.get_freeze_count()
+        try:
+            assert cli.run() == EXIT_VALIDATION
+            assert gc.get_freeze_count() > frozen
+            assert not any(obj is probe for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
 
 
 # layers that only `ddehb validate` (and an oracle seed) run

@@ -89,7 +89,7 @@ def test_only_the_scan_file_computes_singular_values(kotani_orbit, monkeypatch):
     cfg = load_config(str(CONFIG_DIR / "kotani_fig1.yaml"))
     calls.clear()
     run = pipeline.run_floquet(cfg, kotani_orbit)
-    assert calls["stacked"] == math.ceil(cfg.scan.points / floquet.SCAN_CHUNK) == 8
+    assert calls["stacked"] == math.ceil(cfg.scan.points / floquet.SCAN_CHUNK) == 20
     # the root search's refinement, and one full SVD per mode, the trivial one included
     assert calls["single"] == single["find_exponents"] + len(run.modes) + 1
 

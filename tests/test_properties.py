@@ -90,7 +90,7 @@ def _root_at(position, step=0.005, root=-0.029044149217942475):
 
 @settings(PROPERTY, max_examples=40)
 @given(lo=st.floats(-0.3, 0.05), width=st.floats(0.005, 0.35),
-       points=st.integers(2, 80), chunk=st.sampled_from([1, 2, 7, 25]))
+       points=st.integers(2, 80), chunk=st.sampled_from([1, 2, 7, 10, 25]))
 @example(lo=-0.02, width=0.015, points=30, chunk=25)  # no root at all
 @example(lo=-0.01, width=0.06, points=40, chunk=25)  # only the trivial root
 @example(lo=-0.22, width=0.28, points=4, chunk=25)  # a dip-only bracket holds it
@@ -101,6 +101,10 @@ def _root_at(position, step=0.005, root=-0.029044149217942475):
 @example(lo=_root_at(35.0), width=0.295, points=60, chunk=25)
 @example(lo=_root_at(35.5), width=0.295, points=60, chunk=25)
 @example(lo=_root_at(9.5), width=0.295, points=60, chunk=25)
+# and beside the 10-point chunks' boundary at grid point 40 of 60
+@example(lo=_root_at(39.5), width=0.295, points=60, chunk=10)
+@example(lo=_root_at(40.0), width=0.295, points=60, chunk=10)
+@example(lo=_root_at(40.5), width=0.295, points=60, chunk=10)
 def test_leading_exponent_is_the_first_root(kotani_orbit, lo, width, points, chunk):
     # the top-down search returns find_exponents' first root to the bit,
     # whatever size its chunks have; None where find_exponents finds none
