@@ -24,9 +24,10 @@ eigenfunction (amplitude, pairing 1).  On the grid it is
 Q^T M'(mu) P / (2M+1), P the sampled partner and M'(mu) = I + tau
 e^{-mu tau} B (`cycle.Linearization.dmu`).  `normalization` is the one
 place the rule lives; the oracle feeds it its own pairing.  Validation
-checks t0-invariance with `pairing_functional`, whose delay integral takes
-a fixed QUAD_NODES-point Gauss-Legendre rule (on both shipped configs 16
-to 256 nodes agree to within 8e-15).
+checks t0-invariance with `pairing_functional`, which pairs the Fourier
+series of a curve and of its partner and takes the delay integral by a
+fixed QUAD_NODES-point Gauss-Legendre rule (on both shipped configs 16 to
+256 nodes agree to within 8e-15).
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ class ResponseCurve:
         return self.series.evaluate(t)
 
 
-def _evaluator(f):
-    """The values of a pairing factor as a function of time."""
-    if isinstance(f, (ResponseCurve, FloquetMode)):
-        return f.value
-    if isinstance(f, FourierSeries):
-        return f.evaluate
-    if callable(f):
-        return f
-    raise TypeError(f"unsupported pairing factor: {type(f)!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
@@ -87,27 +77,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, w
 
 
-def pairing_functional(
-    orbit: PeriodicOrbit,
-    response,
-    partner,
-    mu: float,
-    t0: float = 0.0,
-) -> float:
+def pairing_functional(orbit: PeriodicOrbit, response: FourierSeries,
+                       partner: FourierSeries, mu: float, t0: float = 0.0) -> float:
     """Bilinear form behind the normalization identities, based at t0.
 
     value = q(t0)^T p(t0)
             + e^{-mu tau} int_{-tau}^0 q(t0+tau+z)^T DF1(t0+tau+z) p(t0+z) dz
 
-    with p the cycle tangent or a Floquet eigenfunction.  Each of q and p
-    is a ResponseCurve, FloquetMode, FourierSeries or a callable of time
-    (validation passes only the first three).  Constant in t0 for
-    correctly paired (mu, q, p); without the e^{-mu tau} factor it is not.
-    Every model has tau > 0, so the delay integral always runs.
+    with q the Fourier series of a response curve and p that of the cycle
+    tangent or a Floquet eigenfunction.  Constant in t0 for correctly
+    paired (mu, q, p); without the e^{-mu tau} factor it is not.  Every
+    model has tau > 0, so the delay integral always runs.
     """
     model = orbit.model
-    q = _evaluator(response)
-    p = _evaluator(partner)
+    q, p = response.evaluate, partner.evaluate
 
     head = float(np.atleast_2d(q(t0))[0] @ np.atleast_2d(p(t0))[0])
     xi, w = _gauss_legendre(QUAD_NODES)

@@ -209,9 +209,6 @@ class FloquetMode:
     sigma_max: float
     residual: float  # ||M(mu) R|| / ||R||
 
-    def value(self, t) -> np.ndarray:
-        return self.series.evaluate(t)
-
 
 def _fix_mode_gauge(R: np.ndarray) -> np.ndarray:
     """Scale so max per-sample Euclidean norm is 1; sign so the overall

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteState
 
 # Complex-step size: F(z + ih e_j) = F(z) + ih DF e_j + O(h^2), and h^2
 # underflows to zero, so Im F / h is DF e_j to round-off.  A power of two
@@ -121,6 +121,7 @@ def make_model(name: str, **params) -> ModelSpec:
     return factory(**params)
 
 
+@np.errstate(all="ignore")  # an overflow in F is reported at its point, not warned
 def verify_jacobians(
     model: ModelSpec, trials: int = 100, tol: float = 1e-6, seed: int = 0
 ) -> float:
@@ -131,7 +132,9 @@ def verify_jacobians(
 
     Returns the largest error relative to max(|entry|, 1).  ConfigError,
     naming the Jacobian, the entry and the point, if it exceeds tol or if
-    F rejects complex input.
+    F rejects complex input; NonFiniteState, naming the point, where F
+    overflows, so that a Jacobian entry or its central difference is not
+    finite.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -152,6 +155,13 @@ def verify_jacobians(
     worst = 0.0
     for which, J, diff in zip(("DF0", "DF1"), derived, central):
         err = np.abs(np.moveaxis(diff, 0, -1) - J) / np.maximum(np.abs(J), 1.0)
+        finite = np.isfinite(err).all(axis=(-2, -1))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NonFiniteState(
+                f"model {model.name!r}: F or its {which} is not finite at "
+                f"z0={z0[k].tolist()}, z1={z1[k].tolist()}"
+            )
         k, i, j = np.unravel_index(np.argmax(err), err.shape)
         if err[k, i, j] > tol:
             raise ConfigError(

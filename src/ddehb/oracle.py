@@ -15,6 +15,10 @@ than tautology:
   null vector of the monodromy matrix against the forward state);
 * direct pulse-perturbation PRC measurement.
 
+Each input has one source: the engines that work along an orbit read the
+model from it (`orbit.model`), and `oracle_curves` reads the orbit from
+the monodromy built along it, so no result mixes two systems.
+
 The module ends with five placeholders under the names of the deleted
 delay-line chain engines, which `bench/tracer.py` still looks up.
 """
@@ -319,12 +323,10 @@ def _stable_steps(z: np.ndarray, steps: int) -> int:
 class PseudospectralSystem:
     """The pseudospectral variational equation u' = A(t) u along one period,
     stepped by Butcher's seven-stage sixth-order Runge-Kutta method in
-    `steps` steps of h = T / steps."""
+    `steps` steps of h = T / steps, T the orbit's period."""
 
-    T: float
+    orbit: PeriodicOrbit
     steps: int
-    h: float
-    m: int
     transport: np.ndarray  # (dim, dim) the t-independent rows of A; head rows zero
     jac0: np.ndarray  # (6 steps + 1, m, m) DF0 at t = 0, h/6, ..., T
     jac1: np.ndarray  # DF1 at the same times
@@ -334,7 +336,7 @@ class PseudospectralSystem:
         maps the state at t_k = k h to the state at t_k + h.  They are built
         stage by stage, K_i = A(t_k + c_i h) (I + h sum_j a_ij K_j), and
         the step is I + h sum_i b_i K_i."""
-        m, h = self.m, self.h
+        m, h = self.orbit.model.m, self.orbit.T / self.steps
         eye = np.eye(self.transport.shape[0])
         K = np.empty((RK_B.size, k1 - k0) + eye.shape)
         flat = K.reshape(RK_B.size, -1)  # the stages as rows, to combine them by one product
@@ -347,19 +349,20 @@ class PseudospectralSystem:
         return eye + h * (RK_B @ flat).reshape(K.shape[1:])
 
 
-def pseudospectral_system(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
+def pseudospectral_system(orbit: PeriodicOrbit, n: int = CHEB_NODES,
                           steps: int = STEPS_PER_PERIOD) -> PseudospectralSystem:
-    """The variational equation along orbit on n + 1 nodes.  steps is raised
-    where needed so that |R(h lambda)| <= 1 for every eigenvalue lambda of
-    the transport block (2/tau) D[1:, 1:], R the method's stability function."""
-    m, tau, T = model.m, model.tau, orbit.T
+    """The variational equation along orbit, of orbit.model, on n + 1 nodes.
+    steps is raised where needed so that |R(h lambda)| <= 1 for every
+    eigenvalue lambda of the transport block (2/tau) D[1:, 1:], R the
+    method's stability function."""
+    m, tau, T = orbit.model.m, orbit.model.tau, orbit.T
     D, lam = _cheb(n)
     steps = _stable_steps(T * (2.0 / tau) * lam, steps)
     transport = np.kron((2.0 / tau) * D, np.eye(m))
     transport[:m] = 0.0
     t = np.arange(6 * steps + 1) * (T / (6 * steps))
-    jac0, jac1 = model.jacobians(orbit.value(t), orbit.value(t - tau))
-    return PseudospectralSystem(T, steps, T / steps, m, transport, jac0, jac1)
+    jac0, jac1 = orbit.model.jacobians(orbit.value(t), orbit.value(t - tau))
+    return PseudospectralSystem(orbit, steps, transport, jac0, jac1)
 
 
 @dataclass(eq=False)
@@ -381,7 +384,7 @@ class OracleMonodromy:
         return float(next(mu for i, mu in enumerate(self.exponents) if i != i_unit).real)
 
 
-def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
+def oracle_floquet(orbit: PeriodicOrbit, n: int = CHEB_NODES,
                    steps: int = STEPS_PER_PERIOD) -> OracleMonodromy:
     """The monodromy matrix of the pseudospectral variational equation as
     the product of its sixth-order Runge-Kutta step matrices over one
@@ -390,15 +393,15 @@ def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
     eigenfunction.  The unit multiplier must be present:
     deviation beyond 1e-2 raises MonodromyIllConditioned.
     """
-    system = pseudospectral_system(model, orbit, n, steps)
+    system, m = pseudospectral_system(orbit, n, steps), orbit.model.m
     P = np.eye(system.transport.shape[0])
-    heads = np.empty((system.steps + 1, system.m, P.shape[0]))
-    heads[0] = P[:system.m]
+    heads = np.empty((system.steps + 1, m, P.shape[0]))
+    heads[0] = P[:m]
     for k0 in range(0, system.steps, STEP_BATCH):
         k1 = min(k0 + STEP_BATCH, system.steps)
         for k, S in enumerate(system.step_matrices(k0, k1), k0 + 1):
             P = S @ P
-            heads[k] = P[:system.m]
+            heads[k] = P[:m]
     multipliers = np.linalg.eigvals(P).astype(complex)
     exponents = np.log(multipliers) / orbit.T
     order = np.lexsort((-exponents.imag, -exponents.real))
@@ -410,12 +413,13 @@ def oracle_floquet(model: ModelSpec, orbit: PeriodicOrbit, n: int = CHEB_NODES,
     return OracleMonodromy(system, P, heads, multipliers[order], exponents[order], unit_err)
 
 
-def oracle_curves(orbit: PeriodicOrbit, mono: OracleMonodromy
+def oracle_curves(mono: OracleMonodromy
                   ) -> tuple[_PeriodicInterp, _PeriodicInterp, _PeriodicInterp]:
-    """Eigenfunction rho, phase response z and amplitude response q at the
-    leading nontrivial exponent mu, from the null vectors of P - e^{mu T} I
-    (right v, left w_q) and of P - I (left w_z), P the monodromy matrix;
-    simple_null_svd raises NotSingular where e^{mu T} is no multiplier.
+    """Eigenfunction rho, phase response z and amplitude response q along
+    the orbit of mono's system at the leading nontrivial exponent mu, from
+    the null vectors of P - e^{mu T} I (right v, left w_q) and of P - I
+    (left w_z), P the monodromy matrix; simple_null_svd raises NotSingular
+    where e^{mu T} is no multiplier.
 
     rho(t) = e^{-mu t} y(t), y the head of v carried forward by the stored
     partial products, is gauged as the spectral eigenfunction is, by
@@ -428,14 +432,15 @@ def oracle_curves(orbit: PeriodicOrbit, mono: OracleMonodromy
     (target omega) and q from w_q against rho's state at t = 0, the gauged
     v (target 1).
     """
-    mu, system, model = mono.leading_nontrivial(), mono.system, orbit.model
-    m, T, P = system.m, system.T, mono.matrix
+    mu, system, P = mono.leading_nontrivial(), mono.system, mono.matrix
+    orbit = system.orbit
+    model, T, m = orbit.model, orbit.T, orbit.model.m
     eye = np.eye(P.shape[0])
     U, _, Vt = simple_null_svd(P - np.exp(mu * T) * eye, mu, "oracle P - e^{mu T} I")
     v, w_q = Vt[-1], U[:, -1]
     w_z = simple_null_svd(P - eye, 0.0, "oracle P - I")[0][:, -1]
 
-    t = np.arange(system.steps) * system.h
+    t = np.arange(system.steps) * (T / system.steps)
     rho = _PeriodicInterp(T, np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v))
     samples = rho(orbit.grid.sample_times)
     i = int(np.argmax(np.abs(samples)))
@@ -475,13 +480,9 @@ class PrcResult:
     mu_flow: float  # log(r) / (PRC_SPACING T), nan unless r > 0
 
 
-def direct_prc(
-    model: ModelSpec,
-    orbit: PeriodicOrbit,
-    phases,
-    scales=(1.0,),
-) -> list[PrcResult]:
-    """Measure the PRC by pulse perturbation and cross-correlation.
+def direct_prc(orbit: PeriodicOrbit, phases, scales=(1.0,)) -> list[PrcResult]:
+    """Measure the PRC of orbit.model by pulse perturbation and
+    cross-correlation.
 
     For each phase the unperturbed copy and one copy per pulse size
     eps * scale, kicked in PRC_COMPONENT with eps = PRC_EPS times the
@@ -508,7 +509,7 @@ def direct_prc(
     entry of scales.
     """
     phases = np.asarray(phases, dtype=float)
-    T = orbit.T
+    model, T = orbit.model, orbit.T
     omega = orbit.omega
     eps = PRC_EPS * float(np.abs(orbit.X[:, PRC_COMPONENT]).max())
     t_theta = phases / omega  # kick times along the cycle

@@ -27,7 +27,6 @@ from .config import RunConfig
 # from here for code that reads it (bench/test_bench.py).
 from .cycle import PeriodicOrbit, solve_cycle  # noqa: F401
 from .errors import NoExponentInRange
-from .model import ModelSpec
 from .spectral import FourierSeries, sample_to_coeffs
 
 
@@ -143,7 +142,6 @@ def _leading_exponent(orbit, scan) -> floquet.LeadingExponent:
 class _Stage:
     """The spectral pipeline a suite checks at M and 2M, with the seconds of its parts."""
 
-    model: ModelSpec
     seed: FourierSeries
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
     orbit: PeriodicOrbit
@@ -167,7 +165,7 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     orbit2 = cycle.solve_cycle(model, seed, replace(cfg.solver, M=2 * cfg.solver.M))
     lead2 = _leading_exponent(orbit2, cfg.scan)
     search = ",".join(f"{x.points}/{cfg.scan.points}" for x in (lead, lead2))
-    return _Stage(model, seed, settled, orbit, lead.mu, orbit2, lead2.mu, search,
+    return _Stage(seed, settled, orbit, lead.mu, orbit2, lead2.mu, search,
                   t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
@@ -195,9 +193,9 @@ def _spectral_rows(results, prefix, st: _Stage):
         results.append(_check(f"{prefix}.normalization_{kind}",
                               curve.normalization_residual, 1e-8, 0.0))
     for kind, curve, partner in (("phase", z, st.orbit.series.derivative()),
-                                 ("amplitude", q, mode)):
+                                 ("amplitude", q, mode.series)):
         t0 = time.perf_counter()
-        spread = _pairing_spread(st.orbit, curve, partner, curve.mu)
+        spread = _pairing_spread(st.orbit, curve.series, partner, curve.mu)
         results.append(_check(f"{prefix}.pairing_{kind}", spread, 1e-6, _since(t0)))
     return mode, z, q
 
@@ -205,7 +203,7 @@ def _spectral_rows(results, prefix, st: _Stage):
 def _oracle_floquet(results, prefix, st: _Stage, unit_tol, exponent_tol):
     """One oracle_floquet call and the two spectrum rows that split its time."""
     t0 = time.perf_counter()
-    ofl = oracle.oracle_floquet(st.model, st.orbit)
+    ofl = oracle.oracle_floquet(st.orbit)
     mu_oracle = ofl.leading_nontrivial()
     half = _since(t0, 0.5)
     results.append(_check(f"{prefix}.oracle_unit_multiplier", ofl.unit_multiplier_error,
@@ -234,7 +232,7 @@ def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tols, relativ
 
     # one oracle_curves call yields rho, z and q: split its time
     t0 = time.perf_counter()
-    rho_o, z_o, q_o = oracle.oracle_curves(st.orbit, ofl)
+    rho_o, z_o, q_o = oracle.oracle_curves(ofl)
     third = _since(t0, 1.0 / 3.0)
     results.append(_check(f"{prefix}.oracle_eigenfunction", gap(rho_o, mode.R), rho_tol,
                           third))
@@ -268,7 +266,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
     # linearity, 6.6e-8, gets 1e-6
     t0 = time.perf_counter()
     phases = np.arange(oracle.PRC_PHASES) * 2.0 * np.pi / oracle.PRC_PHASES
-    prc, prc_half = oracle.direct_prc(st.model, orbit, phases, scales=(1.0, 0.5))
+    prc, prc_half = oracle.direct_prc(orbit, phases, scales=(1.0, 0.5))
     z_at = z.value(phases / orbit.omega)[:, 0]
     rel = np.abs(prc.measured - z_at).max() / np.abs(z_at).max()
     ratio = np.linalg.norm(prc.raw_shifts) / np.linalg.norm(prc_half.raw_shifts)
@@ -279,7 +277,7 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
                           _since(t0, 0.5), detail=f"ratio={ratio:.4f}"))
 
     _spectral_checks(results)
-    _integrator_order_check(results, st.model)
+    _integrator_order_check(results, orbit.model)
     return results
 
 
@@ -290,7 +288,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     if settled is None:  # the seed is no settle: settle from the config's seed settings
         t0 = time.perf_counter()
         _, settled = pipeline.build_seed(replace(cfg, seed=replace(cfg.seed, kind="oracle")),
-                                         st.model)
+                                         orbit.model)
         settle_seconds = _since(t0)
     results = [_check("cortico.period_consistency", abs(settled.seed.T - orbit.T) / orbit.T,
                       1e-3, settle_seconds,
@@ -304,7 +302,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
     spectral = _spectral_rows(results, "cortico", st)
 
     t0 = time.perf_counter()
-    half = cycle.solve_cycle(st.model, st.seed, replace(cfg.solver, M=cfg.solver.M // 2))
+    half = cycle.solve_cycle(orbit.model, st.seed, replace(cfg.solver, M=cfg.solver.M // 2))
     tails = [o.series.tail_energy(o.M // 2) for o in (half, orbit, st.orbit2)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,

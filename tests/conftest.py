@@ -20,8 +20,8 @@ CORTICO_SCAN = (-0.02, 0.01)
 
 def quadrature_normalized(Q, orbit, partner, mu, target):
     """Grid samples Q rescaled so that their quadrature pairing
-    (adjoint.pairing_functional) with partner is target: the reference that
-    cross-checks the grid pairing solve_response scales by."""
+    (adjoint.pairing_functional) with the series partner is target: the
+    reference that cross-checks the grid pairing solve_response scales by."""
     c = adjoint.pairing_functional(orbit, sample_to_coeffs(Q, orbit.T), partner, mu)
     return Q * adjoint.normalization(c, target)
 
@@ -59,14 +59,14 @@ def kotani_q(kotani_orbit, kotani_mode):
 
 
 @pytest.fixture(scope="session")
-def kotani_oracle_floquet(kotani_model, kotani_orbit):
-    return oracle.oracle_floquet(kotani_model, kotani_orbit)
+def kotani_oracle_floquet(kotani_orbit):
+    return oracle.oracle_floquet(kotani_orbit)
 
 
 @pytest.fixture(scope="session")
-def kotani_oracle_curves(kotani_orbit, kotani_oracle_floquet):
+def kotani_oracle_curves(kotani_oracle_floquet):
     """The oracle's eigenfunction, z and q on the kotani orbit."""
-    return oracle.oracle_curves(kotani_orbit, kotani_oracle_floquet)
+    return oracle.oracle_curves(kotani_oracle_floquet)
 
 
 @pytest.fixture(scope="session")
@@ -109,8 +109,8 @@ def cortico_q(cortico_orbit, cortico_mode):
 
 
 @pytest.fixture(scope="session")
-def cortico_oracle_floquet(cortico_model, cortico_orbit):
-    return oracle.oracle_floquet(cortico_model, cortico_orbit)
+def cortico_oracle_floquet(cortico_orbit):
+    return oracle.oracle_floquet(cortico_orbit)
 
 
 def stuart_landau(tau: float) -> ModelSpec:

@@ -3,6 +3,7 @@ object in its home module, and nothing is cached in the package."""
 
 import copy
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import ddehb
 
 PUBLIC = [name for name in ddehb.__all__ if name != "__version__"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -69,3 +71,14 @@ def test_equality_of_array_holders_is_a_bool(kotani_orbit, kotani_mode, kotani_z
                 spectral.build_operators(4, 6.0, 1.0)):
         assert (obj == obj) is True
         assert (obj == copy.copy(obj)) is False, type(obj).__name__
+
+
+def test_readme_library_use_runs(capsys):
+    # the python block of the README's "Library use" section, run as
+    # written, so that it cannot go stale against the API; its last line
+    # prints the two quadrature pairings, omega = 1 for z and 1 for q
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)\n```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    phase, amplitude = map(float, capsys.readouterr().out.splitlines()[-1].split())
+    assert abs(phase - 1.0) <= 1e-8 and abs(amplitude - 1.0) <= 1e-8

@@ -143,6 +143,18 @@ class TestCycleCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_model_prints_one_line(self, tmp_path, capsys):
+        # the Jacobian check passed an F that overflows, with numpy warnings,
+        # and the solve failed after it
+        out = tmp_path / "run"
+        code = run("cycle", "--config", KOTANI_CFG, "--out", str(out),
+                   "--override", "model.params.delta=1e308")
+        assert code == EXIT_CONVERGENCE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("NonFiniteState: model 'kotani': F or its DF0 is not finite")
+        assert not out.exists()
+
     def test_override_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "run"
         run(

@@ -214,7 +214,7 @@ def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan
     mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
     for curve, partner, target in (
         (adjoint.solve_response(orbit), orbit.series.derivative(), orbit.omega),
-        (adjoint.solve_response(orbit, mode), mode, 1.0),
+        (adjoint.solve_response(orbit, mode), mode.series, 1.0),
     ):
         U = np.linalg.svd(fresh_adjoint_matrix(orbit, curve.mu))[0]
         raw = U[:, -1].reshape(-1, orbit.model.m)
@@ -234,9 +234,9 @@ def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
     for curve, P, partner, target in (
         (adjoint.solve_response(orbit), orbit.xdot_samples, orbit.series.derivative(),
          orbit.omega),
-        (adjoint.solve_response(orbit, mode), mode.R, mode, 1.0),
+        (adjoint.solve_response(orbit, mode), mode.R, mode.series, 1.0),
     ):
         grid = curve.Q.ravel() @ lin.dmu(curve.mu, P.ravel()) / len(P)
-        quadrature = adjoint.pairing_functional(orbit, curve, partner, curve.mu)
+        quadrature = adjoint.pairing_functional(orbit, curve.series, partner, curve.mu)
         assert abs(grid - target) <= 1e-12 * abs(target)
         assert abs(grid - quadrature) <= 1e-13 * abs(target)

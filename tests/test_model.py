@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ddehb.errors import ConfigError
+from ddehb.errors import ConfigError, NonFiniteState
 from ddehb.model import (
     ModelSpec,
     cortico_thalamic,
@@ -204,6 +204,12 @@ class TestVerifyJacobians:
         with pytest.warns(Warning, match="imaginary part"):
             with pytest.raises(ConfigError, match=r"'cortico_cast': DF0\[1, 0\] at z0="):
                 verify_jacobians(float_cast_cortico(), trials=25, tol=1e-6)
+
+    def test_overflowing_F_located(self):
+        # F overflows at delta = 1e308: its NaN differences compared false
+        # against tol, so the check passed with numpy warnings
+        with pytest.raises(NonFiniteState, match=r"'kotani': F or its DF0 is not finite at z0="):
+            verify_jacobians(kotani_scalar(1e308), trials=25, tol=1e-6)
 
     def test_complex_input_rejected(self):
         def F(z0, z1):  # math.sin takes no complex argument

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -319,12 +320,18 @@ class TestSettleToCycle:
             )
 
 
-def oracle_gaps(model, orbit, mu, mode, z, q, n, steps):
+def on_grid(curve, orbit):
+    """The Fourier series of an oracle curve from its samples on the orbit's
+    collocation grid: the form the quadrature pairing takes."""
+    return d.sample_to_coeffs(curve(orbit.grid.sample_times), orbit.T)
+
+
+def oracle_gaps(orbit, mu, mode, z, q, n, steps):
     """Gaps of the pseudospectral oracle on n + 1 nodes and `steps` steps to
     the spectral side: the exponent (relative), the unit multiplier, and the
     largest gap of rho, z and q on the collocation grid."""
-    mono = oracle.oracle_floquet(model, orbit, n, steps)
-    rho, z_o, q_o = oracle.oracle_curves(orbit, mono)
+    mono = oracle.oracle_floquet(orbit, n, steps)
+    rho, z_o, q_o = oracle.oracle_curves(mono)
     tg = orbit.grid.sample_times
     return {
         "mu": abs(mono.leading_nontrivial() - mu) / abs(mu),
@@ -348,8 +355,8 @@ class TestPseudospectralOracle:
         # tableau applied stage by stage to the generator assembled from its
         # definition at the stage times t + c_i h
         model, n = cortico_model, 6
-        system = oracle.pseudospectral_system(model, cortico_orbit, n, 500)
-        h, k = system.h, 123
+        system = oracle.pseudospectral_system(cortico_orbit, n, 500)
+        h, k = cortico_orbit.T / system.steps, 123
         D, _ = oracle._cheb(n)
 
         def A(t):
@@ -385,13 +392,13 @@ class TestPseudospectralOracle:
         orbit = d.PeriodicOrbit(model, d.sample_to_coeffs(X, T), 0, 0.0, 0)
         errs = []
         for steps in (400, 800):
-            mono = oracle.oracle_floquet(model, orbit, oracle.CHEB_NODES, steps)
+            mono = oracle.oracle_floquet(orbit, oracle.CHEB_NODES, steps)
             t = np.arange(steps + 1) * (T / steps)
             assert np.array_equal(mono.heads[:, 0, 1:], np.zeros((steps + 1, oracle.CHEB_NODES)))
             errs.append(np.abs(mono.heads[:, 0, 0] - np.exp(-5.0 * np.sin(t))).max())
         assert errs[1] * 32.0 <= errs[0], errs
 
-    def test_steps_raised_for_stability(self, kotani_model, kotani_orbit):
+    def test_steps_raised_for_stability(self, kotani_orbit):
         # a delay short against the period: the transport block is stiff,
         # and the step count rises to the fewest that keep |R(h lambda)| <= 1
         # for every eigenvalue lambda of the transport block
@@ -402,14 +409,15 @@ class TestPseudospectralOracle:
             return np.abs(R).max()
 
         model = ModelSpec("short_delay", 1, 0.01, lambda z0, z1: -z1)
-        system = oracle.pseudospectral_system(model, kotani_orbit, 16, 100)
+        orbit = dataclasses.replace(kotani_orbit, model=model)
+        system = oracle.pseudospectral_system(orbit, 16, 100)
         assert system.steps > 100
         assert worst(model.tau, system.steps) <= 1.0 < worst(model.tau, system.steps - 1)
         # the shipped kotani delay needs 73 steps a period
-        assert oracle.pseudospectral_system(kotani_model, kotani_orbit, 16, 1).steps == 73
+        assert oracle.pseudospectral_system(kotani_orbit, 16, 1).steps == 73
 
-    def test_step_matrices_built_in_batches(self, kotani_model, kotani_orbit,
-                                            kotani_oracle_floquet, monkeypatch):
+    def test_step_matrices_built_in_batches(self, kotani_orbit, kotani_oracle_floquet,
+                                            monkeypatch):
         built = []
         step_matrices = oracle.PseudospectralSystem.step_matrices
 
@@ -418,9 +426,9 @@ class TestPseudospectralOracle:
             return step_matrices(system, k0, k1)
 
         monkeypatch.setattr(oracle.PseudospectralSystem, "step_matrices", recording)
-        mono = oracle.oracle_floquet(kotani_model, kotani_orbit)
+        mono = oracle.oracle_floquet(kotani_orbit)
         forward = built[:]
-        oracle.oracle_curves(kotani_orbit, mono)
+        oracle.oracle_curves(mono)
         # the eigenfunction is read from the stored heads: oracle_curves
         # builds the batches of one backward sweep and nothing else
         backward = built[len(forward):]
@@ -430,24 +438,24 @@ class TestPseudospectralOracle:
             assert [k for k0, k1 in batches for k in range(k0, k1)] == list(range(steps))
         assert np.array_equal(mono.matrix, kotani_oracle_floquet.matrix)
 
-    def test_converges_on_doubling(self, kotani_model, kotani_orbit, kotani_mu,
-                                   kotani_mode, kotani_z, kotani_q):
+    def test_converges_on_doubling(self, kotani_orbit, kotani_mu, kotani_mode, kotani_z,
+                                   kotani_q):
         # half the step, from 250 to 500 a period, where every gap is above
         # round-off: each gap to the spectral side falls at least 16-fold
         # (measured 18x to 118x; the method is sixth order in the step)
-        args = (kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
+        args = (kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
         base = oracle_gaps(*args, oracle.CHEB_NODES, 250)
         fine = oracle_gaps(*args, oracle.CHEB_NODES, 500)
         for name in base:
             assert fine[name] <= base[name] / 16, (name, base[name], fine[name])
 
-    def test_converged_in_the_nodes(self, kotani_model, kotani_orbit, kotani_mu,
-                                    kotani_mode, kotani_z, kotani_q):
+    def test_converged_in_the_nodes(self, kotani_orbit, kotani_mu, kotani_mode, kotani_z,
+                                    kotani_q):
         # twice the nodes at a fixed step, twice the shipped count so the
         # step error stays small for the stiffer transport of 2n: n + 1 nodes
         # and 2n + 1 nodes both sit within 1e-11 of the spectral side
         # (measured at most 3.1e-13 and 5.3e-12)
-        args = (kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
+        args = (kotani_orbit, kotani_mu, kotani_mode, kotani_z, kotani_q)
         for n in (oracle.CHEB_NODES, 2 * oracle.CHEB_NODES):
             gaps = oracle_gaps(*args, n, 2 * oracle.STEPS_PER_PERIOD)
             assert max(gaps.values()) <= 1e-11, (n, gaps)
@@ -485,23 +493,20 @@ class TestPseudospectralOracle:
         assert np.abs(samples - floquet._fix_mode_gauge(samples)).max() <= 1e-15
         assert np.abs(samples - kotani_mode.R).max() <= 1e-9
 
-    def test_corrupted_orbit_rejected(self, kotani_model, kotani_orbit):
-        import dataclasses
-
+    def test_corrupted_orbit_rejected(self, kotani_orbit):
         bad = dataclasses.replace(
             kotani_orbit, series=d.sample_to_coeffs(2.5 * kotani_orbit.X, kotani_orbit.T)
         )
         with pytest.raises(MonodromyIllConditioned):
-            oracle.oracle_floquet(kotani_model, bad, 8, 500)
+            oracle.oracle_floquet(bad, 8, 500)
 
-    def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_model, sl_orbit):
+    def test_no_delay_influence_reduces_to_ode_adjoint(self, sl_orbit):
         # DF1 == 0: the history nodes do not feed back into the head, so z
         # solves the plain ODE adjoint, which is (-sin, cos) for this
         # oscillator (measured 5e-15); the radial mode at mu = -2 gives
         # rho = g (cos, sin) and q = (cos, sin) / g, whose pairing is the
         # pointwise product (measured 6.4e-11 and 2.0e-11)
-        mono = oracle.oracle_floquet(sl_model, sl_orbit)
-        rho, z, q = oracle.oracle_curves(sl_orbit, mono)
+        rho, z, q = oracle.oracle_curves(oracle.oracle_floquet(sl_orbit))
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         expected = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         assert np.abs(z(t) - expected).max() <= 1e-12
@@ -514,20 +519,21 @@ class TestPseudospectralOracle:
         # -0.23582, so e^{Re mu T} is no multiplier (sigma_min/sigma_max
         # of P - e^{Re mu T} I is 3.0e-2) and no curve is returned
         orbit = mackey_glass_orbit_at(8.0)
-        mono = oracle.oracle_floquet(orbit.model, orbit)
+        mono = oracle.oracle_floquet(orbit)
         assert mono.multipliers[1].real < 0.0
         with pytest.raises(NotSingular, match="sigma_min/sigma_max = 3.0"):
-            oracle.oracle_curves(orbit, mono)
+            oracle.oracle_curves(mono)
 
     @pytest.mark.parametrize("name", ["kotani", "cortico"])
     def test_quadrature_pairing_checks_the_scale(self, request, name):
         # the oracle scales z and q by its own left-right pairing; the
-        # spectral side's quadrature pairs them with the tangent to omega
-        # and with rho to 1 (measured 2.0e-13 and 5.0e-12 on kotani,
-        # 1.2e-13 and 8.4e-14 on cortico, relative)
+        # spectral side's quadrature pairs their series from the grid
+        # samples with the tangent to omega and with rho to 1 (measured
+        # 2.0e-13 and 5.0e-12 on kotani, 1.2e-13 and 8.4e-14 on cortico,
+        # relative)
         orbit = request.getfixturevalue(f"{name}_orbit")
         mono = request.getfixturevalue(f"{name}_oracle_floquet")
-        rho, z, q = oracle.oracle_curves(orbit, mono)
+        rho, z, q = (on_grid(curve, orbit) for curve in oracle.oracle_curves(mono))
         phase = adjoint.pairing_functional(orbit, z, orbit.series.derivative(), 0.0)
         amplitude = adjoint.pairing_functional(orbit, q, rho, mono.leading_nontrivial())
         assert abs(phase - orbit.omega) <= 2e-12 * orbit.omega
@@ -547,8 +553,9 @@ class TestDiscretizedAdjoint:
     # keeps the name its test ids have carried since the chain engines were
     # tested here
     def test_oracle_pairing_constant(self, kotani_orbit, kotani_oracle_curves):
-        # the pseudospectral oracle's z with the orbit's own tangent
-        _, z, _ = kotani_oracle_curves
+        # the pseudospectral oracle's z, by its series from the grid
+        # samples, with the orbit's own tangent (measured spread 1.1e-11)
+        z = on_grid(kotani_oracle_curves[1], kotani_orbit)
         tangent = kotani_orbit.series.derivative()
         vals = [
             adjoint.pairing_functional(kotani_orbit, z, tangent, 0.0, t0)
@@ -564,22 +571,20 @@ class TestDiscretizedAdjoint:
             raise AssertionError("the oracle called the spectral quadrature")
 
         monkeypatch.setattr(adjoint, "pairing_functional", disabled)
-        curves = oracle.oracle_curves(kotani_orbit, kotani_oracle_floquet)
+        curves = oracle.oracle_curves(kotani_oracle_floquet)
         for got, ref in zip(curves, kotani_oracle_curves):
             assert np.array_equal(got.values, ref.values)
 
 
 class TestDirectPrc:
-    def test_linearity_in_pulse_size(self, kotani_model, kotani_orbit):
+    def test_linearity_in_pulse_size(self, kotani_orbit):
         phases = np.arange(8) * 2 * np.pi / 8
-        prc1, prc2 = oracle.direct_prc(kotani_model, kotani_orbit, phases,
-                                       scales=(1.0, 0.5))
+        prc1, prc2 = oracle.direct_prc(kotani_orbit, phases, scales=(1.0, 0.5))
         assert prc2.eps == prc1.eps / 2
         ratio = np.linalg.norm(prc1.raw_shifts) / np.linalg.norm(prc2.raw_shifts)
         assert abs(ratio - 2.0) < 0.04
 
-    def test_converges_in_the_step(self, kotani_model, kotani_orbit, kotani_z,
-                                   kotani_mu, monkeypatch):
+    def test_converges_in_the_step(self, kotani_orbit, kotani_z, kotani_mu, monkeypatch):
         # the kick's break points keep the run fourth order, so the measured
         # PRC converges in the step (the move from tau/16 to tau/32 is 19.8
         # times the move from tau/32 to tau/64), and the decay ratio of the
@@ -588,7 +593,7 @@ class TestDirectPrc:
         measured = {}
         for n in (16, 32, 64):
             monkeypatch.setattr(oracle, "PRC_DELAY_STEPS", n)
-            [prc] = oracle.direct_prc(kotani_model, kotani_orbit, phases)
+            [prc] = oracle.direct_prc(kotani_orbit, phases)
             measured[n] = prc.measured
             assert abs(prc.mu_flow - kotani_mu) <= 1e-5
         coarse = np.abs(measured[16] - measured[32]).max()
@@ -610,9 +615,9 @@ class TestDirectPrc:
         X = np.stack([np.cos(t), np.sin(t)], axis=-1)
         orbit = d.PeriodicOrbit(model, d.sample_to_coeffs(X, T), 0, 0.0, 0)
         with pytest.raises(SlowPhaseDecay, match="r=0.99"):
-            oracle.direct_prc(model, orbit, np.arange(4) * np.pi / 2)
+            oracle.direct_prc(orbit, np.arange(4) * np.pi / 2)
 
-    def test_pulse_at_zero_of_z(self, kotani_model, kotani_orbit, kotani_z):
+    def test_pulse_at_zero_of_z(self, kotani_orbit, kotani_z):
         # locate a zero crossing of z by bisection on the interpolant
         t = np.linspace(0.0, kotani_orbit.T, 2049)
         zv = kotani_z.value(t)[:, 0]
@@ -625,5 +630,5 @@ class TestDirectPrc:
             else:
                 hi = mid
         theta0 = 0.5 * (lo + hi) * kotani_orbit.omega
-        [prc] = oracle.direct_prc(kotani_model, kotani_orbit, [theta0])
+        [prc] = oracle.direct_prc(kotani_orbit, [theta0])
         assert abs(prc.measured[0]) < 0.05 * np.abs(kotani_z.Q).max()

@@ -161,5 +161,5 @@ def test_amplitude_normalization_ignores_scale_and_sign(
     kotani_orbit, kotani_mu, kotani_mode, kotani_q, scale
 ):
     raw = raw_null_vector(kotani_orbit, kotani_mu)
-    q = quadrature_normalized(scale * raw, kotani_orbit, kotani_mode, kotani_mu, 1.0)
+    q = quadrature_normalized(scale * raw, kotani_orbit, kotani_mode.series, kotani_mu, 1.0)
     assert_same_curve(q, kotani_q.Q)
