@@ -15,8 +15,9 @@ collocates
 The product DF1^T q is formed on the grid and then shifted by tau.
 Evaluating DF1 at (x(t + tau), x(t)) and shifting q alone differs from
 that only by the aliasing of the product on the grid; in a Galerkin
-harmonic balance the two coincide.  No mode yields the phase response
-(mu = 0); a Floquet mode yields the amplitude response at its mu.
+harmonic balance the two coincide.  A Floquet mode carries Q from its SVD
+(`FloquetMode.left`): the trivial mode's (mu = 0) scales to the phase
+response, any other mode's to the amplitude response at its mu.
 
 Normalization pins the scale through the bilinear pairing of the curve
 with the cycle tangent (phase, pairing omega) or the Floquet
@@ -39,7 +40,7 @@ import numpy as np
 
 from .cycle import PeriodicOrbit
 from .errors import NormalizationSingular
-from .floquet import FloquetMode, orbit_linearization, simple_null_svd
+from .floquet import FloquetMode, _null_mode, orbit_linearization
 from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10  # smallest |pairing| a curve may be rescaled from
@@ -60,8 +61,6 @@ class ResponseCurve:
     Q: np.ndarray  # (2M+1, m)
     series: FourierSeries
     normalization_residual: float
-    sigma_min: float
-    sigma_max: float
     residual: float  # ||Q^T M(mu)|| / ||Q||
 
     def value(self, t) -> np.ndarray:
@@ -117,18 +116,19 @@ def normalization(c: float, target: float) -> float:
 
 def solve_response(orbit: PeriodicOrbit,
                    mode: FloquetMode | None = None) -> ResponseCurve:
-    """The normalized response curve that pairs with mode: with no mode the
-    phase response (mu = 0, pairing omega with the cycle tangent), with a
-    FloquetMode the amplitude response at mode.mu (pairing 1 with its
-    eigenfunction).  The raw curve is the left null vector of M(mu),
-    extracted as the smallest left singular vector; the grid pairing scales it."""
-    mu, P, target = ((0.0, orbit.xdot_samples, orbit.omega) if mode is None
-                     else (mode.mu, mode.R, 1.0))
+    """The normalized response curve that pairs with mode, mode.left scaled by
+    the grid pairing: for the trivial mode (mu = 0) the phase response,
+    pairing omega with the cycle tangent; for any other mode the amplitude
+    response at mode.mu, pairing 1 with its eigenfunction.  With no mode,
+    the trivial mode comes from the one (A0, B) assembled here."""
+    mu = 0.0 if mode is None else mode.mu
     lin = orbit_linearization(orbit)
     A = lin.matrix(mu)
-    U, svals, _ = simple_null_svd(A, mu, "adjoint system")
+    if mode is None:
+        mode = _null_mode(orbit, mu, A)
+    P, target = (orbit.xdot_samples, orbit.omega) if mu == 0.0 else (mode.R, 1.0)
     MP = lin.dmu(mu, P.ravel()) / len(P)  # one product serves scaling and check
-    Qflat = U[:, -1] * normalization(float(U[:, -1] @ MP), target)
+    Qflat = mode.left * normalization(float(mode.left @ MP), target)
     achieved = float(Qflat @ MP)
     residual = float(np.linalg.norm(Qflat @ A) / np.linalg.norm(Qflat))
     Q = Qflat.reshape(-1, orbit.model.m)
@@ -137,7 +137,5 @@ def solve_response(orbit: PeriodicOrbit,
         Q=Q,
         series=sample_to_coeffs(Q, orbit.T),
         normalization_residual=abs(achieved - target) / abs(target),
-        sigma_min=float(svals[-1]),
-        sigma_max=float(svals[0]),
         residual=residual,
     )

@@ -200,10 +200,11 @@ def _refine(lin: Linearization, lo: float, hi: float,
 
 @dataclass(eq=False)
 class FloquetMode:
-    """A real exponent with its max-normalized sampled eigenfunction."""
+    """A real exponent with its max-normalized eigenfunction and left null vector."""
 
     mu: float
     R: np.ndarray  # (2M+1, m) samples of rho on the grid
+    left: np.ndarray  # (m(2M+1),) unit left null vector, the unscaled response curve
     series: FourierSeries
     sigma_min: float
     sigma_max: float
@@ -239,11 +240,11 @@ def _sign_against(a: np.ndarray, ref: np.ndarray) -> float:
 def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     """Extract the sampled eigenfunction of M(mu) at a refined exponent.
 
-    The eigenfunction is the right singular vector for the smallest
-    singular value (full SVD for robustness near near-degenerate
-    spectra); raises DegenerateNullspace when the two smallest singular
-    values are within 1e-6 relative, and NonFiniteState where M(mu) is
-    not finite.
+    The eigenfunction and the mode's left null vector are the singular
+    vectors of the smallest singular value (full SVD for robustness near
+    near-degenerate spectra); raises DegenerateNullspace when the two
+    smallest singular values are within 1e-6 relative, and NonFiniteState
+    where M(mu) is not finite.
     """
     return _null_mode(orbit, mu, orbit_linearization(orbit).matrix(mu))
 
@@ -271,8 +272,8 @@ def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
 
 
 def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
-    """The gauged eigenfunction from an assembled M(mu)."""
-    _, svals, Vt = simple_null_svd(mat, mu)
+    """The gauged eigenfunction and the left null vector of an assembled M(mu)."""
+    U, svals, Vt = simple_null_svd(mat, mu)
     R = _fix_mode_gauge(Vt[-1].reshape(-1, orbit.model.m))
     residual = float(
         np.linalg.norm(mat @ R.ravel()) / np.linalg.norm(R.ravel())
@@ -280,6 +281,7 @@ def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
     return FloquetMode(
         mu=float(mu),
         R=R,
+        left=U[:, -1],  # a view: a contiguous copy can round left @ x differently
         series=sample_to_coeffs(R, orbit.T),
         sigma_min=float(svals[-1]),
         sigma_max=float(svals[0]),

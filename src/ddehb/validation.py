@@ -172,7 +172,7 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
 def _spectral_rows(results, prefix, st: _Stage):
     """Trivial-mode, M-doubling and normalization-identity rows of a suite;
     returns the leading mode and the responses z and q."""
-    # one SVD of M(0) yields both the singular-value ratio and the mode
+    # one SVD of M(0) yields the singular-value ratio, the mode and z
     t0 = time.perf_counter()
     mode0 = floquet.eigenfunction(st.orbit, 0.0)
     xdot = floquet._fix_mode_gauge(st.orbit.xdot_samples.copy())
@@ -187,8 +187,7 @@ def _spectral_rows(results, prefix, st: _Stage):
                           detail=f"mu={st.mu:.6f} points={st.search}"))
 
     mode = floquet.eigenfunction(st.orbit, st.mu)
-    run = pipeline.run_responses(st.orbit, mode)
-    z, q = run.z, run.q
+    z, q = (adjoint.solve_response(st.orbit, m) for m in (mode0, mode))
     for kind, curve in (("phase", z), ("amplitude", q)):
         results.append(_check(f"{prefix}.normalization_{kind}",
                               curve.normalization_residual, 1e-8, 0.0))

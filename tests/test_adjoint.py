@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from ddehb import adjoint
-from ddehb.errors import NormalizationSingular, NotSingular
+from ddehb import adjoint, floquet
+from ddehb.errors import NormalizationSingular
 
 from conftest import quadrature_normalized
 
@@ -41,22 +39,32 @@ class TestSolveResponse:
         for curve in (kotani_z, kotani_q, cortico_z, cortico_q):
             assert curve.residual <= 1e-6
 
-    def test_regular_mu_is_typed(self, kotani_orbit, kotani_mode):
-        with pytest.raises(NotSingular, match="not singular"):
-            adjoint.solve_response(kotani_orbit,
-                                   dataclasses.replace(kotani_mode, mu=-0.015))
+    def test_phase_and_amplitude_machinery_parallel_at_zero(self, kotani_orbit, kotani_z):
+        # the mode at mu = 0 pairs with the cycle tangent, so its response is
+        # the one solve_response builds when it is given no mode
+        z0 = adjoint.solve_response(kotani_orbit, floquet.eigenfunction(kotani_orbit, 0.0))
+        assert z0.mu == kotani_z.mu == 0.0
+        assert np.array_equal(z0.Q, kotani_z.Q)
+        assert np.array_equal(z0.series.coeffs, kotani_z.series.coeffs)
+        assert z0.normalization_residual == kotani_z.normalization_residual
+        assert z0.residual == kotani_z.residual
 
-    def test_phase_and_amplitude_machinery_parallel_at_zero(
-        self, kotani_orbit, kotani_z
-    ):
-        from ddehb import floquet
-
+    def test_scaling_a_mode_factors_nothing(self, kotani_orbit, kotani_mode, monkeypatch):
+        # the mode's SVD already holds the left null vector: a response only
+        # scales it, and only the trivial mode that no mode stands for is factored
         mode0 = floquet.eigenfunction(kotani_orbit, 0.0)
-        q0 = adjoint.solve_response(kotani_orbit, mode0)
-        scale = float(
-            (kotani_z.Q.ravel() @ q0.Q.ravel()) / (q0.Q.ravel() @ q0.Q.ravel())
-        )
-        assert np.abs(kotani_z.Q - scale * q0.Q).max() < 1e-8
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for mode, expected in ((kotani_mode, 0), (mode0, 0), (None, 1)):
+            calls.clear()
+            adjoint.solve_response(kotani_orbit, mode)
+            assert len(calls) == expected, mode
 
 
 class TestNormalizePhase:
@@ -97,8 +105,6 @@ class TestNormalizeAmplitude:
         assert abs(value - 1.0) < 1e-8
 
     def test_reduces_to_phase_identity_at_zero_mu(self, kotani_orbit, kotani_z):
-        from ddehb import floquet
-
         mode0 = floquet.eigenfunction(kotani_orbit, 0.0)  # xdot / max|xdot|
         mx = np.linalg.norm(kotani_orbit.xdot_samples, axis=1).max()
         q = normalize_amplitude(kotani_z.Q, kotani_orbit, 0.0, mode0)

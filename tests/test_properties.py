@@ -56,9 +56,14 @@ def _assert_kotani_closed_form(delta):
     assert np.abs(z.Q[:, 0] + 8.0 * np.sin(t) / (4.0 + np.pi * delta)).max() <= 1e-11
 
 
+def relative_gap(samples, ref):
+    return np.abs(samples - ref).max() / np.abs(ref).max()
+
+
 @settings(PROPERTY, max_examples=8)
 @given(alpha=st.floats(0.5, 2.0))
-def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
+def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, kotani_mode, kotani_z,
+                        kotani_q, alpha):
     model = rescaled(kotani_model, alpha)
     orbit = d.solve_cycle(
         model, d.seed_from_ansatz(1, 0.8, 6.0 * alpha, 20), d.SolveOptions(M=20)
@@ -67,19 +72,29 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, alpha):
     scan = (KOTANI_SCAN[0] / alpha, KOTANI_SCAN[1] / alpha)
     mu = floquet.find_exponents(orbit, scan, 200)[0]
     assert abs(mu - kotani_mu / alpha) <= 1e-8 * abs(kotani_mu / alpha)
+    # the grid samples the same phases of the cycle, and the pairings scale
+    # with omega = 1/alpha and e^{-mu tau} stays, so rho, z and q are unchanged
+    # (at most 6.4e-14, 7.7e-14 and 1.1e-13 relative over seven alpha in [0.5, 2])
+    mode = floquet.eigenfunction(orbit, mu)
+    assert relative_gap(mode.R, kotani_mode.R) <= 1e-10
+    assert relative_gap(adjoint.solve_response(orbit).Q, kotani_z.Q) <= 1e-10
+    assert relative_gap(adjoint.solve_response(orbit, mode).Q, kotani_q.Q) <= 1e-10
 
 
 @settings(PROPERTY, max_examples=20)
 @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
-def test_anchor_shift(kotani_orbit, kotani_mu, fraction):
+def test_anchor_shift(kotani_orbit, kotani_mu, kotani_z, fraction):
     # the cycle shifted by s in [0, T) is the same cycle with another time
-    # origin, so its exponents cannot move; the orbit is shifted, not the
-    # seed, because the solver anchors every seed at its maximum
-    shifted = dataclasses.replace(
-        kotani_orbit, series=kotani_orbit.series.shifted(fraction * kotani_orbit.T)
-    )
+    # origin, so its exponents cannot move and its z is z shifted by s; the
+    # orbit is shifted, not the seed, because the solver anchors every seed
+    # at its maximum.  rho and q are left out: their gauge reads the grid
+    # samples, so a shift moves them by up to 4.7e-4
+    s = fraction * kotani_orbit.T
+    shifted = dataclasses.replace(kotani_orbit, series=kotani_orbit.series.shifted(s))
     mu = floquet.find_exponents(shifted, KOTANI_SCAN, 200)[0]
     assert abs(mu - kotani_mu) <= 1e-8 * abs(kotani_mu)
+    z = kotani_z.series.shifted(s).evaluate(shifted.grid.sample_times)
+    assert relative_gap(adjoint.solve_response(shifted).Q, z) <= 1e-10  # 7.1e-14 at most
 
 
 def _root_at(position, step=0.005, root=-0.029044149217942475):
@@ -130,10 +145,9 @@ def test_leading_exponent_is_the_first_root(kotani_orbit, lo, width, points, chu
 
 
 def raw_null_vector(orbit, mu):
-    """The left null vector of the adjoint operator as solve_response takes
-    it, before normalization."""
-    U = np.linalg.svd(adjoint.build_adjoint_matrix(orbit, mu))[0]
-    return U[:, -1].reshape(-1, orbit.model.m)
+    """The left null vector of M(mu) as solve_response takes it, before
+    normalization: the left singular vector the mode at mu carries."""
+    return floquet.eigenfunction(orbit, mu).left.reshape(-1, orbit.model.m)
 
 
 # a factor s in +-[0.1, 10] on the raw null vector
@@ -146,9 +160,16 @@ def assert_same_curve(Q, ref):
     assert np.abs(Q - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def rescaled_response(orbit, mode, scale):
+    """solve_response on the mode with its left null vector scaled."""
+    return adjoint.solve_response(orbit, dataclasses.replace(mode, left=scale * mode.left)).Q
+
+
 @settings(PROPERTY, max_examples=20)
 @given(scale=SCALES)
 def test_phase_normalization_ignores_scale_and_sign(kotani_orbit, kotani_z, scale):
+    mode0 = floquet.eigenfunction(kotani_orbit, 0.0)
+    assert_same_curve(rescaled_response(kotani_orbit, mode0, scale), kotani_z.Q)
     raw = raw_null_vector(kotani_orbit, 0.0)
     tangent = kotani_orbit.series.derivative()
     z = quadrature_normalized(scale * raw, kotani_orbit, tangent, 0.0, kotani_orbit.omega)
@@ -160,6 +181,7 @@ def test_phase_normalization_ignores_scale_and_sign(kotani_orbit, kotani_z, scal
 def test_amplitude_normalization_ignores_scale_and_sign(
     kotani_orbit, kotani_mu, kotani_mode, kotani_q, scale
 ):
+    assert_same_curve(rescaled_response(kotani_orbit, kotani_mode, scale), kotani_q.Q)
     raw = raw_null_vector(kotani_orbit, kotani_mu)
     q = quadrature_normalized(scale * raw, kotani_orbit, kotani_mode.series, kotani_mu, 1.0)
     assert_same_curve(q, kotani_q.Q)
