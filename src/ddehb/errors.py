@@ -51,6 +51,11 @@ class DegenerateNullspace(DdehbError):
     """Two near-equal smallest singular values: multiple eigenfunction."""
 
 
+class GaugeAmbiguous(DdehbError):
+    """A Floquet mode is too near orthogonal to its gauge reference for its
+    sign to be fixed."""
+
+
 class NormalizationSingular(DdehbError):
     """Normalization functional vanished before rescaling."""
 

@@ -29,12 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .cycle import Linearization, PeriodicOrbit, assemble_linearization
-from .errors import DegenerateNullspace, NonFiniteState, NoRootInBracket, NotSingular
+from .errors import (DegenerateNullspace, GaugeAmbiguous, NonFiniteState, NoRootInBracket,
+                     NotSingular)
 from .spectral import FourierSeries, build_operators, sample_to_coeffs
 
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
 DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
-GAUGE_TIE_RATIO = 1e-9  # entries within this relative margin of the largest magnitude tie
+GAUGE_COSINE_FLOOR = 0.1  # least |cosine| of a mode with its gauge reference; cortico's is 0.50
 SCAN_CHUNK = 10  # scan grid points per stacked assembly and LAPACK call
 
 
@@ -200,7 +201,8 @@ def _refine(lin: Linearization, lo: float, hi: float,
 
 @dataclass(eq=False)
 class FloquetMode:
-    """A real exponent with its max-normalized eigenfunction and left null vector."""
+    """A real exponent with its eigenfunction, gauged by mode_gauge, and
+    left null vector."""
 
     mu: float
     R: np.ndarray  # (2M+1, m) samples of rho on the grid
@@ -211,30 +213,21 @@ class FloquetMode:
     residual: float  # ||M(mu) R|| / ||R||
 
 
-def _fix_mode_gauge(R: np.ndarray) -> np.ndarray:
-    """Scale so max per-sample Euclidean norm is 1; sign so the overall
-    largest-magnitude entry is positive.
-
-    Entries whose magnitude is within GAUGE_TIE_RATIO of the largest are
-    tied, and the first of them in flattened (grid-major) order sets the
-    sign.  Symmetric profiles such as -sin t on a grid symmetric about 0
-    have exactly tied entries of opposite sign; without the tie rule,
-    round-off would decide which one wins and the sign would flip.
-    """
-    norms = np.linalg.norm(R, axis=1)
-    R = R / norms.max()
-    mag = np.abs(R).ravel()
-    idx = int(np.argmax(mag >= (1.0 - GAUGE_TIE_RATIO) * mag.max()))
-    if R.flat[idx] < 0:
-        R = -R
-    return R
-
-
-def _sign_against(a: np.ndarray, ref: np.ndarray) -> float:
-    """-1.0 if the inner product of a with ref is negative, else 1.0: the
-    sign that aligns a profile with a reference of the same gauge class,
-    such as an eigenfunction or amplitude response from another method."""
-    return -1.0 if float(np.sum(a * ref)) < 0 else 1.0
+def mode_gauge(R: np.ndarray, ref: np.ndarray) -> float:
+    """The factor that gives uniform samples R (n, m) of one period unit RMS
+    and a positive mean product with the reference samples ref: x - mean(x)
+    for a nontrivial mode, the tangent x' for the trivial one, which is
+    orthogonal to x - mean(x).  On the collocation grid both means are
+    Parseval sums, rho's L^2 norm and its L^2 product with the reference, so
+    the gauge moves with the curve under a time shift and does not depend on
+    M.  GaugeAmbiguous where |cosine| of R with ref is below
+    GAUGE_COSINE_FLOOR: there the sign cannot be trusted."""
+    dot, norm = float(np.vdot(ref, R)), float(np.linalg.norm(R))
+    cosine = dot / (norm * float(np.linalg.norm(ref)))
+    if not abs(cosine) >= GAUGE_COSINE_FLOOR:
+        raise GaugeAmbiguous(f"mode's cosine with its gauge reference is {cosine:.3e}, "
+                             f"below {GAUGE_COSINE_FLOOR:g} in magnitude")
+    return float(np.copysign(np.sqrt(len(R)) / norm, dot))
 
 
 def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
@@ -274,7 +267,9 @@ def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
 def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
     """The gauged eigenfunction and the left null vector of an assembled M(mu)."""
     U, svals, Vt = simple_null_svd(mat, mu)
-    R = _fix_mode_gauge(Vt[-1].reshape(-1, orbit.model.m))
+    R = Vt[-1].reshape(-1, orbit.model.m)
+    ref = orbit.xdot_samples if mu == 0.0 else orbit.X - orbit.X.mean(axis=0)
+    R = R * mode_gauge(R, ref)
     residual = float(
         np.linalg.norm(mat @ R.ravel()) / np.linalg.norm(R.ravel())
     )

@@ -41,8 +41,8 @@ from .errors import (
     PeriodDrift,
     SlowPhaseDecay,
 )
-# shared conventions and an SVD check, no operator
-from .floquet import _fix_mode_gauge as _mode_gauge, simple_null_svd
+# a shared convention and an SVD check, no operator
+from .floquet import mode_gauge, simple_null_svd
 from .model import ModelSpec
 from .spectral import FourierSeries, sample_to_coeffs
 
@@ -422,8 +422,9 @@ def oracle_curves(mono: OracleMonodromy
     where e^{mu T} is no multiplier.
 
     rho(t) = e^{-mu t} y(t), y the head of v carried forward by the stored
-    partial products, is gauged as the spectral eigenfunction is, by
-    _fix_mode_gauge on its samples at the orbit's collocation grid.  w_z
+    partial products, is gauged by floquet.mode_gauge on its own uniform
+    samples at the step nodes, against x - mean(x) there: the spectral
+    eigenfunction's convention, on none of its samples.  w_z
     and w_q are stepped back over one period by the transposed step
     matrices together and read at the head; q takes the factor
     e^{mu (t - T)}.  A left null vector's product with the forward state
@@ -441,11 +442,9 @@ def oracle_curves(mono: OracleMonodromy
     w_z = simple_null_svd(P - eye, 0.0, "oracle P - I")[0][:, -1]
 
     t = np.arange(system.steps) * (T / system.steps)
-    rho = _PeriodicInterp(T, np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v))
-    samples = rho(orbit.grid.sample_times)
-    i = int(np.argmax(np.abs(samples)))
-    gauge = _mode_gauge(samples).flat[i] / samples.flat[i]
-    rho.values *= gauge
+    y, x = np.exp(-mu * t)[:, None] * (mono.heads[:-1] @ v), orbit.value(t)
+    gauge = mode_gauge(y, x - x.mean(axis=0))
+    rho = _PeriodicInterp(T, gauge * y)
 
     Y = np.stack([w_z, w_q], axis=1)
     heads = np.empty((system.steps + 1, m, 2))

@@ -175,7 +175,8 @@ def _spectral_rows(results, prefix, st: _Stage):
     # one SVD of M(0) yields the singular-value ratio, the mode and z
     t0 = time.perf_counter()
     mode0 = floquet.eigenfunction(st.orbit, 0.0)
-    xdot = floquet._fix_mode_gauge(st.orbit.xdot_samples.copy())
+    xdot = st.orbit.xdot_samples
+    xdot *= floquet.mode_gauge(xdot, xdot)
     half = _since(t0, 0.5)
     results.append(_check(f"{prefix}.trivial_sigma", mode0.sigma_min / mode0.sigma_max,
                           1e-8, half))
@@ -216,17 +217,15 @@ def _oracle_floquet(results, prefix, st: _Stage, unit_tol, exponent_tol):
 def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tols, relative):
     """Rows for the oracle eigenfunction, z and q at the tolerances tols: the
     largest gap of a component to spectral = (mode, z, q) on the collocation
-    grid, relative to that component's peak if relative.  rho and q are
-    sign-aligned; the pairing fixes z's sign."""
+    grid, relative to that component's peak if relative.  Both sides gauge
+    rho by floquet.mode_gauge and scale z and q by their pairings, so no
+    curve is sign-aligned: a sign disagreement fails its row."""
     mode, z, q = spectral
     rho_tol, z_tol, q_tol = tols
     tg = st.orbit.grid.sample_times
 
-    def gap(curve, ref, align=True):
-        vals = curve(tg)
-        if align:
-            vals = floquet._sign_against(vals, ref) * vals
-        gaps = np.abs(vals - ref).max(axis=0)
+    def gap(curve, ref):
+        gaps = np.abs(curve(tg) - ref).max(axis=0)
         return (gaps / np.abs(ref).max(axis=0) if relative else gaps).max()
 
     # one oracle_curves call yields rho, z and q: split its time
@@ -235,7 +234,7 @@ def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tols, relativ
     third = _since(t0, 1.0 / 3.0)
     results.append(_check(f"{prefix}.oracle_eigenfunction", gap(rho_o, mode.R), rho_tol,
                           third))
-    results.append(_check(f"{prefix}.oracle_z", gap(z_o, z.Q, align=False), z_tol, third))
+    results.append(_check(f"{prefix}.oracle_z", gap(z_o, z.Q), z_tol, third))
     results.append(_check(f"{prefix}.oracle_q", gap(q_o, q.Q), q_tol, third))
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import floquet, oracle, pipeline
+from ddehb import cli, floquet, pipeline
 from ddehb.config import load_config
-from ddehb.errors import NonFiniteState, NoRootInBracket, NotSingular
+from ddehb.errors import GaugeAmbiguous, NonFiniteState, NoRootInBracket, NotSingular
 
 from conftest import CONFIG_DIR, CORTICO_SCAN, KOTANI_SCAN
 
@@ -139,43 +139,56 @@ class TestRefineExponent:
         assert s_min <= 1e-8 * s_max
 
 
+def rms(R):
+    """Root mean square of the per-sample Euclidean norms of samples R."""
+    return np.sqrt(np.mean(np.sum(R**2, axis=1)))
+
+
 class TestEigenfunction:
     def test_cortico_mode_quality(self, cortico_mode):
         assert cortico_mode.residual < 1e-6
-        assert abs(np.linalg.norm(cortico_mode.R, axis=1).max() - 1.0) < 1e-12
+        assert abs(rms(cortico_mode.R) - 1.0) < 1e-12
 
-    def test_gauge_convention(self, kotani_mode, cortico_mode):
-        for mode in (kotani_mode, cortico_mode):
-            idx = np.unravel_index(np.argmax(np.abs(mode.R)), mode.R.shape)
-            assert mode.R[idx] > 0
+    def test_gauge_convention(self, request):
+        # unit RMS, and a positive product with x - mean(x), or with the
+        # tangent for the trivial mode, which is the tangent at unit RMS
+        for name in ("kotani", "cortico"):
+            orbit = request.getfixturevalue(f"{name}_orbit")
+            mode = request.getfixturevalue(f"{name}_mode")
+            assert np.sum(mode.R * (orbit.X - orbit.X.mean(axis=0))) > 0
+            mode0, xdot = floquet.eigenfunction(orbit, 0.0), orbit.xdot_samples
+            assert np.sum(mode0.R * xdot) > 0
+            assert np.abs(mode0.R - xdot / rms(xdot)).max() <= 1e-9
+            assert abs(rms(mode.R) - 1.0) <= 1e-12 and abs(rms(mode0.R) - 1.0) <= 1e-12
 
     def test_rejects_nonsingular_mu(self, kotani_orbit):
         with pytest.raises(NotSingular, match="not singular"):
             floquet.eigenfunction(kotani_orbit, -0.015)
 
-    def test_gauge_tie_break_ignores_round_off(self):
-        # -sin t on the symmetric 41-point grid: entries n = -10 and n = 10
-        # tie exactly in magnitude with opposite signs
+    def test_gauge_ignores_round_off_and_scale(self):
+        # -sin t on the symmetric 41-point grid, whose entries n = -10 and
+        # n = 10 tie in magnitude with opposite signs, against a reference at
+        # cosine -sin 1 with it: the gauge reads no single entry, so neither
+        # a scale nor a nudge of a tied entry moves the gauged samples
         t = 2.0 * np.pi * np.arange(-20, 21) / 41
-        R = -np.sin(t)[:, None]
-        mag = np.abs(R[:, 0])
-        tied = np.flatnonzero(mag == mag.max())
-        assert list(tied) == [10, 30]
-        expected = floquet._fix_mode_gauge(R)
-        winners = set()
-        for i in tied:
+        R, ref = -np.sin(t)[:, None], np.cos(t - 1.0)[:, None]
+        expected = R * floquet.mode_gauge(R, ref)
+        assert np.abs(expected - np.sqrt(2.0) * np.sin(t)[:, None]).max() <= 1e-13
+        for s in (-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3):
+            assert np.abs(s * R * floquet.mode_gauge(s * R, ref) - expected).max() <= 1e-13
+        for i in (10, 30):
             for eps in (-1e-14, 1e-14):
                 Rp = R.copy()
-                Rp[i, 0] += eps * np.sign(Rp[i, 0])
-                winners.add(int(np.argmax(np.abs(Rp))))
-                gauged = floquet._fix_mode_gauge(Rp)
-                assert np.sign(gauged[10, 0]) == np.sign(expected[10, 0])
-                assert np.abs(gauged - expected).max() < 1e-13
-        assert winners == {10, 30}  # the perturbations do move argmax
-        P = np.stack([R[:, 0], 0.5 * np.cos(t)], axis=1)
-        np.testing.assert_array_equal(
-            oracle._mode_gauge(P), floquet._fix_mode_gauge(P)
-        )
+                Rp[i, 0] += eps
+                assert np.abs(Rp * floquet.mode_gauge(Rp, ref) - expected).max() <= 1e-13
+
+    def test_gauge_rejects_orthogonal_reference(self):
+        # sin t against cos t on the 41-point grid: no sign can be read, and
+        # the command line exits 3
+        t = 2.0 * np.pi * np.arange(-20, 21) / 41
+        with pytest.raises(GaugeAmbiguous, match="gauge reference") as exc:
+            floquet.mode_gauge(np.sin(t)[:, None], np.cos(t)[:, None])
+        assert cli._classify_error(exc.value) == cli.EXIT_CONVERGENCE == 3
 
 
 class TestFindExponents:

@@ -486,12 +486,14 @@ class TestPseudospectralOracle:
         assert abs(root - pair) <= 1e-7
         assert abs(upper - root) <= 1e-8
 
-    def test_eigenfunction_gauged_on_the_grid(self, kotani_orbit, kotani_mode,
-                                              kotani_oracle_curves):
+    def test_eigenfunction_gauged_on_its_samples(self, kotani_orbit, kotani_mode,
+                                                 kotani_oracle_curves):
+        # the spectral gauge's convention on the oracle's own step nodes, and
+        # the spectral eigenfunction at the grid with no sign alignment
         rho, _, _ = kotani_oracle_curves
-        samples = rho(kotani_orbit.grid.sample_times)
-        assert np.abs(samples - floquet._fix_mode_gauge(samples)).max() <= 1e-15
-        assert np.abs(samples - kotani_mode.R).max() <= 1e-9
+        x = kotani_orbit.value(np.arange(len(rho.values)) * (kotani_orbit.T / len(rho.values)))
+        assert abs(floquet.mode_gauge(rho.values, x - x.mean(axis=0)) - 1.0) <= 1e-15
+        assert np.abs(rho(kotani_orbit.grid.sample_times) - kotani_mode.R).max() <= 1e-9
 
     def test_corrupted_orbit_rejected(self, kotani_orbit):
         bad = dataclasses.replace(

@@ -11,7 +11,7 @@ from ddehb import adjoint, floquet
 from ddehb.errors import NoRootInBracket
 from ddehb.model import ModelSpec
 
-from conftest import KOTANI_SCAN, quadrature_normalized
+from conftest import CORTICO_SCAN, KOTANI_SCAN, quadrature_normalized
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -81,20 +81,52 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, kotani_mode, kota
     assert relative_gap(adjoint.solve_response(orbit, mode).Q, kotani_q.Q) <= 1e-10
 
 
+def _assert_anchor_shift(request, name, scan, fraction):
+    # the cycle shifted by s in [0, T) is the same cycle with another time
+    # origin, so its exponents cannot move and its rho, z and q are theirs
+    # shifted by s; the orbit is shifted, not the seed, because the solver
+    # anchors every seed at its maximum
+    orbit, mu0, mode, z, q = (request.getfixturevalue(f"{name}_{x}")
+                              for x in ("orbit", "mu", "mode", "z", "q"))
+    s = fraction * orbit.T
+    shifted = dataclasses.replace(orbit, series=orbit.series.shifted(s))
+    mu = floquet.find_exponents(shifted, scan, 200)[0]
+    assert abs(mu - mu0) <= 1e-8 * abs(mu0)
+    mode_s = floquet.eigenfunction(shifted, mu)
+    for got, curve in ((mode_s.R, mode), (adjoint.solve_response(shifted).Q, z),
+                       (adjoint.solve_response(shifted, mode_s).Q, q)):
+        expected = curve.series.shifted(s).evaluate(shifted.grid.sample_times)
+        assert relative_gap(got, expected) <= 1e-10
+
+
+# at 0.1, 0.37 and 0.8 T the gaps are at most 1.6e-13 (kotani) and 1.2e-13
+# (cortico)
 @settings(PROPERTY, max_examples=20)
 @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
-def test_anchor_shift(kotani_orbit, kotani_mu, kotani_z, fraction):
-    # the cycle shifted by s in [0, T) is the same cycle with another time
-    # origin, so its exponents cannot move and its z is z shifted by s; the
-    # orbit is shifted, not the seed, because the solver anchors every seed
-    # at its maximum.  rho and q are left out: their gauge reads the grid
-    # samples, so a shift moves them by up to 4.7e-4
-    s = fraction * kotani_orbit.T
-    shifted = dataclasses.replace(kotani_orbit, series=kotani_orbit.series.shifted(s))
-    mu = floquet.find_exponents(shifted, KOTANI_SCAN, 200)[0]
-    assert abs(mu - kotani_mu) <= 1e-8 * abs(kotani_mu)
-    z = kotani_z.series.shifted(s).evaluate(shifted.grid.sample_times)
-    assert relative_gap(adjoint.solve_response(shifted).Q, z) <= 1e-10  # 7.1e-14 at most
+@example(fraction=0.1)
+@example(fraction=0.37)
+@example(fraction=0.8)
+def test_anchor_shift(request, fraction):
+    _assert_anchor_shift(request, "kotani", KOTANI_SCAN, fraction)
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.37, 0.8])
+def test_cortico_anchor_shift(request, fraction):
+    _assert_anchor_shift(request, "cortico", CORTICO_SCAN, fraction)
+
+
+@pytest.mark.parametrize("name, scan", [("kotani", KOTANI_SCAN), ("cortico", CORTICO_SCAN)])
+def test_mode_and_q_independent_of_M(request, name, scan):
+    # rho and q at M = 20 and at 2M, from the same seed, agree as curves: at
+    # most 8.8e-14 of their peak
+    orbit, mode, q = (request.getfixturevalue(f"{name}_{x}") for x in ("orbit", "mode", "q"))
+    seed = (d.seed_from_ansatz(1, 0.8, 6.0, 20) if name == "kotani"
+            else request.getfixturevalue("cortico_settle").seed)
+    orbit2 = d.solve_cycle(orbit.model, seed, d.SolveOptions(M=2 * orbit.M))
+    mode2 = floquet.eigenfunction(orbit2, floquet.find_exponents(orbit2, scan, 200)[0])
+    t = np.linspace(0.0, orbit.T, 997)
+    for curve, curve2 in ((mode, mode2), (q, adjoint.solve_response(orbit2, mode2))):
+        assert relative_gap(curve2.series.evaluate(t), curve.series.evaluate(t)) <= 1e-12
 
 
 def _root_at(position, step=0.005, root=-0.029044149217942475):
