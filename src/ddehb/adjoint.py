@@ -48,8 +48,8 @@ QUAD_NODES = 64  # Gauss-Legendre nodes of the pairing's delay integral
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
-    """M(mu), whose left null vector is the response curve, for public callers
-    (solve_response assembles its own).  NonFiniteState where not finite."""
+    """M(mu), whose left null vector is the response curve, updated from the
+    orbit's one (A0, B).  NonFiniteState where not finite."""
     return orbit_linearization(orbit).matrix(mu)
 
 
@@ -120,7 +120,8 @@ def solve_response(orbit: PeriodicOrbit,
     the grid pairing: for the trivial mode (mu = 0) the phase response,
     pairing omega with the cycle tangent; for any other mode the amplitude
     response at mode.mu, pairing 1 with its eigenfunction.  With no mode,
-    the trivial mode comes from the one (A0, B) assembled here."""
+    the trivial mode comes from one SVD of M(0), updated from the orbit's
+    (A0, B)."""
     mu = 0.0 if mode is None else mode.mu
     lin = orbit_linearization(orbit)
     A = lin.matrix(mu)

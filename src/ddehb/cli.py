@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, floquet, pipeline
 from .config import RunConfig, load_config
-from .cycle import solve_cycle
+from .cycle import PeriodicOrbit, solve_cycle
 from .errors import ConfigError, DdehbError, MalformedInput, NoExponentInRange, StaleInput
 from .model import verify_jacobians
 
@@ -39,7 +39,7 @@ _FMT = "%.17g"
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], cfg_hash: str):
-    rows = np.column_stack(columns)
+    rows = np.column_stack(columns).tolist()  # Python floats format faster
     with open(path, "w") as fh:
         fh.write(f"# manifest: {cfg_hash}\n")
         fh.write(",".join(header) + "\n")
@@ -77,7 +77,13 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, outputs: list[s
 
 
 def cmd_cycle(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+    _cycle(cfg, time.perf_counter())
+    return EXIT_OK
+
+
+def _cycle(cfg: RunConfig, t0: float) -> PeriodicOrbit:
+    """Solve the orbit, write the files of `ddehb cycle` and return the
+    orbit; the manifest's runtime counts from t0."""
     model = pipeline.build_model(cfg)
     verify_jacobians(model, trials=25, tol=1e-6, seed=cfg.rng_seed)
     seed, settled = pipeline.build_seed(cfg, model)
@@ -96,16 +102,22 @@ def cmd_cycle(cfg: RunConfig) -> int:
                     time.perf_counter() - t0, extra)
     print(f"cycle: T={orbit.T:.12g} residual={orbit.residual_norm:.3e} "
           f"iterations={orbit.iterations}")
-    return EXIT_OK
+    return orbit
 
 
 def cmd_floquet(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(cfg.output.directory)
-    orbit = pipeline.load_orbit(out_dir, cfg)
+    _floquet(cfg, pipeline.load_orbit(Path(cfg.output.directory), cfg), t0)
+    return EXIT_OK
+
+
+def _floquet(cfg: RunConfig, orbit: PeriodicOrbit, t0: float) -> pipeline.FloquetRun:
+    """Scan and refine the exponents of orbit, write the files of `ddehb
+    floquet` and return the run; the manifest's runtime counts from t0."""
     run = pipeline.run_floquet(cfg, orbit)
 
     h = cfg.config_hash()
+    out_dir = Path(cfg.output.directory)
     scan = run.scan
     _write_csv(out_dir / "floquet_scan.csv", ["mu", "log_abs_det", "sign", "sigma_min"],
                [scan.mu, scan.log_abs_det, scan.sign, run.sigma_min], h)
@@ -131,7 +143,15 @@ def cmd_floquet(cfg: RunConfig) -> int:
     _write_manifest(out_dir, cfg, "floquet", outputs, time.perf_counter() - t0)
     nontrivial = ", ".join(f"{m.mu:.8g}" for m in run.modes) or "none found"
     print(f"floquet: trivial root confirmed; nontrivial exponents: {nontrivial}")
-    return EXIT_OK
+    return run
+
+
+def _no_exponent(path: Path, cfg: RunConfig) -> NoExponentInRange:
+    """The error of an exponent file at path that lists no nontrivial exponent."""
+    return NoExponentInRange(
+        f"no nontrivial Floquet exponent recorded in {path} for the scan range "
+        f"[{cfg.scan.mu_min:g}, {cfg.scan.mu_max:g}]; amplitude response unavailable"
+    )
 
 
 def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
@@ -150,10 +170,7 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
             raise MalformedInput(f"{path}: trivial: expected true or false, got {trivial!r}")
     nontrivial = [float(mu) for mu, trivial in entries if not trivial]
     if not nontrivial:
-        raise NoExponentInRange(
-            f"no nontrivial Floquet exponent recorded in {path} for the scan range "
-            f"[{cfg.scan.mu_min:g}, {cfg.scan.mu_max:g}]; amplitude response unavailable"
-        )
+        raise _no_exponent(path, cfg)
     return max(nontrivial)
 
 
@@ -164,9 +181,18 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     mode = None
     if kinds in ("both", "amplitude"):
         mode = floquet.eigenfunction(orbit, _load_leading_exponent(out_dir, cfg))
-    run = pipeline.run_responses(orbit, mode, kinds)
+    _response(cfg, orbit, mode, kinds, t0)
+    return EXIT_OK
+
+
+def _response(cfg: RunConfig, orbit: PeriodicOrbit, mode: floquet.FloquetMode | None,
+              kinds: str, t0: float, trivial: floquet.FloquetMode | None = None):
+    """Scale the responses that kinds names (pipeline.run_responses) and write
+    the files of `ddehb response`; the manifest's runtime counts from t0."""
+    run = pipeline.run_responses(orbit, mode, kinds, trivial)
 
     h = cfg.config_hash()
+    out_dir = Path(cfg.output.directory)
     tg = orbit.grid.sample_times
     outputs = []
     meta = {"config_hash": h}
@@ -191,7 +217,6 @@ def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
     _write_manifest(out_dir, cfg, "response", outputs + ["response_meta.json"],
                     time.perf_counter() - t0)
     print(f"response: wrote {', '.join(outputs)}")
-    return EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -217,11 +242,20 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    """Full pipeline in one command: cycle, floquet, then both responses."""
-    for step in (cmd_cycle, cmd_floquet, cmd_response):
-        code = step(cfg)
-        if code != EXIT_OK:
-            return code
+    """Full pipeline in one command: cycle, floquet, then both responses.
+
+    It writes the files of the three stage commands, byte for byte, but
+    each stage takes the orbit and the modes of the one before from
+    memory: the orbit that solve_cycle returned (load_orbit reads back the
+    same to the bit), the trivial mode for z and the leading nontrivial
+    mode, modes[0], for q.  With no nontrivial exponent it stops after the
+    floquet files, as `ddehb response` would on them.
+    """
+    orbit = _cycle(cfg, time.perf_counter())
+    run = _floquet(cfg, orbit, time.perf_counter())
+    if not run.modes:
+        raise _no_exponent(Path(cfg.output.directory) / "exponents.json", cfg)
+    _response(cfg, orbit, run.modes[0], "both", time.perf_counter(), run.trivial_mode)
     return EXIT_OK
 
 

@@ -55,12 +55,16 @@ _Loader.add_implicit_resolver(
 
 @dataclass
 class ModelConfig:
+    """The `model` section: a built-in model's name and its parameters."""
+
     name: str = "kotani"
     params: dict = field(default_factory=dict)
 
 
 @dataclass
 class SeedConfig:
+    """The `seed` section: where the cycle solve starts."""
+
     kind: str = "ansatz"  # ansatz | oracle | file
     amplitude: list = field(default_factory=lambda: [1.0])
     period_guess: float = 6.0
@@ -72,6 +76,8 @@ class SeedConfig:
 
 @dataclass
 class ScanConfig:
+    """The `scan` section: the grid of the real-exponent search."""
+
     mu_min: float = -0.2
     mu_max: float = 0.05
     points: int = 200
@@ -80,11 +86,15 @@ class ScanConfig:
 
 @dataclass
 class OutputConfig:
+    """The `output` section: the directory the commands write to."""
+
     directory: str = "out"
 
 
 @dataclass
 class RunConfig:
+    """A whole run configuration, one field per section."""
+
     model: ModelConfig = field(default_factory=ModelConfig)
     solver: SolveOptions = field(default_factory=SolveOptions)
     seed: SeedConfig = field(default_factory=SeedConfig)

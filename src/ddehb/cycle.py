@@ -17,12 +17,14 @@ which gives the T column in closed form.
 A seed is a FourierSeries; its period T is the period guess.  The solved
 PeriodicOrbit is its Fourier series too: T, M and the grid samples X are
 derived from the series, so an orbit read back from its coefficients is
-the same to the bit.
+the same to the bit.  The orbit owns its linearization (A0, B) as well
+(`PeriodicOrbit.linearization`), assembled on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +43,8 @@ EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
 
 @dataclass
 class SolveOptions:
+    """Truncation order, anchor component and Newton budget of solve_cycle."""
+
     M: int = 20
     anchor_component: int = 0
     max_iterations: int = 100
@@ -50,7 +54,8 @@ class SolveOptions:
 @dataclass(eq=False)
 class PeriodicOrbit:
     """A converged harmonic-balance orbit: its Fourier series owns T, M and
-    the grid samples X, which are computed from it once."""
+    the grid samples X, which are computed from it once, and the
+    linearization (A0, B) about it, which is assembled once, on first use."""
 
     model: ModelSpec
     series: FourierSeries
@@ -87,6 +92,14 @@ class PeriodicOrbit:
     @property
     def xdot_samples(self) -> np.ndarray:
         return self.series.derivative().evaluate(self.grid.sample_times)
+
+    @cached_property
+    def linearization(self) -> "Linearization":
+        """(A0, B) about the orbit, delayed values read from its interpolant:
+        the one copy that every M(mu) of the orbit is updated from."""
+        ops = build_operators(self.M, self.T, self.model.tau)
+        return assemble_linearization(self.model, ops, self.X,
+                                      self.delayed(self.grid.sample_times))
 
 
 def _stacked_residual(model, ops, X, anchor):

@@ -9,10 +9,10 @@ converged orbit,
 with D0 and Delta the differentiation and delay matrices and
 J0, J1 the block-diagonal Jacobians of the right-hand side along the
 cycle (delayed orbit values read from the Fourier interpolant, never from
-nearest samples).  Only the scalar factors depend on mu, so each public
-call assembles (A0, B) once per orbit and every M(mu) it needs is one
-matrix update: a scan carries its (A0, B), which refines its brackets and
-gives its singular values.
+nearest samples).  Only the scalar factors depend on mu, so each orbit
+assembles (A0, B) once, on first use (`PeriodicOrbit.linearization`), and
+every M(mu) that a scan, a refinement, an eigenfunction or a response
+curve needs is one matrix update of it.
 Raw determinants overflow at modest sizes, so the scan works with
 log-magnitude plus sign from pivoted factorization: a sign change
 brackets a root, and so does a dip of log|det| without one.  The smallest
@@ -28,10 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cycle import Linearization, PeriodicOrbit, assemble_linearization
+from .cycle import Linearization, PeriodicOrbit
 from .errors import (DegenerateNullspace, GaugeAmbiguous, NonFiniteState, NoRootInBracket,
                      NotSingular)
-from .spectral import FourierSeries, build_operators, sample_to_coeffs
+from .spectral import FourierSeries, sample_to_coeffs
 
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
 DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
@@ -40,10 +40,8 @@ SCAN_CHUNK = 10  # scan grid points per stacked assembly and LAPACK call
 
 
 def orbit_linearization(orbit: PeriodicOrbit) -> Linearization:
-    """(A0, B) about the orbit, delayed values read from its interpolant."""
-    ops = build_operators(orbit.M, orbit.T, orbit.model.tau)
-    return assemble_linearization(orbit.model, ops, orbit.X,
-                                  orbit.delayed(orbit.grid.sample_times))
+    """(A0, B) about the orbit: the orbit's one copy, assembled on its first use."""
+    return orbit.linearization
 
 
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:

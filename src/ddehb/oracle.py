@@ -182,6 +182,8 @@ def integrate_dde(
 
 @dataclass(eq=False)
 class SettleResult:
+    """A settle onto the attracting cycle: its crossings and Fourier seed."""
+
     spread: float
     crossings: np.ndarray
     seed: FourierSeries  # its T is the settled period
@@ -472,6 +474,8 @@ def oracle_curves(mono: OracleMonodromy
 
 @dataclass(eq=False)
 class PrcResult:
+    """A direct PRC measured by pulse perturbation at one pulse scale."""
+
     eps: float
     raw_shifts: np.ndarray  # asymptotic phase shifts (radians)
     measured: np.ndarray  # shifts / eps, comparable to z at the pulse phase

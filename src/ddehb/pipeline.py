@@ -166,6 +166,8 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
 
 @dataclass(eq=False)
 class FloquetRun:
+    """The scan and the Floquet modes of one orbit, as `ddehb floquet` writes them."""
+
     scan: floquet.DetScanResult
     sigma_min: np.ndarray  # of M(mu) at each scan.mu
     modes: list[floquet.FloquetMode]  # nontrivial, exponents descending
@@ -185,18 +187,23 @@ def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
 
 @dataclass
 class ResponseRun:
-    z: adjoint.ResponseCurve
+    """The phase and amplitude responses of one orbit, None where not asked for."""
+
+    z: adjoint.ResponseCurve | None
     q: adjoint.ResponseCurve | None
 
 
 def run_responses(orbit: PeriodicOrbit, mode: floquet.FloquetMode | None,
-                  kinds: str = "both") -> ResponseRun:
+                  kinds: str = "both",
+                  trivial: floquet.FloquetMode | None = None) -> ResponseRun:
     """The phase response and the amplitude response that pairs with mode,
-    or only the one kinds names ("phase" or "amplitude").  ConfigError if
-    an amplitude response is asked for without a mode."""
+    or only the one kinds names ("phase" or "amplitude").  The phase
+    response scales the trivial mode, which solve_response finds where the
+    caller has none.  ConfigError if an amplitude response is asked for
+    without a mode."""
     z = q = None
     if kinds in ("both", "phase"):
-        z = adjoint.solve_response(orbit)
+        z = adjoint.solve_response(orbit, trivial)
     if kinds in ("both", "amplitude"):
         if mode is None:
             raise ConfigError("amplitude response requires a refined nontrivial exponent")

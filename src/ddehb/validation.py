@@ -32,6 +32,8 @@ from .spectral import FourierSeries, sample_to_coeffs
 
 @dataclass
 class CheckResult:
+    """One row of the validation table."""
+
     name: str
     measured: float
     tolerance: float
@@ -146,8 +148,8 @@ class _Stage:
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
     orbit: PeriodicOrbit
     mu: float  # leading nontrivial exponent
-    orbit2: PeriodicOrbit  # the same seed solved at 2M
-    mu2: float  # leading nontrivial exponent of orbit2
+    series2: FourierSeries  # the seed solved at 2M; the orbit would keep its (A0, B)
+    mu2: float  # leading nontrivial exponent at 2M
     search: str  # grid points each search evaluated, of the scan's: "70/200,70/200"
     solve_seconds: float  # seed (settle included) and cycle solve
     exponent_seconds: float  # leading-exponent search
@@ -165,7 +167,7 @@ def _solve_stage(cfg: RunConfig) -> _Stage:
     orbit2 = cycle.solve_cycle(model, seed, replace(cfg.solver, M=2 * cfg.solver.M))
     lead2 = _leading_exponent(orbit2, cfg.scan)
     search = ",".join(f"{x.points}/{cfg.scan.points}" for x in (lead, lead2))
-    return _Stage(seed, settled, orbit, lead.mu, orbit2, lead2.mu, search,
+    return _Stage(seed, settled, orbit, lead.mu, orbit2.series, lead2.mu, search,
                   t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
@@ -301,7 +303,7 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
 
     t0 = time.perf_counter()
     half = cycle.solve_cycle(orbit.model, st.seed, replace(cfg.solver, M=cfg.solver.M // 2))
-    tails = [o.series.tail_energy(o.M // 2) for o in (half, orbit, st.orbit2)]
+    tails = [s.tail_energy(s.M // 2) for s in (half.series, orbit.series, st.series2)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,
                           _since(t0),

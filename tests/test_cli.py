@@ -275,6 +275,7 @@ class TestResponseCommand:
         assert "[-0.01, 0.05]" in err
         assert (out / "exponents.json").exists()
         assert not (out / "q.csv").exists()
+        assert not (out / "z.csv").exists()
 
     def test_overflowing_scan_range(self, tmp_path, capsys):
         # e^{-mu tau} overflows at mu = -500, so M(mu) is not finite there
@@ -566,6 +567,24 @@ class TestExportPipeline:
         assert len(data) == 9
         for name in data:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("config", [KOTANI_CFG, CORTICO_CFG], ids=["kotani", "cortico"])
+    def test_stage_commands_write_what_export_writes(self, tmp_path, config):
+        # export hands the orbit and the modes on in memory, where `ddehb
+        # floquet` and `ddehb response` read and check the files of the stage
+        # before: the 9 data files agree byte for byte.  Cortico starts from
+        # the ansatz, which skips the settle
+        args = ("--config", config, "--seed-from", "ansatz")
+        export, staged = tmp_path / "export", tmp_path / "staged"
+        assert run("export", *args, "--out", str(export)) == EXIT_OK
+        for step in ("cycle", "floquet", "response"):
+            assert run(step, *args, "--out", str(staged)) == EXIT_OK
+        names = sorted(p.name for p in export.iterdir())
+        assert sorted(p.name for p in staged.iterdir()) == names
+        data = [n for n in names if not n.startswith("manifest_")]
+        assert len(data) == 9
+        for name in data:
+            assert (export / name).read_bytes() == (staged / name).read_bytes(), name
 
     @pytest.mark.parametrize("config", [KOTANI_CFG, CORTICO_CFG], ids=["kotani", "cortico"])
     def test_validate_checks_the_exported_orbit_and_responses(self, tmp_path, monkeypatch,

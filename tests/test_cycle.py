@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import ddehb as d
-from ddehb import pipeline
+from ddehb import cli, cycle, pipeline
 from ddehb.config import load_config
 from ddehb.cycle import SolveOptions, _anchor_at_max, residual
-from ddehb.errors import DivergedToEquilibrium, MaxIterations, NonFiniteState
+from ddehb.errors import DivergedToEquilibrium, MaxIterations, NonFiniteState, SingularJacobian
 
 from conftest import CONFIG_DIR
 
@@ -79,6 +79,22 @@ class TestSolveCycle:
         seed = d.seed_from_ansatz(1, 2.5, 9.0, 20)
         with pytest.raises(MaxIterations):
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20, max_iterations=2))
+
+    def test_singular_newton_matrix(self, kotani_model, monkeypatch):
+        # a Newton matrix with a zero T column is exactly singular: its LU
+        # factorization meets a zero pivot, and the command line exits 3
+        jacobian = cycle._jacobian
+
+        def singular(*args):
+            J = jacobian(*args)
+            J[:, -1] = 0.0
+            return J
+
+        monkeypatch.setattr(cycle, "_jacobian", singular)
+        seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
+        with pytest.raises(SingularJacobian, match="the Newton matrix is singular") as exc:
+            d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
+        assert cli._classify_error(exc.value) == cli.EXIT_CONVERGENCE == 3
 
     def test_tolerance_below_roundoff_fails_line_search(self, kotani_model):
         # no step can take the residual under 1e-20, so the halving runs out

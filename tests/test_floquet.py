@@ -7,7 +7,8 @@ import pytest
 import ddehb as d
 from ddehb import cli, floquet, pipeline
 from ddehb.config import load_config
-from ddehb.errors import GaugeAmbiguous, NonFiniteState, NoRootInBracket, NotSingular
+from ddehb.errors import (DegenerateNullspace, GaugeAmbiguous, NonFiniteState,
+                          NoRootInBracket, NotSingular)
 
 from conftest import CONFIG_DIR, CORTICO_SCAN, KOTANI_SCAN
 
@@ -188,6 +189,13 @@ class TestEigenfunction:
         t = 2.0 * np.pi * np.arange(-20, 21) / 41
         with pytest.raises(GaugeAmbiguous, match="gauge reference") as exc:
             floquet.mode_gauge(np.sin(t)[:, None], np.cos(t)[:, None])
+        assert cli._classify_error(exc.value) == cli.EXIT_CONVERGENCE == 3
+
+    def test_two_dimensional_null_space_is_degenerate(self):
+        # diag(0, 0, 1, 2) has two zero singular values: no single
+        # eigenfunction spans its null space, and the command line exits 3
+        with pytest.raises(DegenerateNullspace, match="two smallest singular values") as exc:
+            floquet.simple_null_svd(np.diag([0.0, 0.0, 1.0, 2.0]), -0.01)
         assert cli._classify_error(exc.value) == cli.EXIT_CONVERGENCE == 3
 
 

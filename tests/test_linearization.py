@@ -7,6 +7,7 @@ the left null vectors of that same M(mu); they are checked against those
 of the paper's advanced collocation of the adjoint, kept here as well.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -168,7 +169,9 @@ class TestAgainstFreshAssembly:
             assert np.abs(lin.dmu(mu, v) - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
+def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monkeypatch):
+    """A public call on a fresh orbit assembles (A0, B) once; a second call
+    on the same orbit assembles nothing, since the orbit keeps its copy."""
     calls = Counter()
 
     def counted(name, fn):
@@ -184,20 +187,29 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, monkeypatch):
             monkeypatch.setattr(mod, "build_operators", build)
     monkeypatch.setattr(ModelSpec, "jacobians", counted("jacobians", ModelSpec.jacobians))
     for call in (
-        lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.det_scan(orbit, KOTANI_SCAN, 200),
         # a scan's singular values are taken on its own assembly
-        lambda: floquet.scan_sigma_min(floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)),
-        lambda: floquet.refine_exponent(kotani_orbit, (-0.06, -0.01)),
+        lambda orbit: floquet.scan_sigma_min(floquet.det_scan(orbit, KOTANI_SCAN, 200)),
+        lambda orbit: floquet.refine_exponent(orbit, (-0.06, -0.01)),
         # the scan's assembly serves its refinements
-        lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.find_exponents(orbit, KOTANI_SCAN, 200),
         # one assembly for the scan and both of its brackets
-        lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200),
-        lambda: floquet.eigenfunction(kotani_orbit, kotani_mu),
-        lambda: adjoint.build_adjoint_matrix(kotani_orbit, kotani_mu),
+        lambda orbit: floquet.leading_exponent(orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.eigenfunction(orbit, kotani_mu),
+        lambda orbit: floquet.build_stability_matrix(orbit, kotani_mu),
+        lambda orbit: adjoint.build_adjoint_matrix(orbit, kotani_mu),
+        lambda orbit: adjoint.solve_response(orbit),
+        lambda orbit: adjoint.solve_response(orbit, kotani_mode),
     ):
+        orbit = dataclasses.replace(kotani_orbit)  # same series, no (A0, B) yet
         calls.clear()
-        call()
+        call(orbit)
         assert calls == {"build_operators": 1, "jacobians": 1}
+        calls.clear()
+        call(orbit)
+        assert not calls
+    orbit = dataclasses.replace(kotani_orbit)
+    assert floquet.orbit_linearization(orbit) is orbit.linearization
 
 
 @pytest.fixture(scope="module")
