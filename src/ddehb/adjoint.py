@@ -4,11 +4,11 @@ The response curve is the left null vector Q of the stability matrix
 
     M(mu) = A0 + mu I - e^{-mu tau} B,    B = J1 (Delta kron I_m),
 
-the one whose right null vectors are the Floquet modes
-(`floquet.orbit_linearization`).  Its transpose is the harmonic-balance
-matrix of the adjoint equation: D0 is antisymmetric and Delta^T is the
-exact advance by tau (`spectral.SpectralOperators`), so Q^T M(mu) = 0
-collocates
+the one whose right null vectors are the Floquet modes, updated from the
+orbit's one (A0, B) (`PeriodicOrbit.linearization`).  Its transpose is
+the harmonic-balance matrix of the adjoint equation: D0 is antisymmetric
+and Delta^T is the exact advance by tau (`spectral.SpectralOperators`),
+so Q^T M(mu) = 0 collocates
 
     -q' - DF0^T q + mu q - e^{-mu tau} [DF1^T q](t + tau) = 0.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .cycle import PeriodicOrbit
 from .errors import NormalizationSingular
-from .floquet import FloquetMode, _null_mode, orbit_linearization
+from .floquet import FloquetMode, _null_mode
 from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10  # smallest |pairing| a curve may be rescaled from
@@ -50,7 +50,7 @@ QUAD_NODES = 64  # Gauss-Legendre nodes of the pairing's delay integral
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """M(mu), whose left null vector is the response curve, updated from the
     orbit's one (A0, B).  NonFiniteState where not finite."""
-    return orbit_linearization(orbit).matrix(mu)
+    return orbit.linearization.matrix(mu)
 
 
 @dataclass(eq=False)
@@ -123,7 +123,7 @@ def solve_response(orbit: PeriodicOrbit,
     the trivial mode comes from one SVD of M(0), updated from the orbit's
     (A0, B)."""
     mu = 0.0 if mode is None else mode.mu
-    lin = orbit_linearization(orbit)
+    lin = orbit.linearization
     A = lin.matrix(mu)
     if mode is None:
         mode = _null_mode(orbit, mu, A)

@@ -39,14 +39,9 @@ GAUGE_COSINE_FLOOR = 0.1  # least |cosine| of a mode with its gauge reference; c
 SCAN_CHUNK = 10  # scan grid points per stacked assembly and LAPACK call
 
 
-def orbit_linearization(orbit: PeriodicOrbit) -> Linearization:
-    """(A0, B) about the orbit: the orbit's one copy, assembled on its first use."""
-    return orbit.linearization
-
-
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """Assemble M(mu) for the linearization about the converged orbit."""
-    return orbit_linearization(orbit).matrix(mu)
+    return orbit.linearization.matrix(mu)
 
 
 @dataclass(eq=False)
@@ -96,7 +91,7 @@ def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int) -> DetScanResu
         raise ValueError("grid_points must be >= 2")
     lo, hi = mu_range
     return DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((2, grid_points)),
-                         orbit_linearization(orbit))
+                         orbit.linearization)
 
 
 def _scan_matrices(lin: Linearization, mu: np.ndarray, chunk: slice) -> np.ndarray:
@@ -135,7 +130,7 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy mu_lo < mu_hi")
-    return _refine(orbit_linearization(orbit), lo, hi, 0.0)
+    return _refine(orbit.linearization, lo, hi, 0.0)
 
 
 def _refine(lin: Linearization, lo: float, hi: float,
@@ -237,7 +232,7 @@ def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
     smallest singular values are within 1e-6 relative, and NonFiniteState
     where M(mu) is not finite.
     """
-    return _null_mode(orbit, mu, orbit_linearization(orbit).matrix(mu))
+    return _null_mode(orbit, mu, orbit.linearization.matrix(mu))
 
 
 def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):

@@ -2,10 +2,10 @@
 
 Each check compares a harmonic-balance quantity against the independent
 time-evolution oracle (or against an exact property of the benchmark) at
-a pinned tolerance and reports one table row.  Both suites run one
-spectral stage (`_solve_stage`, `_spectral_rows`) and one oracle spectrum
-helper (`_oracle_floquet`), then add only their own rows.  The acceptance
-test module (`tests/test_acceptance.py`) maps each criterion to its rows.
+a pinned tolerance and reports one table row.  One suite serves every
+model (`run_validation`), and one table (`SUITES`) holds what differs by
+model.  The acceptance test module (`tests/test_acceptance.py`) maps each
+criterion to its rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .config import RunConfig
 # spectral checks spectral.build_operators.  solve_cycle stays importable
 # from here for code that reads it (bench/test_bench.py).
 from .cycle import PeriodicOrbit, solve_cycle  # noqa: F401
-from .errors import NoExponentInRange
+from .errors import ConfigError, NoExponentInRange
 from .spectral import FourierSeries, sample_to_coeffs
 
 
@@ -142,7 +142,7 @@ def _leading_exponent(orbit, scan) -> floquet.LeadingExponent:
 
 @dataclass
 class _Stage:
-    """The spectral pipeline a suite checks at M and 2M, with the seconds of its parts."""
+    """The spectral pipeline the suite checks at M and 2M, with the seconds of its parts."""
 
     seed: FourierSeries
     settled: oracle.SettleResult | None  # the settle behind an oracle seed
@@ -202,68 +202,52 @@ def _spectral_rows(results, prefix, st: _Stage):
     return mode, z, q
 
 
-def _oracle_floquet(results, prefix, st: _Stage, unit_tol, exponent_tol):
-    """One oracle_floquet call and the two spectrum rows that split its time."""
-    t0 = time.perf_counter()
+def _oracle_rows(results, prefix, st: _Stage, refs, tols, relative) -> float:
+    """The oracle rows at tols, and the seconds of its two calls.  A curve's
+    gap to its spectral samples refs = (rho, z, q) is the largest on the
+    collocation grid, relative to each component's peak if relative.  Both
+    sides gauge rho by floquet.mode_gauge and scale z and q by their pairings,
+    so no curve is sign-aligned: a sign disagreement fails its row."""
+    unit_tol, exponent_tol, *curve_tols = tols
+    tg = st.orbit.grid.sample_times
+    t_oracle = time.perf_counter()
     ofl = oracle.oracle_floquet(st.orbit)
     mu_oracle = ofl.leading_nontrivial()
-    half = _since(t0, 0.5)
+    half = _since(t_oracle, 0.5)
     results.append(_check(f"{prefix}.oracle_unit_multiplier", ofl.unit_multiplier_error,
                           unit_tol, half))
-    gap = abs(mu_oracle - st.mu) / abs(st.mu)
-    results.append(_check(f"{prefix}.oracle_exponent", gap, exponent_tol, half,
-                          detail=f"oracle={mu_oracle:.6f} hb={st.mu:.6f}"))
-    return ofl
-
-
-def _oracle_curve_rows(results, prefix, st: _Stage, ofl, spectral, tols, relative):
-    """Rows for the oracle eigenfunction, z and q at the tolerances tols: the
-    largest gap of a component to spectral = (mode, z, q) on the collocation
-    grid, relative to that component's peak if relative.  Both sides gauge
-    rho by floquet.mode_gauge and scale z and q by their pairings, so no
-    curve is sign-aligned: a sign disagreement fails its row."""
-    mode, z, q = spectral
-    rho_tol, z_tol, q_tol = tols
-    tg = st.orbit.grid.sample_times
-
-    def gap(curve, ref):
-        gaps = np.abs(curve(tg) - ref).max(axis=0)
-        return (gaps / np.abs(ref).max(axis=0) if relative else gaps).max()
-
+    results.append(_check(f"{prefix}.oracle_exponent", abs(mu_oracle - st.mu) / abs(st.mu),
+                          exponent_tol, half, detail=f"oracle={mu_oracle:.6f} hb={st.mu:.6f}"))
     # one oracle_curves call yields rho, z and q: split its time
     t0 = time.perf_counter()
-    rho_o, z_o, q_o = oracle.oracle_curves(ofl)
+    curves = oracle.oracle_curves(ofl)
     third = _since(t0, 1.0 / 3.0)
-    results.append(_check(f"{prefix}.oracle_eigenfunction", gap(rho_o, mode.R), rho_tol,
-                          third))
-    results.append(_check(f"{prefix}.oracle_z", gap(z_o, z.Q), z_tol, third))
-    results.append(_check(f"{prefix}.oracle_q", gap(q_o, q.Q), q_tol, third))
+    for kind, curve, ref, tol in zip(("eigenfunction", "z", "q"), curves, refs, curve_tols):
+        gaps = np.abs(curve(tg) - ref).max(axis=0)
+        gap = (gaps / np.abs(ref).max(axis=0) if relative else gaps).max()
+        results.append(_check(f"{prefix}.oracle_{kind}", gap, tol, third))
+    return _since(t_oracle)
 
 
-def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
-    st = _solve_stage(cfg)
+def _kotani_stage_rows(cfg: RunConfig, st: _Stage) -> list[CheckResult]:
+    """The exact cycle x(t) = cos t, T = 2 pi, and the solve's time."""
     orbit = st.orbit
-    tg = orbit.grid.sample_times
-    results = [
+    profile = np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max()
+    return [
         _check("kotani.period", abs(orbit.T - 2.0 * np.pi), 1e-8, st.solve_seconds),
-        _check("kotani.cycle_profile", np.abs(orbit.X[:, 0] - np.cos(tg)).max(), 1e-8,
-               0.0),
+        _check("kotani.cycle_profile", profile, 1e-8, 0.0),
         _check("kotani.cycle_runtime", st.solve_seconds, 10.0, st.solve_seconds),
     ]
-    mode, z, q = _spectral_rows(results, "kotani", st)
 
-    # oracle block (criterion: Fig. 1 reproduction, <= 5 min); each tolerance
-    # is at least 100 times the gap measured on the shipped config
-    t_oracle = time.perf_counter()
-    ofl = _oracle_floquet(results, "kotani", st, 1e-11, 1e-11)
-    _oracle_curve_rows(results, "kotani", st, ofl, (mode, z, q), (1e-11, 1e-9, 2e-9), False)
-    oracle_seconds = _since(t_oracle)
-    results.append(_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds))
 
-    # direct perturbation (criterion 5); one integration serves both checks.
-    # The PRC gap, 5.5e-4 on the shipped config, is the O(eps) term of the
-    # pulse (5.3e-4 at a step of tau/64), so its tolerance is twice it; the
-    # linearity, 6.6e-8, gets 1e-6
+def _kotani_response_rows(st: _Stage, z, oracle_seconds: float) -> list[CheckResult]:
+    """The oracle's time (Fig. 1 in <= 5 min), the direct PRC against z
+    (criterion 5), the spectral operators and the integrator's order."""
+    orbit = st.orbit
+    results = [_check("kotani.oracle_runtime", oracle_seconds, 300.0, oracle_seconds)]
+    # one integration serves both direct-perturbation rows.  The PRC gap, 5.5e-4
+    # on the shipped config, is the O(eps) term of the pulse (5.3e-4 at a step
+    # of tau/64), so its tolerance is twice it; the linearity, 6.6e-8, gets 1e-6
     t0 = time.perf_counter()
     phases = np.arange(oracle.PRC_PHASES) * 2.0 * np.pi / oracle.PRC_PHASES
     prc, prc_half = oracle.direct_prc(orbit, phases, scales=(1.0, 0.5))
@@ -275,14 +259,17 @@ def validate_kotani(cfg: RunConfig) -> list[CheckResult]:
                           detail=f"mu_flow={prc.mu_flow:.6f}"))
     results.append(_check("kotani.prc_linearity", abs(ratio - 2.0) / 2.0, 1e-6,
                           _since(t0, 0.5), detail=f"ratio={ratio:.4f}"))
-
     _spectral_checks(results)
     _integrator_order_check(results, orbit.model)
     return results
 
 
-def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
-    st = _solve_stage(cfg)
+def _cortico_stage_rows(cfg: RunConfig, st: _Stage) -> list[CheckResult]:
+    """The settle's period, the paper's exponent, the pipeline's time and the
+    Fourier tails at M/2, M and 2M.  ConfigError where M/2 has no harmonic."""
+    if cfg.solver.M < 2:
+        raise ConfigError(f"cortico.tail_monotone solves the cycle at solver.M // 2, "
+                          f"so solver.M must be at least 2 (got {cfg.solver.M})")
     orbit, mu = st.orbit, st.mu
     settled, settle_seconds = st.settled, st.solve_seconds
     if settled is None:  # the seed is no settle: settle from the config's seed settings
@@ -290,36 +277,46 @@ def validate_cortico(cfg: RunConfig) -> list[CheckResult]:
         _, settled = pipeline.build_seed(replace(cfg, seed=replace(cfg.seed, kind="oracle")),
                                          orbit.model)
         settle_seconds = _since(t0)
-    results = [_check("cortico.period_consistency", abs(settled.seed.T - orbit.T) / orbit.T,
-                      1e-3, settle_seconds,
-                      detail=f"settle={settled.seed.T:.6f} hb={orbit.T:.6f}")]
     pipe_seconds = st.solve_seconds + st.exponent_seconds
-    results += [
+    results = [
+        _check("cortico.period_consistency", abs(settled.seed.T - orbit.T) / orbit.T, 1e-3,
+               settle_seconds, detail=f"settle={settled.seed.T:.6f} hb={orbit.T:.6f}"),
         _check("cortico.exponent", abs(mu - (-0.00296)), 5e-5, st.exponent_seconds,
                detail=f"mu={mu:.6f}"),
         _check("cortico.floquet_runtime", pipe_seconds, 120.0, pipe_seconds),
     ]
-    spectral = _spectral_rows(results, "cortico", st)
-
     t0 = time.perf_counter()
     half = cycle.solve_cycle(orbit.model, st.seed, replace(cfg.solver, M=cfg.solver.M // 2))
     tails = [s.tail_energy(s.M // 2) for s in (half.series, orbit.series, st.series2)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
     results.append(_check("cortico.tail_monotone", 0.0 if monotone else 1.0, 0.5,
-                          _since(t0),
-                          detail="tails=" + ",".join(f"{x:.2e}" for x in tails)))
-
-    # oracle agreement, relative for the exponent and for each component of
-    # the eigenfunction, z and q; each tolerance is at least 100 times the
-    # gap measured from the config's settle seed and from the ansatz seed
-    ofl = _oracle_floquet(results, "cortico", st, 1e-7, 2e-10)
-    _oracle_curve_rows(results, "cortico", st, ofl, spectral, (1e-10, 1e-6, 5e-10), True)
+                          _since(t0), detail="tails=" + ",".join(f"{x:.2e}" for x in tails)))
     return results
 
 
+# What differs by model: the oracle tolerances (unit multiplier, exponent, rho,
+# z, q), each at least 100 times the gap measured on the shipped config (cortico:
+# from its settle seed and from the ansatz seed), whether the curve gaps are
+# relative, and the model's own rows before and after the shared ones.
+SUITES = {
+    "kotani": ((1e-11, 1e-11, 1e-11, 1e-9, 2e-9), False, _kotani_stage_rows,
+               _kotani_response_rows),
+    "cortico": ((1e-7, 2e-10, 1e-10, 1e-6, 5e-10), True, _cortico_stage_rows,
+                lambda st, z, oracle_seconds: []),
+}
+
+
 def run_validation(cfg: RunConfig) -> list[CheckResult]:
-    if cfg.model.name == "kotani":
-        return validate_kotani(cfg)
-    if cfg.model.name == "cortico":
-        return validate_cortico(cfg)
-    raise ValueError(f"no validation suite for model {cfg.model.name!r}")
+    """The validation table of cfg's model: after the stage, the model's own
+    rows that read only the stage, the shared spectral rows, the shared
+    oracle rows, then the model's own rows that read z or the oracle time.
+    ValueError for a model with no entry in SUITES."""
+    if cfg.model.name not in SUITES:
+        raise ValueError(f"no validation suite for model {cfg.model.name!r}")
+    tols, relative, stage_rows, response_rows = SUITES[cfg.model.name]
+    st = _solve_stage(cfg)
+    results = stage_rows(cfg, st)
+    mode, z, q = _spectral_rows(results, cfg.model.name, st)
+    oracle_seconds = _oracle_rows(results, cfg.model.name, st, (mode.R, z.Q, q.Q), tols,
+                                  relative)
+    return results + response_rows(st, z, oracle_seconds)

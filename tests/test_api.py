@@ -66,7 +66,7 @@ def test_equality_of_array_holders_is_a_bool(kotani_orbit, kotani_mode, kotani_z
     from ddehb import floquet, spectral
 
     for obj in (kotani_orbit.series, kotani_orbit, kotani_z, kotani_mode,
-                floquet.orbit_linearization(kotani_orbit),
+                kotani_orbit.linearization,
                 floquet.det_scan(kotani_orbit, (-0.2, 0.05), 2),
                 spectral.build_operators(4, 6.0, 1.0)):
         assert (obj == obj) is True

@@ -769,7 +769,7 @@ class TestValidateCommand:
 
         monkeypatch.setattr(cycle, "solve_cycle", recording)
         with pytest.raises(Doubled):
-            validation.validate_kotani(cfg)
+            validation.run_validation(cfg)
         assert received[0] == cfg.solver
         assert received[-1] == dataclasses.replace(received[0], M=2 * cfg.solver.M)
 
@@ -793,7 +793,7 @@ class TestValidateCommand:
                             lambda cfg, model: (cortico_settle.seed, cortico_settle))
         monkeypatch.setattr(oracle, "oracle_floquet", stop)
         with pytest.raises(OracleReached):
-            validation.validate_cortico(load_config(CORTICO_CFG))
+            validation.run_validation(load_config(CORTICO_CFG))
         assert solved == [20, 40, 10]
 
     def test_period_consistency_from_an_ansatz_seed(self, monkeypatch, cortico_settle):
@@ -809,7 +809,7 @@ class TestValidateCommand:
             return build_seed(cfg, model)
 
         monkeypatch.setattr(pipeline, "build_seed", session_settle)
-        rows = validation.validate_cortico(load_config(CORTICO_CFG, ["seed.kind=ansatz"]))
+        rows = validation.run_validation(load_config(CORTICO_CFG, ["seed.kind=ansatz"]))
         assert kinds == ["ansatz", "oracle"]
         row = {r.name: r for r in rows}["cortico.period_consistency"]
         assert row.passed and f"settle={cortico_settle.seed.T:.6f}" in row.detail
@@ -839,6 +839,26 @@ class TestValidateCommand:
         assert err.startswith("NonFiniteState: ")
         assert "mu=-500" in err and "increase scan.mu_min" in err
         assert not out.exists()
+
+    def test_tail_row_needs_a_half_truncation(self, tmp_path, capsys):
+        # cortico.tail_monotone solves the cycle at M // 2, which is 0 here
+        out = tmp_path / "run"
+        code = run("validate", "--config", CORTICO_CFG, "--out", str(out),
+                   "--seed-from", "ansatz", "--override", "solver.M=1")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith("ConfigError: ") and "solver.M" in err
+        assert not out.exists()
+
+    def test_every_builtin_model_has_a_suite(self):
+        # a built-in model cannot ship without its tolerances, and a model
+        # with no entry fails before any solve
+        assert validation.SUITES.keys() == BUILTIN_MODELS.keys()
+        cfg = load_config(KOTANI_CFG)
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, name="no_such"))
+        with pytest.raises(ValueError, match="'no_such'"):
+            validation.run_validation(cfg)
 
     def test_failed_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestRefineExponent:
         # the bracket of test_trivial_root_recovered: the searches' core
         # gives up once its interval lies within 1e-4 of zero, after a few
         # bisection steps and before the final SVD
-        lin = floquet.orbit_linearization(kotani_orbit)
+        lin = kotani_orbit.linearization
         calls = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
@@ -131,7 +132,7 @@ class TestRefineExponent:
         # each bracket holds two roots, so det M has one sign at both ends and
         # the refinement descends on sigma_min; it lands on the root that
         # bisection finds in a bracket around that root alone
-        lin = floquet.orbit_linearization(kotani_orbit)
+        lin = kotani_orbit.linearization
         assert floquet._det_sign(lin, bracket[0]) == floquet._det_sign(lin, bracket[1])
         assert floquet._det_sign(lin, bisected[0]) != floquet._det_sign(lin, bisected[1])
         mu = floquet.refine_exponent(kotani_orbit, bracket)
@@ -274,11 +275,10 @@ class TestLeadingExponent:
             scan.sign[chunk], scan.log_abs_det[chunk] = sign[chunk], scan.mu[chunk]
 
         monkeypatch.setattr(floquet, "SCAN_CHUNK", 10)
-        monkeypatch.setattr(floquet, "orbit_linearization", lambda orbit: None)
         monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, mu, chunk: None)
         monkeypatch.setattr(floquet, "_scan_chunk", fill)
         monkeypatch.setattr(floquet, "_refine", lambda lin, lo, hi, radius: roots[(lo, hi)])
-        args = (None, (0.0, 9.5), 20, 1.0)
+        args = (SimpleNamespace(linearization=None), (0.0, 9.5), 20, 1.0)
         assert floquet.find_exponents(*args) == [6.7, 4.9]
         assert floquet.leading_exponent(*args) == (6.7, 20)
 

@@ -105,7 +105,7 @@ class TestAgainstFreshAssembly:
 
     def test_bit_identical_at_zero(self, request, name, scan):
         orbit = request.getfixturevalue(name)
-        lin = floquet.orbit_linearization(orbit)
+        lin = orbit.linearization
         assert np.abs(lin.B).max() > 0.1  # the delay block is exercised
         for build in (floquet.build_stability_matrix, adjoint.build_adjoint_matrix):
             np.testing.assert_array_equal(build(orbit, 0.0),
@@ -117,7 +117,7 @@ class TestAgainstFreshAssembly:
         singular values, equal the per-point ones bit for bit, a partial
         last chunk included."""
         orbit = request.getfixturevalue(name)
-        lin = floquet.orbit_linearization(orbit)
+        lin = orbit.linearization
         mus = np.linspace(*scan, points)
         np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
         result = floquet.det_scan(orbit, scan, points)
@@ -161,7 +161,7 @@ class TestAgainstFreshAssembly:
         # M'(mu) v against a central difference of M(mu) v; the gap is at
         # most 8.8e-10 of the peak (cortico), the difference's round-off
         orbit = request.getfixturevalue(name)
-        lin = floquet.orbit_linearization(orbit)
+        lin = orbit.linearization
         v = np.cos(np.arange(lin.A0.shape[0]))
         h = 1e-5
         for mu in np.linspace(*scan, 5):
@@ -208,8 +208,6 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monk
         calls.clear()
         call(orbit)
         assert not calls
-    orbit = dataclasses.replace(kotani_orbit)
-    assert floquet.orbit_linearization(orbit) is orbit.linearization
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +239,7 @@ def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
     Measured: 6.7e-16 and 4.4e-16 (kotani), 6.5e-15 and 1.4e-14 (cortico),
     1.5e-14 and 3.6e-15 (Mackey-Glass)."""
     orbit = request.getfixturevalue(name)
-    lin = floquet.orbit_linearization(orbit)
+    lin = orbit.linearization
     mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
     for curve, P, partner, target in (
         (adjoint.solve_response(orbit), orbit.xdot_samples, orbit.series.derivative(),

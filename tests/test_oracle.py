@@ -477,7 +477,7 @@ class TestPseudospectralOracle:
         mono = request.getfixturevalue(f"{name}_oracle_floquet")
         upper = [mu for mu in mono.exponents if mu.imag > 0][0]
         assert np.conj(upper) in mono.exponents
-        lin = floquet.orbit_linearization(request.getfixturevalue(f"{name}_orbit"))
+        lin = request.getfixturevalue(f"{name}_orbit").linearization
         eye, root = np.eye(lin.A0.shape[0]), upper
         for _ in range(5):
             E = np.exp(-root * lin.tau) * lin.B
