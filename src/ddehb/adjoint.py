@@ -26,9 +26,10 @@ Q^T M'(mu) P / (2M+1), P the sampled partner and M'(mu) = I + tau
 e^{-mu tau} B (`cycle.Linearization.dmu`).  `normalization` is the one
 place the rule lives; the oracle feeds it its own pairing.  Validation
 checks t0-invariance with `pairing_functional`, which pairs the Fourier
-series of a curve and of its partner and takes the delay integral by a
-fixed QUAD_NODES-point Gauss-Legendre rule (on both shipped configs 16 to
-256 nodes agree to within 8e-15).
+series of a curve and of its partner at an array of base times in one
+call and takes the delay integral by a fixed QUAD_NODES-point
+Gauss-Legendre rule, held as a constant table (on both shipped configs 16
+to 256 nodes agree to within 8e-15).
 """
 
 from __future__ import annotations
@@ -44,7 +45,32 @@ from .floquet import FloquetMode, _null_mode
 from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10  # smallest |pairing| a curve may be rescaled from
-QUAD_NODES = 64  # Gauss-Legendre nodes of the pairing's delay integral
+# Gauss-Legendre nodes of the pairing's delay integral.  Its rule is the
+# constant table below, so `ddehb validate` loads no numpy.polynomial; another
+# node count (a test sets 256) comes from leggauss.
+QUAD_NODES = 64
+# numpy.polynomial.legendre.leggauss(64), which is symmetric: the 32 positive
+# nodes in ascending order and their weights, mirrored for the negative half
+_GL64_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GL64_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
 
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
@@ -69,15 +95,21 @@ class ResponseCurve:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
-    returned read-only, since every caller shares them."""
-    xi, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], made once per n and
+    returned read-only, since every caller shares them: the 64-node rule
+    from its table, any other from leggauss."""
+    if n == 64:
+        half, w_half = np.array(_GL64_NODES), np.array(_GL64_WEIGHTS)
+        xi, w = np.concatenate([-half[::-1], half]), np.concatenate([w_half[::-1], w_half])
+    else:
+        xi, w = np.polynomial.legendre.leggauss(n)
     xi.flags.writeable = w.flags.writeable = False
     return xi, w
 
 
 def pairing_functional(orbit: PeriodicOrbit, response: FourierSeries,
-                       partner: FourierSeries, mu: float, t0: float = 0.0) -> float:
+                       partner: FourierSeries, mu: float,
+                       t0: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Bilinear form behind the normalization identities, based at t0.
 
     value = q(t0)^T p(t0)
@@ -87,19 +119,33 @@ def pairing_functional(orbit: PeriodicOrbit, response: FourierSeries,
     tangent or a Floquet eigenfunction.  Constant in t0 for correctly
     paired (mu, q, p); without the e^{-mu tau} factor it is not.  Every
     model has tau > 0, so the delay integral always runs.
+
+    t0 may be an array of base times; the value has its shape (a scalar
+    t0 gives a scalar).  The orbit, its delayed values, DF1 and both series
+    are read at the quadrature nodes once for all base times.  Each base
+    time then takes its own head (q and p read at that time alone: numpy
+    may round a readout of a few points differently from one of a single
+    point), delay sum and quadrature sum, so its value is the one a call at
+    that base time alone gives, to the bit.
     """
     model = orbit.model
     q, p = response.evaluate, partner.evaluate
+    t0s = np.asarray(t0, dtype=float).ravel()
 
-    head = float(np.atleast_2d(q(t0))[0] @ np.atleast_2d(p(t0))[0])
     xi, w = _gauss_legendre(QUAD_NODES)
     zeta = 0.5 * model.tau * (xi - 1.0)  # nodes on [-tau, 0]
     weights = 0.5 * model.tau * w
 
-    s = t0 + model.tau + zeta
+    s = (t0s + model.tau)[:, None] + zeta  # (base times, nodes)
     DF1 = model.jacobians(orbit.value(s), orbit.value(s - model.tau))[1]
-    integrand = np.einsum("ni,nij,nj->n", q(s), DF1, p(t0 + zeta))
-    return head + np.exp(-mu * model.tau) * float(weights @ integrand)
+    qs, ps = q(s), p(t0s[:, None] + zeta)
+    damping = np.exp(-mu * model.tau)
+    values = np.array([
+        float(q(t) @ p(t))
+        + damping * float(weights @ np.einsum("ni,nij,nj->n", qs[k], DF1[k], ps[k]))
+        for k, t in enumerate(t0s)
+    ])
+    return values.reshape(np.shape(t0))[()]
 
 
 def normalization(c: float, target: float) -> float:

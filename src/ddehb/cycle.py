@@ -18,7 +18,9 @@ A seed is a FourierSeries; its period T is the period guess.  The solved
 PeriodicOrbit is its Fourier series too: T, M and the grid samples X are
 derived from the series, so an orbit read back from its coefficients is
 the same to the bit.  The orbit owns its linearization (A0, B) as well
-(`PeriodicOrbit.linearization`), assembled on first use and kept.
+(`PeriodicOrbit.linearization`), assembled on first use and kept, from its
+spectral operators (`PeriodicOrbit.operators`), which solve_cycle hands on
+from its last Newton step.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .errors import (
     SingularJacobian,
 )
 from .model import ModelSpec
-from .spectral import (FourierSeries, SpectralGrid, build_operators, coeffs_to_samples,
-                       sample_to_coeffs)
+from .spectral import (FourierSeries, SpectralGrid, SpectralOperators, build_operators,
+                       coeffs_to_samples, sample_to_coeffs)
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
 
@@ -55,7 +57,8 @@ class SolveOptions:
 class PeriodicOrbit:
     """A converged harmonic-balance orbit: its Fourier series owns T, M and
     the grid samples X, which are computed from it once, and the
-    linearization (A0, B) about it, which is assembled once, on first use."""
+    linearization (A0, B) about it, which is assembled once, on first use,
+    from the orbit's spectral operators."""
 
     model: ModelSpec
     series: FourierSeries
@@ -94,11 +97,16 @@ class PeriodicOrbit:
         return self.series.derivative().evaluate(self.grid.sample_times)
 
     @cached_property
+    def operators(self) -> SpectralOperators:
+        """The spectral operators at (M, T, tau): solve_cycle hands on those of
+        its last Newton step, and an orbit read back builds them on first use."""
+        return build_operators(self.M, self.T, self.model.tau)
+
+    @cached_property
     def linearization(self) -> "Linearization":
         """(A0, B) about the orbit, delayed values read from its interpolant:
         the one copy that every M(mu) of the orbit is updated from."""
-        ops = build_operators(self.M, self.T, self.model.tau)
-        return assemble_linearization(self.model, ops, self.X,
+        return assemble_linearization(self.model, self.operators, self.X,
                                       self.delayed(self.grid.sample_times))
 
 
@@ -215,13 +223,17 @@ def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> Fou
 
 def _anchor_at_max(series: FourierSeries, component: int) -> FourierSeries:
     """The series shifted in time so that `component` peaks at t = 0: the
-    argmax over 8(2M+1) times, refined by Newton on x'_component = 0."""
+    argmax over 8(2M+1) times, refined by at most 8 Newton steps on
+    x'_component = 0, which stop once a step leaves s where it was."""
     t = np.linspace(0.0, series.T, 8 * (2 * series.M + 1), endpoint=False)
     s = t[int(np.argmax(series.evaluate(t)[:, component]))]
     d1, d2 = series.derivative(), series.derivative().derivative()
-    for _ in range(8):  # a constant seed has no strict maximum: no step
-        curv = d2.evaluate(s)[component]
-        s -= d1.evaluate(s)[component] / curv if curv < 0.0 else 0.0
+    for _ in range(8):
+        curv = d2.evaluate(s)[component]  # a constant seed has no strict maximum: no step
+        s_new = s - d1.evaluate(s)[component] / curv if curv < 0.0 else s
+        if s_new == s:  # every later step would start from this s again
+            break
+        s = s_new
     return series if s == 0.0 else series.shifted(s)
 
 
@@ -317,10 +329,12 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
                 )
         X, T, ops, r, r_norm = X_new, T_new, ops_new, r_new, r_new_norm
 
-    return PeriodicOrbit(
+    orbit = PeriodicOrbit(
         model=model,
         series=_off_equilibrium(X, T),  # a safety check: the step may land there
         anchor_component=anchor,
         residual_norm=float(np.abs(r).max()),
         iterations=iterations,
     )
+    orbit.operators = ops  # those of the final T, which the orbit would rebuild
+    return orbit

@@ -288,7 +288,7 @@ class _PeriodicInterp:
         c[1:(n + 1) // 2] *= 2.0  # k and -k in one term; the Nyquist term (even n) alone
         # z^k, k >= 1, as running products: one exp per time instead of one per term
         z = np.exp((2j * np.pi / self.T) * np.mod(t, self.T))[:, None]
-        powers = np.cumprod(np.repeat(z, c.shape[0] - 1, axis=1), axis=1)
+        powers = np.cumprod(np.broadcast_to(z, (z.shape[0], c.shape[0] - 1)), axis=1)
         return (c[0] + powers @ c[1:]).real
 
 
@@ -311,10 +311,13 @@ def _stable_steps(z: np.ndarray, steps: int) -> int:
     """The fewest steps s >= steps with |R(z / s)| <= 1 for every z, the
     eigenvalues of the transport block times the period.  The method's
     stability region holds no left half-disk of radius above about 0.07, so
-    each eigenvalue is checked where it falls."""
+    each eigenvalue is checked where it falls.  R is evaluated by np.polyval
+    (no numpy.polynomial) on 32 counts at a time: the shipped configs need
+    the first count tried, and a larger block only raises peak memory."""
+    highest_first = RK_STABILITY[::-1]
     while True:
-        s = steps + np.arange(1024)  # counts tried at once
-        r = np.polynomial.polynomial.polyval(z[None, :] / s[:, None], RK_STABILITY)
+        s = steps + np.arange(32)  # counts tried at once
+        r = np.polyval(highest_first, z[None, :] / s[:, None])
         stable = (np.abs(r) <= 1.0).all(axis=1)
         if stable.any():
             return int(s[np.argmax(stable)])
@@ -342,13 +345,21 @@ class PseudospectralSystem:
         eye = np.eye(self.transport.shape[0])
         K = np.empty((RK_B.size, k1 - k0) + eye.shape)
         flat = K.reshape(RK_B.size, -1)  # the stages as rows, to combine them by one product
+        X = np.empty(K.shape[1:])  # one buffer for every stage's argument and the result
+
+        def combine(coeffs):  # X = I + h sum_j coeffs_j K_j, in place
+            np.matmul(coeffs, flat[: coeffs.size], out=X.reshape(-1))
+            np.multiply(X, h, out=X)
+            np.add(X, eye, out=X)
+
         for s, sixths in enumerate(RK_SIXTHS):
-            X = eye + h * (RK_A[s, :s] @ flat[:s]).reshape(K.shape[1:])
+            combine(RK_A[s, :s])
             # A(t) X: the transport rows, then the head rows DF0 X_0 + DF1 X_n
             at = slice(6 * k0 + sixths, 6 * k1 + sixths, 6)  # t_k + c_s h, k = k0..k1-1
             np.matmul(self.transport, X, out=K[s])
             K[s, :, :m] = self.jac0[at] @ X[:, :m] + self.jac1[at] @ X[:, -m:]
-        return eye + h * (RK_B @ flat).reshape(K.shape[1:])
+        combine(RK_B)
+        return X
 
 
 def pseudospectral_system(orbit: PeriodicOrbit, n: int = CHEB_NODES,
@@ -363,7 +374,8 @@ def pseudospectral_system(orbit: PeriodicOrbit, n: int = CHEB_NODES,
     transport = np.kron((2.0 / tau) * D, np.eye(m))
     transport[:m] = 0.0
     t = np.arange(6 * steps + 1) * (T / (6 * steps))
-    jac0, jac1 = orbit.model.jacobians(orbit.value(t), orbit.value(t - tau))
+    x, x_tau = orbit.value(np.stack([t, t - tau]))  # x and x(t - tau) in one readout
+    jac0, jac1 = orbit.model.jacobians(x, x_tau)
     return PseudospectralSystem(orbit, steps, transport, jac0, jac1)
 
 

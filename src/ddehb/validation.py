@@ -63,9 +63,8 @@ def _since(t0, share=1.0):
 
 
 def _pairing_spread(orbit, curve, partner, mu):
-    t0s = np.arange(8) * orbit.T / 8.0
-    vals = [adjoint.pairing_functional(orbit, curve, partner, mu, t0) for t0 in t0s]
-    return max(vals) - min(vals)
+    vals = adjoint.pairing_functional(orbit, curve, partner, mu, np.arange(8) * orbit.T / 8.0)
+    return vals.max() - vals.min()
 
 
 def _spectral_checks(results):

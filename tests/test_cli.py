@@ -676,10 +676,18 @@ def run_fresh(*commands):
 
 class TestLoadedLayers:
     """The spectral commands load no oracle, validation, numpy.random or
-    numpy.polynomial code (only the quadrature pairing of the oracle and
-    the validators needs Gauss-Legendre nodes); an oracle seed loads the
-    oracle on demand.  No command loads OpenSSL (_hashlib), which costs
-    about 3.5 MB of resident memory."""
+    numpy.polynomial code; an oracle seed loads the oracle on demand.
+    `ddehb validate` loads every layer but no numpy.random or
+    numpy.polynomial: the pairing rows read their Gauss-Legendre rule from a
+    constant table and the oracle's step count evaluates its stability
+    polynomial by np.polyval.  No command loads OpenSSL (_hashlib), which
+    costs about 3.5 MB of resident memory."""
+
+    @pytest.fixture(scope="class")
+    def validate_loaded(self, tmp_path_factory):
+        """The modules one `ddehb validate` of kotani loads, with its exit codes."""
+        out = tmp_path_factory.mktemp("validate")
+        return run_fresh(["validate", "--config", KOTANI_CFG, "--out", str(out)])
 
     @pytest.mark.parametrize("steps", [("cycle", "floquet", "response"), ("export",)])
     def test_spectral_commands(self, tmp_path, steps):
@@ -692,12 +700,18 @@ class TestLoadedLayers:
         assert "numpy.polynomial" not in loaded
         assert "_hashlib" not in loaded
 
-    def test_validate_loads_no_numpy_random(self, tmp_path):
+    def test_validate_loads_no_numpy_random(self, validate_loaded):
         # its only random draws come from the standard library
-        codes, loaded = run_fresh(["validate", "--config", KOTANI_CFG, "--out", str(tmp_path)])
+        codes, loaded = validate_loaded
         assert codes == [EXIT_OK]
         assert "ddehb.validation" in loaded and "numpy.random" not in loaded
         assert "_hashlib" not in loaded
+
+    def test_validate_loads_no_numpy_polynomial(self, validate_loaded):
+        codes, loaded = validate_loaded
+        assert codes == [EXIT_OK]
+        assert "ddehb.adjoint" in loaded and "ddehb.oracle" in loaded
+        assert not {name for name in loaded if name.startswith("numpy.polynomial")}
 
     def test_oracle_seed(self, tmp_path):
         codes, loaded = run_fresh(

@@ -210,6 +210,21 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monk
         assert not calls
 
 
+def test_solved_orbit_keeps_its_newton_operators(kotani_model, monkeypatch):
+    """solve_cycle hands the operators of its last Newton step on, so the
+    first linearization of its orbit builds none; they are the operators at
+    the orbit's (M, T, tau), to the bit."""
+    orbit = cycle.solve_cycle(kotani_model, cycle.seed_from_ansatz(1, 0.8, 6.0, 20))
+    built = []
+    monkeypatch.setattr(cycle, "build_operators",
+                        lambda *args: built.append(args) or build_operators(*args))
+    assert orbit.linearization.A0 is not None and not built
+    fresh = build_operators(orbit.M, orbit.T, kotani_model.tau)
+    for name in ("S", "S_inv", "D0", "Delta"):
+        assert np.array_equal(getattr(orbit.operators, name), getattr(fresh, name)), name
+    assert orbit.operators.grid == orbit.grid
+
+
 @pytest.fixture(scope="module")
 def mackey_glass_orbit():
     return mackey_glass_orbit_at(5.0)

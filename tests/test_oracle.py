@@ -416,6 +416,19 @@ class TestPseudospectralOracle:
         # the shipped kotani delay needs 73 steps a period
         assert oracle.pseudospectral_system(kotani_orbit, 16, 1).steps == 73
 
+    def test_stable_step_counts(self, kotani_orbit, cortico_orbit):
+        # the fewest stable counts from the floor of 1 step and from the shipped
+        # 750 on both configs, and the count a short delay raises 100 steps to
+        _, lam = oracle._cheb(16)
+        for tau, T, start, steps in (
+            (kotani_orbit.model.tau, kotani_orbit.T, 1, 73),
+            (kotani_orbit.model.tau, kotani_orbit.T, oracle.STEPS_PER_PERIOD, 750),
+            (cortico_orbit.model.tau, cortico_orbit.T, 1, 71),
+            (cortico_orbit.model.tau, cortico_orbit.T, oracle.STEPS_PER_PERIOD, 750),
+            (0.01, kotani_orbit.T, 100, 11345),  # test_steps_raised_for_stability's model
+        ):
+            assert oracle._stable_steps(T * (2.0 / tau) * lam, start) == steps
+
     def test_step_matrices_built_in_batches(self, kotani_orbit, kotani_oracle_floquet,
                                             monkeypatch):
         built = []
