@@ -16,8 +16,9 @@ The product DF1^T q is formed on the grid and then shifted by tau.
 Evaluating DF1 at (x(t + tau), x(t)) and shifting q alone differs from
 that only by the aliasing of the product on the grid; in a Galerkin
 harmonic balance the two coincide.  A Floquet mode carries Q from its SVD
-(`FloquetMode.left`): the trivial mode's (mu = 0) scales to the phase
-response, any other mode's to the amplitude response at its mu.
+(`FloquetMode.left`), and `solve_response` only scales the mode it is
+given: the trivial mode's (mu = 0, `floquet.eigenfunction(orbit, 0.0)`) to
+the phase response, any other mode's to the amplitude response at its mu.
 
 Normalization pins the scale through the bilinear pairing of the curve
 with the cycle tangent (phase, pairing omega) or the Floquet
@@ -27,30 +28,26 @@ e^{-mu tau} B (`cycle.Linearization.dmu`).  `normalization` is the one
 place the rule lives; the oracle feeds it its own pairing.  Validation
 checks t0-invariance with `pairing_functional`, which pairs the Fourier
 series of a curve and of its partner at an array of base times in one
-call and takes the delay integral by a fixed QUAD_NODES-point
-Gauss-Legendre rule, held as a constant table (on both shipped configs 16
-to 256 nodes agree to within 8e-15).
+call and takes the delay integral by one 64-node Gauss-Legendre rule,
+held as a constant table (on both shipped configs 16 to 256 nodes agree to
+within 8e-15).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycle import PeriodicOrbit
 from .errors import NormalizationSingular
-from .floquet import FloquetMode, _null_mode
+from .floquet import FloquetMode
 from .spectral import FourierSeries, sample_to_coeffs
 
 NORMALIZATION_FLOOR = 1e-10  # smallest |pairing| a curve may be rescaled from
-# Gauss-Legendre nodes of the pairing's delay integral.  Its rule is the
-# constant table below, so `ddehb validate` loads no numpy.polynomial; another
-# node count (a test sets 256) comes from leggauss.
-QUAD_NODES = 64
-# numpy.polynomial.legendre.leggauss(64), which is symmetric: the 32 positive
-# nodes in ascending order and their weights, mirrored for the negative half
+# The pairing's rule, a table so that `ddehb validate` loads no numpy.polynomial:
+# leggauss(64), which is symmetric, as its 32 positive nodes in ascending order
+# and their weights, mirrored for the negative half
 _GL64_NODES = (
     0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
     0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
@@ -73,6 +70,18 @@ _GL64_WEIGHTS = (
 )
 
 
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre nodes and weights on [-1, 1], read-only,
+    since every pairing shares them."""
+    half, w_half = np.array(_GL64_NODES), np.array(_GL64_WEIGHTS)
+    xi, w = np.concatenate([-half[::-1], half]), np.concatenate([w_half[::-1], w_half])
+    xi.flags.writeable = w.flags.writeable = False
+    return xi, w
+
+
+_GAUSS_LEGENDRE = _gauss_legendre()  # made once, at import
+
+
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """M(mu), whose left null vector is the response curve, updated from the
     orbit's one (A0, B).  NonFiniteState where not finite."""
@@ -91,20 +100,6 @@ class ResponseCurve:
 
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], made once per n and
-    returned read-only, since every caller shares them: the 64-node rule
-    from its table, any other from leggauss."""
-    if n == 64:
-        half, w_half = np.array(_GL64_NODES), np.array(_GL64_WEIGHTS)
-        xi, w = np.concatenate([-half[::-1], half]), np.concatenate([w_half[::-1], w_half])
-    else:
-        xi, w = np.polynomial.legendre.leggauss(n)
-    xi.flags.writeable = w.flags.writeable = False
-    return xi, w
 
 
 def pairing_functional(orbit: PeriodicOrbit, response: FourierSeries,
@@ -132,7 +127,7 @@ def pairing_functional(orbit: PeriodicOrbit, response: FourierSeries,
     q, p = response.evaluate, partner.evaluate
     t0s = np.asarray(t0, dtype=float).ravel()
 
-    xi, w = _gauss_legendre(QUAD_NODES)
+    xi, w = _GAUSS_LEGENDRE
     zeta = 0.5 * model.tau * (xi - 1.0)  # nodes on [-tau, 0]
     weights = 0.5 * model.tau * w
 
@@ -160,19 +155,15 @@ def normalization(c: float, target: float) -> float:
     return target / c
 
 
-def solve_response(orbit: PeriodicOrbit,
-                   mode: FloquetMode | None = None) -> ResponseCurve:
+def solve_response(orbit: PeriodicOrbit, mode: FloquetMode) -> ResponseCurve:
     """The normalized response curve that pairs with mode, mode.left scaled by
     the grid pairing: for the trivial mode (mu = 0) the phase response,
     pairing omega with the cycle tangent; for any other mode the amplitude
-    response at mode.mu, pairing 1 with its eigenfunction.  With no mode,
-    the trivial mode comes from one SVD of M(0), updated from the orbit's
-    (A0, B)."""
-    mu = 0.0 if mode is None else mode.mu
+    response at mode.mu, pairing 1 with its eigenfunction.  It factors
+    nothing; M(mu), for the residual, is updated from the orbit's (A0, B)."""
+    mu = mode.mu
     lin = orbit.linearization
     A = lin.matrix(mu)
-    if mode is None:
-        mode = _null_mode(orbit, mu, A)
     P, target = (orbit.xdot_samples, orbit.omega) if mu == 0.0 else (mode.R, 1.0)
     MP = lin.dmu(mu, P.ravel()) / len(P)  # one product serves scaling and check
     Qflat = mode.left * normalization(float(mode.left @ MP), target)

@@ -155,6 +155,9 @@ def _no_exponent(path: Path, cfg: RunConfig) -> NoExponentInRange:
 
 
 def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
+    """The largest nontrivial exponent in the exponent file of out_dir.
+    MalformedInput also for a nontrivial mu within scan.exclude_zero_radius
+    of 0, the floquet stage's trivial root, which would pair as z."""
     path = out_dir / "exponents.json"
     data = pipeline.read_stage_file(path, cfg, "floquet")
     try:
@@ -169,50 +172,51 @@ def _load_leading_exponent(out_dir: Path, cfg: RunConfig):
         if type(trivial) is not bool:
             raise MalformedInput(f"{path}: trivial: expected true or false, got {trivial!r}")
     nontrivial = [float(mu) for mu, trivial in entries if not trivial]
+    radius = cfg.scan.exclude_zero_radius
+    near_zero = [mu for mu in nontrivial if abs(mu) < radius]
+    if near_zero:
+        raise MalformedInput(f"{path}: mu: a nontrivial exponent {near_zero[0]!r} lies "
+                             f"within scan.exclude_zero_radius = {radius:g} of 0")
     if not nontrivial:
         raise _no_exponent(path, cfg)
     return max(nontrivial)
 
 
-def cmd_response(cfg: RunConfig, kinds: str = "both") -> int:
+def cmd_response(cfg: RunConfig, kind: str = "both") -> int:
+    """Scale the responses that kind names: the phase response of the trivial
+    mode unless kind is "amplitude", the amplitude response of the leading
+    mode unless it is "phase".  The exponent file is read before any SVD."""
     t0 = time.perf_counter()
     out_dir = Path(cfg.output.directory)
     orbit = pipeline.load_orbit(out_dir, cfg)
-    mode = None
-    if kinds in ("both", "amplitude"):
-        mode = floquet.eigenfunction(orbit, _load_leading_exponent(out_dir, cfg))
-    _response(cfg, orbit, mode, kinds, t0)
+    mu = None if kind == "phase" else _load_leading_exponent(out_dir, cfg)
+    trivial = None if kind == "amplitude" else floquet.eigenfunction(orbit, 0.0)
+    mode = None if mu is None else floquet.eigenfunction(orbit, mu)
+    _response(cfg, orbit, trivial, mode, t0)
     return EXIT_OK
 
 
-def _response(cfg: RunConfig, orbit: PeriodicOrbit, mode: floquet.FloquetMode | None,
-              kinds: str, t0: float, trivial: floquet.FloquetMode | None = None):
-    """Scale the responses that kinds names (pipeline.run_responses) and write
-    the files of `ddehb response`; the manifest's runtime counts from t0."""
-    run = pipeline.run_responses(orbit, mode, kinds, trivial)
+def _response(cfg: RunConfig, orbit: PeriodicOrbit, trivial: floquet.FloquetMode | None,
+              mode: floquet.FloquetMode | None, t0: float):
+    """Scale the trivial mode to z and mode to q where given, and write the
+    files of `ddehb response`; the manifest's runtime counts from t0."""
+    z, q = pipeline.run_responses(orbit, trivial, mode)
 
     h = cfg.config_hash()
     out_dir = Path(cfg.output.directory)
     tg = orbit.grid.sample_times
     outputs = []
     meta = {"config_hash": h}
-    if run.z is not None:
-        _write_curve(out_dir / "z.csv", "z", tg, run.z.Q, h)
-        outputs.append("z.csv")
-        meta["phase"] = {
-            "normalization_residual": run.z.normalization_residual,
-            "nullvector_residual": run.z.residual,
-            **pipeline.series_payload(run.z.series),
-        }
-    if run.q is not None:
-        _write_curve(out_dir / "q.csv", "q", tg, run.q.Q, h)
-        outputs.append("q.csv")
-        meta["amplitude"] = {
-            "mu": run.q.mu,
-            "normalization_residual": run.q.normalization_residual,
-            "nullvector_residual": run.q.residual,
-            **pipeline.series_payload(run.q.series),
-        }
+    for name, kind, curve in (("z", "phase", z), ("q", "amplitude", q)):
+        if curve is None:
+            continue
+        _write_curve(out_dir / f"{name}.csv", name, tg, curve.Q, h)
+        outputs.append(f"{name}.csv")
+        meta[kind] = {"normalization_residual": curve.normalization_residual,
+                      "nullvector_residual": curve.residual,
+                      **pipeline.series_payload(curve.series)}
+        if kind == "amplitude":
+            meta[kind]["mu"] = curve.mu
     _write_json(out_dir / "response_meta.json", meta)
     _write_manifest(out_dir, cfg, "response", outputs + ["response_meta.json"],
                     time.perf_counter() - t0)
@@ -255,7 +259,7 @@ def cmd_export(cfg: RunConfig) -> int:
     run = _floquet(cfg, orbit, time.perf_counter())
     if not run.modes:
         raise _no_exponent(Path(cfg.output.directory) / "exponents.json", cfg)
-    _response(cfg, orbit, run.modes[0], "both", time.perf_counter(), run.trivial_mode)
+    _response(cfg, orbit, run.trivial_mode, run.modes[0], time.perf_counter())
     return EXIT_OK
 
 

@@ -30,14 +30,26 @@ except ImportError:
     except ImportError:  # an interpreter built without them
         from hashlib import sha256
 
-# The integrator's step limit, defined here so that checking seed.dt loads
-# no oracle code; the oracle imports it.
+# The integrator's step limit and the settle's defaults, defined here so
+# that checking the seed section loads no oracle code; the oracle imports them.
 MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
+# Size caps on the values behind the largest arrays (README gives the reasons)
+MAX_SETTLE_STEPS = 2_000_000  # rows of the settle's trajectory; cortico's 60,200
+MAX_HARMONICS = 250  # solver.M: M(mu) holds (m(2M+1))^2 doubles; shipped M = 20
+MAX_SCAN_POINTS = 100_000  # scan.points: each scan array; shipped 200
 
 
 def _snap_step(tau: float, dt: float) -> tuple[float, int]:
     n_tau = math.ceil(tau / dt)
     return tau / n_tau, n_tau
+
+
+def settle_times(tau: float, dt: float | None = None,
+                 observe_time: float | None = None) -> tuple[float, float]:
+    """The step and the observation time of the settle behind an oracle seed:
+    dt and observe_time where given, else tau/64 and 100 max(tau, 1)."""
+    return (tau / 64.0 if dt is None else dt,
+            100.0 * max(tau, 1.0) if observe_time is None else observe_time)
 
 
 class _Loader(yaml.SafeLoader):
@@ -176,17 +188,8 @@ def _validate_semantics(cfg: RunConfig):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     tau = model.tau
-    dt = cfg.seed.dt
-    if dt is not None:
-        if not dt > 0:
-            raise ConfigError(f"seed.dt must be positive, got {dt}")
-        if _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
-            raise ConfigError(
-                f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
-                f"= {tau / MIN_DELAY_STEPS:g}"
-            )
-    if cfg.solver.M < 1:
-        raise ConfigError(f"solver.M must be >= 1, got {cfg.solver.M}")
+    if not 1 <= cfg.solver.M <= MAX_HARMONICS:
+        raise ConfigError(f"solver.M must lie in 1..{MAX_HARMONICS}, got {cfg.solver.M}")
     if not 0 <= cfg.solver.anchor_component < model.m:
         raise ConfigError(
             f"solver.anchor_component must name one of the {model.m} components "
@@ -212,8 +215,22 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError("seed.period_guess must be positive")
     if cfg.seed.observe_time is not None and not cfg.seed.observe_time > 0:
         raise ConfigError(f"seed.observe_time must be positive, got {cfg.seed.observe_time}")
-    if cfg.scan.points < 2:
-        raise ConfigError("scan.points must be >= 2")
+    if cfg.seed.dt is not None and not cfg.seed.dt > 0:
+        raise ConfigError(f"seed.dt must be positive, got {cfg.seed.dt}")
+    dt, observe_time = settle_times(tau, cfg.seed.dt, cfg.seed.observe_time)
+    # the history over one delay, the transient and the observation window
+    steps = (tau + cfg.seed.transient + observe_time) / dt
+    if not steps <= MAX_SETTLE_STEPS:
+        raise ConfigError(f"seed.transient + seed.observe_time at seed.dt={dt:g}: the "
+                          f"settle would take {steps:.3g} steps, over {MAX_SETTLE_STEPS:,}")
+    if _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
+        raise ConfigError(
+            f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
+            f"= {tau / MIN_DELAY_STEPS:g}"
+        )
+    if not 2 <= cfg.scan.points <= MAX_SCAN_POINTS:
+        raise ConfigError(f"scan.points must lie in 2..{MAX_SCAN_POINTS}, "
+                          f"got {cfg.scan.points}")
     if not cfg.scan.mu_max > cfg.scan.mu_min:
         raise ConfigError("scan.mu_max must exceed scan.mu_min")
     if not cfg.scan.exclude_zero_radius > 0:

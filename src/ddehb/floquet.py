@@ -224,15 +224,30 @@ def mode_gauge(R: np.ndarray, ref: np.ndarray) -> float:
 
 
 def eigenfunction(orbit: PeriodicOrbit, mu: float) -> FloquetMode:
-    """Extract the sampled eigenfunction of M(mu) at a refined exponent.
+    """The Floquet mode of M(mu) at a refined exponent, or at mu = 0 the
+    trivial mode, the one source of the mode that scales to z.
 
-    The eigenfunction and the mode's left null vector are the singular
-    vectors of the smallest singular value (full SVD for robustness near
-    near-degenerate spectra); raises DegenerateNullspace when the two
-    smallest singular values are within 1e-6 relative, and NonFiniteState
-    where M(mu) is not finite.
+    The eigenfunction, gauged by mode_gauge, and the left null vector are
+    the singular vectors of the smallest singular value of one full SVD
+    (robust near near-degenerate spectra); NotSingular and
+    DegenerateNullspace as simple_null_svd, NonFiniteState where M(mu) is
+    not finite.
     """
-    return _null_mode(orbit, mu, orbit.linearization.matrix(mu))
+    mat = orbit.linearization.matrix(mu)
+    U, svals, Vt = simple_null_svd(mat, mu)
+    R = Vt[-1].reshape(-1, orbit.model.m)
+    ref = orbit.xdot_samples if mu == 0.0 else orbit.X - orbit.X.mean(axis=0)
+    R = R * mode_gauge(R, ref)
+    residual = float(np.linalg.norm(mat @ R.ravel()) / np.linalg.norm(R.ravel()))
+    return FloquetMode(
+        mu=float(mu),
+        R=R,
+        left=U[:, -1],  # a view: a contiguous copy can round left @ x differently
+        series=sample_to_coeffs(R, orbit.T),
+        sigma_min=float(svals[-1]),
+        sigma_max=float(svals[0]),
+        residual=residual,
+    )
 
 
 def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
@@ -255,26 +270,6 @@ def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
             f"at mu={mu:.6e}: {s_min:.3e}, {s_next:.3e}"
         )
     return U, svals, Vt
-
-
-def _null_mode(orbit: PeriodicOrbit, mu: float, mat: np.ndarray) -> FloquetMode:
-    """The gauged eigenfunction and the left null vector of an assembled M(mu)."""
-    U, svals, Vt = simple_null_svd(mat, mu)
-    R = Vt[-1].reshape(-1, orbit.model.m)
-    ref = orbit.xdot_samples if mu == 0.0 else orbit.X - orbit.X.mean(axis=0)
-    R = R * mode_gauge(R, ref)
-    residual = float(
-        np.linalg.norm(mat @ R.ravel()) / np.linalg.norm(R.ravel())
-    )
-    return FloquetMode(
-        mu=float(mu),
-        R=R,
-        left=U[:, -1],  # a view: a contiguous copy can round left @ x differently
-        series=sample_to_coeffs(R, orbit.T),
-        sigma_min=float(svals[-1]),
-        sigma_max=float(svals[0]),
-        residual=residual,
-    )
 
 
 def find_exponents(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import normalization
-from .config import MIN_DELAY_STEPS, _snap_step
+from .config import MIN_DELAY_STEPS, _snap_step, settle_times
 from .cycle import PeriodicOrbit
 from .errors import (
     MonodromyIllConditioned,
@@ -201,8 +201,7 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.0
     so it reads only computed states; it is not anchored, since
     cycle.solve_cycle anchors every seed.
     """
-    if observe_time is None:
-        observe_time = 100.0 * max(model.tau, 1.0)
+    observe_time = settle_times(model.tau, dt, observe_time)[1]
     traj = integrate_dde(model, history, transient + observe_time, dt)
 
     times = traj.times

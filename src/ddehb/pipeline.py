@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adjoint, floquet
-from .config import RunConfig, _finite_real
+from .config import RunConfig, _finite_real, settle_times
 from .cycle import PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput, StaleInput
 from .model import ModelSpec, make_model
@@ -154,10 +154,11 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     if sc.kind == "oracle":
         from . import oracle  # loaded only for an oracle seed
 
+        dt, observe_time = settle_times(model.tau, sc.dt, sc.observe_time)
         settled = oracle.settle_to_cycle(
             model, sinusoid_history(model, sc.amplitude, sc.period_guess), sc.transient,
-            dt=sc.dt if sc.dt is not None else model.tau / 64.0, M=cfg.solver.M,
-            component=cfg.solver.anchor_component, observe_time=sc.observe_time)
+            dt=dt, M=cfg.solver.M, component=cfg.solver.anchor_component,
+            observe_time=observe_time)
         return settled.seed, settled
     if sc.kind == "file":
         return read_orbit_file(sc.path, model)[1], None
@@ -185,27 +186,10 @@ def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
     return FloquetRun(scan=scan, sigma_min=sigma_min, modes=modes, trivial_mode=trivial)
 
 
-@dataclass
-class ResponseRun:
-    """The phase and amplitude responses of one orbit, None where not asked for."""
-
-    z: adjoint.ResponseCurve | None
-    q: adjoint.ResponseCurve | None
-
-
-def run_responses(orbit: PeriodicOrbit, mode: floquet.FloquetMode | None,
-                  kinds: str = "both",
-                  trivial: floquet.FloquetMode | None = None) -> ResponseRun:
-    """The phase response and the amplitude response that pairs with mode,
-    or only the one kinds names ("phase" or "amplitude").  The phase
-    response scales the trivial mode, which solve_response finds where the
-    caller has none.  ConfigError if an amplitude response is asked for
-    without a mode."""
-    z = q = None
-    if kinds in ("both", "phase"):
-        z = adjoint.solve_response(orbit, trivial)
-    if kinds in ("both", "amplitude"):
-        if mode is None:
-            raise ConfigError("amplitude response requires a refined nontrivial exponent")
-        q = adjoint.solve_response(orbit, mode)
-    return ResponseRun(z=z, q=q)
+def run_responses(orbit: PeriodicOrbit, trivial: floquet.FloquetMode | None,
+                  mode: floquet.FloquetMode | None) -> tuple:
+    """The pair (z, q): the phase response that scales the trivial mode and
+    the amplitude response that scales mode, a nontrivial one, each None
+    where its mode is None (adjoint.solve_response)."""
+    return tuple(None if m is None else adjoint.solve_response(orbit, m)
+                 for m in (trivial, mode))

@@ -93,7 +93,9 @@ class FourierSeries:
 
     def evaluate(self, t) -> np.ndarray:
         """Values at times t, shape t.shape + (m,), by Horner's rule in
-        z = e^{i omega t}: x = Re a_0 + 2 Re sum_{p >= 1} a_p z^p."""
+        z = e^{i omega t}: x = Re a_0 + 2 Re sum_{p >= 1} a_p z^p.  A value
+        read among several times can differ in the last bit from one read
+        alone, so adjoint.pairing_functional reads each head alone."""
         t = np.asarray(t, dtype=float)
         M, a = self.M, self.coeffs
         z = np.exp((2j * np.pi / self.T) * t)[..., None]

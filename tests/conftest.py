@@ -50,7 +50,7 @@ def kotani_mode(kotani_orbit, kotani_mu):
 
 @pytest.fixture(scope="session")
 def kotani_z(kotani_orbit):
-    return adjoint.solve_response(kotani_orbit)
+    return adjoint.solve_response(kotani_orbit, floquet.eigenfunction(kotani_orbit, 0.0))
 
 
 @pytest.fixture(scope="session")
@@ -100,7 +100,7 @@ def cortico_mode(cortico_orbit, cortico_mu):
 
 @pytest.fixture(scope="session")
 def cortico_z(cortico_orbit):
-    return adjoint.solve_response(cortico_orbit)
+    return adjoint.solve_response(cortico_orbit, floquet.eigenfunction(cortico_orbit, 0.0))
 
 
 @pytest.fixture(scope="session")

@@ -300,6 +300,33 @@ class TestResponseCommand:
         assert not (out / "q.csv").exists()
 
 
+    @pytest.mark.parametrize("config", [KOTANI_CFG, CORTICO_CFG], ids=["kotani", "cortico"])
+    def test_each_kind_writes_what_export_writes(self, tmp_path, request, config):
+        # `--kind phase` solves the trivial mode alone and `--kind amplitude`
+        # the leading mode alone; each writes its curve and its object of
+        # response_meta.json as export does.  Cortico is seeded from the
+        # session settle through an orbit-format file
+        args = ("--config", config)
+        if config == CORTICO_CFG:
+            seed = request.getfixturevalue("cortico_settle").seed
+            path = tmp_path / "seed_coeffs.json"
+            path.write_text(json.dumps({"T": seed.T, **series_payload(seed)}))
+            args += ("--seed-from", "file", "--override", f"seed.path={path}")
+        export, staged = tmp_path / "export", tmp_path / "staged"
+        assert run("export", *args, "--out", str(export)) == EXIT_OK
+        meta = json.loads((export / "response_meta.json").read_text())
+        for step in ("cycle", "floquet"):
+            assert run(step, *args, "--out", str(staged)) == EXIT_OK
+        for kind, name in (("phase", "z.csv"), ("amplitude", "q.csv")):
+            for stale in ("z.csv", "q.csv"):
+                (staged / stale).unlink(missing_ok=True)
+            assert run("response", *args, "--out", str(staged), "--kind", kind) == EXIT_OK
+            assert sorted(p.name for p in staged.glob("?.csv")) == [name]
+            assert (staged / name).read_bytes() == (export / name).read_bytes(), kind
+            written = json.loads((staged / "response_meta.json").read_text())
+            assert written == {"config_hash": meta["config_hash"], kind: meta[kind]}
+
+
 class TestMalformedInput:
     """Input files that lack a field or hold one of the wrong form exit 5
     with a typed error, not a traceback."""
@@ -471,6 +498,25 @@ class TestMalformedInput:
         assert "exponents.json: mu:" in err
         assert not (out / "q.csv").exists()
 
+    @pytest.mark.parametrize("mu", [0.0, 1e-9, -5e-5])
+    def test_nontrivial_exponent_at_the_trivial_root(self, tmp_path, capsys, mu):
+        # 0.0 paired as the phase response and wrote q.csv equal to z.csv
+        # (exit 0); 1e-9 and -5e-5, inside the radius too, ended in
+        # GaugeAmbiguous and NotSingular (exit 3)
+        out = tmp_path / "run"
+        run("cycle", "--config", KOTANI_CFG, "--out", str(out))
+        h = json.loads((out / "orbit_coeffs.json").read_text())["config_hash"]
+        (out / "exponents.json").write_text(
+            json.dumps({"config_hash": h, "exponents": [{"mu": mu, "trivial": False}]})
+        )
+        err = self.expect_malformed(
+            capsys, "response", "--config", KOTANI_CFG, "--out", str(out),
+            "--kind", "amplitude",
+        )
+        assert "exponents.json: mu:" in err and repr(mu) in err
+        assert "scan.exclude_zero_radius = 0.0001" in err
+        assert not (out / "q.csv").exists()
+
     @pytest.mark.parametrize("trivial", ["false", 0, None])
     def test_exponent_trivial_not_a_boolean(self, tmp_path, capsys, trivial):
         # "false" is truthy: every entry read as trivial, NoExponentInRange (exit 3)
@@ -602,8 +648,9 @@ class TestExportPipeline:
         read = pipeline.load_orbit(tmp_path, cfg)
         assert (read.T, read.M) == (st.orbit.T, st.orbit.M)
         assert np.array_equal(read.X, st.orbit.X)
-        responses = pipeline.run_responses(st.orbit, floquet.eigenfunction(st.orbit, st.mu))
-        for name, curve in (("z.csv", responses.z), ("q.csv", responses.q)):
+        z, q = pipeline.run_responses(st.orbit, floquet.eigenfunction(st.orbit, 0.0),
+                                      floquet.eigenfunction(st.orbit, st.mu))
+        for name, curve in (("z.csv", z), ("q.csv", q)):
             written = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, ndmin=2)
             assert np.array_equal(written[:, 0], st.orbit.grid.sample_times), name
             assert np.array_equal(written[:, 1:], curve.Q), name
@@ -1011,6 +1058,15 @@ class TestConfigValidation:
             ("kotani_fig1.yaml", "rng_seed=-1"),
             # a negative transient ended in a ValueError traceback from numpy
             ("cortico_fig2.yaml", "seed.transient=-1.0"),
+            # sizes beyond numpy's index range ended in a ValueError traceback
+            # ("Maximum allowed dimension exceeded" or "size exceeded"), 1e-310
+            # in an OverflowError; none of them allocates
+            ("cortico_fig2.yaml", "seed.dt=1e-300"),
+            ("cortico_fig2.yaml", "seed.transient=1e300"),
+            ("cortico_fig2.yaml", "seed.observe_time=1e300"),
+            ("cortico_fig2.yaml", "seed.dt=1e-310"),
+            ("kotani_fig1.yaml", "scan.points=100000000000000000000"),
+            ("kotani_fig1.yaml", "solver.M=100000000000000000000"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):
@@ -1020,7 +1076,7 @@ class TestConfigValidation:
         )
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert override.partition("=")[0] in err  # the message names the key
         assert not list(tmp_path.iterdir())
 

@@ -171,7 +171,10 @@ class TestAgainstFreshAssembly:
 
 def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monkeypatch):
     """A public call on a fresh orbit assembles (A0, B) once; a second call
-    on the same orbit assembles nothing, since the orbit keeps its copy."""
+    on the same orbit assembles nothing, since the orbit keeps its copy.  The
+    modes that solve_response scales come from the session orbit, so the
+    count is that of the response alone."""
+    mode0 = floquet.eigenfunction(kotani_orbit, 0.0)
     calls = Counter()
 
     def counted(name, fn):
@@ -198,7 +201,7 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monk
         lambda orbit: floquet.eigenfunction(orbit, kotani_mu),
         lambda orbit: floquet.build_stability_matrix(orbit, kotani_mu),
         lambda orbit: adjoint.build_adjoint_matrix(orbit, kotani_mu),
-        lambda orbit: adjoint.solve_response(orbit),
+        lambda orbit: adjoint.solve_response(orbit, mode0),
         lambda orbit: adjoint.solve_response(orbit, kotani_mode),
     ):
         orbit = dataclasses.replace(kotani_orbit)  # same series, no (A0, B) yet
@@ -236,9 +239,10 @@ def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan
     equal those of the advanced adjoint collocation scaled by the quadrature
     pairing, to 1e-12 of each curve's peak."""
     orbit = request.getfixturevalue(name)
-    mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
+    mode0, mode = (floquet.eigenfunction(orbit, mu)
+                   for mu in (0.0, floquet.find_exponents(orbit, scan, 200)[0]))
     for curve, partner, target in (
-        (adjoint.solve_response(orbit), orbit.series.derivative(), orbit.omega),
+        (adjoint.solve_response(orbit, mode0), orbit.series.derivative(), orbit.omega),
         (adjoint.solve_response(orbit, mode), mode.series, 1.0),
     ):
         U = np.linalg.svd(fresh_adjoint_matrix(orbit, curve.mu))[0]
@@ -255,9 +259,10 @@ def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
     1.5e-14 and 3.6e-15 (Mackey-Glass)."""
     orbit = request.getfixturevalue(name)
     lin = orbit.linearization
-    mode = floquet.eigenfunction(orbit, floquet.find_exponents(orbit, scan, 200)[0])
+    mode0, mode = (floquet.eigenfunction(orbit, mu)
+                   for mu in (0.0, floquet.find_exponents(orbit, scan, 200)[0]))
     for curve, P, partner, target in (
-        (adjoint.solve_response(orbit), orbit.xdot_samples, orbit.series.derivative(),
+        (adjoint.solve_response(orbit, mode0), orbit.xdot_samples, orbit.series.derivative(),
          orbit.omega),
         (adjoint.solve_response(orbit, mode), mode.R, mode.series, 1.0),
     ):
