@@ -19,6 +19,7 @@ import yaml
 
 from .cycle import SolveOptions
 from .errors import ConfigError
+from .floquet import ScanOptions
 
 # The interpreter's own SHA-256: importing hashlib loads OpenSSL's libcrypto,
 # about 3.5 MB of resident memory in every command, for one digest.
@@ -30,13 +31,11 @@ except ImportError:
     except ImportError:  # an interpreter built without them
         from hashlib import sha256
 
-# The integrator's step limit and the settle's defaults, defined here so
-# that checking the seed section loads no oracle code; the oracle imports them.
+# The integrator's step limit and the settle's rules, defined here so that
+# checking the seed section loads no oracle code; the oracle imports them.
 MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
-# Size caps on the values behind the largest arrays (README gives the reasons)
+# A size cap on the value behind the settle's array (README gives the reasons)
 MAX_SETTLE_STEPS = 2_000_000  # rows of the settle's trajectory; cortico's 60,200
-MAX_HARMONICS = 250  # solver.M: M(mu) holds (m(2M+1))^2 doubles; shipped M = 20
-MAX_SCAN_POINTS = 100_000  # scan.points: each scan array; shipped 200
 
 
 def _snap_step(tau: float, dt: float) -> tuple[float, int]:
@@ -44,12 +43,31 @@ def _snap_step(tau: float, dt: float) -> tuple[float, int]:
     return tau / n_tau, n_tau
 
 
-def settle_times(tau: float, dt: float | None = None,
+def settle_times(tau: float, transient: float, dt: float | None = None,
                  observe_time: float | None = None) -> tuple[float, float]:
     """The step and the observation time of the settle behind an oracle seed:
-    dt and observe_time where given, else tau/64 and 100 max(tau, 1)."""
-    return (tau / 64.0 if dt is None else dt,
-            100.0 * max(tau, 1.0) if observe_time is None else observe_time)
+    dt and observe_time where given, else tau/64 and 100 max(tau, 1).
+    ConfigError naming the broken rule: the one copy of the settle rules,
+    which the config check and oracle.settle_to_cycle both run."""
+    if not transient >= 0:
+        raise ConfigError(f"seed.transient must be >= 0, got {transient}")
+    if observe_time is not None and not observe_time > 0:
+        raise ConfigError(f"seed.observe_time must be positive, got {observe_time}")
+    if dt is not None and not dt > 0:
+        raise ConfigError(f"seed.dt must be positive, got {dt}")
+    dt = tau / 64.0 if dt is None else dt
+    observe_time = 100.0 * max(tau, 1.0) if observe_time is None else observe_time
+    # the history over one delay, the transient and the observation window
+    steps = (tau + transient + observe_time) / dt
+    if not steps <= MAX_SETTLE_STEPS:
+        raise ConfigError(f"seed.transient + seed.observe_time at seed.dt={dt:g}: the "
+                          f"settle would take {steps:.3g} steps, over {MAX_SETTLE_STEPS:,}")
+    if math.ceil(tau / dt) < MIN_DELAY_STEPS:  # as _snap_step rounds it
+        raise ConfigError(
+            f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
+            f"= {tau / MIN_DELAY_STEPS:g}"
+        )
+    return dt, observe_time
 
 
 class _Loader(yaml.SafeLoader):
@@ -87,16 +105,6 @@ class SeedConfig:
 
 
 @dataclass
-class ScanConfig:
-    """The `scan` section: the grid of the real-exponent search."""
-
-    mu_min: float = -0.2
-    mu_max: float = 0.05
-    points: int = 200
-    exclude_zero_radius: float = 1e-4
-
-
-@dataclass
 class OutputConfig:
     """The `output` section: the directory the commands write to."""
 
@@ -110,7 +118,7 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     solver: SolveOptions = field(default_factory=SolveOptions)
     seed: SeedConfig = field(default_factory=SeedConfig)
-    scan: ScanConfig = field(default_factory=ScanConfig)
+    scan: ScanOptions = field(default_factory=ScanOptions)
     output: OutputConfig = field(default_factory=OutputConfig)
     rng_seed: int = 0
 
@@ -187,18 +195,7 @@ def _validate_semantics(cfg: RunConfig):
         model = BUILTIN_MODELS[cfg.model.name](**cfg.model.params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
-    tau = model.tau
-    if not 1 <= cfg.solver.M <= MAX_HARMONICS:
-        raise ConfigError(f"solver.M must lie in 1..{MAX_HARMONICS}, got {cfg.solver.M}")
-    if not 0 <= cfg.solver.anchor_component < model.m:
-        raise ConfigError(
-            f"solver.anchor_component must name one of the {model.m} components "
-            f"(0..{model.m - 1}), got {cfg.solver.anchor_component}"
-        )
-    if cfg.solver.tolerance <= 0:
-        raise ConfigError("solver.tolerance must be positive")
-    if cfg.solver.max_iterations < 1:
-        raise ConfigError(f"solver.max_iterations must be >= 1, got {cfg.solver.max_iterations}")
+    cfg.solver.check(model.m)
     if cfg.seed.kind not in ("ansatz", "oracle", "file"):
         raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {cfg.seed.kind!r}")
     if cfg.seed.kind == "file" and not cfg.seed.path:
@@ -209,35 +206,10 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(
             f"seed.amplitude must hold {counts} finite real numbers, got {amp!r}"
         )
-    if cfg.seed.transient < 0:
-        raise ConfigError(f"seed.transient must be >= 0, got {cfg.seed.transient}")
     if cfg.seed.period_guess <= 0:
         raise ConfigError("seed.period_guess must be positive")
-    if cfg.seed.observe_time is not None and not cfg.seed.observe_time > 0:
-        raise ConfigError(f"seed.observe_time must be positive, got {cfg.seed.observe_time}")
-    if cfg.seed.dt is not None and not cfg.seed.dt > 0:
-        raise ConfigError(f"seed.dt must be positive, got {cfg.seed.dt}")
-    dt, observe_time = settle_times(tau, cfg.seed.dt, cfg.seed.observe_time)
-    # the history over one delay, the transient and the observation window
-    steps = (tau + cfg.seed.transient + observe_time) / dt
-    if not steps <= MAX_SETTLE_STEPS:
-        raise ConfigError(f"seed.transient + seed.observe_time at seed.dt={dt:g}: the "
-                          f"settle would take {steps:.3g} steps, over {MAX_SETTLE_STEPS:,}")
-    if _snap_step(tau, dt)[1] < MIN_DELAY_STEPS:
-        raise ConfigError(
-            f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
-            f"= {tau / MIN_DELAY_STEPS:g}"
-        )
-    if not 2 <= cfg.scan.points <= MAX_SCAN_POINTS:
-        raise ConfigError(f"scan.points must lie in 2..{MAX_SCAN_POINTS}, "
-                          f"got {cfg.scan.points}")
-    if not cfg.scan.mu_max > cfg.scan.mu_min:
-        raise ConfigError("scan.mu_max must exceed scan.mu_min")
-    if not cfg.scan.exclude_zero_radius > 0:
-        raise ConfigError(
-            "scan.exclude_zero_radius must be positive: it sets the trivial root "
-            f"apart from the nontrivial ones, got {cfg.scan.exclude_zero_radius}"
-        )
+    settle_times(model.tau, cfg.seed.transient, cfg.seed.dt, cfg.seed.observe_time)
+    cfg.scan.check()
     if cfg.rng_seed < 0:
         raise ConfigError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
 

@@ -30,27 +30,41 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DivergedToEquilibrium,
-    MaxIterations,
-    NonFiniteState,
-    SingularJacobian,
-)
+from .errors import (ConfigError, DivergedToEquilibrium, MaxIterations, NonFiniteState,
+                     SingularJacobian)
 from .model import ModelSpec
 from .spectral import (FourierSeries, SpectralGrid, SpectralOperators, build_operators,
                        coeffs_to_samples, sample_to_coeffs)
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
+MAX_HARMONICS = 250  # solver.M: M(mu) holds (m(2M+1))^2 doubles; shipped M = 20
 
 
 @dataclass
 class SolveOptions:
-    """Truncation order, anchor component and Newton budget of solve_cycle."""
+    """The config's `solver` section: solve_cycle's truncation order, anchor
+    component and Newton budget."""
 
     M: int = 20
     anchor_component: int = 0
     max_iterations: int = 100
     tolerance: float = 1e-10  # bound on the last Newton step and the residual
+
+    def check(self, m: int) -> None:
+        """ConfigError naming the broken rule, for a model of m components:
+        the one copy of the solver rules, which the config check and
+        solve_cycle both run."""
+        if not 1 <= self.M <= MAX_HARMONICS:
+            raise ConfigError(f"solver.M must lie in 1..{MAX_HARMONICS}, got {self.M}")
+        if not 0 <= self.anchor_component < m:
+            raise ConfigError(
+                f"solver.anchor_component must name one of the {m} components "
+                f"(0..{m - 1}), got {self.anchor_component}"
+            )
+        if not self.tolerance > 0:
+            raise ConfigError("solver.tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ConfigError(f"solver.max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(eq=False)
@@ -270,10 +284,7 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
     which the zero problem always admits.
     """
     opts = opts or SolveOptions()
-    if not 0 <= opts.anchor_component < model.m:
-        raise ValueError("anchor component out of range")
-    if not opts.tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    opts.check(model.m)
 
     M = opts.M
     K = 2 * M + 1

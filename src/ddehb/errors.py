@@ -5,8 +5,8 @@ class DdehbError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(DdehbError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(DdehbError, ValueError):
+    """Invalid or inconsistent run configuration, or options that break its rules."""
 
 
 class MalformedInput(DdehbError):

@@ -29,19 +29,45 @@ from typing import NamedTuple
 import numpy as np
 
 from .cycle import Linearization, PeriodicOrbit
-from .errors import (DegenerateNullspace, GaugeAmbiguous, NonFiniteState, NoRootInBracket,
-                     NotSingular)
+from .errors import (ConfigError, DegenerateNullspace, GaugeAmbiguous, NonFiniteState,
+                     NoRootInBracket, NotSingular)
 from .spectral import FourierSeries, sample_to_coeffs
 
 SINGULARITY_RATIO = 1e-8  # sigma_min/sigma_max threshold for "singular"
 DEGENERACY_GAP = 1e-6  # relative gap between two smallest singular values
 GAUGE_COSINE_FLOOR = 0.1  # least |cosine| of a mode with its gauge reference; cortico's is 0.50
 SCAN_CHUNK = 10  # scan grid points per stacked assembly and LAPACK call
+MAX_SCAN_POINTS = 100_000  # scan.points: each scan array; shipped 200
 
 
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """Assemble M(mu) for the linearization about the converged orbit."""
     return orbit.linearization.matrix(mu)
+
+
+@dataclass
+class ScanOptions:
+    """The config's `scan` section: the search grid, and the radius about 0
+    inside which a root is the trivial one."""
+
+    mu_min: float = -0.2
+    mu_max: float = 0.05
+    points: int = 200
+    exclude_zero_radius: float = 1e-4
+
+    def check(self) -> None:
+        """ConfigError naming the broken rule: the one copy of the scan rules,
+        which the config check and every search run."""
+        if not 2 <= self.points <= MAX_SCAN_POINTS:
+            raise ConfigError(f"scan.points must lie in 2..{MAX_SCAN_POINTS}, "
+                              f"got {self.points}")
+        if not self.mu_max > self.mu_min:
+            raise ConfigError("scan.mu_max must exceed scan.mu_min")
+        if not self.exclude_zero_radius > 0:
+            raise ConfigError(
+                "scan.exclude_zero_radius must be positive: it sets the trivial root "
+                f"apart from the nontrivial ones, got {self.exclude_zero_radius}"
+            )
 
 
 @dataclass(eq=False)
@@ -55,9 +81,10 @@ class DetScanResult:
     lin: Linearization
 
 
-def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanResult:
-    """Evaluate log|det M(mu)| and its sign on a uniform grid.
-    NonFiniteState where e^{-mu tau} overflows and M(mu) is not finite.
+def det_scan(orbit: PeriodicOrbit, scan: ScanOptions) -> DetScanResult:
+    """Evaluate log|det M(mu)| and its sign on the scan's uniform grid.
+    ConfigError as ScanOptions.check; NonFiniteState where e^{-mu tau}
+    overflows and M(mu) is not finite.
 
     The grid is assembled SCAN_CHUNK points at a time (Linearization.matrices)
     and each chunk goes through one stacked slogdet that fills its slice of
@@ -66,10 +93,10 @@ def det_scan(orbit: PeriodicOrbit, mu_range, grid_points: int = 200) -> DetScanR
     chunk bounds; a chunk holds at most SCAN_CHUNK n^2 doubles (0.52 MB at
     n = 81).  No bracket depends on sigma_min, so no scan computes it.
     """
-    scan = _empty_scan(orbit, mu_range, grid_points)
-    for start in range(0, grid_points, SCAN_CHUNK):
-        _scan_chunk(scan, slice(start, start + SCAN_CHUNK))
-    return scan
+    res = _empty_scan(orbit, scan)
+    for start in range(0, scan.points, SCAN_CHUNK):
+        _scan_chunk(res, slice(start, start + SCAN_CHUNK))
+    return res
 
 
 def scan_sigma_min(scan: DetScanResult) -> np.ndarray:
@@ -85,13 +112,11 @@ def scan_sigma_min(scan: DetScanResult) -> np.ndarray:
     return sigma_min
 
 
-def _empty_scan(orbit: PeriodicOrbit, mu_range, grid_points: int) -> DetScanResult:
-    """The scan grid with unfilled value arrays, on the orbit's (A0, B)."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    lo, hi = mu_range
-    return DetScanResult(np.linspace(lo, hi, grid_points), *np.empty((2, grid_points)),
-                         orbit.linearization)
+def _empty_scan(orbit: PeriodicOrbit, scan: ScanOptions) -> DetScanResult:
+    """The checked scan grid with unfilled value arrays, on the orbit's (A0, B)."""
+    scan.check()
+    return DetScanResult(np.linspace(scan.mu_min, scan.mu_max, scan.points),
+                         *np.empty((2, scan.points)), orbit.linearization)
 
 
 def _scan_matrices(lin: Linearization, mu: np.ndarray, chunk: slice) -> np.ndarray:
@@ -272,24 +297,20 @@ def simple_null_svd(mat: np.ndarray, mu: float, name: str = "M(mu)"):
     return U, svals, Vt
 
 
-def find_exponents(
-    orbit: PeriodicOrbit,
-    mu_range,
-    grid_points: int = 200,
-    exclude_zero_radius: float = 1e-4,
-) -> list[float]:
-    """Scan-and-refine pipeline for nontrivial real exponents.
+def find_exponents(orbit: PeriodicOrbit, scan: ScanOptions) -> list[float]:
+    """Scan-and-refine pipeline for nontrivial real exponents, largest first.
 
     The trivial root at mu = 0 is always present, so candidates inside
-    exclude_zero_radius of zero are dropped, and a refinement stops as soon
-    as it is confined there.  Candidates come from determinant sign changes
-    and from interior log|det| dips.  One assembly of (A0, B), the scan's,
-    serves the scan and every refinement.
+    scan.exclude_zero_radius of zero are dropped, and a refinement stops as
+    soon as it is confined there.  Candidates come from determinant sign
+    changes and from interior log|det| dips.  One assembly of (A0, B), the
+    scan's, serves the scan and every refinement.  ConfigError and
+    NonFiniteState as det_scan.
     """
-    scan = det_scan(orbit, mu_range, grid_points)
-    brackets = _brackets(scan.mu, scan.sign, scan.log_abs_det)
-    return _distinct_roots([_try_refine(scan.lin, brackets[key], exclude_zero_radius)
-                            for key in sorted(brackets)], exclude_zero_radius)
+    res, radius = det_scan(orbit, scan), scan.exclude_zero_radius
+    brackets = _brackets(res.mu, res.sign, res.log_abs_det)
+    return _distinct_roots([_try_refine(res.lin, brackets[key], radius)
+                            for key in sorted(brackets)], radius)
 
 
 class LeadingExponent(NamedTuple):
@@ -300,51 +321,46 @@ class LeadingExponent(NamedTuple):
     points: int
 
 
-def leading_exponent(
-    orbit: PeriodicOrbit,
-    mu_range,
-    grid_points: int = 200,
-    exclude_zero_radius: float = 1e-4,
-) -> LeadingExponent:
-    """find_exponents(...)[0] to the bit (None where that list is empty),
-    from as little of the scan as decides it.
+def leading_exponent(orbit: PeriodicOrbit, scan: ScanOptions) -> LeadingExponent:
+    """find_exponents(orbit, scan)[0] to the bit (None where that list is
+    empty), from as little of the scan as decides it.
 
     The same grid is evaluated SCAN_CHUNK points at a time from the top, by
     sign and log|det| alone, as in det_scan, and each bracket is refined,
     through find_exponents' refinement on the one (A0, B) of the search, as
     soon as the points it depends on are known.
     Once the collected nontrivial roots above the highest undecided
-    bracket's top theta all lie above theta + 2 exclude_zero_radius, and at
-    least one does, the search stops: a root from a bracket not yet decided
-    lies at or below theta, so it can neither exceed those roots nor drop
-    one of them as a near-duplicate, and the roots kept above theta are the
-    ones find_exponents keeps.  NonFiniteState as det_scan where M(mu)
-    overflows anywhere on the grid: e^{-mu tau} is largest at mu_min, so
-    that one matrix is assembled first.
+    bracket's top theta all lie above theta + 2 scan.exclude_zero_radius,
+    and at least one does, the search stops: a root from a bracket not yet
+    decided lies at or below theta, so it can neither exceed those roots nor
+    drop one of them as a near-duplicate, and the roots kept above theta are
+    the ones find_exponents keeps.  ConfigError as det_scan; NonFiniteState
+    as det_scan where M(mu) overflows anywhere on the grid: e^{-mu tau} is
+    largest at mu_min, so that one matrix is assembled first.
     """
-    scan = _empty_scan(orbit, mu_range, grid_points)
-    _scan_matrices(scan.lin, scan.mu, slice(0, 1))
+    res = _empty_scan(orbit, scan)
+    _scan_matrices(res.lin, res.mu, slice(0, 1))
+    radius, points = scan.exclude_zero_radius, scan.points
     refined = {}  # bracket key -> refined root, None where it failed or was trivial
-    top = grid_points  # points top.. are evaluated
+    top = points  # points top.. are evaluated
     while top > 0:
         start = max(top - SCAN_CHUNK, 0)
-        _scan_chunk(scan, slice(start, top))
+        _scan_chunk(res, slice(start, top))
         # the chunk and the two points above it decide every bracket that
         # needs a point of the chunk
         window = slice(start, top + 2)
-        brackets = _brackets(scan.mu[window], scan.sign[window], scan.log_abs_det[window],
-                             start)
+        brackets = _brackets(res.mu[window], res.sign[window], res.log_abs_det[window], start)
         for key in sorted(brackets.keys() - refined.keys()):
-            refined[key] = _try_refine(scan.lin, brackets[key], exclude_zero_radius)
+            refined[key] = _try_refine(res.lin, brackets[key], radius)
         top = start
         # undecided: the sign change below point top and the dip at it
-        theta = scan.mu[min(top + 1, grid_points - 1)]
+        theta = res.mu[min(top + 1, points - 1)]
         above = [mu for mu in refined.values()
-                 if mu is not None and abs(mu) >= exclude_zero_radius and mu > theta]
-        if above and min(above) > theta + 2.0 * exclude_zero_radius:
+                 if mu is not None and abs(mu) >= radius and mu > theta]
+        if above and min(above) > theta + 2.0 * radius:
             break
-    roots = _distinct_roots([refined[key] for key in sorted(refined)], exclude_zero_radius)
-    return LeadingExponent(roots[0] if roots else None, grid_points - top)
+    roots = _distinct_roots([refined[key] for key in sorted(refined)], radius)
+    return LeadingExponent(roots[0] if roots else None, points - top)
 
 
 def _brackets(mu, sign, log_abs_det, offset: int = 0) -> dict:

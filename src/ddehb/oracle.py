@@ -189,19 +189,20 @@ class SettleResult:
     seed: FourierSeries  # its T is the settled period
 
 
-def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float = 0.05,
+def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float | None = None,
                     M: int = 20, component: int = 0,
                     observe_time: float | None = None) -> SettleResult:
-    """Relax onto the attracting cycle at step dt and extract a period and
-    a Fourier seed.  The period comes from successive upward mean-crossings
-    of the anchor component over the observe_time (default 100 max(tau, 1))
-    after the transient: the mean of the last SETTLE_LAST_INTERVALS
-    intervals, spread reported.  The seed resamples the last whole period,
-    [crossings[-1] - period, crossings[-1]), on a 2M+1 grid centred in it,
-    so it reads only computed states; it is not anchored, since
-    cycle.solve_cycle anchors every seed.
+    """Relax onto the attracting cycle at step dt (default tau/64) and
+    extract a period and a Fourier seed.  The period comes from successive
+    upward mean-crossings of the anchor component over the observe_time
+    (default 100 max(tau, 1)) after the transient: the mean of the last
+    SETTLE_LAST_INTERVALS intervals, spread reported.  The seed resamples
+    the last whole period, [crossings[-1] - period, crossings[-1]), on a
+    2M+1 grid centred in it, so it reads only computed states; it is not
+    anchored, since cycle.solve_cycle anchors every seed.  ConfigError as
+    config.settle_times, before the first step.
     """
-    observe_time = settle_times(model.tau, dt, observe_time)[1]
+    dt, observe_time = settle_times(model.tau, transient, dt, observe_time)
     traj = integrate_dde(model, history, transient + observe_time, dt)
 
     times = traj.times

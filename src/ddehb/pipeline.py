@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adjoint, floquet
-from .config import RunConfig, _finite_real, settle_times
+from .config import RunConfig, _finite_real
 from .cycle import PeriodicOrbit, seed_from_ansatz
 from .errors import ConfigError, MalformedInput, StaleInput
 from .model import ModelSpec, make_model
@@ -154,11 +154,10 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     if sc.kind == "oracle":
         from . import oracle  # loaded only for an oracle seed
 
-        dt, observe_time = settle_times(model.tau, sc.dt, sc.observe_time)
         settled = oracle.settle_to_cycle(
             model, sinusoid_history(model, sc.amplitude, sc.period_guess), sc.transient,
-            dt=dt, M=cfg.solver.M, component=cfg.solver.anchor_component,
-            observe_time=observe_time)
+            dt=sc.dt, M=cfg.solver.M, component=cfg.solver.anchor_component,
+            observe_time=sc.observe_time)
         return settled.seed, settled
     if sc.kind == "file":
         return read_orbit_file(sc.path, model)[1], None
@@ -176,11 +175,9 @@ class FloquetRun:
 
 
 def run_floquet(cfg: RunConfig, orbit: PeriodicOrbit) -> FloquetRun:
-    mu_range = (cfg.scan.mu_min, cfg.scan.mu_max)
-    scan = floquet.det_scan(orbit, mu_range, cfg.scan.points)
+    scan = floquet.det_scan(orbit, cfg.scan)
     sigma_min = floquet.scan_sigma_min(scan)
-    exponents = floquet.find_exponents(orbit, mu_range, cfg.scan.points,
-                                       cfg.scan.exclude_zero_radius)
+    exponents = floquet.find_exponents(orbit, cfg.scan)
     modes = [floquet.eigenfunction(orbit, mu) for mu in exponents]
     trivial = floquet.eigenfunction(orbit, 0.0)
     return FloquetRun(scan=scan, sigma_min=sigma_min, modes=modes, trivial_mode=trivial)

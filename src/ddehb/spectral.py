@@ -152,10 +152,8 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     grid = SpectralGrid(M, T)
     if tau < 0:
         raise ValueError(f"delay tau must be nonnegative, got {tau}")
-    n = grid.indices
     K = grid.n_samples
-    S = np.exp(2j * np.pi * np.outer(n, n) / K)
-    S_inv = np.conj(S) / K
+    S, S_inv = _dft_pair(M)
     omega_p = grid.frequencies
     Gamma = np.diag(np.exp(-1j * omega_p * tau))
 
@@ -178,6 +176,13 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     )
 
 
+def _dft_pair(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """S = e^{2 pi i n p/(2M+1)} for n, p = -M..M, and S^-1 = conj(S)/(2M+1)."""
+    n = np.arange(-M, M + 1)
+    S = np.exp(2j * np.pi * np.outer(n, n) / (2 * M + 1))
+    return S, np.conj(S) / (2 * M + 1)
+
+
 def sample_to_coeffs(samples: np.ndarray, T: float) -> FourierSeries:
     """Invert X = S A for samples laid out (2M+1, m) on the grid."""
     X = np.asarray(samples, dtype=float)
@@ -185,11 +190,7 @@ def sample_to_coeffs(samples: np.ndarray, T: float) -> FourierSeries:
         X = X[:, None]
     if X.shape[0] % 2 != 1:
         raise ValueError(f"sample count {X.shape[0]} does not match a 2M+1 grid")
-    K = X.shape[0]
-    M = (K - 1) // 2
-    n = np.arange(-M, M + 1)
-    S_inv = np.exp(-2j * np.pi * np.outer(n, n) / K) / K
-    return FourierSeries(T, S_inv @ X)
+    return FourierSeries(T, _dft_pair((X.shape[0] - 1) // 2)[1] @ X)
 
 
 def coeffs_to_samples(series: FourierSeries) -> np.ndarray:

@@ -127,10 +127,8 @@ def _integrator_order_check(results, model):
     )
 
 
-def _leading_exponent(orbit, scan) -> floquet.LeadingExponent:
-    lead = floquet.leading_exponent(
-        orbit, (scan.mu_min, scan.mu_max), scan.points, scan.exclude_zero_radius
-    )
+def _leading_exponent(orbit, scan: floquet.ScanOptions) -> floquet.LeadingExponent:
+    lead = floquet.leading_exponent(orbit, scan)
     if lead.mu is None:
         raise NoExponentInRange(
             f"no nontrivial Floquet exponent in the scan range "

@@ -14,8 +14,8 @@ from ddehb.model import ModelSpec
 from ddehb.spectral import sample_to_coeffs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-KOTANI_SCAN = (-0.2, 0.05)
-CORTICO_SCAN = (-0.02, 0.01)
+KOTANI_SCAN = floquet.ScanOptions(-0.2, 0.05)
+CORTICO_SCAN = floquet.ScanOptions(-0.02, 0.01)
 
 
 def quadrature_normalized(Q, orbit, partner, mu, target):
@@ -40,7 +40,7 @@ def kotani_orbit(kotani_model):
 
 @pytest.fixture(scope="session")
 def kotani_mu(kotani_orbit):
-    return floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)[0]
+    return floquet.find_exponents(kotani_orbit, KOTANI_SCAN)[0]
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +90,7 @@ def cortico_orbit(cortico_model, cortico_settle):
 
 @pytest.fixture(scope="session")
 def cortico_mu(cortico_orbit):
-    return floquet.find_exponents(cortico_orbit, CORTICO_SCAN, 200)[0]
+    return floquet.find_exponents(cortico_orbit, CORTICO_SCAN)[0]
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ def test_equality_of_array_holders_is_a_bool(kotani_orbit, kotani_mode, kotani_z
 
     for obj in (kotani_orbit.series, kotani_orbit, kotani_z, kotani_mode,
                 kotani_orbit.linearization,
-                floquet.det_scan(kotani_orbit, (-0.2, 0.05), 2),
+                floquet.det_scan(kotani_orbit, floquet.ScanOptions(points=2)),
                 spectral.build_operators(4, 6.0, 1.0)):
         assert (obj == obj) is True
         assert (obj == copy.copy(obj)) is False, type(obj).__name__

@@ -24,6 +24,7 @@ import ddehb
 from ddehb import cli, cycle, floquet, oracle, pipeline, validation
 from ddehb.config import RunConfig, load_config
 from ddehb.cycle import solve_cycle
+from ddehb.errors import ConfigError
 from ddehb.model import BUILTIN_MODELS
 from ddehb.pipeline import series_payload
 
@@ -1067,6 +1068,9 @@ class TestConfigValidation:
             ("cortico_fig2.yaml", "seed.dt=1e-310"),
             ("kotani_fig1.yaml", "scan.points=100000000000000000000"),
             ("kotani_fig1.yaml", "solver.M=100000000000000000000"),
+            # validate solves again at 2M, and solve_cycle holds every solve
+            # to the cap of 250; this one ran at 252
+            ("kotani_fig1.yaml", "solver.M=126"),
         ],
     )
     def test_bad_run_setting(self, tmp_path, capsys, name, override):
@@ -1079,6 +1083,35 @@ class TestConfigValidation:
         assert "Traceback" not in err and err.count("\n") == 1
         assert override.partition("=")[0] in err  # the message names the key
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver.M", 0), ("solver.M", 251), ("solver.anchor_component", 1),
+        ("solver.tolerance", 0.0), ("solver.max_iterations", 0),
+        ("scan.points", 1), ("scan.points", 100001), ("scan.mu_max", -0.3),
+        ("scan.exclude_zero_radius", 0.0),
+        ("seed.transient", -1.0), ("seed.observe_time", -1.0), ("seed.dt", -0.1),
+        ("seed.dt", 1.0), ("seed.dt", 1e-300),
+    ])
+    def test_library_raises_the_config_text(self, tmp_path, capsys, key, value):
+        # each solver, scan and settle rule has one copy, which the config
+        # check and the library both run: the command line prints the text
+        # that the library raises for the same value
+        code = run("export", "--config", KOTANI_CFG, "--out", str(tmp_path),
+                   "--override", f"{key}={value}")
+        assert code == EXIT_CONFIG
+        cfg = load_config(KOTANI_CFG)
+        section, name = key.split(".")
+        options = dataclasses.replace(getattr(cfg, section), **{name: value})
+        model = pipeline.build_model(cfg)
+        with pytest.raises(ConfigError) as exc:
+            if section == "solver":
+                options.check(model.m)
+            elif section == "scan":
+                options.check()
+            else:
+                oracle.settle_to_cycle(model, None, options.transient, dt=options.dt,
+                                       observe_time=options.observe_time)
+        assert capsys.readouterr().err == f"configuration error: {exc.value}\n"
 
     @pytest.mark.parametrize(
         "text, flags, named",

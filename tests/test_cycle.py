@@ -8,7 +8,8 @@ import ddehb as d
 from ddehb import cli, cycle, pipeline
 from ddehb.config import load_config
 from ddehb.cycle import SolveOptions, _anchor_at_max, residual
-from ddehb.errors import DivergedToEquilibrium, MaxIterations, NonFiniteState, SingularJacobian
+from ddehb.errors import (ConfigError, DivergedToEquilibrium, MaxIterations, NonFiniteState,
+                          SingularJacobian)
 
 from conftest import CONFIG_DIR
 
@@ -121,17 +122,20 @@ class TestSolveCycle:
                 d.solve_cycle(model, seed, cfg.solver)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("anchor_component", -1, "anchor component out of range"),
-        ("anchor_component", 1, "anchor component out of range"),
+        ("anchor_component", -1, "anchor_component must name one of the 1 components"),
+        ("anchor_component", 1, "anchor_component must name one of the 1 components"),
         ("tolerance", 0.0, "tolerance must be positive"),
+        # ended as a MaxIterations convergence failure
+        ("max_iterations", 0, "max_iterations must be >= 1, got 0"),
     ])
     def test_options_set_after_construction_are_checked(self, kotani_model, field, value,
                                                          message):
         # the config sets its values on the options after construction, so
-        # the solve checks them, where the model's component count is known
+        # the solve runs the config's solver rules, where the model's
+        # component count is known, with the config's text
         opts = SolveOptions(M=20)
         setattr(opts, field, value)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=f"^solver.{message}"):
             d.solve_cycle(kotani_model, d.seed_from_ansatz(1, 0.8, 6.0, 20), opts)
 
     def test_nonpositive_seed_period_rejected(self, kotani_model):

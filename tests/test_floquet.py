@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 import ddehb as d
 from ddehb import cli, floquet, pipeline
 from ddehb.config import load_config
-from ddehb.errors import (DegenerateNullspace, GaugeAmbiguous, NonFiniteState,
+from ddehb.errors import (ConfigError, DegenerateNullspace, GaugeAmbiguous, NonFiniteState,
                           NoRootInBracket, NotSingular)
 
 from conftest import CONFIG_DIR, CORTICO_SCAN, KOTANI_SCAN
@@ -30,7 +31,7 @@ def sign_changes(scan):
 class TestDetScan:
     def test_kotani_roots_at_zero_and_negative(self, kotani_orbit, kotani_mu,
                                                kotani_oracle_floquet):
-        scan = floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)
+        scan = floquet.det_scan(kotani_orbit, KOTANI_SCAN)
         brackets = sign_changes(scan)
         assert any(lo <= 0.0 <= hi for lo, hi in brackets)
         assert any(hi < -0.005 for lo, hi in brackets)
@@ -39,14 +40,14 @@ class TestDetScan:
         assert abs(kotani_mu - mu_oracle) / abs(mu_oracle) < 0.01
 
     def test_cortico_dip_at_paper_value(self, cortico_orbit):
-        scan = floquet.det_scan(cortico_orbit, CORTICO_SCAN, 200)
+        scan = floquet.det_scan(cortico_orbit, CORTICO_SCAN)
         mus, sigmin = scan.mu, floquet.scan_sigma_min(scan)
         negative = (mus < -1e-3) & (mus > -0.01)
         dip_mu = mus[negative][np.argmin(sigmin[negative])]
         assert abs(dip_mu - (-0.00296)) < 3e-4  # grid-resolution locate
 
     def test_rootfree_range_bounded_away(self, kotani_orbit):
-        scan = floquet.det_scan(kotani_orbit, (-0.008, -0.001), 40)
+        scan = floquet.det_scan(kotani_orbit, floquet.ScanOptions(-0.008, -0.001, 40))
         assert sign_changes(scan) == []
         sigmin = floquet.scan_sigma_min(scan)
         assert sigmin.min() > 1e-4
@@ -61,8 +62,8 @@ class TestDetScan:
         assert sign_changes(scan) == [(3.0, 4.0)]
 
     def test_grid_validation(self, kotani_orbit):
-        with pytest.raises(ValueError):
-            floquet.det_scan(kotani_orbit, (-0.1, 0.0), 1)
+        with pytest.raises(ConfigError, match="^scan.points must lie in 2..100000, got 1$"):
+            floquet.det_scan(kotani_orbit, floquet.ScanOptions(-0.1, 0.0, 1))
 
 
 def test_only_the_scan_file_computes_singular_values(kotani_orbit, monkeypatch):
@@ -79,9 +80,9 @@ def test_only_the_scan_file_computes_singular_values(kotani_orbit, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     single = {}
     for name, call in (
-        ("det_scan", lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN, 200)),
-        ("find_exponents", lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)),
-        ("leading_exponent", lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN, 200)),
+        ("det_scan", lambda: floquet.det_scan(kotani_orbit, KOTANI_SCAN)),
+        ("find_exponents", lambda: floquet.find_exponents(kotani_orbit, KOTANI_SCAN)),
+        ("leading_exponent", lambda: floquet.leading_exponent(kotani_orbit, KOTANI_SCAN)),
     ):
         calls.clear()
         call()
@@ -202,13 +203,13 @@ class TestEigenfunction:
 
 class TestFindExponents:
     def test_kotani_single_nontrivial(self, kotani_orbit, kotani_mu):
-        roots = floquet.find_exponents(kotani_orbit, KOTANI_SCAN, 200)
+        roots = floquet.find_exponents(kotani_orbit, KOTANI_SCAN)
         assert len(roots) == 1
         assert roots[0] == kotani_mu
         assert all(mu < 0 for mu in roots)
 
     def test_cortico_stable(self, cortico_orbit):
-        roots = floquet.find_exponents(cortico_orbit, CORTICO_SCAN, 200)
+        roots = floquet.find_exponents(cortico_orbit, CORTICO_SCAN)
         assert all(mu < 0 for mu in roots)
 
 
@@ -221,8 +222,8 @@ class TestLeadingExponent:
             seed = (d.seed_from_ansatz(1, 0.8, 6.0, 20) if name == "kotani"
                     else request.getfixturevalue("cortico_settle").seed)
             orbit = d.solve_cycle(orbit.model, seed, d.SolveOptions(M=M))
-        roots = floquet.find_exponents(orbit, scan, 200)
-        lead = floquet.leading_exponent(orbit, scan, 200)
+        roots = floquet.find_exponents(orbit, scan)
+        lead = floquet.leading_exponent(orbit, scan)
         assert lead.mu == roots[0]
         assert lead.points < 200  # the search stopped above the bottom of the scan
 
@@ -238,7 +239,7 @@ class TestLeadingExponent:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-        lead = floquet.leading_exponent(orbit, KOTANI_SCAN, 200)
+        lead = floquet.leading_exponent(orbit, KOTANI_SCAN)
         assert abs(lead.mu - kotani_mu) < 1e-9
         assert len(calls) == 1
 
@@ -278,7 +279,7 @@ class TestLeadingExponent:
         monkeypatch.setattr(floquet, "_scan_matrices", lambda lin, mu, chunk: None)
         monkeypatch.setattr(floquet, "_scan_chunk", fill)
         monkeypatch.setattr(floquet, "_refine", lambda lin, lo, hi, radius: roots[(lo, hi)])
-        args = (SimpleNamespace(linearization=None), (0.0, 9.5), 20, 1.0)
+        args = (SimpleNamespace(linearization=None), floquet.ScanOptions(0.0, 9.5, 20, 1.0))
         assert floquet.find_exponents(*args) == [6.7, 4.9]
         assert floquet.leading_exponent(*args) == (6.7, 20)
 
@@ -287,15 +288,28 @@ class TestLeadingExponent:
         # search would find the root in its top chunk, far above: it raises
         # as the full scan does, before any LAPACK call, and so do the
         # singular values of a scan on that grid
-        scan = (-500.0, 0.05)
+        scan = floquet.ScanOptions(-500.0, 0.05, 20003)
         with pytest.raises(NonFiniteState) as full:
-            floquet.det_scan(kotani_orbit, scan, 20003)
+            floquet.det_scan(kotani_orbit, scan)
         with pytest.raises(NonFiniteState, match="increase scan.mu_min") as lead:
-            floquet.leading_exponent(kotani_orbit, scan, 20003)
+            floquet.leading_exponent(kotani_orbit, scan)
         with pytest.raises(NonFiniteState) as sigma:
-            floquet.scan_sigma_min(floquet._empty_scan(kotani_orbit, scan, 20003))
+            floquet.scan_sigma_min(floquet._empty_scan(kotani_orbit, scan))
         assert str(lead.value) == str(full.value) == str(sigma.value)
 
     def test_grid_validation(self, kotani_orbit):
-        with pytest.raises(ValueError):
-            floquet.leading_exponent(kotani_orbit, (-0.1, 0.0), 1)
+        with pytest.raises(ConfigError, match="^scan.points must lie in 2..100000, got 1$"):
+            floquet.leading_exponent(kotani_orbit, floquet.ScanOptions(-0.1, 0.0, 1))
+
+    @pytest.mark.parametrize("search", [floquet.find_exponents, floquet.leading_exponent])
+    @pytest.mark.parametrize("scan, message", [
+        # returned no root at all
+        (floquet.ScanOptions(0.05, -0.2), "scan.mu_max must exceed scan.mu_min"),
+        # returned the trivial root, 9.1e-16, as the leading exponent
+        (floquet.ScanOptions(exclude_zero_radius=0.0), "scan.exclude_zero_radius must be "
+         "positive: it sets the trivial root apart from the nontrivial ones, got 0.0"),
+    ], ids=["reversed", "zero-radius"])
+    def test_search_checks_its_scan(self, kotani_orbit, search, scan, message):
+        # the library runs the config's scan rules, with the config's text
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            search(kotani_orbit, scan)

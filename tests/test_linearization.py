@@ -92,14 +92,14 @@ def assert_close(mat, ref):
 class TestAgainstFreshAssembly:
     def test_stability_matrix(self, request, name, scan):
         orbit = request.getfixturevalue(name)
-        for mu in np.linspace(*scan, 5):
+        for mu in np.linspace(scan.mu_min, scan.mu_max, 5):
             assert_close(floquet.build_stability_matrix(orbit, mu),
                          fresh_stability_matrix(orbit, mu))
 
     def test_adjoint_matrix(self, request, name, scan):
         # the response curves are left null vectors of M(mu) itself
         orbit = request.getfixturevalue(name)
-        for mu in np.linspace(*scan, 5):
+        for mu in np.linspace(scan.mu_min, scan.mu_max, 5):
             np.testing.assert_array_equal(adjoint.build_adjoint_matrix(orbit, mu),
                                           floquet.build_stability_matrix(orbit, mu))
 
@@ -118,9 +118,9 @@ class TestAgainstFreshAssembly:
         last chunk included."""
         orbit = request.getfixturevalue(name)
         lin = orbit.linearization
-        mus = np.linspace(*scan, points)
+        mus = np.linspace(scan.mu_min, scan.mu_max, points)
         np.testing.assert_array_equal(lin.matrices(mus), [lin.matrix(mu) for mu in mus])
-        result = floquet.det_scan(orbit, scan, points)
+        result = floquet.det_scan(orbit, dataclasses.replace(scan, points=points))
         assert result.mu.shape == (points,)
         sigma = floquet.scan_sigma_min(result)
         assert sigma.shape == (points,)
@@ -164,7 +164,7 @@ class TestAgainstFreshAssembly:
         lin = orbit.linearization
         v = np.cos(np.arange(lin.A0.shape[0]))
         h = 1e-5
-        for mu in np.linspace(*scan, 5):
+        for mu in np.linspace(scan.mu_min, scan.mu_max, 5):
             ref = (lin.matrix(mu + h) @ v - lin.matrix(mu - h) @ v) / (2 * h)
             assert np.abs(lin.dmu(mu, v) - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -190,14 +190,14 @@ def test_one_assembly_per_public_call(kotani_orbit, kotani_mu, kotani_mode, monk
             monkeypatch.setattr(mod, "build_operators", build)
     monkeypatch.setattr(ModelSpec, "jacobians", counted("jacobians", ModelSpec.jacobians))
     for call in (
-        lambda orbit: floquet.det_scan(orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.det_scan(orbit, KOTANI_SCAN),
         # a scan's singular values are taken on its own assembly
-        lambda orbit: floquet.scan_sigma_min(floquet.det_scan(orbit, KOTANI_SCAN, 200)),
+        lambda orbit: floquet.scan_sigma_min(floquet.det_scan(orbit, KOTANI_SCAN)),
         lambda orbit: floquet.refine_exponent(orbit, (-0.06, -0.01)),
         # the scan's assembly serves its refinements
-        lambda orbit: floquet.find_exponents(orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.find_exponents(orbit, KOTANI_SCAN),
         # one assembly for the scan and both of its brackets
-        lambda orbit: floquet.leading_exponent(orbit, KOTANI_SCAN, 200),
+        lambda orbit: floquet.leading_exponent(orbit, KOTANI_SCAN),
         lambda orbit: floquet.eigenfunction(orbit, kotani_mu),
         lambda orbit: floquet.build_stability_matrix(orbit, kotani_mu),
         lambda orbit: adjoint.build_adjoint_matrix(orbit, kotani_mu),
@@ -233,14 +233,14 @@ def mackey_glass_orbit():
     return mackey_glass_orbit_at(5.0)
 
 
-@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])
+@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", floquet.ScanOptions(-0.5, 0.05))])
 def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan):
     """z and q, the left null vectors of M(mu) scaled by the grid pairing,
     equal those of the advanced adjoint collocation scaled by the quadrature
     pairing, to 1e-12 of each curve's peak."""
     orbit = request.getfixturevalue(name)
     mode0, mode = (floquet.eigenfunction(orbit, mu)
-                   for mu in (0.0, floquet.find_exponents(orbit, scan, 200)[0]))
+                   for mu in (0.0, floquet.find_exponents(orbit, scan)[0]))
     for curve, partner, target in (
         (adjoint.solve_response(orbit, mode0), orbit.series.derivative(), orbit.omega),
         (adjoint.solve_response(orbit, mode), mode.series, 1.0),
@@ -251,7 +251,7 @@ def test_responses_are_left_null_vectors_of_advanced_adjoint(request, name, scan
         assert np.abs(curve.Q - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", (-0.5, 0.05))])
+@pytest.mark.parametrize("name, scan", CASES + [("mackey_glass_orbit", floquet.ScanOptions(-0.5, 0.05))])
 def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
     """Q^T M'(mu) P / (2M+1), the pairing solve_response scales by, equals
     pairing_functional's quadrature for z and q, relative to the target.
@@ -260,7 +260,7 @@ def test_grid_pairing_is_the_quadrature_pairing(request, name, scan):
     orbit = request.getfixturevalue(name)
     lin = orbit.linearization
     mode0, mode = (floquet.eigenfunction(orbit, mu)
-                   for mu in (0.0, floquet.find_exponents(orbit, scan, 200)[0]))
+                   for mu in (0.0, floquet.find_exponents(orbit, scan)[0]))
     for curve, P, partner, target in (
         (adjoint.solve_response(orbit, mode0), orbit.xdot_samples, orbit.series.derivative(),
          orbit.omega),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import ddehb as d
 from ddehb import adjoint, cycle, floquet, oracle
 from ddehb.errors import (
+    ConfigError,
     MonodromyIllConditioned,
     NoOscillationDetected,
     NonFiniteState,
@@ -308,6 +310,34 @@ class TestSettleToCycle:
         y = x - x[traj.times >= 60.0].mean()
         assert res.crossings.size >= 12
         assert np.abs(np.interp(res.crossings, traj.times, y)).max() <= 1e-12
+
+    def test_default_step_is_tau_over_64(self, kotani_model):
+        # config.settle_times gives the default step, as to the config's seed
+        history = lambda s: 0.9 * cos_history(s)
+        default, explicit = (
+            oracle.settle_to_cycle(kotani_model, history, 60.0, observe_time=90.0, **step)
+            for step in ({}, {"dt": kotani_model.tau / 64}))
+        assert default.seed.T == explicit.seed.T
+        np.testing.assert_array_equal(default.seed.coeffs, explicit.seed.coeffs)
+        np.testing.assert_array_equal(default.crossings, explicit.crossings)
+
+    @pytest.mark.parametrize("key, bad", [
+        # NoOscillationDetected: only 8 upward crossings
+        ("seed.transient", {"transient": -5.0}),
+        # ValueError: negative dimensions are not allowed
+        ("seed.transient", {"transient": -1000.0}),
+        # ValueError: zero-size array to reduction operation maximum
+        ("seed.observe_time", {"observe_time": -1.0}),
+        # ValueError: dt=-0.10472 too coarse
+        ("seed.dt", {"dt": -0.1}),
+        # the step cap, tested beyond numpy's index range, where nothing allocates
+        ("seed.dt", {"dt": 1e-300}),
+    ], ids=["transient=-5", "transient=-1000", "observe_time=-1", "dt=-0.1", "dt=1e-300"])
+    def test_bad_arguments_name_their_key(self, kotani_model, key, bad):
+        # the settle runs the config's seed rules before it takes a step
+        args = {"transient": 60.0, "dt": kotani_model.tau / 16, "observe_time": 60.0, **bad}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            oracle.settle_to_cycle(kotani_model, cos_history, **args)
 
     def test_drifting_period_raises(self):
         history = lambda s: np.broadcast_to(

@@ -69,8 +69,8 @@ def test_time_rescaling(kotani_model, kotani_orbit, kotani_mu, kotani_mode, kota
         model, d.seed_from_ansatz(1, 0.8, 6.0 * alpha, 20), d.SolveOptions(M=20)
     )
     assert abs(orbit.T - alpha * kotani_orbit.T) <= 1e-8 * alpha * kotani_orbit.T
-    scan = (KOTANI_SCAN[0] / alpha, KOTANI_SCAN[1] / alpha)
-    mu = floquet.find_exponents(orbit, scan, 200)[0]
+    scan = floquet.ScanOptions(KOTANI_SCAN.mu_min / alpha, KOTANI_SCAN.mu_max / alpha)
+    mu = floquet.find_exponents(orbit, scan)[0]
     assert abs(mu - kotani_mu / alpha) <= 1e-8 * abs(kotani_mu / alpha)
     # the grid samples the same phases of the cycle, and the pairings scale
     # with omega = 1/alpha and e^{-mu tau} stays, so rho, z and q are unchanged
@@ -91,7 +91,7 @@ def _assert_anchor_shift(request, name, scan, fraction):
                               for x in ("orbit", "mu", "mode", "z", "q"))
     s = fraction * orbit.T
     shifted = dataclasses.replace(orbit, series=orbit.series.shifted(s))
-    mu = floquet.find_exponents(shifted, scan, 200)[0]
+    mu = floquet.find_exponents(shifted, scan)[0]
     assert abs(mu - mu0) <= 1e-8 * abs(mu0)
     mode0_s, mode_s = (floquet.eigenfunction(shifted, m) for m in (0.0, mu))
     for got, curve in ((mode_s.R, mode), (adjoint.solve_response(shifted, mode0_s).Q, z),
@@ -124,7 +124,7 @@ def test_mode_and_q_independent_of_M(request, name, scan):
     seed = (d.seed_from_ansatz(1, 0.8, 6.0, 20) if name == "kotani"
             else request.getfixturevalue("cortico_settle").seed)
     orbit2 = d.solve_cycle(orbit.model, seed, d.SolveOptions(M=2 * orbit.M))
-    mode2 = floquet.eigenfunction(orbit2, floquet.find_exponents(orbit2, scan, 200)[0])
+    mode2 = floquet.eigenfunction(orbit2, floquet.find_exponents(orbit2, scan)[0])
     t = np.linspace(0.0, orbit.T, 997)
     for curve, curve2 in ((mode, mode2), (q, adjoint.solve_response(orbit2, mode2))):
         assert relative_gap(curve2.series.evaluate(t), curve.series.evaluate(t)) <= 1e-12
@@ -156,7 +156,7 @@ def _root_at(position, step=0.005, root=-0.029044149217942475):
 def test_leading_exponent_is_the_first_root(kotani_orbit, lo, width, points, chunk):
     # the top-down search returns find_exponents' first root to the bit,
     # whatever size its chunks have; None where find_exponents finds none
-    args = (kotani_orbit, (lo, lo + width), points)
+    args = (kotani_orbit, floquet.ScanOptions(lo, lo + width, points))
     roots = floquet.find_exponents(*args)
     with mock.patch.object(floquet, "SCAN_CHUNK", chunk):
         lead = floquet.leading_exponent(*args)
