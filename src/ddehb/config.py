@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 
@@ -38,8 +39,13 @@ MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
 MAX_SETTLE_STEPS = 2_000_000  # rows of the settle's trajectory; cortico's 60,200
 
 
-def _snap_step(tau: float, dt: float) -> tuple[float, int]:
-    n_tau = math.ceil(tau / dt)
+def _snap_step(tau: float, dt: float, name: str = "dt") -> tuple[float, int]:
+    """(tau / n_tau, n_tau): dt rounded down to divide tau.  ConfigError, a
+    ValueError, naming the step as name unless dt is finite and positive."""
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {dt}")
+    # a step so small that tau / dt overflows counts as many steps as floats hold
+    n_tau = math.ceil(min(tau / dt, sys.float_info.max))
     return tau / n_tau, n_tau
 
 
@@ -53,16 +59,15 @@ def settle_times(tau: float, transient: float, dt: float | None = None,
         raise ConfigError(f"seed.transient must be >= 0, got {transient}")
     if observe_time is not None and not observe_time > 0:
         raise ConfigError(f"seed.observe_time must be positive, got {observe_time}")
-    if dt is not None and not dt > 0:
-        raise ConfigError(f"seed.dt must be positive, got {dt}")
     dt = tau / 64.0 if dt is None else dt
+    n_tau = _snap_step(tau, dt, "seed.dt")[1]
     observe_time = 100.0 * max(tau, 1.0) if observe_time is None else observe_time
     # the history over one delay, the transient and the observation window
     steps = (tau + transient + observe_time) / dt
     if not steps <= MAX_SETTLE_STEPS:
         raise ConfigError(f"seed.transient + seed.observe_time at seed.dt={dt:g}: the "
                           f"settle would take {steps:.3g} steps, over {MAX_SETTLE_STEPS:,}")
-    if math.ceil(tau / dt) < MIN_DELAY_STEPS:  # as _snap_step rounds it
+    if n_tau < MIN_DELAY_STEPS:
         raise ConfigError(
             f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
             f"= {tau / MIN_DELAY_STEPS:g}"
@@ -182,17 +187,15 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def _validate_semantics(cfg: RunConfig):
-    from .model import BUILTIN_MODELS
+    from .model import make_model
 
-    if cfg.model.name not in BUILTIN_MODELS:
-        raise ConfigError(
-            f"unknown model {cfg.model.name!r}; built-ins: {sorted(BUILTIN_MODELS)}"
-        )
     for key, value in cfg.model.params.items():
         if not _finite_real(value):
             raise ConfigError(f"model.params.{key}: expected a real number, got {value!r}")
     try:
-        model = BUILTIN_MODELS[cfg.model.name](**cfg.model.params)
+        model = make_model(cfg.model.name, **cfg.model.params)
+    except ConfigError:  # an unknown model.name
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     cfg.solver.check(model.m)

@@ -134,7 +134,8 @@ def _stacked_residual(model, ops, X, anchor):
     return np.concatenate([R.ravel(), [phase]])
 
 
-def residual(model: ModelSpec, X: np.ndarray, T: float, anchor: int = 0) -> np.ndarray:
+def residual(model: ModelSpec, X: np.ndarray, T: float,
+             anchor: int = SolveOptions.anchor_component) -> np.ndarray:
     """Stacked residual of the collocated system plus the anchor equation.
 
     Returns a vector of length m(2M+1)+1; the first block is the
@@ -224,7 +225,7 @@ def _jacobian(model, ops, X, anchor):
     return J
 
 
-def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int = 20) -> FourierSeries:
+def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int) -> FourierSeries:
     """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0."""
     if period_guess <= 0:
         raise ValueError("period guess must be positive")

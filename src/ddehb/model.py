@@ -115,8 +115,8 @@ def make_model(name: str, **params) -> ModelSpec:
     try:
         factory = BUILTIN_MODELS[name]
     except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; built-ins: {sorted(BUILTIN_MODELS)}"
+        raise ConfigError(
+            f"unknown model.name {name!r}; built-ins: {sorted(BUILTIN_MODELS)}"
         ) from None
     return factory(**params)
 

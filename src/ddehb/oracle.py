@@ -33,7 +33,7 @@ import numpy as np
 
 from .adjoint import normalization
 from .config import MIN_DELAY_STEPS, _snap_step, settle_times
-from .cycle import PeriodicOrbit
+from .cycle import PeriodicOrbit, SolveOptions
 from .errors import (
     MonodromyIllConditioned,
     NoOscillationDetected,
@@ -112,11 +112,11 @@ def integrate_dde(
 
     history(s) supplies the state for s in [-tau, 0] (tau > 0, as every
     ModelSpec has it); it may return a batch (..., m), in which case the
-    whole ensemble is advanced in lockstep.  dt is rounded down so it
-    divides tau exactly (and must leave at least MIN_DELAY_STEPS steps per
-    delay), which keeps full-step delayed lookups on stored nodes; only the
-    half-step stage values are interpolated, by the clamped cubic readout
-    of Trajectory.value.
+    whole ensemble is advanced in lockstep.  dt, finite and positive, is
+    rounded down so it divides tau exactly (and must leave at least
+    MIN_DELAY_STEPS steps per delay), which keeps full-step delayed
+    lookups on stored nodes; only the half-step stage values are
+    interpolated, by the clamped cubic readout of Trajectory.value.
     initial_kick, if given, is added to the state at t=0, so x jumps there,
     x' at tau and x'' at 2 tau, and these are the break points of the run:
     the stored sample at t=0 is x(0+), delayed values for s <= 0 come from
@@ -190,23 +190,27 @@ class SettleResult:
 
 
 def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float | None = None,
-                    M: int = 20, component: int = 0,
+                    opts: SolveOptions | None = None,
                     observe_time: float | None = None) -> SettleResult:
     """Relax onto the attracting cycle at step dt (default tau/64) and
-    extract a period and a Fourier seed.  The period comes from successive
-    upward mean-crossings of the anchor component over the observe_time
-    (default 100 max(tau, 1)) after the transient: the mean of the last
-    SETTLE_LAST_INTERVALS intervals, spread reported.  The seed resamples
-    the last whole period, [crossings[-1] - period, crossings[-1]), on a
-    2M+1 grid centred in it, so it reads only computed states; it is not
-    anchored, since cycle.solve_cycle anchors every seed.  ConfigError as
-    config.settle_times, before the first step.
+    extract a period and a Fourier seed of the size opts.M (opts None is
+    SolveOptions(), as in cycle.solve_cycle).  The period comes from
+    successive upward mean-crossings of the anchor component,
+    opts.anchor_component, over the observe_time (default 100 max(tau, 1))
+    after the transient: the mean of the last SETTLE_LAST_INTERVALS
+    intervals, spread reported.  The seed resamples the last whole period,
+    [crossings[-1] - period, crossings[-1]), on a 2M+1 grid centred in it,
+    so it reads only computed states; it is not anchored, since
+    cycle.solve_cycle anchors every seed.  ConfigError as
+    SolveOptions.check and config.settle_times, before the first step.
     """
+    opts = opts or SolveOptions()
+    opts.check(model.m)
     dt, observe_time = settle_times(model.tau, transient, dt, observe_time)
     traj = integrate_dde(model, history, transient + observe_time, dt)
 
     times = traj.times
-    comp = traj.states[..., component]
+    comp = traj.states[..., opts.anchor_component]
     window = times >= transient
     tw = times[window]
     xw = comp[window]
@@ -232,6 +236,7 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float | Non
             f"{SETTLE_DRIFT_TOL:.0%} of the mean period {period:.6g}"
         )
 
+    M = opts.M
     grid_t = crossings[-1] - 0.5 * period + np.arange(-M, M + 1) * (period / (2 * M + 1))
     return SettleResult(spread=spread, crossings=crossings,
                         seed=sample_to_coeffs(traj.value(grid_t), period))

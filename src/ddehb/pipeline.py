@@ -23,17 +23,6 @@ def build_model(cfg: RunConfig) -> ModelSpec:
     return make_model(cfg.model.name, **cfg.model.params)
 
 
-def sinusoid_history(model: ModelSpec, amplitude, period: float):
-    amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, float)), (model.m,))
-    w = 2.0 * np.pi / period
-
-    def history(s):
-        s = np.asarray(s, dtype=float)
-        return amp * np.cos(w * s)[..., None]
-
-    return history
-
-
 def check_numbers(path, field: str, values):
     """MalformedInput naming the file and the field unless every value is a
     finite real number; a bool is not one."""
@@ -146,22 +135,21 @@ def load_orbit(out_dir, cfg: RunConfig) -> PeriodicOrbit:
 
 def build_seed(cfg: RunConfig, model: ModelSpec):
     """Seed series per config (its T the period guess): single-harmonic
-    ansatz, oracle settle, or file; and the settle behind an oracle seed,
-    else None."""
+    ansatz, oracle settle from that ansatz, or file; and the settle behind
+    an oracle seed, else None."""
     sc = cfg.seed
-    if sc.kind == "ansatz":
-        return seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M), None
-    if sc.kind == "oracle":
-        from . import oracle  # loaded only for an oracle seed
-
-        settled = oracle.settle_to_cycle(
-            model, sinusoid_history(model, sc.amplitude, sc.period_guess), sc.transient,
-            dt=sc.dt, M=cfg.solver.M, component=cfg.solver.anchor_component,
-            observe_time=sc.observe_time)
-        return settled.seed, settled
     if sc.kind == "file":
         return read_orbit_file(sc.path, model)[1], None
-    raise ConfigError(f"unknown seed kind {sc.kind!r}")
+    if sc.kind not in ("ansatz", "oracle"):
+        raise ConfigError(f"unknown seed kind {sc.kind!r}")
+    ansatz = seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M)
+    if sc.kind == "ansatz":
+        return ansatz, None
+    from . import oracle  # loaded only for an oracle seed
+
+    settled = oracle.settle_to_cycle(model, ansatz.evaluate, sc.transient, dt=sc.dt,
+                                     opts=cfg.solver, observe_time=sc.observe_time)
+    return settled.seed, settled
 
 
 @dataclass(eq=False)

@@ -140,7 +140,7 @@ def mackey_glass_orbit_at(tau: float):
     tau / 16 and solved at M = 20."""
     model = mackey_glass(tau)
     settled = oracle.settle_to_cycle(model, lambda s: np.array([1.2]), 600.0,
-                                     dt=model.tau / 16, M=20, observe_time=300.0)
+                                     dt=model.tau / 16, observe_time=300.0)
     return d.solve_cycle(model, settled.seed, d.SolveOptions(M=20))
 
 

@@ -1055,6 +1055,8 @@ class TestConfigValidation:
             ("kotani_fig1.yaml", "solver.tolerance=abc"),
             ("kotani_fig1.yaml", "rng_seed=1.5"),
             ("kotani_fig1.yaml", "oracle.dt=true"),
+            # an unknown model: the text of make_model, the one lookup
+            ("kotani_fig1.yaml", "model.name=lorenz"),
             # a negative seed ended in a ValueError traceback from numpy.random
             ("kotani_fig1.yaml", "rng_seed=-1"),
             # a negative transient ended in a ValueError traceback from numpy

@@ -199,6 +199,14 @@ class TestIntegrateDde:
         with pytest.raises(ValueError):
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_not_finite_and_positive_rejected(self, kotani_model, dt):
+        # inf ended in a ZeroDivisionError and nan in "cannot convert float
+        # NaN to integer"
+        text = f"dt must be positive and finite, got {dt}"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            oracle.integrate_dde(kotani_model, cos_history, 5.0, dt)
+
 
 class TestCubicReadout:
     """oracle._cubic, the piecewise-cubic readout behind Trajectory.value,
@@ -253,15 +261,17 @@ class TestPeriodicReadout:
 
 class TestSettleToCycle:
     def test_kotani_period(self, kotani_model):
+        # the seed's size comes from the solver section
         res = oracle.settle_to_cycle(
             kotani_model,
             lambda s: 0.9 * cos_history(s),
             transient=60.0,
             dt=kotani_model.tau / 64,
-            M=20,
+            opts=d.SolveOptions(M=8),
         )
         assert abs(res.seed.T - 2 * np.pi) < 1e-3
         assert res.crossings.size >= 12
+        assert res.seed.M == 8
 
     def test_seed_from_the_last_whole_period(self, kotani_model, monkeypatch):
         # the run ends 2.9 after its last upward crossing, less than T/2: the
@@ -332,9 +342,15 @@ class TestSettleToCycle:
         ("seed.dt", {"dt": -0.1}),
         # the step cap, tested beyond numpy's index range, where nothing allocates
         ("seed.dt", {"dt": 1e-300}),
-    ], ids=["transient=-5", "transient=-1000", "observe_time=-1", "dt=-0.1", "dt=1e-300"])
+        # a step that is not finite: the guard that integrate_dde runs too
+        ("seed.dt", {"dt": math.inf}),
+        ("seed.dt", {"dt": math.nan}),
+        # IndexError: kotani has one component
+        ("solver.anchor_component", {"opts": d.SolveOptions(anchor_component=1)}),
+    ], ids=["transient=-5", "transient=-1000", "observe_time=-1", "dt=-0.1", "dt=1e-300",
+            "dt=inf", "dt=nan", "anchor_component=1"])
     def test_bad_arguments_name_their_key(self, kotani_model, key, bad):
-        # the settle runs the config's seed rules before it takes a step
+        # the settle runs the config's solver and seed rules before it takes a step
         args = {"transient": 60.0, "dt": kotani_model.tau / 16, "observe_time": 60.0, **bad}
         with pytest.raises(ConfigError, match=re.escape(key)):
             oracle.settle_to_cycle(kotani_model, cos_history, **args)
