@@ -40,8 +40,8 @@ _HOME = {  # home module -> the public names it defines
               "verify_jacobians"],
     "oracle": ["Trajectory", "direct_prc", "integrate_dde", "oracle_curves",
                "oracle_floquet", "settle_to_cycle"],
-    "spectral": ["FourierSeries", "SpectralGrid", "SpectralOperators", "build_operators",
-                 "coeffs_to_samples", "sample_to_coeffs"],
+    "spectral": ["FourierSeries", "SpectralOperators", "build_operators", "grid_times",
+                 "sample_to_coeffs"],
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 

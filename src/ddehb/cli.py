@@ -92,7 +92,7 @@ def _cycle(cfg: RunConfig, t0: float) -> PeriodicOrbit:
     h = cfg.config_hash()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run writes nothing
-    _write_curve(out_dir / "orbit.csv", "x", orbit.grid.sample_times, orbit.X, h)
+    _write_curve(out_dir / "orbit.csv", "x", orbit.sample_times, orbit.X, h)
     _write_json(out_dir / pipeline.ORBIT_FILE, pipeline.orbit_payload(orbit, cfg))
     extra = {"T": orbit.T, "residual_norm": orbit.residual_norm}
     if settled is not None:
@@ -121,7 +121,7 @@ def _floquet(cfg: RunConfig, orbit: PeriodicOrbit, t0: float) -> pipeline.Floque
     scan = run.scan
     _write_csv(out_dir / "floquet_scan.csv", ["mu", "log_abs_det", "sign", "sigma_min"],
                [scan.mu, scan.log_abs_det, scan.sign, run.sigma_min], h)
-    tg = orbit.grid.sample_times
+    tg = orbit.sample_times
     outputs = ["floquet_scan.csv", "exponents.json"]
     entries = []
     named = [("mode_trivial.csv", run.trivial_mode, True)]
@@ -204,7 +204,7 @@ def _response(cfg: RunConfig, orbit: PeriodicOrbit, trivial: floquet.FloquetMode
 
     h = cfg.config_hash()
     out_dir = Path(cfg.output.directory)
-    tg = orbit.grid.sample_times
+    tg = orbit.sample_times
     outputs = []
     meta = {"config_hash": h}
     for name, kind, curve in (("z", "phase", z), ("q", "amplitude", q)):

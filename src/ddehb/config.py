@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 import yaml
 
-from .cycle import SolveOptions
+from .cycle import SolveOptions, seed_from_ansatz
 from .errors import ConfigError
 from .floquet import ScanOptions
 
@@ -32,20 +31,30 @@ except ImportError:
     except ImportError:  # an interpreter built without them
         from hashlib import sha256
 
-# The integrator's step limit and the settle's rules, defined here so that
+# The integrator's step rules and the settle's, defined here so that
 # checking the seed section loads no oracle code; the oracle imports them.
 MIN_DELAY_STEPS = 10  # integrate_dde takes at least this many steps per delay
-# A size cap on the value behind the settle's array (README gives the reasons)
-MAX_SETTLE_STEPS = 2_000_000  # rows of the settle's trajectory; cortico's 60,200
+# A size cap on the value behind an RK4 run's array (README gives the reasons)
+MAX_RK4_STEPS = 2_000_000  # rows of a trajectory; cortico's settle takes 60,200
 
 
-def _snap_step(tau: float, dt: float, name: str = "dt") -> tuple[float, int]:
-    """(tau / n_tau, n_tau): dt rounded down to divide tau.  ConfigError, a
-    ValueError, naming the step as name unless dt is finite and positive."""
+def _snap_step(tau: float, dt: float, name: str = "dt", t_end: float = 0.0,
+               span: str = "t_end") -> tuple[float, int]:
+    """(tau / n_tau, n_tau): dt rounded down to divide tau, for an RK4 run
+    over t_end after one delay of history.  ConfigError, a ValueError,
+    naming the step as name (and t_end as span) unless dt is finite and
+    positive, the run takes at most MAX_RK4_STEPS steps and n_tau is at
+    least MIN_DELAY_STEPS: the one copy of the step rules."""
     if not 0 < dt < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {dt}")
-    # a step so small that tau / dt overflows counts as many steps as floats hold
-    n_tau = math.ceil(min(tau / dt, sys.float_info.max))
+    steps = (tau + t_end) / dt
+    if not steps <= MAX_RK4_STEPS:
+        raise ConfigError(f"{span} at {name}={dt:g}: the run would take {steps:.3g} "
+                          f"steps, over {MAX_RK4_STEPS:,}")
+    n_tau = math.ceil(tau / dt)
+    if n_tau < MIN_DELAY_STEPS:
+        raise ConfigError(f"{name}={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
+                          f"= {tau / MIN_DELAY_STEPS:g}")
     return tau / n_tau, n_tau
 
 
@@ -60,18 +69,9 @@ def settle_times(tau: float, transient: float, dt: float | None = None,
     if observe_time is not None and not observe_time > 0:
         raise ConfigError(f"seed.observe_time must be positive, got {observe_time}")
     dt = tau / 64.0 if dt is None else dt
-    n_tau = _snap_step(tau, dt, "seed.dt")[1]
     observe_time = 100.0 * max(tau, 1.0) if observe_time is None else observe_time
-    # the history over one delay, the transient and the observation window
-    steps = (tau + transient + observe_time) / dt
-    if not steps <= MAX_SETTLE_STEPS:
-        raise ConfigError(f"seed.transient + seed.observe_time at seed.dt={dt:g}: the "
-                          f"settle would take {steps:.3g} steps, over {MAX_SETTLE_STEPS:,}")
-    if n_tau < MIN_DELAY_STEPS:
-        raise ConfigError(
-            f"seed.dt={dt:g} too coarse: need at most tau/{MIN_DELAY_STEPS} "
-            f"= {tau / MIN_DELAY_STEPS:g}"
-        )
+    _snap_step(tau, dt, "seed.dt", transient + observe_time,
+               "seed.transient + seed.observe_time")
     return dt, observe_time
 
 
@@ -107,6 +107,12 @@ class SeedConfig:
     observe_time: float | None = None
     dt: float | None = None  # settle integrator step; default tau/64
     path: str | None = None  # orbit coefficients JSON for kind=file
+
+    def check_kind(self) -> None:
+        """ConfigError unless kind names a seed builder: the one copy of the
+        rule, which the config check and pipeline.build_seed both run."""
+        if self.kind not in ("ansatz", "oracle", "file"):
+            raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {self.kind!r}")
 
 
 @dataclass
@@ -199,8 +205,7 @@ def _validate_semantics(cfg: RunConfig):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     cfg.solver.check(model.m)
-    if cfg.seed.kind not in ("ansatz", "oracle", "file"):
-        raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {cfg.seed.kind!r}")
+    cfg.seed.check_kind()
     if cfg.seed.kind == "file" and not cfg.seed.path:
         raise ConfigError("seed.kind=file requires seed.path")
     amp = cfg.seed.amplitude
@@ -209,8 +214,7 @@ def _validate_semantics(cfg: RunConfig):
         raise ConfigError(
             f"seed.amplitude must hold {counts} finite real numbers, got {amp!r}"
         )
-    if cfg.seed.period_guess <= 0:
-        raise ConfigError("seed.period_guess must be positive")
+    seed_from_ansatz(model.m, amp, cfg.seed.period_guess, 1)  # runs the period rule
     settle_times(model.tau, cfg.seed.transient, cfg.seed.dt, cfg.seed.observe_time)
     cfg.scan.check()
     if cfg.rng_seed < 0:

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (ConfigError, DivergedToEquilibrium, MaxIterations, NonFiniteState,
                      SingularJacobian)
 from .model import ModelSpec
-from .spectral import (FourierSeries, SpectralGrid, SpectralOperators, build_operators,
-                       coeffs_to_samples, sample_to_coeffs)
+from .spectral import (FourierSeries, SpectralOperators, build_operators, grid_times,
+                       sample_to_coeffs)
 
 EQUILIBRIUM_HARMONIC_FLOOR = 1e-8
 MAX_HARMONICS = 250  # solver.M: M(mu) holds (m(2M+1))^2 doubles; shipped M = 20
@@ -82,7 +82,7 @@ class PeriodicOrbit:
     X: np.ndarray = field(init=False)  # (2M+1, m) samples on the collocation grid
 
     def __post_init__(self):
-        self.X = coeffs_to_samples(self.series)
+        self.X = self.series.evaluate(self.sample_times)
 
     @property
     def T(self) -> float:
@@ -97,8 +97,8 @@ class PeriodicOrbit:
         return 2.0 * np.pi / self.T
 
     @property
-    def grid(self) -> SpectralGrid:
-        return SpectralGrid(self.M, self.T)
+    def sample_times(self) -> np.ndarray:
+        return grid_times(self.M, self.T)
 
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
@@ -108,7 +108,7 @@ class PeriodicOrbit:
 
     @property
     def xdot_samples(self) -> np.ndarray:
-        return self.series.derivative().evaluate(self.grid.sample_times)
+        return self.series.derivative().evaluate(self.sample_times)
 
     @cached_property
     def operators(self) -> SpectralOperators:
@@ -121,7 +121,7 @@ class PeriodicOrbit:
         """(A0, B) about the orbit, delayed values read from its interpolant:
         the one copy that every M(mu) of the orbit is updated from."""
         return assemble_linearization(self.model, self.operators, self.X,
-                                      self.delayed(self.grid.sample_times))
+                                      self.delayed(self.sample_times))
 
 
 def _stacked_residual(model, ops, X, anchor):
@@ -130,7 +130,7 @@ def _stacked_residual(model, ops, X, anchor):
     checks them and raises NonFiniteState or rejects the step."""
     with np.errstate(over="ignore", invalid="ignore"):
         R = ops.D0 @ X - model.F(X, ops.Delta @ X)
-        phase = float((ops.D0 @ X[:, anchor])[ops.grid.M])
+        phase = float((ops.D0 @ X[:, anchor])[ops.M])
     return np.concatenate([R.ravel(), [phase]])
 
 
@@ -149,14 +149,6 @@ def residual(model: ModelSpec, X: np.ndarray, T: float,
     out = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite right-hand side in cycle residual")
-    return out
-
-
-def _blockdiag(blocks: np.ndarray) -> np.ndarray:
-    K, m, _ = blocks.shape
-    out = np.zeros((K * m, K * m))
-    for n in range(K):
-        out[n * m : (n + 1) * m, n * m : (n + 1) * m] = blocks[n]
     return out
 
 
@@ -195,17 +187,20 @@ class Linearization:
 
 def assemble_linearization(model, ops, X, Xd) -> Linearization:
     """A0 = (D0 kron I_m) - blockdiag(DF0), B = blockdiag(DF1) (Delta kron I_m)
-    at samples X and delayed samples Xd.  M(mu) serves both the Floquet
-    modes (right null vectors) and the response curves (left null vectors)."""
-    Im = np.eye(model.m)
+    at samples X and delayed samples Xd, each built by broadcasting on its
+    (K, m, K, m) view: block (n, j) of B is Delta[n, j] DF1[n].  M(mu) serves
+    both the Floquet modes and the response curves (right and left null
+    vectors)."""
+    (K, m), n = X.shape, np.arange(X.shape[0])
     DF0, DF1 = model.jacobians(X, Xd)
-    A0 = np.kron(ops.D0, Im) - _blockdiag(DF0)
-    B = _blockdiag(DF1) @ np.kron(ops.Delta, Im)
-    return Linearization(A0=A0, B=B, tau=model.tau)
+    A0 = ops.D0[:, None, :, None] * np.eye(m)[:, None, :]
+    A0[n, :, n] -= DF0
+    B = DF1[:, :, None, :] * ops.Delta[:, None, :, None]
+    return Linearization(A0=A0.reshape(K * m, -1), B=B.reshape(K * m, -1), tau=model.tau)
 
 
 def _jacobian(model, ops, X, anchor):
-    """d(residual)/d(X, T) at X and the period ops.grid.T.
+    """d(residual)/d(X, T) at X and the period ops.T.
 
     The X-block is M(0) = A0 - B.  In T, dD0/dT = -D0/T and dDelta/dT =
     (tau/T) D0 Delta, and D0 commutes with Delta, so the dynamic rows of
@@ -216,7 +211,7 @@ def _jacobian(model, ops, X, anchor):
     J = np.zeros((n_dyn + 1, n_dyn + 1))
     J[:n_dyn, :n_dyn] = lin.A0 - lin.B  # M(0) at the current iterate
 
-    center, T = ops.grid.M, ops.grid.T
+    center, T = ops.M, ops.T
     J[n_dyn, anchor : n_dyn : m] = ops.D0[center, :]
 
     D0X = (ops.D0 @ X).ravel()
@@ -226,9 +221,11 @@ def _jacobian(model, ops, X, anchor):
 
 
 def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int) -> FourierSeries:
-    """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0."""
-    if period_guess <= 0:
-        raise ValueError("period guess must be positive")
+    """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0.
+    ConfigError unless period_guess > 0: the one copy of the rule, which the
+    config check runs too."""
+    if not period_guess > 0:
+        raise ConfigError("seed.period_guess must be positive")
     amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, dtype=float)), (m,))
     coeffs = np.zeros((2 * M + 1, m), dtype=complex)
     coeffs[M + 1] = amp / 2.0  # p = +1
@@ -292,7 +289,7 @@ def solve_cycle(model: ModelSpec, seed: FourierSeries,
     T = float(seed.T)
     ops = build_operators(M, T, model.tau)  # always those of the current T
     anchor = opts.anchor_component
-    X = _anchor_at_max(seed, anchor).evaluate(ops.grid.sample_times)
+    X = _anchor_at_max(seed, anchor).evaluate(grid_times(M, T))
 
     r = _stacked_residual(model, ops, X, anchor)
     if not np.all(np.isfinite(r)):

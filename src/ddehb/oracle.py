@@ -44,7 +44,7 @@ from .errors import (
 # a shared convention and an SVD check, no operator
 from .floquet import mode_gauge, simple_null_svd
 from .model import ModelSpec
-from .spectral import FourierSeries, sample_to_coeffs
+from .spectral import FourierSeries, grid_times, sample_to_coeffs
 
 # settle_to_cycle: the period is the mean of the last SETTLE_LAST_INTERVALS
 # of at least SETTLE_MIN_CROSSINGS upward mean-crossings
@@ -112,10 +112,10 @@ def integrate_dde(
 
     history(s) supplies the state for s in [-tau, 0] (tau > 0, as every
     ModelSpec has it); it may return a batch (..., m), in which case the
-    whole ensemble is advanced in lockstep.  dt, finite and positive, is
-    rounded down so it divides tau exactly (and must leave at least
-    MIN_DELAY_STEPS steps per delay), which keeps full-step delayed
-    lookups on stored nodes; only the half-step stage values are
+    whole ensemble is advanced in lockstep.  dt is rounded down to divide tau
+    (config._snap_step: ConfigError unless dt leaves at least MIN_DELAY_STEPS
+    steps per delay and the run at most MAX_RK4_STEPS), which keeps full-step
+    delayed lookups on stored nodes; only the half-step stage values are
     interpolated, by the clamped cubic readout of Trajectory.value.
     initial_kick, if given, is added to the state at t=0, so x jumps there,
     x' at tau and x'' at 2 tau, and these are the break points of the run:
@@ -126,12 +126,7 @@ def integrate_dde(
     break points: its stencils read across t=0, tau and 2 tau.
     """
     tau = model.tau
-    dt, n_tau = _snap_step(tau, dt)
-    if n_tau < MIN_DELAY_STEPS:
-        raise ValueError(
-            f"dt={dt:g} too coarse: need dt <= tau/{MIN_DELAY_STEPS} "
-            f"= {tau / MIN_DELAY_STEPS:g}"
-        )
+    dt, n_tau = _snap_step(tau, dt, t_end=t_end)
     n_steps = int(np.ceil(t_end / dt))
 
     x0 = np.asarray(history(0.0), dtype=float)
@@ -236,8 +231,7 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float | Non
             f"{SETTLE_DRIFT_TOL:.0%} of the mean period {period:.6g}"
         )
 
-    M = opts.M
-    grid_t = crossings[-1] - 0.5 * period + np.arange(-M, M + 1) * (period / (2 * M + 1))
+    grid_t = crossings[-1] - 0.5 * period + grid_times(opts.M, period)
     return SettleResult(spread=spread, crossings=crossings,
                         seed=sample_to_coeffs(traj.value(grid_t), period))
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import adjoint, floquet
 from .config import RunConfig, _finite_real
 from .cycle import PeriodicOrbit, seed_from_ansatz
-from .errors import ConfigError, MalformedInput, StaleInput
+from .errors import MalformedInput, StaleInput
 from .model import ModelSpec, make_model
 from .spectral import FourierSeries
 
@@ -138,10 +138,9 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     ansatz, oracle settle from that ansatz, or file; and the settle behind
     an oracle seed, else None."""
     sc = cfg.seed
+    sc.check_kind()
     if sc.kind == "file":
         return read_orbit_file(sc.path, model)[1], None
-    if sc.kind not in ("ansatz", "oracle"):
-        raise ConfigError(f"unknown seed kind {sc.kind!r}")
     ansatz = seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M)
     if sc.kind == "ansatz":
         return ansatz, None

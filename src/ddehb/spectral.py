@@ -6,12 +6,12 @@ stability matrix M(mu) acts, from the right for the Floquet modes and
 from the left for the response curves.  Complex quantities (the DFT
 matrix, the diagonal derivative/delay symbols) stay internal; the public
 matrices are the real parts left after symmetrization, with the discarded
-imaginary residue tracked and bounded.
+imaginary residue bounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,40 +22,14 @@ from .errors import PeriodTooShort
 IMAG_RESIDUE_BOUND = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Collocation grid of 2M+1 equispaced samples, symmetric about t=0."""
+def grid_times(M: int, T: float) -> np.ndarray:
+    """The collocation times t_n = nT/(2M+1) for n = -M..M."""
+    return np.arange(-M, M + 1) * (T / (2 * M + 1))
 
-    M: int
-    T: float
 
-    def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError(f"truncation order M must be a positive integer, got {self.M}")
-        if not self.T > 0:
-            raise ValueError(f"period T must be positive, got {self.T}")
-
-    @property
-    def n_samples(self) -> int:
-        return 2 * self.M + 1
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Harmonic/sample indices n = -M..M."""
-        return np.arange(-self.M, self.M + 1)
-
-    @property
-    def sample_times(self) -> np.ndarray:
-        return self.indices * (self.T / self.n_samples)
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * np.pi / self.T
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Angular frequencies omega_p = 2 pi p / T for p = -M..M."""
-        return self.indices * self.omega
+def _frequencies(M: int, T: float) -> np.ndarray:
+    """Angular frequencies omega_p = 2 pi p / T for p = -M..M."""
+    return np.arange(-M, M + 1) * (2.0 * np.pi / T)
 
 
 @dataclass(eq=False)
@@ -89,7 +63,7 @@ class FourierSeries:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.arange(-self.M, self.M + 1) * (2.0 * np.pi / self.T)
+        return _frequencies(self.M, self.T)
 
     def evaluate(self, t) -> np.ndarray:
         """Values at times t, shape t.shape + (m,), by Horner's rule in
@@ -123,7 +97,7 @@ class FourierSeries:
 
 @dataclass(eq=False)
 class SpectralOperators:
-    """DFT matrix and the derived real operators.
+    """DFT matrix and the derived real operators at (M, T, tau).
 
     D0 is the real differentiation matrix Re(S L S^-1), L = diag(i omega_p),
     and Delta the real delay matrix Re(S Gamma S^-1).  Delta.T is the exact
@@ -131,13 +105,13 @@ class SpectralOperators:
     M(mu) lives in cycle.Linearization.
     """
 
-    grid: SpectralGrid
+    M: int
+    T: float
     tau: float
     S: np.ndarray
     S_inv: np.ndarray
     D0: np.ndarray
     Delta: np.ndarray
-    imag_residue: float = field(default=0.0)
 
 
 def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
@@ -147,14 +121,17 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
     entries i omega_p and Gamma the delay symbol e^{-i omega_p tau}.  The
     derived matrices D0 and Delta are realified; the discarded imaginary
     magnitude must stay below IMAG_RESIDUE_BOUND * (2M+1), or PeriodTooShort
-    is raised.
+    is raised.  ValueError unless M is a positive integer, T > 0 and tau >= 0.
     """
-    grid = SpectralGrid(M, T)
+    if int(M) != M or M < 1:
+        raise ValueError(f"truncation order M must be a positive integer, got {M}")
+    if not T > 0:
+        raise ValueError(f"period T must be positive, got {T}")
     if tau < 0:
         raise ValueError(f"delay tau must be nonnegative, got {tau}")
-    K = grid.n_samples
+    K = 2 * M + 1
     S, S_inv = _dft_pair(M)
-    omega_p = grid.frequencies
+    omega_p = _frequencies(M, T)
     Gamma = np.diag(np.exp(-1j * omega_p * tau))
 
     D_c = (S * (1j * omega_p)) @ S_inv  # S L, bit for bit, by column scaling
@@ -165,15 +142,8 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
             f"period T={T:.6g} too short for delay tau={tau:.6g} at M={M}: "
             f"imaginary residue {residue:.3e} above bound {IMAG_RESIDUE_BOUND * K:.3e}"
         )
-    return SpectralOperators(
-        grid=grid,
-        tau=tau,
-        S=S,
-        S_inv=S_inv,
-        D0=D_c.real.copy(),
-        Delta=Delta_c.real.copy(),
-        imag_residue=float(residue),
-    )
+    return SpectralOperators(M=M, T=T, tau=tau, S=S, S_inv=S_inv, D0=D_c.real.copy(),
+                             Delta=Delta_c.real.copy())
 
 
 def _dft_pair(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +162,3 @@ def sample_to_coeffs(samples: np.ndarray, T: float) -> FourierSeries:
         raise ValueError(f"sample count {X.shape[0]} does not match a 2M+1 grid")
     return FourierSeries(T, _dft_pair((X.shape[0] - 1) // 2)[1] @ X)
 
-
-def coeffs_to_samples(series: FourierSeries) -> np.ndarray:
-    """Sample the series on its own collocation grid; returns (2M+1, m)."""
-    grid = SpectralGrid(series.M, series.T)
-    return series.evaluate(grid.sample_times)

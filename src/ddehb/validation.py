@@ -88,7 +88,7 @@ def _spectral_checks(results):
 
     coeffs = normal(K, 1) + 1j * normal(K, 1)
     series = FourierSeries(T, coeffs)
-    tg = ops.grid.sample_times
+    tg = spectral.grid_times(M, T)
     f = series.evaluate(tg)
     df_exact = series.derivative().evaluate(tg)
     fd_exact = series.evaluate(tg - tau)
@@ -206,7 +206,7 @@ def _oracle_rows(results, prefix, st: _Stage, refs, tols, relative) -> float:
     sides gauge rho by floquet.mode_gauge and scale z and q by their pairings,
     so no curve is sign-aligned: a sign disagreement fails its row."""
     unit_tol, exponent_tol, *curve_tols = tols
-    tg = st.orbit.grid.sample_times
+    tg = st.orbit.sample_times
     t_oracle = time.perf_counter()
     ofl = oracle.oracle_floquet(st.orbit)
     mu_oracle = ofl.leading_nontrivial()
@@ -229,7 +229,7 @@ def _oracle_rows(results, prefix, st: _Stage, refs, tols, relative) -> float:
 def _kotani_stage_rows(cfg: RunConfig, st: _Stage) -> list[CheckResult]:
     """The exact cycle x(t) = cos t, T = 2 pi, and the solve's time."""
     orbit = st.orbit
-    profile = np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max()
+    profile = np.abs(orbit.X[:, 0] - np.cos(orbit.sample_times)).max()
     return [
         _check("kotani.period", abs(orbit.T - 2.0 * np.pi), 1e-8, st.solve_seconds),
         _check("kotani.cycle_profile", profile, 1e-8, 0.0),

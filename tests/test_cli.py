@@ -653,7 +653,7 @@ class TestExportPipeline:
                                       floquet.eigenfunction(st.orbit, st.mu))
         for name, curve in (("z.csv", z), ("q.csv", q)):
             written = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, ndmin=2)
-            assert np.array_equal(written[:, 0], st.orbit.grid.sample_times), name
+            assert np.array_equal(written[:, 0], st.orbit.sample_times), name
             assert np.array_equal(written[:, 1:], curve.Q), name
 
     def test_cortico_fig2_exponent_report(self, tmp_path, cortico_settle):

@@ -69,7 +69,7 @@ class TestSolveCycle:
         base = d.seed_from_ansatz(1, 0.8, 6.0, 20)
         orbit = d.solve_cycle(kotani_model, base.shifted(shift), SolveOptions(M=20))
         assert abs(orbit.T - 2 * np.pi) < 1e-8
-        assert np.abs(orbit.X[:, 0] - np.cos(orbit.grid.sample_times)).max() < 1e-8
+        assert np.abs(orbit.X[:, 0] - np.cos(orbit.sample_times)).max() < 1e-8
 
     def test_anchored_ansatz_seed_is_unshifted(self):
         seed = d.seed_from_ansatz(1, 0.8, 6.0, 20)
@@ -145,7 +145,7 @@ class TestSolveCycle:
             d.solve_cycle(kotani_model, seed, SolveOptions(M=20))
 
     def test_orbit_samples_match_series(self, kotani_orbit):
-        resampled = kotani_orbit.series.evaluate(kotani_orbit.grid.sample_times)
+        resampled = kotani_orbit.series.evaluate(kotani_orbit.sample_times)
         assert np.abs(resampled - kotani_orbit.X).max() < 1e-12
 
     def test_fresh_residual_matches_recorded(self, cortico_model, cortico_orbit):
@@ -179,7 +179,7 @@ class TestSolveCycle:
             d1 = np.real(np.exp(1j * w * s) @ ((1j * w) * inner))
             d2 = np.real(np.exp(1j * w * s) @ (((1j * w) ** 2) * inner))
             s -= d1 / d2
-        tg = cortico_orbit.grid.sample_times
+        tg = cortico_orbit.sample_times
         aligned = orbit_b.series.evaluate(tg + s)
         assert np.abs(aligned - cortico_orbit.X).max() < 1e-8
 
@@ -211,8 +211,18 @@ class TestSeedFromAnsatz:
         assert np.abs(np.delete(c, [5, 7], axis=0)).max() == 0.0
 
     def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            d.seed_from_ansatz(1, 1.0, -1.0, 8)
+        # the config's rule and text; NaN got past the check of period <= 0
+        for period in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ConfigError, match=r"^seed\.period_guess must be positive$"):
+                d.seed_from_ansatz(1, 1.0, period, 8)
+
+    def test_unknown_seed_kind_has_the_config_text(self):
+        # build_seed said "unknown seed kind 'ansats'"
+        cfg = load_config(str(CONFIG_DIR / "kotani_fig1.yaml"))
+        cfg.seed.kind = "ansats"
+        text = "seed.kind must be ansatz|oracle|file, got 'ansats'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            pipeline.build_seed(cfg, pipeline.build_model(cfg))
 
 
 class TestConvergenceSweep:

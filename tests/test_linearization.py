@@ -32,7 +32,7 @@ def _blockdiag(blocks):
 
 def shifted_derivative(ops, mu):
     """D(mu) = Re(S L(mu) S^-1) with L(mu) = diag(mu + i omega_p), rebuilt at this mu."""
-    L = np.diag(mu + 1j * ops.grid.frequencies)
+    L = np.diag(mu + 1j * spectral._frequencies(ops.M, ops.T))
     return (ops.S @ L @ ops.S_inv).real
 
 
@@ -41,7 +41,7 @@ def fresh_stability_matrix(orbit, mu):
     = Re(S L(mu) S^-1) rebuilt at this mu."""
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau)
-    DF0, DF1 = model.jacobians(orbit.X, orbit.delayed(orbit.grid.sample_times))
+    DF0, DF1 = model.jacobians(orbit.X, orbit.delayed(orbit.sample_times))
     Im = np.eye(model.m)
     return (
         np.kron(shifted_derivative(ops, mu), Im)
@@ -56,7 +56,7 @@ def fresh_adjoint_matrix(orbit, mu):
     this mu.  Its left null vectors are the raw response curves."""
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau)
-    t = orbit.grid.sample_times
+    t = orbit.sample_times
     DF1_adv = model.jacobians(orbit.value(t + model.tau), orbit.X)[1]
     Im = np.eye(model.m)
     return (
@@ -225,7 +225,7 @@ def test_solved_orbit_keeps_its_newton_operators(kotani_model, monkeypatch):
     fresh = build_operators(orbit.M, orbit.T, kotani_model.tau)
     for name in ("S", "S_inv", "D0", "Delta"):
         assert np.array_equal(getattr(orbit.operators, name), getattr(fresh, name)), name
-    assert orbit.operators.grid == orbit.grid
+    assert (orbit.operators.M, orbit.operators.T) == (orbit.M, orbit.T)
 
 
 @pytest.fixture(scope="module")

@@ -199,6 +199,30 @@ class TestIntegrateDde:
         with pytest.raises(ValueError):
             oracle.integrate_dde(kotani_model, cos_history, 5.0, kotani_model.tau / 4)
 
+    def test_step_floor_has_one_text(self, kotani_model):
+        # the integrator said "dt=0.392699 too coarse: need dt <= tau/10", the
+        # settle "seed.dt=0.4 too coarse: need at most tau/10"
+        tau = kotani_model.tau
+        text = f"dt={tau / 4:g} too coarse: need at most tau/10 = {tau / 10:g}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            oracle.integrate_dde(kotani_model, cos_history, 5.0, tau / 4)
+        with pytest.raises(ConfigError, match=f"^seed\\.{re.escape(text)}$"):
+            oracle.settle_to_cycle(kotani_model, cos_history, 60.0, dt=tau / 4)
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 5e-324), (1e300, 0.01), (math.nan, 0.01)])
+    def test_run_beyond_the_step_cap_rejected(self, t_end, dt):
+        # a subnormal step ended in numpy's "Maximum allowed dimension exceeded"
+        # and a NaN run length in "cannot convert float NaN to integer"; none
+        # of these allocates
+        with pytest.raises(ConfigError, match=r"^t_end at dt=.*, over 2,000,000$"):
+            oracle.integrate_dde(d.kotani_scalar(0.05), lambda s: [1.0], t_end, dt)
+
+    def test_step_cap_boundary(self):
+        # (tau + t_end) / dt steps: 2,000,000 pass, 2,000,002 do not
+        assert oracle._snap_step(1.0, 1e-6, t_end=1.0) == (1e-6, 1_000_000)
+        with pytest.raises(ConfigError, match="would take 2e\\+06 steps"):
+            oracle._snap_step(1.0, 1.0 / 1_000_001, t_end=1.0)
+
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
     def test_step_not_finite_and_positive_rejected(self, kotani_model, dt):
         # inf ended in a ZeroDivisionError and nan in "cannot convert float
@@ -369,7 +393,7 @@ class TestSettleToCycle:
 def on_grid(curve, orbit):
     """The Fourier series of an oracle curve from its samples on the orbit's
     collocation grid: the form the quadrature pairing takes."""
-    return d.sample_to_coeffs(curve(orbit.grid.sample_times), orbit.T)
+    return d.sample_to_coeffs(curve(orbit.sample_times), orbit.T)
 
 
 def oracle_gaps(orbit, mu, mode, z, q, n, steps):
@@ -378,7 +402,7 @@ def oracle_gaps(orbit, mu, mode, z, q, n, steps):
     largest gap of rho, z and q on the collocation grid."""
     mono = oracle.oracle_floquet(orbit, n, steps)
     rho, z_o, q_o = oracle.oracle_curves(mono)
-    tg = orbit.grid.sample_times
+    tg = orbit.sample_times
     return {
         "mu": abs(mono.leading_nontrivial() - mu) / abs(mu),
         "unit": mono.unit_multiplier_error,
@@ -552,7 +576,7 @@ class TestPseudospectralOracle:
         rho, _, _ = kotani_oracle_curves
         x = kotani_orbit.value(np.arange(len(rho.values)) * (kotani_orbit.T / len(rho.values)))
         assert abs(floquet.mode_gauge(rho.values, x - x.mean(axis=0)) - 1.0) <= 1e-15
-        assert np.abs(rho(kotani_orbit.grid.sample_times) - kotani_mode.R).max() <= 1e-9
+        assert np.abs(rho(kotani_orbit.sample_times) - kotani_mode.R).max() <= 1e-9
 
     def test_corrupted_orbit_rejected(self, kotani_orbit):
         bad = dataclasses.replace(

@@ -49,7 +49,7 @@ def _assert_kotani_closed_form(delta):
     orbit = d.solve_cycle(
         d.kotani_scalar(delta), d.seed_from_ansatz(1, 0.8, 6.0, 20), d.SolveOptions(M=20)
     )
-    t = orbit.grid.sample_times
+    t = orbit.sample_times
     assert abs(orbit.T - 2.0 * np.pi) <= 1e-12
     assert np.abs(orbit.X[:, 0] - np.cos(t)).max() <= 1e-12
     z = adjoint.solve_response(orbit, floquet.eigenfunction(orbit, 0.0))
@@ -96,7 +96,7 @@ def _assert_anchor_shift(request, name, scan, fraction):
     mode0_s, mode_s = (floquet.eigenfunction(shifted, m) for m in (0.0, mu))
     for got, curve in ((mode_s.R, mode), (adjoint.solve_response(shifted, mode0_s).Q, z),
                        (adjoint.solve_response(shifted, mode_s).Q, q)):
-        expected = curve.series.shifted(s).evaluate(shifted.grid.sample_times)
+        expected = curve.series.shifted(s).evaluate(shifted.sample_times)
         assert relative_gap(got, expected) <= 1e-10
 
 
