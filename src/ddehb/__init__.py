@@ -30,12 +30,10 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {  # home module -> the public names it defines
-    "adjoint": ["ResponseCurve", "build_adjoint_matrix", "solve_response"],
-    "cycle": ["PeriodicOrbit", "SolveOptions", "residual", "seed_from_ansatz",
-              "solve_cycle"],
-    "floquet": ["FloquetMode", "ScanOptions", "build_stability_matrix", "det_scan",
-                "eigenfunction", "find_exponents", "leading_exponent", "refine_exponent",
-                "scan_sigma_min"],
+    "adjoint": ["ResponseCurve", "solve_response"],
+    "cycle": ["PeriodicOrbit", "SolveOptions", "seed_from_ansatz", "solve_cycle"],
+    "floquet": ["FloquetMode", "ScanOptions", "det_scan", "eigenfunction",
+                "find_exponents", "leading_exponent", "scan_sigma_min"],
     "model": ["ModelSpec", "cortico_thalamic", "kotani_scalar", "make_model",
               "verify_jacobians"],
     "oracle": ["Trajectory", "direct_prc", "integrate_dde", "oracle_curves",

@@ -84,7 +84,8 @@ _GAUSS_LEGENDRE = _gauss_legendre()  # made once, at import
 
 def build_adjoint_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
     """M(mu), whose left null vector is the response curve, updated from the
-    orbit's one (A0, B).  NonFiniteState where not finite."""
+    orbit's one (A0, B).  NonFiniteState where not finite.  No command calls
+    it; bench/tracer.py's TIMED needs it."""
     return orbit.linearization.matrix(mu)
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 import yaml
 
 from .cycle import SolveOptions, seed_from_ansatz
-from .errors import ConfigError
+from .errors import ConfigError, _finite_real
 from .floquet import ScanOptions
 
 # The interpreter's own SHA-256: importing hashlib loads OpenSSL's libcrypto,
@@ -43,10 +43,13 @@ def _snap_step(tau: float, dt: float, name: str = "dt", t_end: float = 0.0,
     """(tau / n_tau, n_tau): dt rounded down to divide tau, for an RK4 run
     over t_end after one delay of history.  ConfigError, a ValueError,
     naming the step as name (and t_end as span) unless dt is finite and
-    positive, the run takes at most MAX_RK4_STEPS steps and n_tau is at
-    least MIN_DELAY_STEPS: the one copy of the step rules."""
+    positive, t_end is not negative, the run takes at most MAX_RK4_STEPS
+    steps and n_tau is at least MIN_DELAY_STEPS: the one copy of the step
+    rules.  A NaN t_end fails the step cap."""
     if not 0 < dt < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {dt}")
+    if t_end < 0:
+        raise ConfigError(f"{span} must be >= 0, got {t_end}")
     steps = (tau + t_end) / dt
     if not steps <= MAX_RK4_STEPS:
         raise ConfigError(f"{span} at {name}={dt:g}: the run would take {steps:.3g} "
@@ -108,11 +111,14 @@ class SeedConfig:
     dt: float | None = None  # settle integrator step; default tau/64
     path: str | None = None  # orbit coefficients JSON for kind=file
 
-    def check_kind(self) -> None:
-        """ConfigError unless kind names a seed builder: the one copy of the
-        rule, which the config check and pipeline.build_seed both run."""
+    def check(self) -> None:
+        """ConfigError unless kind names a seed builder and a file seed has a
+        path: the one copy of the rules, which the config check and
+        pipeline.build_seed both run."""
         if self.kind not in ("ansatz", "oracle", "file"):
             raise ConfigError(f"seed.kind must be ansatz|oracle|file, got {self.kind!r}")
+        if self.kind == "file" and not self.path:
+            raise ConfigError("seed.kind=file requires seed.path")
 
 
 @dataclass
@@ -144,11 +150,6 @@ class RunConfig:
         payload.pop("output")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return sha256(blob.encode()).hexdigest()[:16]
-
-
-def _finite_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _check_field(name: str, value, kind):
@@ -205,16 +206,9 @@ def _validate_semantics(cfg: RunConfig):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {cfg.model.name!r}: {exc}") from None
     cfg.solver.check(model.m)
-    cfg.seed.check_kind()
-    if cfg.seed.kind == "file" and not cfg.seed.path:
-        raise ConfigError("seed.kind=file requires seed.path")
-    amp = cfg.seed.amplitude
-    if len(amp) not in (1, model.m) or not all(map(_finite_real, amp)):
-        counts = "1" if model.m == 1 else f"1 or {model.m}"
-        raise ConfigError(
-            f"seed.amplitude must hold {counts} finite real numbers, got {amp!r}"
-        )
-    seed_from_ansatz(model.m, amp, cfg.seed.period_guess, 1)  # runs the period rule
+    cfg.seed.check()
+    # runs the amplitude and period rules
+    seed_from_ansatz(model.m, cfg.seed.amplitude, cfg.seed.period_guess, 1)
     settle_times(model.tau, cfg.seed.transient, cfg.seed.dt, cfg.seed.observe_time)
     cfg.scan.check()
     if cfg.rng_seed < 0:

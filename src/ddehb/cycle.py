@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigError, DivergedToEquilibrium, MaxIterations, NonFiniteState,
-                     SingularJacobian)
+                     SingularJacobian, _finite_real)
 from .model import ModelSpec
 from .spectral import (FourierSeries, SpectralOperators, build_operators, grid_times,
                        sample_to_coeffs)
@@ -103,9 +103,6 @@ class PeriodicOrbit:
     def value(self, t) -> np.ndarray:
         return self.series.evaluate(t)
 
-    def delayed(self, t) -> np.ndarray:
-        return self.series.evaluate(np.asarray(t) - self.model.tau)
-
     @property
     def xdot_samples(self) -> np.ndarray:
         return self.series.derivative().evaluate(self.sample_times)
@@ -121,7 +118,7 @@ class PeriodicOrbit:
         """(A0, B) about the orbit, delayed values read from its interpolant:
         the one copy that every M(mu) of the orbit is updated from."""
         return assemble_linearization(self.model, self.operators, self.X,
-                                      self.delayed(self.sample_times))
+                                      self.value(self.sample_times - self.model.tau))
 
 
 def _stacked_residual(model, ops, X, anchor):
@@ -132,24 +129,6 @@ def _stacked_residual(model, ops, X, anchor):
         R = ops.D0 @ X - model.F(X, ops.Delta @ X)
         phase = float((ops.D0 @ X[:, anchor])[ops.M])
     return np.concatenate([R.ravel(), [phase]])
-
-
-def residual(model: ModelSpec, X: np.ndarray, T: float,
-             anchor: int = SolveOptions.anchor_component) -> np.ndarray:
-    """Stacked residual of the collocated system plus the anchor equation.
-
-    Returns a vector of length m(2M+1)+1; the first block is the
-    collocated delay-system residual, the last entry the derivative of
-    the anchor component at the time origin.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    ops = build_operators((X.shape[0] - 1) // 2, T, model.tau)
-    out = _stacked_residual(model, ops, X, anchor)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState("non-finite right-hand side in cycle residual")
-    return out
 
 
 @dataclass(eq=False)
@@ -221,12 +200,18 @@ def _jacobian(model, ops, X, anchor):
 
 
 def seed_from_ansatz(m: int, amplitude, period_guess: float, M: int) -> FourierSeries:
-    """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0.
-    ConfigError unless period_guess > 0: the one copy of the rule, which the
-    config check runs too."""
+    """Single-harmonic seed of period period_guess: a_1 = amplitude/2, a_0 = 0,
+    amplitude one number or a list of 1 or m, one per component.  ConfigError
+    unless they are finite real numbers (no bool) and period_guess > 0: the
+    one copy of the rules, which the config check runs too."""
+    amps = amplitude if isinstance(amplitude, list) else np.atleast_1d(amplitude).tolist()
+    if len(amps) not in (1, m) or not all(map(_finite_real, amps)):
+        counts = "1" if m == 1 else f"1 or {m}"
+        raise ConfigError(f"seed.amplitude must hold {counts} finite real numbers, "
+                          f"got {amplitude!r}")
     if not period_guess > 0:
         raise ConfigError("seed.period_guess must be positive")
-    amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, dtype=float)), (m,))
+    amp = np.broadcast_to(np.asarray(amps, dtype=float), (m,))
     coeffs = np.zeros((2 * M + 1, m), dtype=complex)
     coeffs[M + 1] = amp / 2.0  # p = +1
     coeffs[M - 1] = amp / 2.0  # p = -1 (conjugate partner)

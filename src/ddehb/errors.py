@@ -1,4 +1,12 @@
-"""Exception types raised by the solvers and the oracle."""
+"""Exception types raised by the solvers and the oracle, and the input number test."""
+
+import math
+
+
+def _finite_real(value) -> bool:
+    """True for a finite int or float; a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class DdehbError(Exception):

@@ -41,7 +41,8 @@ MAX_SCAN_POINTS = 100_000  # scan.points: each scan array; shipped 200
 
 
 def build_stability_matrix(orbit: PeriodicOrbit, mu: float) -> np.ndarray:
-    """Assemble M(mu) for the linearization about the converged orbit."""
+    """Assemble M(mu) for the linearization about the converged orbit.  No
+    command calls it; bench/tracer.py's TIMED needs it."""
     return orbit.linearization.matrix(mu)
 
 
@@ -151,6 +152,7 @@ def refine_exponent(orbit: PeriodicOrbit, bracket) -> float:
     Bisection on the determinant sign when the endpoints disagree,
     golden-section descent on sigma_min otherwise.  The refined mu must
     satisfy sigma_min <= 1e-8 sigma_max or NoRootInBracket is raised.
+    No command calls it; bench/tracer.py's TIMED needs it.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:

@@ -10,7 +10,7 @@ ModelSpec.jacobians).  F broadcasts over leading axes: inputs of shape
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,6 @@ class ModelSpec:
     m: int
     tau: float
     F: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.tau > 0:  # NaN included
@@ -72,7 +71,7 @@ def kotani_scalar(delta: float = 0.05) -> ModelSpec:
     def F(z0, z1):
         return -z1 + delta * z0 * (1.0 - z0**2 - z1**2)
 
-    return ModelSpec(name="kotani", m=1, tau=np.pi / 2.0, F=F, params={"delta": delta})
+    return ModelSpec(name="kotani", m=1, tau=np.pi / 2.0, F=F)
 
 
 def cortico_thalamic(
@@ -95,13 +94,7 @@ def cortico_thalamic(
         out[..., 1] = gamma * y + alpha * x + beta * z1[..., 0] + delta * x**3
         return out
 
-    return ModelSpec(
-        name="cortico",
-        m=2,
-        tau=tau,
-        F=F,
-        params={"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta, "tau": tau},
-    )
+    return ModelSpec(name="cortico", m=2, tau=tau, F=F)
 
 
 BUILTIN_MODELS = {

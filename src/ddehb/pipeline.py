@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import adjoint, floquet
-from .config import RunConfig, _finite_real
+from .config import RunConfig
 from .cycle import PeriodicOrbit, seed_from_ansatz
-from .errors import MalformedInput, StaleInput
+from .errors import MalformedInput, StaleInput, _finite_real
 from .model import ModelSpec, make_model
 from .spectral import FourierSeries
 
@@ -138,7 +138,7 @@ def build_seed(cfg: RunConfig, model: ModelSpec):
     ansatz, oracle settle from that ansatz, or file; and the settle behind
     an oracle seed, else None."""
     sc = cfg.seed
-    sc.check_kind()
+    sc.check()
     if sc.kind == "file":
         return read_orbit_file(sc.path, model)[1], None
     ansatz = seed_from_ansatz(model.m, sc.amplitude, sc.period_guess, cfg.solver.M)

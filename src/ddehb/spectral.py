@@ -97,7 +97,7 @@ class FourierSeries:
 
 @dataclass(eq=False)
 class SpectralOperators:
-    """DFT matrix and the derived real operators at (M, T, tau).
+    """DFT matrix and the derived real operators at (M, T) for a delay tau.
 
     D0 is the real differentiation matrix Re(S L S^-1), L = diag(i omega_p),
     and Delta the real delay matrix Re(S Gamma S^-1).  Delta.T is the exact
@@ -107,7 +107,6 @@ class SpectralOperators:
 
     M: int
     T: float
-    tau: float
     S: np.ndarray
     S_inv: np.ndarray
     D0: np.ndarray
@@ -142,7 +141,7 @@ def build_operators(M: int, T: float, tau: float) -> SpectralOperators:
             f"period T={T:.6g} too short for delay tau={tau:.6g} at M={M}: "
             f"imaginary residue {residue:.3e} above bound {IMAG_RESIDUE_BOUND * K:.3e}"
         )
-    return SpectralOperators(M=M, T=T, tau=tau, S=S, S_inv=S_inv, D0=D_c.real.copy(),
+    return SpectralOperators(M=M, T=T, S=S, S_inv=S_inv, D0=D_c.real.copy(),
                              Delta=Delta_c.real.copy())
 
 

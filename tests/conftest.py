@@ -151,7 +151,7 @@ def abs_kotani(delta: float = 0.05) -> ModelSpec:
     def F(z0, z1):
         return -z1 + delta * z0 * (1.0 - np.abs(z0) ** 2 - z1**2)
 
-    return ModelSpec("kotani_abs", 1, np.pi / 2.0, F, {"delta": delta})
+    return ModelSpec("kotani_abs", 1, np.pi / 2.0, F)
 
 
 @pytest.fixture(scope="session")

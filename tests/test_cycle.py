@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -7,9 +8,10 @@ import pytest
 import ddehb as d
 from ddehb import cli, cycle, pipeline
 from ddehb.config import load_config
-from ddehb.cycle import SolveOptions, _anchor_at_max, residual
+from ddehb.cycle import SolveOptions, _anchor_at_max, _stacked_residual
 from ddehb.errors import (ConfigError, DivergedToEquilibrium, MaxIterations, NonFiniteState,
                           SingularJacobian)
+from ddehb.spectral import build_operators
 
 from conftest import CONFIG_DIR
 
@@ -19,21 +21,26 @@ def cos_samples(M, T=2 * np.pi):
     return np.cos(t)[:, None], t
 
 
+def cos_residual(model, X):
+    """The Newton solve's own residual at the samples X, period 2 pi, anchor 0."""
+    return _stacked_residual(model, build_operators(len(X) // 2, 2 * np.pi, model.tau), X, 0)
+
+
 class TestResidual:
     def test_exact_cycle_residual_vanishes(self, kotani_model):
         X, _ = cos_samples(20)
-        r = residual(kotani_model, X, 2 * np.pi, 0)
+        r = cos_residual(kotani_model, X)
         assert np.abs(r).max() < 1e-10
 
     def test_phase_entry_is_cos_derivative_at_zero(self, kotani_model):
         X, _ = cos_samples(20)
-        r = residual(kotani_model, X, 2 * np.pi, 0)
+        r = cos_residual(kotani_model, X)
         assert abs(r[-1]) < 1e-10
 
     def test_scaled_profile_has_large_residual(self, kotani_model):
         # evaluating the collocation formula directly at the perturbed point
         X, _ = cos_samples(20)
-        r = residual(kotani_model, 1.1 * X, 2 * np.pi, 0)
+        r = cos_residual(kotani_model, 1.1 * X)
         assert np.abs(r).max() > 1e-3
 
 
@@ -149,10 +156,9 @@ class TestSolveCycle:
         assert np.abs(resampled - kotani_orbit.X).max() < 1e-12
 
     def test_fresh_residual_matches_recorded(self, cortico_model, cortico_orbit):
-        r = residual(
-            cortico_model, cortico_orbit.X, cortico_orbit.T,
-            cortico_orbit.anchor_component,
-        )
+        ops = build_operators(cortico_orbit.M, cortico_orbit.T, cortico_model.tau)
+        r = _stacked_residual(cortico_model, ops, cortico_orbit.X,
+                              cortico_orbit.anchor_component)
         assert np.abs(r).max() <= 10.0 * max(cortico_orbit.residual_norm, 1e-14)
 
     def test_anchor_invariance_up_to_time_shift(self, cortico_model, cortico_settle,
@@ -215,6 +221,21 @@ class TestSeedFromAnsatz:
         for period in (float("nan"), 0.0, -1.0):
             with pytest.raises(ConfigError, match=r"^seed\.period_guess must be positive$"):
                 d.seed_from_ansatz(1, 1.0, period, 8)
+
+    @pytest.mark.parametrize("amplitude", [[1.0, 2.0], [], [math.nan], [True]])
+    def test_rejects_amplitudes_with_the_config_text(self, amplitude):
+        # two amplitudes or none ended in numpy's "operands could not be
+        # broadcast"; NaN made a NaN seed and True read as 1
+        text = f"seed.amplitude must hold 1 finite real numbers, got {amplitude!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            d.seed_from_ansatz(1, amplitude, 6.0, 20)
+
+    def test_file_seed_without_path_has_the_config_text(self):
+        # build_seed ended in open(None)'s TypeError
+        cfg = load_config(str(CONFIG_DIR / "kotani_fig1.yaml"))
+        cfg.seed.kind = "file"
+        with pytest.raises(ConfigError, match=r"^seed\.kind=file requires seed\.path$"):
+            pipeline.build_seed(cfg, pipeline.build_model(cfg))
 
     def test_unknown_seed_kind_has_the_config_text(self):
         # build_seed said "unknown seed kind 'ansats'"

@@ -9,6 +9,7 @@ import pytest
 import ddehb as d
 from ddehb import cli, floquet, pipeline
 from ddehb.config import load_config
+from ddehb.cycle import Linearization
 from ddehb.errors import (ConfigError, DegenerateNullspace, GaugeAmbiguous, NonFiniteState,
                           NoRootInBracket, NotSingular)
 
@@ -140,6 +141,12 @@ class TestRefineExponent:
         assert abs(mu - floquet.refine_exponent(kotani_orbit, bisected)) <= 1e-12
         s_min, s_max = floquet._sigma_extremes(lin, mu)
         assert s_min <= 1e-8 * s_max
+
+    def test_bisection_stops_on_an_exact_root(self):
+        # M(mu) = diag(0.25 + mu, 1 + mu): the first midpoint of (-0.5, 0),
+        # -0.25, makes det M exactly 0, and the bisection returns it
+        lin = Linearization(np.diag([0.25, 1.0]), np.zeros((2, 2)), 1.0)
+        assert floquet._refine(lin, -0.5, 0.0, 0.0) == -0.25
 
 
 def rms(R):

@@ -41,7 +41,7 @@ def fresh_stability_matrix(orbit, mu):
     = Re(S L(mu) S^-1) rebuilt at this mu."""
     model = orbit.model
     ops = build_operators(orbit.M, orbit.T, model.tau)
-    DF0, DF1 = model.jacobians(orbit.X, orbit.delayed(orbit.sample_times))
+    DF0, DF1 = model.jacobians(orbit.X, orbit.value(orbit.sample_times - model.tau))
     Im = np.eye(model.m)
     return (
         np.kron(shifted_derivative(ops, mu), Im)
@@ -61,7 +61,7 @@ def fresh_adjoint_matrix(orbit, mu):
     Im = np.eye(model.m)
     return (
         np.kron(shifted_derivative(ops, mu), Im)
-        - _blockdiag(model.jacobians(orbit.X, orbit.delayed(t))[0])
+        - _blockdiag(model.jacobians(orbit.X, orbit.value(t - model.tau))[0])
         - np.exp(-mu * model.tau) * (np.kron(ops.Delta, Im) @ _blockdiag(DF1_adv))
     )
 
@@ -154,7 +154,10 @@ class TestAgainstFreshAssembly:
         for X in (orbit.X, orbit.X + 0.1 * np.cos(3.0 * orbit.X)):
             column = cycle._jacobian(model, ops, X, 0)[:, n_dyn]
             # central difference of the residual, operators rebuilt at T +- h
-            ref = (cycle.residual(model, X, T + h) - cycle.residual(model, X, T - h)) / (2 * h)
+            r_plus, r_minus = (
+                cycle._stacked_residual(model, build_operators(orbit.M, t, model.tau), X, 0)
+                for t in (T + h, T - h))
+            ref = (r_plus - r_minus) / (2 * h)
             assert np.abs(column - ref).max() <= 1e-7 * np.abs(ref).max()
 
     def test_mu_derivative(self, request, name, scan):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -81,7 +82,12 @@ def float_cast_cortico():
     def F(z0, z1):
         return base.F(np.asarray(z0, dtype=float), np.asarray(z1, dtype=float))
 
-    return ModelSpec("cortico_cast", 2, base.tau, F, base.params)
+    return ModelSpec("cortico_cast", 2, base.tau, F)
+
+
+def defaults(factory):
+    """The parameter defaults of a built-in model's factory."""
+    return {k: p.default for k, p in inspect.signature(factory).parameters.items()}
 
 
 class TestKotani:
@@ -101,7 +107,7 @@ class TestKotani:
         assert abs(DF1[0, 0] + 1.0) < 1e-15
 
     def test_default_parameters(self):
-        assert kotani_scalar().params == {"delta": 0.05}
+        assert defaults(kotani_scalar) == {"delta": 0.05}
         assert abs(kotani_scalar().tau - np.pi / 2) < 1e-15
 
 
@@ -125,8 +131,7 @@ class TestCortico:
         np.testing.assert_allclose(J, [[0.0, 1.0], [-0.039, -2.0]], atol=1e-15)
 
     def test_default_parameters(self):
-        p = cortico_thalamic().params
-        assert p == {
+        assert defaults(cortico_thalamic) == {
             "alpha": -0.039,
             "beta": -0.4,
             "gamma": -2.0,
@@ -225,7 +230,9 @@ class TestVerifyJacobians:
 
 class TestRegistry:
     def test_builtin_lookup(self):
-        assert make_model("kotani", delta=0.1).params["delta"] == 0.1
+        # the override reaches F: at x = 0.5, x(t - tau) = 0, F = delta x (1 - x^2)
+        F = make_model("kotani", delta=0.1).F
+        assert F(np.array([0.5]), np.array([0.0]))[0] == 0.1 * 0.5 * 0.75
         assert make_model("cortico").m == 2
 
     def test_unknown_name(self):

@@ -217,6 +217,17 @@ class TestIntegrateDde:
         with pytest.raises(ConfigError, match=r"^t_end at dt=.*, over 2,000,000$"):
             oracle.integrate_dde(d.kotani_scalar(0.05), lambda s: [1.0], t_end, dt)
 
+    @pytest.mark.parametrize("t_end", [-5.0, -0.5, -0.01])
+    def test_negative_run_length_rejected(self, t_end):
+        # -5 ended in "negative dimensions are not allowed", -0.5 and -0.01 in
+        # an IndexError; the check runs before the history is read or any
+        # array is made
+        def history(s):
+            raise AssertionError("the run started")
+
+        with pytest.raises(ConfigError, match=f"^t_end must be >= 0, got {t_end}$"):
+            oracle.integrate_dde(d.kotani_scalar(0.05), history, t_end, 0.01)
+
     def test_step_cap_boundary(self):
         # (tau + t_end) / dt steps: 2,000,000 pass, 2,000,002 do not
         assert oracle._snap_step(1.0, 1e-6, t_end=1.0) == (1e-6, 1_000_000)

@@ -67,9 +67,10 @@ class TestOperators:
         np.testing.assert_allclose(ops.D0, -ops.D0.T, atol=1e-12)
 
     def test_advance_is_transpose_of_delay(self):
-        ops = build_operators(7, 4.0, 1.1)
+        tau = 1.1
+        ops = build_operators(7, 4.0, tau)
         # fresh construction of Re(S Gamma* S^-1)
-        adv_symbol = np.diag(np.exp(1j * _frequencies(ops.M, ops.T) * ops.tau))
+        adv_symbol = np.diag(np.exp(1j * _frequencies(ops.M, ops.T) * tau))
         adv = np.real(ops.S @ adv_symbol @ ops.S_inv)
         np.testing.assert_allclose(ops.Delta.T, adv, atol=1e-13)
 
