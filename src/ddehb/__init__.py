@@ -18,8 +18,7 @@ command pays only for the layers it runs: `ddehb cycle`, `floquet`,
 loads `oracle`).  `ddehb validate` loads every layer, but neither
 `numpy.random`, since its random test arrays come from the standard
 library, nor `numpy.polynomial`, since its Gauss-Legendre rule is a constant
-table in `adjoint` and the oracle evaluates its stability polynomial by
-`np.polyval`.
+table in `adjoint`.
 The object is returned, not cached, so `vars(ddehb)` holds no layer
 object and a function rebound in its home module (by a tracer or a
 test) is what the package name gives.

@@ -35,6 +35,7 @@ from .adjoint import normalization
 from .config import MIN_DELAY_STEPS, _snap_step, settle_times
 from .cycle import PeriodicOrbit, SolveOptions
 from .errors import (
+    ConfigError,
     MonodromyIllConditioned,
     NoOscillationDetected,
     NonFiniteState,
@@ -254,9 +255,11 @@ def settle_to_cycle(model: ModelSpec, history, transient: float, dt: float | Non
 CHEB_NODES = 16  # n: the history segment is held at n + 1 nodes
 STEPS_PER_PERIOD = 750  # Runge-Kutta steps over one period
 STEP_BATCH = 40  # step matrices built at once; a period's worth is never held
+STEP_GAP_TOL = 1e-8  # the step rule's bound (pseudospectral_system; README)
+MAX_STEPS_PER_PERIOD = 100_000  # a size cap on the Jacobian tables (README)
 
 # The tableau: the nodes c_i in sixths of a step (the stages' offsets in the
-# Jacobian tables), the matrix A and the weights b.
+# Jacobian tables), the matrix A and the weights b, run by step_matrices alone.
 RK_SIXTHS = (0, 2, 4, 2, 3, 3, 6)
 RK_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -268,9 +271,6 @@ RK_A = np.array([
     [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
 ])
 RK_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
-# Its stability function R(z) = sum_{k <= 6} z^k / k! - z^7 / 2160, by
-# ascending power: a step multiplies an eigencomponent at lambda by R(h lambda).
-RK_STABILITY = tuple(1.0 / math.factorial(k) for k in range(7)) + (-1.0 / 2160,)
 
 
 @dataclass(eq=False)
@@ -292,35 +292,15 @@ class _PeriodicInterp:
 
 
 @functools.lru_cache(maxsize=None)
-def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _cheb(n: int) -> np.ndarray:
     """Chebyshev differentiation matrix D on the nodes cos(j pi / n),
-    j = 0..n (Trefethen's cheb), read-only, and the eigenvalues of its
-    transport block D[1:, 1:]."""
+    j = 0..n (Trefethen's cheb), read-only."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.where((np.arange(n + 1) % n) == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
     D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
     D -= np.diag(D.sum(axis=1))
     D.flags.writeable = False
-    lam = np.linalg.eigvals(D[1:, 1:])
-    lam.flags.writeable = False
-    return D, lam
-
-
-def _stable_steps(z: np.ndarray, steps: int) -> int:
-    """The fewest steps s >= steps with |R(z / s)| <= 1 for every z, the
-    eigenvalues of the transport block times the period.  The method's
-    stability region holds no left half-disk of radius above about 0.07, so
-    each eigenvalue is checked where it falls.  R is evaluated by np.polyval
-    (no numpy.polynomial) on 32 counts at a time: the shipped configs need
-    the first count tried, and a larger block only raises peak memory."""
-    highest_first = RK_STABILITY[::-1]
-    while True:
-        s = steps + np.arange(32)  # counts tried at once
-        r = np.polyval(highest_first, z[None, :] / s[:, None])
-        stable = (np.abs(r) <= 1.0).all(axis=1)
-        if stable.any():
-            return int(s[np.argmax(stable)])
-        steps += s.size
+    return D
 
 
 @dataclass(eq=False)
@@ -334,6 +314,7 @@ class PseudospectralSystem:
     transport: np.ndarray  # (dim, dim) the t-independent rows of A; head rows zero
     jac0: np.ndarray  # (6 steps + 1, m, m) DF0 at t = 0, h/6, ..., T
     jac1: np.ndarray  # DF1 at the same times
+    step_gap: float  # the step rule's gap at `steps`, the oracle's step error estimate
 
     def step_matrices(self, k0: int, k1: int) -> np.ndarray:
         """Step matrices of the steps k0..k1-1, (k1 - k0, dim, dim); step k
@@ -364,18 +345,34 @@ class PseudospectralSystem:
 def pseudospectral_system(orbit: PeriodicOrbit, n: int = CHEB_NODES,
                           steps: int = STEPS_PER_PERIOD) -> PseudospectralSystem:
     """The variational equation along orbit, of orbit.model, on n + 1 nodes.
-    steps is raised where needed so that |R(h lambda)| <= 1 for every
-    eigenvalue lambda of the transport block (2/tau) D[1:, 1:], R the
-    method's stability function."""
+    steps is raised to ceil(1.25 steps) until the transport rows' products
+    over a period (step_matrices with zero tables) in steps and 2 steps steps
+    agree to STEP_GAP_TOL in the max row sum, their gap kept as step_gap.
+    ValueError unless n and steps are positive integers; ConfigError naming
+    tau once steps passes MAX_STEPS_PER_PERIOD, before any table is built."""
+    for name, value in (("n", n), ("steps", steps)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     m, tau, T = orbit.model.m, orbit.model.tau, orbit.T
-    D, lam = _cheb(n)
-    steps = _stable_steps(T * (2.0 / tau) * lam, steps)
-    transport = np.kron((2.0 / tau) * D, np.eye(m))
+    transport = np.kron((2.0 / tau) * _cheb(n), np.eye(m))
     transport[:m] = 0.0
+    def product(s):  # the transport rows' product over a period in s steps
+        zero = np.zeros((7, m, m))
+        (S,) = PseudospectralSystem(orbit, s, transport, zero, zero, math.nan).step_matrices(0, 1)
+        return np.linalg.matrix_power(S, s)
+    while steps <= MAX_STEPS_PER_PERIOD:
+        with np.errstate(over="ignore", invalid="ignore"):  # an unstable count: NaN fails
+            gap = float(np.abs(product(steps) - product(2 * steps)).sum(axis=1).max())
+        if gap <= STEP_GAP_TOL:
+            break
+        steps = math.ceil(1.25 * steps)
+    else:
+        raise ConfigError(f"tau={tau:g} against the period {T:g}: the oracle step rule "
+                          f"reached {steps:,} steps a period, over {MAX_STEPS_PER_PERIOD:,}")
     t = np.arange(6 * steps + 1) * (T / (6 * steps))
     x, x_tau = orbit.value(np.stack([t, t - tau]))  # x and x(t - tau) in one readout
     jac0, jac1 = orbit.model.jacobians(x, x_tau)
-    return PseudospectralSystem(orbit, steps, transport, jac0, jac1)
+    return PseudospectralSystem(orbit, steps, transport, jac0, jac1, gap)
 
 
 @dataclass(eq=False)

@@ -727,9 +727,8 @@ class TestLoadedLayers:
     numpy.polynomial code; an oracle seed loads the oracle on demand.
     `ddehb validate` loads every layer but no numpy.random or
     numpy.polynomial: the pairing rows read their Gauss-Legendre rule from a
-    constant table and the oracle's step count evaluates its stability
-    polynomial by np.polyval.  No command loads OpenSSL (_hashlib), which
-    costs about 3.5 MB of resident memory."""
+    constant table.  No command loads OpenSSL (_hashlib), which costs about
+    3.5 MB of resident memory."""
 
     @pytest.fixture(scope="class")
     def validate_loaded(self, tmp_path_factory):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ def oracle_gaps(orbit, mu, mode, z, q, n, steps):
 
 class TestPseudospectralOracle:
     def test_cheb_differentiates_polynomials(self):
-        D, _ = oracle._cheb(8)
+        D = oracle._cheb(8)
         x = np.cos(np.pi * np.arange(9) / 8)
         for k in range(9):
             np.testing.assert_allclose(D @ x**k, k * x ** max(k - 1, 0) * (k > 0),
@@ -438,7 +439,7 @@ class TestPseudospectralOracle:
         model, n = cortico_model, 6
         system = oracle.pseudospectral_system(cortico_orbit, n, 500)
         h, k = cortico_orbit.T / system.steps, 123
-        D, _ = oracle._cheb(n)
+        D = oracle._cheb(n)
 
         def A(t):
             DF0, DF1 = model.jacobians(cortico_orbit.value(t),
@@ -481,34 +482,94 @@ class TestPseudospectralOracle:
 
     def test_steps_raised_for_stability(self, kotani_orbit):
         # a delay short against the period: the transport block is stiff,
-        # and the step count rises to the fewest that keep |R(h lambda)| <= 1
-        # for every eigenvalue lambda of the transport block
-        def worst(tau, steps):
-            _, lam = oracle._cheb(16)
-            z = (kotani_orbit.T / steps) * (2.0 / tau) * lam
-            R = sum(z**k / math.factorial(k) for k in range(7)) - z**7 / 2160.0
-            return np.abs(R).max()
-
+        # and the step count rises by quarters until the transport products
+        # in s and 2s steps agree to STEP_GAP_TOL
         model = ModelSpec("short_delay", 1, 0.01, lambda z0, z1: -z1)
         orbit = dataclasses.replace(kotani_orbit, model=model)
         system = oracle.pseudospectral_system(orbit, 16, 100)
-        assert system.steps > 100
-        assert worst(model.tau, system.steps) <= 1.0 < worst(model.tau, system.steps - 1)
-        # the shipped kotani delay needs 73 steps a period
-        assert oracle.pseudospectral_system(kotani_orbit, 16, 1).steps == 73
+        assert system.steps == 13794
+        assert system.step_gap <= oracle.STEP_GAP_TOL
+        assert system.jac0.shape == (6 * system.steps + 1, 1, 1)
 
     def test_stable_step_counts(self, kotani_orbit, cortico_orbit):
-        # the fewest stable counts from the floor of 1 step and from the shipped
-        # 750 on both configs, and the count a short delay raises 100 steps to
-        _, lam = oracle._cheb(16)
-        for tau, T, start, steps in (
-            (kotani_orbit.model.tau, kotani_orbit.T, 1, 73),
-            (kotani_orbit.model.tau, kotani_orbit.T, oracle.STEPS_PER_PERIOD, 750),
-            (cortico_orbit.model.tau, cortico_orbit.T, 1, 71),
-            (cortico_orbit.model.tau, cortico_orbit.T, oracle.STEPS_PER_PERIOD, 750),
-            (0.01, kotani_orbit.T, 100, 11345),  # test_steps_raised_for_stability's model
-        ):
-            assert oracle._stable_steps(T * (2.0 / tau) * lam, start) == steps
+        # the counts the rule returns from the floor of 1 step, and the
+        # counts the other tests run, kept on both configs (the gap depends
+        # on n and T / tau alone; at 250 steps and n = 16 it is 8.8e-9 on
+        # kotani and 8.0e-9 on cortico, the closest to STEP_GAP_TOL); numpy
+        # integers are counts too
+        for orbit in (kotani_orbit, cortico_orbit):
+            for n, start, steps in ((16, 1, 290), (32, 1, 290), (16, 250, 250),
+                                    (16, 400, 400), (16, 500, 500), (16, 750, 750),
+                                    (16, 800, 800), (6, 500, 500), (8, 500, 500),
+                                    (32, 1500, 1500), (np.int64(8), np.int64(500), 500)):
+                assert oracle.pseudospectral_system(orbit, n, start).steps == steps, (n, start)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_rule_keeps_the_eigenvalue_condition(self, kotani_orbit, cortico_orbit, n):
+        # the eigenvalue condition the step rule replaced, as a property: at
+        # the count returned, |R(h lambda)| <= 1 for every eigenvalue lambda
+        # of the transport block (2/tau) D[1:, 1:], R(z) the method's
+        # stability polynomial; the gap there is within STEP_GAP_TOL, and the
+        # count tried before it was raised
+        short = dataclasses.replace(
+            kotani_orbit, model=ModelSpec("short_delay", 1, 0.01, lambda z0, z1: -z1))
+        for orbit in (kotani_orbit, cortico_orbit, short):
+            tau, T = orbit.model.tau, orbit.T
+            lam = np.linalg.eigvals((2.0 / tau) * oracle._cheb(n)[1:, 1:])
+            for start in (1, 100):
+                system = oracle.pseudospectral_system(orbit, n, start)
+                z = (T / system.steps) * lam
+                R = sum(z**k / math.factorial(k) for k in range(7)) - z**7 / 2160.0
+                assert np.abs(R).max() <= 1.0, (n, tau, start)
+                assert system.step_gap <= oracle.STEP_GAP_TOL
+                counts = [start]
+                while counts[-1] < system.steps:
+                    counts.append(math.ceil(1.25 * counts[-1]))
+                assert counts[-1] == system.steps
+                if len(counts) > 1:
+                    before = oracle.pseudospectral_system(orbit, n, counts[-2])
+                    assert before.steps == system.steps
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_floor_count_gives_the_shipped_exponent(self, kotani_orbit,
+                                                    kotani_oracle_floquet, n):
+        # from 1 step the rule runs 290, and the leading exponent lies within
+        # 1e-9 of the shipped 750-step value (measured 9.3e-14 and 4.3e-14);
+        # the eigenvalue rule ran 73 and 277 steps here, and gave +0.353 and
+        # -0.00328 against -0.0290
+        mono = oracle.oracle_floquet(kotani_orbit, n, 1)
+        assert mono.system.steps == 290
+        assert abs(mono.leading_nontrivial()
+                   - kotani_oracle_floquet.leading_nontrivial()) <= 1e-9
+
+    @pytest.mark.parametrize("n, steps, name", [
+        (16, 0, "steps"), (16, -5, "steps"), (16, 2.5, "steps"), (16, True, "steps"),
+        (0, 750, "n"), (2.0, 750, "n"), (True, 750, "n"),
+    ])
+    def test_bad_arguments_rejected_before_stepping(self, kotani_orbit, monkeypatch,
+                                                    n, steps, name):
+        def no_step(*args):
+            raise AssertionError("a step matrix was built")
+
+        monkeypatch.setattr(oracle.PseudospectralSystem, "step_matrices", no_step)
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            oracle.oracle_floquet(kotani_orbit, n, steps)
+
+    def test_step_count_capped_before_the_tables(self, kotani_orbit):
+        # a delay a million times shorter than the period would ask for
+        # about 10^8 steps; the rule stops past MAX_STEPS_PER_PERIOD, and the
+        # traced peak stays far below the 4.8 MB of the time table alone at
+        # the cap
+        model = ModelSpec("tiny_delay", 1, 2e-6, lambda z0, z1: -z1)
+        orbit = dataclasses.replace(kotani_orbit, model=model)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"tau=2e-06 .* over 100,000"):
+                oracle.pseudospectral_system(orbit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e5, peak
 
     def test_step_matrices_built_in_batches(self, kotani_orbit, kotani_oracle_floquet,
                                             monkeypatch):
@@ -516,16 +577,22 @@ class TestPseudospectralOracle:
         step_matrices = oracle.PseudospectralSystem.step_matrices
 
         def recording(system, k0, k1):
-            built.append((k0, k1))
+            built.append((system, k0, k1))
             return step_matrices(system, k0, k1)
 
         monkeypatch.setattr(oracle.PseudospectralSystem, "step_matrices", recording)
         mono = oracle.oracle_floquet(kotani_orbit)
-        forward = built[:]
+        # the step rule's two one-step builds at the shipped count, on
+        # systems of their own (zero Jacobian tables) at 750 and 1500 steps
+        rule = [(s.steps, k0, k1) for s, k0, k1 in built if s is not mono.system]
+        assert rule == [(750, 0, 1), (1500, 0, 1)]
+        forward = [(k0, k1) for s, k0, k1 in built if s is mono.system]
+        n_forward = len(built)
         oracle.oracle_curves(mono)
         # the eigenfunction is read from the stored heads: oracle_curves
         # builds the batches of one backward sweep and nothing else
-        backward = built[len(forward):]
+        assert all(s is mono.system for s, _, _ in built[n_forward:])
+        backward = [(k0, k1) for _, k0, k1 in built[n_forward:]]
         steps = mono.system.steps
         for batches in (forward, backward[::-1]):
             assert all(0 < k1 - k0 <= oracle.STEP_BATCH for k0, k1 in batches)
